@@ -87,7 +87,7 @@ import (
 	"time"
 
 	"tensordimm"
-	"tensordimm/internal/stats"
+	"tensordimm/internal/telemetry"
 )
 
 // flags holds every parsed flag so validation can reason about the whole
@@ -741,7 +741,7 @@ func runConnect(f flags) {
 		expired   int
 		failed    int
 		firstErr  error
-		lat       stats.Latency
+		lat       = telemetry.NewHistogram()
 	)
 	interval := float64(time.Second) / f.rate
 	rng := rand.New(rand.NewSource(f.seed))
@@ -806,7 +806,7 @@ func runConnect(f flags) {
 		offered, completed, shed, expired, failed)
 	fmt.Printf("sustained %.0f req/s against %.0f req/s offered\n",
 		float64(completed)/elapsed.Seconds(), f.rate)
-	fmt.Printf("client-observed latency  %s\n", lat.Summary())
+	fmt.Printf("client-observed latency  %s\n", lat.Snapshot())
 	if firstErr != nil {
 		fmt.Fprintln(os.Stderr, "tensorserve: first failure:", firstErr)
 	}
@@ -900,7 +900,7 @@ func runJoin(f flags) {
 		failed      int
 		unavailable int
 		firstErr    error
-		lat         stats.Latency
+		lat         = telemetry.NewHistogram()
 	)
 	interval := float64(time.Second) / f.rate
 	rng := rand.New(rand.NewSource(f.seed))
@@ -968,7 +968,7 @@ func runJoin(f flags) {
 		offered, completed, expired, failed, unavailable)
 	fmt.Printf("sustained %.0f req/s against %.0f req/s offered\n",
 		float64(completed)/elapsed.Seconds(), f.rate)
-	fmt.Printf("client-observed latency  %s\n", lat.Summary())
+	fmt.Printf("client-observed latency  %s\n", lat.Snapshot())
 	fmt.Println(rc.Metrics())
 	if firstErr != nil {
 		fmt.Fprintln(os.Stderr, "tensorserve: first failure:", firstErr)

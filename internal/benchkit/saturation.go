@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"tensordimm/internal/netclient"
-	"tensordimm/internal/stats"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
 
@@ -97,7 +97,7 @@ func saturationSweep(b *testing.B) []SaturationPoint {
 // arrival stamp, so queueing counts), and shed arrivals.
 func saturationPoint(b *testing.B, cl *netclient.Client, batches [][][]int, offered float64, dur time.Duration) SaturationPoint {
 	arrivals := make(chan time.Time, satQueue)
-	var lat stats.Latency
+	lat := telemetry.NewHistogram()
 	var completed, shed atomic.Uint64
 	var wg sync.WaitGroup
 	for w := 0; w < satWorkers; w++ {
@@ -150,7 +150,7 @@ func saturationPoint(b *testing.B, cl *netclient.Client, batches [][][]int, offe
 	return SaturationPoint{
 		OfferedReqS:  offered,
 		AchievedReqS: float64(completed.Load()) / elapsed,
-		P99Us:        lat.Summary().P99 * 1e6,
+		P99Us:        lat.Snapshot().P99 * 1e6,
 		Shed:         shed.Load(),
 	}
 }

@@ -15,15 +15,16 @@ import (
 // modeled-fabric histograms, and the route/gather/merge tracer. Call
 // once, before the traffic it should observe.
 func (c *Cluster) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
-	reg.Counter("tensordimm_cluster_requests_total", "requests completed successfully", c.requests.Load, labels...)
-	reg.Counter("tensordimm_cluster_samples_total", "samples served across completed requests", c.samples.Load, labels...)
-	reg.Counter("tensordimm_cluster_failures_total", "requests failed", c.failures.Load, labels...)
-	reg.Counter("tensordimm_cluster_lookups_total", "embedding row lookups routed", c.lookups.Load, labels...)
-	reg.Counter("tensordimm_cluster_updates_total", "update batches applied", c.updates.Load, labels...)
-	reg.Counter("tensordimm_cluster_update_rows_total", "gradient rows routed across updates", c.updateRows.Load, labels...)
-	c.tTotal = reg.Histogram("tensordimm_cluster_request_seconds", "wall-clock request latency through the router", labels...)
-	c.tFabric = reg.Histogram("tensordimm_cluster_fabric_seconds", "modeled fabric transfer time per request", labels...)
-	c.tracer = reg.Tracer("cluster", 0, []string{"route", "gather", "merge"}, labels...)
+	r := c.router
+	reg.Counter("tensordimm_cluster_requests_total", "requests completed successfully", r.Requests.Load, labels...)
+	reg.Counter("tensordimm_cluster_samples_total", "samples served across completed requests", r.Samples.Load, labels...)
+	reg.Counter("tensordimm_cluster_failures_total", "requests failed", r.Failures.Load, labels...)
+	reg.Counter("tensordimm_cluster_lookups_total", "embedding row lookups routed", r.Lookups.Load, labels...)
+	reg.Counter("tensordimm_cluster_updates_total", "update batches applied", r.Updates.Load, labels...)
+	reg.Counter("tensordimm_cluster_update_rows_total", "gradient rows routed across updates", r.UpdateRows.Load, labels...)
+	reg.RegisterHistogram("tensordimm_cluster_request_seconds", "wall-clock request latency through the router", r.Latency, labels...)
+	reg.RegisterHistogram("tensordimm_cluster_fabric_seconds", "modeled fabric transfer time per request", c.fabric, labels...)
+	r.tracer = reg.Tracer("cluster", 0, []string{"route", "gather", "merge"}, labels...)
 
 	for _, sh := range c.shard {
 		lbl := append(append([]telemetry.Label{}, labels...), telemetry.L("shard", strconv.Itoa(sh.id)))

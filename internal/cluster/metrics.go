@@ -7,6 +7,7 @@ import (
 
 	"tensordimm/internal/serve"
 	"tensordimm/internal/stats"
+	"tensordimm/internal/telemetry"
 )
 
 // ShardMetrics is a point-in-time snapshot of one shard's counters.
@@ -57,11 +58,12 @@ type Metrics struct {
 	// the modeled per-request fabric seconds and UpdateTransfer the modeled
 	// per-update-batch fabric seconds (interconnect.Switch.ConvergeSeconds).
 	TransferBytes  uint64
-	Transfer       stats.LatencySummary
-	UpdateTransfer stats.LatencySummary
+	Transfer       telemetry.HistogramSnapshot
+	UpdateTransfer telemetry.HistogramSnapshot
 
-	// TotalLatency digests wall-clock submission-to-result seconds.
-	TotalLatency stats.LatencySummary
+	// TotalLatency digests the wall-clock seconds of routed reads,
+	// submission to merged embedding.
+	TotalLatency telemetry.HistogramSnapshot
 
 	// Shards holds one entry per shard, including empty shards.
 	Shards []ShardMetrics
@@ -73,16 +75,16 @@ func (c *Cluster) Metrics() Metrics {
 	m := Metrics{
 		Strategy:       c.cfg.Strategy,
 		Nodes:          c.cfg.Nodes,
-		Requests:       c.requests.Load(),
-		Samples:        c.samples.Load(),
-		Failures:       c.failures.Load(),
-		Lookups:        c.lookups.Load(),
-		Updates:        c.updates.Load(),
-		RowsUpdated:    c.updateRows.Load(),
+		Requests:       c.router.Requests.Load(),
+		Samples:        c.router.Samples.Load(),
+		Failures:       c.router.Failures.Load(),
+		Lookups:        c.router.Lookups.Load(),
+		Updates:        c.router.Updates.Load(),
+		RowsUpdated:    c.router.UpdateRows.Load(),
 		Uptime:         time.Since(c.started),
-		Transfer:       c.transfer.Summary(),
-		UpdateTransfer: c.updTransfer.Summary(),
-		TotalLatency:   c.totalLat.Summary(),
+		Transfer:       c.fabric.Snapshot(),
+		UpdateTransfer: c.updFabric.Snapshot(),
+		TotalLatency:   c.router.Latency.Snapshot(),
 	}
 	for _, sh := range c.shard {
 		sm := ShardMetrics{

@@ -254,7 +254,8 @@ func TestGoldenConcurrentMixedTraffic(t *testing.T) {
 }
 
 // TestApplyUpdatesValidation pins the error paths of the cluster write
-// path: closed cluster, empty batch, bad table, bad rows, bad shape, cap.
+// path: closed cluster, empty batch, bad table, bad rows, bad shape, zero
+// rows, cap.
 func TestApplyUpdatesValidation(t *testing.T) {
 	mc := testConfig(2, 2, 64, false, isa.RAdd)
 	c, _ := buildCluster(t, mc, Config{Nodes: 2})
@@ -270,6 +271,9 @@ func TestApplyUpdatesValidation(t *testing.T) {
 	}
 	if err := c.ApplyUpdates([]runtime.TableUpdate{{Table: 0, Rows: []int{0, 1}, Grads: g}}); err == nil {
 		t.Fatal("want shape error")
+	}
+	if err := c.ApplyUpdates([]runtime.TableUpdate{{Table: 0, Rows: []int{}, Grads: tensor.New(0, mc.EmbDim)}}); err == nil {
+		t.Fatal("want zero-row error, as remote and wire.DecodeUpdate reject it")
 	}
 	big := make([]int, c.cfg.MaxBatch*mc.Reduction+1)
 	bigG := tensor.New(len(big), mc.EmbDim)

@@ -1,0 +1,566 @@
+package cluster
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"tensordimm/internal/recsys"
+	"tensordimm/internal/runtime"
+	"tensordimm/internal/stats"
+	"tensordimm/internal/telemetry"
+	"tensordimm/internal/tensor"
+)
+
+// Hop indices of the cluster tracer: routing (cache probes + dedup),
+// shard gather fan-out (dispatch to last sub-request completion), and the
+// golden merge.
+const (
+	hopRoute = iota
+	hopGather
+	hopMerge
+)
+
+// Transport is where a Router's shards live — the one thing that differs
+// between the in-process Cluster (serve.Server per shard, modeled fabric)
+// and the remote replica router (hedged wire calls, durable SYNC fan-out).
+// Everything else — validation, placement routing, deduplication, cache
+// coherence, dispatch, merge order, update splitting and ordering — is the
+// Router's, so the bit-identity contract has one implementation.
+type Transport interface {
+	// NewCall returns the transport's state for one pooled request
+	// scratch. The router calls it once per scratch, never per request, so
+	// whatever a Call preallocates is reused for the scratch's lifetime.
+	NewCall() Call
+	// Update applies one sub-update to a shard — flat local rows of the
+	// shard's one-table gather-only model with their gradient rows, in
+	// arrival order — and returns once the shard has committed it. The
+	// router holds the owning table's update lock across the call.
+	Update(shard int, sub runtime.TableUpdate) error
+}
+
+// Call is a Transport's per-request half: the gathers of one routed read
+// and the release of whatever they hold.
+type Call interface {
+	// Gather fetches the given deduplicated flat local rows (never empty)
+	// from a shard and returns len(rows) x dim floats that stay valid until
+	// Release. start is the request's arrival time, the origin of any
+	// deadline. The router calls Gather from its dispatch workers, at most
+	// once per shard per request and concurrently for distinct shards.
+	Gather(shard int, rows []int, start time.Time) ([]float32, error)
+	// Release ends the request: the router calls it exactly once per
+	// request, after the merge has consumed every gathered row (or after a
+	// Gather failed), and before the scratch serves another request.
+	Release()
+}
+
+// Router is the shard router core shared by Cluster and the remote replica
+// router. A read is validated, routed lookup by lookup through the
+// Placement (probing the owning shard's hot-row cache when it has one),
+// deduplicated into one flat index list per shard, dispatched to the
+// Transport through a bounded worker pool, and pooled by the Merger in
+// golden order. An update batch is validated, grouped by table, serialized
+// under per-table locks, split by placement with gradient rows kept in
+// arrival order, fanned out to the owning shards concurrently, invalidated
+// from their caches after the shard commit, and reported to the applied
+// hook. The router also owns the in-flight drain, the request counters, the
+// request-latency histogram and the route/gather/merge span.
+type Router struct {
+	// Requests, Samples and Lookups count completed reads, their samples
+	// and their routed (table, row) lookups; Failures counts reads and
+	// update batches that returned a routing error; Updates and UpdateRows
+	// count completed update batches and their gradient rows.
+	Requests, Samples, Lookups, Failures, Updates, UpdateRows stats.Counter
+	// Latency records the wall-clock seconds of every completed read.
+	Latency *telemetry.Histogram
+
+	name     string // error prefix of the owning layer
+	mc       recsys.Config
+	maxBatch int
+	width    int // tables x dim, the per-sample output width
+	place    *Placement
+	merger   Merger
+	tr       Transport
+	// caches holds each shard's hot-row cache; nil entries (every entry, for
+	// the remote router) skip the probe.
+	caches []*rowCache
+	// applied, if set, observes each table update after every owning shard
+	// committed it, under that table's update lock.
+	applied func(runtime.TableUpdate)
+	// tracer is nil until the owner instruments it; every use is nil-guarded.
+	tracer *telemetry.Tracer
+
+	scratchPool sync.Pool
+	dispatch    chan *shardCall
+
+	// runMu guards the closed flag against the in-flight counter so Close
+	// can wait for every running operation before the owner tears the
+	// shards down.
+	runMu    sync.Mutex
+	closed   atomic.Bool
+	inflight sync.WaitGroup
+
+	// tableMu serializes updates per global table: float accumulation is
+	// not associative, so per-table ordering — across the shard commits, the
+	// applied hook and the cache invalidations together — is what keeps
+	// reads bit-identical to the sequential reference. Updates to distinct
+	// tables proceed concurrently.
+	tableMu []sync.Mutex
+}
+
+// NewRouter builds the router core for a model of geometry mc sharded by
+// place, and starts `workers` dispatch workers. name prefixes the router's
+// errors with the owning layer; maxBatch caps the samples of one read (and,
+// times the reduction, the rows of one update entry); applied may be nil.
+func NewRouter(name string, mc recsys.Config, place *Placement, maxBatch, workers int, tr Transport, applied func(runtime.TableUpdate)) *Router {
+	r := &Router{
+		Latency:  telemetry.NewHistogram(),
+		name:     name,
+		mc:       mc,
+		maxBatch: maxBatch,
+		width:    mc.Tables * mc.EmbDim,
+		place:    place,
+		merger:   Merger{Tables: mc.Tables, Dim: mc.EmbDim, Reduction: mc.Reduction, Mean: mc.Mean, Op: mc.Op},
+		tr:       tr,
+		caches:   make([]*rowCache, place.nodes),
+		applied:  applied,
+		dispatch: make(chan *shardCall, workers),
+		tableMu:  make([]sync.Mutex, mc.Tables),
+	}
+	r.scratchPool.New = func() any { return r.newScratch() }
+	for i := 0; i < workers; i++ {
+		go r.dispatchWorker()
+	}
+	return r
+}
+
+// rowSrc locates one lookup's resolved row: shard >= 0 indexes into that
+// shard's gathered sub-request, shard == -1 indexes a row of the scratch's
+// hit buffer (the lookup was served by a cache).
+type rowSrc struct {
+	shard int32
+	idx   int32
+}
+
+// subScratch is one shard's slice of a scratch: the deduplicated flat index
+// list being built, the rows the transport gathered for it, and the
+// epoch-stamped dedup table replacing a per-request map — a slot is live
+// only when its stamp equals the scratch's current epoch, so reuse costs
+// one increment instead of a map allocation.
+type subScratch struct {
+	rows  []int     // deduplicated flat rows routed to this shard
+	out   []float32 // the transport's gathered rows, valid until Release
+	stamp []uint32  // dedup: stamp[flat] == epoch means slot[flat] is live
+	slot  []int32   // dedup: flat row -> index in rows
+}
+
+// scratch is the per-request working set of the router, pooled and owned
+// by exactly one request from Get to Put.
+type scratch struct {
+	wg       sync.WaitGroup
+	epoch    uint32
+	start    time.Time
+	call     Call // the transport's half, allocated with the scratch
+	calls    []shardCall
+	sub      []subScratch
+	cacheVer []uint64
+	src      []rowSrc  // tables x lookups resolved sources
+	hitBuf   []float32 // cache hits, one dim-wide row per hit
+	hitRows  int
+	// lookups is the current request's batch x reduction; vec is the
+	// Merger callback over src/sub/hitBuf, built once per scratch so the
+	// merge stays allocation-free.
+	lookups int
+	vec     func(t, i int) []float32
+	span    telemetry.Span // per-hop trace slot, recycled with the scratch
+}
+
+// shardCall is one shard sub-request handed to a dispatch worker.
+type shardCall struct {
+	scr *scratch
+	s   int
+	err error
+}
+
+// newScratch sizes a scratch for the router's geometry.
+func (r *Router) newScratch() *scratch {
+	lookups := r.maxBatch * r.mc.Reduction
+	nodes := len(r.caches)
+	scr := &scratch{
+		call:     r.tr.NewCall(),
+		calls:    make([]shardCall, nodes),
+		sub:      make([]subScratch, nodes),
+		cacheVer: make([]uint64, nodes),
+		src:      make([]rowSrc, r.mc.Tables*lookups),
+	}
+	for s := range scr.sub {
+		scr.calls[s] = shardCall{scr: scr, s: s}
+		scr.sub[s] = subScratch{
+			rows:  make([]int, 0, r.place.TablesOn(s)*lookups),
+			stamp: make([]uint32, r.place.localRows[s]),
+			slot:  make([]int32, r.place.localRows[s]),
+		}
+		if r.caches[s] != nil && scr.hitBuf == nil {
+			scr.hitBuf = make([]float32, r.mc.Tables*lookups*r.mc.EmbDim)
+		}
+	}
+	dim := r.mc.EmbDim
+	scr.vec = func(t, i int) []float32 {
+		src := scr.src[t*scr.lookups+i]
+		if src.shard < 0 {
+			return scr.hitBuf[int(src.idx)*dim : (int(src.idx)+1)*dim]
+		}
+		out := scr.sub[src.shard].out
+		return out[int(src.idx)*dim : (int(src.idx)+1)*dim]
+	}
+	return scr
+}
+
+// nextEpoch advances the scratch's dedup epoch, clearing the stamp tables
+// only on the (rare) wrap-around.
+func (scr *scratch) nextEpoch() uint32 {
+	scr.epoch++
+	if scr.epoch == 0 {
+		for s := range scr.sub {
+			clear(scr.sub[s].stamp)
+		}
+		scr.epoch = 1
+	}
+	return scr.epoch
+}
+
+// dispatchWorker executes shard sub-requests until Close drains the pool.
+func (r *Router) dispatchWorker() {
+	for call := range r.dispatch {
+		scr := call.scr
+		sub := &scr.sub[call.s]
+		sub.out, call.err = scr.call.Gather(call.s, sub.rows, scr.start)
+		scr.wg.Done()
+	}
+}
+
+// EmbedInto runs one read of `batch` samples: perTableRows holds batch x
+// reduction row indices per table, and the pooled [batch, tables*dim]
+// values land row-major in dst, which is grown if its capacity is
+// insufficient and returned re-sliced to exactly batch*tables*dim. The
+// result is bit-identical to embed.Layer.Forward over the model the shards
+// hold, whatever the strategy, cache state, answering replica or co-running
+// requests. A caller that reuses the returned slice performs zero heap
+// allocations in steady state. Safe for concurrent use (with distinct dst
+// buffers).
+func (r *Router) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
+	if err := r.validateRead(perTableRows, batch); err != nil {
+		return nil, err
+	}
+	need := batch * r.width
+	if cap(dst) < need {
+		dst = make([]float32, need)
+	}
+	dst = dst[:need]
+	if err := r.run(dst, perTableRows, batch); err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// validateRead checks one read submission against the model geometry.
+func (r *Router) validateRead(perTableRows [][]int, batch int) error {
+	mc := &r.mc
+	if batch <= 0 || batch > r.maxBatch {
+		return fmt.Errorf("%s: batch %d out of range [1, %d]", r.name, batch, r.maxBatch)
+	}
+	if len(perTableRows) != mc.Tables {
+		return fmt.Errorf("%s: %d index lists for %d tables", r.name, len(perTableRows), mc.Tables)
+	}
+	lookups := batch * mc.Reduction
+	for t, rows := range perTableRows {
+		if len(rows) != lookups {
+			return fmt.Errorf("%s: table %d: %d rows for batch %d x reduction %d",
+				r.name, t, len(rows), batch, mc.Reduction)
+		}
+		for _, row := range rows {
+			if row < 0 || row >= mc.TableRows {
+				return fmt.Errorf("%s: table %d: row index %d out of range [0, %d)", r.name, t, row, mc.TableRows)
+			}
+		}
+	}
+	return nil
+}
+
+// enter registers one in-flight operation, failing once the router is
+// closed; the matching r.inflight.Done() lets Close drain before teardown.
+func (r *Router) enter() error {
+	r.runMu.Lock()
+	defer r.runMu.Unlock()
+	if r.closed.Load() {
+		return fmt.Errorf("%s: router is closed", r.name)
+	}
+	r.inflight.Add(1)
+	return nil
+}
+
+// Close stops admitting operations, waits for every in-flight read and
+// update to drain, and stops the dispatch workers. It reports whether this
+// call closed the router (false: it already was), so the owner tears its
+// shards down exactly once.
+func (r *Router) Close() bool {
+	r.runMu.Lock()
+	already := r.closed.Swap(true)
+	r.runMu.Unlock()
+	if already {
+		return false
+	}
+	r.inflight.Wait()
+	close(r.dispatch)
+	return true
+}
+
+// run executes one validated read against dst (length batch*tables*dim):
+// route, dispatch, merge.
+func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
+	start := time.Now()
+	if err := r.enter(); err != nil {
+		return err
+	}
+	defer r.inflight.Done()
+	lookups := batch * r.mc.Reduction
+	dim := r.mc.EmbDim
+	r.Lookups.Add(uint64(r.mc.Tables * lookups))
+
+	scr := r.scratchPool.Get().(*scratch)
+	defer r.scratchPool.Put(scr)
+	epoch := scr.nextEpoch()
+	scr.start, scr.hitRows, scr.lookups = start, 0, lookups
+	if r.tracer != nil {
+		scr.span.BeginAt(start)
+	}
+
+	// Snapshot every cache's version before any gather is dispatched: a
+	// row gathered now may predate an update that lands mid-request, and
+	// putAt drops it if the version moved (see rowCache).
+	for s, cache := range r.caches {
+		scr.sub[s].rows = scr.sub[s].rows[:0]
+		if cache != nil {
+			scr.cacheVer[s] = cache.snapshot()
+		}
+	}
+
+	// Route: resolve every lookup to a cache hit (copied into the hit
+	// buffer, so no reference into the cache outlives the probe) or a
+	// deduplicated slot in the owning shard's sub-request.
+	for t, rows := range perTableRows {
+		srcRow := scr.src[t*lookups : (t+1)*lookups]
+		for i, row := range rows {
+			s, flat := r.place.Locate(t, row)
+			if cache := r.caches[s]; cache != nil {
+				hit := scr.hitBuf[scr.hitRows*dim : (scr.hitRows+1)*dim]
+				if cache.getInto(flat, hit) {
+					srcRow[i] = rowSrc{shard: -1, idx: int32(scr.hitRows)}
+					scr.hitRows++
+					continue
+				}
+			}
+			sub := &scr.sub[s]
+			if sub.stamp[flat] == epoch {
+				srcRow[i] = rowSrc{shard: int32(s), idx: sub.slot[flat]}
+				continue
+			}
+			sub.stamp[flat] = epoch
+			sub.slot[flat] = int32(len(sub.rows))
+			srcRow[i] = rowSrc{shard: int32(s), idx: sub.slot[flat]}
+			sub.rows = append(sub.rows, flat)
+		}
+	}
+	if r.tracer != nil {
+		scr.span.Mark(hopRoute)
+	}
+
+	// Gather the per-shard sub-requests concurrently through the dispatch
+	// workers; the lowest failing shard's error is the request's.
+	for s := range scr.sub {
+		if len(scr.sub[s].rows) == 0 {
+			continue
+		}
+		scr.calls[s].err = nil
+		scr.wg.Add(1)
+		r.dispatch <- &scr.calls[s]
+	}
+	scr.wg.Wait()
+	if r.tracer != nil {
+		scr.span.Mark(hopGather)
+	}
+	for s := range scr.sub {
+		if len(scr.sub[s].rows) == 0 {
+			continue
+		}
+		if err := scr.calls[s].err; err != nil {
+			r.Failures.Inc()
+			scr.call.Release()
+			return err
+		}
+	}
+
+	// Feed the caches with the rows just gathered — unless an update bumped
+	// the shard's version since the snapshot, in which case the gathered
+	// rows may be stale and are not cached.
+	for s, cache := range r.caches {
+		if cache == nil {
+			continue
+		}
+		sub := &scr.sub[s]
+		for j, flat := range sub.rows {
+			cache.putAt(flat, sub.out[j*dim:(j+1)*dim], scr.cacheVer[s])
+		}
+	}
+
+	// Merge: pool each table's rows in request order directly into dst —
+	// the exact golden embed.Pool / embed.Average operation sequence,
+	// bit-identical to Layer.Forward.
+	err := r.merger.Merge(dst, batch, scr.vec)
+	scr.call.Release()
+	if err != nil {
+		r.Failures.Inc()
+		return err
+	}
+	r.Requests.Inc()
+	r.Samples.Add(uint64(batch))
+	r.Latency.Observe(time.Since(start).Seconds())
+	if r.tracer != nil {
+		scr.span.Mark(hopMerge)
+		r.tracer.Finish(&scr.span)
+	}
+	return nil
+}
+
+// ApplyUpdates applies a batch of per-table gradient updates across the
+// shards. The whole batch is validated before anything executes. Updates to
+// the same global table are serialized (slice order within one call, lock
+// order across calls); updates to distinct tables proceed concurrently.
+// After ApplyUpdates returns, every subsequent read observes the update. A
+// read concurrent with the call may observe pre-update rows, post-update
+// rows, or a mix — but never a stale cache entry that outlives the update
+// (see rowCache's version handshake). Safe for concurrent use.
+func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
+	if err := r.validateUpdates(ups); err != nil {
+		return err
+	}
+	if err := r.enter(); err != nil {
+		return err
+	}
+	defer r.inflight.Done()
+
+	// Group by table (shared grouping with the runtime, so orderings can
+	// never diverge) and fan the groups out.
+	order, groups := runtime.GroupUpdatesByTable(ups)
+	errs := make([]error, len(order))
+	var wg sync.WaitGroup
+	for gi, t := range order {
+		wg.Add(1)
+		go func(gi, t int) {
+			defer wg.Done()
+			r.tableMu[t].Lock()
+			defer r.tableMu[t].Unlock()
+			for _, up := range groups[t] {
+				if errs[gi] = r.applyTableUpdate(up); errs[gi] != nil {
+					return
+				}
+			}
+		}(gi, t)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			r.Failures.Inc()
+			return err
+		}
+	}
+	rows := 0
+	for _, up := range ups {
+		rows += len(up.Rows)
+	}
+	r.Updates.Inc()
+	r.UpdateRows.Add(uint64(rows))
+	return nil
+}
+
+// validateUpdates checks an update batch against the model geometry. Each
+// entry carries 1 to maxBatch x reduction rows — one request's worth,
+// mirroring the read path and wire.DecodeUpdate.
+func (r *Router) validateUpdates(ups []runtime.TableUpdate) error {
+	mc := &r.mc
+	if len(ups) == 0 {
+		return fmt.Errorf("%s: empty update batch", r.name)
+	}
+	maxRows := r.maxBatch * mc.Reduction
+	for i, up := range ups {
+		if up.Table < 0 || up.Table >= mc.Tables {
+			return fmt.Errorf("%s: update %d: table %d out of range [0, %d)", r.name, i, up.Table, mc.Tables)
+		}
+		if up.Grads == nil || up.Grads.Rank() != 2 || up.Grads.Dim(0) != len(up.Rows) || up.Grads.Dim(1) != mc.EmbDim {
+			return fmt.Errorf("%s: update %d: gradient shape for %d rows of dim %d", r.name, i, len(up.Rows), mc.EmbDim)
+		}
+		if len(up.Rows) == 0 || len(up.Rows) > maxRows {
+			return fmt.Errorf("%s: update %d: %d rows out of range [1, %d]", r.name, i, len(up.Rows), maxRows)
+		}
+		for _, row := range up.Rows {
+			if row < 0 || row >= mc.TableRows {
+				return fmt.Errorf("%s: update %d: row index %d out of range [0, %d)", r.name, i, row, mc.TableRows)
+			}
+		}
+	}
+	return nil
+}
+
+// applyTableUpdate routes one table's update to its owning shards (callers
+// hold the table's update lock): split the rows by placement, commit each
+// shard's slice through the transport concurrently, invalidate the
+// committed rows from the shard caches, then fire the applied hook.
+// Gradient rows are copied, so the transport owns its sub-update outright
+// and callers may reuse their buffers.
+func (r *Router) applyTableUpdate(up runtime.TableUpdate) error {
+	// Split by owning shard, preserving arrival order per shard (duplicate
+	// rows must accumulate in order).
+	flatRows := make([][]int, len(r.caches)) // shard -> flat local rows
+	gradSrc := make([][]int, len(r.caches))  // shard -> gradient row indices
+	for i, row := range up.Rows {
+		s, flat := r.place.Locate(up.Table, row)
+		flatRows[s] = append(flatRows[s], flat)
+		gradSrc[s] = append(gradSrc[s], i)
+	}
+
+	errs := make([]error, len(flatRows))
+	var wg sync.WaitGroup
+	for s := range flatRows {
+		if len(flatRows[s]) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			grads := tensor.New(len(flatRows[s]), r.mc.EmbDim)
+			for j, i := range gradSrc[s] {
+				copy(grads.Row(j), up.Grads.Row(i))
+			}
+			// The shard stores its rows as one flat gather-only table, so a
+			// sub-update always targets table 0 of the shard model.
+			errs[s] = r.tr.Update(s, runtime.TableUpdate{Table: 0, Rows: flatRows[s], Grads: grads})
+			// Invalidate AFTER the shard committed: the version bump inside
+			// invalidate also voids every in-flight putAt snapshotted before
+			// now, so no reader can park a pre-update row in the cache.
+			if cache := r.caches[s]; cache != nil && errs[s] == nil {
+				cache.invalidate(flatRows[s])
+			}
+		}(s)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	if r.applied != nil {
+		r.applied(up)
+	}
+	return nil
+}

@@ -1,0 +1,363 @@
+package cluster
+
+// Router conformance: the same seeded traffic through the router core over
+// an in-memory fake transport and over the real in-process transport must
+// be bit-identical to embed.Layer.Forward, hand both transports the same
+// per-shard deduplicated row lists, and split every update into the same
+// per-shard (rows, grads) with duplicate rows kept in arrival order. No
+// sockets, no nodes on the fake side — the suite runs in milliseconds.
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"tensordimm/internal/embed"
+	"tensordimm/internal/isa"
+	"tensordimm/internal/recsys"
+	"tensordimm/internal/runtime"
+	"tensordimm/internal/tensor"
+)
+
+// fakeTransport serves shards from in-memory flat tables carved with the
+// same buildShardModel the real shards use.
+type fakeTransport struct {
+	tables   []*embed.Table // per shard; nil for an empty shard
+	failOn   int            // shard whose Gather fails, -1 for none
+	mu       sync.Mutex
+	held     int // buffers handed out by Gather and not yet released
+	gathers  int
+	releases int
+}
+
+var errFakeShard = errors.New("fake: shard down")
+
+type fakeCall struct {
+	t    *fakeTransport
+	out  [][]float32
+	held []bool
+}
+
+func newFakeTransport(t *testing.T, m *recsys.Model, p *Placement) *fakeTransport {
+	t.Helper()
+	ft := &fakeTransport{tables: make([]*embed.Table, p.nodes), failOn: -1}
+	for s := range ft.tables {
+		if p.localRows[s] == 0 {
+			continue
+		}
+		sm, err := buildShardModel(m, p, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft.tables[s] = sm.Embedding.Tables[0]
+	}
+	return ft
+}
+
+func (ft *fakeTransport) NewCall() Call {
+	return &fakeCall{t: ft, out: make([][]float32, len(ft.tables)), held: make([]bool, len(ft.tables))}
+}
+
+func (ft *fakeTransport) Update(s int, sub runtime.TableUpdate) error {
+	runtime.AccumulateGolden(ft.tables[s], sub)
+	return nil
+}
+
+func (fc *fakeCall) Gather(s int, rows []int, _ time.Time) ([]float32, error) {
+	ft := fc.t
+	if s == ft.failOn {
+		return nil, errFakeShard
+	}
+	out := fc.out[s][:0]
+	for _, r := range rows {
+		out = append(out, ft.tables[s].Row(r)...)
+	}
+	fc.out[s] = out
+	ft.mu.Lock()
+	if fc.held[s] {
+		ft.mu.Unlock()
+		panic("fake: Gather on a shard whose previous buffer was never released")
+	}
+	fc.held[s] = true
+	ft.held++
+	ft.gathers++
+	ft.mu.Unlock()
+	return out, nil
+}
+
+func (fc *fakeCall) Release() {
+	ft := fc.t
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	ft.releases++
+	for s, h := range fc.held {
+		if h {
+			fc.held[s] = false
+			ft.held--
+		}
+	}
+}
+
+// recorder wraps a Transport and logs what the router core hands it.
+type recorder struct {
+	inner   Transport
+	mu      sync.Mutex
+	gathers map[int][][]int // shard -> one deduplicated row list per Gather
+	updates map[int][]subUpdate
+}
+
+type subUpdate struct {
+	rows  []int
+	grads []float32
+}
+
+type recordedCall struct {
+	rec   *recorder
+	inner Call
+}
+
+func record(inner Transport) *recorder {
+	return &recorder{inner: inner, gathers: map[int][][]int{}, updates: map[int][]subUpdate{}}
+}
+
+func (r *recorder) NewCall() Call { return &recordedCall{rec: r, inner: r.inner.NewCall()} }
+
+func (r *recorder) Update(s int, sub runtime.TableUpdate) error {
+	r.mu.Lock()
+	r.updates[s] = append(r.updates[s], subUpdate{
+		rows:  append([]int(nil), sub.Rows...),
+		grads: append([]float32(nil), sub.Grads.Data()...),
+	})
+	r.mu.Unlock()
+	return r.inner.Update(s, sub)
+}
+
+func (rc *recordedCall) Gather(s int, rows []int, start time.Time) ([]float32, error) {
+	rc.rec.mu.Lock()
+	rc.rec.gathers[s] = append(rc.rec.gathers[s], append([]int(nil), rows...))
+	rc.rec.mu.Unlock()
+	return rc.inner.Gather(s, rows, start)
+}
+
+func (rc *recordedCall) Release() { rc.inner.Release() }
+
+// conformanceRequests is the seeded request set: random rows over a small
+// range (duplicates within a request), one row repeated everywhere, a
+// maximal batch, and consecutive rows (which span every shard row-wise;
+// table-wise every request already touches every table's shard).
+func conformanceRequests(mc recsys.Config, maxBatch int) (reqs [][][]int, batches []int) {
+	rng := rand.New(rand.NewSource(7))
+	add := func(batch int, row func(t, i int) int) {
+		rows := make([][]int, mc.Tables)
+		for t := range rows {
+			rows[t] = make([]int, batch*mc.Reduction)
+			for i := range rows[t] {
+				rows[t][i] = row(t, i)
+			}
+		}
+		reqs, batches = append(reqs, rows), append(batches, batch)
+	}
+	add(3, func(t, i int) int { return rng.Intn(5) })
+	add(2, func(t, i int) int { return 17 })
+	add(maxBatch, func(t, i int) int { return rng.Intn(mc.TableRows) })
+	add(4, func(t, i int) int { return (t + i) % mc.TableRows })
+	add(1, func(t, i int) int { return mc.TableRows - 1 - i })
+	return reqs, batches
+}
+
+// wantGathers is the reference dedup: first-occurrence order per shard,
+// tables outer, lookups inner.
+func wantGathers(p *Placement, rows [][]int) map[int][]int {
+	seen := map[[2]int]bool{}
+	out := map[int][]int{}
+	for t, list := range rows {
+		for _, r := range list {
+			s, flat := p.Locate(t, r)
+			if !seen[[2]int{s, flat}] {
+				seen[[2]int{s, flat}] = true
+				out[s] = append(out[s], flat)
+			}
+		}
+	}
+	return out
+}
+
+// wantSplit is the reference update split: arrival order per shard,
+// duplicates kept.
+func wantSplit(p *Placement, up runtime.TableUpdate) map[int]subUpdate {
+	out := map[int]subUpdate{}
+	for i, r := range up.Rows {
+		s, flat := p.Locate(up.Table, r)
+		su := out[s]
+		su.rows = append(su.rows, flat)
+		su.grads = append(su.grads, up.Grads.Row(i)...)
+		out[s] = su
+	}
+	return out
+}
+
+func TestRouterConformance(t *testing.T) {
+	const nodes, maxBatch = 3, 6
+	for _, tc := range []struct {
+		strat Strategy
+		mean  bool
+		op    isa.ReduceOp
+	}{
+		{TableWise, false, isa.RAdd},
+		{RowWise, true, isa.RAdd},
+		{RowWise, false, isa.RMax},
+	} {
+		t.Run(fmt.Sprintf("%v/mean=%v/%v", tc.strat, tc.mean, tc.op), func(t *testing.T) {
+			mc := testConfig(4, 3, 64, tc.mean, tc.op)
+			// Two identically seeded models: the cluster writes updates
+			// through to its own, the fake's applied hook to the other.
+			local, _ := buildCluster(t, mc, Config{Nodes: nodes, Strategy: tc.strat, MaxBatch: maxBatch})
+			localRec := record(local.router.tr)
+			local.router.tr = localRec // before the first request builds a scratch
+
+			golden, err := recsys.Build(mc, 99)
+			if err != nil {
+				t.Fatal(err)
+			}
+			place := NewPlacement(tc.strat, nodes, mc.Tables, mc.TableRows)
+			ft := newFakeTransport(t, golden, place)
+			fakeRec := record(ft)
+			fake := NewRouter("fake", mc, place, maxBatch, 2, fakeRec, func(up runtime.TableUpdate) {
+				runtime.AccumulateGolden(golden.Embedding.Tables[up.Table], up)
+			})
+			defer fake.Close()
+
+			reqs, batches := conformanceRequests(mc, maxBatch)
+			read := func(phase string) {
+				for q, rows := range reqs {
+					want, err := golden.Embedding.Forward(rows, batches[q])
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotFake, err := fake.EmbedInto(nil, rows, batches[q])
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotLocal, err := local.EmbedInto(nil, rows, batches[q])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(gotFake, want.Data()) {
+						t.Fatalf("%s request %d: fake transport not bit-identical to Layer.Forward", phase, q)
+					}
+					if !slices.Equal(gotLocal, want.Data()) {
+						t.Fatalf("%s request %d: local transport not bit-identical to Layer.Forward", phase, q)
+					}
+					for s, wantRows := range wantGathers(place, rows) {
+						f, l := fakeRec.gathers[s], localRec.gathers[s]
+						if len(f) == 0 || !reflect.DeepEqual(f[len(f)-1], wantRows) {
+							t.Fatalf("%s request %d shard %d: fake gathered %v, want %v", phase, q, s, f, wantRows)
+						}
+						if len(l) == 0 || !reflect.DeepEqual(l[len(l)-1], wantRows) {
+							t.Fatalf("%s request %d shard %d: local gathered %v, want %v", phase, q, s, l, wantRows)
+						}
+					}
+				}
+			}
+			read("cold")
+			if !reflect.DeepEqual(fakeRec.gathers, localRec.gathers) {
+				t.Fatal("per-shard gather logs differ between the fake and the local transport")
+			}
+
+			// Writes: duplicate rows inside one entry, two entries on one
+			// table, rows on every shard.
+			rng := rand.New(rand.NewSource(11))
+			grads := func(n int) *tensor.Tensor {
+				g := tensor.New(n, mc.EmbDim)
+				for i := range g.Data() {
+					g.Data()[i] = rng.Float32() - 0.5
+				}
+				return g
+			}
+			ups := []runtime.TableUpdate{
+				{Table: 1, Rows: []int{4, 0, 4, 1, 2, 4, 0}, Grads: grads(7)},
+				{Table: 1, Rows: []int{2, 2}, Grads: grads(2)},
+				{Table: 3, Rows: []int{17, 300, 17}, Grads: grads(3)},
+			}
+			// One call per table, so each shard's sub-update log has one
+			// deterministic order: slice order within the table's entries.
+			want := map[int][]subUpdate{}
+			for _, batch := range [][]runtime.TableUpdate{ups[:2], ups[2:]} {
+				if err := fake.ApplyUpdates(batch); err != nil {
+					t.Fatal(err)
+				}
+				if err := local.ApplyUpdates(batch); err != nil {
+					t.Fatal(err)
+				}
+				for _, up := range batch {
+					for s, su := range wantSplit(place, up) {
+						want[s] = append(want[s], su)
+					}
+				}
+			}
+			for name, rec := range map[string]*recorder{"fake": fakeRec, "local": localRec} {
+				if !reflect.DeepEqual(rec.updates, want) {
+					t.Fatalf("%s transport: per-shard (rows, grads) splits\n got %v\nwant %v", name, rec.updates, want)
+				}
+			}
+			read("after updates")
+
+			if ft.held != 0 {
+				t.Fatalf("%d gather buffers never released", ft.held)
+			}
+			if want := int(fake.Requests.Load()); ft.releases != want {
+				t.Fatalf("Release called %d times for %d requests", ft.releases, want)
+			}
+		})
+	}
+}
+
+// TestRouterFailingShard: one Gather errors -> the read fails with the
+// transport's error, Failures increments, and every buffer a successful
+// Gather handed out is released exactly once.
+func TestRouterFailingShard(t *testing.T) {
+	const nodes, maxBatch = 3, 4
+	mc := testConfig(3, 2, 64, false, isa.RAdd)
+	m, err := recsys.Build(mc, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := NewPlacement(TableWise, nodes, mc.Tables, mc.TableRows)
+	ft := newFakeTransport(t, m, place)
+	r := NewRouter("fake", mc, place, maxBatch, 4, ft, nil)
+	defer r.Close()
+	reqs, batches := conformanceRequests(mc, maxBatch)
+
+	ft.failOn = 1
+	for q, rows := range reqs {
+		if _, err := r.EmbedInto(nil, rows, batches[q]); !errors.Is(err, errFakeShard) {
+			t.Fatalf("request %d: err = %v, want the failing shard's error", q, err)
+		}
+	}
+	if got := r.Failures.Load(); got != uint64(len(reqs)) {
+		t.Fatalf("Failures = %d, want %d", got, len(reqs))
+	}
+	if r.Requests.Load() != 0 {
+		t.Fatalf("Requests = %d for all-failed traffic", r.Requests.Load())
+	}
+	if ft.held != 0 || ft.releases != len(reqs) || ft.gathers != 2*len(reqs) {
+		t.Fatalf("held %d buffers after %d releases of %d gathers (want 0, %d, %d)",
+			ft.held, ft.releases, ft.gathers, len(reqs), 2*len(reqs))
+	}
+
+	// The shard recovers: the same scratches serve correct results again.
+	ft.failOn = -1
+	want, _ := m.Embedding.Forward(reqs[0], batches[0])
+	got, err := r.EmbedInto(nil, reqs[0], batches[0])
+	if err != nil || !slices.Equal(got, want.Data()) {
+		t.Fatalf("after recovery: err=%v, bit-identical=%v", err, err == nil && slices.Equal(got, want.Data()))
+	}
+	if ft.held != 0 {
+		t.Fatalf("%d buffers held after recovery", ft.held)
+	}
+}

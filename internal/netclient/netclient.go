@@ -1060,9 +1060,9 @@ func (c *Client) Metrics() (string, error) {
 // MetricsSnapshot fetches the server's metrics in both forms the METRICS
 // op carries since wire revision 6: the versioned telemetry snapshot
 // (exact counters, gauges, and latency histograms — what a driver or
-// smoke test asserts against) and the human text report. The snapshot is
-// nil when the server has no telemetry registry wired; an uninstrumented
-// server still snapshots as an empty, well-formed section.
+// smoke test asserts against) and the human text report. A server with no
+// telemetry registry wired still answers with an empty, well-formed
+// snapshot; a payload without one is telemetry.ErrNoSnapshot.
 func (c *Client) MetricsSnapshot() (*telemetry.Snapshot, string, error) {
 	cc, err := c.pick()
 	if err != nil {

@@ -306,11 +306,10 @@ type Server struct {
 	batchedIn  stats.Counter
 	batchesOut stats.Counter
 	batchedOut stats.Counter
-	lat        stats.Latency
+	lat        *telemetry.Histogram // executor pickup to response encoded
 
-	// Telemetry plane, nil unless Config.Registry was set; every hot-path
-	// use is nil-guarded.
-	tLat   *telemetry.Histogram
+	// tracer is nil unless Config.Registry was set; every hot-path use is
+	// nil-guarded.
 	tracer *telemetry.Tracer
 }
 
@@ -335,7 +334,7 @@ func (s *Server) instrument(reg *telemetry.Registry) {
 	reg.Gauge("tensordimm_net_inflight", "requests admitted and not yet completed", func() float64 {
 		return float64(s.inflight.Load())
 	})
-	s.tLat = reg.Histogram("tensordimm_net_request_seconds", "executor latency per request (dequeue to response encoded)")
+	reg.RegisterHistogram("tensordimm_net_request_seconds", "executor latency per request (dequeue to response encoded)", s.lat)
 	s.tracer = reg.Tracer("net", 0, []string{"queue", "exec", "flush"})
 }
 
@@ -391,6 +390,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 		conns:     make(map[*conn]struct{}),
 		closeDone: make(chan struct{}),
 		started:   time.Now(),
+		lat:       telemetry.NewHistogram(),
 	}
 	s.taskPool.New = func() any { return &task{} }
 	if cfg.Registry != nil {
@@ -793,7 +793,6 @@ func (s *Server) executor() {
 		exec := time.Since(start).Seconds()
 		s.lat.Observe(exec)
 		if s.tracer != nil {
-			s.tLat.Observe(exec)
 			t.span.Mark(netHopExec)
 		}
 		s.inflight.Add(-1)
@@ -1095,7 +1094,7 @@ type Metrics struct {
 
 	// Latency digests server-side request latency: executor pickup to
 	// response enqueued (decode and socket time excluded), in seconds.
-	Latency stats.LatencySummary
+	Latency telemetry.HistogramSnapshot
 }
 
 // Metrics snapshots the server's counters. Safe at any time, including
@@ -1119,7 +1118,7 @@ func (s *Server) Metrics() Metrics {
 		BatchedIn:  s.batchedIn.Load(),
 		BatchesOut: s.batchesOut.Load(),
 		BatchedOut: s.batchedOut.Load(),
-		Latency:    s.lat.Summary(),
+		Latency:    s.lat.Snapshot(),
 	}
 }
 

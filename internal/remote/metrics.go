@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"tensordimm/internal/stats"
 	"tensordimm/internal/telemetry"
 )
 
@@ -53,18 +52,18 @@ type Metrics struct {
 	// an in-memory router), trimmed to zero at each snapshot.
 	WALBytes int64
 	// Latency summarizes request wall-clock time.
-	Latency stats.LatencySummary
+	Latency telemetry.HistogramSnapshot
 }
 
 // Metrics snapshots the router's counters.
 func (rc *RemoteCluster) Metrics() Metrics {
 	m := Metrics{
-		Requests:         rc.requests.Load(),
-		Samples:          rc.samples.Load(),
-		Lookups:          rc.lookups.Load(),
-		Failures:         rc.failures.Load(),
-		Updates:          rc.updates.Load(),
-		UpdateRows:       rc.updateRows.Load(),
+		Requests:         rc.router.Requests.Load(),
+		Samples:          rc.router.Samples.Load(),
+		Lookups:          rc.router.Lookups.Load(),
+		Failures:         rc.router.Failures.Load(),
+		Updates:          rc.router.Updates.Load(),
+		UpdateRows:       rc.router.UpdateRows.Load(),
 		Hedges:           rc.hedges.Load(),
 		HedgeWins:        rc.hedgeWins.Load(),
 		Failovers:        rc.failovers.Load(),
@@ -76,7 +75,7 @@ func (rc *RemoteCluster) Metrics() Metrics {
 		Replayed:         rc.replayed.Load(),
 		Snapshots:        rc.snapshots.Load(),
 		Restores:         rc.restores.Load(),
-		Latency:          rc.latency.Summary(),
+		Latency:          rc.router.Latency.Snapshot(),
 	}
 	for _, sh := range rc.shards {
 		for _, rep := range sh.replicas {
@@ -119,12 +118,13 @@ func (rc *RemoteCluster) MetricsText() string { return rc.Metrics().String() }
 // the read-latency histogram, and each shard store's persist counters
 // (labeled shard="N"). Call once, before traffic.
 func (rc *RemoteCluster) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
-	reg.Counter("tensordimm_remote_requests_total", "reads completed successfully", rc.requests.Load, labels...)
-	reg.Counter("tensordimm_remote_samples_total", "samples served across completed reads", rc.samples.Load, labels...)
-	reg.Counter("tensordimm_remote_lookups_total", "embedding row lookups routed", rc.lookups.Load, labels...)
-	reg.Counter("tensordimm_remote_failures_total", "operations failed", rc.failures.Load, labels...)
-	reg.Counter("tensordimm_remote_updates_total", "update batches applied", rc.updates.Load, labels...)
-	reg.Counter("tensordimm_remote_update_rows_total", "gradient rows across applied updates", rc.updateRows.Load, labels...)
+	r := rc.router
+	reg.Counter("tensordimm_remote_requests_total", "reads completed successfully", r.Requests.Load, labels...)
+	reg.Counter("tensordimm_remote_samples_total", "samples served across completed reads", r.Samples.Load, labels...)
+	reg.Counter("tensordimm_remote_lookups_total", "embedding row lookups routed", r.Lookups.Load, labels...)
+	reg.Counter("tensordimm_remote_failures_total", "operations failed", r.Failures.Load, labels...)
+	reg.Counter("tensordimm_remote_updates_total", "update batches applied", r.Updates.Load, labels...)
+	reg.Counter("tensordimm_remote_update_rows_total", "gradient rows across applied updates", r.UpdateRows.Load, labels...)
 	reg.Counter("tensordimm_remote_hedges_total", "hedged second attempts fired", rc.hedges.Load, labels...)
 	reg.Counter("tensordimm_remote_hedge_wins_total", "reads won by the hedged attempt", rc.hedgeWins.Load, labels...)
 	reg.Counter("tensordimm_remote_failovers_total", "failover replacement attempts started", rc.failovers.Load, labels...)
@@ -189,7 +189,7 @@ func (rc *RemoteCluster) Instrument(reg *telemetry.Registry, labels ...telemetry
 		}
 		return float64(n)
 	}, labels...)
-	rc.tLat = reg.Histogram("tensordimm_remote_request_seconds", "read latency through the replica router", labels...)
+	reg.RegisterHistogram("tensordimm_remote_request_seconds", "read latency through the replica router", r.Latency, labels...)
 	for s, sh := range rc.shards {
 		if sh.store != nil {
 			sh.store.Instrument(reg, append(append([]telemetry.Label{}, labels...), telemetry.L("shard", strconv.Itoa(s)))...)

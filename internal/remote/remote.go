@@ -5,10 +5,16 @@
 // in-process cluster.Cluster — EmbedInto, ApplyUpdates, Metrics, Close —
 // with the same bit-identity contract against the golden model.
 //
-// Reads. Every lookup routes through the shared cluster.Placement into
-// deduplicated per-shard sub-requests, exactly as the in-process router
-// does. Each sub-request round-robins over its shard's healthy replicas;
-// when the first attempt has not answered within the shard's hedge delay
+// A RemoteCluster is a thin owner of the shared cluster.Router core —
+// validation, placement routing, deduplication, dispatch, golden merge,
+// update splitting and per-table ordering run there, once, for both the
+// in-process and the remote router — over the transport this package
+// implements: replica groups behind the wire.
+//
+// Reads. The router core deduplicates every lookup into per-shard
+// sub-requests. Each sub-request round-robins over its shard's healthy
+// replicas; when the first attempt has not answered within the shard's
+// hedge delay
 // (a tracked latency percentile, floored at Config.HedgeAfter), a second
 // attempt fires on another replica and the first answer wins — the loser
 // is drained and recycled in the background. A transport loss or an
@@ -17,8 +23,8 @@
 // fast, with a typed *Unavailable. The gathered partials merge through
 // the shared cluster.Merger, so results are bit-identical to the golden
 // embedding no matter which replica answered. The steady-state read path
-// performs no heap allocations: scratch, destination buffers, calls, and
-// hedge timers are all pooled.
+// performs no heap allocations: the router's scratch, destination buffers,
+// calls, and hedge timers are all pooled.
 //
 // Writes. The router is the single writer of its fleet. Every per-shard
 // sub-update is appended to that shard's durable update log
@@ -45,11 +51,11 @@
 // router crashes (the kernel owns the bytes) but not a machine-wide power
 // loss; snapshots are written tmp + fsync + rename.
 //
-// Per-table locks serialize same-table updates in the same way as the
-// in-process cluster — float accumulation order is part of the
-// bit-identity contract — and the optional Config.OnApplied hook fires in
-// exactly that order, so a caller can maintain a golden reference model
-// that stays bit-identical to the fleet.
+// The router core's per-table locks serialize same-table updates — float
+// accumulation order is part of the bit-identity contract — and the
+// optional Config.OnApplied hook fires in exactly that order, so a caller
+// can maintain a golden reference model that stays bit-identical to the
+// fleet.
 package remote
 
 import (
@@ -66,7 +72,6 @@ import (
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/stats"
-	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
 
@@ -325,55 +330,36 @@ type RemoteCluster struct {
 	cfg    Config
 	place  *cluster.Placement
 	shards []*rShard
-	width  int // tables x dim, the per-sample output width
+	// router is the shared shard router core; this package is its
+	// transport (fleetTransport).
+	router *cluster.Router
 	brkCfg breakerCfg
 	// retryRefill/retryCap are the resolved failover token-bucket
 	// parameters in millitokens (0 refill disables the budget).
 	retryRefill int64
 	retryCap    int64
 
-	scratchPool sync.Pool
-	bufPool     sync.Pool
-	timerPool   sync.Pool
-	dispatch    chan *rCall
-
-	// runMu guards closed against the in-flight counter so Close can
-	// drain before tearing the clients down.
-	runMu    sync.Mutex
-	inflight sync.WaitGroup
-	// tableMu serializes updates per global table (see ApplyUpdates).
-	tableMu []sync.Mutex
+	bufPool   sync.Pool
+	timerPool sync.Pool
 
 	// ready gates the netclient callbacks until New finished wiring the
 	// replica structures they reference.
 	ready     chan struct{}
 	readyOnce sync.Once
-	closed    atomic.Bool
 	closeCh   chan struct{}
 	janitorWG sync.WaitGroup
 
-	requests   stats.Counter
-	samples    stats.Counter
-	lookups    stats.Counter
-	failures   stats.Counter
-	updates    stats.Counter
-	updateRows stats.Counter
-	hedges     stats.Counter // hedged second attempts fired
-	hedgeWins  stats.Counter // requests won by the hedged attempt
-	failovers  stats.Counter // failover replacement attempts started
-	unavail    stats.Counter // operations failed with Unavailable
-	brkTrips   stats.Counter // circuit breakers tripped closed->open
-	denied     stats.Counter // failovers denied by the retry budget
-	deadlines  stats.Counter // reads failed with DeadlineExceeded
-	resyncs    stats.Counter // replica catch-up replays completed
-	replayed   stats.Counter // log entries delivered by catch-up replays
-	snapshots  stats.Counter // shard snapshots scraped and installed
-	restores   stats.Counter // replicas reseated from a snapshot (RESTORE)
-	latency    stats.Latency
-
-	// tLat is the telemetry read-latency histogram, nil until Instrument;
-	// the observe site is nil-guarded.
-	tLat *telemetry.Histogram
+	hedges    stats.Counter // hedged second attempts fired
+	hedgeWins stats.Counter // requests won by the hedged attempt
+	failovers stats.Counter // failover replacement attempts started
+	unavail   stats.Counter // operations failed with Unavailable
+	brkTrips  stats.Counter // circuit breakers tripped closed->open
+	denied    stats.Counter // failovers denied by the retry budget
+	deadlines stats.Counter // reads failed with DeadlineExceeded
+	resyncs   stats.Counter // replica catch-up replays completed
+	replayed  stats.Counter // log entries delivered by catch-up replays
+	snapshots stats.Counter // shard snapshots scraped and installed
+	restores  stats.Counter // replicas reseated from a snapshot (RESTORE)
 }
 
 // withDefaults fills the zero fields.
@@ -453,11 +439,13 @@ func New(cfg Config) (*RemoteCluster, error) {
 	rc := &RemoteCluster{
 		cfg:     cfg,
 		place:   cluster.NewPlacement(cfg.Strategy, len(cfg.Shards), mc.Tables, mc.TableRows),
-		width:   mc.Tables * mc.EmbDim,
-		tableMu: make([]sync.Mutex, mc.Tables),
 		ready:   make(chan struct{}),
 		closeCh: make(chan struct{}),
 	}
+	// Built before the first dial so a failing New tears down through the
+	// same Close as a running router; it serves nothing until New returns.
+	rc.router = cluster.NewRouter("remote", mc, rc.place, cfg.MaxBatch, len(cfg.Shards)*cfg.Workers,
+		fleetTransport{rc}, cfg.OnApplied)
 	if cfg.BreakerWindow > 0 {
 		need := cfg.BreakerWindow / 4
 		if need < 4 {
@@ -591,7 +579,6 @@ func New(cfg Config) (*RemoteCluster, error) {
 		}
 	}
 
-	rc.scratchPool.New = func() any { return rc.newScratch() }
 	rc.bufPool.New = func() any {
 		b := make([]float32, 0, maxCap)
 		return &b
@@ -602,11 +589,6 @@ func New(cfg Config) (*RemoteCluster, error) {
 			<-t.C
 		}
 		return t
-	}
-	workers := len(cfg.Shards) * cfg.Workers
-	rc.dispatch = make(chan *rCall, workers)
-	for i := 0; i < workers; i++ {
-		go rc.dispatchWorker()
 	}
 	// The janitor re-admits replicas whose connection recovered but whose
 	// catch-up replay failed (or who were dropped for persistent shedding)
@@ -643,100 +625,73 @@ func (rc *RemoteCluster) janitor() {
 	}
 }
 
-// rowRef locates one lookup's resolved row: an index into the owning
-// shard's sub-request result.
-type rowRef struct {
-	shard int32
-	idx   int32
+// fleetTransport is the router core's transport over the replica fleet:
+// hedged, breaker-guarded, deadline-stamped wire reads, and durable
+// sequenced SYNC fan-out for writes (appendAndFan).
+type fleetTransport struct{ rc *RemoteCluster }
+
+// NewCall allocates one rCall per shard for a router scratch.
+func (t fleetTransport) NewCall() cluster.Call {
+	fc := &fleetCall{shard: make([]rCall, len(t.rc.shards))}
+	for s := range fc.shard {
+		fc.shard[s] = rCall{rc: t.rc, s: s, rowsArg: make([][]int, 1)}
+	}
+	return fc
 }
 
-// subReq is one shard's slice of a remoteScratch: the deduplicated flat
-// index list, the reused request header, the winning response view, and
-// the epoch-stamped dedup table (shared idiom with the in-process
-// router's subScratch).
-type subReq struct {
-	rows    []int
-	rowsArg [][]int
-	out     []float32 // the winning attempt's decoded response
-	stamp   []uint32
-	slot    []int32
+// Update sequences one sub-update into the shard's durable log and fans
+// it out to the replica group.
+func (t fleetTransport) Update(s int, sub runtime.TableUpdate) error {
+	return t.rc.appendAndFan(t.rc.shards[s], sub)
 }
 
-// remoteScratch is the pooled per-request working set of the router.
-type remoteScratch struct {
-	wg      sync.WaitGroup
-	epoch   uint32
-	calls   []rCall
-	sub     []subReq
-	src     []rowRef
-	lookups int
-	vec     func(t, i int) []float32
+// fleetCall is the transport's state for one router scratch.
+type fleetCall struct{ shard []rCall }
+
+// Gather runs one shard's sub-request against its replica group.
+func (fc *fleetCall) Gather(s int, rows []int, start time.Time) ([]float32, error) {
+	call := &fc.shard[s]
+	call.rowsArg[0] = rows
+	call.out, call.err = nil, nil
+	call.deadline = time.Time{}
+	if d := call.rc.cfg.Deadline; d > 0 {
+		call.deadline = start.Add(d)
+	}
+	call.run()
+	return call.out, call.err
 }
 
-// rCall is one shard sub-request being executed by a dispatch worker,
-// including the winning attempt's resources (released after the merge).
+// Release recycles every shard's winning call and buffer after the merge
+// consumed them.
+func (fc *fleetCall) Release() {
+	for s := range fc.shard {
+		call := &fc.shard[s]
+		if call.winCa == nil {
+			continue
+		}
+		*call.winBuf = call.winCa.Dst()
+		call.winCl.Finish(call.winCa)
+		call.rc.bufPool.Put(call.winBuf)
+		call.winCl, call.winCa, call.winBuf = nil, nil, nil
+	}
+}
+
+// rCall is one shard sub-request being executed by a router dispatch
+// worker, including the winning attempt's resources (released after the
+// merge).
 type rCall struct {
-	rc  *RemoteCluster
-	s   int
-	scr *remoteScratch
-	err error
+	rc      *RemoteCluster
+	s       int
+	rowsArg [][]int   // reused 1-element request header
+	out     []float32 // the winning attempt's decoded response
+	err     error
 	// deadline is this request's absolute expiry (zero when no deadline
-	// is configured); set per request before dispatch.
+	// is configured); set per request before run.
 	deadline time.Time
 
 	winCl  *netclient.Client
 	winCa  *netclient.Call
 	winBuf *[]float32
-}
-
-// newScratch sizes a remoteScratch for the fleet's geometry.
-func (rc *RemoteCluster) newScratch() *remoteScratch {
-	mc := rc.cfg.Model
-	lookups := rc.cfg.MaxBatch * mc.Reduction
-	scr := &remoteScratch{
-		calls: make([]rCall, len(rc.shards)),
-		sub:   make([]subReq, len(rc.shards)),
-		src:   make([]rowRef, mc.Tables*lookups),
-	}
-	for s := range scr.sub {
-		maxSub := rc.place.TablesOn(s) * lookups
-		scr.sub[s] = subReq{
-			rows:    make([]int, 0, maxSub),
-			rowsArg: make([][]int, 1),
-			stamp:   make([]uint32, rc.place.LocalRows(s)),
-			slot:    make([]int32, rc.place.LocalRows(s)),
-		}
-	}
-	for s := range scr.calls {
-		scr.calls[s] = rCall{rc: rc, s: s, scr: scr}
-	}
-	dim := mc.EmbDim
-	scr.vec = func(t, i int) []float32 {
-		ref := scr.src[t*scr.lookups+i]
-		out := scr.sub[ref.shard].out
-		return out[int(ref.idx)*dim : (int(ref.idx)+1)*dim]
-	}
-	return scr
-}
-
-// nextEpoch advances the dedup epoch, clearing stamps on wrap-around.
-func (scr *remoteScratch) nextEpoch() uint32 {
-	scr.epoch++
-	if scr.epoch == 0 {
-		for s := range scr.sub {
-			clear(scr.sub[s].stamp)
-		}
-		scr.epoch = 1
-	}
-	return scr.epoch
-}
-
-// dispatchWorker executes shard sub-requests until Close drains the pool.
-func (rc *RemoteCluster) dispatchWorker() {
-	for call := range rc.dispatch {
-		call.run()
-		call.scr.wg.Done()
-	}
 }
 
 // attempt is one in-flight read attempt on a replica.
@@ -753,10 +708,8 @@ type attempt struct {
 // latency percentile, failover past transport losses and sheds, and a
 // typed Unavailable when the whole replica group is unreachable.
 func (call *rCall) run() {
-	rc, s, scr := call.rc, call.s, call.scr
+	rc, s := call.rc, call.s
 	sh := rc.shards[s]
-	sub := &scr.sub[s]
-	sub.rowsArg[0] = sub.rows
 	sh.refillRetry(rc.retryRefill, rc.retryCap)
 
 	var tried uint64
@@ -806,11 +759,11 @@ func (call *rCall) run() {
 		}
 		select {
 		case err := <-curC:
-			if call.settle(sh, sub, &cur, &alt, err, &tried, &lastErr) {
+			if call.settle(sh, &cur, &alt, err, &tried, &lastErr) {
 				return
 			}
 		case err := <-altC:
-			if call.settle(sh, sub, &alt, &cur, err, &tried, &lastErr) {
+			if call.settle(sh, &alt, &cur, err, &tried, &lastErr) {
 				return
 			}
 		case <-hedgeC:
@@ -857,7 +810,6 @@ func (call *rCall) fail(err error) {
 func (call *rCall) start(tried *uint64, hedged bool) (attempt, error) {
 	rc, s := call.rc, call.s
 	sh := rc.shards[s]
-	sub := &call.scr.sub[s]
 	now := time.Now()
 	var budget time.Duration
 	if !call.deadline.IsZero() {
@@ -886,7 +838,7 @@ func (call *rCall) start(tried *uint64, hedged bool) (attempt, error) {
 		}
 		*tried |= 1 << uint(ri)
 		buf := rc.bufPool.Get().(*[]float32)
-		ca, err := rep.cl.StartEmbedBudget((*buf)[:0], sub.rowsArg, len(sub.rows), budget)
+		ca, err := rep.cl.StartEmbedBudget((*buf)[:0], call.rowsArg, len(call.rowsArg[0]), budget)
 		if err != nil {
 			rc.bufPool.Put(buf)
 			continue
@@ -899,7 +851,7 @@ func (call *rCall) start(tried *uint64, hedged bool) (attempt, error) {
 // settle handles one attempt's result; done is the attempt that
 // delivered, other may still be in flight. It returns true when the call
 // is finished (won or failed for good).
-func (call *rCall) settle(sh *rShard, sub *subReq, done, other *attempt, err error, tried *uint64, lastErr *error) bool {
+func (call *rCall) settle(sh *rShard, done, other *attempt, err error, tried *uint64, lastErr *error) bool {
 	rc := call.rc
 	if err == nil {
 		sh.hedge.observe(time.Since(done.start))
@@ -907,7 +859,7 @@ func (call *rCall) settle(sh *rShard, sub *subReq, done, other *attempt, err err
 		if done.hedged {
 			rc.hedgeWins.Inc()
 		}
-		sub.out = done.ca.Dst()
+		call.out = done.ca.Dst()
 		call.winCl, call.winCa, call.winBuf = done.rep.cl, done.ca, done.buf
 		done.ca = nil
 		if other.ca != nil {
@@ -969,26 +921,11 @@ func (rc *RemoteCluster) reap(cl *netclient.Client, ca *netclient.Call, buf *[]f
 	rc.bufPool.Put(buf)
 }
 
-// releaseWins recycles every dispatched shard's winning call and buffer
-// after the merge consumed them.
-func (rc *RemoteCluster) releaseWins(scr *remoteScratch) {
-	for s := range scr.calls {
-		call := &scr.calls[s]
-		if call.winCa == nil {
-			continue
-		}
-		*call.winBuf = call.winCa.Dst()
-		call.winCl.Finish(call.winCa)
-		rc.bufPool.Put(call.winBuf)
-		call.winCl, call.winCa, call.winBuf = nil, nil, nil
-	}
-}
-
 // Embed runs one embedding request of `batch` samples and returns the
 // pooled [batch, tables*dim] values in a fresh slice. Safe for concurrent
 // use.
 func (rc *RemoteCluster) Embed(perTableRows [][]int, batch int) ([]float32, error) {
-	return rc.EmbedInto(nil, perTableRows, batch)
+	return rc.router.EmbedInto(nil, perTableRows, batch)
 }
 
 // EmbedInto runs one embedding request of `batch` samples and decodes
@@ -999,137 +936,7 @@ func (rc *RemoteCluster) Embed(perTableRows [][]int, batch int) ([]float32, erro
 // reuses the returned slice performs zero heap allocations in steady
 // state. Safe for concurrent use (with distinct dst buffers).
 func (rc *RemoteCluster) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
-	if err := rc.validateRead(perTableRows, batch); err != nil {
-		return nil, err
-	}
-	need := batch * rc.width
-	if cap(dst) < need {
-		dst = make([]float32, need)
-	}
-	dst = dst[:need]
-	if err := rc.run(dst, perTableRows, batch); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
-// run executes one validated read: route, hedged-dispatch, merge.
-func (rc *RemoteCluster) run(dst []float32, perTableRows [][]int, batch int) error {
-	start := time.Now()
-	mc := rc.cfg.Model
-	if err := rc.enter(); err != nil {
-		return err
-	}
-	defer rc.inflight.Done()
-	lookups := batch * mc.Reduction
-	rc.lookups.Add(uint64(mc.Tables * lookups))
-
-	scr := rc.scratchPool.Get().(*remoteScratch)
-	defer rc.scratchPool.Put(scr)
-	epoch := scr.nextEpoch()
-	scr.lookups = lookups
-	for s := range scr.sub {
-		scr.sub[s].rows = scr.sub[s].rows[:0]
-	}
-
-	// Route: deduplicate every lookup into the owning shard's sub-request
-	// (same epoch-stamp idiom as the in-process router).
-	for t, rows := range perTableRows {
-		ref := scr.src[t*lookups : (t+1)*lookups]
-		for i, r := range rows {
-			s, flat := rc.place.Locate(t, r)
-			sub := &scr.sub[s]
-			if sub.stamp[flat] == epoch {
-				ref[i] = rowRef{shard: int32(s), idx: sub.slot[flat]}
-				continue
-			}
-			sub.stamp[flat] = epoch
-			sub.slot[flat] = int32(len(sub.rows))
-			ref[i] = rowRef{shard: int32(s), idx: sub.slot[flat]}
-			sub.rows = append(sub.rows, flat)
-		}
-	}
-
-	var deadline time.Time
-	if rc.cfg.Deadline > 0 {
-		deadline = start.Add(rc.cfg.Deadline)
-	}
-	for s := range scr.sub {
-		if len(scr.sub[s].rows) == 0 {
-			continue
-		}
-		scr.calls[s].err = nil
-		scr.calls[s].deadline = deadline
-		scr.wg.Add(1)
-		rc.dispatch <- &scr.calls[s]
-	}
-	scr.wg.Wait()
-
-	var firstErr error
-	for s := range scr.sub {
-		if len(scr.sub[s].rows) == 0 {
-			continue
-		}
-		if err := scr.calls[s].err; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		rc.failures.Inc()
-		rc.releaseWins(scr)
-		return firstErr
-	}
-
-	merger := cluster.Merger{Tables: mc.Tables, Dim: mc.EmbDim, Reduction: mc.Reduction, Mean: mc.Mean, Op: mc.Op}
-	err := merger.Merge(dst, batch, scr.vec)
-	rc.releaseWins(scr)
-	if err != nil {
-		rc.failures.Inc()
-		return err
-	}
-	rc.requests.Inc()
-	rc.samples.Add(uint64(batch))
-	total := time.Since(start).Seconds()
-	rc.latency.Observe(total)
-	if rc.tLat != nil {
-		rc.tLat.Observe(total)
-	}
-	return nil
-}
-
-// validateRead checks one read submission against the fleet geometry.
-func (rc *RemoteCluster) validateRead(perTableRows [][]int, batch int) error {
-	mc := rc.cfg.Model
-	if batch <= 0 || batch > rc.cfg.MaxBatch {
-		return fmt.Errorf("remote: batch %d out of range [1, %d]", batch, rc.cfg.MaxBatch)
-	}
-	if len(perTableRows) != mc.Tables {
-		return fmt.Errorf("remote: %d index lists for %d tables", len(perTableRows), mc.Tables)
-	}
-	lookups := batch * mc.Reduction
-	for t, rows := range perTableRows {
-		if len(rows) != lookups {
-			return fmt.Errorf("remote: table %d: %d rows for batch %d x reduction %d",
-				t, len(rows), batch, mc.Reduction)
-		}
-		for _, r := range rows {
-			if r < 0 || r >= mc.TableRows {
-				return fmt.Errorf("remote: table %d: row index %d out of range [0, %d)", t, r, mc.TableRows)
-			}
-		}
-	}
-	return nil
-}
-
-// enter registers one in-flight operation, failing once closed.
-func (rc *RemoteCluster) enter() error {
-	rc.runMu.Lock()
-	defer rc.runMu.Unlock()
-	if rc.closed.Load() {
-		return fmt.Errorf("remote: router is closed")
-	}
-	rc.inflight.Add(1)
-	return nil
+	return rc.router.EmbedInto(dst, perTableRows, batch)
 }
 
 // Geometry reports the full model's shape and limits, mirroring
@@ -1172,19 +979,15 @@ func (rc *RemoteCluster) WaitReady(timeout time.Duration) error {
 	}
 }
 
-// Close stops accepting operations, drains the in-flight ones, stops the
-// janitor and dispatch workers, and closes every replica client. It is
-// idempotent.
+// Close stops accepting operations, drains the in-flight ones and stops
+// the dispatch workers (Router.Close), stops the janitor, and closes every
+// replica client and shard log. It is idempotent.
 func (rc *RemoteCluster) Close() error {
-	rc.runMu.Lock()
-	already := rc.closed.Swap(true)
-	rc.runMu.Unlock()
-	if already {
+	if !rc.router.Close() {
 		return nil
 	}
 	rc.markReady()
 	close(rc.closeCh)
-	rc.inflight.Wait()
 	rc.janitorWG.Wait()
 	for _, sh := range rc.shards {
 		for _, rep := range sh.replicas {
@@ -1195,9 +998,6 @@ func (rc *RemoteCluster) Close() error {
 		if sh.store != nil {
 			sh.store.Close()
 		}
-	}
-	if rc.dispatch != nil {
-		close(rc.dispatch)
 	}
 	return nil
 }

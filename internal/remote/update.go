@@ -3,12 +3,10 @@ package remote
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"tensordimm/internal/netclient"
 	"tensordimm/internal/runtime"
-	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
 )
 
@@ -18,11 +16,12 @@ import (
 const maxShedRetries = 200
 
 // ApplyUpdates applies a batch of per-table gradient updates fleet-wide:
-// every entry's rows split by placement into per-shard sub-updates, each
-// sub-update is appended to the owning shard's log and fanned out to the
-// shard's live replicas with the sequenced SYNC op, and replicas that are
-// down catch the entry up later by replaying the log. Mirrors
-// cluster.Cluster.ApplyUpdates.
+// the shared router core (cluster.Router.ApplyUpdates) validates the
+// batch and splits every entry's rows by placement into per-shard
+// sub-updates, each sub-update is appended to the owning shard's log and
+// fanned out to the shard's live replicas with the sequenced SYNC op
+// (appendAndFan), and replicas that are down catch the entry up later by
+// replaying the log.
 //
 // Ordering. Updates to the same global table are serialized (slice order
 // within one call, lock order across calls) and reach every replica of a
@@ -42,112 +41,7 @@ func (rc *RemoteCluster) ApplyUpdates(ups []runtime.TableUpdate) error {
 	if rc.cfg.ReadOnly {
 		return ErrReadOnly
 	}
-	mc := rc.cfg.Model
-	if len(ups) == 0 {
-		return fmt.Errorf("remote: empty update batch")
-	}
-	for i, up := range ups {
-		if up.Table < 0 || up.Table >= mc.Tables {
-			return fmt.Errorf("remote: update %d: table %d out of range [0, %d)", i, up.Table, mc.Tables)
-		}
-		if up.Grads == nil || up.Grads.Rank() != 2 || up.Grads.Dim(0) != len(up.Rows) || up.Grads.Dim(1) != mc.EmbDim {
-			return fmt.Errorf("remote: update %d: gradient shape for %d rows of dim %d", i, len(up.Rows), mc.EmbDim)
-		}
-		if len(up.Rows) == 0 || len(up.Rows) > rc.cfg.MaxBatch*mc.Reduction {
-			return fmt.Errorf("remote: update %d: %d rows out of range [1, %d]",
-				i, len(up.Rows), rc.cfg.MaxBatch*mc.Reduction)
-		}
-		for _, r := range up.Rows {
-			if r < 0 || r >= mc.TableRows {
-				return fmt.Errorf("remote: update %d: row index %d out of range [0, %d)", i, r, mc.TableRows)
-			}
-		}
-	}
-
-	if err := rc.enter(); err != nil {
-		return err
-	}
-	defer rc.inflight.Done()
-
-	order, groups := runtime.GroupUpdatesByTable(ups)
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for gi, t := range order {
-		wg.Add(1)
-		go func(gi, t int) {
-			defer wg.Done()
-			rc.tableMu[t].Lock()
-			defer rc.tableMu[t].Unlock()
-			for _, up := range groups[t] {
-				if err := rc.applyTableUpdate(up); err != nil {
-					errs[gi] = err
-					return
-				}
-			}
-		}(gi, t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			rc.failures.Inc()
-			return err
-		}
-	}
-	rows := 0
-	for _, up := range ups {
-		rows += len(up.Rows)
-	}
-	rc.updates.Inc()
-	rc.updateRows.Add(uint64(rows))
-	return nil
-}
-
-// applyTableUpdate routes one table's update to its owning shards
-// (callers hold the table's update lock): split the rows by placement,
-// sequence each shard's slice into that shard's log and fan it out, then
-// fire OnApplied. Gradient rows are copied, so the log owns its data
-// outright and callers may reuse their buffers.
-func (rc *RemoteCluster) applyTableUpdate(up runtime.TableUpdate) error {
-	dim := rc.cfg.Model.EmbDim
-	shardRows := make(map[int][]int) // shard -> flat local rows
-	shardSrc := make(map[int][]int)  // shard -> gradient row indices
-	for i, r := range up.Rows {
-		s, flat := rc.place.Locate(up.Table, r)
-		shardRows[s] = append(shardRows[s], flat)
-		shardSrc[s] = append(shardSrc[s], i)
-	}
-
-	var mu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for s, flatRows := range shardRows {
-		wg.Add(1)
-		go func(s int, flatRows []int) {
-			defer wg.Done()
-			grads := tensor.New(len(flatRows), dim)
-			for j, i := range shardSrc[s] {
-				copy(grads.Row(j), up.Grads.Row(i))
-			}
-			// The shard stores its rows as one flat gather-only table, so a
-			// sub-update always targets table 0 of the shard model.
-			err := rc.appendAndFan(rc.shards[s], runtime.TableUpdate{Table: 0, Rows: flatRows, Grads: grads})
-			if err != nil {
-				mu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				mu.Unlock()
-			}
-		}(s, flatRows)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
-	}
-	if rc.cfg.OnApplied != nil {
-		rc.cfg.OnApplied(up)
-	}
-	return nil
+	return rc.router.ApplyUpdates(ups)
 }
 
 // appendAndFan sequences one sub-update into the shard's durable log and

@@ -38,7 +38,6 @@ import (
 
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
-	"tensordimm/internal/stats"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 )
@@ -254,14 +253,12 @@ type Server struct {
 	failures atomic.Uint64
 	updates  atomic.Uint64
 	upRows   atomic.Uint64
-	queueLat stats.Latency
-	totalLat stats.Latency
+	queueLat *telemetry.Histogram // submission to execution start
+	totalLat *telemetry.Histogram // submission to result delivery
 
-	// Telemetry plane, nil until Instrument wires the server into a
-	// registry. All uses are nil-guarded so an uninstrumented server pays
-	// a single pointer check per site.
-	tQueue *telemetry.Histogram
-	tTotal *telemetry.Histogram
+	// tracer is nil until Instrument wires the server into a registry;
+	// every use is nil-guarded, so an uninstrumented server pays a single
+	// pointer check per site.
 	tracer *telemetry.Tracer
 }
 
@@ -278,8 +275,8 @@ func (s *Server) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) 
 	reg.Counter("tensordimm_serve_failures_total", "requests failed", s.failures.Load, labels...)
 	reg.Counter("tensordimm_serve_updates_total", "update requests applied", s.updates.Load, labels...)
 	reg.Counter("tensordimm_serve_update_rows_total", "embedding rows updated", s.upRows.Load, labels...)
-	s.tQueue = reg.Histogram("tensordimm_serve_queue_seconds", "submission-to-execution queue wait", labels...)
-	s.tTotal = reg.Histogram("tensordimm_serve_total_seconds", "submission-to-reply request latency", labels...)
+	reg.RegisterHistogram("tensordimm_serve_queue_seconds", "submission-to-execution queue wait", s.queueLat, labels...)
+	reg.RegisterHistogram("tensordimm_serve_total_seconds", "submission-to-reply request latency", s.totalLat, labels...)
 	s.tracer = reg.Tracer("serve", 0, []string{"queue", "exec"}, labels...)
 }
 
@@ -327,6 +324,8 @@ func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 		dispatch:  make(chan *mergedBatch, cfg.Workers),
 		closeDone: make(chan struct{}),
 		started:   time.Now(),
+		queueLat:  telemetry.NewHistogram(),
+		totalLat:  telemetry.NewHistogram(),
 	}
 	s.mbPool.New = func() any {
 		return &mergedBatch{reqs: make([]*request, 0, cfg.QueueDepth)}
@@ -566,7 +565,6 @@ func (s *Server) execute(mb *mergedBatch, ws *workerScratch) {
 		wait := start.Sub(r.enq).Seconds()
 		s.queueLat.Observe(wait)
 		if s.tracer != nil {
-			s.tQueue.Observe(wait)
 			r.span.BeginAt(r.enq)
 			r.span.Mark(hopQueue)
 		}
@@ -648,7 +646,6 @@ func (s *Server) execute(mb *mergedBatch, ws *workerScratch) {
 		// submitter recycles the request (and its span slot) as soon as
 		// the result lands.
 		if s.tracer != nil {
-			s.tTotal.Observe(total)
 			r.span.Mark(hopExec)
 			s.tracer.Finish(&r.span)
 		}
@@ -689,7 +686,6 @@ func (s *Server) applyUpdates(reqs []*request) {
 		total := time.Since(r.enq).Seconds()
 		s.totalLat.Observe(total)
 		if s.tracer != nil {
-			s.tTotal.Observe(total)
 			r.span.Mark(hopExec)
 			s.tracer.Finish(&r.span)
 		}
@@ -816,9 +812,9 @@ type Metrics struct {
 	// Throughput is completed samples per second of uptime.
 	Throughput float64
 	// QueueLatency digests time from submission to execution start.
-	QueueLatency stats.LatencySummary
+	QueueLatency telemetry.HistogramSnapshot
 	// TotalLatency digests time from submission to result delivery.
-	TotalLatency stats.LatencySummary
+	TotalLatency telemetry.HistogramSnapshot
 }
 
 // Metrics snapshots the server's counters. Safe to call at any time,
@@ -832,8 +828,8 @@ func (s *Server) Metrics() Metrics {
 		Updates:      s.updates.Load(),
 		RowsUpdated:  s.upRows.Load(),
 		Uptime:       time.Since(s.started),
-		QueueLatency: s.queueLat.Summary(),
-		TotalLatency: s.totalLat.Summary(),
+		QueueLatency: s.queueLat.Snapshot(),
+		TotalLatency: s.totalLat.Snapshot(),
 	}
 	if m.Batches > 0 {
 		m.MeanBatch = float64(m.Samples) / float64(m.Batches)

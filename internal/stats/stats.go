@@ -1,17 +1,16 @@
 // Package stats provides the small reporting toolkit the experiment drivers
-// and the serving runtime share: geometric means, percentile latency
-// recording, formatted ASCII tables (the rows/series the paper's figures
-// plot), and CSV export for downstream plotting.
+// and the serving runtime share: event counters, geometric means, exact
+// percentiles over a sample slice, formatted ASCII tables (the rows/series
+// the paper's figures plot), and CSV export for downstream plotting.
+// Latency recording lives in internal/telemetry (Histogram).
 package stats
 
 import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -77,11 +76,6 @@ func Percentile(xs []float64, p float64) float64 {
 	sorted := make([]float64, len(xs))
 	copy(sorted, xs)
 	sort.Float64s(sorted)
-	return percentileSorted(sorted, p)
-}
-
-// percentileSorted computes a percentile over an already-sorted slice.
-func percentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
 		return sorted[0]
 	}
@@ -96,98 +90,6 @@ func percentileSorted(sorted []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// ReservoirCap bounds how many observations a Latency recorder retains.
-// Beyond it, reservoir sampling keeps a uniform sample, so percentiles stay
-// accurate while memory and Summary cost stay constant for long-lived
-// servers. Count, Mean, Min and Max remain exact over every observation.
-const ReservoirCap = 1 << 16
-
-// Latency records individual observation values (seconds) and reports
-// percentile summaries. It is safe for concurrent use: the serving runtime
-// records every request's latency from many worker goroutines.
-type Latency struct {
-	mu       sync.Mutex
-	obs      []float64 // uniform sample of at most ReservoirCap observations
-	n        int       // total observations
-	sum      float64
-	min, max float64
-	rng      *rand.Rand
-}
-
-// Observe records one latency observation, in seconds.
-func (l *Latency) Observe(seconds float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n == 0 || seconds < l.min {
-		l.min = seconds
-	}
-	if l.n == 0 || seconds > l.max {
-		l.max = seconds
-	}
-	l.n++
-	l.sum += seconds
-	if len(l.obs) < ReservoirCap {
-		l.obs = append(l.obs, seconds)
-		return
-	}
-	// Reservoir sampling (Algorithm R): keep each of the n observations
-	// with probability ReservoirCap/n.
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(1))
-	}
-	if j := l.rng.Intn(l.n); j < ReservoirCap {
-		l.obs[j] = seconds
-	}
-}
-
-// Count returns the number of observations recorded so far.
-func (l *Latency) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// LatencySummary is a percentile digest of recorded latencies, in seconds.
-type LatencySummary struct {
-	Count         int
-	Mean          float64
-	P50, P95, P99 float64
-	Min, Max      float64
-}
-
-// Summary digests the recorded observations: exact count/mean/min/max,
-// percentiles over the retained sample (exact until ReservoirCap
-// observations, a uniform estimate beyond). A zero-observation recorder
-// yields a zero summary (no NaNs), so reports can always be printed.
-func (l *Latency) Summary() LatencySummary {
-	l.mu.Lock()
-	sorted := make([]float64, len(l.obs))
-	copy(sorted, l.obs)
-	s := LatencySummary{Count: l.n, Min: l.min, Max: l.max}
-	if l.n > 0 {
-		s.Mean = l.sum / float64(l.n)
-	}
-	l.mu.Unlock()
-	if len(sorted) == 0 {
-		return LatencySummary{}
-	}
-	sort.Float64s(sorted)
-	s.P50 = percentileSorted(sorted, 50)
-	s.P95 = percentileSorted(sorted, 95)
-	s.P99 = percentileSorted(sorted, 99)
-	return s
-}
-
-// String renders the summary in human units.
-func (s LatencySummary) String() string {
-	if s.Count == 0 {
-		return "no observations"
-	}
-	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",
-		s.Count, FormatSeconds(s.Mean), FormatSeconds(s.P50),
-		FormatSeconds(s.P95), FormatSeconds(s.P99), FormatSeconds(s.Max))
 }
 
 // Table is a titled grid of cells with a header row.

@@ -127,77 +127,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestLatencySummary(t *testing.T) {
-	var l Latency
-	if s := l.Summary(); s.Count != 0 || s.String() != "no observations" {
-		t.Fatalf("empty summary: %+v", s)
-	}
-	for i := 1; i <= 100; i++ {
-		l.Observe(float64(i) * 1e-3)
-	}
-	s := l.Summary()
-	if s.Count != 100 || l.Count() != 100 {
-		t.Fatalf("count = %d", s.Count)
-	}
-	if s.Min != 1e-3 || s.Max != 100e-3 {
-		t.Fatalf("min/max = %v/%v", s.Min, s.Max)
-	}
-	if s.P50 < 50e-3 || s.P50 > 51e-3 {
-		t.Fatalf("p50 = %v", s.P50)
-	}
-	if s.P99 < 99e-3 || s.P99 > 100e-3 {
-		t.Fatalf("p99 = %v", s.P99)
-	}
-	if math.Abs(s.Mean-50.5e-3) > 1e-9 {
-		t.Fatalf("mean = %v", s.Mean)
-	}
-	if s.String() == "" {
-		t.Fatal("empty String")
-	}
-}
-
-func TestLatencyConcurrent(t *testing.T) {
-	var l Latency
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				l.Observe(1e-6)
-				_ = l.Summary()
-			}
-		}()
-	}
-	wg.Wait()
-	if l.Count() != 8000 {
-		t.Fatalf("count = %d, want 8000", l.Count())
-	}
-}
-
-func TestLatencyReservoirBounded(t *testing.T) {
-	var l Latency
-	const total = ReservoirCap + 5000
-	for i := 0; i < total; i++ {
-		l.Observe(float64(i+1) * 1e-6)
-	}
-	if l.Count() != total {
-		t.Fatalf("count = %d, want %d", l.Count(), total)
-	}
-	if len(l.obs) != ReservoirCap {
-		t.Fatalf("retained %d observations, want capped at %d", len(l.obs), ReservoirCap)
-	}
-	s := l.Summary()
-	if s.Count != total || s.Min != 1e-6 || s.Max != float64(total)*1e-6 {
-		t.Fatalf("exact stats wrong: %+v", s)
-	}
-	// Uniform sample: the median estimate must land near the true median.
-	trueP50 := float64(total) / 2 * 1e-6
-	if s.P50 < trueP50*0.95 || s.P50 > trueP50*1.05 {
-		t.Fatalf("sampled p50 = %v, true %v", s.P50, trueP50)
-	}
-}
-
 func TestCounterAndHitRate(t *testing.T) {
 	var c Counter
 	if c.Load() != 0 {

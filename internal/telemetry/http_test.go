@@ -24,11 +24,11 @@ func newTestHandler(t *testing.T) (http.Handler, *Registry) {
 	h := reg.Histogram("lat_seconds", "latency")
 	h.Observe(0.004)
 	tr := reg.Tracer("serve", time.Nanosecond, []string{"queue", "exec"})
-	sp := tr.Start()
+	var sp Span
+	sp.Begin()
 	sp.Mark(0)
 	sp.Mark(1)
-	tr.Finish(sp)
-	tr.Release(sp)
+	tr.Finish(&sp)
 	return NewHandler(reg), reg
 }
 

@@ -29,6 +29,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -37,6 +38,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tensordimm/internal/stats"
 )
 
 // SnapshotVersion is the schema revision stamped into every Snapshot.
@@ -118,6 +121,13 @@ type gaugeSeries struct {
 	fn                 func() float64
 }
 
+// histSeries is one registered histogram: the owning layer records into h,
+// the registry holds its series identity.
+type histSeries struct {
+	name, labels, help string
+	h                  *Histogram
+}
+
 // Registry is a process-wide metrics registry: func-backed counters and
 // gauges, lock-free histograms, tracers, and the shared slow-request
 // ring. Create with NewRegistry; register every series before the traffic
@@ -128,7 +138,7 @@ type Registry struct {
 	names    map[string]struct{}
 	counters []*counterSeries
 	gauges   []*gaugeSeries
-	hists    []*Histogram
+	hists    []*histSeries
 	tracers  []*Tracer
 	hooks    []func()
 	ring     slowRing
@@ -173,17 +183,26 @@ func (r *Registry) Gauge(name, help string, fn func() float64, labels ...Label) 
 	r.gauges = append(r.gauges, &gaugeSeries{name: name, labels: ls, help: help, fn: fn})
 }
 
-// Histogram registers and returns a fixed-bucket log-scale latency
-// histogram. The caller records into it with Observe on its hot path.
+// Histogram creates, registers and returns a latency histogram — for
+// collectors that live on the registry itself. A serving layer owns its
+// histograms from construction (NewHistogram) and exposes them with
+// RegisterHistogram instead.
 func (r *Registry) Histogram(name, help string, labels ...Label) *Histogram {
+	h := NewHistogram()
+	r.RegisterHistogram(name, help, h, labels...)
+	return h
+}
+
+// RegisterHistogram exposes a histogram its layer already records into as
+// a named series. The layer keeps ownership: recording never touches the
+// registry, and a layer that is never instrumented still has its latency
+// digest.
+func (r *Registry) RegisterHistogram(name, help string, h *Histogram, labels ...Label) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	ls := renderLabels(labels)
 	r.register("histogram", name, ls)
-	h := &Histogram{name: name, labels: ls, help: help}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	r.hists = append(r.hists, h)
-	return h
+	r.hists = append(r.hists, &histSeries{name: name, labels: ls, help: help, h: h})
 }
 
 // OnSnapshot registers a hook run at the start of every Snapshot, before
@@ -202,12 +221,19 @@ func (r *Registry) OnSnapshot(fn func()) {
 // concurrent Observes may be off by the in-flight observations, which is
 // the usual monitoring contract.
 type Histogram struct {
-	name, labels, help string
-	buckets            [HistBuckets]atomic.Uint64
-	count              atomic.Uint64
-	sumNanos           atomic.Uint64
-	minBits            atomic.Uint64 // float64 bits; +Inf until first Observe
-	maxBits            atomic.Uint64 // float64 bits; 0 until first Observe
+	buckets  [HistBuckets]atomic.Uint64
+	count    atomic.Uint64
+	sumNanos atomic.Uint64
+	minBits  atomic.Uint64 // float64 bits; +Inf until first Observe
+	maxBits  atomic.Uint64 // float64 bits; 0 until first Observe
+}
+
+// NewHistogram returns an empty histogram ready to Observe. The zero value
+// is not usable: the running minimum must start at +Inf.
+func NewHistogram() *Histogram {
+	h := &Histogram{}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	return h
 }
 
 // bucketIndex maps a value in seconds to its bucket.
@@ -247,11 +273,10 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Snapshot copies the histogram's current state.
+// Snapshot copies the histogram's current state. Name and Labels are left
+// empty; the registry stamps them on the series it exposes.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
-		Name:     h.name,
-		Labels:   h.labels,
 		Count:    h.count.Load(),
 		SumNanos: h.sumNanos.Load(),
 		Counts:   make([]uint64, HistBuckets),
@@ -341,6 +366,17 @@ func (s *HistogramSnapshot) Mean() float64 {
 	return float64(s.SumNanos) / 1e9 / float64(s.Count)
 }
 
+// String renders the digest in human units, the form every layer's
+// Metrics report prints.
+func (s HistogramSnapshot) String() string {
+	if s.Count == 0 {
+		return "no observations"
+	}
+	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",
+		s.Count, stats.FormatSeconds(s.Mean()), stats.FormatSeconds(s.P50),
+		stats.FormatSeconds(s.P95), stats.FormatSeconds(s.P99), stats.FormatSeconds(s.Max))
+}
+
 // Merge combines two histogram snapshots of the same geometry — the
 // cross-shard aggregation a fleet-level view needs. Counts and sums add
 // (integer adds, so merging is exactly associative and commutative); Min
@@ -384,8 +420,8 @@ type CounterValue struct {
 // GaugeValue is one gauge series' snapshot value.
 type GaugeValue struct {
 	// Name and Labels identify the series; Value is the gauge reading.
-	Name   string `json:"name"`
-	Labels string `json:"labels,omitempty"`
+	Name   string  `json:"name"`
+	Labels string  `json:"labels,omitempty"`
 	Value  float64 `json:"value"`
 }
 
@@ -435,8 +471,10 @@ func (r *Registry) Snapshot() *Snapshot {
 	for _, g := range gauges {
 		s.Gauges = append(s.Gauges, GaugeValue{Name: g.name, Labels: g.labels, Value: g.fn()})
 	}
-	for _, h := range hists {
-		s.Histograms = append(s.Histograms, h.Snapshot())
+	for _, hs := range hists {
+		snap := hs.h.Snapshot()
+		snap.Name, snap.Labels = hs.name, hs.labels
+		s.Histograms = append(s.Histograms, snap)
 	}
 	return s
 }
@@ -522,7 +560,8 @@ func (r *Registry) PromText() string {
 		g.lines = append(g.lines, sample(gg.name, gg.labels, strconv.FormatFloat(gg.fn(), 'g', -1, 64)))
 	}
 	for _, h := range hists {
-		hs := h.Snapshot()
+		hs := h.h.Snapshot()
+		hs.Labels = h.labels
 		g := grp(h.name, h.help, "histogram")
 		cum := uint64(0)
 		for i, c := range hs.Counts {
@@ -575,9 +614,9 @@ func EncodeWirePayload(reg *Registry, text string) []byte {
 	}
 	data, err := json.Marshal(snap)
 	if err != nil {
-		// A snapshot is plain data and always marshals; fall back to the
-		// bare text rather than fail a metrics fetch.
-		return []byte(text)
+		// Only a gauge reading NaN or Inf cannot marshal; ship an empty
+		// snapshot beside the text rather than fail the metrics fetch.
+		data, _ = json.Marshal(&Snapshot{Version: SnapshotVersion, TakenUnixNano: snap.TakenUnixNano})
 	}
 	out := make([]byte, 0, len(wireMagic)+len(data)+len(wireSep)+len(text))
 	out = append(out, wireMagic...)
@@ -587,13 +626,16 @@ func EncodeWirePayload(reg *Registry, text string) []byte {
 	return out
 }
 
+// ErrNoSnapshot is returned by DecodeWirePayload for a payload that does
+// not open with the snapshot magic.
+var ErrNoSnapshot = errors.New("telemetry: metrics payload has no snapshot section")
+
 // DecodeWirePayload splits a METRICS response payload into its snapshot
-// and human text sections. A payload without the snapshot magic (an older
-// server) returns a nil snapshot and the whole payload as text — callers
-// degrade to text-only, never fail.
+// and human text sections. Every peer that passes the wire handshake
+// stamps the snapshot magic, so a payload without it is ErrNoSnapshot.
 func DecodeWirePayload(payload []byte) (*Snapshot, string, error) {
 	if !bytes.HasPrefix(payload, []byte(wireMagic)) {
-		return nil, string(payload), nil
+		return nil, "", ErrNoSnapshot
 	}
 	rest := payload[len(wireMagic):]
 	sep := bytes.Index(rest, []byte(wireSep))

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"strings"
@@ -289,7 +290,7 @@ func TestPromText(t *testing.T) {
 }
 
 // TestWirePayloadRoundTrip covers encode/decode of the METRICS payload,
-// the nil-registry shape, and legacy text-only fallback.
+// the nil-registry shape, and the malformed-payload errors.
 func TestWirePayloadRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	var n atomic.Uint64
@@ -316,13 +317,10 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 		t.Fatalf("nil-registry payload: snap=%+v text=%q err=%v", snap, text, err)
 	}
 
-	// A legacy payload without the magic decodes as text-only.
-	snap, text, err = DecodeWirePayload([]byte("old-style text report"))
-	if err != nil || snap != nil || text != "old-style text report" {
-		t.Fatalf("legacy payload: snap=%v text=%q err=%v", snap, text, err)
-	}
-
 	// Corrupt payloads fail loudly.
+	if _, _, err := DecodeWirePayload([]byte("text report without the magic")); !errors.Is(err, ErrNoSnapshot) {
+		t.Fatalf("magic-less payload: err=%v, want ErrNoSnapshot", err)
+	}
 	if _, _, err := DecodeWirePayload([]byte(wireMagic + "no separator here")); err == nil {
 		t.Fatal("missing separator should error")
 	}

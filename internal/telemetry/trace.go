@@ -64,14 +64,12 @@ func (sp *Span) Reset() { *sp = Span{} }
 
 // Tracer names a traced request path (serve, cluster, net), its hop
 // stages, and its slow threshold. Create with Registry.Tracer; feed it
-// spans embedded in the layer's pooled objects, or use Start/Release for
-// standalone pooled spans.
+// spans embedded in the layer's pooled objects.
 type Tracer struct {
 	name string
 	hops []string
 	slow time.Duration
 	ring *slowRing
-	pool sync.Pool
 }
 
 // Tracer registers a named tracer with the given slow threshold (0 means
@@ -93,23 +91,8 @@ func (r *Registry) Tracer(name string, slow time.Duration, hopNames []string, la
 	defer r.mu.Unlock()
 	r.register("tracer", "tracer:"+name, ls)
 	t := &Tracer{name: name, hops: hopNames, slow: slow, ring: &r.ring}
-	t.pool.New = func() any { return new(Span) }
 	r.tracers = append(r.tracers, t)
 	return t
-}
-
-// Start returns a pooled span, begun now — for call sites that have no
-// pooled request object to embed a span in. Pair with Release.
-func (t *Tracer) Start() *Span {
-	sp := t.pool.Get().(*Span)
-	sp.Begin()
-	return sp
-}
-
-// Release recycles a span obtained from Start.
-func (t *Tracer) Release(sp *Span) {
-	sp.Reset()
-	t.pool.Put(sp)
 }
 
 // Finish completes a span: if its total latency meets the tracer's slow

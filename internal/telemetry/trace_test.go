@@ -87,27 +87,6 @@ func TestSpanStateDiscipline(t *testing.T) {
 	}
 }
 
-// TestTracerPool covers the standalone Start/Release pooled spans.
-func TestTracerPool(t *testing.T) {
-	reg := NewRegistry()
-	tr := reg.Tracer("p", 0, []string{"a"}) // 0 → DefaultSlowThreshold
-	sp := tr.Start()
-	if !sp.Active() {
-		t.Fatal("started span should be active")
-	}
-	sp.Mark(0)
-	tr.Finish(sp)
-	tr.Release(sp)
-	if sp.Active() {
-		t.Fatal("released span should be reset")
-	}
-	sp2 := tr.Start()
-	if !sp2.Active() {
-		t.Fatal("recycled span should restart cleanly")
-	}
-	tr.Release(sp2)
-}
-
 // TestSlowRingEviction overfills the ring and checks the newest-first,
 // bounded contract.
 func TestSlowRingEviction(t *testing.T) {
@@ -144,11 +123,11 @@ func TestTracerConcurrentFinish(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				sp := tr.Start()
+				var sp Span
+				sp.Begin()
 				sp.Mark(0)
 				sp.Mark(1)
-				tr.Finish(sp)
-				tr.Release(sp)
+				tr.Finish(&sp)
 				if i%50 == 0 {
 					reg.SlowRequests()
 				}
