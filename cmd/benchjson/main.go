@@ -1,6 +1,6 @@
 // Command benchjson runs the hot-serving-path benchmark suite
-// (internal/benchkit: ServeThroughput, ClusterEmbed, ExpandIndices,
-// NetRoundTrip) plus the open-loop network saturation sweep, and writes
+// (internal/benchkit: ServeThroughput, ClusterEmbed, ClusterEmbedMiss,
+// ExpandIndices, NetRoundTrip) plus the open-loop network saturation sweep, and writes
 // the results as JSON, so every PR leaves a machine-readable performance
 // record next to the paper-reproduction artifacts.
 //

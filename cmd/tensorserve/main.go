@@ -387,7 +387,7 @@ func validate(f flags) error {
 // handshake is validated against it), so the model flags stay legal;
 // server-side sizing flags would be silently ignored and are rejected.
 func validateJoin(f flags, set map[string]bool) error {
-	for _, name := range []string{"dimms", "delay", "cache-mb", "inflight"} {
+	for _, name := range []string{"dimms", "delay", "workers", "cache-mb", "inflight"} {
 		if set[name] {
 			return fmt.Errorf("-%s cannot be combined with -join: it sizes the serving processes (set it on the -listen -shard-id side)", name)
 		}
@@ -417,9 +417,6 @@ func validateJoin(f flags, set map[string]bool) error {
 	}
 	if f.maxBatch < 1 {
 		return fmt.Errorf("-maxbatch %d must be at least 1", f.maxBatch)
-	}
-	if f.workers < 1 {
-		return fmt.Errorf("-workers %d must be at least 1", f.workers)
 	}
 	if s := strings.ToLower(f.shard); s != "table" && s != "row" {
 		return fmt.Errorf("-shard %q must be table or row", f.shard)
@@ -856,7 +853,6 @@ func runJoin(f flags) {
 		Strategy:      shardStrategy(f),
 		Shards:        groups,
 		MaxBatch:      f.maxBatch,
-		Workers:       f.workers,
 		Conns:         f.conns,
 		RetryFor:      5 * time.Second,
 		ReadOnly:      f.sticky,

@@ -1,8 +1,8 @@
 // Package benchkit is the shared throughput-benchmark harness of the hot
 // serving path. The same benchmark bodies run in two places: the standard
 // `go test -bench` entry points (BenchmarkServeThroughput in
-// internal/serve, BenchmarkClusterEmbed in internal/cluster,
-// BenchmarkExpandIndices in internal/runtime) and the cmd/benchjson tool,
+// internal/serve, BenchmarkClusterEmbed and BenchmarkClusterEmbedMiss in
+// internal/cluster, BenchmarkExpandIndices in internal/runtime) and the cmd/benchjson tool,
 // which executes them with testing.Benchmark and emits BENCH_serving.json
 // so every PR leaves a comparable performance record.
 //
@@ -217,10 +217,16 @@ func ServeThroughput(b *testing.B) {
 // — the backend both ClusterEmbed and NetRoundTrip front, so the
 // in-process and over-the-wire numbers measure the same compute.
 func clusterStack(b *testing.B) (*recsys.Model, *cluster.Cluster, *telemetry.Registry, func()) {
+	return clusterStackCache(b, benchCacheB)
+}
+
+// clusterStackCache is clusterStack with an explicit per-shard cache size;
+// zero disables the hot-row caches, so every lookup takes the miss path.
+func clusterStackCache(b *testing.B, cacheBytes int64) (*recsys.Model, *cluster.Cluster, *telemetry.Registry, func()) {
 	m := model(b)
 	cl, err := cluster.New(m, cluster.Config{
 		Nodes: benchNodes, DIMMsPerNode: benchDIMMs,
-		MaxBatch: benchMaxBatch, CacheBytes: benchCacheB,
+		MaxBatch: benchMaxBatch, CacheBytes: cacheBytes,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -239,6 +245,19 @@ func ClusterEmbed(b *testing.B) {
 	defer cleanup()
 	driveEmbed(b, m, benchClients/2, cl.EmbedInto)
 	saveSnapshot("ClusterEmbed", reg)
+}
+
+// ClusterEmbedMiss is the BenchmarkClusterEmbedMiss body: ClusterEmbed with
+// the hot-row caches disabled, so every read runs the router's miss path —
+// Start on both shard servers, then Wait on each — which the warm-cache
+// benchmark touches about once per thousand requests. It exists for the
+// allocation gate: the scatter/gather seam and the serve.Pending handles
+// must stay at 0 allocs/op.
+func ClusterEmbedMiss(b *testing.B) {
+	m, cl, reg, cleanup := clusterStackCache(b, 0)
+	defer cleanup()
+	driveEmbed(b, m, benchClients/2, cl.EmbedInto)
+	saveSnapshot("ClusterEmbedMiss", reg)
 }
 
 // netStack fronts the 2-shard cluster with a netserve.Server on a
@@ -371,12 +390,13 @@ func digest(name string, r testing.BenchmarkResult) Result {
 
 // RunSuite executes the hot-path benchmarks with testing.Benchmark
 // (auto-scaled iteration counts) and returns their digests in suite order:
-// ServeThroughput, ClusterEmbed, ExpandIndices, NetRoundTrip,
-// NetRoundTripDeadline.
+// ServeThroughput, ClusterEmbed, ClusterEmbedMiss, ExpandIndices,
+// NetRoundTrip, NetRoundTripDeadline.
 func RunSuite() []Result {
 	return []Result{
 		digest("ServeThroughput", testing.Benchmark(ServeThroughput)),
 		digest("ClusterEmbed", testing.Benchmark(ClusterEmbed)),
+		digest("ClusterEmbedMiss", testing.Benchmark(ClusterEmbedMiss)),
 		digest("ExpandIndices", testing.Benchmark(ExpandIndices)),
 		digest("NetRoundTrip", testing.Benchmark(NetRoundTrip)),
 		digest("NetRoundTripDeadline", testing.Benchmark(NetRoundTripDeadline)),

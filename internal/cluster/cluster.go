@@ -26,7 +26,9 @@
 //     tables it touches).
 //   - execute: each non-empty sub-request runs through the shard's own
 //     serve.Server (micro-batching across concurrent cluster requests) on
-//     the shard's runtime.Deployment, gathering rows near-memory.
+//     the shard's runtime.Deployment, gathering rows near-memory. Every
+//     sub-request of a read is queued before the router waits for any, so
+//     the shards gather concurrently.
 //   - transfer: the index lists out and the partial gathered rows back are
 //     charged to the fabric with interconnect.Switch.ConvergeSeconds —
 //     concurrent shard responses converge on the router's port, so their
@@ -141,8 +143,8 @@ type shard struct {
 // goroutines, inspect with Metrics, and Close when done.
 //
 // A Cluster is a thin owner of the shared Router core (router.go), which
-// does the routing, deduplication, cache probing, dispatch, merge and update
-// splitting, over the in-process transport below: one serve.Server per
+// does the routing, deduplication, cache probing, scatter/gather, merge and
+// update splitting, over the in-process transport below: one serve.Server per
 // shard plus the modeled fabric accounting. The router's scratch and the
 // transport's gather buffers are pooled together, so the steady-state Embed
 // path performs no heap allocations (see ARCHITECTURE.md, "Memory
@@ -190,13 +192,10 @@ func New(m *recsys.Model, cfg Config) (*Cluster, error) {
 		fabric:    telemetry.NewHistogram(),
 		updFabric: telemetry.NewHistogram(),
 	}
-	// Router workers: enough for every shard of several concurrent
-	// requests to be in flight at once. A call beyond that queues briefly;
-	// the shard servers' micro-batching absorbs the jitter. Updates write
-	// through to the golden model under the router's table lock, in the
-	// same per-table order the shards applied (shared accumulation with the
-	// runtime).
-	c.router = NewRouter("cluster", mc, c.place, cfg.MaxBatch, cfg.Nodes*cfg.Workers*2, localTransport{c},
+	// Updates write through to the golden model under the router's table
+	// lock, in the same per-table order the shards applied (shared
+	// accumulation with the runtime).
+	c.router = NewRouter("cluster", mc, c.place, cfg.MaxBatch, localTransport{c},
 		func(up runtime.TableUpdate) { runtime.AccumulateGolden(m.Embedding.Tables[up.Table], up) })
 	for s := 0; s < cfg.Nodes; s++ {
 		sh, err := c.buildShard(s)
@@ -286,13 +285,15 @@ func (c *Cluster) perDIMMBytes(localRows, maxSub int) uint64 {
 type localTransport struct{ c *Cluster }
 
 // localCall is localTransport's per-scratch state: one reused request
-// header and gather buffer per shard, and the fabric bytes of the request
-// in flight.
+// header and gather buffer per shard, the shard servers' handles for the
+// sub-requests in flight, and the fabric bytes of the request.
 type localCall struct {
 	c       *Cluster
-	rowsArg [][][]int   // per shard: reused 1-element header for the server call
-	out     [][]float32 // per shard: the buffer the shard server gathers into
-	fabric  []int64     // per shard: bytes this request moved over the fabric
+	rowsArg [][][]int       // per shard: reused 1-element header for the server call
+	out     [][]float32     // per shard: the buffer the shard server gathers into
+	pending []serve.Pending // per shard: the started sub-request, from Start to Wait
+	err     []error         // per shard: a submission failure, reported by Wait
+	fabric  []int64         // per shard: bytes this request moved over the fabric
 }
 
 // NewCall sizes the per-shard gather buffers for a maximal sub-request.
@@ -303,6 +304,8 @@ func (t localTransport) NewCall() Call {
 		c:       c,
 		rowsArg: make([][][]int, c.cfg.Nodes),
 		out:     make([][]float32, c.cfg.Nodes),
+		pending: make([]serve.Pending, c.cfg.Nodes),
+		err:     make([]error, c.cfg.Nodes),
 		fabric:  make([]int64, c.cfg.Nodes),
 	}
 	for s := range lc.out {
@@ -312,19 +315,28 @@ func (t localTransport) NewCall() Call {
 	return lc
 }
 
-// Gather runs one shard's sub-request: the shard server gathers the
-// deduplicated rows into the call's per-shard buffer, and the transfer —
-// index list out, partial rows back — is accounted per shard for the
-// fabric model. A failed sub-request gathered and transferred nothing.
-func (lc *localCall) Gather(s int, rows []int, _ time.Time) ([]float32, error) {
-	sh := lc.c.shard[s]
-	n := len(rows)
+// Start queues one shard's sub-request on the shard server, which gathers
+// the deduplicated rows into the call's per-shard buffer while the router
+// starts the other shards.
+func (lc *localCall) Start(s int, rows []int, _ time.Time) {
 	lc.rowsArg[s][0] = rows
-	out, err := sh.srv.EmbedInto(lc.out[s][:0], lc.rowsArg[s], n)
+	lc.pending[s], lc.err[s] = lc.c.shard[s].srv.StartEmbedInto(lc.out[s][:0], lc.rowsArg[s], len(rows))
+}
+
+// Wait collects one shard's gathered rows and accounts the transfer — index
+// list out, partial rows back — per shard for the fabric model. A failed
+// sub-request gathered and transferred nothing.
+func (lc *localCall) Wait(s int) ([]float32, error) {
+	sh := lc.c.shard[s]
+	out, err := lc.out[s], lc.err[s]
+	if err == nil {
+		out, err = lc.pending[s].Wait()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
 	}
 	lc.out[s] = out
+	n := len(lc.rowsArg[s][0])
 	idxBytes := int64(n) * 4
 	rowBytes := int64(n) * lc.c.model.Cfg.EmbBytes()
 	sh.subRequests.Inc()
@@ -511,7 +523,7 @@ func (c *Cluster) WarmCache(shard int, flatRows []int) (int, error) {
 }
 
 // Close stops accepting requests, waits for every in-flight request and
-// update to drain and stops the router workers (Router.Close), shuts down
+// update to drain (Router.Close), shuts down
 // every shard server (draining whatever they already accepted), releases
 // the shard deployments, and stops the shard nodes' executor workers. It
 // is idempotent.

@@ -14,8 +14,7 @@ import (
 )
 
 // Hop indices of the cluster tracer: routing (cache probes + dedup),
-// shard gather fan-out (dispatch to last sub-request completion), and the
-// golden merge.
+// shard gather fan-out (first Start to last Wait), and the golden merge.
 const (
 	hopRoute = iota
 	hopGather
@@ -26,8 +25,8 @@ const (
 // between the in-process Cluster (serve.Server per shard, modeled fabric)
 // and the remote replica router (hedged wire calls, durable SYNC fan-out).
 // Everything else — validation, placement routing, deduplication, cache
-// coherence, dispatch, merge order, update splitting and ordering — is the
-// Router's, so the bit-identity contract has one implementation.
+// coherence, scatter/gather, merge order, update splitting and ordering — is
+// the Router's, so the bit-identity contract has one implementation.
 type Transport interface {
 	// NewCall returns the transport's state for one pooled request
 	// scratch. The router calls it once per scratch, never per request, so
@@ -40,32 +39,43 @@ type Transport interface {
 	Update(shard int, sub runtime.TableUpdate) error
 }
 
-// Call is a Transport's per-request half: the gathers of one routed read
-// and the release of whatever they hold.
+// Call is a Transport's per-request half: the shard sub-requests of one
+// routed read, submitted and awaited in two phases so every sub-request is
+// in flight before the router blocks on any, and the release of whatever
+// they hold. A Call is owned by the goroutine running the request from the
+// first Start to Release; no method is called concurrently.
 type Call interface {
-	// Gather fetches the given deduplicated flat local rows (never empty)
-	// from a shard and returns len(rows) x dim floats that stay valid until
-	// Release. start is the request's arrival time, the origin of any
-	// deadline. The router calls Gather from its dispatch workers, at most
-	// once per shard per request and concurrently for distinct shards.
-	Gather(shard int, rows []int, start time.Time) ([]float32, error)
+	// Start submits the gather of the given deduplicated flat local rows
+	// (never empty) to a shard without waiting for the result. start is the
+	// request's arrival time, the origin of any deadline. rows stays valid
+	// and unmodified until Release. The router calls Start at most once per
+	// shard per request; a submission failure is reported by that shard's
+	// Wait.
+	Start(shard int, rows []int, start time.Time)
+	// Wait blocks until the shard's started sub-request settles and returns
+	// its len(rows) x dim floats, valid until Release. The router calls it
+	// exactly once for every Start — also after another shard has already
+	// failed — so no attempt or buffer outlives the request.
+	Wait(shard int) ([]float32, error)
 	// Release ends the request: the router calls it exactly once per
-	// request, after the merge has consumed every gathered row (or after a
-	// Gather failed), and before the scratch serves another request.
+	// request, after every started shard was waited on and the merge has
+	// consumed every gathered row (or a Wait failed), and before the scratch
+	// serves another request.
 	Release()
 }
 
 // Router is the shard router core shared by Cluster and the remote replica
 // router. A read is validated, routed lookup by lookup through the
 // Placement (probing the owning shard's hot-row cache when it has one),
-// deduplicated into one flat index list per shard, dispatched to the
-// Transport through a bounded worker pool, and pooled by the Merger in
-// golden order. An update batch is validated, grouped by table, serialized
-// under per-table locks, split by placement with gradient rows kept in
-// arrival order, fanned out to the owning shards concurrently, invalidated
-// from their caches after the shard commit, and reported to the applied
-// hook. The router also owns the in-flight drain, the request counters, the
-// request-latency histogram and the route/gather/merge span.
+// deduplicated into one flat index list per shard, scattered to the
+// Transport (every sub-request started before any is awaited, all on the
+// caller's goroutine), and pooled by the Merger in golden order. An update
+// batch is validated, grouped by table, serialized under per-table locks,
+// split by placement with gradient rows kept in arrival order, fanned out
+// to the owning shards concurrently, invalidated from their caches after
+// the shard commit, and reported to the applied hook. The router also owns
+// the in-flight drain, the request counters, the request-latency histogram
+// and the route/gather/merge span.
 type Router struct {
 	// Requests, Samples and Lookups count completed reads, their samples
 	// and their routed (table, row) lookups; Failures counts reads and
@@ -92,7 +102,6 @@ type Router struct {
 	tracer *telemetry.Tracer
 
 	scratchPool sync.Pool
-	dispatch    chan *shardCall
 
 	// runMu guards the closed flag against the in-flight counter so Close
 	// can wait for every running operation before the owner tears the
@@ -110,10 +119,13 @@ type Router struct {
 }
 
 // NewRouter builds the router core for a model of geometry mc sharded by
-// place, and starts `workers` dispatch workers. name prefixes the router's
-// errors with the owning layer; maxBatch caps the samples of one read (and,
-// times the reduction, the rows of one update entry); applied may be nil.
-func NewRouter(name string, mc recsys.Config, place *Placement, maxBatch, workers int, tr Transport, applied func(runtime.TableUpdate)) *Router {
+// place. name prefixes the router's errors with the owning layer; maxBatch
+// caps the samples of one read (and, times the reduction, the rows of one
+// update entry); applied may be nil. The router starts no goroutines and
+// bounds no concurrency of its own: a read runs on its caller's goroutine,
+// so whoever admits the callers (netserve admission in front, the shards'
+// own admission behind) bounds the sub-requests in flight.
+func NewRouter(name string, mc recsys.Config, place *Placement, maxBatch int, tr Transport, applied func(runtime.TableUpdate)) *Router {
 	r := &Router{
 		Latency:  telemetry.NewHistogram(),
 		name:     name,
@@ -125,13 +137,9 @@ func NewRouter(name string, mc recsys.Config, place *Placement, maxBatch, worker
 		tr:       tr,
 		caches:   make([]*rowCache, place.nodes),
 		applied:  applied,
-		dispatch: make(chan *shardCall, workers),
 		tableMu:  make([]sync.Mutex, mc.Tables),
 	}
 	r.scratchPool.New = func() any { return r.newScratch() }
-	for i := 0; i < workers; i++ {
-		go r.dispatchWorker()
-	}
 	return r
 }
 
@@ -158,11 +166,8 @@ type subScratch struct {
 // scratch is the per-request working set of the router, pooled and owned
 // by exactly one request from Get to Put.
 type scratch struct {
-	wg       sync.WaitGroup
 	epoch    uint32
-	start    time.Time
 	call     Call // the transport's half, allocated with the scratch
-	calls    []shardCall
 	sub      []subScratch
 	cacheVer []uint64
 	src      []rowSrc  // tables x lookups resolved sources
@@ -176,26 +181,17 @@ type scratch struct {
 	span    telemetry.Span // per-hop trace slot, recycled with the scratch
 }
 
-// shardCall is one shard sub-request handed to a dispatch worker.
-type shardCall struct {
-	scr *scratch
-	s   int
-	err error
-}
-
 // newScratch sizes a scratch for the router's geometry.
 func (r *Router) newScratch() *scratch {
 	lookups := r.maxBatch * r.mc.Reduction
 	nodes := len(r.caches)
 	scr := &scratch{
 		call:     r.tr.NewCall(),
-		calls:    make([]shardCall, nodes),
 		sub:      make([]subScratch, nodes),
 		cacheVer: make([]uint64, nodes),
 		src:      make([]rowSrc, r.mc.Tables*lookups),
 	}
 	for s := range scr.sub {
-		scr.calls[s] = shardCall{scr: scr, s: s}
 		scr.sub[s] = subScratch{
 			rows:  make([]int, 0, r.place.TablesOn(s)*lookups),
 			stamp: make([]uint32, r.place.localRows[s]),
@@ -228,16 +224,6 @@ func (scr *scratch) nextEpoch() uint32 {
 		scr.epoch = 1
 	}
 	return scr.epoch
-}
-
-// dispatchWorker executes shard sub-requests until Close drains the pool.
-func (r *Router) dispatchWorker() {
-	for call := range r.dispatch {
-		scr := call.scr
-		sub := &scr.sub[call.s]
-		sub.out, call.err = scr.call.Gather(call.s, sub.rows, scr.start)
-		scr.wg.Done()
-	}
 }
 
 // EmbedInto runs one read of `batch` samples: perTableRows holds batch x
@@ -300,10 +286,9 @@ func (r *Router) enter() error {
 	return nil
 }
 
-// Close stops admitting operations, waits for every in-flight read and
-// update to drain, and stops the dispatch workers. It reports whether this
-// call closed the router (false: it already was), so the owner tears its
-// shards down exactly once.
+// Close stops admitting operations and waits for every in-flight read and
+// update to drain. It reports whether this call closed the router (false:
+// it already was), so the owner tears its shards down exactly once.
 func (r *Router) Close() bool {
 	r.runMu.Lock()
 	already := r.closed.Swap(true)
@@ -312,12 +297,12 @@ func (r *Router) Close() bool {
 		return false
 	}
 	r.inflight.Wait()
-	close(r.dispatch)
 	return true
 }
 
-// run executes one validated read against dst (length batch*tables*dim):
-// route, dispatch, merge.
+// run executes one validated read against dst (length batch*tables*dim) on
+// the caller's goroutine: route, start every shard's sub-request, wait for
+// each, merge.
 func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 	start := time.Now()
 	if err := r.enter(); err != nil {
@@ -331,12 +316,12 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 	scr := r.scratchPool.Get().(*scratch)
 	defer r.scratchPool.Put(scr)
 	epoch := scr.nextEpoch()
-	scr.start, scr.hitRows, scr.lookups = start, 0, lookups
+	scr.hitRows, scr.lookups = 0, lookups
 	if r.tracer != nil {
 		scr.span.BeginAt(start)
 	}
 
-	// Snapshot every cache's version before any gather is dispatched: a
+	// Snapshot every cache's version before any gather is started: a
 	// row gathered now may predate an update that lands mid-request, and
 	// putAt drops it if the version moved (see rowCache).
 	for s, cache := range r.caches {
@@ -376,29 +361,35 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 		scr.span.Mark(hopRoute)
 	}
 
-	// Gather the per-shard sub-requests concurrently through the dispatch
-	// workers; the lowest failing shard's error is the request's.
+	// Scatter before gather: every non-empty sub-request is submitted before
+	// any is awaited, so the shards work concurrently while this goroutine —
+	// which has nothing else to do — blocks on each in shard order. Every
+	// started shard is waited on even after an earlier one failed, so the
+	// transport never holds an attempt or buffer past Release; the lowest
+	// failing shard's error is the request's.
 	for s := range scr.sub {
-		if len(scr.sub[s].rows) == 0 {
+		if sub := &scr.sub[s]; len(sub.rows) > 0 {
+			scr.call.Start(s, sub.rows, start)
+		}
+	}
+	var failed error
+	for s := range scr.sub {
+		sub := &scr.sub[s]
+		if len(sub.rows) == 0 {
 			continue
 		}
-		scr.calls[s].err = nil
-		scr.wg.Add(1)
-		r.dispatch <- &scr.calls[s]
+		var err error
+		if sub.out, err = scr.call.Wait(s); err != nil && failed == nil {
+			failed = err
+		}
 	}
-	scr.wg.Wait()
 	if r.tracer != nil {
 		scr.span.Mark(hopGather)
 	}
-	for s := range scr.sub {
-		if len(scr.sub[s].rows) == 0 {
-			continue
-		}
-		if err := scr.calls[s].err; err != nil {
-			r.Failures.Inc()
-			scr.call.Release()
-			return err
-		}
+	if failed != nil {
+		r.Failures.Inc()
+		scr.call.Release()
+		return failed
 	}
 
 	// Feed the caches with the rows just gathered — unless an update bumped

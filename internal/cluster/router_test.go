@@ -27,20 +27,30 @@ import (
 // fakeTransport serves shards from in-memory flat tables carved with the
 // same buildShardModel the real shards use.
 type fakeTransport struct {
-	tables   []*embed.Table // per shard; nil for an empty shard
-	failOn   int            // shard whose Gather fails, -1 for none
+	tables []*embed.Table // per shard; nil for an empty shard
+	failOn int            // shard whose Wait fails, -1 for none
+	// gate, when set, makes every Wait block until gateWant Starts were
+	// observed across all calls — the in-flight width the router must reach
+	// before any sub-request is allowed to finish.
+	gate     chan struct{}
+	gateWant int
+
 	mu       sync.Mutex
-	held     int // buffers handed out by Gather and not yet released
-	gathers  int
+	held     int // buffers handed out by Wait and not yet released
+	starts   int
+	waits    int
 	releases int
+	leaked   int // sub-requests started but never waited on by Release time
 }
 
 var errFakeShard = errors.New("fake: shard down")
 
 type fakeCall struct {
-	t    *fakeTransport
-	out  [][]float32
-	held []bool
+	t       *fakeTransport
+	rows    [][]int // per shard: the rows Start was handed
+	out     [][]float32
+	started []bool // Start seen, Wait not yet
+	held    []bool // Wait handed a buffer out, Release not yet
 }
 
 func newFakeTransport(t *testing.T, m *recsys.Model, p *Placement) *fakeTransport {
@@ -60,7 +70,9 @@ func newFakeTransport(t *testing.T, m *recsys.Model, p *Placement) *fakeTranspor
 }
 
 func (ft *fakeTransport) NewCall() Call {
-	return &fakeCall{t: ft, out: make([][]float32, len(ft.tables)), held: make([]bool, len(ft.tables))}
+	n := len(ft.tables)
+	return &fakeCall{t: ft, rows: make([][]int, n), out: make([][]float32, n),
+		started: make([]bool, n), held: make([]bool, n)}
 }
 
 func (ft *fakeTransport) Update(s int, sub runtime.TableUpdate) error {
@@ -68,25 +80,42 @@ func (ft *fakeTransport) Update(s int, sub runtime.TableUpdate) error {
 	return nil
 }
 
-func (fc *fakeCall) Gather(s int, rows []int, _ time.Time) ([]float32, error) {
+func (fc *fakeCall) Start(s int, rows []int, _ time.Time) {
 	ft := fc.t
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if fc.started[s] || fc.held[s] {
+		panic("fake: Start on a shard whose previous sub-request was never waited on and released")
+	}
+	fc.rows[s], fc.started[s] = rows, true
+	ft.starts++
+	if ft.gate != nil && ft.starts == ft.gateWant {
+		close(ft.gate)
+	}
+}
+
+func (fc *fakeCall) Wait(s int) ([]float32, error) {
+	ft := fc.t
+	if ft.gate != nil {
+		<-ft.gate
+	}
+	ft.mu.Lock()
+	defer ft.mu.Unlock()
+	if !fc.started[s] {
+		panic("fake: Wait on a shard that was not started")
+	}
+	fc.started[s] = false
+	ft.waits++
 	if s == ft.failOn {
 		return nil, errFakeShard
 	}
 	out := fc.out[s][:0]
-	for _, r := range rows {
+	for _, r := range fc.rows[s] {
 		out = append(out, ft.tables[s].Row(r)...)
 	}
 	fc.out[s] = out
-	ft.mu.Lock()
-	if fc.held[s] {
-		ft.mu.Unlock()
-		panic("fake: Gather on a shard whose previous buffer was never released")
-	}
 	fc.held[s] = true
 	ft.held++
-	ft.gathers++
-	ft.mu.Unlock()
 	return out, nil
 }
 
@@ -95,8 +124,12 @@ func (fc *fakeCall) Release() {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	ft.releases++
-	for s, h := range fc.held {
-		if h {
+	for s := range fc.held {
+		if fc.started[s] {
+			fc.started[s] = false
+			ft.leaked++
+		}
+		if fc.held[s] {
 			fc.held[s] = false
 			ft.held--
 		}
@@ -107,7 +140,7 @@ func (fc *fakeCall) Release() {
 type recorder struct {
 	inner   Transport
 	mu      sync.Mutex
-	gathers map[int][][]int // shard -> one deduplicated row list per Gather
+	gathers map[int][][]int // shard -> one deduplicated row list per Start
 	updates map[int][]subUpdate
 }
 
@@ -137,12 +170,14 @@ func (r *recorder) Update(s int, sub runtime.TableUpdate) error {
 	return r.inner.Update(s, sub)
 }
 
-func (rc *recordedCall) Gather(s int, rows []int, start time.Time) ([]float32, error) {
+func (rc *recordedCall) Start(s int, rows []int, start time.Time) {
 	rc.rec.mu.Lock()
 	rc.rec.gathers[s] = append(rc.rec.gathers[s], append([]int(nil), rows...))
 	rc.rec.mu.Unlock()
-	return rc.inner.Gather(s, rows, start)
+	rc.inner.Start(s, rows, start)
 }
+
+func (rc *recordedCall) Wait(s int) ([]float32, error) { return rc.inner.Wait(s) }
 
 func (rc *recordedCall) Release() { rc.inner.Release() }
 
@@ -227,7 +262,7 @@ func TestRouterConformance(t *testing.T) {
 			place := NewPlacement(tc.strat, nodes, mc.Tables, mc.TableRows)
 			ft := newFakeTransport(t, golden, place)
 			fakeRec := record(ft)
-			fake := NewRouter("fake", mc, place, maxBatch, 2, fakeRec, func(up runtime.TableUpdate) {
+			fake := NewRouter("fake", mc, place, maxBatch, fakeRec, func(up runtime.TableUpdate) {
 				runtime.AccumulateGolden(golden.Embedding.Tables[up.Table], up)
 			})
 			defer fake.Close()
@@ -307,8 +342,9 @@ func TestRouterConformance(t *testing.T) {
 			}
 			read("after updates")
 
-			if ft.held != 0 {
-				t.Fatalf("%d gather buffers never released", ft.held)
+			if ft.held != 0 || ft.leaked != 0 || ft.waits != ft.starts {
+				t.Fatalf("%d gather buffers never released, %d sub-requests never waited on (%d starts, %d waits)",
+					ft.held, ft.leaked, ft.starts, ft.waits)
 			}
 			if want := int(fake.Requests.Load()); ft.releases != want {
 				t.Fatalf("Release called %d times for %d requests", ft.releases, want)
@@ -317,9 +353,10 @@ func TestRouterConformance(t *testing.T) {
 	}
 }
 
-// TestRouterFailingShard: one Gather errors -> the read fails with the
-// transport's error, Failures increments, and every buffer a successful
-// Gather handed out is released exactly once.
+// TestRouterFailingShard: shard 0 errors -> the read fails with the
+// transport's error (the lowest failing shard's), Failures increments, the
+// sub-requests already started on shards 1 and 2 are still waited on, and
+// every buffer a successful Wait handed out is released exactly once.
 func TestRouterFailingShard(t *testing.T) {
 	const nodes, maxBatch = 3, 4
 	mc := testConfig(3, 2, 64, false, isa.RAdd)
@@ -329,11 +366,11 @@ func TestRouterFailingShard(t *testing.T) {
 	}
 	place := NewPlacement(TableWise, nodes, mc.Tables, mc.TableRows)
 	ft := newFakeTransport(t, m, place)
-	r := NewRouter("fake", mc, place, maxBatch, 4, ft, nil)
+	r := NewRouter("fake", mc, place, maxBatch, ft, nil)
 	defer r.Close()
 	reqs, batches := conformanceRequests(mc, maxBatch)
 
-	ft.failOn = 1
+	ft.failOn = 0
 	for q, rows := range reqs {
 		if _, err := r.EmbedInto(nil, rows, batches[q]); !errors.Is(err, errFakeShard) {
 			t.Fatalf("request %d: err = %v, want the failing shard's error", q, err)
@@ -345,9 +382,13 @@ func TestRouterFailingShard(t *testing.T) {
 	if r.Requests.Load() != 0 {
 		t.Fatalf("Requests = %d for all-failed traffic", r.Requests.Load())
 	}
-	if ft.held != 0 || ft.releases != len(reqs) || ft.gathers != 2*len(reqs) {
-		t.Fatalf("held %d buffers after %d releases of %d gathers (want 0, %d, %d)",
-			ft.held, ft.releases, ft.gathers, len(reqs), 2*len(reqs))
+	// Table-wise over 3 tables, every request touches every shard: 3 starts,
+	// all 3 waited although the first wait already failed.
+	if want := nodes * len(reqs); ft.starts != want || ft.waits != want || ft.leaked != 0 {
+		t.Fatalf("%d starts, %d waits, %d never waited on (want %d, %d, 0)", ft.starts, ft.waits, ft.leaked, want, want)
+	}
+	if ft.held != 0 || ft.releases != len(reqs) {
+		t.Fatalf("held %d buffers after %d releases (want 0, %d)", ft.held, ft.releases, len(reqs))
 	}
 
 	// The shard recovers: the same scratches serve correct results again.
@@ -359,5 +400,57 @@ func TestRouterFailingShard(t *testing.T) {
 	}
 	if ft.held != 0 {
 		t.Fatalf("%d buffers held after recovery", ft.held)
+	}
+}
+
+// TestRouterInFlightWidth: the router itself bounds nothing. 32 concurrent
+// reads over a transport whose Wait returns only once all 32 x shards
+// sub-requests were started must complete — every read puts every shard's
+// sub-request in flight before it waits for any, and no pool between the
+// callers and the transport caps how many are outstanding.
+func TestRouterInFlightWidth(t *testing.T) {
+	const nodes, maxBatch, readers = 3, 4, 32
+	mc := testConfig(3, 2, 64, false, isa.RAdd)
+	m, err := recsys.Build(mc, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := NewPlacement(TableWise, nodes, mc.Tables, mc.TableRows)
+	ft := newFakeTransport(t, m, place)
+	ft.gate, ft.gateWant = make(chan struct{}), readers*nodes
+	r := NewRouter("fake", mc, place, maxBatch, ft, nil)
+	defer r.Close()
+	reqs, batches := conformanceRequests(mc, maxBatch)
+	want, err := m.Embedding.Forward(reqs[0], batches[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	done := make(chan error, readers)
+	for i := 0; i < readers; i++ {
+		go func() {
+			got, err := r.EmbedInto(nil, reqs[0], batches[0])
+			if err == nil && !slices.Equal(got, want.Data()) {
+				err = errors.New("not bit-identical to Layer.Forward")
+			}
+			done <- err
+		}()
+	}
+	timeout := time.After(30 * time.Second)
+	for i := 0; i < readers; i++ {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-timeout:
+			ft.mu.Lock()
+			defer ft.mu.Unlock()
+			t.Fatalf("only %d of %d sub-requests were ever in flight at once: reads are queued behind a bound inside the router",
+				ft.starts, ft.gateWant)
+		}
+	}
+	if ft.starts != readers*nodes || ft.waits != ft.starts || ft.held != 0 || ft.leaked != 0 {
+		t.Fatalf("%d starts, %d waits, %d held, %d leaked", ft.starts, ft.waits, ft.held, ft.leaked)
 	}
 }

@@ -114,6 +114,7 @@ type ShardLog struct {
 	broken   error // first unrecoverable WAL write failure, sticky
 
 	encBuf  []byte // reused record encode buffer
+	snapBuf []byte // reused snapshot file encode buffer (durable mode)
 	wu      [1]wire.Update
 	maxRec  int
 	scratch wire.UpdateScratch
@@ -277,10 +278,13 @@ func (l *ShardLog) Append(up runtime.TableUpdate) error {
 // InstallSnapshot replaces the log's prefix with an absolute snapshot of
 // the whole shard table taken at sequence seq, which must equal Head()
 // (snapshots are scraped with the update lock held, so the state is
-// exactly the log head). The log takes ownership of rows. In durable
-// mode the snapshot is written tmp + fsync + rename, older snapshot
-// files are deleted, and the WAL is truncated to empty; in both modes
-// the in-memory tail is dropped, which is what bounds the log.
+// exactly the log head). The log takes ownership of rows and lets go of
+// the table it retained before, so an owner that fetched that one with
+// Snapshot beforehand may scrape the next snapshot into it instead of
+// allocating a table per install. In durable mode the snapshot is written
+// tmp + fsync + rename, older snapshot files are deleted, and the WAL is
+// truncated to empty; in both modes the in-memory tail is dropped, which is
+// what bounds the log.
 func (l *ShardLog) InstallSnapshot(seq uint64, rows []float32) error {
 	if seq != l.head {
 		return fmt.Errorf("persist: shard %d: snapshot at seq %d, log head is %d — snapshots must be taken at the head",
@@ -342,15 +346,19 @@ func snapSeq(name string) (uint64, bool) {
 }
 
 // writeSnapshot persists rows at seq: tmp file, fsync, rename, then
-// delete every older snapshot file.
+// delete every older snapshot file. Every snapshot of a shard has the same
+// size, so the file image is encoded into one buffer kept on the log.
 func (l *ShardLog) writeSnapshot(seq uint64, rows []float32) error {
-	buf := make([]byte, 0, 4+4+8+8+4*len(rows)+4)
-	buf = binary.LittleEndian.AppendUint32(buf, snapMagic)
+	if l.snapBuf == nil {
+		l.snapBuf = make([]byte, 0, 4+4+8+8+4*len(rows)+4)
+	}
+	buf := binary.LittleEndian.AppendUint32(l.snapBuf[:0], snapMagic)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(l.cfg.Dim))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(l.cfg.LocalRows))
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	buf = wire.AppendFloat32s(buf, rows)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
+	l.snapBuf = buf
 
 	tmp := filepath.Join(l.dir, "snap.tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

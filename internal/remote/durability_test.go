@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"tensordimm/internal/cluster"
 	"tensordimm/internal/persist"
@@ -241,4 +242,49 @@ func TestRouterRestartSameFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, m, rc2, randRows(rng, m.Cfg, 3), 3)
+}
+
+// TestRecycledSnapshotTableRestoresBitIdentical: from the third snapshot on
+// a shard scrapes into the table its previous install retired instead of
+// allocating one. After six snapshots a replica restarts from scratch —
+// below the trim horizon, so it is reseated from the in-memory snapshot, a
+// recycled table by now — and must then serve, alone, reads bit-identical
+// to the golden model.
+func TestRecycledSnapshotTableRestoresBitIdentical(t *testing.T) {
+	const snapEvery = 4
+	m := buildModel(t)
+	a := startReplica(t, cluster.TableWise, 1, 0, "")
+	b := startReplica(t, cluster.TableWise, 1, 0, "")
+	rc := newRouter(t, m, cluster.TableWise, [][]string{{a.addr, b.addr}}, func(cfg *remote.Config) {
+		cfg.SnapshotEvery = snapEvery
+	})
+	rng := rand.New(rand.NewSource(31))
+	apply := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			up := singleRowUpdate(rng, m.Cfg.Tables, m.Cfg.TableRows, m.Cfg.EmbDim)
+			if err := rc.ApplyUpdates([]runtime.TableUpdate{up}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	apply(5 * snapEvery)
+	b.stop()
+	waitCond(t, 5*time.Second, "b marked down", func() bool { return rc.Metrics().ReplicasUp == 1 })
+	apply(snapEvery + 2)
+	if got := rc.Metrics().Snapshots; got != 6 {
+		t.Fatalf("%d snapshots after %d updates at interval %d, want 6", got, 6*snapEvery+2, snapEvery)
+	}
+
+	startReplica(t, cluster.TableWise, 1, 0, b.addr)
+	waitCond(t, 5*time.Second, "b restored and re-admitted", func() bool { return rc.Metrics().ReplicasUp == 2 })
+	if mt := rc.Metrics(); mt.Restores != 1 || mt.Replayed != 2 {
+		t.Fatalf("restores %d, replayed %d, want a snapshot reseat plus the 2-entry tail", mt.Restores, mt.Replayed)
+	}
+	a.stop()
+	waitCond(t, 5*time.Second, "a marked down", func() bool { return rc.Metrics().ReplicasUp == 1 })
+	for i := 0; i < 5; i++ {
+		batch := 1 + rng.Intn(testMaxBatch)
+		checkGolden(t, m, rc, randRows(rng, m.Cfg, batch), batch)
+	}
 }

@@ -6,18 +6,29 @@
 // with the same bit-identity contract against the golden model.
 //
 // A RemoteCluster is a thin owner of the shared cluster.Router core —
-// validation, placement routing, deduplication, dispatch, golden merge,
-// update splitting and per-table ordering run there, once, for both the
-// in-process and the remote router — over the transport this package
+// validation, placement routing, deduplication, scatter/gather, golden
+// merge, update splitting and per-table ordering run there, once, for both
+// the in-process and the remote router — over the transport this package
 // implements: replica groups behind the wire.
 //
 // Reads. The router core deduplicates every lookup into per-shard
-// sub-requests. Each sub-request round-robins over its shard's healthy
+// sub-requests and puts every one of them on the wire (Start) before it
+// waits for any (Wait), all on the calling goroutine: a read costs one
+// round trip to its slowest shard, and nothing between the caller and the
+// replicas queues it. The router therefore bounds no concurrency of its
+// own. Behind a netserve front, Config.MaxInflight there admits the reads;
+// a caller driving a RemoteCluster directly, in process, gets every read it
+// submits concurrently on the wire at once, and a replica past its own
+// admission limit sheds with a typed OVERLOADED, which fails over and — with
+// the whole group shedding or the retry budget spent — surfaces as a typed
+// *Unavailable. Each sub-request round-robins over its shard's healthy
 // replicas; when the first attempt has not answered within the shard's
-// hedge delay
-// (a tracked latency percentile, floored at Config.HedgeAfter), a second
-// attempt fires on another replica and the first answer wins — the loser
-// is drained and recycled in the background. A transport loss or an
+// hedge delay (a tracked latency percentile, floored at Config.HedgeAfter),
+// a second attempt fires on another replica and the first answer wins — the
+// loser is drained and recycled in the background. The hedge timer runs
+// from Start, but a hedge is only launched from Wait: a timer that fired
+// while the read was still waiting on an earlier shard is ignored when the
+// primary has answered in the meantime. A transport loss or an
 // admission-control shed fails over to the next healthy replica; only
 // when every replica of a shard is unreachable does the request fail,
 // fast, with a typed *Unavailable. The gathered partials merge through
@@ -97,8 +108,6 @@ type Config struct {
 	// match the -max-batch the shard processes were sized with: every
 	// replica's announced geometry is validated against it at New.
 	MaxBatch int
-	// Workers is the router's dispatch pool size per shard. Defaults to 4.
-	Workers int
 	// Conns is the connection pool size per replica. Defaults to 1.
 	Conns int
 	// MaxFrameBytes, DialTimeout, RetryFor, ReconnectMin, ReconnectMax
@@ -274,6 +283,10 @@ type rShard struct {
 	// store is the shard's snapshot-trimmed update log (nil on empty shards
 	// and read-only routers); guarded by updMu.
 	store *persist.ShardLog
+	// snapSpare is the snapshot table the log retired at its last install,
+	// the buffer the next scrape fills (nil until the second snapshot);
+	// guarded by updMu.
+	snapSpare []float32
 
 	hedge hedgeTracker
 }
@@ -367,9 +380,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxBatch == 0 {
 		cfg.MaxBatch = 64
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 4
-	}
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = time.Millisecond
 	}
@@ -414,9 +424,9 @@ func New(cfg Config) (*RemoteCluster, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("remote: no shards configured")
 	}
-	if cfg.MaxBatch < 0 || cfg.Workers < 0 || cfg.HedgeAfter < 0 || cfg.HedgePercentile < 0 || cfg.HedgePercentile > 1 {
-		return nil, fmt.Errorf("remote: invalid sizing (MaxBatch %d, Workers %d, HedgeAfter %v, HedgePercentile %g)",
-			cfg.MaxBatch, cfg.Workers, cfg.HedgeAfter, cfg.HedgePercentile)
+	if cfg.MaxBatch < 0 || cfg.HedgeAfter < 0 || cfg.HedgePercentile < 0 || cfg.HedgePercentile > 1 {
+		return nil, fmt.Errorf("remote: invalid sizing (MaxBatch %d, HedgeAfter %v, HedgePercentile %g)",
+			cfg.MaxBatch, cfg.HedgeAfter, cfg.HedgePercentile)
 	}
 	if cfg.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("remote: SnapshotEvery %d is negative (use 0 for the default)", cfg.SnapshotEvery)
@@ -444,8 +454,7 @@ func New(cfg Config) (*RemoteCluster, error) {
 	}
 	// Built before the first dial so a failing New tears down through the
 	// same Close as a running router; it serves nothing until New returns.
-	rc.router = cluster.NewRouter("remote", mc, rc.place, cfg.MaxBatch, len(cfg.Shards)*cfg.Workers,
-		fleetTransport{rc}, cfg.OnApplied)
+	rc.router = cluster.NewRouter("remote", mc, rc.place, cfg.MaxBatch, fleetTransport{rc}, cfg.OnApplied)
 	if cfg.BreakerWindow > 0 {
 		need := cfg.BreakerWindow / 4
 		if need < 4 {
@@ -648,16 +657,24 @@ func (t fleetTransport) Update(s int, sub runtime.TableUpdate) error {
 // fleetCall is the transport's state for one router scratch.
 type fleetCall struct{ shard []rCall }
 
-// Gather runs one shard's sub-request against its replica group.
-func (fc *fleetCall) Gather(s int, rows []int, start time.Time) ([]float32, error) {
+// Start puts one shard's sub-request on the wire — the primary attempt on
+// the next healthy replica, with the hedge and deadline timers armed — and
+// returns without waiting for the answer.
+func (fc *fleetCall) Start(s int, rows []int, start time.Time) {
 	call := &fc.shard[s]
 	call.rowsArg[0] = rows
-	call.out, call.err = nil, nil
 	call.deadline = time.Time{}
 	if d := call.rc.cfg.Deadline; d > 0 {
 		call.deadline = start.Add(d)
 	}
-	call.run()
+	call.begin()
+}
+
+// Wait settles one shard's started sub-request: the first answer wins,
+// hedging and failing over as needed.
+func (fc *fleetCall) Wait(s int) ([]float32, error) {
+	call := &fc.shard[s]
+	call.wait()
 	return call.out, call.err
 }
 
@@ -676,9 +693,12 @@ func (fc *fleetCall) Release() {
 	}
 }
 
-// rCall is one shard sub-request being executed by a router dispatch
-// worker, including the winning attempt's resources (released after the
-// merge).
+// rCall is one shard sub-request of a routed read. Its in-flight state —
+// the attempts on the wire, the replicas already tried, the armed timers —
+// lives here, in the router's pooled scratch, rather than on a goroutine's
+// stack, because the request's goroutine leaves between begin and wait to
+// start the other shards. The submitting goroutine owns all of it from
+// begin to wait; the winning attempt's resources stay until Release.
 type rCall struct {
 	rc      *RemoteCluster
 	s       int
@@ -686,8 +706,24 @@ type rCall struct {
 	out     []float32 // the winning attempt's decoded response
 	err     error
 	// deadline is this request's absolute expiry (zero when no deadline
-	// is configured); set per request before run.
+	// is configured); set per request before begin.
 	deadline time.Time
+
+	// In flight between begin and wait. settled is true once out/err hold
+	// the sub-request's outcome; cur is the primary (or its failover
+	// replacement), alt the hedge; tried is the bitmask of replicas already
+	// attempted and lastErr the last failover-worthy error. tm and dtm are
+	// the pooled hedge and deadline timers (nil when not armed), hedgeC and
+	// dlC their channels until the timer has been honoured.
+	settled bool
+	cur     attempt
+	alt     attempt
+	tried   uint64
+	lastErr error
+	tm      *time.Timer
+	dtm     *time.Timer
+	hedgeC  <-chan time.Time
+	dlC     <-chan time.Time
 
 	winCl  *netclient.Client
 	winCa  *netclient.Call
@@ -703,94 +739,109 @@ type attempt struct {
 	hedged bool
 }
 
-// run executes one shard's sub-request with hedging and failover: a
-// round-robin first attempt, a hedged second after the shard's tracked
-// latency percentile, failover past transport losses and sheds, and a
-// typed Unavailable when the whole replica group is unreachable.
-func (call *rCall) run() {
-	rc, s := call.rc, call.s
-	sh := rc.shards[s]
+// begin starts one shard's sub-request: it refills the shard's retry
+// tokens, fires the round-robin first attempt and arms the hedge timer (at
+// the shard's tracked latency percentile, on shards with a second replica)
+// and the deadline timer. It never blocks on the network; when no replica
+// can take the attempt the call settles here with a typed error, which wait
+// reports.
+func (call *rCall) begin() {
+	rc := call.rc
+	sh := rc.shards[call.s]
 	sh.refillRetry(rc.retryRefill, rc.retryCap)
 
-	var tried uint64
-	var lastErr error
-	cur, err := call.start(&tried, false)
+	call.out, call.err, call.lastErr = nil, nil, nil
+	call.settled, call.tried = false, 0
+	cur, err := call.start(false)
 	if err != nil {
 		call.fail(err)
 		return
 	}
-	var alt attempt
-	var tm, dtm *time.Timer
-	var hedgeC, dlC <-chan time.Time
+	call.cur = cur
 	if len(sh.replicas) > 1 {
-		tm = rc.timerPool.Get().(*time.Timer)
-		tm.Reset(sh.hedge.after(rc.cfg.HedgeAfter))
-		hedgeC = tm.C
+		call.tm = rc.timerPool.Get().(*time.Timer)
+		call.tm.Reset(sh.hedge.after(rc.cfg.HedgeAfter))
+		call.hedgeC = call.tm.C
 	}
 	if !call.deadline.IsZero() {
-		dtm = rc.timerPool.Get().(*time.Timer)
-		dtm.Reset(time.Until(call.deadline))
-		dlC = dtm.C
-	}
-	putTimer := func(t *time.Timer) {
-		if t == nil {
-			return
-		}
-		if !t.Stop() {
-			select {
-			case <-t.C:
-			default:
-			}
-		}
-		rc.timerPool.Put(t)
-	}
-	defer func() {
-		putTimer(tm)
-		putTimer(dtm)
-	}()
-
-	for {
-		var curC, altC <-chan error
-		if cur.ca != nil {
-			curC = cur.ca.Done()
-		}
-		if alt.ca != nil {
-			altC = alt.ca.Done()
-		}
-		select {
-		case err := <-curC:
-			if call.settle(sh, &cur, &alt, err, &tried, &lastErr) {
-				return
-			}
-		case err := <-altC:
-			if call.settle(sh, &alt, &cur, err, &tried, &lastErr) {
-				return
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if a, aerr := call.start(&tried, true); aerr == nil {
-				alt = a
-				rc.hedges.Inc()
-			}
-		case <-dlC:
-			// Budget exhausted: abandon the in-flight attempts (reaped and
-			// recycled in the background) and fail typed.
-			dlC = nil
-			if cur.ca != nil {
-				go rc.reap(cur.rep.cl, cur.ca, cur.buf)
-				cur.ca = nil
-			}
-			if alt.ca != nil {
-				go rc.reap(alt.rep.cl, alt.ca, alt.buf)
-				alt.ca = nil
-			}
-			call.fail(&DeadlineExceeded{Shard: s, Budget: rc.cfg.Deadline})
-			return
-		}
+		call.dtm = rc.timerPool.Get().(*time.Timer)
+		call.dtm.Reset(time.Until(call.deadline))
+		call.dlC = call.dtm.C
 	}
 }
 
-// fail records a terminal routing failure, classifying it for metrics.
+// wait drives a begun sub-request to its outcome: the first answer wins, a
+// hedged second attempt fires once the hedge timer has lapsed, transport
+// losses and sheds fail over, and the whole replica group being unreachable
+// (or the budget lapsing) fails typed. It returns with out/err set, no
+// attempt in flight that the call still owns, and both timers recycled.
+func (call *rCall) wait() {
+	rc := call.rc
+	for !call.settled {
+		var curC, altC <-chan error
+		if call.cur.ca != nil {
+			curC = call.cur.ca.Done()
+		}
+		if call.alt.ca != nil {
+			altC = call.alt.ca.Done()
+		}
+		select {
+		case err := <-curC:
+			call.settle(&call.cur, &call.alt, err)
+		case err := <-altC:
+			call.settle(&call.alt, &call.cur, err)
+		case <-call.hedgeC:
+			call.hedgeC = nil
+			// The timer may have fired while the request was still waiting
+			// on an earlier shard. An answer that is already here wins over
+			// such a late hedge: select picks among ready cases at random.
+			if len(curC) > 0 {
+				continue
+			}
+			if a, aerr := call.start(true); aerr == nil {
+				call.alt = a
+				rc.hedges.Inc()
+			}
+		case <-call.dlC:
+			// Budget exhausted: abandon the in-flight attempts (reaped and
+			// recycled in the background) and fail typed.
+			call.dlC = nil
+			call.abandon(&call.cur)
+			call.abandon(&call.alt)
+			call.fail(&DeadlineExceeded{Shard: call.s, Budget: rc.cfg.Deadline})
+		}
+	}
+	rc.putTimer(call.tm)
+	rc.putTimer(call.dtm)
+	call.tm, call.dtm, call.hedgeC, call.dlC = nil, nil, nil, nil
+}
+
+// putTimer stops a pooled timer (nil: it was never armed), drains a fire
+// nobody consumed, and recycles it.
+func (rc *RemoteCluster) putTimer(t *time.Timer) {
+	if t == nil {
+		return
+	}
+	if !t.Stop() {
+		select {
+		case <-t.C:
+		default:
+		}
+	}
+	rc.timerPool.Put(t)
+}
+
+// abandon hands an attempt that is still in flight to a background reaper,
+// which drains and recycles it.
+func (call *rCall) abandon(a *attempt) {
+	if a.ca != nil {
+		go call.rc.reap(a.rep.cl, a.ca, a.buf)
+		a.ca = nil
+	}
+}
+
+// fail settles the call with a terminal routing failure, classifying it
+// for metrics.
 func (call *rCall) fail(err error) {
 	var de *DeadlineExceeded
 	if errors.As(err, &de) {
@@ -798,7 +849,7 @@ func (call *rCall) fail(err error) {
 	} else {
 		call.rc.unavail.Inc()
 	}
-	call.err = err
+	call.err, call.settled = err, true
 }
 
 // start fires one attempt on the next healthy untried replica whose
@@ -807,7 +858,7 @@ func (call *rCall) fail(err error) {
 // budget, so a late failover asks the replica for strictly less time than
 // the original attempt did. It returns Unavailable when no replica
 // qualifies and DeadlineExceeded when the budget is already gone.
-func (call *rCall) start(tried *uint64, hedged bool) (attempt, error) {
+func (call *rCall) start(hedged bool) (attempt, error) {
 	rc, s := call.rc, call.s
 	sh := rc.shards[s]
 	now := time.Now()
@@ -826,7 +877,7 @@ func (call *rCall) start(tried *uint64, hedged bool) (attempt, error) {
 	}
 	for i := 0; i < len(sh.replicas); i++ {
 		ri := (begin + i) % len(sh.replicas)
-		if *tried&(1<<uint(ri)) != 0 {
+		if call.tried&(1<<uint(ri)) != 0 {
 			continue
 		}
 		rep := sh.replicas[ri]
@@ -836,7 +887,7 @@ func (call *rCall) start(tried *uint64, hedged bool) (attempt, error) {
 		if !rep.brk.allow(&rc.brkCfg, now) {
 			continue
 		}
-		*tried |= 1 << uint(ri)
+		call.tried |= 1 << uint(ri)
 		buf := rc.bufPool.Get().(*[]float32)
 		ca, err := rep.cl.StartEmbedBudget((*buf)[:0], call.rowsArg, len(call.rowsArg[0]), budget)
 		if err != nil {
@@ -849,24 +900,26 @@ func (call *rCall) start(tried *uint64, hedged bool) (attempt, error) {
 }
 
 // settle handles one attempt's result; done is the attempt that
-// delivered, other may still be in flight. It returns true when the call
-// is finished (won or failed for good).
-func (call *rCall) settle(sh *rShard, done, other *attempt, err error, tried *uint64, lastErr *error) bool {
+// delivered, other may still be in flight. It leaves the call settled when
+// the sub-request is finished (won or failed for good).
+func (call *rCall) settle(done, other *attempt, err error) {
 	rc := call.rc
+	sh := rc.shards[call.s]
 	if err == nil {
+		// Observed when the router consumes the answer: a shard waited on
+		// after another sees at least the earlier shard's latency, so its
+		// hedge delay tracks when an answer was needed, not only how fast
+		// the replica produced it.
 		sh.hedge.observe(time.Since(done.start))
 		done.rep.brk.ok(&rc.brkCfg)
 		if done.hedged {
 			rc.hedgeWins.Inc()
 		}
-		call.out = done.ca.Dst()
+		call.out, call.settled = done.ca.Dst(), true
 		call.winCl, call.winCa, call.winBuf = done.rep.cl, done.ca, done.buf
 		done.ca = nil
-		if other.ca != nil {
-			go rc.reap(other.rep.cl, other.ca, other.buf)
-			other.ca = nil
-		}
-		return true
+		call.abandon(other)
+		return
 	}
 	// The attempt failed: recycle its call before deciding what's next.
 	*done.buf = done.ca.Dst()
@@ -877,40 +930,36 @@ func (call *rCall) settle(sh *rShard, done, other *attempt, err error, tried *ui
 	if errors.As(err, &se) && se.Code != wire.ErrOverloaded {
 		// The server rejected or failed the request itself; no other
 		// replica would answer differently.
-		call.err = fmt.Errorf("remote: shard %d: %w", call.s, err)
-		if other.ca != nil {
-			go rc.reap(other.rep.cl, other.ca, other.buf)
-			other.ca = nil
-		}
-		return true
+		call.err, call.settled = fmt.Errorf("remote: shard %d: %w", call.s, err), true
+		call.abandon(other)
+		return
 	}
 	// Transport loss or admission shed: fail over to another replica.
-	*lastErr = err
+	call.lastErr = err
 	if done.rep.brk.fail(&rc.brkCfg, time.Now()) {
 		rc.brkTrips.Inc()
 	}
 	if other.ca != nil {
-		return false // the other attempt may still win
+		return // the other attempt may still win
 	}
 	// A replacement attempt spends one of the shard's retry tokens; an
 	// empty bucket fails the read instead of amplifying the brown-out.
 	if rc.retryRefill > 0 && !sh.takeRetry() {
 		rc.denied.Inc()
-		call.fail(&Unavailable{Shard: call.s, Err: *lastErr})
-		return true
+		call.fail(&Unavailable{Shard: call.s, Err: call.lastErr})
+		return
 	}
 	rc.failovers.Inc()
-	na, aerr := call.start(tried, done.hedged)
+	na, aerr := call.start(done.hedged)
 	if aerr != nil {
 		var un *Unavailable
 		if errors.As(aerr, &un) {
-			un.Err = *lastErr
+			un.Err = call.lastErr
 		}
 		call.fail(aerr)
-		return true
+		return
 	}
 	*done = na
-	return false
 }
 
 // reap drains and recycles a hedged read's losing attempt.
@@ -979,9 +1028,9 @@ func (rc *RemoteCluster) WaitReady(timeout time.Duration) error {
 	}
 }
 
-// Close stops accepting operations, drains the in-flight ones and stops
-// the dispatch workers (Router.Close), stops the janitor, and closes every
-// replica client and shard log. It is idempotent.
+// Close stops accepting operations, drains the in-flight ones
+// (Router.Close), stops the janitor, and closes every replica client and
+// shard log. It is idempotent.
 func (rc *RemoteCluster) Close() error {
 	if !rc.router.Close() {
 		return nil

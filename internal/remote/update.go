@@ -179,7 +179,9 @@ func (rc *RemoteCluster) restoreReplica(sh *rShard, rep *replica) error {
 // the log head under updMu (no fan-out can interleave), the scraped rows
 // are bit-identical to golden at that sequence. Best-effort: any scrape
 // failure just leaves the log untrimmed and the next append retries.
-// Callers hold the shard's updMu.
+// The scrape lands in the table the previous install retired (snapSpare),
+// so a long-running writer cycles two tables per shard instead of
+// allocating one per snapshot. Callers hold the shard's updMu.
 func (rc *RemoteCluster) snapshotShard(sh *rShard) {
 	head := sh.store.Head()
 	var src *replica
@@ -194,7 +196,11 @@ func (rc *RemoteCluster) snapshotShard(sh *rShard) {
 	}
 	dim := rc.cfg.Model.EmbDim
 	localRows := rc.place.LocalRows(sh.id)
-	vals := make([]float32, localRows*dim)
+	vals := sh.snapSpare
+	if len(vals) != localRows*dim {
+		vals = make([]float32, localRows*dim)
+	}
+	sh.snapSpare = vals // stays the spare unless the install adopts it
 	rowsArg := [][]int{nil}
 	rowIdx := make([]int, 0, sh.maxSub)
 	for at := 0; at < localRows; {
@@ -209,7 +215,11 @@ func (rc *RemoteCluster) snapshotShard(sh *rShard) {
 		}
 		at += n
 	}
+	// The log lets go of its previous table when it adopts vals; restores
+	// read it only under updMu, so nothing else still references it.
+	_, retired, _ := sh.store.Snapshot()
 	if err := sh.store.InstallSnapshot(head, vals); err == nil {
+		sh.snapSpare = retired
 		rc.snapshots.Inc()
 	}
 }

@@ -25,6 +25,12 @@
 // replica, in arrival order — before the merged embedding executes, so an
 // update never loses to a read it was coalesced with on the same rows.
 //
+// Every entry point is a submit (hand the request to the batcher) followed
+// by an await (block for its reply). The blocking calls — Infer, Embed,
+// EmbedInto, Update — do both; StartEmbedInto and Pending.Wait expose the
+// two halves of an embedding read, so a caller with sub-requests for several
+// servers (the cluster router) can queue all of them before it waits.
+//
 // Every request's queue and total latency is recorded; Metrics reports
 // p50/p95/p99 percentiles plus sustained throughput, the numbers a serving
 // SLO is written against.
@@ -349,7 +355,10 @@ func (s *Server) Infer(perTableRows [][]int, batch int) (*tensor.Tensor, error) 
 	}
 	req := getRequest()
 	req.rows, req.batch, req.infer = perTableRows, batch, true
-	return s.enqueue(req)
+	if err := s.submit(req); err != nil {
+		return nil, err
+	}
+	return await(req)
 }
 
 // Embed runs only the embedding stage, returning the pooled [batch,
@@ -371,17 +380,48 @@ func (s *Server) Embed(perTableRows [][]int, batch int) (*tensor.Tensor, error) 
 // state; the server writes to dst only between submission and return and
 // never retains it. Safe for concurrent use (with distinct dst buffers).
 func (s *Server) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
-	if err := s.validateRead(perTableRows, batch); err != nil {
+	p, err := s.StartEmbedInto(dst, perTableRows, batch)
+	if err != nil {
 		return nil, err
+	}
+	return p.Wait()
+}
+
+// Pending is an embedding read that has been submitted and not yet awaited:
+// the handle StartEmbedInto returns. It is owned by the submitting goroutine
+// from StartEmbedInto to Wait, which must be called exactly once — the
+// handle wraps a pooled request that Wait recycles, and the destination
+// buffer belongs to the server until Wait returns.
+type Pending struct{ req *request }
+
+// StartEmbedInto is the submit half of EmbedInto: it validates the read,
+// sizes dst (grown if its capacity is insufficient), hands the request to
+// the batcher and returns without waiting for the result, so a caller with
+// sub-requests for several servers can have all of them queued before it
+// blocks on any. It blocks only while the submission queue is full. Close
+// drains a started read like any other accepted request: its Wait delivers
+// the result even after Close returned.
+func (s *Server) StartEmbedInto(dst []float32, perTableRows [][]int, batch int) (Pending, error) {
+	if err := s.validateRead(perTableRows, batch); err != nil {
+		return Pending{}, err
 	}
 	need := batch * s.width
 	if cap(dst) < need {
 		dst = make([]float32, need)
 	}
-	dst = dst[:need]
 	req := getRequest()
-	req.rows, req.batch, req.dst = perTableRows, batch, dst
-	if _, err := s.enqueue(req); err != nil {
+	req.rows, req.batch, req.dst = perTableRows, batch, dst[:need]
+	if err := s.submit(req); err != nil {
+		return Pending{}, err
+	}
+	return Pending{req}, nil
+}
+
+// Wait is the await half of EmbedInto: it blocks until the server replied
+// and returns the destination re-sliced to exactly batch*tables*dim.
+func (p Pending) Wait() ([]float32, error) {
+	dst := p.req.dst
+	if _, err := await(p.req); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -451,18 +491,22 @@ func (s *Server) Update(ups []runtime.TableUpdate) error {
 	}
 	req := getRequest()
 	req.updates = ups
-	_, err := s.enqueue(req)
+	if err := s.submit(req); err != nil {
+		return err
+	}
+	_, err := await(req)
 	return err
 }
 
-// enqueue hands one request to the batcher, blocks for its result, and
-// recycles the request.
-func (s *Server) enqueue(req *request) (*tensor.Tensor, error) {
+// submit hands one request to the batcher without waiting for its result —
+// the one way into the queue for reads, inferences and updates alike. A
+// refused request is recycled here.
+func (s *Server) submit(req *request) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		putRequest(req)
-		return nil, fmt.Errorf("serve: server is closed")
+		return fmt.Errorf("serve: server is closed")
 	}
 	// Holding the lock for the send would serialize submitters; instead the
 	// closed flag is checked first and Close closes the queue only after
@@ -471,6 +515,13 @@ func (s *Server) enqueue(req *request) (*tensor.Tensor, error) {
 	s.mu.Unlock()
 	s.queue <- req
 	s.inflight.Done()
+	return nil
+}
+
+// await blocks for a submitted request's result and recycles the request.
+// The reply channel is buffered, so a worker never waits for a submitter
+// that has not reached await yet.
+func await(req *request) (*tensor.Tensor, error) {
 	r := <-req.done
 	putRequest(req)
 	return r.out, r.err

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -351,5 +352,53 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 	defer s.Close()
 	if s.cfg.MaxDelay != 200*time.Microsecond {
 		t.Fatalf("zero MaxDelay defaulted to %v, want 200us", s.cfg.MaxDelay)
+	}
+}
+
+// TestCloseDeliversStartedNotWaited: a read that was submitted with
+// StartEmbedInto and not yet awaited is an accepted request like any other
+// — Close drains it, and the Wait that follows (after Close has returned
+// and released the deployment) still delivers the bit-exact result. A
+// StartEmbedInto after Close fails fast without handing out a Pending.
+func TestCloseDeliversStartedNotWaited(t *testing.T) {
+	cfg := testConfig(2, 2, 128, false, isa.RAdd)
+	dep := newDeployment(t, cfg, 8, 1, 2)
+	// A long batching deadline: only Close's drain can dispatch the batch
+	// before the test gives up.
+	s, err := New(Config{MaxDelay: time.Minute}, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
+	var pending [3]Pending
+	var want [3][]float32
+	for i := range pending {
+		rows := gen.Batch(cfg.Tables, 2, cfg.Reduction)
+		golden, err := dep.GoldenEmbedding(rows, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = golden.Data()
+		if pending[i], err = s.StartEmbedInto(nil, rows, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range pending {
+		got, err := p.Wait()
+		if err != nil {
+			t.Fatalf("read %d started before Close: %v", i, err)
+		}
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("read %d not bit-identical to the golden embedding", i)
+		}
+	}
+	if _, err := s.StartEmbedInto(nil, gen.Batch(cfg.Tables, 1, cfg.Reduction), 1); err == nil {
+		t.Fatal("want error from StartEmbedInto after Close")
+	}
+	if m := s.Metrics(); m.Requests != 3 || m.Failures != 0 {
+		t.Fatalf("requests %d, failures %d after the drain, want 3, 0", m.Requests, m.Failures)
 	}
 }
