@@ -72,7 +72,6 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -82,12 +81,10 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"tensordimm"
-	"tensordimm/internal/telemetry"
 )
 
 // flags holds every parsed flag so validation can reason about the whole
@@ -170,7 +167,9 @@ func main() {
 	flag.StringVar(&f.metricsAddr, "metrics-addr", "", "serve the admin endpoint on this address (e.g. 127.0.0.1:9090): /metrics (Prometheus text), /metrics.json, /slow, /stream (SSE), /debug/pprof/*; every mode except -connect, whose metrics come from the server over the wire")
 	flag.Parse()
 
-	if err := validate(f); err != nil {
+	set := map[string]bool{}
+	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
+	if err := validate(f, set); err != nil {
 		fmt.Fprintln(os.Stderr, "tensorserve:", err)
 		os.Exit(2)
 	}
@@ -180,12 +179,7 @@ func main() {
 		return
 	}
 	if f.connect != "" {
-		runConnect(f)
-		return
-	}
-	if f.join != "" {
-		runJoin(f)
-		return
+		os.Exit(runConnect(f).exitCode())
 	}
 
 	cfg, err := benchmark(f.modelName)
@@ -195,35 +189,29 @@ func main() {
 	}
 	cfg.TableRows = f.rows
 	cfg.EmbDim = f.dim
+	if f.join != "" {
+		os.Exit(runJoin(cfg, f).exitCode())
+	}
 	model, err := tensordimm.BuildModel(cfg, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	if f.listen != "" {
-		runListen(model, cfg, f)
-		return
-	}
-
-	gen, err := newGenerator(f, cfg.TableRows)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("model %s: %d tables x %d rows, dim %d, %d-way %s\n",
 		cfg.Name, cfg.Tables, cfg.TableRows, cfg.EmbDim, cfg.Reduction, poolingName(cfg))
-	if f.nodes > 1 {
-		runCluster(model, cfg, gen, distName(f), f)
-		return
+	switch {
+	case f.listen != "":
+		runListen(model, cfg, f)
+	case f.nodes > 1:
+		os.Exit(runCluster(model, cfg, f).exitCode())
+	default:
+		os.Exit(runSingle(model, cfg, f).exitCode())
 	}
-	runSingle(model, cfg, gen, distName(f), f)
 }
 
 // validate rejects inconsistent flag combinations up front with one
-// actionable line, instead of a deep panic or a late failure mid-run.
-func validate(f flags) error {
-	set := map[string]bool{}
-	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-
+// actionable line, instead of a deep panic or a late failure mid-run. set
+// names the flags given on the command line.
+func validate(f flags, set map[string]bool) error {
 	modes := 0
 	for _, m := range []string{f.listen, f.connect, f.join} {
 		if m != "" {
@@ -302,27 +290,30 @@ func validate(f flags) error {
 				return fmt.Errorf("-%s cannot be combined with -connect: the server defines the model, topology and limits (set it on the -listen side)", name)
 			}
 		}
-		if f.conns < 1 {
-			return fmt.Errorf("-conns %d must be at least 1", f.conns)
-		}
-	} else if f.join == "" {
-		if stripe := f.dimms * 16; f.dimms < 1 || f.dim%stripe != 0 {
-			return fmt.Errorf("-dim %d must be a positive multiple of dimms x 16 = %d", f.dim, f.dimms*16)
-		}
+	} else {
+		// The process defines the model geometry itself.
 		if f.rows < 1 {
 			return fmt.Errorf("-rows %d must be at least 1", f.rows)
-		}
-		if f.nodes < 1 {
-			return fmt.Errorf("-nodes %d must be at least 1", f.nodes)
-		}
-		if f.workers < 1 {
-			return fmt.Errorf("-workers %d must be at least 1", f.workers)
 		}
 		if f.maxBatch < 1 {
 			return fmt.Errorf("-maxbatch %d must be at least 1", f.maxBatch)
 		}
 		if s := strings.ToLower(f.shard); s != "table" && s != "row" {
 			return fmt.Errorf("-shard %q must be table or row", f.shard)
+		}
+	}
+	if (f.connect != "" || f.join != "") && f.conns < 1 {
+		return fmt.Errorf("-conns %d must be at least 1", f.conns)
+	}
+	if f.connect == "" && f.join == "" {
+		if stripe := f.dimms * 16; f.dimms < 1 || f.dim%stripe != 0 {
+			return fmt.Errorf("-dim %d must be a positive multiple of dimms x 16 = %d", f.dim, f.dimms*16)
+		}
+		if f.nodes < 1 {
+			return fmt.Errorf("-nodes %d must be at least 1", f.nodes)
+		}
+		if f.workers < 1 {
+			return fmt.Errorf("-workers %d must be at least 1", f.workers)
 		}
 		if set["shard-id"] {
 			if f.shardID < 0 || f.shardID >= f.nodes {
@@ -409,17 +400,8 @@ func validateJoin(f flags, set map[string]bool) error {
 			}
 		}
 	}
-	if f.conns < 1 {
-		return fmt.Errorf("-conns %d must be at least 1", f.conns)
-	}
-	if f.rows < 1 {
-		return fmt.Errorf("-rows %d must be at least 1", f.rows)
-	}
-	if f.maxBatch < 1 {
-		return fmt.Errorf("-maxbatch %d must be at least 1", f.maxBatch)
-	}
-	if s := strings.ToLower(f.shard); s != "table" && s != "row" {
-		return fmt.Errorf("-shard %q must be table or row", f.shard)
+	if f.dim < 1 {
+		return fmt.Errorf("-dim %d must be at least 1", f.dim)
 	}
 	return nil
 }
@@ -449,20 +431,44 @@ func parseJoin(join string) ([][]string, error) {
 	return groups, nil
 }
 
-// newGenerator builds the index generator the driver draws from.
-func newGenerator(f flags, rows int) (*tensordimm.WorkloadGenerator, error) {
-	if f.zipf {
-		return tensordimm.NewZipfWorkload(rows, f.zipfS, f.seed)
-	}
-	return tensordimm.NewWorkload(rows, tensordimm.Uniform, f.seed)
-}
+// offer runs the open-loop workload the flags describe against read and
+// update — the one path every driving mode takes — and returns its tally.
+// Reads are batch-sample lookups over every table; updates are SCATTER_ADD
+// gradient batches (batch rows against one random table), the
+// asynchronous-training traffic an online recommender serves. over names
+// the transport for the banner.
+func offer[T any](f flags, tables, rows, reduction, dim int, over string,
+	read func([][]int, int) (T, error), update func([]tensordimm.TableUpdate) error) tally {
 
-// distName names the index distribution for reports.
-func distName(f flags) string {
+	var gen *tensordimm.WorkloadGenerator
+	var err error
+	dist := "uniform"
 	if f.zipf {
-		return fmt.Sprintf("zipf(%.2g)", f.zipfS)
+		dist = fmt.Sprintf("zipf(%.2g)", f.zipfS)
+		gen, err = tensordimm.NewZipfWorkload(rows, f.zipfS, f.seed)
+	} else {
+		gen, err = tensordimm.NewWorkload(rows, tensordimm.Uniform, f.seed)
 	}
-	return "uniform"
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("offering %.0f req/s x %v, batch %d, %s indices, %.0f%% updates (open loop%s)\n\n",
+		f.rate, f.duration, f.batch, dist, 100*f.updFrac, over)
+	rng := rand.New(rand.NewSource(f.seed))
+	return drive(f.rate, f.duration, f.updFrac, f.seed,
+		func() func() error {
+			idx := gen.Batch(tables, f.batch, reduction)
+			return func() error { _, err := read(idx, f.batch); return err }
+		},
+		func() func() error {
+			urows := gen.Indices(f.batch)
+			grads := tensordimm.NewTensor(len(urows), dim)
+			for i := range grads.Data() {
+				grads.Data()[i] = rng.Float32()*0.02 - 0.01
+			}
+			ups := []tensordimm.TableUpdate{{Table: rng.Intn(tables), Rows: urows, Grads: grads}}
+			return func() error { return update(ups) }
+		})
 }
 
 // shardStrategy maps the validated -shard flag to a strategy.
@@ -566,23 +572,10 @@ func makeShardServer(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flag
 	if err != nil {
 		log.Fatal(err)
 	}
-	fs := f
-	fs.maxBatch = place.MaxSub(f.shardID, f.maxBatch, cfg.Reduction)
-	nd, dep := deploySingle(shardModel, shardModel.Cfg, fs)
-	srv, err := tensordimm.NewServer(tensordimm.ServeConfig{
-		MaxBatch: fs.maxBatch,
-		MaxDelay: f.maxDelay,
-		Workers:  f.workers,
-	}, dep)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if reg != nil {
-		srv.Instrument(reg)
-	}
+	f.maxBatch = place.MaxSub(f.shardID, f.maxBatch, cfg.Reduction)
 	fmt.Printf("shard %d of %d (%s): %d local rows, sub-batch cap %d samples\n",
-		f.shardID, f.nodes, strategy, shardModel.Cfg.TableRows, fs.maxBatch)
-	return nd, srv
+		f.shardID, f.nodes, strategy, shardModel.Cfg.TableRows, f.maxBatch)
+	return makeServer(shardModel, shardModel.Cfg, f, reg)
 }
 
 // buildBackend constructs the serving backend the flags describe: one
@@ -591,26 +584,20 @@ func makeShardServer(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flag
 // was built (nil otherwise — warm-restart hooks need it), and the close
 // function.
 func buildBackend(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags, reg *tensordimm.TelemetryRegistry) (tensordimm.NetBackend, *tensordimm.Cluster, func() error) {
-	if f.shardID >= 0 {
-		nd, srv := makeShardServer(model, cfg, f, reg)
-		closeAll := func() error {
-			err := srv.Close()
-			nd.Close()
-			return err
-		}
-		return tensordimm.ServeBackend(srv), nil, closeAll
-	}
-	if f.nodes > 1 {
+	if f.shardID < 0 && f.nodes > 1 {
 		cl := makeCluster(model, f, reg)
 		return tensordimm.ClusterBackend(cl), cl, cl.Close
 	}
-	nd, srv := makeServer(model, cfg, f, reg)
-	closeAll := func() error {
+	makeNode := makeServer
+	if f.shardID >= 0 {
+		makeNode = makeShardServer
+	}
+	nd, srv := makeNode(model, cfg, f, reg)
+	return tensordimm.ServeBackend(srv), nil, func() error {
 		err := srv.Close()
 		nd.Close()
 		return err
 	}
-	return tensordimm.ServeBackend(srv), nil, closeAll
 }
 
 // hotRowsTopK bounds how many hot rows a cluster shard persists at drain;
@@ -652,8 +639,6 @@ func persistHotRows(cl *tensordimm.Cluster, dir string, nodes int) {
 // runListen serves the node or cluster over TCP until SIGINT/SIGTERM,
 // then drains gracefully and prints the serving report.
 func runListen(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) {
-	fmt.Printf("model %s: %d tables x %d rows, dim %d, %d-way %s\n",
-		cfg.Name, cfg.Tables, cfg.TableRows, cfg.EmbDim, cfg.Reduction, poolingName(cfg))
 	reg := startMetrics(f)
 	backend, cl, closeBackend := buildBackend(model, cfg, f, reg)
 	if cl != nil && f.dataDir != "" {
@@ -705,7 +690,7 @@ func runListen(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) {
 // the server's handshake. Shed requests (OVERLOADED) are counted, not
 // fatal — under open-loop overload they are the admission control working
 // as designed. Exits non-zero if nothing completed.
-func runConnect(f flags) {
+func runConnect(f flags) tally {
 	cl, err := tensordimm.DialNet(f.connect, tensordimm.NetClientConfig{
 		Conns:    f.conns,
 		RetryFor: 5 * time.Second,
@@ -718,95 +703,12 @@ func runConnect(f flags) {
 	g := cl.Geometry()
 	fmt.Printf("connected to %s over %d conns: %d tables x %d rows, dim %d, reduction %d, max batch %d\n",
 		f.connect, f.conns, g.Tables, g.TableRows, g.Dim, g.Reduction, g.MaxBatch)
-	batch := f.batch
-	if batch > g.MaxBatch {
-		fmt.Fprintf(os.Stderr, "tensorserve: -batch %d exceeds the server's max batch %d\n", batch, g.MaxBatch)
+	if f.batch > g.MaxBatch {
+		fmt.Fprintf(os.Stderr, "tensorserve: -batch %d exceeds the server's max batch %d\n", f.batch, g.MaxBatch)
 		os.Exit(2)
 	}
-	gen, err := newGenerator(f, g.TableRows)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("offering %.0f req/s x %v, batch %d, %s indices, %.0f%% updates (open loop over TCP)\n\n",
-		f.rate, f.duration, batch, distName(f), 100*f.updFrac)
-
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		completed int
-		shed      int
-		expired   int
-		failed    int
-		firstErr  error
-		lat       = telemetry.NewHistogram()
-	)
-	interval := float64(time.Second) / f.rate
-	rng := rand.New(rand.NewSource(f.seed))
-	start := time.Now()
-	offered := 0
-	for {
-		due := start.Add(time.Duration(float64(offered) * interval))
-		if due.Sub(start) >= f.duration {
-			break
-		}
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		isUpdate := rng.Float64() < f.updFrac
-		var rows [][]int
-		var ups []tensordimm.TableUpdate
-		if isUpdate {
-			urows := gen.Indices(batch)
-			grads := tensordimm.NewTensor(len(urows), g.Dim)
-			for i := range grads.Data() {
-				grads.Data()[i] = rng.Float32()*0.02 - 0.01
-			}
-			ups = []tensordimm.TableUpdate{{Table: rng.Intn(g.Tables), Rows: urows, Grads: grads}}
-		} else {
-			rows = gen.Batch(g.Tables, batch, g.Reduction)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			var err error
-			if isUpdate {
-				err = cl.Update(ups)
-			} else {
-				_, err = cl.Embed(rows, batch)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				completed++
-				lat.Observe(time.Since(t0).Seconds())
-			case isShed(err):
-				shed++
-			case isDeadline(err):
-				// Under open-loop overload a -deadline driver expects expired
-				// requests: both sides shedding them is the feature working.
-				expired++
-			default:
-				failed++
-				if firstErr == nil {
-					firstErr = err
-				}
-			}
-		}()
-		offered++
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	fmt.Printf("offered %d requests: %d completed, %d shed (OVERLOADED), %d expired (DEADLINE_EXCEEDED), %d failed\n",
-		offered, completed, shed, expired, failed)
-	fmt.Printf("sustained %.0f req/s against %.0f req/s offered\n",
-		float64(completed)/elapsed.Seconds(), f.rate)
-	fmt.Printf("client-observed latency  %s\n", lat.Snapshot())
-	if firstErr != nil {
-		fmt.Fprintln(os.Stderr, "tensorserve: first failure:", firstErr)
-	}
+	t := offer(f, g.Tables, g.TableRows, g.Reduction, g.Dim, " over TCP", cl.Embed, cl.Update)
+	t.report(f.rate)
 	if snap, report, err := cl.MetricsSnapshot(); err == nil {
 		fmt.Printf("\n--- server report ---\n%s\n", report)
 		if snap != nil && len(snap.Counters) > 0 {
@@ -825,9 +727,7 @@ func runConnect(f flags) {
 	} else {
 		fmt.Fprintln(os.Stderr, "tensorserve: fetching server metrics:", err)
 	}
-	if completed == 0 || failed > 0 {
-		os.Exit(1)
-	}
+	return t
 }
 
 // runJoin drives the open-loop workload against replica groups of remote
@@ -836,14 +736,7 @@ func runConnect(f flags) {
 // fails over transport losses internally, so any surfaced error is a lost
 // request and the run exits non-zero — which is what the CI failover
 // smoke asserts while SIGKILLing a replica mid-run.
-func runJoin(f flags) {
-	cfg, err := benchmark(f.modelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tensorserve:", err)
-		os.Exit(2)
-	}
-	cfg.TableRows = f.rows
-	cfg.EmbDim = f.dim
+func runJoin(cfg tensordimm.ModelConfig, f flags) tally {
 	groups, err := parseJoin(f.join) // validated; re-parsed for the addresses
 	if err != nil {
 		log.Fatal(err)
@@ -881,118 +774,10 @@ func runJoin(f flags) {
 	fmt.Printf("joined %d shards (%s%s) over %d replicas: %d tables x %d rows, dim %d, %d-way %s\n",
 		len(groups), shardStrategy(f), mode, replicas, cfg.Tables, cfg.TableRows, cfg.EmbDim,
 		cfg.Reduction, poolingName(cfg))
-	gen, err := newGenerator(f, cfg.TableRows)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("offering %.0f req/s x %v, batch %d, %s indices, %.0f%% updates (open loop over replica groups)\n\n",
-		f.rate, f.duration, f.batch, distName(f), 100*f.updFrac)
-
-	var (
-		wg          sync.WaitGroup
-		mu          sync.Mutex
-		completed   int
-		expired     int
-		failed      int
-		unavailable int
-		firstErr    error
-		lat         = telemetry.NewHistogram()
-	)
-	interval := float64(time.Second) / f.rate
-	rng := rand.New(rand.NewSource(f.seed))
-	start := time.Now()
-	offered := 0
-	for {
-		due := start.Add(time.Duration(float64(offered) * interval))
-		if due.Sub(start) >= f.duration {
-			break
-		}
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		isUpdate := rng.Float64() < f.updFrac
-		var rows [][]int
-		var ups []tensordimm.TableUpdate
-		if isUpdate {
-			urows := gen.Indices(f.batch)
-			grads := tensordimm.NewTensor(len(urows), cfg.EmbDim)
-			for i := range grads.Data() {
-				grads.Data()[i] = rng.Float32()*0.02 - 0.01
-			}
-			ups = []tensordimm.TableUpdate{{Table: rng.Intn(cfg.Tables), Rows: urows, Grads: grads}}
-		} else {
-			rows = gen.Batch(cfg.Tables, f.batch, cfg.Reduction)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t0 := time.Now()
-			var err error
-			if isUpdate {
-				err = rc.ApplyUpdates(ups)
-			} else {
-				_, err = rc.Embed(rows, f.batch)
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if err == nil {
-				completed++
-				lat.Observe(time.Since(t0).Seconds())
-				return
-			}
-			if isDeadline(err) {
-				// The router surfaces a typed budget exhaustion instead of
-				// retrying forever — expected under -deadline, not a loss.
-				expired++
-				return
-			}
-			failed++
-			var un *tensordimm.RemoteUnavailable
-			if errors.As(err, &un) {
-				unavailable++
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}()
-		offered++
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	fmt.Printf("offered %d requests: %d completed, %d expired (deadline), %d failed (%d with a whole replica group down)\n",
-		offered, completed, expired, failed, unavailable)
-	fmt.Printf("sustained %.0f req/s against %.0f req/s offered\n",
-		float64(completed)/elapsed.Seconds(), f.rate)
-	fmt.Printf("client-observed latency  %s\n", lat.Snapshot())
+	t := offer(f, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, " over replica groups", rc.Embed, rc.ApplyUpdates)
+	t.report(f.rate)
 	fmt.Println(rc.Metrics())
-	if firstErr != nil {
-		fmt.Fprintln(os.Stderr, "tensorserve: first failure:", firstErr)
-	}
-	if completed == 0 || failed > 0 {
-		os.Exit(1)
-	}
-}
-
-// isShed reports whether err is an OVERLOADED error frame — expected
-// fail-fast behavior under open-loop overload.
-func isShed(err error) bool {
-	se, ok := err.(*tensordimm.NetServerError)
-	return ok && se.Code == tensordimm.NetErrOverloaded
-}
-
-// isDeadline reports whether err is a deadline-budget exhaustion, in any
-// of its typed forms: tripped client-side before the reply, shed by the
-// server after the propagated budget expired, or surfaced by the replica
-// router after retries ran the budget out.
-func isDeadline(err error) bool {
-	var dl *tensordimm.NetDeadlineError
-	var de *tensordimm.RemoteDeadlineExceeded
-	var se *tensordimm.NetServerError
-	if errors.As(err, &dl) || errors.As(err, &de) {
-		return true
-	}
-	return errors.As(err, &se) && se.Code == tensordimm.NetErrDeadlineExceeded
+	return t
 }
 
 // runChaos runs the seeded chaos soak: an in-process replica fleet under
@@ -1037,105 +822,36 @@ func deploySingle(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) 
 }
 
 // runSingle drives one TensorNode behind a batched server (the PR 1 path).
-func runSingle(model *tensordimm.Model, cfg tensordimm.ModelConfig,
-	gen *tensordimm.WorkloadGenerator, dist string, f flags) {
-
+func runSingle(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) tally {
 	nd, srv := makeServer(model, cfg, f, startMetrics(f))
 
-	offered := offerLoad(cfg, gen, dist, f.batch, f.rate, f.duration, f.updFrac, f.seed, srv.Infer, srv.Update)
+	t := offer(f, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", srv.Infer, srv.Update)
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	m := srv.Metrics()
-	fmt.Println(m)
-	fmt.Printf("\noffered %d requests, completed %d (sustained %.0f req/s against %.0f req/s offered)\n",
-		offered, m.Requests, float64(m.Requests)/m.Uptime.Seconds(), f.rate)
+	fmt.Println(srv.Metrics())
+	fmt.Println()
+	t.report(f.rate)
 	s := nd.Stats()
 	fmt.Printf("NMP activity: %d instructions, %d blocks read, %d blocks written, %d ALU block ops\n",
 		s.Instructions, s.BlocksRead, s.BlocksWritten, s.ALUBlockOps)
 	nd.Close()
+	return t
 }
 
 // runCluster drives the sharded multi-node cluster.
-func runCluster(model *tensordimm.Model, cfg tensordimm.ModelConfig,
-	gen *tensordimm.WorkloadGenerator, dist string, f flags) {
-
+func runCluster(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) tally {
 	cl := makeCluster(model, f, startMetrics(f))
 
-	offered := offerLoad(cfg, gen, dist, f.batch, f.rate, f.duration, f.updFrac, f.seed, cl.Infer, cl.ApplyUpdates)
+	t := offer(f, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", cl.Infer, cl.ApplyUpdates)
 	if err := cl.Close(); err != nil {
 		log.Fatal(err)
 	}
 
-	m := cl.Metrics()
-	fmt.Println(m)
-	fmt.Printf("offered %d requests, completed %d (sustained %.0f req/s against %.0f req/s offered)\n",
-		offered, m.Requests, float64(m.Requests)/m.Uptime.Seconds(), f.rate)
-}
-
-// offerLoad submits requests open loop on an absolute schedule: arrival n
-// is due at start + n/rate, and late arrivals fire immediately in a
-// catch-up burst, so a slow server cannot throttle the offered load. With
-// updFrac > 0 that fraction of arrivals are SCATTER_ADD gradient-update
-// batches (batch rows against one random table) instead of inferences —
-// the asynchronous-training traffic an online recommender serves. Each
-// request runs in its own goroutine; indices are drawn in the arrival loop
-// (the generator is sequential). Returns the number of requests offered.
-func offerLoad(cfg tensordimm.ModelConfig, gen *tensordimm.WorkloadGenerator,
-	dist string, batch int, rate float64, duration time.Duration,
-	updFrac float64, seed int64,
-	infer func([][]int, int) (*tensordimm.Tensor, error),
-	update func([]tensordimm.TableUpdate) error) int {
-
-	fmt.Printf("offering %.0f req/s x %v, batch %d, %s indices, %.0f%% updates (open loop)\n\n",
-		rate, duration, batch, dist, 100*updFrac)
-	interval := float64(time.Second) / rate
-	rng := rand.New(rand.NewSource(seed))
-	start := time.Now()
-	var wg sync.WaitGroup
-	var submitErr error
-	var errOnce sync.Once
-	offered := 0
-	for {
-		due := start.Add(time.Duration(float64(offered) * interval))
-		if due.Sub(start) >= duration {
-			break
-		}
-		if d := time.Until(due); d > 0 {
-			time.Sleep(d)
-		}
-		if rng.Float64() < updFrac {
-			urows := gen.Indices(batch)
-			grads := tensordimm.NewTensor(len(urows), cfg.EmbDim)
-			for i := range grads.Data() {
-				grads.Data()[i] = rng.Float32()*0.02 - 0.01
-			}
-			ups := []tensordimm.TableUpdate{{Table: rng.Intn(cfg.Tables), Rows: urows, Grads: grads}}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := update(ups); err != nil {
-					errOnce.Do(func() { submitErr = err })
-				}
-			}()
-		} else {
-			rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if _, err := infer(rows, batch); err != nil {
-					errOnce.Do(func() { submitErr = err })
-				}
-			}()
-		}
-		offered++
-	}
-	wg.Wait()
-	if submitErr != nil {
-		log.Fatal(submitErr)
-	}
-	return offered
+	fmt.Println(cl.Metrics())
+	t.report(f.rate)
+	return t
 }
 
 func benchmark(name string) (tensordimm.ModelConfig, error) {

@@ -29,7 +29,7 @@
 // execute, encode, write — performs no heap allocations: tasks and their
 // decode buffers are pooled, encoders append into reused buffers, and the
 // backend's *Into path writes straight into the task's response scratch
-// (BenchmarkNetRoundTrip pins it; see ARCHITECTURE.md, "Memory
+// (TestNetRoundTripZeroAlloc pins it; see ARCHITECTURE.md, "Memory
 // discipline"). The update path allocates a few tensor headers per
 // request (convertUpdates), mirroring the in-process write path.
 package netserve

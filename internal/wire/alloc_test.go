@@ -112,7 +112,7 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 
 // BenchmarkReadFrame measures the frame reader alone — the per-frame cost
 // every endpoint pays before any decode — and reports its allocation rate
-// (which must stay 0; BenchmarkNetRoundTrip pins the full network path).
+// (which must stay 0; TestNetRoundTripZeroAlloc pins the full network path).
 func BenchmarkReadFrame(b *testing.B) {
 	g := testGeom
 	perTable := make([][]int, g.Tables)

@@ -45,8 +45,8 @@
 // The steady-state serving path is allocation-free: callers that reuse a
 // result buffer through Server.EmbedInto (or Cluster.EmbedInto,
 // Deployment.RunEmbeddingInto) perform zero heap allocations per request,
-// which the benchmark suite (internal/benchkit, cmd/benchjson) pins at
-// 0 allocs/op in CI. See ARCHITECTURE.md, "Memory discipline".
+// which the ZeroAlloc tests beside each serving layer pin at 0 allocs/op
+// in CI. See ARCHITECTURE.md, "Memory discipline".
 //
 // # Online updates
 //
