@@ -8,8 +8,9 @@
 // as a contract:
 //
 //	go run ./cmd/doccheck internal/cluster internal/serve internal/runtime \
-//	    internal/node internal/workload internal/wire internal/netserve \
-//	    internal/netclient internal/remote internal/faultnet
+//	    internal/node internal/nmp internal/dimm internal/workload \
+//	    internal/wire internal/netserve internal/netclient internal/remote \
+//	    internal/faultnet
 //
 // With no arguments it checks that default set.
 package main
@@ -28,7 +29,7 @@ func main() {
 	if len(dirs) == 0 {
 		dirs = []string{
 			"internal/cluster", "internal/serve", "internal/runtime",
-			"internal/node", "internal/workload",
+			"internal/node", "internal/nmp", "internal/dimm", "internal/workload",
 			"internal/wire", "internal/netserve", "internal/netclient",
 			"internal/remote", "internal/faultnet",
 			"internal/persist", "internal/chaos", "internal/telemetry",

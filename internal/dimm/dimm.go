@@ -16,11 +16,15 @@
 //
 // Addressing: the node's physical space is striped across TensorDIMMs in
 // 64-byte blocks (Figure 7); global block g lives on DIMM g % nodeDim at
-// rank-local block g / nodeDim. The dimm package owns that translation and
-// enforces rank-locality for the NMP core.
+// rank-local block g / nodeDim. The module hands its NMP core exactly two
+// things (nmp.Env): its own rank's bytes and the replicated index region.
+// With no way to name another rank's DRAM, the core is rank-local by
+// construction; the global-to-local translation itself happens once per
+// operand inside the core, which refuses a base that stripes elsewhere.
 package dimm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -28,46 +32,116 @@ import (
 	"tensordimm/internal/nmp"
 )
 
+// SharedCapacityBytes bounds the replicated region's address space: an index
+// list that would end past it is refused, so a stray address cannot size the
+// slab to the address space.
+const SharedCapacityBytes = 1 << 30
+
 // SharedRegion is the node-wide replicated store that holds GATHER index
 // lists. The runtime broadcasts index blocks to every buffer device along
 // with the instruction (Section 4.4); replicating them is what lets every
 // NMP core walk the full index list without touching remote ranks.
 //
-// It is safe for concurrent reads; writes must not overlap Execute calls.
+// The store is one flat byte slab, grown to the highest address written,
+// with a written flag per 64-byte block. Run hands a core the bytes of a
+// whole index list at once. Writers of disjoint block ranges may run
+// concurrently with each other and with readers of other ranges; a range
+// must not be written while an instruction that reads it executes.
 type SharedRegion struct {
-	mu     sync.RWMutex
-	blocks map[uint64]nmp.Block
+	// mu orders slab growth (exclusive) against writers and readers
+	// (shared). A reader keeps using the bytes Run returned after it lets
+	// go of the lock: growth copies them, and nobody may write them until
+	// the reader's instruction has retired.
+	mu      sync.RWMutex
+	data    []byte
+	written []bool // per block of data
 }
 
 // NewSharedRegion returns an empty replicated region.
-func NewSharedRegion() *SharedRegion {
-	return &SharedRegion{blocks: make(map[uint64]nmp.Block)}
-}
+func NewSharedRegion() *SharedRegion { return &SharedRegion{} }
 
-// Write stores a block at the given global block address.
-func (s *SharedRegion) Write(globalBlock uint64, b nmp.Block) {
-	s.mu.Lock()
-	s.blocks[globalBlock] = b
-	s.mu.Unlock()
-}
-
-// Read fetches a block; missing blocks are an error (uninitialized index
-// list — always a runtime bug).
-func (s *SharedRegion) Read(globalBlock uint64) (nmp.Block, error) {
-	s.mu.RLock()
-	b, ok := s.blocks[globalBlock]
-	s.mu.RUnlock()
-	if !ok {
-		return nmp.Block{}, fmt.Errorf("dimm: shared block %#x not written", globalBlock)
+// WriteIndices stores an index list as little-endian int32 lanes starting at
+// the given global block address, zero-padding the last block (harmless:
+// the instruction's count controls how many indices are consumed).
+func (s *SharedRegion) WriteIndices(globalBlock uint64, indices []int32) error {
+	blocks := uint64(len(indices)+isa.LanesPerBlock-1) / isa.LanesPerBlock
+	const limit = SharedCapacityBytes / isa.BlockBytes
+	if globalBlock > limit || blocks > limit-globalBlock {
+		return fmt.Errorf("dimm: index list [%#x, +%d blocks) beyond the shared region's %d B", globalBlock, blocks, SharedCapacityBytes)
 	}
-	return b, nil
+	lo, hi := globalBlock*isa.BlockBytes, (globalBlock+blocks)*isa.BlockBytes
+	s.mu.RLock()
+	for hi > uint64(len(s.data)) {
+		s.mu.RUnlock()
+		s.grow(hi)
+		s.mu.RLock()
+	}
+	defer s.mu.RUnlock()
+	dst := s.data[lo:hi]
+	for i, v := range indices {
+		binary.LittleEndian.PutUint32(dst[i*4:], uint32(v))
+	}
+	clear(dst[len(indices)*4:])
+	for b := globalBlock; b < globalBlock+blocks; b++ {
+		s.written[b] = true
+	}
+	return nil
 }
 
-// Len returns the number of blocks resident in the region.
-func (s *SharedRegion) Len() int {
+// grow extends the slab to at least size bytes, doubling so that a region
+// filled upward reallocates a logarithmic number of times.
+func (s *SharedRegion) grow(size uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if size <= uint64(len(s.data)) {
+		return
+	}
+	if twice := 2 * uint64(len(s.data)); size < twice {
+		size = twice
+	}
+	data := make([]byte, size)
+	copy(data, s.data)
+	written := make([]bool, size/isa.BlockBytes)
+	copy(written, s.written)
+	s.data, s.written = data, written
+}
+
+// Run returns the bytes of `blocks` consecutive blocks starting at the global
+// block address. A block nobody has written is an error (uninitialized index
+// list — always a runtime bug).
+func (s *SharedRegion) Run(globalBlock uint64, blocks int) ([]byte, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.blocks)
+	limit := uint64(len(s.written))
+	if globalBlock > limit || uint64(blocks) > limit-globalBlock {
+		return nil, fmt.Errorf("dimm: shared blocks [%#x, +%d) not written", globalBlock, blocks)
+	}
+	end := globalBlock + uint64(blocks)
+	for b := globalBlock; b < end; b++ {
+		if !s.written[b] {
+			return nil, fmt.Errorf("dimm: shared block %#x not written", b)
+		}
+	}
+	return s.data[globalBlock*isa.BlockBytes : end*isa.BlockBytes], nil
+}
+
+// Forget marks `blocks` blocks from the global block address as unwritten
+// again, so a released index region handed to a new owner reads as
+// uninitialized until that owner writes it.
+func (s *SharedRegion) Forget(globalBlock, blocks uint64) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for b := globalBlock; b < globalBlock+blocks && b < uint64(len(s.written)); b++ {
+		s.written[b] = false
+	}
+}
+
+// Bytes returns the slab's footprint: the highest address ever written,
+// rounded up by the growth policy.
+func (s *SharedRegion) Bytes() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.data)
 }
 
 // TensorDIMM is one TensorDIMM module.
@@ -106,48 +180,13 @@ func (d *TensorDIMM) LocalBytes() uint64 { return uint64(len(d.store)) }
 // Core exposes the NMP core (for stats inspection).
 func (d *TensorDIMM) Core() *nmp.Core { return d.core }
 
-// owns reports whether the global block address belongs to this DIMM.
-func (d *TensorDIMM) owns(globalBlock uint64) bool {
-	return int(globalBlock%uint64(d.nodeDim)) == d.tid
-}
+// Local implements nmp.Env: this module's rank-local DRAM. The node's host
+// I/O stripes tensors straight into and out of the same bytes.
+func (d *TensorDIMM) Local() []byte { return d.store }
 
-// localOffset translates a global block address to a byte offset in store.
-func (d *TensorDIMM) localOffset(globalBlock uint64) (uint64, error) {
-	if !d.owns(globalBlock) {
-		return 0, fmt.Errorf("dimm %d: global block %#x belongs to DIMM %d",
-			d.tid, globalBlock, globalBlock%uint64(d.nodeDim))
-	}
-	off := (globalBlock / uint64(d.nodeDim)) * isa.BlockBytes
-	if off+isa.BlockBytes > uint64(len(d.store)) {
-		return 0, fmt.Errorf("dimm %d: global block %#x beyond local capacity %d B", d.tid, globalBlock, len(d.store))
-	}
-	return off, nil
-}
-
-// ReadLocal implements nmp.Env.
-func (d *TensorDIMM) ReadLocal(globalBlock uint64) (nmp.Block, error) {
-	off, err := d.localOffset(globalBlock)
-	if err != nil {
-		return nmp.Block{}, err
-	}
-	var b nmp.Block
-	copy(b[:], d.store[off:off+isa.BlockBytes])
-	return b, nil
-}
-
-// WriteLocal implements nmp.Env.
-func (d *TensorDIMM) WriteLocal(globalBlock uint64, b nmp.Block) error {
-	off, err := d.localOffset(globalBlock)
-	if err != nil {
-		return err
-	}
-	copy(d.store[off:off+isa.BlockBytes], b[:])
-	return nil
-}
-
-// ReadShared implements nmp.Env.
-func (d *TensorDIMM) ReadShared(globalBlock uint64) (nmp.Block, error) {
-	return d.shared.Read(globalBlock)
+// Shared implements nmp.Env.
+func (d *TensorDIMM) Shared(globalBlock uint64, blocks int) ([]byte, error) {
+	return d.shared.Run(globalBlock, blocks)
 }
 
 // ReadBlock is the normal-DIMM personality: a 64-byte load at a rank-local

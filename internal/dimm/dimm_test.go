@@ -1,7 +1,9 @@
 package dimm
 
 import (
+	"encoding/binary"
 	"strings"
+	"sync"
 	"testing"
 
 	"tensordimm/internal/isa"
@@ -31,55 +33,71 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// put stores one float in lane 0 of the block at a rank-local byte offset.
+func put(t *testing.T, d *TensorDIMM, localOffset uint64, v float32) {
+	t.Helper()
+	if err := d.WriteBlock(localOffset, nmp.PackFloats([]float32{v})); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// lane0 loads lane 0 of the block at a rank-local byte offset.
+func lane0(t *testing.T, d *TensorDIMM, localOffset uint64) float32 {
+	t.Helper()
+	b, err := d.ReadBlock(localOffset)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return nmp.UnpackFloats(b)[0]
+}
+
 func TestOwnershipTranslation(t *testing.T) {
 	sh := NewSharedRegion()
 	d, _ := New(1, 4, 4096, sh)
-	b := nmp.PackFloats([]float32{42})
 
-	// Global block 5 = 5 mod 4 = DIMM 1, local block 1 (offset 64).
-	if err := d.WriteLocal(5, b); err != nil {
+	// Stripe base 4 on DIMM 1 of 4 is global block 5 = local block 1
+	// (offset 64); bases 8 and 12 are local blocks 2 and 3. The NMP
+	// personality addresses them globally, the normal one locally, and both
+	// see the same bytes — directly, too, through the Env the core is given.
+	put(t, d, 64, 42)
+	put(t, d, 128, 1)
+	if err := d.Execute(isa.Reduce(isa.RAdd, 4, 8, 12, 1)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := d.ReadLocal(5)
-	if err != nil {
-		t.Fatal(err)
+	if got := lane0(t, d, 192); got != 43 {
+		t.Fatalf("global stripe 12 -> local offset 192: got %v, want 43", got)
 	}
-	if nmp.UnpackFloats(got)[0] != 42 {
-		t.Fatal("round trip failed")
-	}
-	// The normal personality sees it at local offset 64.
-	nb, err := d.ReadBlock(64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nmp.UnpackFloats(nb)[0] != 42 {
-		t.Fatal("normal personality sees different data")
+	if got := nmp.UnpackFloats(nmp.Block(d.Local()[192:256]))[0]; got != 43 {
+		t.Fatalf("Local() sees %v at offset 192, want 43", got)
 	}
 
-	// Foreign block: 6 mod 4 = DIMM 2.
-	if _, err := d.ReadLocal(6); err == nil || !strings.Contains(err.Error(), "belongs to DIMM 2") {
-		t.Fatalf("want ownership error, got %v", err)
-	}
-	if err := d.WriteLocal(6, b); err == nil {
-		t.Fatal("want ownership error on write")
+	// A base that is not stripe-aligned names foreign blocks: base 5 on
+	// DIMM 1 is global block 6 = DIMM 2's.
+	for _, in := range []isa.Instruction{
+		isa.Reduce(isa.RAdd, 5, 8, 12, 1),
+		isa.Reduce(isa.RAdd, 4, 5, 12, 1),
+		isa.Reduce(isa.RAdd, 4, 8, 5, 1),
+	} {
+		if err := d.Execute(in); err == nil || !strings.Contains(err.Error(), "belongs to DIMM 2") {
+			t.Fatalf("%v: want ownership error, got %v", in, err)
+		}
 	}
 }
 
 func TestCapacityBounds(t *testing.T) {
 	sh := NewSharedRegion()
-	d, _ := New(0, 2, 128, sh) // two local blocks
-	b := nmp.Block{}
-	if err := d.WriteLocal(0, b); err != nil {
+	d, _ := New(0, 2, 128, sh) // two local blocks: global blocks 0 and 2
+	if err := d.Execute(isa.Reduce(isa.RAdd, 0, 2, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WriteLocal(2, b); err != nil { // local block 1
-		t.Fatal(err)
+	if err := d.Execute(isa.Reduce(isa.RAdd, 0, 2, 4, 1)); err == nil { // local block 2: beyond
+		t.Fatal("want capacity error on write")
 	}
-	if err := d.WriteLocal(4, b); err == nil { // local block 2: beyond
-		t.Fatal("want capacity error")
-	}
-	if _, err := d.ReadLocal(4); err == nil {
+	if err := d.Execute(isa.Reduce(isa.RAdd, 4, 2, 0, 1)); err == nil {
 		t.Fatal("want capacity error on read")
+	}
+	if err := d.Execute(isa.Reduce(isa.RAdd, 0, 0, 0, 3)); err == nil {
+		t.Fatal("want capacity error on an operand that ends past the rank")
 	}
 }
 
@@ -109,41 +127,105 @@ func TestNormalPersonalityBounds(t *testing.T) {
 
 func TestSharedRegion(t *testing.T) {
 	sh := NewSharedRegion()
-	if _, err := sh.Read(0); err == nil {
+	if _, err := sh.Run(0, 1); err == nil {
 		t.Fatal("want error for unwritten block")
 	}
-	sh.Write(3, nmp.PackIndices([]int32{1, 2, 3}))
-	b, err := sh.Read(3)
+	// 17 indices at block 3 fill block 3 and one lane of block 4, which is
+	// zero-padded; blocks 0-2 and 5 stay unwritten.
+	idx := make([]int32, 17)
+	for i := range idx {
+		idx[i] = int32(i + 1)
+	}
+	if err := sh.WriteIndices(3, idx); err != nil {
+		t.Fatal(err)
+	}
+	b, err := sh.Run(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nmp.UnpackFloats(b) == nil {
-		t.Fatal("unexpected nil")
+	if len(b) != 128 || nmp.Block(b[:64]) != nmp.PackIndices(idx[:16]) || nmp.Block(b[64:]) != nmp.PackIndices(idx[16:]) {
+		t.Fatalf("Run(3, 2) = % x", b)
 	}
-	if sh.Len() != 1 {
-		t.Fatalf("Len = %d", sh.Len())
+	for _, g := range []uint64{2, 5} {
+		if _, err := sh.Run(g, 1); err == nil {
+			t.Fatalf("block %d was never written: want error", g)
+		}
 	}
+	if _, err := sh.Run(3, 3); err == nil {
+		t.Fatal("want error for a run that ends in an unwritten block")
+	}
+	if sh.Bytes() < 5*64 || sh.Bytes() > 1024 {
+		t.Fatalf("Bytes = %d for a list ending at 320", sh.Bytes())
+	}
+
+	// A forgotten block is unwritten again; its neighbour is not.
+	sh.Forget(4, 1)
+	if _, err := sh.Run(4, 1); err == nil {
+		t.Fatal("want error after Forget")
+	}
+	if _, err := sh.Run(3, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The address space is bounded, and a refused write allocates nothing.
+	before := sh.Bytes()
+	if err := sh.WriteIndices(SharedCapacityBytes/64, idx); err == nil {
+		t.Fatal("want error past the shared region's capacity")
+	}
+	if sh.Bytes() != before {
+		t.Fatalf("refused write grew the slab: %d -> %d", before, sh.Bytes())
+	}
+}
+
+// TestSharedRegionConcurrentDisjoint is the lane protocol under the race
+// detector: every lane loads and re-reads its own range while the others do
+// the same, and the ranges climb so the slab has to grow underneath them.
+func TestSharedRegionConcurrentDisjoint(t *testing.T) {
+	sh := NewSharedRegion()
+	const lanes, rounds, blocks = 8, 200, 4
+	var wg sync.WaitGroup
+	for ln := 0; ln < lanes; ln++ {
+		wg.Add(1)
+		go func(ln int) {
+			defer wg.Done()
+			idx := make([]int32, blocks*isa.LanesPerBlock)
+			for r := 0; r < rounds; r++ {
+				base := uint64((r*lanes + ln) * blocks)
+				for i := range idx {
+					idx[i] = int32(ln<<20 | r<<8 | i)
+				}
+				if err := sh.WriteIndices(base, idx); err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := sh.Run(base, blocks)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i := range idx {
+					if v := int32(binary.LittleEndian.Uint32(got[i*4:])); v != idx[i] {
+						t.Errorf("lane %d round %d index %d: got %#x want %#x", ln, r, i, v, idx[i])
+						return
+					}
+				}
+			}
+		}(ln)
+	}
+	wg.Wait()
 }
 
 func TestExecuteThroughDIMM(t *testing.T) {
 	// A one-DIMM "node": REDUCE over its local blocks.
 	sh := NewSharedRegion()
 	d, _ := New(0, 1, 4096, sh)
-	if err := d.WriteLocal(0, nmp.PackFloats([]float32{3})); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WriteLocal(1, nmp.PackFloats([]float32{4})); err != nil {
-		t.Fatal(err)
-	}
+	put(t, d, 0, 3)
+	put(t, d, 64, 4)
 	if err := d.Execute(isa.Reduce(isa.RMul, 0, 1, 2, 1)); err != nil {
 		t.Fatal(err)
 	}
-	out, err := d.ReadLocal(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nmp.UnpackFloats(out)[0] != 12 {
-		t.Fatalf("3*4 = %v", nmp.UnpackFloats(out)[0])
+	if got := lane0(t, d, 128); got != 12 {
+		t.Fatalf("3*4 = %v", got)
 	}
 	if d.Core().Stats().Instructions != 1 {
 		t.Fatal("instruction not retired")

@@ -1,12 +1,12 @@
 // Package nmp implements the near-memory-processing core that TensorDIMM
 // places inside the buffer device of each DIMM (Section 4.2, Figure 6(a)).
 //
-// The core consists of:
+// The hardware core consists of:
 //
-//   - an NMP-local memory controller, modeled here as the FSM that lowers one
-//     TensorISA instruction into a stream of rank-local 64-byte block reads
-//     and writes (the DRAM-command-level cost of that stream is measured
-//     separately by internal/dram);
+//   - an NMP-local memory controller: the FSM that lowers one TensorISA
+//     instruction into a stream of rank-local 64-byte block reads and writes
+//     (the DRAM-command-level cost of that stream is measured separately by
+//     internal/dram);
 //
 //   - input SRAM queues A and B and an output queue C, each sized to the
 //     bandwidth-delay product of the memory (25.6 GB/s x 20 ns = 512 B = 8
@@ -15,9 +15,20 @@
 //   - a 16-lane float32 vector ALU clocked at 150 MHz that pops operand
 //     pairs from the input queues and pushes results to the output queue.
 //
-// Execution is functionally exact: the same arithmetic the paper's pseudo
-// code (Figure 9) prescribes, over real data, so results can be compared
-// bit-for-bit against the golden model in internal/embed.
+// What runs here is one bulk kernel per opcode. A kernel resolves its
+// operands once per instruction into slices of the DIMM's rank-local bytes
+// (Env.Local), streams them — GATHER coalesces consecutive stripe indices
+// into one copy, the ALU ops run over 64-byte array views — and adds the
+// block, index-read, ALU and queue-occupancy counts the FSM would have
+// produced arithmetically. The block-at-a-time FSM of Figure 9, queues and
+// forward path included, lives on in this package's tests as the reference
+// model every kernel is differentially fuzzed against
+// (FuzzNMPBulkVsReference); nothing outside the tests can reach it.
+//
+// Execution is functionally exact: the same arithmetic, in the same order,
+// that the paper's pseudo code (Figure 9) prescribes, over real data, so
+// results can be compared bit-for-bit against the golden model in
+// internal/embed.
 package nmp
 
 import (
@@ -42,18 +53,20 @@ const ALUClockHz = 150e6
 // ALULanes is the vector width: sixteen 4-byte scalar elements per block.
 const ALULanes = isa.LanesPerBlock
 
-// Env is the memory environment a buffer device exposes to its NMP core.
-// Global addresses are in 64-byte blocks over the node's physical space; the
-// implementation enforces rank-locality (an NMP core can only touch its own
-// DIMM's DRAM, which is what makes aggregate bandwidth scale, Section 4.2).
+// Env is the memory a buffer device exposes to its NMP core. It has no way
+// to name another DIMM's DRAM, so rank-locality — an NMP core only touches
+// its own rank, which is what makes aggregate bandwidth scale (Section 4.2)
+// — holds by construction.
 type Env interface {
-	// ReadLocal returns the rank-local block at the global block address.
-	ReadLocal(globalBlock uint64) (Block, error)
-	// WriteLocal stores a rank-local block.
-	WriteLocal(globalBlock uint64, b Block) error
-	// ReadShared returns a block of the node-wide replicated region that
-	// holds GATHER index lists (broadcast alongside the instruction).
-	ReadShared(globalBlock uint64) (Block, error)
+	// Local returns this DIMM's rank-local DRAM, and nothing else: local
+	// block b occupies bytes [64b, 64b+64). The node stripes global block g
+	// to DIMM g % nodeDim at local block g / nodeDim (Figure 7).
+	Local() []byte
+	// Shared returns `blocks` consecutive 64-byte blocks, starting at the
+	// global block address, of the node-wide replicated region that holds
+	// GATHER index lists (broadcast alongside the instruction). A block
+	// nobody has written is an error.
+	Shared(globalBlock uint64, blocks int) ([]byte, error)
 }
 
 // Stats counts datapath activity for one core.
@@ -69,37 +82,6 @@ type Stats struct {
 // block operation per cycle.
 func (s Stats) ALUBusySeconds() float64 { return float64(s.ALUBlockOps) / ALUClockHz }
 
-// queue is a fixed-capacity ring of blocks — the input/output SRAM queues.
-type queue struct {
-	buf  [QueueBlocks]Block
-	head int
-	n    int
-	// highWater tracks the maximum occupancy reached, for sizing checks.
-	highWater int
-}
-
-func (q *queue) push(b Block) bool {
-	if q.n == QueueBlocks {
-		return false
-	}
-	q.buf[(q.head+q.n)%QueueBlocks] = b
-	q.n++
-	if q.n > q.highWater {
-		q.highWater = q.n
-	}
-	return true
-}
-
-func (q *queue) pop() (Block, bool) {
-	if q.n == 0 {
-		return Block{}, false
-	}
-	b := q.buf[q.head]
-	q.head = (q.head + 1) % QueueBlocks
-	q.n--
-	return b, true
-}
-
 // Core is one NMP core, bound to TensorDIMM `TID` of a node with `NodeDim`
 // TensorDIMMs.
 //
@@ -113,9 +95,12 @@ type Core struct {
 	NodeDim int
 	env     Env
 
-	mu            sync.Mutex // serializes Execute; guards queues and stats
-	inA, inB, out queue
-	stats         Stats
+	mu    sync.Mutex // serializes Execute; guards stats and high-water marks
+	stats Stats
+	// Maximum occupancy the A, B and C queues would have reached. The FSM
+	// pops every block it pushes before it fetches the next, so a queue an
+	// opcode stages through peaks at one block.
+	hwA, hwB, hwOut int
 }
 
 // NewCore builds a core for DIMM tid of nodeDim.
@@ -141,12 +126,21 @@ func (c *Core) Stats() Stats {
 func (c *Core) QueueHighWater() (a, b, out int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.inA.highWater, c.inB.highWater, c.out.highWater
+	return c.hwA, c.hwB, c.hwOut
 }
 
 // Execute runs one TensorISA instruction on this core's slice of the
 // operation, per the pseudo-code of Figure 9. Concurrent calls serialize on
 // the core (see the type comment).
+//
+// Every base must be stripe-aligned (a multiple of NodeDim blocks): the
+// core's block of stripe s is then local block base/NodeDim + s, whereas a
+// misaligned base names blocks that stripe to another DIMM — the
+// rank-locality violation. Operands are bounds-checked against the rank's
+// capacity once, table indices one by one as they are walked. An instruction
+// that fails does not retire and adds nothing to Stats; the memory it has
+// written by then is unspecified (a failing instruction is a runtime bug by
+// contract).
 func (c *Core) Execute(in isa.Instruction) error {
 	if err := in.Validate(); err != nil {
 		return err
@@ -154,132 +148,184 @@ func (c *Core) Execute(in isa.Instruction) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var err error
+	m := c.env.Local()
 	switch in.Op {
 	case isa.OpGather:
-		err = c.gather(in)
+		err = c.gather(in, m)
 	case isa.OpReduce:
-		err = c.reduce(in)
+		err = c.reduce(in, m)
 	case isa.OpAverage:
-		err = c.average(in)
+		err = c.average(in, m)
 	case isa.OpScatterAdd:
-		err = c.scatterAdd(in)
+		err = c.scatterAdd(in, m)
 	default:
 		err = fmt.Errorf("nmp: unsupported opcode %v", in.Op)
 	}
 	if err == nil {
-		c.stats.Instructions++
+		c.retire(in)
 	}
 	return err
 }
 
-func (c *Core) readLocal(block uint64) (Block, error) {
-	b, err := c.env.ReadLocal(block)
-	if err == nil {
-		c.stats.BlocksRead++
+// retire adds what the block-at-a-time FSM of Figure 9 counts for one
+// completed instruction of n = Count: block reads and writes, one ALU
+// operation per block pair — AVERAGE: per accumulated block plus the divide
+// — one shared read per 16 indices, and the queue occupancy. The FSM pops
+// every block it pushes before it fetches the next, so each queue an opcode
+// stages through peaks at one block: GATHER forwards A to C, AVERAGE
+// accumulates out of A alone, REDUCE and SCATTER_ADD pop an operand pair
+// from A and B.
+func (c *Core) retire(in isa.Instruction) {
+	n := uint64(in.Count)
+	s := &c.stats
+	s.Instructions++
+	s.BlocksWritten += n
+	c.hwA, c.hwOut = 1, 1
+	switch in.Op {
+	case isa.OpGather:
+		s.SharedReads += n / isa.LanesPerBlock
+		s.BlocksRead += n
+	case isa.OpReduce:
+		s.BlocksRead += 2 * n
+		s.ALUBlockOps += n
+		c.hwB = 1
+	case isa.OpAverage:
+		s.BlocksRead += in.Aux * n
+		s.ALUBlockOps += (in.Aux + 1) * n
+	case isa.OpScatterAdd:
+		s.SharedReads += n / isa.LanesPerBlock
+		s.BlocksRead += 2 * n
+		s.ALUBlockOps += n
+		c.hwB = 1
 	}
-	return b, err
 }
 
-func (c *Core) writeLocal(block uint64, b Block) error {
-	err := c.env.WriteLocal(block, b)
-	if err == nil {
-		c.stats.BlocksWritten++
+// operand resolves one operand tensor — `blocks` stripes starting at the
+// global block address base — to its first local block in m. It is the only
+// place a global address turns into a rank-local one: it refuses a base
+// whose blocks stripe to another DIMM and an extent past the rank.
+func (c *Core) operand(m []byte, op isa.Opcode, what string, base, blocks uint64) (uint64, error) {
+	dim := uint64(c.NodeDim)
+	if base%dim != 0 {
+		g := base + uint64(c.TID)
+		return 0, fmt.Errorf("nmp core %d: %v %s base %#x is not stripe-aligned: block %#x belongs to DIMM %d",
+			c.TID, op, what, base, g, g%dim)
 	}
-	return err
+	lo, limit := base/dim, uint64(len(m))/isa.BlockBytes
+	if lo > limit || blocks > limit-lo {
+		return 0, fmt.Errorf("nmp core %d: %v %s [%#x, +%d stripes) beyond local capacity %d B",
+			c.TID, op, what, base, blocks, len(m))
+	}
+	return lo, nil
+}
+
+// indexed resolves what GATHER and SCATTER_ADD share: the index list (Count
+// int32 indices, little-endian, out of the replicated region), the table's
+// first local block with the number of blocks from there to the end of the
+// rank — the bound every index is checked against — and the first local
+// block of the Count-stripe tensor at OutputBase.
+func (c *Core) indexed(in isa.Instruction, m []byte) (idx []byte, table, rows, tensor uint64, err error) {
+	idx, err = c.env.Shared(in.Aux, int(in.Count/isa.LanesPerBlock))
+	if err != nil {
+		return nil, 0, 0, 0, fmt.Errorf("nmp core %d: %v index list: %w", c.TID, in.Op, err)
+	}
+	if table, err = c.operand(m, in.Op, "table", in.InputBase, 0); err != nil {
+		return nil, 0, 0, 0, err
+	}
+	what := "output"
+	if in.Op == isa.OpScatterAdd {
+		what = "gradient"
+	}
+	if tensor, err = c.operand(m, in.Op, what, in.OutputBase, uint64(in.Count)); err != nil {
+		return nil, 0, 0, 0, err
+	}
+	return idx, table, uint64(len(m))/isa.BlockBytes - table, tensor, nil
+}
+
+// block views local block b of m as a 64-byte array, so lane accesses at
+// constant-bounded offsets need no further bounds checks.
+func block(m []byte, b uint64) *Block {
+	return (*Block)(m[b*isa.BlockBytes:])
 }
 
 // gather implements Figure 9(a): stream indices, copy table stripes to the
-// output tensor. Data passes through the input queue to the output queue
-// (the ALU forwards, Section 4.2).
-func (c *Core) gather(in isa.Instruction) error {
-	tid := uint64(c.TID)
-	dim := uint64(c.NodeDim)
-	for i := uint64(0); i < uint64(in.Count)/isa.LanesPerBlock; i++ {
-		xb, err := c.env.ReadShared(in.Aux + i)
-		if err != nil {
-			return fmt.Errorf("nmp gather: index block %d: %w", i, err)
+// output tensor. A run of consecutive stripe indices — the runtime expands
+// every embedding row into k of them — is one contiguous copy on both sides.
+func (c *Core) gather(in isa.Instruction, m []byte) error {
+	idx, table, rows, out, err := c.indexed(in, m)
+	if err != nil {
+		return err
+	}
+	n := uint64(in.Count)
+	for i := uint64(0); i < n; {
+		first := uint64(binary.LittleEndian.Uint32(idx[i*4:]))
+		run := uint64(1)
+		for i+run < n && uint64(binary.LittleEndian.Uint32(idx[(i+run)*4:])) == first+run {
+			run++
 		}
-		c.stats.SharedReads++
-		for j := uint64(0); j < isa.LanesPerBlock; j++ {
-			idx := uint64(binary.LittleEndian.Uint32(xb[j*4 : j*4+4]))
-			blk, err := c.readLocal(in.InputBase + idx*dim + tid)
-			if err != nil {
-				return fmt.Errorf("nmp gather: index %d: %w", idx, err)
-			}
-			if !c.inA.push(blk) {
-				return fmt.Errorf("nmp gather: input queue overflow")
-			}
-			fwd, _ := c.inA.pop() // forward path: input queue -> output queue
-			if !c.out.push(fwd) {
-				return fmt.Errorf("nmp gather: output queue overflow")
-			}
-			ob, _ := c.out.pop()
-			if err := c.writeLocal(in.OutputBase+(i*isa.LanesPerBlock+j)*dim+tid, ob); err != nil {
-				return err
-			}
+		if first+run > rows {
+			return fmt.Errorf("nmp core %d: GATHER index %d beyond local capacity %d B", c.TID, first+run-1, len(m))
 		}
+		src, dst := table+first, out+i
+		if dst > src && dst < src+run {
+			// The output overlaps the rows still to be read: copy block by
+			// block in ascending order, as the FSM does, so an earlier
+			// write feeds the later read exactly as it would in hardware.
+			for k := uint64(0); k < run; k++ {
+				*block(m, dst+k) = *block(m, src+k)
+			}
+		} else {
+			copy(m[dst*isa.BlockBytes:(dst+run)*isa.BlockBytes], m[src*isa.BlockBytes:(src+run)*isa.BlockBytes])
+		}
+		i += run
 	}
 	return nil
 }
 
 // reduce implements Figure 9(b): C = A <OP> B, block by block.
-func (c *Core) reduce(in isa.Instruction) error {
-	tid := uint64(c.TID)
-	dim := uint64(c.NodeDim)
-	for i := uint64(0); i < uint64(in.Count); i++ {
-		a, err := c.readLocal(in.InputBase + i*dim + tid)
-		if err != nil {
-			return fmt.Errorf("nmp reduce: operand A block %d: %w", i, err)
-		}
-		b, err := c.readLocal(in.Aux + i*dim + tid)
-		if err != nil {
-			return fmt.Errorf("nmp reduce: operand B block %d: %w", i, err)
-		}
-		if !c.inA.push(a) || !c.inB.push(b) {
-			return fmt.Errorf("nmp reduce: input queue overflow")
-		}
-		av, _ := c.inA.pop()
-		bv, _ := c.inB.pop()
-		cv := aluOp(in.ROp, av, bv)
-		c.stats.ALUBlockOps++
-		if !c.out.push(cv) {
-			return fmt.Errorf("nmp reduce: output queue overflow")
-		}
-		ob, _ := c.out.pop()
-		if err := c.writeLocal(in.OutputBase+i*dim+tid, ob); err != nil {
-			return err
-		}
+func (c *Core) reduce(in isa.Instruction, m []byte) error {
+	n := uint64(in.Count)
+	a, err := c.operand(m, in.Op, "operand A", in.InputBase, n)
+	if err != nil {
+		return err
+	}
+	b, err := c.operand(m, in.Op, "operand B", in.Aux, n)
+	if err != nil {
+		return err
+	}
+	out, err := c.operand(m, in.Op, "output", in.OutputBase, n)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < n; i++ {
+		alu(in.ROp, block(m, out+i), block(m, a+i), block(m, b+i))
 	}
 	return nil
 }
 
 // average implements Figure 9(c): accumulate averageNum blocks, divide.
-func (c *Core) average(in isa.Instruction) error {
-	tid := uint64(c.TID)
-	dim := uint64(c.NodeDim)
-	n := in.Aux
-	for i := uint64(0); i < uint64(in.Count); i++ {
+func (c *Core) average(in isa.Instruction, m []byte) error {
+	n, group := uint64(in.Count), in.Aux
+	if group > uint64(len(m))/isa.BlockBytes/n {
+		return fmt.Errorf("nmp core %d: AVERAGE input of %d x %d stripes beyond local capacity %d B", c.TID, n, group, len(m))
+	}
+	src, err := c.operand(m, in.Op, "input", in.InputBase, n*group)
+	if err != nil {
+		return err
+	}
+	out, err := c.operand(m, in.Op, "output", in.OutputBase, n)
+	if err != nil {
+		return err
+	}
+	scale := 1 / float32(group)
+	for i := uint64(0); i < n; i++ {
 		var acc Block // 256'b0 ... extended to the full block
-		for j := uint64(0); j < n; j++ {
-			a, err := c.readLocal(in.InputBase + (i*n+j)*dim + tid)
-			if err != nil {
-				return fmt.Errorf("nmp average: input %d.%d: %w", i, j, err)
-			}
-			if !c.inA.push(a) {
-				return fmt.Errorf("nmp average: input queue overflow")
-			}
-			av, _ := c.inA.pop()
-			acc = aluOp(isa.RAdd, acc, av)
-			c.stats.ALUBlockOps++
+		for j := uint64(0); j < group; j++ {
+			alu(isa.RAdd, &acc, &acc, block(m, src+i*group+j))
 		}
-		acc = aluScale(acc, 1/float32(n))
-		c.stats.ALUBlockOps++
-		if !c.out.push(acc) {
-			return fmt.Errorf("nmp average: output queue overflow")
-		}
-		ob, _ := c.out.pop()
-		if err := c.writeLocal(in.OutputBase+i*dim+tid, ob); err != nil {
-			return err
+		o := block(m, out+i)
+		for l := 0; l < ALULanes; l++ {
+			setLane(o, l, lane(&acc, l)*scale)
 		}
 	}
 	return nil
@@ -287,80 +333,61 @@ func (c *Core) average(in isa.Instruction) error {
 
 // scatterAdd implements the SCATTER_ADD extension: the inverse of gather,
 // accumulating gradient stripes into table rows (read-modify-write through
-// the A/B input queues and the vector ALU). Duplicate indices accumulate in
-// instruction order because the core executes its slice sequentially.
-func (c *Core) scatterAdd(in isa.Instruction) error {
-	tid := uint64(c.TID)
-	dim := uint64(c.NodeDim)
-	for i := uint64(0); i < uint64(in.Count)/isa.LanesPerBlock; i++ {
-		xb, err := c.env.ReadShared(in.Aux + i)
-		if err != nil {
-			return fmt.Errorf("nmp scatter-add: index block %d: %w", i, err)
+// the vector ALU). Duplicate indices accumulate in instruction order because
+// the core walks its slice sequentially.
+func (c *Core) scatterAdd(in isa.Instruction, m []byte) error {
+	idx, table, rows, grad, err := c.indexed(in, m)
+	if err != nil {
+		return err
+	}
+	for i := uint64(0); i < uint64(in.Count); i++ {
+		r := uint64(binary.LittleEndian.Uint32(idx[i*4:]))
+		if r >= rows {
+			return fmt.Errorf("nmp core %d: SCATTER_ADD index %d beyond local capacity %d B", c.TID, r, len(m))
 		}
-		c.stats.SharedReads++
-		for j := uint64(0); j < isa.LanesPerBlock; j++ {
-			idx := uint64(binary.LittleEndian.Uint32(xb[j*4 : j*4+4]))
-			grad, err := c.readLocal(in.OutputBase + (i*isa.LanesPerBlock+j)*dim + tid)
-			if err != nil {
-				return fmt.Errorf("nmp scatter-add: gradient %d: %w", i*isa.LanesPerBlock+j, err)
-			}
-			row, err := c.readLocal(in.InputBase + idx*dim + tid)
-			if err != nil {
-				return fmt.Errorf("nmp scatter-add: table row %d: %w", idx, err)
-			}
-			if !c.inA.push(row) || !c.inB.push(grad) {
-				return fmt.Errorf("nmp scatter-add: input queue overflow")
-			}
-			av, _ := c.inA.pop()
-			bv, _ := c.inB.pop()
-			sum := aluOp(isa.RAdd, av, bv)
-			c.stats.ALUBlockOps++
-			if !c.out.push(sum) {
-				return fmt.Errorf("nmp scatter-add: output queue overflow")
-			}
-			ob, _ := c.out.pop()
-			if err := c.writeLocal(in.InputBase+idx*dim+tid, ob); err != nil {
-				return err
-			}
-		}
+		row := block(m, table+r)
+		alu(isa.RAdd, row, row, block(m, grad+i))
 	}
 	return nil
 }
 
-// aluOp applies the element-wise operator across the 16 float32 lanes.
-func aluOp(op isa.ReduceOp, a, b Block) Block {
-	var out Block
-	for l := 0; l < ALULanes; l++ {
-		av := math.Float32frombits(binary.LittleEndian.Uint32(a[l*4 : l*4+4]))
-		bv := math.Float32frombits(binary.LittleEndian.Uint32(b[l*4 : l*4+4]))
-		var r float32
-		switch op {
-		case isa.RAdd:
-			r = av + bv
-		case isa.RSub:
-			r = av - bv
-		case isa.RMul:
-			r = av * bv
-		case isa.RMax:
-			if av >= bv {
-				r = av
-			} else {
-				r = bv
-			}
-		}
-		binary.LittleEndian.PutUint32(out[l*4:l*4+4], math.Float32bits(r))
-	}
-	return out
+// lane decodes float32 lane l of a block.
+func lane(b *Block, l int) float32 {
+	return math.Float32frombits(binary.LittleEndian.Uint32(b[l*4:]))
 }
 
-// aluScale multiplies every lane by s (the divide step of AVERAGE).
-func aluScale(a Block, s float32) Block {
-	var out Block
-	for l := 0; l < ALULanes; l++ {
-		av := math.Float32frombits(binary.LittleEndian.Uint32(a[l*4 : l*4+4]))
-		binary.LittleEndian.PutUint32(out[l*4:l*4+4], math.Float32bits(av*s))
+// setLane encodes v into lane l of a block.
+func setLane(b *Block, l int, v float32) {
+	binary.LittleEndian.PutUint32(b[l*4:], math.Float32bits(v))
+}
+
+// alu applies out = a <op> b across the 16 float32 lanes of one block, a as
+// the left operand. out may alias a or b: lane l is read before it is
+// written and no other lane is touched in between.
+func alu(op isa.ReduceOp, out, a, b *Block) {
+	switch op {
+	case isa.RAdd:
+		for l := 0; l < ALULanes; l++ {
+			setLane(out, l, lane(a, l)+lane(b, l))
+		}
+	case isa.RSub:
+		for l := 0; l < ALULanes; l++ {
+			setLane(out, l, lane(a, l)-lane(b, l))
+		}
+	case isa.RMul:
+		for l := 0; l < ALULanes; l++ {
+			setLane(out, l, lane(a, l)*lane(b, l))
+		}
+	case isa.RMax:
+		for l := 0; l < ALULanes; l++ {
+			av, bv := lane(a, l), lane(b, l)
+			if av >= bv {
+				setLane(out, l, av)
+			} else {
+				setLane(out, l, bv)
+			}
+		}
 	}
-	return out
 }
 
 // PackFloats encodes 16 float32 values into a block (little-endian).

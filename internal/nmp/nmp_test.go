@@ -9,42 +9,71 @@ import (
 	"tensordimm/internal/isa"
 )
 
-// fakeEnv is a map-backed Env for unit-testing the core datapath.
+// fakeBlocks is the rank-local and the replicated capacity of the fakeEnv
+// newFakeEnv builds, in 64-byte blocks.
+const fakeBlocks = 2048
+
+// fakeEnv is a slab-backed Env for unit-testing the core: DIMM tid of dim,
+// with its own small replicated region.
 type fakeEnv struct {
 	tid, dim int
-	local    map[uint64]Block
-	shared   map[uint64]Block
-	failAt   uint64 // local reads at this block fail (0 = disabled)
+	local    []byte
+	shared   []byte
+	written  []bool // per shared block
 }
 
-func newFakeEnv(tid, dim int) *fakeEnv {
-	return &fakeEnv{tid: tid, dim: dim, local: map[uint64]Block{}, shared: map[uint64]Block{}}
+func newFakeEnv(tid, dim int) *fakeEnv { return newFakeEnvSized(tid, dim, fakeBlocks, fakeBlocks) }
+
+func newFakeEnvSized(tid, dim, localBlocks, sharedBlocks int) *fakeEnv {
+	return &fakeEnv{tid: tid, dim: dim,
+		local:   make([]byte, localBlocks*isa.BlockBytes),
+		shared:  make([]byte, sharedBlocks*isa.BlockBytes),
+		written: make([]bool, sharedBlocks)}
 }
 
-func (e *fakeEnv) ReadLocal(g uint64) (Block, error) {
-	if e.failAt != 0 && g == e.failAt {
-		return Block{}, fmt.Errorf("injected fault at %#x", g)
+func (e *fakeEnv) Local() []byte { return e.local }
+
+func (e *fakeEnv) Shared(g uint64, blocks int) ([]byte, error) {
+	if limit := uint64(len(e.written)); g > limit || uint64(blocks) > limit-g {
+		return nil, fmt.Errorf("shared blocks [%#x, +%d) out of range", g, blocks)
 	}
+	for b := g; b < g+uint64(blocks); b++ {
+		if !e.written[b] {
+			return nil, fmt.Errorf("shared block %#x missing", b)
+		}
+	}
+	return e.shared[g*isa.BlockBytes : (g+uint64(blocks))*isa.BlockBytes], nil
+}
+
+// at returns the rank-local bytes of global block g, which must stripe to
+// this DIMM.
+func (e *fakeEnv) at(g uint64) []byte {
 	if int(g%uint64(e.dim)) != e.tid {
-		return Block{}, fmt.Errorf("block %#x not local to tid %d", g, e.tid)
+		panic(fmt.Sprintf("test bug: block %#x not local to tid %d", g, e.tid))
 	}
-	return e.local[g], nil
+	off := g / uint64(e.dim) * isa.BlockBytes
+	return e.local[off : off+isa.BlockBytes]
 }
 
-func (e *fakeEnv) WriteLocal(g uint64, b Block) error {
-	if int(g%uint64(e.dim)) != e.tid {
-		return fmt.Errorf("block %#x not local to tid %d", g, e.tid)
-	}
-	e.local[g] = b
-	return nil
+// put stores global block g; get loads it.
+func (e *fakeEnv) put(g uint64, b Block) { copy(e.at(g), b[:]) }
+
+func (e *fakeEnv) get(g uint64) Block { return Block(e.at(g)) }
+
+// putShared writes one index block of the replicated region.
+func (e *fakeEnv) putShared(g uint64, b Block) {
+	copy(e.shared[g*isa.BlockBytes:], b[:])
+	e.written[g] = true
 }
 
-func (e *fakeEnv) ReadShared(g uint64) (Block, error) {
-	b, ok := e.shared[g]
-	if !ok {
-		return Block{}, fmt.Errorf("shared block %#x missing", g)
-	}
-	return b, nil
+// clone returns an independent copy, for running the same instruction
+// through a second executor.
+func (e *fakeEnv) clone() *fakeEnv {
+	c := *e
+	c.local = append([]byte(nil), e.local...)
+	c.shared = append([]byte(nil), e.shared...)
+	c.written = append([]bool(nil), e.written...)
+	return &c
 }
 
 func TestNewCoreValidation(t *testing.T) {
@@ -87,13 +116,13 @@ func TestReduceOps(t *testing.T) {
 			a[i] = float32(i + 1)
 			b[i] = float32(2*i - 3)
 		}
-		env.local[0] = PackFloats(a)  // inputBase1 block 0 (tid 0 of dim 2)
-		env.local[10] = PackFloats(b) // inputBase2 block 10
+		env.put(0, PackFloats(a))  // inputBase1 block 0 (tid 0 of dim 2)
+		env.put(10, PackFloats(b)) // inputBase2 block 10
 		in := isa.Reduce(rop, 0, 10, 20, 1)
 		if err := core.Execute(in); err != nil {
 			t.Fatalf("%v: %v", rop, err)
 		}
-		got := UnpackFloats(env.local[20])
+		got := UnpackFloats(env.get(20))
 		for i := range a {
 			var want float32
 			switch rop {
@@ -119,15 +148,15 @@ func TestReduceMultiBlockAddressing(t *testing.T) {
 	env := newFakeEnv(1, dim)
 	core, _ := NewCore(1, dim, env)
 	for i := uint64(0); i < 3; i++ {
-		env.local[0+i*4+1] = PackFloats([]float32{float32(i)})
-		env.local[100+i*4+1] = PackFloats([]float32{float32(10 * i)})
+		env.put(0+i*4+1, PackFloats([]float32{float32(i)}))
+		env.put(100+i*4+1, PackFloats([]float32{float32(10 * i)}))
 	}
 	in := isa.Reduce(isa.RAdd, 0, 100, 200, 3)
 	if err := core.Execute(in); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(0); i < 3; i++ {
-		got := UnpackFloats(env.local[200+i*4+1])[0]
+		got := UnpackFloats(env.get(200 + i*4 + 1))[0]
 		if got != float32(11*i) {
 			t.Fatalf("block %d: got %v want %v", i, got, float32(11*i))
 		}
@@ -144,17 +173,17 @@ func TestAverage(t *testing.T) {
 	core, _ := NewCore(0, dim, env)
 	// Average 4 blocks into 1, twice (count=2).
 	for i := uint64(0); i < 8; i++ {
-		env.local[i] = PackFloats([]float32{float32(i), float32(i * 2)})
+		env.put(i, PackFloats([]float32{float32(i), float32(i * 2)}))
 	}
 	in := isa.Average(0, 4, 100, 2)
 	if err := core.Execute(in); err != nil {
 		t.Fatal(err)
 	}
-	out0 := UnpackFloats(env.local[100])
+	out0 := UnpackFloats(env.get(100))
 	if out0[0] != 1.5 || out0[1] != 3 { // mean(0..3), mean(0,2,4,6)
 		t.Fatalf("avg group 0 = %v", out0[:2])
 	}
-	out1 := UnpackFloats(env.local[101])
+	out1 := UnpackFloats(env.get(101))
 	if out1[0] != 5.5 || out1[1] != 11 {
 		t.Fatalf("avg group 1 = %v", out1[:2])
 	}
@@ -166,19 +195,19 @@ func TestGather(t *testing.T) {
 	core, _ := NewCore(0, dim, env)
 	// Table of 32 rows, one stripe each; tid 0 holds block row*2.
 	for r := uint64(0); r < 32; r++ {
-		env.local[1000+r*2] = PackFloats([]float32{float32(r) + 0.5})
+		env.put(1000+r*2, PackFloats([]float32{float32(r) + 0.5}))
 	}
 	indices := make([]int32, 16)
 	for i := range indices {
 		indices[i] = int32((i * 7) % 32)
 	}
-	env.shared[50] = PackIndices(indices)
+	env.putShared(50, PackIndices(indices))
 	in := isa.Gather(1000, 50, 2000, 16)
 	if err := core.Execute(in); err != nil {
 		t.Fatal(err)
 	}
 	for i, idx := range indices {
-		got := UnpackFloats(env.local[2000+uint64(i)*2])[0]
+		got := UnpackFloats(env.get(2000 + uint64(i)*2))[0]
 		want := float32(idx) + 0.5
 		if got != want {
 			t.Fatalf("gathered %d: got %v want %v", i, got, want)
@@ -211,13 +240,16 @@ func TestExecuteInvalidInstruction(t *testing.T) {
 }
 
 func TestFaultPropagates(t *testing.T) {
+	// Operand B sits one block past the rank: the read fault must surface
+	// and the instruction must not retire.
 	env := newFakeEnv(0, 1)
-	env.local[0] = PackFloats([]float32{1})
-	env.local[1] = PackFloats([]float32{2})
-	env.failAt = 1
+	env.put(0, PackFloats([]float32{1}))
 	core, _ := NewCore(0, 1, env)
-	if err := core.Execute(isa.Reduce(isa.RAdd, 0, 1, 2, 1)); err == nil {
-		t.Fatal("want injected fault to propagate")
+	if err := core.Execute(isa.Reduce(isa.RAdd, 0, fakeBlocks, 2, 1)); err == nil {
+		t.Fatal("want out-of-capacity operand to fail")
+	}
+	if core.Stats() != (Stats{}) {
+		t.Fatalf("failed instruction counted: %+v", core.Stats())
 	}
 }
 
@@ -228,7 +260,7 @@ func TestQueueHighWaterWithinSpec(t *testing.T) {
 	env := newFakeEnv(0, dim)
 	core, _ := NewCore(0, dim, env)
 	for i := uint64(0); i < 256; i++ {
-		env.local[i] = PackFloats([]float32{float32(i)})
+		env.put(i, PackFloats([]float32{float32(i)}))
 	}
 	if err := core.Execute(isa.Average(0, 16, 1000, 16)); err != nil {
 		t.Fatal(err)
@@ -255,12 +287,12 @@ func TestQuickReduceMatchesScalar(t *testing.T) {
 	f := func(av, bv [16]float32) bool {
 		env := newFakeEnv(0, 1)
 		core, _ := NewCore(0, 1, env)
-		env.local[0] = PackFloats(av[:])
-		env.local[1] = PackFloats(bv[:])
+		env.put(0, PackFloats(av[:]))
+		env.put(1, PackFloats(bv[:]))
 		if err := core.Execute(isa.Reduce(isa.RAdd, 0, 1, 2, 1)); err != nil {
 			return false
 		}
-		got := UnpackFloats(env.local[2])
+		got := UnpackFloats(env.get(2))
 		for i := range av {
 			want := av[i] + bv[i]
 			if got[i] != want && !(math.IsNaN(float64(got[i])) && math.IsNaN(float64(want))) {

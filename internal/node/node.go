@@ -15,7 +15,9 @@
 //
 //   - a pool memory allocator in the spirit of the remote-memory
 //     (de)allocation runtime APIs the paper builds on ([39]): first-fit with
-//     stripe-aligned bases and free-block coalescing.
+//     stripe-aligned bases and free-block coalescing. A second instance of it
+//     hands out (and takes back) address ranges of the replicated region that
+//     holds GATHER index lists.
 //
 // Functional contents are real: data written here and transformed by the NMP
 // cores is compared bit-for-bit against the golden model in tests.
@@ -59,10 +61,9 @@ type Node struct {
 	dimms  []*dimm.TensorDIMM
 	shared *dimm.SharedRegion
 
-	mu      sync.Mutex
-	free    []span            // allocator free list, sorted by base, in bytes
-	allocs  map[uint64]uint64 // base -> size
-	idxNext uint64            // next unreserved shared-region byte address
+	mu    sync.Mutex
+	pool  spanAlloc // the striped DRAM pool, stripe-aligned
+	index spanAlloc // the shared region's address space, block-aligned
 
 	// Instruction broadcast runs on one persistent worker goroutine per
 	// TensorDIMM (the per-DIMM FSM of the hardware): Execute hands each
@@ -93,17 +94,27 @@ type span struct {
 	base, size uint64
 }
 
+// spanAlloc is a first-fit allocator over a byte address space: bases and
+// sizes are multiples of align, the free list is sorted by base, and
+// adjacent free spans coalesce. The node runs two — the DRAM pool and the
+// shared index region's address space — both under Node.mu.
+type spanAlloc struct {
+	align  uint64
+	free   []span
+	allocs map[uint64]uint64 // base -> size
+}
+
+func newSpanAlloc(capacity, align uint64) spanAlloc {
+	return spanAlloc{align: align, free: []span{{base: 0, size: capacity}}, allocs: make(map[uint64]uint64)}
+}
+
 // New builds a TensorNode.
 func New(cfg Config) (*Node, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	shared := dimm.NewSharedRegion()
-	n := &Node{
-		cfg:    cfg,
-		shared: shared,
-		allocs: make(map[uint64]uint64),
-	}
+	n := &Node{cfg: cfg, shared: shared}
 	for tid := 0; tid < cfg.DIMMs; tid++ {
 		d, err := dimm.New(tid, cfg.DIMMs, cfg.PerDIMMBytes, shared)
 		if err != nil {
@@ -111,7 +122,11 @@ func New(cfg Config) (*Node, error) {
 		}
 		n.dimms = append(n.dimms, d)
 	}
-	n.free = []span{{base: 0, size: n.CapacityBytes()}}
+	n.pool = newSpanAlloc(n.CapacityBytes(), n.StripeBytes())
+	// The index address space is far larger than the store behind it
+	// (dimm.SharedCapacityBytes, enforced when a list is loaded), so a
+	// reservation itself never fails.
+	n.index = newSpanAlloc(1<<62, isa.BlockBytes)
 	n.execPool.New = func() any { return &execState{errs: make([]error, cfg.DIMMs)} }
 	for tid := 0; tid < cfg.DIMMs; tid++ {
 		ch := make(chan execJob, 1)
@@ -161,28 +176,52 @@ func (n *Node) StripeBytes() uint64 {
 // DIMM returns TensorDIMM tid (for stats inspection and tests).
 func (n *Node) DIMM(tid int) *dimm.TensorDIMM { return n.dimms[tid] }
 
-// dimmFor locates the owner of a global block and its local byte offset.
-func (n *Node) dimmFor(globalBlock uint64) *dimm.TensorDIMM {
-	return n.dimms[globalBlock%uint64(n.cfg.DIMMs)]
+// stripeCursor walks the rank-local 64-byte blocks that a linear range of
+// the pool stripes to (Figure 7): consecutive global blocks visit the DIMMs
+// round-robin, moving one local block down after each full stripe.
+type stripeCursor struct {
+	dimms []*dimm.TensorDIMM
+	tid   int
+	off   uint64 // local byte offset of the next block on DIMM tid
+}
+
+// next returns the cursor's block and advances it.
+func (c *stripeCursor) next() *nmp.Block {
+	b := (*nmp.Block)(c.dimms[c.tid].Local()[c.off:])
+	if c.tid++; c.tid == len(c.dimms) {
+		c.tid, c.off = 0, c.off+isa.BlockBytes
+	}
+	return b
+}
+
+// stripe validates one host transfer — base 64 B aligned, nBytes rounded up
+// to whole blocks within capacity — once, and returns a cursor over its
+// blocks. Every host read and write goes through it.
+func (n *Node) stripe(op string, base uint64, nBytes int) (stripeCursor, error) {
+	if base%isa.BlockBytes != 0 {
+		return stripeCursor{}, fmt.Errorf("node: %s base %#x not 64 B aligned", op, base)
+	}
+	padded := (uint64(nBytes) + isa.BlockBytes - 1) / isa.BlockBytes * isa.BlockBytes
+	if base > n.CapacityBytes() || padded > n.CapacityBytes()-base {
+		return stripeCursor{}, fmt.Errorf("node: %s [%#x, +%d) beyond capacity %d", op, base, nBytes, n.CapacityBytes())
+	}
+	gb, dim := base/isa.BlockBytes, uint64(len(n.dimms))
+	return stripeCursor{dimms: n.dimms, tid: int(gb % dim), off: gb / dim * isa.BlockBytes}, nil
 }
 
 // Write stores bytes into the pool at a 64-byte-aligned byte address,
 // striping blocks across DIMMs. Partial trailing blocks are zero-padded.
 // This is the functional equivalent of a GPU->TensorNode cudaMemcpy.
 func (n *Node) Write(base uint64, data []byte) error {
-	if base%isa.BlockBytes != 0 {
-		return fmt.Errorf("node: write base %#x not 64 B aligned", base)
+	cur, err := n.stripe("write", base, len(data))
+	if err != nil {
+		return err
 	}
-	if base+uint64(len(data)) > n.CapacityBytes() {
-		return fmt.Errorf("node: write [%#x, +%d) beyond capacity %d", base, len(data), n.CapacityBytes())
-	}
-	for off := 0; off < len(data); off += isa.BlockBytes {
-		var b nmp.Block
-		copy(b[:], data[off:])
-		gb := (base + uint64(off)) / isa.BlockBytes
-		if err := n.dimmFor(gb).WriteLocal(gb, b); err != nil {
-			return err
-		}
+	for len(data) > 0 {
+		b := cur.next()
+		k := copy(b[:], data)
+		clear(b[k:])
+		data = data[k:]
 	}
 	return nil
 }
@@ -190,44 +229,32 @@ func (n *Node) Write(base uint64, data []byte) error {
 // Read fetches len(out) bytes from the pool at a 64-byte-aligned address.
 // This is the functional equivalent of a TensorNode->GPU cudaMemcpy.
 func (n *Node) Read(base uint64, out []byte) error {
-	if base%isa.BlockBytes != 0 {
-		return fmt.Errorf("node: read base %#x not 64 B aligned", base)
+	cur, err := n.stripe("read", base, len(out))
+	if err != nil {
+		return err
 	}
-	if base+uint64(len(out)) > n.CapacityBytes() {
-		return fmt.Errorf("node: read [%#x, +%d) beyond capacity %d", base, len(out), n.CapacityBytes())
-	}
-	for off := 0; off < len(out); off += isa.BlockBytes {
-		gb := (base + uint64(off)) / isa.BlockBytes
-		b, err := n.dimmFor(gb).ReadLocal(gb)
-		if err != nil {
-			return err
-		}
-		copy(out[off:], b[:])
+	for len(out) > 0 {
+		out = out[copy(out, cur.next()[:]):]
 	}
 	return nil
 }
 
 // WriteFloats stores a float32 slice (little-endian) at base. The trailing
 // partial block, if any, is zero-padded, and the write performs no heap
-// allocations: values are packed block by block on the stack.
+// allocations: values are encoded straight into the DIMMs' rank-local bytes.
 func (n *Node) WriteFloats(base uint64, vals []float32) error {
-	nBytes := uint64(((len(vals)*4 + isa.BlockBytes - 1) / isa.BlockBytes) * isa.BlockBytes)
-	if base%isa.BlockBytes != 0 {
-		return fmt.Errorf("node: write base %#x not 64 B aligned", base)
+	cur, err := n.stripe("write", base, len(vals)*4)
+	if err != nil {
+		return err
 	}
-	if base+nBytes > n.CapacityBytes() {
-		return fmt.Errorf("node: write [%#x, +%d) beyond capacity %d", base, nBytes, n.CapacityBytes())
-	}
-	for off := 0; off < len(vals); off += isa.LanesPerBlock {
-		end := off + isa.LanesPerBlock
-		if end > len(vals) {
-			end = len(vals)
+	for len(vals) > 0 {
+		b := cur.next()
+		k := min(len(vals), isa.LanesPerBlock)
+		for l, v := range vals[:k] {
+			binary.LittleEndian.PutUint32(b[l*4:], math.Float32bits(v))
 		}
-		blk := nmp.PackFloats(vals[off:end])
-		gb := base/isa.BlockBytes + uint64(off/isa.LanesPerBlock)
-		if err := n.dimmFor(gb).WriteLocal(gb, blk); err != nil {
-			return err
-		}
+		clear(b[k*4:])
+		vals = vals[k:]
 	}
 	return nil
 }
@@ -242,26 +269,21 @@ func (n *Node) ReadFloats(base uint64, count int) ([]float32, error) {
 }
 
 // ReadFloatsInto fetches len(out) float32 values from base into the
-// caller's buffer, decoding 64-byte blocks directly so the steady-state
-// read-back path performs no heap allocations. base must be 64 B aligned.
+// caller's buffer, decoding them straight out of the DIMMs' rank-local
+// bytes, so the steady-state read-back path performs no heap allocations.
+// base must be 64 B aligned.
 func (n *Node) ReadFloatsInto(base uint64, out []float32) error {
-	nBytes := uint64(((len(out)*4 + isa.BlockBytes - 1) / isa.BlockBytes) * isa.BlockBytes)
-	if base%isa.BlockBytes != 0 {
-		return fmt.Errorf("node: read base %#x not 64 B aligned", base)
+	cur, err := n.stripe("read", base, len(out)*4)
+	if err != nil {
+		return err
 	}
-	if base+nBytes > n.CapacityBytes() {
-		return fmt.Errorf("node: read [%#x, +%d) beyond capacity %d", base, nBytes, n.CapacityBytes())
-	}
-	i := 0
-	for gb := base / isa.BlockBytes; i < len(out); gb++ {
-		b, err := n.dimmFor(gb).ReadLocal(gb)
-		if err != nil {
-			return err
+	for len(out) > 0 {
+		b := cur.next()
+		k := min(len(out), isa.LanesPerBlock)
+		for l := range out[:k] {
+			out[l] = math.Float32frombits(binary.LittleEndian.Uint32(b[l*4:]))
 		}
-		for l := 0; l < isa.LanesPerBlock && i < len(out); l++ {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[l*4 : l*4+4]))
-			i++
-		}
+		out = out[k:]
 	}
 	return nil
 }
@@ -273,15 +295,7 @@ func (n *Node) LoadIndices(base uint64, indices []int32) error {
 	if base%isa.BlockBytes != 0 {
 		return fmt.Errorf("node: index base %#x not 64 B aligned", base)
 	}
-	for off := 0; off < len(indices); off += isa.LanesPerBlock {
-		end := off + isa.LanesPerBlock
-		if end > len(indices) {
-			end = len(indices)
-		}
-		blk := nmp.PackIndices(indices[off:end])
-		n.shared.Write(base/isa.BlockBytes+uint64(off/isa.LanesPerBlock), blk)
-	}
-	return nil
+	return n.shared.WriteIndices(base/isa.BlockBytes, indices)
 }
 
 // Execute broadcasts each instruction of the program to every TensorDIMM and
@@ -322,23 +336,38 @@ func (n *Node) Execute(p isa.Program) error {
 	return nil
 }
 
-// ReserveIndexRegion hands out a block-aligned, never-reused byte address
-// range of the replicated shared region (the store LoadIndices writes to).
-// Concurrent writers of the shared region — deployments, scratch lanes —
-// reserve disjoint regions so their index lists cannot collide. The shared
-// region is sparse (index blocks are materialized on write), so reservation
-// costs nothing until the region is used.
+// ReserveIndexRegion hands out a block-aligned byte address range of the
+// replicated shared region (the store LoadIndices writes to). Concurrent
+// writers of the shared region — deployments, scratch lanes — reserve
+// disjoint regions so their index lists cannot collide. The store behind a
+// region is materialized on first write; ReleaseIndexRegion returns the
+// range for reuse, so a node that deploys and releases models for as long as
+// it lives keeps a flat footprint.
 func (n *Node) ReserveIndexRegion(bytes uint64) uint64 {
-	if bytes == 0 {
-		bytes = isa.BlockBytes
-	}
-	bytes = (bytes + isa.BlockBytes - 1) / isa.BlockBytes * isa.BlockBytes
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	base := n.idxNext
-	n.idxNext += bytes
+	base, _ := n.index.alloc(max(bytes, 1)) // cannot fail: see New
 	return base
 }
+
+// ReleaseIndexRegion returns a region handed out by ReserveIndexRegion. Its
+// index blocks read as unwritten again, so the next owner of the addresses
+// cannot execute over a stale list. No instruction that reads the region
+// may be in flight.
+func (n *Node) ReleaseIndexRegion(base uint64) error {
+	n.mu.Lock()
+	size, ok := n.index.release(base)
+	n.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("node: ReleaseIndexRegion(%#x): not a reserved region base", base)
+	}
+	n.shared.Forget(base/isa.BlockBytes, size/isa.BlockBytes)
+	return nil
+}
+
+// IndexRegionBytes returns the footprint of the store behind the shared
+// index region: the highest address any index list was loaded at.
+func (n *Node) IndexRegionBytes() int { return n.shared.Bytes() }
 
 // Alloc reserves size bytes in the pool, returning a stripe-aligned base so
 // tensors always stripe cleanly across all DIMMs. First-fit.
@@ -346,63 +375,81 @@ func (n *Node) Alloc(size uint64) (uint64, error) {
 	if size == 0 {
 		return 0, fmt.Errorf("node: zero-size allocation")
 	}
-	stripe := n.StripeBytes()
-	size = (size + stripe - 1) / stripe * stripe
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	for i, s := range n.free {
-		// Stripe-align the candidate base within the span.
-		base := (s.base + stripe - 1) / stripe * stripe
-		pad := base - s.base
-		if s.size < pad+size {
-			continue
-		}
-		// Carve [base, base+size) out of the span.
-		if pad > 0 {
-			n.free[i] = span{base: s.base, size: pad}
-			rest := s.size - pad - size
-			if rest > 0 {
-				n.free = insertSpan(n.free, i+1, span{base: base + size, size: rest})
-			}
-		} else {
-			rest := s.size - size
-			if rest > 0 {
-				n.free[i] = span{base: base + size, size: rest}
-			} else {
-				n.free = append(n.free[:i], n.free[i+1:]...)
-			}
-		}
-		n.allocs[base] = size
-		return base, nil
+	base, ok := n.pool.alloc(size)
+	if !ok {
+		return 0, fmt.Errorf("node: out of pool memory (%d bytes requested)", size)
 	}
-	return 0, fmt.Errorf("node: out of pool memory (%d bytes requested)", size)
+	return base, nil
 }
 
 // Free releases an allocation made by Alloc, coalescing adjacent free spans.
 func (n *Node) Free(base uint64) error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	size, ok := n.allocs[base]
-	if !ok {
+	if _, ok := n.pool.release(base); !ok {
 		return fmt.Errorf("node: Free(%#x): not an allocation base", base)
 	}
-	delete(n.allocs, base)
+	return nil
+}
+
+// alloc carves size bytes, rounded up to the alignment, out of the first
+// free span that fits.
+func (a *spanAlloc) alloc(size uint64) (uint64, bool) {
+	size = (size + a.align - 1) / a.align * a.align
+	for i, s := range a.free {
+		// Align the candidate base within the span.
+		base := (s.base + a.align - 1) / a.align * a.align
+		pad := base - s.base
+		if s.size < pad+size {
+			continue
+		}
+		// Carve [base, base+size) out of the span.
+		if pad > 0 {
+			a.free[i] = span{base: s.base, size: pad}
+			rest := s.size - pad - size
+			if rest > 0 {
+				a.free = insertSpan(a.free, i+1, span{base: base + size, size: rest})
+			}
+		} else {
+			rest := s.size - size
+			if rest > 0 {
+				a.free[i] = span{base: base + size, size: rest}
+			} else {
+				a.free = append(a.free[:i], a.free[i+1:]...)
+			}
+		}
+		a.allocs[base] = size
+		return base, true
+	}
+	return 0, false
+}
+
+// release returns the allocation at base to the free list, coalescing it
+// with its neighbours, and reports its size.
+func (a *spanAlloc) release(base uint64) (uint64, bool) {
+	size, ok := a.allocs[base]
+	if !ok {
+		return 0, false
+	}
+	delete(a.allocs, base)
 	// Insert sorted.
 	i := 0
-	for i < len(n.free) && n.free[i].base < base {
+	for i < len(a.free) && a.free[i].base < base {
 		i++
 	}
-	n.free = insertSpan(n.free, i, span{base: base, size: size})
+	a.free = insertSpan(a.free, i, span{base: base, size: size})
 	// Coalesce with neighbours.
-	if i+1 < len(n.free) && n.free[i].base+n.free[i].size == n.free[i+1].base {
-		n.free[i].size += n.free[i+1].size
-		n.free = append(n.free[:i+1], n.free[i+2:]...)
+	if i+1 < len(a.free) && a.free[i].base+a.free[i].size == a.free[i+1].base {
+		a.free[i].size += a.free[i+1].size
+		a.free = append(a.free[:i+1], a.free[i+2:]...)
 	}
-	if i > 0 && n.free[i-1].base+n.free[i-1].size == n.free[i].base {
-		n.free[i-1].size += n.free[i].size
-		n.free = append(n.free[:i], n.free[i+1:]...)
+	if i > 0 && a.free[i-1].base+a.free[i-1].size == a.free[i].base {
+		a.free[i-1].size += a.free[i].size
+		a.free = append(a.free[:i], a.free[i+1:]...)
 	}
-	return nil
+	return size, true
 }
 
 // FreeBytes returns the total unallocated pool capacity.
@@ -410,7 +457,7 @@ func (n *Node) FreeBytes() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	var total uint64
-	for _, s := range n.free {
+	for _, s := range n.pool.free {
 		total += s.size
 	}
 	return total
@@ -420,7 +467,7 @@ func (n *Node) FreeBytes() uint64 {
 func (n *Node) AllocCount() int {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return len(n.allocs)
+	return len(n.pool.allocs)
 }
 
 // Stats aggregates NMP datapath counters across all DIMMs.

@@ -330,6 +330,45 @@ func TestAllocReusesFreedSpace(t *testing.T) {
 	}
 }
 
+// TestIndexRegionReserveRelease pins the shared region's address allocator:
+// regions are block-aligned and disjoint, a released one is handed out again
+// instead of fresh addresses, and the list its previous owner loaded is gone.
+func TestIndexRegionReserveRelease(t *testing.T) {
+	n := testNode(t, 2)
+	a := n.ReserveIndexRegion(100) // rounds up to two blocks
+	b := n.ReserveIndexRegion(0)   // at least one block
+	c := n.ReserveIndexRegion(64)
+	if a%64 != 0 || b != a+128 || c != b+64 {
+		t.Fatalf("regions at %#x, %#x, %#x", a, b, c)
+	}
+	idx := make([]int32, 32)
+	if err := n.LoadIndices(a, idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ReleaseIndexRegion(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.ReleaseIndexRegion(a); err == nil {
+		t.Fatal("double release must error")
+	}
+	if err := n.ReleaseIndexRegion(b + 1); err == nil {
+		t.Fatal("releasing a non-base must error")
+	}
+	if got := n.ReserveIndexRegion(128); got != a {
+		t.Fatalf("released region not reused: got %#x, want %#x", got, a)
+	}
+	// The new owner has loaded nothing yet: a GATHER over the old list fails.
+	if err := n.Execute(isa.Program{isa.Gather(0, a/64, 64, 16)}); err == nil {
+		t.Fatal("want error executing over a released, unwritten index region")
+	}
+	if err := n.LoadIndices(a, idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := n.Execute(isa.Program{isa.Gather(0, a/64, 64, 16)}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Property: allocations never overlap and are stripe-aligned.
 func TestQuickAllocatorInvariants(t *testing.T) {
 	f := func(sizes []uint16) bool {

@@ -270,7 +270,8 @@ func (d *Deployment) laneWorker(ln *scratchLane) {
 	}
 }
 
-// Release frees all pool allocations of the deployment. It is idempotent:
+// Release frees all pool allocations of the deployment and returns every
+// lane's index region to the node. It is idempotent:
 // releasing an already-released deployment is a no-op, so shutdown paths
 // (server close, deferred cleanup) can release unconditionally.
 func (d *Deployment) Release() error {
@@ -286,20 +287,21 @@ func (d *Deployment) Release() error {
 	d.inflight.Wait()
 	close(d.work) // stop the lane workers
 	var first error
-	free := func(b uint64) {
-		if err := d.Node.Free(b); err != nil && first == nil {
+	keep := func(err error) {
+		if err != nil && first == nil {
 			first = err
 		}
 	}
 	for _, b := range d.tableBase {
-		free(b)
+		keep(d.Node.Free(b))
 	}
 	for _, ln := range d.lanes {
-		free(ln.gatherBase[0])
-		free(ln.gatherBase[1])
+		keep(d.Node.Free(ln.gatherBase[0]))
+		keep(d.Node.Free(ln.gatherBase[1]))
+		keep(d.Node.ReleaseIndexRegion(ln.idxBase))
 	}
 	for _, b := range d.outBase {
-		free(b)
+		keep(d.Node.Free(b))
 	}
 	return first
 }

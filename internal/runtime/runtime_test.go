@@ -220,6 +220,54 @@ func TestReleaseFreesPool(t *testing.T) {
 	}
 }
 
+// TestDeployReleaseCyclesKeepIndexRegionFlat pins the index-region leak
+// shut: a long-lived node that deploys, serves and releases models over and
+// over must hand the lanes' index regions back, so neither the addresses
+// ReserveIndexRegion gives out nor the store behind them grow with the cycle
+// count.
+func TestDeployReleaseCyclesKeepIndexRegionFlat(t *testing.T) {
+	nd := newNode(t, 4)
+	defer nd.Close()
+	cfg := smallConfig("cycle", 2, 2, 64, false, isa.RAdd)
+	m, err := recsys.Build(cfg, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]int{{1, 2, 3, 4}, {5, 6, 7, 8}}
+	var idxHigh uint64
+	var footprint int
+	for cycle := 0; cycle < 200; cycle++ {
+		d, err := DeployConcurrent(m, nd, 4, 2, 3)
+		if err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		// Every lane loads an index list at least once.
+		for i := 0; i < 4; i++ {
+			if _, err := d.RunEmbedding(rows, 2); err != nil {
+				t.Fatalf("cycle %d: %v", cycle, err)
+			}
+		}
+		var high uint64
+		for _, ln := range d.lanes {
+			high = max(high, ln.idxBase)
+		}
+		if err := d.Release(); err != nil {
+			t.Fatalf("cycle %d: %v", cycle, err)
+		}
+		if cycle == 0 {
+			idxHigh, footprint = high, nd.IndexRegionBytes()
+			if footprint == 0 {
+				t.Fatal("no index list reached the shared region")
+			}
+			continue
+		}
+		if high != idxHigh || nd.IndexRegionBytes() != footprint {
+			t.Fatalf("cycle %d: highest lane index base %#x (first cycle %#x), shared region %d B (first cycle %d B)",
+				cycle, high, idxHigh, nd.IndexRegionBytes(), footprint)
+		}
+	}
+}
+
 func TestMaxBatchPaddingStaysInBounds(t *testing.T) {
 	// Run at exactly maxBatch: GATHER padding must stay within the
 	// allocated slack and still match golden.
