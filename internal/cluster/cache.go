@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"container/list"
 	"sort"
 	"sync"
 
@@ -15,35 +14,51 @@ import (
 // router's memory and skips the shard's near-memory gather path entirely —
 // no sub-request row, no interconnect transfer.
 //
-// Capacity accounting charges the row payload only (dim x 4 bytes per
-// entry); the map/list bookkeeping is not counted against the budget.
-// All methods are safe for concurrent use; hit and miss counts are exposed
-// as stats.Counters so reports can read them without taking the lock.
+// Storage is flat and sized once, at construction: a slab of
+// min(capBytes/rowBytes, localRows) row payloads, a direct flat row -> slot
+// index, and an intrusive doubly linked LRU ring over the slots closed by a
+// sentinel. Nothing is allocated afterwards — a probe is two array reads, a
+// promotion six int32 stores, an eviction recycles the least recently used
+// slot in place. Capacity accounting charges the row payload only (dim x 4
+// bytes per resident row); the index and the ring are not counted against
+// the budget.
+//
+// Locking is per request, not per row. The router hands a shard's cache
+// every lookup one read routed to it in a single probe call and every row
+// the read then gathered in a single fill call, so a read takes the lock
+// at most twice per shard however many rows it touches. All methods are
+// safe for concurrent use; hit and miss counts are exposed as
+// stats.Counters so reports can read them without taking the lock.
 //
 // Coherence. Online updates mutate shard tables underneath the cache, so
 // the cache carries a version counter: invalidate removes the updated rows
-// and bumps the version atomically, and putAt drops any insert whose
-// caller-side snapshot predates the bump. A reader that gathered a row
-// before an update therefore can never park the stale value in the cache
-// after the update's invalidation pass — without the version check the
-// read-gather / update-invalidate / read-put interleaving would cache
-// pre-update data forever.
-// Memory discipline. The hot serving path probes with getInto, which
-// copies the row into a caller-provided buffer under the lock — the caller
-// never holds a reference into the cache. Row payload buffers are recycled
-// through a free list when entries are evicted or invalidated, so a warm
-// cache inserts and evicts without allocating. get (tests only) returns the
-// resident slice directly; it is valid only until the next insert or
-// invalidation, which may recycle its storage.
+// and bumps the version atomically, probe returns the version it ran at,
+// and fill drops its whole batch when that version has moved. A reader
+// that gathered a row before an update therefore can never park the stale
+// value in the cache after the update's invalidation pass — without the
+// version check the read-gather / update-invalidate / read-fill
+// interleaving would cache pre-update data forever.
+//
+// Memory discipline. probe copies each hit into a caller-provided buffer
+// under the lock and fill copies each payload into the slab, so no caller
+// ever holds a reference into cache storage.
 type rowCache struct {
 	mu       sync.Mutex
-	capBytes int64
+	dim      int
 	rowBytes int64
-	used     int64
-	version  uint64     // bumped by every invalidate, guarded by mu
-	order    *list.List // front = most recently used
-	items    map[int]*list.Element
-	freeVecs [][]float32 // recycled row payload buffers, guarded by mu
+	used     int64  // resident rows x rowBytes, guarded by mu
+	version  uint64 // bumped by every invalidate, guarded by mu
+
+	// All guarded by mu. Slot i's payload is slab[i*dim:(i+1)*dim] and its
+	// flat row is rowOf[i]; slotOf is the inverse, -1 for a row that is not
+	// resident. prev/next link the resident slots into a ring through the
+	// sentinel at index len(rowOf): next[sentinel] is the most recently
+	// used slot, prev[sentinel] the least. free stacks the unused slots.
+	slab       []float32
+	slotOf     []int32
+	rowOf      []int32
+	prev, next []int32
+	free       []int32
 	// heat counts lifetime probes per flat local row (hits and misses
 	// alike — a probe is the demand signal, residency is incidental),
 	// guarded by mu. hotRows ranks it so a warm restart can repopulate the
@@ -55,12 +70,6 @@ type rowCache struct {
 	invalidations stats.Counter
 }
 
-// cacheEntry is one resident row.
-type cacheEntry struct {
-	row int
-	vec []float32
-}
-
 // newRowCache builds a cache of at most capBytes of dim-wide rows
 // fronting a flat local table of localRows rows. It returns nil when
 // capBytes is too small to hold even one row, which callers treat as
@@ -70,81 +79,132 @@ func newRowCache(capBytes int64, dim, localRows int) *rowCache {
 	if capBytes < rowBytes {
 		return nil
 	}
-	return &rowCache{
-		capBytes: capBytes,
+	slots := int(min(capBytes/rowBytes, int64(localRows)))
+	c := &rowCache{
+		dim:      dim,
 		rowBytes: rowBytes,
-		order:    list.New(),
-		items:    make(map[int]*list.Element),
+		slab:     make([]float32, slots*dim),
+		slotOf:   make([]int32, localRows),
+		rowOf:    make([]int32, slots),
+		prev:     make([]int32, slots+1),
+		next:     make([]int32, slots+1),
+		free:     make([]int32, slots),
 		heat:     make([]uint32, localRows),
 	}
-}
-
-// get returns the cached vector for a flat row and promotes it to most
-// recently used, counting the probe as a hit or a miss. The returned slice
-// aliases cache storage and is only valid until the next insert or
-// invalidation (payload buffers are recycled); it exists for tests — the
-// serving path uses getInto.
-func (c *rowCache) get(row int) ([]float32, bool) {
-	c.mu.Lock()
-	el, ok := c.items[row]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Inc()
-		return nil, false
+	for r := range c.slotOf {
+		c.slotOf[r] = -1
 	}
-	c.order.MoveToFront(el)
-	vec := el.Value.(*cacheEntry).vec
-	c.mu.Unlock()
-	c.hits.Inc()
-	return vec, true
+	// Popped from the top, so slots fill the slab front to back.
+	for i := range c.free {
+		c.free[i] = int32(slots - 1 - i)
+	}
+	c.prev[slots], c.next[slots] = int32(slots), int32(slots)
+	return c
 }
 
-// getInto copies the cached vector for a flat row into dst (which must be
-// rowBytes/4 long) and promotes it to most recently used, counting the
-// probe as a hit or a miss. The copy happens under the cache lock, so the
-// caller owns a stable snapshot without ever holding cache storage — the
-// allocation-free hit path of the router.
-func (c *rowCache) getInto(row int, dst []float32) bool {
+// unlink takes a resident slot out of the LRU ring.
+func (c *rowCache) unlink(slot int32) {
+	p, n := c.prev[slot], c.next[slot]
+	c.next[p], c.prev[n] = n, p
+}
+
+// pushFront links a slot into the ring as the most recently used.
+func (c *rowCache) pushFront(slot int32) {
+	sentinel := int32(len(c.rowOf))
+	first := c.next[sentinel]
+	c.prev[slot], c.next[slot] = sentinel, first
+	c.next[sentinel], c.prev[first] = slot, slot
+}
+
+// promote makes a resident slot the most recently used.
+func (c *rowCache) promote(slot int32) {
+	c.unlink(slot)
+	c.pushFront(slot)
+}
+
+// remove evicts a resident slot: out of the ring, out of the index, onto
+// the free stack.
+func (c *rowCache) remove(slot int32) {
+	c.unlink(slot)
+	c.slotOf[c.rowOf[slot]] = -1
+	c.free = append(c.free, slot)
+	c.used -= c.rowBytes
+}
+
+// probe looks up one read's lookups on this shard — rows, in request
+// order, duplicates included — under a single lock hold. Every probe counts
+// toward the row's heat. A hit promotes the row to most recently used, sets
+// hit[i] and copies the payload into the next dim floats of dst, so the
+// k-th hit lands at dst[k*dim:]; the copy happens under the lock, so the
+// caller owns a stable snapshot without ever holding cache storage. probe
+// returns the version the whole batch was served at, which the caller
+// passes to fill with whatever it gathers for the misses.
+func (c *rowCache) probe(rows []int, hit []bool, dst []float32) uint64 {
+	dim, hits := c.dim, 0
 	c.mu.Lock()
-	if row < len(c.heat) {
+	for i, row := range rows {
 		c.heat[row]++
+		slot := c.slotOf[row]
+		hit[i] = slot >= 0
+		if slot < 0 {
+			continue
+		}
+		c.promote(slot)
+		copy(dst[hits*dim:(hits+1)*dim], c.slab[int(slot)*dim:])
+		hits++
 	}
-	el, ok := c.items[row]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Inc()
-		return false
-	}
-	c.order.MoveToFront(el)
-	copy(dst, el.Value.(*cacheEntry).vec)
+	ver := c.version
 	c.mu.Unlock()
-	c.hits.Inc()
-	return true
+	c.hits.Add(uint64(hits))
+	c.misses.Add(uint64(len(rows) - hits))
+	return ver
 }
 
-// snapshot returns the cache's current version for a later putAt. Callers
-// take it before dispatching the gathers whose results they intend to
-// cache.
+// snapshot returns the cache's current version for a later fill. A caller
+// that gathers without probing first (WarmCache) takes it before starting
+// the gather whose rows it intends to cache.
 func (c *rowCache) snapshot() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.version
 }
 
-// putAt is put conditioned on the version still matching the caller's
-// snapshot: if any invalidation happened since, the row being inserted may
-// predate an update and is dropped.
-func (c *rowCache) putAt(row int, vec []float32, ver uint64) {
+// fill inserts a private copy of each gathered row — rows[j]'s payload is
+// vecs[j*dim:(j+1)*dim] — under a single lock hold, in order, evicting
+// least recently used rows whenever the byte budget is full. Re-inserting
+// a resident row only refreshes its recency. The whole batch is
+// conditioned on the version still matching ver: if any invalidation
+// happened since the caller's probe (or snapshot), the rows may predate an
+// update and none is inserted. It returns how many rows were inserted or
+// refreshed.
+func (c *rowCache) fill(rows []int, vecs []float32, ver uint64) int {
+	dim := c.dim
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.version != ver {
-		return
+		return 0
 	}
-	c.insert(row, vec)
+	for j, row := range rows {
+		slot := c.slotOf[row]
+		if slot >= 0 {
+			c.promote(slot)
+			continue
+		}
+		if len(c.free) == 0 {
+			c.remove(c.prev[len(c.rowOf)])
+		}
+		slot = c.free[len(c.free)-1]
+		c.free = c.free[:len(c.free)-1]
+		copy(c.slab[int(slot)*dim:(int(slot)+1)*dim], vecs[j*dim:])
+		c.slotOf[row], c.rowOf[slot] = slot, int32(row)
+		c.pushFront(slot)
+		c.used += c.rowBytes
+	}
+	return len(rows)
 }
 
 // invalidate removes the given flat rows (if resident) and bumps the cache
-// version so every in-flight putAt taken before this call is dropped. It
+// version so every in-flight fill probed before this call is dropped. It
 // returns how many resident rows were actually removed; the count is also
 // added to the invalidations counter.
 func (c *rowCache) invalidate(rows []int) int {
@@ -153,57 +213,13 @@ func (c *rowCache) invalidate(rows []int) int {
 	c.version++
 	n := 0
 	for _, row := range rows {
-		el, ok := c.items[row]
-		if !ok {
-			continue
+		if slot := c.slotOf[row]; slot >= 0 {
+			c.remove(slot)
+			n++
 		}
-		c.order.Remove(el)
-		delete(c.items, row)
-		c.freeVecs = append(c.freeVecs, el.Value.(*cacheEntry).vec)
-		c.used -= c.rowBytes
-		n++
 	}
 	c.invalidations.Add(uint64(n))
 	return n
-}
-
-// put inserts a private copy of vec for a flat row, evicting least recently
-// used rows until the byte budget holds. Re-inserting a resident row only
-// refreshes its recency.
-func (c *rowCache) put(row int, vec []float32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.insert(row, vec)
-}
-
-// insert is the lock-held body of put/putAt. Evicted rows donate their
-// payload buffer to the free list, and new rows take one from it when
-// available, so a cache at capacity churns without allocating payloads.
-func (c *rowCache) insert(row int, vec []float32) {
-	if el, ok := c.items[row]; ok {
-		c.order.MoveToFront(el)
-		return
-	}
-	for c.used+c.rowBytes > c.capBytes {
-		back := c.order.Back()
-		if back == nil {
-			return // capBytes < rowBytes is rejected in newRowCache
-		}
-		c.order.Remove(back)
-		delete(c.items, back.Value.(*cacheEntry).row)
-		c.freeVecs = append(c.freeVecs, back.Value.(*cacheEntry).vec)
-		c.used -= c.rowBytes
-	}
-	var cp []float32
-	if n := len(c.freeVecs); n > 0 {
-		cp = c.freeVecs[n-1]
-		c.freeVecs = c.freeVecs[:n-1]
-	} else {
-		cp = make([]float32, len(vec))
-	}
-	copy(cp, vec)
-	c.items[row] = c.order.PushFront(&cacheEntry{row: row, vec: cp})
-	c.used += c.rowBytes
 }
 
 // hotRows returns up to k flat local rows ranked by lifetime probe count,
@@ -236,5 +252,5 @@ func (c *rowCache) hotRows(k int) []int {
 func (c *rowCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.items)
+	return len(c.rowOf) - len(c.free)
 }

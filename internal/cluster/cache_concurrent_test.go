@@ -1,0 +1,90 @@
+package cluster
+
+import (
+	"math/rand"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// TestRowCacheConcurrentCoherence runs the router's cache protocol — probe
+// a batch, read the misses from the table, fill at the probed version —
+// from several readers against a writer that, like an update under its
+// table lock, commits a new row value and invalidates the row, all on a
+// 4-row cache so every fill evicts. While it runs, no hit may serve a value
+// older than one the reader already saw committed; after quiescence the
+// cache must hold at most its budget, account its bytes exactly, keep the
+// slot index and the LRU ring in agreement, and hold for every resident row
+// the last committed value: a fill that raced an invalidate is dropped
+// whole, never parked stale.
+func TestRowCacheConcurrentCoherence(t *testing.T) {
+	const dim, capRows, localRows, readers, rounds, batch = 16, 4, 8, 4, 500, 3
+	c := newRowCache(capRows*dim*4, dim, localRows)
+	var tableMu sync.Mutex              // held across commit + invalidate
+	table := make([]float32, localRows) // row -> the value filling its payload
+
+	var wg sync.WaitGroup
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			rows, hit := make([]int, batch), make([]bool, batch)
+			dst, vecs := make([]float32, batch*dim), make([]float32, 0, batch*dim)
+			seen := make([]float32, localRows) // newest committed value this reader read
+			for i := 0; i < rounds; i++ {
+				for k := range rows {
+					rows[k] = rng.Intn(localRows)
+				}
+				ver := c.probe(rows, hit, dst)
+				misses, hits := rows[:0:0], 0
+				vecs = vecs[:0]
+				tableMu.Lock()
+				for k, row := range rows {
+					if hit[k] {
+						if got := dst[hits*dim]; got < seen[row] {
+							t.Errorf("row %d served %v from the cache after %v was committed and invalidated", row, got, seen[row])
+						}
+						hits++
+					} else {
+						misses = append(misses, row)
+						vecs = append(vecs, vec(dim, table[row])...)
+					}
+				}
+				for _, row := range rows { // only now: a row can repeat within the batch
+					seen[row] = table[row]
+				}
+				tableMu.Unlock()
+				runtime.Gosched() // let a commit + invalidate land between gather and fill
+				c.fill(misses, vecs, ver)
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(99))
+		for i := 1; i <= rounds; i++ {
+			row := rng.Intn(localRows)
+			tableMu.Lock()
+			table[row] = float32(i)
+			c.invalidate([]int{row})
+			tableMu.Unlock()
+		}
+	}()
+	wg.Wait()
+
+	if got := c.hits.Load() + c.misses.Load(); got != readers*rounds*batch {
+		t.Fatalf("hits+misses = %d, want %d", got, readers*rounds*batch)
+	}
+	resident := lruRows(t, c) // also checks ring, index and byte accounting
+	if len(resident) != c.len() || len(resident) > capRows || c.used != int64(len(resident))*c.rowBytes {
+		t.Fatalf("%d rows in the ring, len() %d, budget %d rows, %d bytes used", len(resident), c.len(), capRows, c.used)
+	}
+	for _, row := range resident {
+		if got, _ := c.get(row); !slices.Equal(got, vec(dim, table[row])) {
+			t.Fatalf("row %d resident with payload %v, last committed value %v", row, got[0], table[row])
+		}
+	}
+}

@@ -19,11 +19,11 @@
 //
 //   - route: every lookup (table, row) maps through the placement — whole
 //     tables round-robin for TableWise, rows hashed across shards for
-//     RowWise — and probes the owning shard's LRU hot-row cache. Hits are
-//     served immediately; misses are deduplicated into one flat index list
-//     per shard (a shard stores all its rows as a single gather-only
-//     table, so a sub-request is one index list regardless of how many
-//     tables it touches).
+//     RowWise — and each shard's LRU hot-row cache is then probed once for
+//     all the lookups that landed on it. Hits are served from the cache;
+//     misses are deduplicated into one flat index list per shard (a shard
+//     stores all its rows as a single gather-only table, so a sub-request
+//     is one index list regardless of how many tables it touches).
 //   - execute: each non-empty sub-request runs through the shard's own
 //     serve.Server (micro-batching across concurrent cluster requests) on
 //     the shard's runtime.Deployment, gathering rows near-memory. Every
@@ -50,7 +50,7 @@
 // same gradients write-through, and the scattered rows are invalidated
 // from the shard caches. Per-table locks serialize same-table updates
 // (float accumulation order is part of the bit-identity contract), and a
-// cache version handshake (rowCache.snapshot / putAt / invalidate) keeps a
+// cache version handshake (rowCache.probe / fill / invalidate) keeps a
 // concurrent reader from parking a pre-update row in a cache after the
 // update's invalidation pass.
 package cluster
@@ -476,50 +476,14 @@ func (c *Cluster) HotRows(shard, k int) []int {
 // park in the cache, so the first post-restart requests hit instead of
 // paying the near-memory gather. Out-of-range rows are skipped — the list
 // may come from a stale persisted file whose placement changed. Returns
-// how many rows were cached. No-op (0, nil) when the shard has no cache.
+// how many rows were cached: a chunk whose gather raced an ApplyUpdates on
+// the shard is dropped (see rowCache) and not counted. No-op (0, nil) when
+// the shard has no cache.
 func (c *Cluster) WarmCache(shard int, flatRows []int) (int, error) {
 	if shard < 0 || shard >= len(c.shard) {
 		return 0, fmt.Errorf("cluster: shard %d out of range [0, %d)", shard, len(c.shard))
 	}
-	sh := c.shard[shard]
-	if sh == nil || sh.srv == nil || sh.cache == nil || len(flatRows) == 0 {
-		return 0, nil
-	}
-	if err := c.router.enter(); err != nil {
-		return 0, err
-	}
-	defer c.router.inflight.Done()
-	mc := c.model.Cfg
-	localRows := c.place.LocalRows(shard)
-	maxSub := c.place.MaxSub(shard, c.cfg.MaxBatch, mc.Reduction)
-	rows := make([]int, 0, min(len(flatRows), localRows))
-	for _, r := range flatRows {
-		if r >= 0 && r < localRows {
-			rows = append(rows, r)
-		}
-	}
-	// Capacity-bound the warm set: inserting more rows than fit would just
-	// evict the hotter prefix.
-	if fit := int(c.cfg.CacheBytes / (int64(mc.EmbDim) * 4)); len(rows) > fit {
-		rows = rows[:fit]
-	}
-	ver := sh.cache.snapshot()
-	buf := make([]float32, maxSub*mc.EmbDim)
-	warmed := 0
-	for at := 0; at < len(rows); {
-		n := min(maxSub, len(rows)-at)
-		chunk := rows[at : at+n]
-		out, err := sh.srv.EmbedInto(buf[:n*mc.EmbDim], [][]int{chunk}, n)
-		if err != nil {
-			return warmed, fmt.Errorf("cluster: shard %d warm: %w", shard, err)
-		}
-		for i, r := range chunk {
-			sh.cache.putAt(r, out[i*mc.EmbDim:(i+1)*mc.EmbDim], ver)
-			warmed++
-		}
-		at += n
-	}
-	return warmed, nil
+	return c.router.warmCache(shard, flatRows)
 }
 
 // Close stops accepting requests, waits for every in-flight request and

@@ -13,8 +13,9 @@ import (
 	"tensordimm/internal/tensor"
 )
 
-// Hop indices of the cluster tracer: routing (cache probes + dedup),
-// shard gather fan-out (first Start to last Wait), and the golden merge.
+// Hop indices of the cluster tracer: routing (locate, one batched cache
+// probe per shard, dedup), shard gather fan-out (first Start to last Wait),
+// and the golden merge (cache fill included).
 const (
 	hopRoute = iota
 	hopGather
@@ -66,10 +67,11 @@ type Call interface {
 
 // Router is the shard router core shared by Cluster and the remote replica
 // router. A read is validated, routed lookup by lookup through the
-// Placement (probing the owning shard's hot-row cache when it has one),
-// deduplicated into one flat index list per shard, scattered to the
-// Transport (every sub-request started before any is awaited, all on the
-// caller's goroutine), and pooled by the Merger in golden order. An update
+// Placement, probed against each owning shard's hot-row cache in one batch
+// per shard (when the shard has one), its misses deduplicated into one flat
+// index list per shard, scattered to the Transport (every sub-request
+// started before any is awaited, all on the caller's goroutine), and pooled
+// by the Merger in golden order. An update
 // batch is validated, grouped by table, serialized under per-table locks,
 // split by placement with gradient rows kept in arrival order, fanned out
 // to the owning shards concurrently, invalidated from their caches after
@@ -155,12 +157,31 @@ type rowSrc struct {
 // list being built, the rows the transport gathered for it, and the
 // epoch-stamped dedup table replacing a per-request map — a slot is live
 // only when its stamp equals the scratch's current epoch, so reuse costs
-// one increment instead of a map allocation.
+// one increment instead of a map allocation. A shard with a hot-row cache
+// also has the probe bucket: the request's lookups on this shard, in
+// request order, collected first so the cache is probed once for all of
+// them.
 type subScratch struct {
 	rows  []int     // deduplicated flat rows routed to this shard
 	out   []float32 // the transport's gathered rows, valid until Release
 	stamp []uint32  // dedup: stamp[flat] == epoch means slot[flat] is live
 	slot  []int32   // dedup: flat row -> index in rows
+
+	probe    []int   // bucket: flat row of each lookup routed here
+	probePos []int32 // bucket: the lookup's index in scratch.src
+	probeHit []bool  // bucket: rowCache.probe's verdict per lookup
+}
+
+// add resolves one missed (or never probed) lookup: its flat row joins the
+// shard's sub-request unless an earlier lookup of this request already put
+// it there, and src is pointed at its slot either way.
+func (sub *subScratch) add(s, flat int, epoch uint32, src *rowSrc) {
+	if sub.stamp[flat] != epoch {
+		sub.stamp[flat] = epoch
+		sub.slot[flat] = int32(len(sub.rows))
+		sub.rows = append(sub.rows, flat)
+	}
+	*src = rowSrc{shard: int32(s), idx: sub.slot[flat]}
 }
 
 // scratch is the per-request working set of the router, pooled and owned
@@ -192,12 +213,19 @@ func (r *Router) newScratch() *scratch {
 		src:      make([]rowSrc, r.mc.Tables*lookups),
 	}
 	for s := range scr.sub {
+		maxSub := r.place.MaxSub(s, r.maxBatch, r.mc.Reduction)
 		scr.sub[s] = subScratch{
-			rows:  make([]int, 0, r.place.TablesOn(s)*lookups),
+			rows:  make([]int, 0, maxSub),
 			stamp: make([]uint32, r.place.localRows[s]),
 			slot:  make([]int32, r.place.localRows[s]),
 		}
-		if r.caches[s] != nil && scr.hitBuf == nil {
+		if r.caches[s] == nil {
+			continue
+		}
+		scr.sub[s].probe = make([]int, 0, maxSub)
+		scr.sub[s].probePos = make([]int32, 0, maxSub)
+		scr.sub[s].probeHit = make([]bool, maxSub)
+		if scr.hitBuf == nil {
 			scr.hitBuf = make([]float32, r.mc.Tables*lookups*r.mc.EmbDim)
 		}
 	}
@@ -321,40 +349,47 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 		scr.span.BeginAt(start)
 	}
 
-	// Snapshot every cache's version before any gather is started: a
-	// row gathered now may predate an update that lands mid-request, and
-	// putAt drops it if the version moved (see rowCache).
-	for s, cache := range r.caches {
-		scr.sub[s].rows = scr.sub[s].rows[:0]
-		if cache != nil {
-			scr.cacheVer[s] = cache.snapshot()
+	// Route, pass 1: locate every lookup. One on a cacheless shard is
+	// deduplicated into the shard's sub-request right away; one on a cached
+	// shard joins that shard's probe bucket, in request order.
+	for s := range scr.sub {
+		sub := &scr.sub[s]
+		sub.rows, sub.probe, sub.probePos = sub.rows[:0], sub.probe[:0], sub.probePos[:0]
+	}
+	for t, rows := range perTableRows {
+		for i, row := range rows {
+			s, flat := r.place.Locate(t, row)
+			sub, pos := &scr.sub[s], t*lookups+i
+			if r.caches[s] == nil {
+				sub.add(s, flat, epoch, &scr.src[pos])
+				continue
+			}
+			sub.probe = append(sub.probe, flat)
+			sub.probePos = append(sub.probePos, int32(pos))
 		}
 	}
 
-	// Route: resolve every lookup to a cache hit (copied into the hit
-	// buffer, so no reference into the cache outlives the probe) or a
-	// deduplicated slot in the owning shard's sub-request.
-	for t, rows := range perTableRows {
-		srcRow := scr.src[t*lookups : (t+1)*lookups]
-		for i, row := range rows {
-			s, flat := r.place.Locate(t, row)
-			if cache := r.caches[s]; cache != nil {
-				hit := scr.hitBuf[scr.hitRows*dim : (scr.hitRows+1)*dim]
-				if cache.getInto(flat, hit) {
-					srcRow[i] = rowSrc{shard: -1, idx: int32(scr.hitRows)}
-					scr.hitRows++
-					continue
-				}
-			}
-			sub := &scr.sub[s]
-			if sub.stamp[flat] == epoch {
-				srcRow[i] = rowSrc{shard: int32(s), idx: sub.slot[flat]}
+	// Route, pass 2: one probe — one lock hold — per cached shard resolves
+	// its whole bucket. Hits are copied into the hit buffer (so no reference
+	// into the cache outlives the probe); misses are deduplicated in bucket
+	// order. The version each probe ran at is kept for the fill: it is read
+	// before any gather is started, so a row gathered now that predates an
+	// update landing mid-request is dropped by fill (see rowCache).
+	for s, cache := range r.caches {
+		sub := &scr.sub[s]
+		if cache == nil || len(sub.probe) == 0 {
+			continue
+		}
+		hit := sub.probeHit[:len(sub.probe)]
+		scr.cacheVer[s] = cache.probe(sub.probe, hit, scr.hitBuf[scr.hitRows*dim:])
+		for k, flat := range sub.probe {
+			src := &scr.src[sub.probePos[k]]
+			if hit[k] {
+				*src = rowSrc{shard: -1, idx: int32(scr.hitRows)}
+				scr.hitRows++
 				continue
 			}
-			sub.stamp[flat] = epoch
-			sub.slot[flat] = int32(len(sub.rows))
-			srcRow[i] = rowSrc{shard: int32(s), idx: sub.slot[flat]}
-			sub.rows = append(sub.rows, flat)
+			sub.add(s, flat, epoch, src)
 		}
 	}
 	if r.tracer != nil {
@@ -392,16 +427,13 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 		return failed
 	}
 
-	// Feed the caches with the rows just gathered — unless an update bumped
-	// the shard's version since the snapshot, in which case the gathered
-	// rows may be stale and are not cached.
+	// Feed each cache the rows just gathered from its shard, one lock hold
+	// per shard — unless an update bumped the shard's version since the
+	// probe, in which case the gathered rows may be stale and fill drops
+	// them all.
 	for s, cache := range r.caches {
-		if cache == nil {
-			continue
-		}
-		sub := &scr.sub[s]
-		for j, flat := range sub.rows {
-			cache.putAt(flat, sub.out[j*dim:(j+1)*dim], scr.cacheVer[s])
+		if sub := &scr.sub[s]; cache != nil && len(sub.rows) > 0 {
+			cache.fill(sub.rows, sub.out, scr.cacheVer[s])
 		}
 	}
 
@@ -416,12 +448,62 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 	}
 	r.Requests.Inc()
 	r.Samples.Add(uint64(batch))
-	r.Latency.Observe(time.Since(start).Seconds())
+	// One clock read closes the merge hop, the latency observation and the
+	// span.
+	now := time.Now()
+	r.Latency.Observe(now.Sub(start).Seconds())
 	if r.tracer != nil {
-		scr.span.Mark(hopMerge)
-		r.tracer.Finish(&scr.span)
+		scr.span.MarkAt(hopMerge, now)
+		r.tracer.FinishAt(&scr.span, now)
 	}
 	return nil
+}
+
+// warmCache gathers the given flat local rows of shard s through the
+// transport, in sub-request-sized chunks, and fills the shard's cache with
+// them; it returns how many rows the cache took. Rows outside the shard's
+// flat table are skipped, and the warm set is cut to what the cache holds —
+// inserting more would just evict the hotter prefix. Each chunk is
+// conditioned on the cache version read before its gather started, exactly
+// like a read's fill, so a chunk that raced an update is dropped whole and
+// not counted.
+func (r *Router) warmCache(s int, flatRows []int) (int, error) {
+	cache := r.caches[s]
+	if cache == nil || len(flatRows) == 0 {
+		return 0, nil
+	}
+	if err := r.enter(); err != nil {
+		return 0, err
+	}
+	defer r.inflight.Done()
+	localRows := r.place.LocalRows(s)
+	rows := make([]int, 0, min(len(flatRows), localRows))
+	for _, flat := range flatRows {
+		if flat >= 0 && flat < localRows {
+			rows = append(rows, flat)
+		}
+	}
+	rows = rows[:min(len(rows), len(cache.rowOf))]
+
+	scr := r.scratchPool.Get().(*scratch)
+	defer r.scratchPool.Put(scr)
+	maxSub := r.place.MaxSub(s, r.maxBatch, r.mc.Reduction)
+	warmed := 0
+	for len(rows) > 0 {
+		chunk := rows[:min(maxSub, len(rows))]
+		rows = rows[len(chunk):]
+		ver := cache.snapshot()
+		scr.call.Start(s, chunk, time.Now())
+		out, err := scr.call.Wait(s)
+		if err == nil {
+			warmed += cache.fill(chunk, out, ver)
+		}
+		scr.call.Release()
+		if err != nil {
+			return warmed, fmt.Errorf("%s: warm: %w", r.name, err)
+		}
+	}
+	return warmed, nil
 }
 
 // ApplyUpdates applies a batch of per-table gradient updates across the
@@ -537,7 +619,7 @@ func (r *Router) applyTableUpdate(up runtime.TableUpdate) error {
 			// sub-update always targets table 0 of the shard model.
 			errs[s] = r.tr.Update(s, runtime.TableUpdate{Table: 0, Rows: flatRows[s], Grads: grads})
 			// Invalidate AFTER the shard committed: the version bump inside
-			// invalidate also voids every in-flight putAt snapshotted before
+			// invalidate also voids every in-flight fill probed before
 			// now, so no reader can park a pre-update row in the cache.
 			if cache := r.caches[s]; cache != nil && errs[s] == nil {
 				cache.invalidate(flatRows[s])

@@ -454,3 +454,171 @@ func TestRouterInFlightWidth(t *testing.T) {
 		t.Fatalf("%d starts, %d waits, %d held, %d leaked", ft.starts, ft.waits, ft.held, ft.leaked)
 	}
 }
+
+// refLRU is the row-at-a-time cache discipline the batched route phase has
+// to reproduce exactly: one probe per lookup in request order, then one
+// insert per gathered row in sub-request order.
+type refLRU struct {
+	cap  int
+	rows []int // most recently used first
+}
+
+func (l *refLRU) touch(row int) bool {
+	i := slices.Index(l.rows, row)
+	if i < 0 {
+		return false
+	}
+	copy(l.rows[1:i+1], l.rows[:i])
+	l.rows[0] = row
+	return true
+}
+
+func (l *refLRU) put(row int) {
+	if l.touch(row) {
+		return
+	}
+	if len(l.rows) == l.cap {
+		l.rows = l.rows[:l.cap-1]
+	}
+	l.rows = append([]int{row}, l.rows...)
+}
+
+// TestRouterBatchedRoute drives the two-pass route phase over the fake
+// transport with a hot-row cache on every shard: requests with duplicate
+// rows inside one table and the same row numbers across tables, against a
+// cold cache, a partly warm one, one smaller than a single request's
+// distinct rows (so fill evicts rows it inserted a moment ago) and one that
+// holds everything. The per-shard row lists handed to Start are pinned as
+// literals — the parent commit's row-at-a-time route phase produces the
+// same ones — and every request is also checked against refLRU: gathers,
+// hit and miss counts, per-row heat and the exact LRU order afterwards.
+func TestRouterBatchedRoute(t *testing.T) {
+	const nodes, maxBatch, batch = 2, 3, 2
+	mc := testConfig(4, 2, 64, false, isa.RAdd)
+	reqA := [][]int{{5, 5, 9, 2}, {5, 7, 7, 5}, {9, 5, 1, 9}, {2, 2, 2, 2}}
+	reqB := [][]int{{5, 3, 3, 8}, {7, 6, 5, 6}, {1, 1, 4, 9}, {2, 0, 0, 2}}
+	big := mc.Tables * mc.TableRows
+	for _, tc := range []struct {
+		name    string
+		capRows int
+		prior   [][][]int // requests served before the one under test
+		req     [][]int
+		gathers map[Strategy]map[int][]int // shard -> rows its Start must see
+	}{
+		{"cold", big, nil, reqA, map[Strategy]map[int][]int{
+			TableWise: {0: {5, 9, 2, 310, 306, 302}, 1: {5, 7, 303}},
+			RowWise:   {0: {1, 454}, 1: {2, 4, 152, 153, 304, 302, 300}},
+		}},
+		{"warm", big, [][][]int{reqA}, reqB, map[Strategy]map[int][]int{
+			TableWise: {0: {3, 8, 305}, 1: {6, 301}},
+			RowWise:   {0: {4, 154, 304, 453}, 1: {1}},
+		}},
+		{"evicting", 2, [][][]int{reqA}, reqB, map[Strategy]map[int][]int{
+			TableWise: {0: {5, 3, 8, 305, 310}, 1: {6, 5, 301}},
+			RowWise:   {0: {4, 154, 304, 453}, 1: {2, 1, 153, 152, 304}},
+		}},
+		{"all-hit", big, [][][]int{reqA}, reqA, map[Strategy]map[int][]int{
+			TableWise: {}, RowWise: {},
+		}},
+	} {
+		for _, strat := range []Strategy{TableWise, RowWise} {
+			t.Run(fmt.Sprintf("%s/%v", tc.name, strat), func(t *testing.T) {
+				golden, err := recsys.Build(mc, 99)
+				if err != nil {
+					t.Fatal(err)
+				}
+				place := NewPlacement(strat, nodes, mc.Tables, mc.TableRows)
+				rec := record(newFakeTransport(t, golden, place))
+				r := NewRouter("fake", mc, place, maxBatch, rec, nil)
+				defer r.Close()
+				ref := make([]refLRU, nodes)
+				heat := make([]map[int]uint32, nodes)
+				for s := range r.caches {
+					r.caches[s] = newRowCache(int64(tc.capRows*mc.EmbDim*4), mc.EmbDim, place.localRows[s])
+					ref[s].cap = min(tc.capRows, place.localRows[s])
+					heat[s] = map[int]uint32{}
+				}
+
+				serve := func(req [][]int) map[int][]int {
+					want := map[int][]int{}
+					var wantHits, wantMisses [nodes]uint64
+					for tab, rows := range req {
+						for _, row := range rows {
+							s, flat := place.Locate(tab, row)
+							heat[s][flat]++
+							if ref[s].touch(flat) {
+								wantHits[s]++
+								continue
+							}
+							wantMisses[s]++
+							if !slices.Contains(want[s], flat) {
+								want[s] = append(want[s], flat)
+							}
+						}
+					}
+					for s := range ref {
+						for _, flat := range want[s] {
+							ref[s].put(flat)
+						}
+					}
+
+					var hits0, misses0 [nodes]uint64
+					for s, c := range r.caches {
+						hits0[s], misses0[s] = c.hits.Load(), c.misses.Load()
+					}
+					rec.gathers = map[int][][]int{}
+					got, err := r.EmbedInto(nil, req, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantOut, err := golden.Embedding.Forward(req, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !slices.Equal(got, wantOut.Data()) {
+						t.Fatal("not bit-identical to Layer.Forward")
+					}
+					gathers := map[int][]int{}
+					for s, lists := range rec.gathers {
+						if len(lists) != 1 {
+							t.Fatalf("shard %d: %d Starts for one request", s, len(lists))
+						}
+						gathers[s] = lists[0]
+					}
+					if !reflect.DeepEqual(gathers, want) {
+						t.Fatalf("Start saw %v, row-at-a-time reference gathers %v", gathers, want)
+					}
+					var probes uint64
+					for s, c := range r.caches {
+						h, m := c.hits.Load()-hits0[s], c.misses.Load()-misses0[s]
+						if h != wantHits[s] || m != wantMisses[s] {
+							t.Fatalf("shard %d: %d hits %d misses, want %d and %d", s, h, m, wantHits[s], wantMisses[s])
+						}
+						probes += h + m
+						if order := lruRows(t, c); !slices.Equal(order, ref[s].rows) {
+							t.Fatalf("shard %d LRU order %v, want %v", s, order, ref[s].rows)
+						}
+					}
+					if want := uint64(mc.Tables * batch * mc.Reduction); probes != want {
+						t.Fatalf("%d probes for %d lookups: a duplicate lookup must probe again", probes, want)
+					}
+					return gathers
+				}
+
+				for _, req := range tc.prior {
+					serve(req)
+				}
+				if got := serve(tc.req); !reflect.DeepEqual(got, tc.gathers[strat]) {
+					t.Fatalf("Start saw %v, pinned %v", got, tc.gathers[strat])
+				}
+				for s, c := range r.caches {
+					for flat, h := range c.heat {
+						if h != heat[s][flat] {
+							t.Fatalf("shard %d row %d: heat %d after %d probes", s, flat, h, heat[s][flat])
+						}
+					}
+				}
+			})
+		}
+	}
+}

@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
+	"time"
 
 	"tensordimm/internal/isa"
+	"tensordimm/internal/recsys"
+	"tensordimm/internal/runtime"
+	"tensordimm/internal/tensor"
 )
 
 // TestUnlocateRoundTrip pins Unlocate as the exact inverse of Locate over
@@ -146,5 +151,96 @@ func TestWarmCacheHitsFirstRequest(t *testing.T) {
 	}
 	if hits := c2.Metrics().CacheHits - before; hits == 0 {
 		t.Fatal("first post-warm request took zero cache hits")
+	}
+}
+
+// hookTransport runs onStart(n) inside the n-th Call.Start (counting from
+// 1), on the router's goroutine, before the sub-request is submitted.
+type hookTransport struct {
+	Transport
+	starts  int
+	onStart func(n int)
+}
+
+type hookCall struct {
+	Call
+	t *hookTransport
+}
+
+func (h *hookTransport) NewCall() Call { return &hookCall{h.Transport.NewCall(), h} }
+
+func (hc *hookCall) Start(s int, rows []int, start time.Time) {
+	hc.t.starts++
+	hc.t.onStart(hc.t.starts)
+	hc.Call.Start(s, rows, start)
+}
+
+// TestWarmCacheCountsOnlyCachedRows lands an update between two chunks of
+// one warm: the chunk whose gather it raced is dropped by the version
+// handshake, the chunks before and after it are cached, and the count
+// warmCache returns is the number of rows the cache actually took — not
+// the number it was handed.
+func TestWarmCacheCountsOnlyCachedRows(t *testing.T) {
+	const maxBatch, chunks = 2, 3
+	mc := testConfig(2, 2, 64, false, isa.RAdd)
+	golden, err := recsys.Build(mc, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := NewPlacement(TableWise, 1, mc.Tables, mc.TableRows)
+	maxSub := place.MaxSub(0, maxBatch, mc.Reduction)
+	hook := &hookTransport{Transport: newFakeTransport(t, golden, place)}
+	r := NewRouter("fake", mc, place, maxBatch, hook, func(up runtime.TableUpdate) {
+		runtime.AccumulateGolden(golden.Embedding.Tables[up.Table], up)
+	})
+	defer r.Close()
+	cache := newRowCache(1<<20, mc.EmbDim, place.localRows[0])
+	r.caches[0] = cache
+
+	// The update hits a row outside the warm set, in the middle of the
+	// second chunk's gather: after that chunk's version was read, before its
+	// rows are offered to the cache.
+	g := tensor.New(1, mc.EmbDim)
+	g.Fill(0.25)
+	hook.onStart = func(n int) {
+		if n == 2 {
+			if err := r.ApplyUpdates([]runtime.TableUpdate{{Table: 1, Rows: []int{300}, Grads: g}}); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	rows := make([]int, chunks*maxSub)
+	for i := range rows {
+		rows[i] = i
+	}
+	warmed, err := r.warmCache(0, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hook.starts != chunks {
+		t.Fatalf("%d rows warmed in %d gathers, want %d chunks of %d", len(rows), hook.starts, chunks, maxSub)
+	}
+	if warmed != cache.len() || warmed != (chunks-1)*maxSub {
+		t.Fatalf("warmCache reports %d rows cached, the cache holds %d, want both %d", warmed, cache.len(), (chunks-1)*maxSub)
+	}
+	for _, row := range rows[maxSub : 2*maxSub] {
+		if _, ok := cache.get(row); ok {
+			t.Fatalf("row %d was gathered while the update landed and must not be cached", row)
+		}
+	}
+
+	// The next read misses the dropped chunk and the updated row, and the
+	// cache serves the rest: bit-identical to the golden model either way.
+	req := [][]int{{0, maxSub, 2 * maxSub, 1}, {300, 300, 5, 5}}
+	got, err := r.EmbedInto(nil, req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := golden.Embedding.Forward(req, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want.Data()) {
+		t.Fatal("post-warm read differs from golden")
 	}
 }

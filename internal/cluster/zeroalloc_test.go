@@ -92,3 +92,45 @@ func TestClusterHitZeroAlloc(t *testing.T) { pinEmbedInto(t, 256<<10) }
 // servers, then Call.Wait on each, over serve.Pending handles — which the
 // warm-cache pin touches about once per thousand requests.
 func TestClusterMissZeroAlloc(t *testing.T) { pinEmbedInto(t, 0) }
+
+// TestRowCacheZeroAlloc pins the cache itself: on a cache at capacity, a
+// probe batch, the fill of its misses (every insert evicts) and an
+// invalidation recycle slab slots in place — no entry, list node or payload
+// is ever allocated.
+func TestRowCacheZeroAlloc(t *testing.T) {
+	const dim, capRows, localRows, batch = 64, 32, 256, 16
+	c := newRowCache(capRows*dim*4, dim, localRows)
+	rows, hit := make([]int, batch), make([]bool, batch)
+	dst, vecs := make([]float32, batch*dim), make([]float32, batch*dim)
+	misses := make([]int, 0, batch)
+	next := 0
+	cycle := func() {
+		for k := range rows {
+			rows[k] = (next + k) % localRows // the first half was filled one cycle ago
+		}
+		next += batch / 2
+		ver := c.probe(rows, hit, dst)
+		misses = misses[:0]
+		for k, row := range rows {
+			if !hit[k] {
+				misses = append(misses, row)
+			}
+		}
+		c.fill(misses, vecs, ver)
+		c.invalidate(rows[:2])
+	}
+	for i := 0; i < 4*localRows/batch; i++ {
+		cycle()
+	}
+	if c.len() < capRows-2 {
+		t.Fatalf("cache holds %d rows after warm-up, want it at its %d-row capacity", c.len(), capRows)
+	}
+	hits, evicted := c.hits.Load(), c.invalidations.Load()
+	if got := testing.AllocsPerRun(200, cycle); got != 0 {
+		t.Fatalf("probe + fill + invalidate allocates %v times per cycle, want 0", got)
+	}
+	if c.hits.Load() == hits || c.invalidations.Load() == evicted {
+		t.Fatalf("measured cycles took %d hits and %d invalidations: the pin must exercise both",
+			c.hits.Load()-hits, c.invalidations.Load()-evicted)
+	}
+}

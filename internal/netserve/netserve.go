@@ -749,7 +749,7 @@ func (s *Server) executor() {
 		// The queue hop closes here for expired tasks too — their trace
 		// shows exactly where the budget died.
 		if s.tracer != nil {
-			t.span.Mark(netHopQueue)
+			t.span.MarkAt(netHopQueue, start)
 		}
 		if t.expired(start) {
 			// The budget lapsed in the queue: the client has moved on, so
@@ -790,10 +790,10 @@ func (s *Server) executor() {
 		case wire.OpRestore:
 			t.resp = s.executeRestore(t)
 		}
-		exec := time.Since(start).Seconds()
-		s.lat.Observe(exec)
+		end := time.Now()
+		s.lat.Observe(end.Sub(start).Seconds())
 		if s.tracer != nil {
-			t.span.Mark(netHopExec)
+			t.span.MarkAt(netHopExec, end)
 		}
 		s.inflight.Add(-1)
 		// The task already owes its response (owed was incremented at
@@ -1018,8 +1018,9 @@ func (t *task) expired(now time.Time) bool {
 // feeds the slow ring before the slot is recycled.
 func (s *Server) putTask(t *task) {
 	if s.tracer != nil && t.span.Active() {
-		t.span.Mark(netHopFlush)
-		s.tracer.Finish(&t.span)
+		now := time.Now()
+		t.span.MarkAt(netHopFlush, now)
+		s.tracer.FinishAt(&t.span, now)
 	}
 	t.span.Reset()
 	t.c = nil

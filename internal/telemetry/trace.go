@@ -47,11 +47,15 @@ func (sp *Span) BeginAt(t time.Time) {
 // Mark attributes the time since the previous mark (or Begin) to hop.
 // Out-of-range hops and un-begun spans are ignored, so instrumentation
 // can be sprinkled without nil-state checks at every site.
-func (sp *Span) Mark(hop int) {
+func (sp *Span) Mark(hop int) { sp.MarkAt(hop, time.Now()) }
+
+// MarkAt is Mark with the hop closing at now — for an owner that already
+// read the clock at that boundary (for its own latency observation, say)
+// and should not pay for a second read.
+func (sp *Span) MarkAt(hop int, now time.Time) {
 	if hop < 0 || hop >= MaxHops || sp.start.IsZero() {
 		return
 	}
-	now := time.Now()
 	sp.hops[hop] += now.Sub(sp.last).Nanoseconds()
 	sp.last = now
 }
@@ -99,11 +103,16 @@ func (r *Registry) Tracer(name string, slow time.Duration, hopNames []string, la
 // threshold, its hop breakdown is copied into the shared slow ring. The
 // span stays usable (read or reset) by its owner afterwards. Inactive
 // spans are ignored. Never allocates.
-func (t *Tracer) Finish(sp *Span) {
+func (t *Tracer) Finish(sp *Span) { t.FinishAt(sp, time.Now()) }
+
+// FinishAt is Finish with the span ending at now, the counterpart of
+// Span.MarkAt: a span whose last hop was marked at the same now has no
+// unattributed remainder.
+func (t *Tracer) FinishAt(sp *Span, now time.Time) {
 	if sp.start.IsZero() {
 		return
 	}
-	total := time.Since(sp.start)
+	total := now.Sub(sp.start)
 	if total < t.slow {
 		return
 	}

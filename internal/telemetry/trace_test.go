@@ -52,6 +52,39 @@ func TestSpanHops(t *testing.T) {
 	}
 }
 
+// TestSpanMarkAtFinishAt checks the caller-supplied-clock variants with
+// exact stamps: hops are the differences between them, one stamp shared by
+// the last MarkAt and FinishAt leaves no unattributed remainder, and the
+// threshold and the inactive-span rule apply as for Mark/Finish.
+func TestSpanMarkAtFinishAt(t *testing.T) {
+	reg := NewRegistry()
+	tr := reg.Tracer("at", time.Millisecond, []string{"queue", "exec"})
+	t0 := time.Now()
+	var sp Span
+	sp.MarkAt(0, t0)     // ignored: not begun
+	tr.FinishAt(&sp, t0) // ignored: not begun
+	sp.BeginAt(t0)
+	sp.MarkAt(0, t0.Add(300*time.Microsecond))
+	end := t0.Add(900 * time.Microsecond)
+	sp.MarkAt(1, end)
+	tr.FinishAt(&sp, end)
+	if got := len(reg.SlowRequests()); got != 0 {
+		t.Fatalf("a 900us span entered a 1ms ring: %d entries", got)
+	}
+	end = t0.Add(2 * time.Millisecond)
+	sp.MarkAt(1, end)
+	sp.MarkAt(MaxHops, end.Add(time.Hour)) // ignored: out of range
+	tr.FinishAt(&sp, end)
+	slow := reg.SlowRequests()
+	if len(slow) != 1 {
+		t.Fatalf("slow ring has %d entries, want 1", len(slow))
+	}
+	sr := slow[0]
+	if sr.Hops[0].Nanos != 300_000 || sr.Hops[1].Nanos != 1_700_000 || sr.TotalNanos != 2_000_000 {
+		t.Fatalf("hops %+v total %d, want 300us + 1.7ms = 2ms exactly", sr.Hops, sr.TotalNanos)
+	}
+}
+
 // TestSpanStateDiscipline checks the pooled-object contract: inactive
 // spans ignore Mark/Finish, Reset clears, out-of-range hops are dropped.
 func TestSpanStateDiscipline(t *testing.T) {
