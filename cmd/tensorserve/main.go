@@ -1,8 +1,9 @@
 // Command tensorserve drives the serving stack with a synthetic open-loop
 // workload: requests arrive at a fixed rate regardless of completion (the
-// arrival model of a production front-end), the server coalesces them into
-// merged near-memory embedding executions, and the run ends with a
-// throughput and latency report (p50/p95/p99).
+// arrival model of a production front-end), the server coalesces whatever
+// queues behind its busy workers into merged near-memory embedding
+// executions — a lone request never waits for company — and the run ends
+// with a throughput and latency report (p50/p95/p99).
 //
 // With -nodes N (N > 1) it drives the sharded cluster instead of a single
 // node: the model is split table-wise or row-wise across N TensorNodes,
@@ -56,6 +57,7 @@
 //
 //	tensorserve                                  # YouTube-class model, defaults
 //	tensorserve -model facebook -rate 500 -duration 3s
+//	tensorserve -rate 4000 -duration 1s          # saturate: mean batch ~40
 //	tensorserve -model ncf -batch 4 -maxbatch 32 -workers 2
 //	tensorserve -nodes 4 -shard row -cache-mb 4 -zipf -zipf-s 0.9
 //	tensorserve -nodes 4 -cache-mb 4 -zipf -update-frac 0.2
@@ -98,7 +100,6 @@ type flags struct {
 	rate      float64
 	duration  time.Duration
 	maxBatch  int
-	maxDelay  time.Duration
 	workers   int
 	zipf      bool
 	zipfS     float64
@@ -139,7 +140,6 @@ func main() {
 	flag.Float64Var(&f.rate, "rate", 1000, "offered load in requests/second (open loop)")
 	flag.DurationVar(&f.duration, "duration", 2*time.Second, "how long to offer load")
 	flag.IntVar(&f.maxBatch, "maxbatch", 64, "merged-batch cap (samples)")
-	flag.DurationVar(&f.maxDelay, "delay", 200*time.Microsecond, "micro-batching deadline")
 	flag.IntVar(&f.workers, "workers", 4, "concurrent batch executors (= deployment slots)")
 	flag.BoolVar(&f.zipf, "zipf", false, "draw Zipfian (skewed) lookup indices instead of uniform")
 	flag.Float64Var(&f.zipfS, "zipf-s", 1.2, "Zipf exponent for -zipf (0.9 matches production skew fits)")
@@ -285,7 +285,7 @@ func validate(f flags, set map[string]bool) error {
 	if f.connect != "" {
 		// The server owns the model and topology; a -connect driver setting
 		// them is a configuration that silently would not take effect.
-		for _, name := range []string{"model", "rows", "dim", "dimms", "maxbatch", "delay", "workers", "nodes", "shard", "cache-mb", "inflight"} {
+		for _, name := range []string{"model", "rows", "dim", "dimms", "maxbatch", "workers", "nodes", "shard", "cache-mb", "inflight"} {
 			if set[name] {
 				return fmt.Errorf("-%s cannot be combined with -connect: the server defines the model, topology and limits (set it on the -listen side)", name)
 			}
@@ -378,7 +378,7 @@ func validate(f flags, set map[string]bool) error {
 // handshake is validated against it), so the model flags stay legal;
 // server-side sizing flags would be silently ignored and are rejected.
 func validateJoin(f flags, set map[string]bool) error {
-	for _, name := range []string{"dimms", "delay", "workers", "cache-mb", "inflight"} {
+	for _, name := range []string{"dimms", "workers", "cache-mb", "inflight"} {
 		if set[name] {
 			return fmt.Errorf("-%s cannot be combined with -join: it sizes the serving processes (set it on the -listen -shard-id side)", name)
 		}
@@ -516,7 +516,6 @@ func makeCluster(model *tensordimm.Model, f flags, reg *tensordimm.TelemetryRegi
 		DIMMsPerNode: f.dimms,
 		MaxBatch:     f.maxBatch,
 		Workers:      f.workers,
-		MaxDelay:     f.maxDelay,
 		CacheBytes:   int64(f.cacheMB * (1 << 20)),
 	})
 	if err != nil {
@@ -527,8 +526,7 @@ func makeCluster(model *tensordimm.Model, f flags, reg *tensordimm.TelemetryRegi
 	}
 	fmt.Printf("cluster: %d shards (%s), %d TensorDIMMs each, %.1f MiB cache per shard\n",
 		f.nodes, strategy, f.dimms, f.cacheMB)
-	fmt.Printf("shards: maxBatch %d samples/request, deadline %v, %d workers each\n",
-		f.maxBatch, f.maxDelay, f.workers)
+	fmt.Printf("shards: maxBatch %d samples/request, %d workers each\n", f.maxBatch, f.workers)
 	return cl
 }
 
@@ -538,7 +536,6 @@ func makeServer(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags, re
 	nd, dep := deploySingle(model, cfg, f)
 	srv, err := tensordimm.NewServer(tensordimm.ServeConfig{
 		MaxBatch: f.maxBatch,
-		MaxDelay: f.maxDelay,
 		Workers:  f.workers,
 	}, dep)
 	if err != nil {
@@ -549,8 +546,8 @@ func makeServer(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags, re
 	}
 	fmt.Printf("node: %d TensorDIMMs, %.0f MiB pool, %d B stripe\n",
 		nd.NodeDim(), float64(nd.CapacityBytes())/(1<<20), nd.StripeBytes())
-	fmt.Printf("server: maxBatch %d, deadline %v, %d workers, %d lanes\n",
-		f.maxBatch, f.maxDelay, f.workers, f.workers*cfg.Tables)
+	fmt.Printf("server: maxBatch %d, %d workers, %d lanes\n",
+		f.maxBatch, f.workers, f.workers*cfg.Tables)
 	return nd, srv
 }
 

@@ -16,7 +16,7 @@ func defaults() flags {
 	return flags{
 		modelName: "youtube", rows: 4000, dim: 256, dimms: 8, batch: 1,
 		rate: 1000, duration: 2 * time.Second, maxBatch: 64,
-		maxDelay: 200 * time.Microsecond, workers: 4, zipfS: 1.2, seed: 1,
+		workers: 4, zipfS: 1.2, seed: 1,
 		nodes: 1, shard: "table", conns: 2, inflight: 256, shardID: -1,
 	}
 }

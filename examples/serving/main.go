@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"log"
 	"sync"
-	"time"
 
 	"tensordimm"
 	"tensordimm/internal/tensor"
@@ -47,11 +46,8 @@ func main() {
 		cfg.Name, cfg.Tables, cfg.TableRows, dep.Slots(), dep.Lanes())
 
 	// The server coalesces concurrent requests into merged batches of up
-	// to maxBatch samples, waiting at most 500us for co-riders.
-	srv, err := tensordimm.NewServer(tensordimm.ServeConfig{
-		MaxBatch: maxBatch,
-		MaxDelay: 500 * time.Microsecond,
-	}, dep)
+	// to maxBatch samples: whatever queued while its workers were busy.
+	srv, err := tensordimm.NewServer(tensordimm.ServeConfig{MaxBatch: maxBatch}, dep)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -89,10 +89,6 @@ type Config struct {
 	// Workers is each shard server's concurrent executor count (and its
 	// deployment's slots and lanes). Defaults to 2.
 	Workers int
-	// MaxDelay is each shard server's micro-batching deadline. Zero
-	// defaults to 100us: sub-requests already carry a whole cluster
-	// request's misses, so shards wait only briefly for co-riders.
-	MaxDelay time.Duration
 	// CacheBytes is the per-shard hot-row cache capacity in bytes. Zero
 	// (or anything smaller than one row) disables caching.
 	CacheBytes int64
@@ -112,9 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Workers == 0 {
 		c.Workers = 2
-	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 100 * time.Microsecond
 	}
 	if c.Fabric.Ports == 0 {
 		c.Fabric = interconnect.NVSwitch(c.Nodes + 1)
@@ -180,9 +173,9 @@ func New(m *recsys.Model, cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: embedding dim %d must be a multiple of DIMMsPerNode x 16 = %d",
 			mc.EmbDim, stripeElems)
 	}
-	if cfg.MaxBatch < 0 || cfg.Workers < 0 || cfg.MaxDelay < 0 || cfg.CacheBytes < 0 {
-		return nil, fmt.Errorf("cluster: negative sizing (MaxBatch %d, Workers %d, MaxDelay %v, CacheBytes %d)",
-			cfg.MaxBatch, cfg.Workers, cfg.MaxDelay, cfg.CacheBytes)
+	if cfg.MaxBatch < 0 || cfg.Workers < 0 || cfg.CacheBytes < 0 {
+		return nil, fmt.Errorf("cluster: negative sizing (MaxBatch %d, Workers %d, CacheBytes %d)",
+			cfg.MaxBatch, cfg.Workers, cfg.CacheBytes)
 	}
 
 	c := &Cluster{
@@ -249,7 +242,6 @@ func (c *Cluster) buildShard(s int) (*shard, error) {
 	}
 	sh.srv, err = serve.New(serve.Config{
 		MaxBatch: maxSub,
-		MaxDelay: c.cfg.MaxDelay,
 		Workers:  c.cfg.Workers,
 	}, dep)
 	if err != nil {

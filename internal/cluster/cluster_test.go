@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"tensordimm/internal/isa"
 	"tensordimm/internal/recsys"
@@ -442,14 +441,5 @@ func TestMetricsString(t *testing.T) {
 	}
 	if c.Nodes() != 2 || c.Config().Workers == 0 {
 		t.Fatal("accessors")
-	}
-}
-
-// TestMaxDelayDefault pins the cluster's shard-server deadline default.
-func TestMaxDelayDefault(t *testing.T) {
-	mc := testConfig(1, 1, 64, false, isa.RAdd)
-	c, _ := buildCluster(t, mc, Config{Nodes: 1})
-	if c.cfg.MaxDelay != 100*time.Microsecond {
-		t.Fatalf("MaxDelay default = %v, want 100us", c.cfg.MaxDelay)
 	}
 }

@@ -1,7 +1,7 @@
 package serve
 
-// Buffer-reuse aliasing tests: the serving path pools requests, merged
-// batches and worker scratch, and EmbedInto writes into caller buffers. A
+// Buffer-reuse aliasing tests: the serving path pools requests, reuses each
+// worker's scratch, and EmbedInto writes into caller buffers. A
 // put-before-last-read bug in any of those pools would surface as a result
 // buffer changing after its request returned. These tests run mixed
 // Embed/EmbedInto/Update traffic concurrently (run them under -race) and

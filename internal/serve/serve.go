@@ -9,11 +9,13 @@
 // the observation RecNMP (Ke et al., 2020) quantifies for production
 // traffic. The server closes that gap with two mechanisms:
 //
-//   - dynamic micro-batching: requests against the model are coalesced into
-//     one merged embedding execution, up to MaxBatch samples or until the
-//     oldest waiting request has aged MaxDelay, whichever comes first. The
-//     per-sample GATHER/REDUCE semantics are positional, so a merged batch
-//     is bit-identical to running each request alone;
+//   - dynamic micro-batching: a worker that picks up a request also takes
+//     whatever else is already queued, up to MaxBatch samples, and runs it all
+//     as one merged embedding execution. Nothing waits for company: an idle
+//     worker starts a lone request at once, and requests coalesce exactly when
+//     they queue behind busy workers. The per-sample GATHER/REDUCE semantics
+//     are positional, so a merged batch is bit-identical to running each
+//     request alone;
 //
 //   - a worker pool over the deployment's execution slots: each worker runs
 //     a merged batch whose per-table programs fan out across the
@@ -25,7 +27,7 @@
 // replica, in arrival order — before the merged embedding executes, so an
 // update never loses to a read it was coalesced with on the same rows.
 //
-// Every entry point is a submit (hand the request to the batcher) followed
+// Every entry point is a submit (put the request on the queue) followed
 // by an await (block for its reply). The blocking calls — Infer, Embed,
 // EmbedInto, Update — do both; StartEmbedInto and Pending.Wait expose the
 // two halves of an embedding read, so a caller with sub-requests for several
@@ -55,45 +57,25 @@ const (
 	hopExec
 )
 
-// Config tunes the serving runtime. The zero value of every field selects a
-// sensible default at New; negative values are invalid and rejected by New
-// (they are never silently replaced by a default, so a sign bug in a caller
-// surfaces as an error instead of a 200us deadline).
-//
-// Pooled-buffer invariant. The server recycles its per-request and
-// per-batch objects and gives every worker goroutine one private scratch
-// (merged index lists and embedding read-back buffer, sized by MaxBatch).
-// That is safe because (a) a merged batch is owned by exactly one worker
-// from dispatch until its last member reply is sent, and (b) the batcher
-// caps a batch's member count at QueueDepth, which sizes the pooled member
-// arrays. New therefore rejects QueueDepth < Workers: a submission queue
-// shallower than the worker pool could not have fed every executing worker
-// from distinct queue slots, so the batch freelist sizing — Workers
-// executing plus QueueDepth queued — would no longer bound how many batches
-// are simultaneously live, and a recycled batch could alias one still being
-// drained. See ARCHITECTURE.md, "Memory discipline".
+// Config sizes the serving runtime. The zero value of either field selects
+// a sensible default at New; negative values are invalid and rejected by New
+// (never silently replaced by a default, so a sign bug in a caller surfaces
+// as an error).
 type Config struct {
 	// MaxBatch caps how many samples one merged embedding execution may
 	// carry. Zero defaults to the smallest MaxBatch of the deployments;
 	// negative is invalid.
 	MaxBatch int
-	// MaxDelay bounds how long the oldest request of a forming batch waits
-	// for co-riders before the batch is dispatched anyway. Zero defaults to
-	// 200us — far below a recommender's latency SLO, long enough to
-	// coalesce under load. Negative is invalid: a negative deadline would
-	// make every timer fire immediately, silently disabling micro-batching.
-	MaxDelay time.Duration
-	// Workers is the number of merged batches executed concurrently. Zero
-	// defaults to the total execution slots across the deployments;
-	// negative is invalid.
+	// Workers is the number of merged batches executed concurrently — the
+	// server's only goroutines. Zero defaults to the total execution slots
+	// across the deployments; negative is invalid.
 	Workers int
-	// QueueDepth is the submission queue capacity; submissions beyond it
-	// block. Zero defaults to 256 or Workers, whichever is larger (the
-	// pooled batch buffers require QueueDepth >= Workers, so the default
-	// must track a large worker pool rather than reject it); negative is
-	// invalid.
-	QueueDepth int
 }
+
+// queueDepth is the submission queue capacity (submissions beyond it block)
+// and the cap on one merged batch's member count, which sizes every worker's
+// member arrays.
+const queueDepth = 256
 
 // validate rejects negative settings. Zero values are legal (they select
 // defaults in withDefaults); anything below zero is a caller bug.
@@ -101,23 +83,14 @@ func (c Config) validate() error {
 	if c.MaxBatch < 0 {
 		return fmt.Errorf("serve: MaxBatch %d is negative (use 0 for the default)", c.MaxBatch)
 	}
-	if c.MaxDelay < 0 {
-		return fmt.Errorf("serve: MaxDelay %v is negative (use 0 for the 200us default)", c.MaxDelay)
-	}
 	if c.Workers < 0 {
 		return fmt.Errorf("serve: Workers %d is negative (use 0 for the default)", c.Workers)
 	}
-	if c.QueueDepth < 0 {
-		return fmt.Errorf("serve: QueueDepth %d is negative (use 0 for the default)", c.QueueDepth)
-	}
-	// QueueDepth >= Workers is enforced in New after defaulting, where both
-	// values are final.
 	return nil
 }
 
 // withDefaults fills every zero field with its documented default. It must
-// run after validate: it only ever replaces exact zeros, so a negative
-// value would otherwise leak through to the batcher's timer.
+// run after validate: it only ever replaces exact zeros.
 func (c Config) withDefaults(deps []*runtime.Deployment) Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = deps[0].MaxBatch()
@@ -127,18 +100,9 @@ func (c Config) withDefaults(deps []*runtime.Deployment) Config {
 			}
 		}
 	}
-	if c.MaxDelay == 0 {
-		c.MaxDelay = 200 * time.Microsecond
-	}
 	if c.Workers == 0 {
 		for _, d := range deps {
 			c.Workers += d.Slots()
-		}
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 256
-		if c.Workers > c.QueueDepth {
-			c.QueueDepth = c.Workers
 		}
 	}
 	return c
@@ -186,19 +150,12 @@ func putRequest(r *request) {
 	reqPool.Put(r)
 }
 
-// mergedBatch is a coalesced group of requests dispatched as one execution.
-// Batches are pooled per server; the owning worker recycles the batch after
-// the last member reply is sent (see the Config invariant).
-type mergedBatch struct {
-	reqs  []*request
-	total int // sum of request batches
-}
-
-// workerScratch is one worker goroutine's private execution scratch: the
-// partition of a batch into updates and reads, the merged per-table index
-// lists, and the embedding read-back buffer. Sized once from the server
-// geometry, reused for every batch the worker executes.
+// workerScratch is one worker goroutine's private scratch: the members of
+// the batch it is forming or executing, their partition into updates and
+// reads, the merged per-table index lists, and the embedding read-back
+// buffer. Sized once from the server geometry, reused for every batch.
 type workerScratch struct {
+	reqs   []*request
 	ups    []*request
 	reads  []*request
 	merged [][]int
@@ -213,22 +170,21 @@ type workerScratch struct {
 type Server struct {
 	cfg  Config
 	deps []*runtime.Deployment
+	// writeThrough[i] marks deployment i as the first of its golden model:
+	// it applies an update or restore to the golden too, later replicas of
+	// the same model to their node copy only, so a shared golden absorbs
+	// each write exactly once.
+	writeThrough []bool
 
 	tables, dim, reduction int // model geometry, cached for the hot path
 	width                  int // tables*dim, the embedding row width
-
-	// mbPool recycles mergedBatch objects between the batcher and the
-	// workers; see the Config invariant for why its sizing is safe.
-	mbPool sync.Pool
 
 	mu       sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup // submits accepted but not yet enqueued
 	queue    chan *request
 
-	dispatch  chan *mergedBatch
-	batcherWG sync.WaitGroup
-	workerWG  sync.WaitGroup
+	workerWG sync.WaitGroup
 
 	// closeDone is closed once the first Close has fully drained and
 	// released; every Close call waits on it, so no caller returns while
@@ -287,8 +243,8 @@ func (s *Server) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) 
 }
 
 // New validates the deployments (same model geometry everywhere, batching
-// cap within every deployment's capacity), starts the batcher and worker
-// goroutines, and returns a serving handle.
+// cap within every deployment's capacity), starts the worker goroutines,
+// and returns a serving handle.
 func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 	if len(deps) == 0 {
 		return nil, fmt.Errorf("serve: at least one deployment required")
@@ -315,10 +271,6 @@ func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 				cfg.MaxBatch, i, d.MaxBatch())
 		}
 	}
-	if cfg.QueueDepth < cfg.Workers {
-		return nil, fmt.Errorf("serve: QueueDepth %d is below Workers %d; the pooled batch buffers are sized "+
-			"for QueueDepth queued plus Workers executing batches (see Config)", cfg.QueueDepth, cfg.Workers)
-	}
 	s := &Server{
 		cfg:       cfg,
 		deps:      deps,
@@ -326,18 +278,17 @@ func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 		dim:       ref.EmbDim,
 		reduction: ref.Reduction,
 		width:     ref.Tables * ref.EmbDim,
-		queue:     make(chan *request, cfg.QueueDepth),
-		dispatch:  make(chan *mergedBatch, cfg.Workers),
+		queue:     make(chan *request, queueDepth),
 		closeDone: make(chan struct{}),
 		started:   time.Now(),
 		queueLat:  telemetry.NewHistogram(),
 		totalLat:  telemetry.NewHistogram(),
 	}
-	s.mbPool.New = func() any {
-		return &mergedBatch{reqs: make([]*request, 0, cfg.QueueDepth)}
+	seen := make(map[*recsys.Model]bool, len(deps))
+	for _, d := range deps {
+		s.writeThrough = append(s.writeThrough, !seen[d.Model])
+		seen[d.Model] = true
 	}
-	s.batcherWG.Add(1)
-	go s.batcher()
 	for w := 0; w < cfg.Workers; w++ {
 		s.workerWG.Add(1)
 		go s.worker()
@@ -395,8 +346,8 @@ func (s *Server) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]fl
 type Pending struct{ req *request }
 
 // StartEmbedInto is the submit half of EmbedInto: it validates the read,
-// sizes dst (grown if its capacity is insufficient), hands the request to
-// the batcher and returns without waiting for the result, so a caller with
+// sizes dst (grown if its capacity is insufficient), queues the request
+// and returns without waiting for the result, so a caller with
 // sub-requests for several servers can have all of them queued before it
 // blocks on any. It blocks only while the submission queue is full. Close
 // drains a started read like any other accepted request: its Wait delivers
@@ -498,9 +449,9 @@ func (s *Server) Update(ups []runtime.TableUpdate) error {
 	return err
 }
 
-// submit hands one request to the batcher without waiting for its result —
-// the one way into the queue for reads, inferences and updates alike. A
-// refused request is recycled here.
+// submit queues one request without waiting for its result — the one way
+// into the queue for reads, inferences and updates alike. A refused request
+// is recycled here.
 func (s *Server) submit(req *request) error {
 	s.mu.Lock()
 	if s.closed {
@@ -527,20 +478,25 @@ func await(req *request) (*tensor.Tensor, error) {
 	return r.out, r.err
 }
 
-// batcher coalesces submissions into merged batches: a batch closes when it
-// reaches MaxBatch samples, when the oldest member has waited MaxDelay, or
-// when the queue shuts down.
-func (s *Server) batcher() {
-	defer s.batcherWG.Done()
-	defer close(s.dispatch)
-	// One timer serves every batch (armed per batch with Reset). A stale
-	// fire that slips between Stop and the drain below only dispatches the
-	// next batch early — never incorrectly.
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
+// worker is the only goroutine between submit and execute. It blocks for
+// a first request, takes whatever else is already queued — never waiting for
+// more — up to MaxBatch samples, and executes the lot on its private
+// scratch. A request that does not fit the forming batch stays with this
+// worker as pending and heads its next batch, so it waits for one execution,
+// and only when the backlog exceeds MaxBatch. The loop ends once the closed
+// queue is drained and pending has run.
+func (s *Server) worker() {
+	defer s.workerWG.Done()
+	ws := &workerScratch{
+		reqs:   make([]*request, 0, queueDepth),
+		ups:    make([]*request, 0, queueDepth),
+		reads:  make([]*request, 0, queueDepth),
+		merged: make([][]int, s.tables),
+		emb:    make([]float32, s.cfg.MaxBatch*s.width),
 	}
-	defer timer.Stop()
+	for t := range ws.merged {
+		ws.merged[t] = make([]int, 0, s.cfg.MaxBatch*s.reduction)
+	}
 	var pending *request
 	for {
 		first := pending
@@ -552,56 +508,28 @@ func (s *Server) batcher() {
 			}
 			first = r
 		}
-		mb := s.mbPool.Get().(*mergedBatch)
-		mb.reqs = append(mb.reqs[:0], first)
-		mb.total = first.batch
-		timer.Reset(s.cfg.MaxDelay)
-		fired := false
+		ws.reqs = append(ws.reqs[:0], first)
+		total := first.batch
 	collect:
 		// Updates contribute zero samples to total, so the member cap keeps
 		// an update flood from growing one merged batch without bound.
-		for mb.total < s.cfg.MaxBatch && len(mb.reqs) < s.cfg.QueueDepth {
+		for total < s.cfg.MaxBatch && len(ws.reqs) < queueDepth {
 			select {
 			case r, ok := <-s.queue:
 				if !ok {
 					break collect
 				}
-				if mb.total+r.batch > s.cfg.MaxBatch {
-					pending = r // head-of-line for the next batch
+				if total+r.batch > s.cfg.MaxBatch {
+					pending = r
 					break collect
 				}
-				mb.reqs = append(mb.reqs, r)
-				mb.total += r.batch
-			case <-timer.C:
-				fired = true
+				ws.reqs = append(ws.reqs, r)
+				total += r.batch
+			default:
 				break collect
 			}
 		}
-		if !fired && !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		s.dispatch <- mb
-	}
-}
-
-// worker executes merged batches on its private scratch until the dispatch
-// channel drains.
-func (s *Server) worker() {
-	defer s.workerWG.Done()
-	ws := &workerScratch{
-		ups:    make([]*request, 0, s.cfg.QueueDepth),
-		reads:  make([]*request, 0, s.cfg.QueueDepth),
-		merged: make([][]int, s.tables),
-		emb:    make([]float32, s.cfg.MaxBatch*s.width),
-	}
-	for t := range ws.merged {
-		ws.merged[t] = make([]int, 0, s.cfg.MaxBatch*s.reduction)
-	}
-	for mb := range s.dispatch {
-		s.execute(mb, ws)
+		s.execute(ws, total)
 	}
 }
 
@@ -609,10 +537,10 @@ func (s *Server) worker() {
 // so an update never loses to a read it was coalesced with on the same
 // rows), then the merged embedding for the member reads on the next
 // deployment replica, fanning results back out to the member requests.
-// The batch is recycled once the last member reply has been sent.
-func (s *Server) execute(mb *mergedBatch, ws *workerScratch) {
+// ws.reqs holds the members, total their summed samples.
+func (s *Server) execute(ws *workerScratch, total int) {
 	start := time.Now()
-	for _, r := range mb.reqs {
+	for _, r := range ws.reqs {
 		wait := start.Sub(r.enq).Seconds()
 		s.queueLat.Observe(wait)
 		if s.tracer != nil {
@@ -623,15 +551,13 @@ func (s *Server) execute(mb *mergedBatch, ws *workerScratch) {
 
 	// Partition: updates apply before any member read executes.
 	ws.ups, ws.reads = ws.ups[:0], ws.reads[:0]
-	for _, r := range mb.reqs {
+	for _, r := range ws.reqs {
 		if r.updates != nil {
 			ws.ups = append(ws.ups, r)
 		} else {
 			ws.reads = append(ws.reads, r)
 		}
 	}
-	total := mb.total
-	s.recycleBatch(mb)
 	if len(ws.ups) > 0 {
 		s.applyUpdates(ws.ups)
 	}
@@ -704,17 +630,6 @@ func (s *Server) execute(mb *mergedBatch, ws *workerScratch) {
 	}
 }
 
-// recycleBatch clears a merged batch's member references and returns it to
-// the pool. Safe at the top of execute because the member requests are
-// already partitioned into the worker's scratch.
-func (s *Server) recycleBatch(mb *mergedBatch) {
-	for i := range mb.reqs {
-		mb.reqs[i] = nil
-	}
-	mb.reqs, mb.total = mb.reqs[:0], 0
-	s.mbPool.Put(mb)
-}
-
 // applyUpdates applies a merged batch's update requests in arrival order,
 // replying to each. The server-wide update lock makes the per-request
 // replica fan-out atomic: concurrent workers cannot interleave two updates
@@ -744,19 +659,15 @@ func (s *Server) applyUpdates(reqs []*request) {
 	}
 }
 
-// fanOutUpdate applies one update batch to every replica deployment. The
-// first deployment of each distinct golden model writes through to it;
-// further replicas of the same model update their node copy only, so a
-// shared golden absorbs each gradient exactly once.
+// fanOutUpdate applies one update batch to every replica deployment (see
+// writeThrough for which of them also update their golden model).
 func (s *Server) fanOutUpdate(ups []runtime.TableUpdate) error {
-	seen := make(map[*recsys.Model]bool, len(s.deps))
 	for i, d := range s.deps {
 		var err error
-		if seen[d.Model] {
-			err = d.ApplyUpdatesToNode(ups)
-		} else {
-			seen[d.Model] = true
+		if s.writeThrough[i] {
 			err = d.ApplyUpdates(ups)
+		} else {
+			err = d.ApplyUpdatesToNode(ups)
 		}
 		if err != nil {
 			return fmt.Errorf("replica %d: %w", i, err)
@@ -804,14 +715,12 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 	defer s.upMu.Unlock()
 	s.tblMu.Lock()
 	defer s.tblMu.Unlock()
-	seen := make(map[*recsys.Model]bool, len(s.deps))
 	for i, d := range s.deps {
 		var err error
-		if seen[d.Model] {
-			err = d.RestoreRowsToNode(table, rows, vals)
-		} else {
-			seen[d.Model] = true
+		if s.writeThrough[i] {
 			err = d.RestoreRows(table, rows, vals)
+		} else {
+			err = d.RestoreRowsToNode(table, rows, vals)
 		}
 		if err != nil {
 			return fmt.Errorf("serve: restore: replica %d: %w", i, err)
@@ -821,11 +730,11 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 }
 
 // Close stops accepting requests, drains everything already submitted
-// (pending micro-batches execute and reply — reads and updates alike, so a
-// caller blocked in Infer, Embed or Update always gets its result), stops
-// the batcher and workers, and releases the owned deployments. It is
-// idempotent, and every call — including concurrent ones — returns only
-// after the drain has completed; requests submitted after Close fail fast.
+// (queued requests execute and reply — reads and updates alike, so a caller
+// blocked in Infer, Embed or Update always gets its result), stops the
+// workers, and releases the owned deployments. It is idempotent, and every
+// call — including concurrent ones — returns only after the drain has
+// completed; requests submitted after Close fail fast.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -833,7 +742,6 @@ func (s *Server) Close() error {
 		s.mu.Unlock()
 		s.inflight.Wait() // every accepted submit has reached the queue
 		close(s.queue)
-		s.batcherWG.Wait()
 		s.workerWG.Wait()
 		for _, d := range s.deps {
 			if err := d.Release(); err != nil && s.closeErr == nil {

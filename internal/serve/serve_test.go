@@ -1,10 +1,10 @@
 package serve
 
 import (
+	goruntime "runtime"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"tensordimm/internal/isa"
 	"tensordimm/internal/node"
@@ -98,13 +98,13 @@ func TestSubmitValidation(t *testing.T) {
 }
 
 // TestConcurrentClientsMatchGolden is the core serving guarantee: many
-// concurrent clients, merged arbitrarily by the batcher, each get results
+// concurrent clients, merged arbitrarily by the workers, each get results
 // bitwise-identical to the golden (unbatched, pure-software) model. Run
 // with -race.
 func TestConcurrentClientsMatchGolden(t *testing.T) {
 	cfg := testConfig(3, 4, 128, true, isa.RAdd)
 	dep := newDeployment(t, cfg, 16, 2, 2*cfg.Tables)
-	s, err := New(Config{MaxBatch: 16, MaxDelay: 2 * time.Millisecond}, dep)
+	s, err := New(Config{MaxBatch: 16}, dep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func errMismatch(c, i int) error { return errMismatch2{c, i} }
 func TestInferMatchesUnbatchedModel(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RMul) // NCF-class pairwise path
 	dep := newDeployment(t, cfg, 8, 2, 4)
-	s, err := New(Config{MaxDelay: time.Millisecond}, dep)
+	s, err := New(Config{}, dep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,48 +207,143 @@ func TestInferMatchesUnbatchedModel(t *testing.T) {
 	}
 }
 
-// TestBatchingCoalesces floods a single-worker server and verifies the
-// batcher actually merges: far fewer executions than requests.
-func TestBatchingCoalesces(t *testing.T) {
-	cfg := testConfig(2, 5, 128, true, isa.RAdd)
-	dep := newDeployment(t, cfg, 32, 1, cfg.Tables)
-	s, err := New(Config{MaxBatch: 32, MaxDelay: 20 * time.Millisecond, Workers: 1}, dep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const requests = 64
-	var wg sync.WaitGroup
-	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
-	rowSets := make([][][]int, requests)
-	for i := range rowSets {
-		rowSets[i] = gen.Batch(cfg.Tables, 1, cfg.Reduction)
-	}
-	errs := make([]error, requests)
-	for i := 0; i < requests; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = s.Infer(rowSets[i], 1)
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
+// stall holds the table barrier exclusively, so a worker that executes a
+// read blocks at its gather until the returned release runs: requests pile
+// up behind busy workers on the test's say-so, not a clock's.
+func stall(s *Server) (release func()) {
+	s.tblMu.Lock()
+	return s.tblMu.Unlock
+}
+
+// startReads starts one read of each given sample count under the server's
+// current state and returns the handles with the golden results to expect.
+func startReads(t *testing.T, s *Server, gen *workload.Generator, batches ...int) ([]Pending, [][]float32) {
+	t.Helper()
+	cfg := s.deps[0].Model.Cfg
+	pending := make([]Pending, len(batches))
+	want := make([][]float32, len(batches))
+	for i, b := range batches {
+		rows := gen.Batch(cfg.Tables, b, cfg.Reduction)
+		golden, err := s.deps[0].GoldenEmbedding(rows, b)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want[i] = golden.Data()
+		if pending[i], err = s.StartEmbedInto(nil, rows, b); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return pending, want
+}
+
+// waitGolden awaits every started read and checks it bit-identical to want.
+func waitGolden(t *testing.T, pending []Pending, want [][]float32) {
+	t.Helper()
+	for i, p := range pending {
+		got, err := p.Wait()
+		if err != nil {
+			t.Fatalf("read %d: %v", i, err)
+		}
+		if !slices.Equal(got, want[i]) {
+			t.Fatalf("read %d not bit-identical to the golden embedding", i)
+		}
+	}
+}
+
+// closeDuringStall runs Close on its own goroutine, releases the stall only
+// once Close has stopped admissions — so the drain, not a lucky schedule,
+// is what delivers the requests already accepted — and returns Close's error.
+func closeDuringStall(s *Server, release func()) error {
+	done := make(chan error, 1)
+	go func() { done <- s.Close() }()
+	for closed := false; !closed; goruntime.Gosched() {
+		s.mu.Lock()
+		closed = s.closed
+		s.mu.Unlock()
+	}
+	release()
+	return <-done
+}
+
+// TestBatchingCoalesces queues 64 single-sample reads behind a stalled
+// single worker: it took some prefix of them before it stalled and takes
+// all the rest in one go afterwards, so there are at most two executions.
+func TestBatchingCoalesces(t *testing.T) {
+	const requests = 64
+	cfg := testConfig(2, 5, 128, true, isa.RAdd)
+	dep := newDeployment(t, cfg, requests, 1, cfg.Tables)
+	s, err := New(Config{Workers: 1}, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
+	singles := make([]int, requests)
+	for i := range singles {
+		singles[i] = 1
+	}
+	release := stall(s)
+	pending, want := startReads(t, s, gen, singles...)
+	release()
+	waitGolden(t, pending, want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := s.Metrics()
-	if m.Requests != requests || m.Samples != requests {
-		t.Fatalf("metrics: %+v", m)
+	if m := s.Metrics(); m.Requests != requests || m.Samples != requests || m.Batches > 2 {
+		t.Fatalf("%d requests, %d samples in %d executions, want %d, %d in at most 2",
+			m.Requests, m.Samples, m.Batches, requests, requests)
 	}
-	if m.Batches >= requests/2 {
-		t.Fatalf("micro-batching did not coalesce: %d executions for %d requests", m.Batches, requests)
-	}
-	if m.MeanBatch <= 1.5 {
-		t.Fatalf("mean batch %.2f, want > 1.5", m.MeanBatch)
+}
+
+// TestHeadOfLineCarry pins the one place a request waits for an execution
+// it is not part of: a read that does not fit the batch a worker is forming
+// heads that worker's next one, and nothing is lost or duplicated on the way
+// — every read golden, every sample counted once.
+func TestHeadOfLineCarry(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		reads       []int // sample counts, against MaxBatch 8 on one worker
+		closeDuring bool  // Close lands before the stall is released
+		batches     uint64
+	}{
+		// 5 | 5+3 however the arrivals raced: the second 5 either queued
+		// behind the first or was taken, did not fit, and was carried.
+		{"carried or queued", []int{5, 5, 3}, false, 2},
+		// The full-batch 8 keeps the stalled worker from forming its next
+		// batch until 5, 5 and 3 are all queued, so it is certain to hold
+		// the second 5 as pending — over a queue Close has already closed.
+		{"pending across Close", []int{8, 5, 5, 3}, true, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(2, 2, 128, false, isa.RAdd)
+			s, err := New(Config{Workers: 1}, newDeployment(t, cfg, 8, 1, 2))
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 4)
+			release := stall(s)
+			pending, want := startReads(t, s, gen, tc.reads...)
+			if tc.closeDuring {
+				err = closeDuringStall(s, release)
+			} else {
+				release()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			waitGolden(t, pending, want)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			samples := 0
+			for _, b := range tc.reads {
+				samples += b
+			}
+			m := s.Metrics()
+			if m.Requests != uint64(len(tc.reads)) || m.Samples != uint64(samples) || m.Batches != tc.batches || m.Failures != 0 {
+				t.Fatalf("%d requests, %d samples, %d executions, %d failures, want %d, %d, %d, 0",
+					m.Requests, m.Samples, m.Batches, m.Failures, len(tc.reads), samples, tc.batches)
+			}
+		})
 	}
 }
 
@@ -258,7 +353,7 @@ func TestMultipleDeployments(t *testing.T) {
 	cfg := testConfig(2, 5, 128, true, isa.RAdd)
 	d1 := newDeployment(t, cfg, 8, 1, cfg.Tables)
 	d2 := newDeployment(t, cfg, 8, 1, cfg.Tables)
-	s, err := New(Config{MaxDelay: time.Millisecond}, d1, d2)
+	s, err := New(Config{}, d1, d2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,23 +430,11 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 	d := newDeployment(t, cfg, 4, 1, 1)
 	for _, bad := range []Config{
 		{Workers: -1},
-		{QueueDepth: -1},
-		{MaxDelay: -time.Millisecond},
 		{MaxBatch: -1},
 	} {
 		if _, err := New(bad, d); err == nil {
 			t.Fatalf("config %+v: want error, got server", bad)
 		}
-	}
-	// The documented zero-value behavior: MaxDelay 0 selects the 200us
-	// default rather than an always-expired batching timer.
-	s, err := New(Config{}, d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.cfg.MaxDelay != 200*time.Microsecond {
-		t.Fatalf("zero MaxDelay defaulted to %v, want 200us", s.cfg.MaxDelay)
 	}
 }
 
@@ -363,38 +446,18 @@ func TestNewRejectsNegativeConfig(t *testing.T) {
 func TestCloseDeliversStartedNotWaited(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RAdd)
 	dep := newDeployment(t, cfg, 8, 1, 2)
-	// A long batching deadline: only Close's drain can dispatch the batch
-	// before the test gives up.
-	s, err := New(Config{MaxDelay: time.Minute}, dep)
+	s, err := New(Config{}, dep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
-	var pending [3]Pending
-	var want [3][]float32
-	for i := range pending {
-		rows := gen.Batch(cfg.Tables, 2, cfg.Reduction)
-		golden, err := dep.GoldenEmbedding(rows, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = golden.Data()
-		if pending[i], err = s.StartEmbedInto(nil, rows, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
+	// Stalled, so only Close's drain can deliver the three reads.
+	release := stall(s)
+	pending, want := startReads(t, s, gen, 2, 2, 2)
+	if err := closeDuringStall(s, release); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range pending {
-		got, err := p.Wait()
-		if err != nil {
-			t.Fatalf("read %d started before Close: %v", i, err)
-		}
-		if !slices.Equal(got, want[i]) {
-			t.Fatalf("read %d not bit-identical to the golden embedding", i)
-		}
-	}
+	waitGolden(t, pending, want)
 	if _, err := s.StartEmbedInto(nil, gen.Batch(cfg.Tables, 1, cfg.Reduction), 1); err == nil {
 		t.Fatal("want error from StartEmbedInto after Close")
 	}

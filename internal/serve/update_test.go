@@ -2,9 +2,9 @@ package serve
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"tensordimm/internal/isa"
 	"tensordimm/internal/node"
@@ -86,6 +86,63 @@ func TestUpdateVisibleToLaterReads(t *testing.T) {
 	}
 }
 
+// TestUpdateAppliesBeforeCoalescedRead: an update never loses to a read it
+// shares a batch with, even one queued ahead of it. A full-batch read keeps
+// the stalled worker busy while a read of row 7 and then an update to row 7
+// queue behind it, so the two are certain to form the next batch together —
+// and the read must return the updated row.
+func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
+	cfg := testConfig(2, 2, 128, false, isa.RAdd)
+	s, err := New(Config{Workers: 1}, newDeployment(t, cfg, 8, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 8)
+	rows := [][]int{{7, 7}, {1, 2}}
+	stale, err := s.deps[0].GoldenEmbedding(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	release := stall(s)
+	filler, fillerWant := startReads(t, s, gen, 8)
+	read, err := s.StartEmbedInto(nil, rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	up := getRequest()
+	up.updates = []runtime.TableUpdate{{Table: 0, Rows: []int{7}, Grads: randGrads(rand.New(rand.NewSource(9)), 1, cfg.EmbDim)}}
+	if err := s.submit(up); err != nil {
+		t.Fatal(err)
+	}
+	release()
+
+	waitGolden(t, filler, fillerWant)
+	got, err := read.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := await(up); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := s.deps[0].GoldenEmbedding(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Equal(stale.Data(), fresh.Data()) {
+		t.Fatal("the update did not change the row the read touches")
+	}
+	if !slices.Equal(got, fresh.Data()) {
+		t.Fatal("read coalesced with an update did not observe it")
+	}
+	if m := s.Metrics(); m.Batches != 2 || m.Updates != 1 {
+		t.Fatalf("%d executions, %d updates, want 2 (8 | update+read), 1", m.Batches, m.Updates)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestUpdateReplicasStayIdentical deploys the SAME model twice (shared
 // golden) plus serves updates: every replica's node table must absorb every
 // update exactly once, and the shared golden only once.
@@ -153,8 +210,7 @@ func TestUpdateReplicasStayIdentical(t *testing.T) {
 // because each table has exactly one updater).
 func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RAdd)
-	s, err := New(Config{Workers: 2, MaxDelay: 50 * time.Microsecond},
-		newDeployment(t, cfg, 16, 2, 4))
+	s, err := New(Config{Workers: 2}, newDeployment(t, cfg, 16, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,8 +288,7 @@ func TestCloseDrainsPendingMixedTraffic(t *testing.T) {
 		rounds = 2
 	}
 	for round := 0; round < rounds; round++ {
-		s, err := New(Config{Workers: 2, MaxDelay: time.Millisecond},
-			newDeployment(t, cfg, 16, 2, 4))
+		s, err := New(Config{Workers: 2}, newDeployment(t, cfg, 16, 2, 4))
 		if err != nil {
 			t.Fatal(err)
 		}

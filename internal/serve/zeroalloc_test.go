@@ -14,6 +14,7 @@ import (
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
+	"tensordimm/internal/tensor"
 	"tensordimm/internal/workload"
 )
 
@@ -51,13 +52,12 @@ func allocsPerOp(t *testing.T, clients, ops int, op func(client int) error) uint
 	return mallocs / uint64(clients*ops)
 }
 
-// TestServeZeroAlloc pins the micro-batcher's steady-state read path —
-// EmbedInto with caller-owned buffers, 16 concurrent clients, a live
-// telemetry registry — to 0 allocs/op. The geometry (4 tables x 4096 rows
-// x dim 64, pairwise reduction, 4 DIMMs, 4-sample requests merged up to
-// 64, Zipf 0.9 over a 64-batch feed) is the one every layer's pin shares.
-func TestServeZeroAlloc(t *testing.T) {
-	const clients, batch, maxBatch, workers = 16, 4, 64, 4
+// allocPinServer builds the geometry every layer's allocation pin shares —
+// 4 tables x 4096 rows x dim 64, pairwise reduction, 4 DIMMs, merges up to
+// 64 samples on 4 workers — with a live telemetry registry.
+func allocPinServer(t *testing.T) (*Server, recsys.Config) {
+	t.Helper()
+	const maxBatch, workers = 64, 4
 	m, err := recsys.Build(recsys.Config{
 		Name: "alloc-pin", Tables: 4, Reduction: 2, FCLayers: 1,
 		EmbDim: 64, TableRows: 4096, Hidden: []int{16},
@@ -69,7 +69,7 @@ func TestServeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer nd.Close()
+	t.Cleanup(func() { nd.Close() })
 	dep, err := runtime.DeployConcurrent(m, nd, maxBatch, workers, 2*workers)
 	if err != nil {
 		t.Fatal(err)
@@ -78,16 +78,24 @@ func TestServeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(func() { srv.Close() })
 	srv.Instrument(telemetry.NewRegistry())
+	return srv, m.Cfg
+}
 
-	gen, err := workload.NewZipfGenerator(m.Cfg.TableRows, 0.9, 7)
+// TestServeZeroAlloc pins the steady-state read path — EmbedInto with
+// caller-owned buffers, 16 concurrent clients of 4-sample requests, Zipf
+// 0.9 over a 64-batch feed — to 0 allocs/op.
+func TestServeZeroAlloc(t *testing.T) {
+	const clients, batch = 16, 4
+	srv, cfg := allocPinServer(t)
+	gen, err := workload.NewZipfGenerator(cfg.TableRows, 0.9, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	feed := make([][][]int, 64)
 	for i := range feed {
-		feed[i] = gen.Batch(m.Cfg.Tables, batch, m.Cfg.Reduction)
+		feed[i] = gen.Batch(cfg.Tables, batch, cfg.Reduction)
 	}
 	dsts := make([][]float32, clients)
 	cursors := make([]int, clients)
@@ -99,5 +107,37 @@ func TestServeZeroAlloc(t *testing.T) {
 	})
 	if got != 0 {
 		t.Fatalf("steady-state EmbedInto allocates %d times per op, want 0", got)
+	}
+}
+
+// TestServeUpdateZeroAlloc pins the steady-state write path — Update with
+// caller-owned rows and gradients, 4 concurrent writers of 8-row updates —
+// to 0 allocs/op of the server's own: queueing, batching, the replica
+// fan-out under the server-wide lock and the reply add nothing to what
+// Deployment.ApplyUpdates allocates beneath them (its per-table grouping
+// and lane hand-off, logged here, belong to internal/runtime).
+func TestServeUpdateZeroAlloc(t *testing.T) {
+	const clients, rows = 4, 8
+	srv, cfg := allocPinServer(t)
+	gen, err := workload.NewZipfGenerator(cfg.TableRows, 0.9, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feed := make([][]runtime.TableUpdate, 64)
+	for i := range feed {
+		grads := tensor.New(rows, cfg.EmbDim)
+		grads.Fill(0.001)
+		feed[i] = []runtime.TableUpdate{{Table: i % cfg.Tables, Rows: gen.Indices(rows), Grads: grads}}
+	}
+	cursors := make([]int, clients)
+	next := func(c int) []runtime.TableUpdate {
+		cursors[c]++
+		return feed[(c+cursors[c]*clients)%len(feed)]
+	}
+	below := allocsPerOp(t, clients, 400, func(c int) error { return srv.deps[0].ApplyUpdates(next(c)) })
+	got := allocsPerOp(t, clients, 400, func(c int) error { return srv.Update(next(c)) })
+	if got != below {
+		t.Fatalf("steady-state Update allocates %d times per op, %d of them below the server, want 0 of its own",
+			got, below)
 	}
 }
