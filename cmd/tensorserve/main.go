@@ -119,7 +119,6 @@ type flags struct {
 	join     string
 	replicas int
 	sticky   bool
-	linger   time.Duration
 	deadline time.Duration
 
 	dataDir   string
@@ -159,7 +158,6 @@ func main() {
 	flag.StringVar(&f.join, "join", "", "drive load against replica groups of -shard-id servers: one ,-separated address group per shard, groups separated by / (e.g. :7171,:7172/:7173,:7174)")
 	flag.IntVar(&f.replicas, "replicas", 0, "with -join: require every serving shard's group to list exactly this many replicas (0 skips the check)")
 	flag.BoolVar(&f.sticky, "sticky", false, "with -join: attach read-only (sticky-shard routing) — reads go straight to each shard's replica group and updates are refused; the fleet's writer owns the update log")
-	flag.DurationVar(&f.linger, "linger", 0, "with -listen: per-connection response-coalescing linger window (0 selects the 50us default)")
 	flag.StringVar(&f.dataDir, "data-dir", "", "durability root: with -join, each shard's update WAL and snapshots live here and a restarted driver resumes from them; with -listen -nodes N, hot-row lists persist here for cache pre-warming across restarts")
 	flag.IntVar(&f.snapEvery, "snapshot-every", 0, "with -join: log entries per shard between full-table snapshots, which trim the update log (0 selects the default)")
 	flag.DurationVar(&f.deadline, "deadline", 0, "with -connect or -join: end-to-end deadline budget per request, propagated to the server so both sides shed expired work (0 disables)")
@@ -256,12 +254,6 @@ func validate(f flags, set map[string]bool) error {
 	}
 	if f.sticky && f.updFrac > 0 {
 		return fmt.Errorf("-sticky refuses -update-frac %g: a sticky (read-only) router routes no updates; drive them through the fleet's writer", f.updFrac)
-	}
-	if f.listen == "" && set["linger"] {
-		return fmt.Errorf("-linger needs -listen: the coalescing window belongs to the serving process's per-connection writer")
-	}
-	if f.linger < 0 {
-		return fmt.Errorf("-linger %v must not be negative", f.linger)
 	}
 	if f.snapEvery < 0 {
 		return fmt.Errorf("-snapshot-every %d must not be negative (0 selects the default)", f.snapEvery)
@@ -645,7 +637,7 @@ func runListen(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) {
 	if f.shardID >= 0 {
 		role = tensordimm.RoleReplica
 	}
-	srv, err := tensordimm.NewNetServer(backend, tensordimm.NetServeConfig{MaxInflight: f.inflight, Role: role, FlushLinger: f.linger, Registry: reg})
+	srv, err := tensordimm.NewNetServer(backend, tensordimm.NetServeConfig{MaxInflight: f.inflight, Role: role, Registry: reg})
 	if err != nil {
 		log.Fatal(err)
 	}

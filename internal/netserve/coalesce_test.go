@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"net"
+	goruntime "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -308,48 +309,130 @@ func TestBatchDrainCompletesSubRequests(t *testing.T) {
 	<-closeDone
 }
 
-// TestResponsesCoalesceUnderLinger pins the server-side group commit:
-// responses completing together inside one linger window leave in
-// coalesced BATCH frames, not one syscall each. The backend gate releases
-// all requests at once, so the coalescing is deterministic, not a timing
-// accident.
-func TestResponsesCoalesceUnderLinger(t *testing.T) {
+// checkStubResponse decodes one single-sample EMBED_RESP payload and
+// compares it with the stub backend's value for reqRows(g, 1, seed).
+func checkStubResponse(t *testing.T, g wire.Geometry, payload []byte, seed int) {
+	t.Helper()
+	got := make([]float32, g.Width())
+	if err := wire.DecodeEmbedResp(payload, got); err != nil {
+		t.Fatalf("request seeded %d: %v", seed, err)
+	}
+	rows := reqRows(g, 1, seed)
+	for tt := 0; tt < g.Tables; tt++ {
+		for k := 0; k < g.Dim; k++ {
+			if want := stubValue(rows, g.Reduction, tt, 0, k); got[tt*g.Dim+k] != want {
+				t.Fatalf("request seeded %d, table %d elem %d: %v, want %v", seed, tt, k, got[tt*g.Dim+k], want)
+			}
+		}
+	}
+}
+
+// embedBatch is one BATCH frame of k single-sample embeds with ids
+// 1..k, request i seeded with i.
+func embedBatch(g wire.Geometry, k int) []byte {
+	frames := make([][]byte, k)
+	for i := range frames {
+		frames[i] = wire.AppendEmbed(nil, uint64(i+1), 0, reqRows(g, 1, i+1), 1, g.Reduction)
+	}
+	return wire.AppendBatch(nil, 99, frames...)
+}
+
+// TestResponsesCoalesceBehindBlockedWrite pins the server-side group
+// commit: responses that complete while the writer is parked in a Write
+// leave together in coalesced BATCH frames once the client reads, not one
+// syscall each. Over net.Pipe a Write only returns when the peer has read
+// every byte, so with the client not reading the writer is stuck on its
+// first flush and everything else queues behind it. MaxInflight k means
+// exactly k executors; a second wave of k embeds all entering the backend
+// therefore proves each executor has handed its first-wave response over
+// before the client reads a byte — no window, no timing.
+func TestResponsesCoalesceBehindBlockedWrite(t *testing.T) {
 	const k = 16
 	b := newStub()
 	b.entered = make(chan struct{}, k)
 	b.release = make(chan struct{})
-	srv, addr := startServer(t, b, netserve.Config{FlushLinger: 5 * time.Millisecond})
-	cl := dialClient(t, addr, netclient.Config{Conns: 1})
-	g := cl.Geometry()
+	srv, l := startPipeServer(t, b, netserve.Config{MaxInflight: k})
+	defer close(b.release) // whatever is still in the backend finishes, so Close can drain
 
-	calls := make([]*netclient.Call, k)
-	for i := range calls {
-		ca, err := cl.StartEmbed(nil, reqRows(g, 1, i), 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		calls[i] = ca
+	nc, h := l.dial(t)
+	g := h.Geom
+	if _, err := nc.Write(embedBatch(g, k)); err != nil {
+		t.Fatal(err)
 	}
 	for i := 0; i < k; i++ {
 		<-b.entered // all k requests blocked in the backend together
 	}
-	close(b.release)
-	for i, ca := range calls {
-		if err := <-ca.Done(); err != nil {
-			t.Fatalf("call %d: %v", i, err)
-		}
-		rows := reqRows(g, 1, i)
-		if got, want := ca.Dst()[0], stubValue(rows, g.Reduction, 0, 0, 0); got != want {
-			t.Fatalf("call %d decoded %v, want %v", i, got, want)
-		}
-		cl.Finish(ca)
+	for i := 0; i < k; i++ {
+		b.release <- struct{}{} // one token per blocked embed; nobody is reading yet
+	}
+	// The fence: once the budget is free again (so none of the second wave
+	// is shed), k more embeds from another connection occupy every executor.
+	for srv.Metrics().Inflight != 0 {
+		goruntime.Gosched()
+	}
+	fence, _ := l.dial(t)
+	if _, err := fence.Write(embedBatch(g, k)); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < k; i++ {
+		<-b.entered
 	}
 
-	sm := srv.Metrics()
-	if sm.BatchesOut == 0 {
-		t.Fatalf("no coalesced response frames despite %d simultaneous completions under a 5ms linger", k)
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for id, payload := range readEmbedResponses(t, nc, k) {
+		checkStubResponse(t, g, payload, int(id))
 	}
-	if sm.BatchedOut < 2 {
-		t.Fatalf("only %d responses rode in BATCH frames, want >=2", sm.BatchedOut)
+	// However many responses the parked first flush carried, the rest were
+	// all queued behind it: at most one of the k left as a lone frame.
+	if sm := srv.Metrics(); sm.BatchedOut < k-1 {
+		t.Fatalf("%d of %d responses rode in %d BATCH frames, want >=%d: responses queued behind a blocked write were not coalesced",
+			sm.BatchedOut, k, sm.BatchesOut, k-1)
+	}
+}
+
+// TestResponseNotHeldForInflightSibling pins that the writer never holds
+// a finished response back for one still executing: of two embeds on one
+// connection the backend answers one and keeps the other, and the first
+// response must reach the client as a frame of its own while its sibling
+// is still inside the backend (pending > 0 the whole time).
+func TestResponseNotHeldForInflightSibling(t *testing.T) {
+	b := newStub()
+	b.entered = make(chan struct{}, 2)
+	b.release = make(chan struct{})
+	srv, addr := startServer(t, b, netserve.Config{})
+	defer close(b.release) // a failure below must not leave the sibling wedging Close
+	nc, h := rawDial(t, addr)
+	g := h.Geom
+	if _, err := nc.Write(embedBatch(g, 2)); err != nil {
+		t.Fatal(err)
+	}
+	<-b.entered
+	<-b.entered
+	b.release <- struct{}{} // exactly one of the two completes
+
+	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
+	op, first, payload, _, err := wire.ReadFrame(nc, nil, 0)
+	if err != nil {
+		t.Fatalf("no response while the sibling is in flight: %v", err)
+	}
+	if op != wire.OpEmbedResp || (first != 1 && first != 2) {
+		t.Fatalf("first frame is op %d id %d, want a lone EMBED_RESP for request 1 or 2", op, first)
+	}
+	checkStubResponse(t, g, payload, int(first))
+	if n, m := b.embeds.Load(), srv.Metrics(); n != 1 || m.Inflight != 1 {
+		t.Fatalf("backend finished %d embeds with %d in flight, want 1 and 1: the sibling must still be executing", n, m.Inflight)
+	}
+
+	b.release <- struct{}{}
+	op, second, payload, _, err := wire.ReadFrame(nc, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if op != wire.OpEmbedResp || second != 3-first {
+		t.Fatalf("second frame is op %d id %d, want EMBED_RESP for request %d", op, second, 3-first)
+	}
+	checkStubResponse(t, g, payload, int(second))
+	if sm := srv.Metrics(); sm.BatchesOut != 0 {
+		t.Fatalf("%d coalesced frames written for two responses that never overlapped", sm.BatchesOut)
 	}
 }

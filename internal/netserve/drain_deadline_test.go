@@ -47,6 +47,26 @@ func (l *pipeListener) Close() error {
 
 func (l *pipeListener) Addr() net.Addr { return pipeAddr{} }
 
+// startPipeServer serves b over an in-memory pipe listener, with a
+// cleanup-registered close like startServer's.
+func startPipeServer(t *testing.T, b netserve.Backend, cfg netserve.Config) (*netserve.Server, *pipeListener) {
+	t.Helper()
+	srv, err := netserve.New(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := newPipeListener()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(l) }()
+	t.Cleanup(func() {
+		srv.Close()
+		if err := <-done; err != nil {
+			t.Errorf("Serve returned %v after Close, want nil", err)
+		}
+	})
+	return srv, l
+}
+
 // dial opens one pipe connection and completes the wire handshake,
 // returning the client half.
 func (l *pipeListener) dial(t *testing.T) (net.Conn, wire.Hello) {
@@ -119,19 +139,7 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 	b := newStub()
 	b.entered = make(chan struct{}, 4)
 	b.release = make(chan struct{})
-	srv, err := netserve.New(b, netserve.Config{MaxInflight: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := newPipeListener()
-	serveDone := make(chan error, 1)
-	go func() { serveDone <- srv.Serve(l) }()
-	t.Cleanup(func() {
-		srv.Close()
-		if err := <-serveDone; err != nil {
-			t.Errorf("Serve returned %v after Close, want nil", err)
-		}
-	})
+	srv, l := startPipeServer(t, b, netserve.Config{MaxInflight: 1})
 
 	// A on conn1: enters the sole executor and blocks in the backend.
 	conn1, h := l.dial(t)

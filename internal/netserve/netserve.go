@@ -9,8 +9,8 @@
 // writer goroutine encodes responses, so requests pipeline — a client may
 // have many requests outstanding and responses complete out of order,
 // correlated by request id. Execution happens on a server-wide pool of
-// executor goroutines feeding the backend, whose own micro-batcher
-// coalesces concurrent network requests exactly like in-process ones.
+// executor goroutines feeding the backend, whose self-batching workers
+// coalesce concurrent network requests exactly like in-process ones.
 //
 // Admission control: the server holds a bounded in-flight budget
 // (Config.MaxInflight). A request arriving with the budget exhausted is
@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,7 +57,7 @@ import (
 // Hop indices of the net tracer: executor-queue wait, backend execution
 // (including response encoding), and flush wait — completion to the
 // writer packing the response into its coalesced frame, which includes
-// any FlushLinger window but not the final write syscall.
+// the writer's one yield per flush but not the final write syscall.
 const (
 	netHopQueue = iota
 	netHopExec
@@ -145,7 +146,7 @@ type Config struct {
 	// requests simultaneously admitted (queued or executing) across all
 	// connections. A request beyond it is shed with an OVERLOADED error
 	// frame instead of queueing. It also sizes the executor pool, so every
-	// admitted request reaches the backend's micro-batcher without waiting
+	// admitted request reaches the backend's own queue without waiting
 	// behind another. Zero defaults to 256; negative is invalid.
 	MaxInflight int
 	// MaxFrameBytes caps one frame's wire size in both directions. Zero
@@ -168,14 +169,6 @@ type Config struct {
 	// updates — but a router uses it to sanity-check its target set, and
 	// operators to tell the deployments apart.
 	Role wire.Role
-	// FlushLinger is the short window a connection's writer keeps its
-	// coalescing buffer open after draining the completion queue while more
-	// responses are still owed to the connection, so those responses ride
-	// the same BATCH frame and syscall. The writer lingers at most once per
-	// flush, so it adds at most one window to any response's latency, and
-	// never lingers when nothing else is in flight — idle latency stays
-	// flat. Zero defaults to 50 microseconds; negative is invalid.
-	FlushLinger time.Duration
 	// Registry, when non-nil, wires the server into the telemetry plane:
 	// New registers the net_* series (admission, shed/expired, batching,
 	// request-latency histogram) and a queue/exec/flush request tracer,
@@ -247,9 +240,8 @@ type conn struct {
 	// loses an in-flight response.
 	owed sync.WaitGroup
 	// pending counts responses owed to this connection that the writer has
-	// not yet dequeued — the writer's linger signal: when it drains out dry
-	// with pending still positive, more responses arrive momentarily and
-	// waiting one FlushLinger lets them share the flush.
+	// not yet dequeued: draining out dry with pending positive, the writer
+	// yields once so they share the flush; at zero it flushes at once.
 	pending atomic.Int64
 	// peerMax is the frame-size limit the client announced in its
 	// handshake; the writer caps coalesced response frames at it. Written
@@ -353,9 +345,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 	if cfg.Role != wire.RoleStandalone && cfg.Role != wire.RoleReplica {
 		return nil, fmt.Errorf("netserve: unknown role %d", uint8(cfg.Role))
 	}
-	if cfg.FlushLinger < 0 {
-		return nil, fmt.Errorf("netserve: FlushLinger %v is negative (use 0 for the 50µs default)", cfg.FlushLinger)
-	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 256
 	}
@@ -364,9 +353,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 	}
 	if cfg.WriteTimeout == 0 {
 		cfg.WriteTimeout = 30 * time.Second
-	}
-	if cfg.FlushLinger == 0 {
-		cfg.FlushLinger = 50 * time.Microsecond
 	}
 	tables, reduction, dim, rows, maxBatch := b.Geometry()
 	geom := wire.Geometry{Tables: tables, Reduction: reduction, Dim: dim, TableRows: rows, MaxBatch: maxBatch}
@@ -875,22 +861,24 @@ func (s *Server) UpdateSeq() uint64 { return s.updateSeq.Load() }
 // pipelining contract) into a reused write buffer and flushes the whole
 // drain with one write syscall, as a single frame when one response was
 // ready or a coalesced BATCH frame when several were. When the drain runs
-// dry with responses still owed to the connection, it lingers one
-// FlushLinger window — once per flush, so latency is bounded — to let
-// near-complete responses ride the same flush. When out closes (reader
-// done, all responses flushed) it tears the connection down.
+// dry with responses still owed it yields the processor once per flush —
+// runnable executors finish and enqueue, as in netclient's flushLoop —
+// and packs what arrived; it never waits on a clock. When out closes
+// (reader done, all responses flushed) it tears the connection down.
 func (c *conn) writeLoop() {
 	s := c.srv
 	defer s.connWG.Done()
-	linger := time.NewTimer(time.Hour)
-	if !linger.Stop() {
-		<-linger.C
-	}
-	// The coalescing cap honors what the client's handshake said it will
-	// read; resolved lazily because the handshake finishes strictly before
-	// the first task arrives.
-	maxCoalesce := 0
 	wbuf := make([]byte, wire.BatchHeaderBytes, 32<<10)
+	count := 0
+	// pack appends one response to the flush being built. owed.Done fires at
+	// pack time: the reader's drain Wait only needs the response owned by the
+	// writer, which flushes before it ever gives the socket up.
+	pack := func(t *task) {
+		wbuf = append(wbuf, t.resp...)
+		count++
+		c.owed.Done()
+		s.putTask(t)
+	}
 	failed := false
 	var carry *task // response that did not fit the previous flush
 	for {
@@ -910,19 +898,13 @@ func (c *conn) writeLoop() {
 			s.putTask(t)
 			continue
 		}
-		if maxCoalesce == 0 {
-			maxCoalesce = min(s.cfg.MaxFrameBytes, c.peerMax, maxCoalesceBytes)
-		}
 		// Start a flush cycle: reserve BATCH-header headroom (stamped only if
-		// this flush coalesces), then pack completed responses behind it.
-		// owed.Done fires as each response is packed — the reader's drain
-		// Wait only needs the response owned by the writer, and the flush
-		// below happens before the writer ever gives the socket up.
-		wbuf = append(wbuf[:wire.BatchHeaderBytes], t.resp...)
-		count := 1
-		c.owed.Done()
-		s.putTask(t)
-		lingered := false
+		// this flush coalesces), then pack completed responses behind it, up
+		// to what the client's handshake said it will read.
+		maxCoalesce := min(s.cfg.MaxFrameBytes, c.peerMax, maxCoalesceBytes)
+		wbuf, count = wbuf[:wire.BatchHeaderBytes], 0
+		pack(t)
+		yielded := false
 	gather:
 		for count < wire.MaxBatchSubFrames {
 			select {
@@ -935,47 +917,15 @@ func (c *conn) writeLoop() {
 					carry = t2
 					break gather
 				}
-				wbuf = append(wbuf, t2.resp...)
-				count++
-				c.owed.Done()
-				s.putTask(t2)
+				pack(t2)
 			default:
-				// Queue dry. If more responses are owed and we have not
-				// lingered this cycle, hold one linger window open — every
-				// response completing inside it rides this flush; otherwise
-				// flush what we have. The window is armed at most once per
-				// flush cycle, so it bounds added latency, not throughput.
-				if lingered || c.pending.Load() == 0 {
+				// Queue dry: flush, unless more is owed and this cycle has not
+				// yet yielded to the executors about to enqueue it.
+				if yielded || c.pending.Load() == 0 {
 					break gather
 				}
-				lingered = true
-				fired := false
-				linger.Reset(s.cfg.FlushLinger)
-			window:
-				for carry == nil && count < wire.MaxBatchSubFrames {
-					select {
-					case <-linger.C:
-						fired = true
-						break window
-					case t2, open := <-c.out:
-						if !open {
-							break window
-						}
-						c.pending.Add(-1)
-						if len(wbuf)+len(t2.resp) > maxCoalesce {
-							carry = t2
-							break window
-						}
-						wbuf = append(wbuf, t2.resp...)
-						count++
-						c.owed.Done()
-						s.putTask(t2)
-					}
-				}
-				if !fired && !linger.Stop() {
-					<-linger.C
-				}
-				break gather
+				yielded = true
+				goruntime.Gosched()
 			}
 		}
 		frame := wbuf[wire.BatchHeaderBytes:]

@@ -690,7 +690,9 @@ func AccumulateGolden(table *embed.Table, up TableUpdate) {
 
 // applyUpdates validates the whole batch, groups it by table, and fans the
 // per-table groups out across scratch lanes, each group under its table's
-// update lock.
+// update lock. A batch touching one table — every update the serving
+// fleet's writers issue — has nothing to fan out and runs on the caller's
+// goroutine.
 func (d *Deployment) applyUpdates(ups []TableUpdate, writeThrough bool) error {
 	cfg := d.Model.Cfg
 	if err := d.enter(); err != nil {
@@ -721,37 +723,46 @@ func (d *Deployment) applyUpdates(ups []TableUpdate, writeThrough bool) error {
 	}
 
 	order, groups := GroupUpdatesByTable(ups)
+	if len(order) == 1 {
+		return d.applyTableGroup(order[0], groups[order[0]], writeThrough)
+	}
 	errs := make([]error, len(order))
 	var wg sync.WaitGroup
 	for gi, t := range order {
 		wg.Add(1)
 		go func(gi, t int) {
 			defer wg.Done()
-			d.tableMu[t].Lock()
-			defer d.tableMu[t].Unlock()
-			for _, up := range groups[t] {
-				// Scatter through a lane worker: the worker stages the
-				// gradients and indices on its own lane, so concurrent
-				// table groups use disjoint scratch.
-				var jwg sync.WaitGroup
-				job := laneJob{kind: jobScatter, up: up, wg: &jwg}
-				jwg.Add(1)
-				d.work <- &job
-				jwg.Wait()
-				if job.err != nil {
-					errs[gi] = job.err
-					return
-				}
-				if writeThrough {
-					AccumulateGolden(d.Model.Embedding.Tables[t], up)
-				}
-			}
+			errs[gi] = d.applyTableGroup(t, groups[t], writeThrough)
 		}(gi, t)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
 			return err
+		}
+	}
+	return nil
+}
+
+// applyTableGroup applies one table's updates in slice order under that
+// table's update lock, stopping at the first failure.
+func (d *Deployment) applyTableGroup(t int, group []TableUpdate, writeThrough bool) error {
+	d.tableMu[t].Lock()
+	defer d.tableMu[t].Unlock()
+	for _, up := range group {
+		// Scatter through a lane worker: the worker stages the gradients
+		// and indices on its own lane, so concurrent table groups use
+		// disjoint scratch.
+		var jwg sync.WaitGroup
+		job := laneJob{kind: jobScatter, up: up, wg: &jwg}
+		jwg.Add(1)
+		d.work <- &job
+		jwg.Wait()
+		if job.err != nil {
+			return job.err
+		}
+		if writeThrough {
+			AccumulateGolden(d.Model.Embedding.Tables[t], up)
 		}
 	}
 	return nil
