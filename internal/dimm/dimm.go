@@ -21,6 +21,12 @@
 // With no way to name another rank's DRAM, the core is rank-local by
 // construction; the global-to-local translation itself happens once per
 // operand inside the core, which refuses a base that stripes elsewhere.
+//
+// The rank store is GC-owned memory. On Linux a store of 2 MiB or more starts
+// on a 2 MiB boundary and is advised MADV_HUGEPAGE (store_linux.go), so a
+// random gather over it is not paying a TLB miss per 4 KiB page. Float lanes
+// in the store and index lanes in the replicated region are host-native: the
+// NMP kernels and the node's host I/O use them as they lie, with no decode.
 package dimm
 
 import (
@@ -60,7 +66,7 @@ type SharedRegion struct {
 // NewSharedRegion returns an empty replicated region.
 func NewSharedRegion() *SharedRegion { return &SharedRegion{} }
 
-// WriteIndices stores an index list as little-endian int32 lanes starting at
+// WriteIndices stores an index list as host-native int32 lanes starting at
 // the given global block address, zero-padding the last block (harmless:
 // the instruction's count controls how many indices are consumed).
 func (s *SharedRegion) WriteIndices(globalBlock uint64, indices []int32) error {
@@ -79,7 +85,7 @@ func (s *SharedRegion) WriteIndices(globalBlock uint64, indices []int32) error {
 	defer s.mu.RUnlock()
 	dst := s.data[lo:hi]
 	for i, v := range indices {
-		binary.LittleEndian.PutUint32(dst[i*4:], uint32(v))
+		binary.NativeEndian.PutUint32(dst[i*4:], uint32(v))
 	}
 	clear(dst[len(indices)*4:])
 	for b := globalBlock; b < globalBlock+blocks; b++ {
@@ -162,7 +168,7 @@ func New(tid, nodeDim int, localBytes uint64, shared *SharedRegion) (*TensorDIMM
 	if shared == nil {
 		return nil, fmt.Errorf("dimm: nil shared region")
 	}
-	d := &TensorDIMM{tid: tid, nodeDim: nodeDim, store: make([]byte, localBytes), shared: shared}
+	d := &TensorDIMM{tid: tid, nodeDim: nodeDim, store: newStore(localBytes), shared: shared}
 	core, err := nmp.NewCore(tid, nodeDim, d)
 	if err != nil {
 		return nil, err
@@ -192,7 +198,7 @@ func (d *TensorDIMM) Shared(globalBlock uint64, blocks int) ([]byte, error) {
 // ReadBlock is the normal-DIMM personality: a 64-byte load at a rank-local
 // byte offset, as issued by a conventional memory controller.
 func (d *TensorDIMM) ReadBlock(localOffset uint64) (nmp.Block, error) {
-	if localOffset%isa.BlockBytes != 0 || localOffset+isa.BlockBytes > uint64(len(d.store)) {
+	if localOffset%isa.BlockBytes != 0 || localOffset > uint64(len(d.store))-isa.BlockBytes {
 		return nmp.Block{}, fmt.Errorf("dimm %d: bad local offset %#x", d.tid, localOffset)
 	}
 	var b nmp.Block
@@ -202,7 +208,7 @@ func (d *TensorDIMM) ReadBlock(localOffset uint64) (nmp.Block, error) {
 
 // WriteBlock is the normal-DIMM personality store.
 func (d *TensorDIMM) WriteBlock(localOffset uint64, b nmp.Block) error {
-	if localOffset%isa.BlockBytes != 0 || localOffset+isa.BlockBytes > uint64(len(d.store)) {
+	if localOffset%isa.BlockBytes != 0 || localOffset > uint64(len(d.store))-isa.BlockBytes {
 		return fmt.Errorf("dimm %d: bad local offset %#x", d.tid, localOffset)
 	}
 	copy(d.store[localOffset:localOffset+isa.BlockBytes], b[:])

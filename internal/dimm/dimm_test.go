@@ -2,9 +2,13 @@ package dimm
 
 import (
 	"encoding/binary"
+	"os"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"tensordimm/internal/isa"
 	"tensordimm/internal/nmp"
@@ -116,6 +120,14 @@ func TestNormalPersonalityBounds(t *testing.T) {
 	if err := d.WriteBlock(128, nmp.Block{}); err == nil {
 		t.Fatal("want bounds error on write")
 	}
+	// Block-aligned, and offset+64 wraps to 0: still out of bounds.
+	const wraps = uint64(1<<64 - isa.BlockBytes)
+	if _, err := d.ReadBlock(wraps); err == nil {
+		t.Fatal("want bounds error for an offset whose end wraps")
+	}
+	if err := d.WriteBlock(wraps, nmp.Block{}); err == nil {
+		t.Fatal("want bounds error on write for an offset whose end wraps")
+	}
 	if err := d.WriteBlock(64, nmp.PackFloats([]float32{7})); err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +135,52 @@ func TestNormalPersonalityBounds(t *testing.T) {
 	if err != nil || nmp.UnpackFloats(b)[0] != 7 {
 		t.Fatalf("ReadBlock: %v %v", b, err)
 	}
+}
+
+// TestStoreLayout pins the rank store's shape: a store of a huge page or
+// more is cut to exactly its size (the alignment slack is unreachable) and,
+// on Linux, starts on a 2 MiB boundary; a small store is a plain slice. How
+// much of it the kernel actually backs with huge pages depends on
+// fragmentation, so that is logged, not asserted.
+func TestStoreLayout(t *testing.T) {
+	for _, size := range []uint64{64 << 10, 8 << 20} {
+		d, err := New(0, 1, size, NewSharedRegion())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := d.Local()
+		if uint64(len(s)) != size || uint64(cap(s)) != size {
+			t.Fatalf("%d B store: len %d cap %d", size, len(s), cap(s))
+		}
+		if size < 2<<20 || runtime.GOOS != "linux" {
+			continue
+		}
+		if addr := uintptr(unsafe.Pointer(&s[0])); addr%(2<<20) != 0 {
+			t.Fatalf("%d B store at %#x: not 2 MiB aligned", size, addr)
+		}
+		before := anonHugePagesKB(t)
+		for i := 0; i < len(s); i += 4096 {
+			s[i] = 1
+		}
+		t.Logf("%d MiB store written: AnonHugePages %+d kB", size>>20, anonHugePagesKB(t)-before)
+	}
+}
+
+// anonHugePagesKB reads the process's AnonHugePages total, or -1 if the
+// kernel does not report it.
+func anonHugePagesKB(t *testing.T) int {
+	t.Helper()
+	b, err := os.ReadFile("/proc/self/smaps_rollup")
+	if err != nil {
+		return -1
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if f := strings.Fields(line); len(f) == 3 && f[0] == "AnonHugePages:" {
+			kb, _ := strconv.Atoi(f[1])
+			return kb
+		}
+	}
+	return -1
 }
 
 func TestSharedRegion(t *testing.T) {
@@ -204,7 +262,7 @@ func TestSharedRegionConcurrentDisjoint(t *testing.T) {
 					return
 				}
 				for i := range idx {
-					if v := int32(binary.LittleEndian.Uint32(got[i*4:])); v != idx[i] {
+					if v := int32(binary.NativeEndian.Uint32(got[i*4:])); v != idx[i] {
 						t.Errorf("lane %d round %d index %d: got %#x want %#x", ln, r, i, v, idx[i])
 						return
 					}

@@ -95,7 +95,7 @@ func FuzzNMPBulkVsReference(f *testing.F) {
 				first = rng.Intn(fuzzLocalBlocks + 2)
 			}
 			for s := 0; s < run && i < fuzzSharedBlocks*isa.LanesPerBlock; s++ {
-				binary.LittleEndian.PutUint32(env.shared[i*4:], uint32(first+s))
+				binary.NativeEndian.PutUint32(env.shared[i*4:], uint32(first+s))
 				i++
 			}
 		}

@@ -99,7 +99,7 @@ func fillFloats(mem []byte, rng *rand.Rand) {
 		if f := math.Float32frombits(bits); f != f {
 			bits &^= 0x007fffff // NaN -> Inf of the same sign
 		}
-		binary.LittleEndian.PutUint32(mem[o:], bits)
+		binary.NativeEndian.PutUint32(mem[o:], bits)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestKernelsMatchReference(t *testing.T) {
 	streamed := []isa.Opcode{isa.OpReduce, isa.OpAverage}
 	// setIdx overwrites index i of the list the instruction walks.
 	setIdx := func(env *fakeEnv, i int, v uint32) {
-		binary.LittleEndian.PutUint32(env.shared[ktIdx*isa.BlockBytes+i*4:], v)
+		binary.NativeEndian.PutUint32(env.shared[ktIdx*isa.BlockBytes+i*4:], v)
 	}
 	cases := []struct {
 		name    string
@@ -193,6 +193,16 @@ func TestKernelsMatchReference(t *testing.T) {
 			}},
 		{name: "in place", count: 16, only: streamed,
 			mutate: func(in *isa.Instruction, _ *fakeEnv) { in.OutputBase = in.InputBase }},
+		// An output overlapping an operand a stripe off: REDUCE's writes
+		// past A feed its later reads of A, its writes before B do not.
+		{name: "output one stripe past the input", count: 16, only: streamed,
+			mutate: func(in *isa.Instruction, _ *fakeEnv) { in.OutputBase = in.InputBase + ktDim }},
+		{name: "output one stripe before operand B", count: 16, only: []isa.Opcode{isa.OpReduce},
+			mutate: func(in *isa.Instruction, _ *fakeEnv) { in.OutputBase = in.Aux - ktDim }},
+		// Output blocks 24..39 of a 48-block group input: written ahead of
+		// the groups that read them.
+		{name: "output inside its own group input", count: 16, only: []isa.Opcode{isa.OpAverage},
+			mutate: func(in *isa.Instruction, _ *fakeEnv) { in.OutputBase = in.InputBase + ktDim*ktGroup*8 }},
 	}
 	for _, op := range []isa.Opcode{isa.OpGather, isa.OpReduce, isa.OpAverage, isa.OpScatterAdd} {
 		for _, rop := range []isa.ReduceOp{isa.RAdd, isa.RSub, isa.RMul, isa.RMax} {

@@ -18,9 +18,13 @@
 // What runs here is one bulk kernel per opcode. A kernel resolves its
 // operands once per instruction into slices of the DIMM's rank-local bytes
 // (Env.Local), streams them — GATHER coalesces consecutive stripe indices
-// into one copy, the ALU ops run over 64-byte array views — and adds the
-// block, index-read, ALU and queue-occupancy counts the FSM would have
-// produced arithmetically. The block-at-a-time FSM of Figure 9, queues and
+// into one copy; REDUCE, AVERAGE and SCATTER_ADD switch on their operator
+// once and run one flat loop over []float32 views of whole operand runs —
+// and adds the block, index-read, ALU and queue-occupancy counts the FSM
+// would have produced arithmetically. Rank bytes are host-native (float32
+// and int32 lanes in the machine's own byte order), so a view is the data,
+// with nothing to decode; the wire and on-disk formats, not the rank, fix a
+// byte order. The block-at-a-time FSM of Figure 9, queues and
 // forward path included, lives on in this package's tests as the reference
 // model every kernel is differentially fuzzed against
 // (FuzzNMPBulkVsReference); nothing outside the tests can reach it.
@@ -36,6 +40,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"unsafe"
 
 	"tensordimm/internal/isa"
 )
@@ -220,7 +225,7 @@ func (c *Core) operand(m []byte, op isa.Opcode, what string, base, blocks uint64
 }
 
 // indexed resolves what GATHER and SCATTER_ADD share: the index list (Count
-// int32 indices, little-endian, out of the replicated region), the table's
+// int32 indices, host-native, out of the replicated region), the table's
 // first local block with the number of blocks from there to the end of the
 // rank — the bound every index is checked against — and the first local
 // block of the Count-stripe tensor at OutputBase.
@@ -242,10 +247,22 @@ func (c *Core) indexed(in isa.Instruction, m []byte) (idx []byte, table, rows, t
 	return idx, table, uint64(len(m))/isa.BlockBytes - table, tensor, nil
 }
 
-// block views local block b of m as a 64-byte array, so lane accesses at
-// constant-bounded offsets need no further bounds checks.
+// block views local block b of m as a 64-byte array.
 func block(m []byte, b uint64) *Block {
 	return (*Block)(m[b*isa.BlockBytes:])
+}
+
+// floats views the n local blocks of m from block b as float32 lanes. The
+// bytes are host-native, so the view is the data; writes through it are
+// writes to the rank.
+func floats(m []byte, b, n uint64) []float32 {
+	p := m[b*isa.BlockBytes : (b+n)*isa.BlockBytes]
+	return unsafe.Slice((*float32)(unsafe.Pointer(unsafe.SliceData(p))), len(p)/4)
+}
+
+// lanes views block b of a float view as one 16-lane array.
+func lanes(v []float32, b uint64) *[ALULanes]float32 {
+	return (*[ALULanes]float32)(v[b*ALULanes:])
 }
 
 // gather implements Figure 9(a): stream indices, copy table stripes to the
@@ -258,9 +275,9 @@ func (c *Core) gather(in isa.Instruction, m []byte) error {
 	}
 	n := uint64(in.Count)
 	for i := uint64(0); i < n; {
-		first := uint64(binary.LittleEndian.Uint32(idx[i*4:]))
+		first := uint64(binary.NativeEndian.Uint32(idx[i*4:]))
 		run := uint64(1)
-		for i+run < n && uint64(binary.LittleEndian.Uint32(idx[(i+run)*4:])) == first+run {
+		for i+run < n && uint64(binary.NativeEndian.Uint32(idx[(i+run)*4:])) == first+run {
 			run++
 		}
 		if first+run > rows {
@@ -282,7 +299,10 @@ func (c *Core) gather(in isa.Instruction, m []byte) error {
 	return nil
 }
 
-// reduce implements Figure 9(b): C = A <OP> B, block by block.
+// reduce implements Figure 9(b): C = A <OP> B, as one loop over the three
+// runs' lanes. Ascending lane order is the FSM's block-then-lane order, and
+// each lane is read before it is written, so an output that overlaps an
+// operand sees exactly the values it would in hardware.
 func (c *Core) reduce(in isa.Instruction, m []byte) error {
 	n := uint64(in.Count)
 	a, err := c.operand(m, in.Op, "operand A", in.InputBase, n)
@@ -297,8 +317,29 @@ func (c *Core) reduce(in isa.Instruction, m []byte) error {
 	if err != nil {
 		return err
 	}
-	for i := uint64(0); i < n; i++ {
-		alu(in.ROp, block(m, out+i), block(m, a+i), block(m, b+i))
+	o := floats(m, out, n)
+	x, y := floats(m, a, n)[:len(o)], floats(m, b, n)[:len(o)]
+	switch in.ROp {
+	case isa.RAdd:
+		for i := range o {
+			o[i] = x[i] + y[i]
+		}
+	case isa.RSub:
+		for i := range o {
+			o[i] = x[i] - y[i]
+		}
+	case isa.RMul:
+		for i := range o {
+			o[i] = x[i] * y[i]
+		}
+	case isa.RMax:
+		for i := range o {
+			if x[i] >= y[i] {
+				o[i] = x[i]
+			} else {
+				o[i] = y[i]
+			}
+		}
 	}
 	return nil
 }
@@ -317,15 +358,19 @@ func (c *Core) average(in isa.Instruction, m []byte) error {
 	if err != nil {
 		return err
 	}
+	x, o := floats(m, src, n*group), floats(m, out, n)
 	scale := 1 / float32(group)
 	for i := uint64(0); i < n; i++ {
-		var acc Block // 256'b0 ... extended to the full block
+		var acc [ALULanes]float32 // 256'b0 ... extended to the full block
 		for j := uint64(0); j < group; j++ {
-			alu(isa.RAdd, &acc, &acc, block(m, src+i*group+j))
+			xb := lanes(x, i*group+j)
+			for l := range acc {
+				acc[l] += xb[l]
+			}
 		}
-		o := block(m, out+i)
-		for l := 0; l < ALULanes; l++ {
-			setLane(o, l, lane(&acc, l)*scale)
+		ob := lanes(o, i)
+		for l := range ob {
+			ob[l] = acc[l] * scale
 		}
 	}
 	return nil
@@ -340,64 +385,29 @@ func (c *Core) scatterAdd(in isa.Instruction, m []byte) error {
 	if err != nil {
 		return err
 	}
+	tbl, g := floats(m, table, rows), floats(m, grad, uint64(in.Count))
 	for i := uint64(0); i < uint64(in.Count); i++ {
-		r := uint64(binary.LittleEndian.Uint32(idx[i*4:]))
+		r := uint64(binary.NativeEndian.Uint32(idx[i*4:]))
 		if r >= rows {
 			return fmt.Errorf("nmp core %d: SCATTER_ADD index %d beyond local capacity %d B", c.TID, r, len(m))
 		}
-		row := block(m, table+r)
-		alu(isa.RAdd, row, row, block(m, grad+i))
+		row, gb := lanes(tbl, r), lanes(g, i)
+		for l := range row {
+			row[l] += gb[l]
+		}
 	}
 	return nil
 }
 
-// lane decodes float32 lane l of a block.
-func lane(b *Block, l int) float32 {
-	return math.Float32frombits(binary.LittleEndian.Uint32(b[l*4:]))
-}
-
-// setLane encodes v into lane l of a block.
-func setLane(b *Block, l int, v float32) {
-	binary.LittleEndian.PutUint32(b[l*4:], math.Float32bits(v))
-}
-
-// alu applies out = a <op> b across the 16 float32 lanes of one block, a as
-// the left operand. out may alias a or b: lane l is read before it is
-// written and no other lane is touched in between.
-func alu(op isa.ReduceOp, out, a, b *Block) {
-	switch op {
-	case isa.RAdd:
-		for l := 0; l < ALULanes; l++ {
-			setLane(out, l, lane(a, l)+lane(b, l))
-		}
-	case isa.RSub:
-		for l := 0; l < ALULanes; l++ {
-			setLane(out, l, lane(a, l)-lane(b, l))
-		}
-	case isa.RMul:
-		for l := 0; l < ALULanes; l++ {
-			setLane(out, l, lane(a, l)*lane(b, l))
-		}
-	case isa.RMax:
-		for l := 0; l < ALULanes; l++ {
-			av, bv := lane(a, l), lane(b, l)
-			if av >= bv {
-				setLane(out, l, av)
-			} else {
-				setLane(out, l, bv)
-			}
-		}
-	}
-}
-
-// PackFloats encodes 16 float32 values into a block (little-endian).
+// PackFloats encodes 16 float32 values into a block (host-native, the
+// rank's layout).
 func PackFloats(vals []float32) Block {
 	var b Block
 	for i, v := range vals {
 		if i >= ALULanes {
 			break
 		}
-		binary.LittleEndian.PutUint32(b[i*4:i*4+4], math.Float32bits(v))
+		binary.NativeEndian.PutUint32(b[i*4:i*4+4], math.Float32bits(v))
 	}
 	return b
 }
@@ -406,20 +416,20 @@ func PackFloats(vals []float32) Block {
 func UnpackFloats(b Block) []float32 {
 	out := make([]float32, ALULanes)
 	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[i*4 : i*4+4]))
+		out[i] = math.Float32frombits(binary.NativeEndian.Uint32(b[i*4 : i*4+4]))
 	}
 	return out
 }
 
 // PackIndices encodes 16 int32 lookup indices into a block, the layout the
-// GATHER datapath expects for its index-list reads.
+// GATHER datapath expects for its index-list reads (host-native).
 func PackIndices(vals []int32) Block {
 	var b Block
 	for i, v := range vals {
 		if i >= ALULanes {
 			break
 		}
-		binary.LittleEndian.PutUint32(b[i*4:i*4+4], uint32(v))
+		binary.NativeEndian.PutUint32(b[i*4:i*4+4], uint32(v))
 	}
 	return b
 }

@@ -6,7 +6,8 @@ package nmp
 // so that nothing outside this package's tests can reach it: it is the
 // oracle the kernels are compared against (kernel_test.go, fuzz_test.go),
 // not a second execute path. The method bodies below are the old ones,
-// moved; only the receiver type is new.
+// moved; only the receiver type is new, and lanes decode host-native, the
+// rank's byte order.
 
 import (
 	"encoding/binary"
@@ -176,7 +177,7 @@ func (c *refCore) gather(in isa.Instruction) error {
 		}
 		c.stats.SharedReads++
 		for j := uint64(0); j < isa.LanesPerBlock; j++ {
-			idx := uint64(binary.LittleEndian.Uint32(xb[j*4 : j*4+4]))
+			idx := uint64(binary.NativeEndian.Uint32(xb[j*4 : j*4+4]))
 			blk, err := c.readLocal(in.InputBase + idx*dim + tid)
 			if err != nil {
 				return fmt.Errorf("nmp gather: index %d: %w", idx, err)
@@ -274,7 +275,7 @@ func (c *refCore) scatterAdd(in isa.Instruction) error {
 		}
 		c.stats.SharedReads++
 		for j := uint64(0); j < isa.LanesPerBlock; j++ {
-			idx := uint64(binary.LittleEndian.Uint32(xb[j*4 : j*4+4]))
+			idx := uint64(binary.NativeEndian.Uint32(xb[j*4 : j*4+4]))
 			grad, err := c.readLocal(in.OutputBase + (i*isa.LanesPerBlock+j)*dim + tid)
 			if err != nil {
 				return fmt.Errorf("nmp scatter-add: gradient %d: %w", i*isa.LanesPerBlock+j, err)
@@ -306,8 +307,8 @@ func (c *refCore) scatterAdd(in isa.Instruction) error {
 func aluOp(op isa.ReduceOp, a, b Block) Block {
 	var out Block
 	for l := 0; l < ALULanes; l++ {
-		av := math.Float32frombits(binary.LittleEndian.Uint32(a[l*4 : l*4+4]))
-		bv := math.Float32frombits(binary.LittleEndian.Uint32(b[l*4 : l*4+4]))
+		av := math.Float32frombits(binary.NativeEndian.Uint32(a[l*4 : l*4+4]))
+		bv := math.Float32frombits(binary.NativeEndian.Uint32(b[l*4 : l*4+4]))
 		var r float32
 		switch op {
 		case isa.RAdd:
@@ -323,7 +324,7 @@ func aluOp(op isa.ReduceOp, a, b Block) Block {
 				r = bv
 			}
 		}
-		binary.LittleEndian.PutUint32(out[l*4:l*4+4], math.Float32bits(r))
+		binary.NativeEndian.PutUint32(out[l*4:l*4+4], math.Float32bits(r))
 	}
 	return out
 }
@@ -332,8 +333,8 @@ func aluOp(op isa.ReduceOp, a, b Block) Block {
 func aluScale(a Block, s float32) Block {
 	var out Block
 	for l := 0; l < ALULanes; l++ {
-		av := math.Float32frombits(binary.LittleEndian.Uint32(a[l*4 : l*4+4]))
-		binary.LittleEndian.PutUint32(out[l*4:l*4+4], math.Float32bits(av*s))
+		av := math.Float32frombits(binary.NativeEndian.Uint32(a[l*4 : l*4+4]))
+		binary.NativeEndian.PutUint32(out[l*4:l*4+4], math.Float32bits(av*s))
 	}
 	return out
 }

@@ -7,62 +7,65 @@ import (
 )
 
 // TestReadFloatsIntoRoundTrip pins the allocation-free float I/O path:
-// WriteFloats (block-packed, zero-padded tail) followed by ReadFloatsInto
+// WriteFloats (block-copied, zero-padded tail) followed by ReadFloatsInto
 // must round-trip exactly, including counts that are not a multiple of the
-// 16-lane block and reads into reused buffers.
+// 16-lane block, bases that start on any DIMM of a stripe, and reads into
+// reused buffers.
 func TestReadFloatsIntoRoundTrip(t *testing.T) {
 	n, err := New(Config{DIMMs: 4, PerDIMMBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	base, err := n.Alloc(4096)
+	const maxCount = 16*1024 + 3
+	region, err := n.Alloc(maxCount*4 + n.StripeBytes())
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]float32, 100)
-	for _, count := range []int{1, 15, 16, 17, 64, 100} {
-		vals := make([]float32, count)
-		for i := range vals {
-			vals[i] = float32(i)*0.5 - 7
-		}
-		if err := n.WriteFloats(base, vals); err != nil {
-			t.Fatal(err)
-		}
-		got := buf[:count]
-		if err := n.ReadFloatsInto(base, got); err != nil {
-			t.Fatal(err)
-		}
-		for i := range vals {
-			if got[i] != vals[i] {
-				t.Fatalf("count %d: got[%d] = %v, want %v", count, i, got[i], vals[i])
+	buf := make([]float32, maxCount+isa.LanesPerBlock)
+	junk := make([]byte, maxCount*4+n.StripeBytes())
+	for i := range junk {
+		junk[i] = 0xa5
+	}
+	for _, count := range []int{1, 15, 16, 17, 64, 100, maxCount} {
+		for skew := uint64(0); skew < n.StripeBytes(); skew += isa.BlockBytes {
+			base := region + skew // starts on DIMM skew/64 of the stripe
+			if err := n.Write(region, junk); err != nil {
+				t.Fatal(err)
 			}
-		}
-		// The allocating form must agree with the into-form.
-		alloc, err := n.ReadFloats(base, count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range vals {
-			if alloc[i] != vals[i] {
-				t.Fatalf("count %d: ReadFloats[%d] = %v, want %v", count, i, alloc[i], vals[i])
+			vals := make([]float32, count)
+			for i := range vals {
+				vals[i] = float32(i)*0.5 - 7
 			}
-		}
-	}
-	// The partial tail block is zero-padded: write 1 float, read 16 back.
-	if err := n.WriteFloats(base, []float32{42}); err != nil {
-		t.Fatal(err)
-	}
-	got := buf[:isa.LanesPerBlock]
-	if err := n.ReadFloatsInto(base, got); err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 42 {
-		t.Fatalf("got[0] = %v, want 42", got[0])
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] != 0 {
-			t.Fatalf("tail lane %d = %v, want zero padding", i, got[i])
+			if err := n.WriteFloats(base, vals); err != nil {
+				t.Fatal(err)
+			}
+			// Read the whole last block: the lanes past count are zero.
+			padded := (count + isa.LanesPerBlock - 1) / isa.LanesPerBlock * isa.LanesPerBlock
+			got := buf[:padded]
+			if err := n.ReadFloatsInto(base, got); err != nil {
+				t.Fatal(err)
+			}
+			for i := range vals {
+				if got[i] != vals[i] {
+					t.Fatalf("count %d at +%d: got[%d] = %v, want %v", count, skew, i, got[i], vals[i])
+				}
+			}
+			for i := count; i < padded; i++ {
+				if got[i] != 0 {
+					t.Fatalf("count %d at +%d: tail lane %d = %v, want zero padding", count, skew, i, got[i])
+				}
+			}
+			// The allocating form must agree with the into-form.
+			alloc, err := n.ReadFloats(base, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range vals {
+				if alloc[i] != vals[i] {
+					t.Fatalf("count %d at +%d: ReadFloats[%d] = %v, want %v", count, skew, i, alloc[i], vals[i])
+				}
+			}
 		}
 	}
 }

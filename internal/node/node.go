@@ -6,7 +6,9 @@
 //
 //   - striped data movement: tensors written into the pool are interleaved in
 //     64-byte blocks across all TensorDIMMs (the address mapping of Figure 7),
-//     so every NMP core owns an equal slice of every tensor;
+//     so every NMP core owns an equal slice of every tensor. Float tensors
+//     keep the host's own byte order in the ranks, so host I/O is one
+//     64-byte block copy per stripe block, with nothing encoded or decoded;
 //
 //   - instruction broadcast: one TensorISA instruction is delivered to every
 //     buffer device, and all NMP cores execute their slice concurrently
@@ -24,11 +26,10 @@
 package node
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"tensordimm/internal/dimm"
 	"tensordimm/internal/isa"
@@ -239,24 +240,12 @@ func (n *Node) Read(base uint64, out []byte) error {
 	return nil
 }
 
-// WriteFloats stores a float32 slice (little-endian) at base. The trailing
-// partial block, if any, is zero-padded, and the write performs no heap
-// allocations: values are encoded straight into the DIMMs' rank-local bytes.
+// WriteFloats stores a float32 slice at base in the rank's host-native
+// layout. The trailing partial block, if any, is zero-padded, and the write
+// performs no heap allocations: the floats' bytes are block-copied straight
+// into the DIMMs' rank-local bytes.
 func (n *Node) WriteFloats(base uint64, vals []float32) error {
-	cur, err := n.stripe("write", base, len(vals)*4)
-	if err != nil {
-		return err
-	}
-	for len(vals) > 0 {
-		b := cur.next()
-		k := min(len(vals), isa.LanesPerBlock)
-		for l, v := range vals[:k] {
-			binary.LittleEndian.PutUint32(b[l*4:], math.Float32bits(v))
-		}
-		clear(b[k*4:])
-		vals = vals[k:]
-	}
-	return nil
+	return n.Write(base, floatBytes(vals))
 }
 
 // ReadFloats fetches count float32 values from base.
@@ -269,23 +258,17 @@ func (n *Node) ReadFloats(base uint64, count int) ([]float32, error) {
 }
 
 // ReadFloatsInto fetches len(out) float32 values from base into the
-// caller's buffer, decoding them straight out of the DIMMs' rank-local
-// bytes, so the steady-state read-back path performs no heap allocations.
-// base must be 64 B aligned.
+// caller's buffer, block-copying each stripe block of the DIMMs' rank-local
+// bytes into the buffer's own bytes, so the steady-state read-back path
+// performs no heap allocations. base must be 64 B aligned.
 func (n *Node) ReadFloatsInto(base uint64, out []float32) error {
-	cur, err := n.stripe("read", base, len(out)*4)
-	if err != nil {
-		return err
-	}
-	for len(out) > 0 {
-		b := cur.next()
-		k := min(len(out), isa.LanesPerBlock)
-		for l := range out[:k] {
-			out[l] = math.Float32frombits(binary.LittleEndian.Uint32(b[l*4:]))
-		}
-		out = out[k:]
-	}
-	return nil
+	return n.Read(base, floatBytes(out))
+}
+
+// floatBytes views floats as their bytes. Rank bytes are host-native, so
+// copying these is the whole encoding.
+func floatBytes(v []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(v))), 4*len(v))
 }
 
 // LoadIndices replicates a GATHER index list into the shared region at the
