@@ -481,8 +481,7 @@ func (c *Cluster) WarmCache(shard int, flatRows []int) (int, error) {
 // Close stops accepting requests, waits for every in-flight request and
 // update to drain (Router.Close), shuts down
 // every shard server (draining whatever they already accepted), releases
-// the shard deployments, and stops the shard nodes' executor workers. It
-// is idempotent.
+// the shard deployments, and closes the shard nodes. It is idempotent.
 func (c *Cluster) Close() error {
 	if !c.router.Close() {
 		return nil

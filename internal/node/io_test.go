@@ -91,8 +91,8 @@ func TestIOBoundsAndAlignment(t *testing.T) {
 	}
 }
 
-// TestExecuteAfterClose pins the Close contract: the executor workers stop
-// and further Execute calls fail cleanly instead of hanging.
+// TestExecuteAfterClose pins the Close contract: Close is idempotent and
+// further Execute calls fail cleanly instead of running.
 func TestExecuteAfterClose(t *testing.T) {
 	n, err := New(Config{DIMMs: 2, PerDIMMBytes: 4096})
 	if err != nil {

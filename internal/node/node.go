@@ -11,9 +11,12 @@
 //     64-byte block copy per stripe block, with nothing encoded or decoded;
 //
 //   - instruction broadcast: one TensorISA instruction is delivered to every
-//     buffer device, and all NMP cores execute their slice concurrently
-//     (Section 4.4, "the TensorISA instruction is broadcasted to all the
-//     TensorDIMMs");
+//     buffer device (Section 4.4, "the TensorISA instruction is broadcasted
+//     to all the TensorDIMMs"), and each NMP core executes it over its own
+//     slice. The emulation runs the cores in turn on the goroutine that
+//     issued the program; host parallelism comes from concurrent programs,
+//     and the paper's timing of a broadcast, where every core streams its
+//     rank at once, is the simulator's (internal/core), not host wall time;
 //
 //   - a pool memory allocator in the spirit of the remote-memory
 //     (de)allocation runtime APIs the paper builds on ([39]): first-fit with
@@ -66,28 +69,9 @@ type Node struct {
 	pool  spanAlloc // the striped DRAM pool, stripe-aligned
 	index spanAlloc // the shared region's address space, block-aligned
 
-	// Instruction broadcast runs on one persistent worker goroutine per
-	// TensorDIMM (the per-DIMM FSM of the hardware): Execute hands each
-	// worker the instruction over its channel and waits on a pooled
-	// execState, so the steady-state broadcast path performs no heap
-	// allocations (see ARCHITECTURE.md, "Memory discipline").
-	execCh   []chan execJob
-	execPool sync.Pool
-	closed   atomic.Bool
-}
-
-// execJob is one instruction handed to a DIMM's executor worker.
-type execJob struct {
-	in isa.Instruction
-	st *execState
-}
-
-// execState is the per-Execute rendezvous: every worker records its error
-// slot and signals the WaitGroup. States are pooled and reused; errs is
-// fully overwritten for every instruction before it is read.
-type execState struct {
-	wg   sync.WaitGroup
-	errs []error
+	// The node owns no goroutines: Execute runs every DIMM's NMP core on
+	// the caller's goroutine, so closing only refuses further programs.
+	closed atomic.Bool
 }
 
 // span is a free region [base, base+size) in bytes.
@@ -128,37 +112,16 @@ func New(cfg Config) (*Node, error) {
 	// (dimm.SharedCapacityBytes, enforced when a list is loaded), so a
 	// reservation itself never fails.
 	n.index = newSpanAlloc(1<<62, isa.BlockBytes)
-	n.execPool.New = func() any { return &execState{errs: make([]error, cfg.DIMMs)} }
-	for tid := 0; tid < cfg.DIMMs; tid++ {
-		ch := make(chan execJob, 1)
-		n.execCh = append(n.execCh, ch)
-		go n.execWorker(tid, ch)
-	}
 	return n, nil
 }
 
-// execWorker drains one DIMM's instruction channel until Close.
-func (n *Node) execWorker(tid int, ch chan execJob) {
-	d := n.dimms[tid]
-	for j := range ch {
-		j.st.errs[tid] = d.Execute(j.in)
-		j.st.wg.Done()
-	}
-}
-
-// Close stops the node's executor workers. It is idempotent. Close must not
-// be called while Execute calls are in flight (drain deployments and
-// servers first); Execute after Close returns an error. Closing is only
-// needed when nodes are created and torn down repeatedly in one process
-// (the cluster does it per shard) — a node that lives for the process
+// Close marks the node closed: Execute after Close returns an error, and an
+// Execute already past that check runs to completion. It is idempotent and
+// releases nothing — the node holds no goroutines, and its rank stores
+// belong to the garbage collector — so a node that lives for the process
 // lifetime can skip it.
 func (n *Node) Close() {
-	if n.closed.Swap(true) {
-		return
-	}
-	for _, ch := range n.execCh {
-		close(ch)
-	}
+	n.closed.Store(true)
 }
 
 // NodeDim returns the number of TensorDIMMs.
@@ -281,9 +244,12 @@ func (n *Node) LoadIndices(base uint64, indices []int32) error {
 	return n.shared.WriteIndices(base/isa.BlockBytes, indices)
 }
 
-// Execute broadcasts each instruction of the program to every TensorDIMM and
-// runs all NMP cores concurrently, one instruction at a time (instructions
-// within a program are dependent; DIMMs within an instruction are not).
+// Execute broadcasts each instruction of the program to every TensorDIMM,
+// one instruction at a time (instructions within a program are dependent;
+// DIMMs within an instruction are not). The NMP cores run in turn, DIMM 0
+// first, on the caller's goroutine. Every DIMM executes the instruction even
+// when an earlier one faulted; the program then stops, and the error names
+// the lowest-numbered failing DIMM.
 //
 // Execute is safe to call concurrently with other Execute, Read and Write
 // calls as long as the programs touch disjoint pool regions (each core
@@ -298,24 +264,19 @@ func (n *Node) Execute(p isa.Program) error {
 		return fmt.Errorf("node: node is closed")
 	}
 	// Instruction fields are in 64-byte blocks; convert byte->block
-	// addressing is the caller's job. Broadcast each instruction to the
-	// persistent per-DIMM workers and wait on the pooled state: no goroutine
-	// spawns or slice allocations on the steady-state path.
-	st := n.execPool.Get().(*execState)
+	// addressing is the caller's job.
 	for i, in := range p {
-		st.wg.Add(len(n.dimms))
-		for _, ch := range n.execCh {
-			ch <- execJob{in: in, st: st}
-		}
-		st.wg.Wait()
-		for tid, err := range st.errs {
-			if err != nil {
-				n.execPool.Put(st)
-				return fmt.Errorf("node: instruction %d (%v) on DIMM %d: %w", i, in, tid, err)
+		var first error
+		failed := 0
+		for tid, d := range n.dimms {
+			if err := d.Execute(in); err != nil && first == nil {
+				first, failed = err, tid
 			}
 		}
+		if first != nil {
+			return fmt.Errorf("node: instruction %d (%v) on DIMM %d: %w", i, in, failed, first)
+		}
 	}
-	n.execPool.Put(st)
 	return nil
 }
 

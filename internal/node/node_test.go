@@ -2,6 +2,8 @@ package node
 
 import (
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -276,6 +278,53 @@ func TestExecuteValidatesProgram(t *testing.T) {
 	n := testNode(t, 2)
 	if err := n.Execute(isa.Program{{Op: isa.OpGather, Count: 3}}); err == nil {
 		t.Fatal("want validation error")
+	}
+}
+
+// TestNewStartsNoGoroutines pins that a node owns no goroutines: Execute
+// runs the NMP cores on the caller's goroutine. Goroutines of earlier tests
+// that exit meanwhile can only make the count fall, never rise.
+func TestNewStartsNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	n, err := New(Config{DIMMs: 64, PerDIMMBytes: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New(64 DIMMs) started %d goroutines, want 0", after-before)
+	}
+}
+
+// TestExecuteStopsAtFaultingInstruction pins the fault contract of a
+// program: the instruction that faults on every DIMM is reported by its
+// index and the lowest DIMM, the instructions before it retired on every
+// DIMM, and nothing after it ran.
+func TestExecuteStopsAtFaultingInstruction(t *testing.T) {
+	const dimms = 4
+	n := testNode(t, dimms)
+	idxBase := n.ReserveIndexRegion(64)
+	if err := n.LoadIndices(idxBase, make([]int32, isa.LanesPerBlock)); err != nil {
+		t.Fatal(err)
+	}
+	g, _ := n.Alloc(isa.LanesPerBlock * n.StripeBytes())
+	out, _ := n.Alloc(isa.LanesPerBlock * n.StripeBytes())
+	blocks := uint32(isa.LanesPerBlock * dimms)
+	prog := isa.Program{
+		isa.Gather(0, idxBase/64, g/64, isa.LanesPerBlock),
+		isa.Gather(0, idxBase/64, n.CapacityBytes()/64, isa.LanesPerBlock), // output past every rank
+		isa.Reduce(isa.RAdd, g/64, g/64, out/64, blocks),
+	}
+	before := n.Stats().Instructions
+	err := n.Execute(prog)
+	if err == nil {
+		t.Fatal("want an error from the out-of-capacity GATHER")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "instruction 1 ") || !strings.Contains(msg, "on DIMM 0:") {
+		t.Fatalf("error %q does not name instruction 1 on DIMM 0", msg)
+	}
+	if got := n.Stats().Instructions - before; got != dimms {
+		t.Fatalf("%d instructions retired, want %d (the first GATHER on every DIMM, nothing after the fault)", got, dimms)
 	}
 }
 

@@ -29,7 +29,9 @@
 // and WaitGroup; RunEmbeddingInto writes the pooled result into a
 // caller-provided buffer. Together these make the steady-state embedding
 // path — expansion, compilation, broadcast, execution, read-back — free of
-// heap allocations (see ARCHITECTURE.md, "Memory discipline").
+// heap allocations (see ARCHITECTURE.md, "Memory discipline"). Each table
+// also carries one preallocated scatter job, so a single-table update
+// allocates nothing either.
 //
 // Online updates. ApplyUpdates programs the SCATTER_ADD extension over the
 // same lane partitioning: gradient rows are staged into a lane's gather
@@ -77,8 +79,8 @@ const (
 )
 
 // laneJob is one unit of work handed to a lane worker. Gather jobs live in
-// a slot's preallocated job array (zero allocation per batch); scatter jobs
-// are stack/heap transient on the update path.
+// a slot's preallocated job array and scatter jobs in their table's
+// tableScatter, so neither allocates per batch or per update.
 type laneJob struct {
 	kind  jobKind
 	t     int   // gather: target table
@@ -97,6 +99,14 @@ type laneJob struct {
 type slotScratch struct {
 	wg   sync.WaitGroup
 	jobs []laneJob
+}
+
+// tableScatter is a table's one preallocated scatter job and the WaitGroup
+// it signals. It is used only under the table's update lock, which makes
+// the holder of that lock its sole owner.
+type tableScatter struct {
+	wg  sync.WaitGroup
+	job laneJob
 }
 
 // Deployment is a recommender model resident in a TensorNode pool.
@@ -127,6 +137,7 @@ type Deployment struct {
 	// the golden model), while updates to disjoint tables proceed
 	// concurrently on separate scratch lanes.
 	tableMu []sync.Mutex
+	scatter []tableScatter // one per table, guarded by tableMu
 
 	// relMu guards the released flag against the in-flight counter so
 	// Release can wait for every running execution before closing the lane
@@ -185,6 +196,10 @@ func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int
 		freeSlot: make(chan int, slots),
 		work:     make(chan *laneJob, slots*cfg.Tables),
 		tableMu:  make([]sync.Mutex, cfg.Tables),
+		scatter:  make([]tableScatter, cfg.Tables),
+	}
+	for t := range d.scatter {
+		d.scatter[t].job = laneJob{kind: jobScatter, wg: &d.scatter[t].wg}
 	}
 
 	// Upload tables.
@@ -691,8 +706,8 @@ func AccumulateGolden(table *embed.Table, up TableUpdate) {
 // applyUpdates validates the whole batch, groups it by table, and fans the
 // per-table groups out across scratch lanes, each group under its table's
 // update lock. A batch touching one table — every update the serving
-// fleet's writers issue — has nothing to fan out and runs on the caller's
-// goroutine.
+// fleet's writers issue — has nothing to group or fan out: it runs on the
+// caller's goroutine and allocates nothing.
 func (d *Deployment) applyUpdates(ups []TableUpdate, writeThrough bool) error {
 	cfg := d.Model.Cfg
 	if err := d.enter(); err != nil {
@@ -722,10 +737,10 @@ func (d *Deployment) applyUpdates(ups []TableUpdate, writeThrough bool) error {
 		}
 	}
 
-	order, groups := GroupUpdatesByTable(ups)
-	if len(order) == 1 {
-		return d.applyTableGroup(order[0], groups[order[0]], writeThrough)
+	if oneTable(ups) {
+		return d.applyTableGroup(ups[0].Table, ups, writeThrough)
 	}
+	order, groups := GroupUpdatesByTable(ups)
 	errs := make([]error, len(order))
 	var wg sync.WaitGroup
 	for gi, t := range order {
@@ -744,22 +759,35 @@ func (d *Deployment) applyUpdates(ups []TableUpdate, writeThrough bool) error {
 	return nil
 }
 
+// oneTable reports whether a non-empty batch targets a single table.
+func oneTable(ups []TableUpdate) bool {
+	for _, up := range ups {
+		if up.Table != ups[0].Table {
+			return false
+		}
+	}
+	return len(ups) > 0
+}
+
 // applyTableGroup applies one table's updates in slice order under that
 // table's update lock, stopping at the first failure.
 func (d *Deployment) applyTableGroup(t int, group []TableUpdate, writeThrough bool) error {
 	d.tableMu[t].Lock()
 	defer d.tableMu[t].Unlock()
+	sc := &d.scatter[t]
 	for _, up := range group {
 		// Scatter through a lane worker: the worker stages the gradients
 		// and indices on its own lane, so concurrent table groups use
-		// disjoint scratch.
-		var jwg sync.WaitGroup
-		job := laneJob{kind: jobScatter, up: up, wg: &jwg}
-		jwg.Add(1)
-		d.work <- &job
-		jwg.Wait()
-		if job.err != nil {
-			return job.err
+		// disjoint scratch. The job drops the update once it is done, so
+		// the deployment never holds on to the caller's rows or gradients.
+		sc.job.up, sc.job.err = up, nil
+		sc.wg.Add(1)
+		d.work <- &sc.job
+		sc.wg.Wait()
+		err := sc.job.err
+		sc.job.up = TableUpdate{}
+		if err != nil {
+			return err
 		}
 		if writeThrough {
 			AccumulateGolden(d.Model.Embedding.Tables[t], up)

@@ -200,9 +200,9 @@ type Server struct {
 
 	// tblMu guards table memory against Restore: merged-batch gathers hold
 	// it shared, Restore holds it exclusively. Updates need no share — their
-	// scatter-adds ride the per-DIMM execute queue and serialize with
-	// gathers there — but Restore writes table rows directly (WriteFloats
-	// bypasses the queue by design; see Restore) and would otherwise tear
+	// scatter-adds are NMP instructions and serialize with gathers on each
+	// core's mutex — but Restore writes table rows directly (WriteFloats
+	// bypasses the cores by design; see Restore) and would otherwise tear
 	// rows under a concurrent read from a second, read-only router.
 	tblMu sync.RWMutex
 

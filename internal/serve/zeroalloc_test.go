@@ -111,11 +111,11 @@ func TestServeZeroAlloc(t *testing.T) {
 }
 
 // TestServeUpdateZeroAlloc pins the steady-state write path — Update with
-// caller-owned rows and gradients, 4 concurrent writers of 8-row updates —
-// to 0 allocs/op of the server's own: queueing, batching, the replica
-// fan-out under the server-wide lock and the reply add nothing to what
-// Deployment.ApplyUpdates allocates beneath them (its per-table grouping
-// and lane hand-off, logged here, belong to internal/runtime).
+// caller-owned rows and gradients, 4 concurrent writers of 8-row single-table
+// updates — to 0 allocs/op at both levels: a direct Deployment.ApplyUpdates
+// (no grouping, the table's preallocated scatter job) and Update on top of
+// it (queueing, batching, the replica fan-out under the server-wide lock and
+// the reply).
 func TestServeUpdateZeroAlloc(t *testing.T) {
 	const clients, rows = 4, 8
 	srv, cfg := allocPinServer(t)
@@ -135,9 +135,11 @@ func TestServeUpdateZeroAlloc(t *testing.T) {
 		return feed[(c+cursors[c]*clients)%len(feed)]
 	}
 	below := allocsPerOp(t, clients, 400, func(c int) error { return srv.deps[0].ApplyUpdates(next(c)) })
+	if below != 0 {
+		t.Fatalf("steady-state single-table ApplyUpdates allocates %d times per op, want 0", below)
+	}
 	got := allocsPerOp(t, clients, 400, func(c int) error { return srv.Update(next(c)) })
-	if got != below {
-		t.Fatalf("steady-state Update allocates %d times per op, %d of them below the server, want 0 of its own",
-			got, below)
+	if got != 0 {
+		t.Fatalf("steady-state Update allocates %d times per op, want 0", got)
 	}
 }
