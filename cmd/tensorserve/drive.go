@@ -146,7 +146,7 @@ func (t tally) report(rate float64) {
 }
 
 // exitCode is the run's verdict: shed and expired requests are tolerated
-// (a -connect driver past the knee expects them; the -join router never
+// (a drive past the knee expects them; route's router never
 // surfaces a shed, so there any loss is a failure), nothing completing or
 // anything lost is not.
 func (t tally) exitCode() int {

@@ -1,87 +1,66 @@
-// Command tensorserve drives the serving stack with a synthetic open-loop
-// workload: requests arrive at a fixed rate regardless of completion (the
-// arrival model of a production front-end), the server coalesces whatever
-// queues behind its busy workers into merged near-memory embedding
-// executions — a lone request never waits for company — and the run ends
-// with a throughput and latency report (p50/p95/p99).
+// Command tensorserve runs the serving stack as one of six verbs, each
+// parsing only its own flags (tensorserve VERB -h lists them):
 //
-// With -nodes N (N > 1) it drives the sharded cluster instead of a single
-// node: the model is split table-wise or row-wise across N TensorNodes,
-// each fronted by an optional hot-row cache, and the report adds per-shard
-// sub-request, cache hit/miss and modeled fabric-transfer counters.
+//	run            drive an in-process TensorNode (or a sharded cluster)
+//	               with a synthetic open-loop workload
+//	serve ADDR     serve that node or cluster over TCP until SIGINT/SIGTERM
+//	shard ADDR     serve one shard of a model split -nodes ways, as a replica
+//	drive ADDR     drive the workload over TCP against a serve or shard process
+//	route GROUPS   drive the workload through the failover router over
+//	               replica groups of shard processes
+//	chaos SEED     run a seeded chaos soak against an in-process replica fleet
 //
-// With -update-frac F, that fraction of arrivals are SCATTER_ADD
-// gradient-update batches instead of inferences; the report then includes
-// update counts and (in cluster mode) per-shard update and cache
-// invalidation counters.
+// Every stack is a TensorNode sized for the tables it holds, deployed and
+// fronted by a micro-batching server; with -nodes N > 1 or a hot-row cache
+// (-cache-mb), run and serve shard the model across N of them behind the
+// cluster router. Workloads are open loop: requests arrive at -rate
+// whatever completes, -update-frac of them are SCATTER_ADD gradient
+// updates, and -zipf S skews the lookup indices. A driving verb reports
+// throughput and client-observed p50/p95/p99 latency and exits 1 if
+// nothing completed or any request was lost.
 //
-// With -listen ADDR the process becomes a network server instead of a
-// load driver: it builds the node or cluster, fronts it with the binary
-// wire protocol, and serves until SIGINT/SIGTERM, when it drains
-// gracefully and prints the serving report. With -connect ADDR it is the
-// matching remote load driver: the model geometry comes from the server's
-// handshake, the open-loop workload travels over TCP on a pool of
-// pipelined connections, and the run ends with client-observed latency
-// plus the server's own report. The two flags turn one binary into the
-// classic two-terminal serving demo — and the CI network smoke test.
-//
-// With -listen plus -shard-id S the process serves one shard of a model
-// split -nodes ways: it extracts shard S's gather-only slice from the
-// deterministic model build and announces itself as a replica, ready to
-// join a replica group. With -join "a1,a2/b1,b2" the process is the
-// matching replica-group driver: each /-separated group lists one shard's
-// replica endpoints, requests hedge and fail over inside each group, and
-// updates fan out with sequenced replay — killing one replica of a
-// multi-replica shard mid-run loses no requests. -replicas N asserts the
-// intended group width up front. The driver exits non-zero if any request
-// fails, which makes it the CI failover smoke test.
-//
-// With -data-dir DIR the -join driver's update log is durable: every
-// update is appended to a per-shard WAL under DIR before it fans out, and
-// full-table snapshots (every -snapshot-every entries) trim the log. A
-// driver killed mid-run — SIGKILL included — and restarted with the same
-// -data-dir resumes its update sequence and replays replicas back to the
-// head, which is what the CI restart-replay smoke asserts. On a -listen
-// cluster server, -data-dir instead persists each shard's hot-row top-K
-// at drain and pre-warms the caches from it at the next boot, so a warm
-// restart serves its first requests from cache.
-//
-// With -metrics-addr ADDR the process additionally serves a live admin
-// endpoint while it runs (any mode except -connect, which reads the
-// server's registry over the wire instead): /metrics is Prometheus text,
-// /metrics.json the versioned snapshot, /slow the recent slow-request
-// traces with per-hop timings, /stream an SSE feed of snapshots, and
-// /debug/pprof/ the standard Go profiles.
+// drive takes the model geometry from the server's handshake; route
+// defines it locally and checks every replica's handshake against it. In
+// GROUPS each /-separated group lists one shard's replicas: reads hedge and
+// fail over inside a group and updates fan out with sequenced replay, so
+// killing one replica loses no request. route -data-dir makes the update
+// log durable, so a router killed mid-run resumes from the same directory;
+// serve -data-dir persists each shard's hot rows at drain and pre-warms
+// the caches from them at the next boot. -metrics-addr serves /metrics,
+// /metrics.json, /slow, /stream and /debug/pprof/.
 //
 // Usage:
 //
-//	tensorserve                                  # YouTube-class model, defaults
-//	tensorserve -model facebook -rate 500 -duration 3s
-//	tensorserve -rate 4000 -duration 1s          # saturate: mean batch ~40
-//	tensorserve -model ncf -batch 4 -maxbatch 32 -workers 2
-//	tensorserve -nodes 4 -shard row -cache-mb 4 -zipf -zipf-s 0.9
-//	tensorserve -nodes 4 -cache-mb 4 -zipf -update-frac 0.2
-//	tensorserve -listen :7077 -nodes 4 -cache-mb 4 -metrics-addr :9090
-//	tensorserve -connect :7077 -rate 2000 -batch 4   # terminal 2: driver
+//	tensorserve run                                  # YouTube-class model, defaults
+//	tensorserve run -rate 4000 -duration 1s          # saturate: mean batch ~40
+//	tensorserve run -model ncf -batch 4 -maxbatch 32 -workers 2
+//	tensorserve run -nodes 4 -shard row -cache-mb 4 -zipf 0.9 -update-frac 0.2
+//	tensorserve chaos 7 -duration 4s
+//
+//	tensorserve serve :7077 -nodes 4 -cache-mb 4 -metrics-addr :9090
+//	tensorserve drive :7077 -rate 2000 -batch 4      # terminal 2: driver
 //	curl -s localhost:9090/metrics | grep cache_hits # terminal 3: scrape
 //
-//	tensorserve -listen :7171 -nodes 2 -shard-id 0   # shard 0, replica A
-//	tensorserve -listen :7172 -nodes 2 -shard-id 0   # shard 0, replica B
-//	tensorserve -listen :7173 -nodes 2 -shard-id 1   # shard 1, replica A
-//	tensorserve -listen :7174 -nodes 2 -shard-id 1   # shard 1, replica B
-//	tensorserve -join ":7171,:7172/:7173,:7174" -replicas 2 -rate 500 -update-frac 0.2
-//	tensorserve -join ... -data-dir /var/lib/tensordimm -snapshot-every 256
+//	tensorserve shard :7171 -nodes 2 -shard-id 0     # shard 0, replica A
+//	tensorserve shard :7172 -nodes 2 -shard-id 0     # shard 0, replica B
+//	tensorserve shard :7173 -nodes 2 -shard-id 1     # shard 1, replica A
+//	tensorserve shard :7174 -nodes 2 -shard-id 1     # shard 1, replica B
+//	tensorserve route ":7171,:7172/:7173,:7174" -replicas 2 -rate 500 -update-frac 0.2
+//	tensorserve route ":7171,:7172/:7173,:7174" -data-dir /var/lib/tensordimm -snapshot-every 256
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"math/rand"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
+	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -89,316 +68,210 @@ import (
 	"tensordimm"
 )
 
-// flags holds every parsed flag so validation can reason about the whole
-// set at once.
-type flags struct {
-	modelName string
-	rows      int
-	dim       int
-	dimms     int
-	batch     int
-	rate      float64
-	duration  time.Duration
-	maxBatch  int
-	workers   int
-	zipf      bool
-	zipfS     float64
-	seed      int64
-	updFrac   float64
+// opts holds every verb's flag values. A verb registers only its own
+// flags; the others stay zero and unused.
+type opts struct {
+	model                 string
+	rows, dim, maxBatch   int
+	dimms, workers, nodes int
+	shardID, inflight     int
+	strategy              string
+	cacheMB               float64
 
-	nodes   int
-	shard   string
-	cacheMB float64
+	batch, conns       int
+	rate, zipf         float64
+	updFrac            float64
+	duration, deadline time.Duration
+	seed               int64
 
-	listen   string
-	connect  string
-	conns    int
-	inflight int
-
-	shardID  int
-	join     string
-	replicas int
-	sticky   bool
-	deadline time.Duration
-
-	dataDir   string
-	snapEvery int
-
-	chaosSeed int64
-
-	metricsAddr string
+	replicas, snapEvery  int
+	sticky               bool
+	dataDir, metricsAddr string
+	arg                  string     // the verb's operand: ADDR, GROUPS or SEED
+	groups               [][]string // route's parsed GROUPS
 }
 
-func main() {
-	var f flags
-	flag.StringVar(&f.modelName, "model", "youtube", "benchmark model: ncf, youtube, fox, facebook")
-	flag.IntVar(&f.rows, "rows", 4000, "rows per embedding table (paper-scale tables are hundreds of GBs; geometry is what matters)")
-	flag.IntVar(&f.dim, "dim", 256, "embedding dimension (must be a multiple of dimms x 16)")
-	flag.IntVar(&f.dimms, "dimms", 8, "TensorDIMMs per node")
-	flag.IntVar(&f.batch, "batch", 1, "samples per client request")
-	flag.Float64Var(&f.rate, "rate", 1000, "offered load in requests/second (open loop)")
-	flag.DurationVar(&f.duration, "duration", 2*time.Second, "how long to offer load")
-	flag.IntVar(&f.maxBatch, "maxbatch", 64, "merged-batch cap (samples)")
-	flag.IntVar(&f.workers, "workers", 4, "concurrent batch executors (= deployment slots)")
-	flag.BoolVar(&f.zipf, "zipf", false, "draw Zipfian (skewed) lookup indices instead of uniform")
-	flag.Float64Var(&f.zipfS, "zipf-s", 1.2, "Zipf exponent for -zipf (0.9 matches production skew fits)")
-	flag.Int64Var(&f.seed, "seed", 1, "workload seed")
-	flag.Float64Var(&f.updFrac, "update-frac", 0, "fraction of requests that are SCATTER_ADD gradient updates (0..1)")
-
-	flag.IntVar(&f.nodes, "nodes", 1, "TensorNode shards; >1 selects cluster mode")
-	flag.StringVar(&f.shard, "shard", "table", "cluster sharding: table (whole tables round-robin) or row (rows hashed across shards)")
-	flag.Float64Var(&f.cacheMB, "cache-mb", 0, "per-shard hot-row cache capacity in MiB (0 disables; cluster mode only)")
-
-	flag.StringVar(&f.listen, "listen", "", "serve the node/cluster over TCP on this address instead of driving load (e.g. :7077)")
-	flag.StringVar(&f.connect, "connect", "", "drive load over TCP against a -listen server at this address (geometry comes from the handshake)")
-	flag.IntVar(&f.conns, "conns", 2, "client connection pool size for -connect")
-	flag.IntVar(&f.inflight, "inflight", 256, "admission budget for -listen: in-flight requests beyond it are shed with OVERLOADED")
-
-	flag.IntVar(&f.shardID, "shard-id", -1, "with -listen: serve only this shard of a model split -nodes ways, announcing the replica role")
-	flag.StringVar(&f.join, "join", "", "drive load against replica groups of -shard-id servers: one ,-separated address group per shard, groups separated by / (e.g. :7171,:7172/:7173,:7174)")
-	flag.IntVar(&f.replicas, "replicas", 0, "with -join: require every serving shard's group to list exactly this many replicas (0 skips the check)")
-	flag.BoolVar(&f.sticky, "sticky", false, "with -join: attach read-only (sticky-shard routing) — reads go straight to each shard's replica group and updates are refused; the fleet's writer owns the update log")
-	flag.StringVar(&f.dataDir, "data-dir", "", "durability root: with -join, each shard's update WAL and snapshots live here and a restarted driver resumes from them; with -listen -nodes N, hot-row lists persist here for cache pre-warming across restarts")
-	flag.IntVar(&f.snapEvery, "snapshot-every", 0, "with -join: log entries per shard between full-table snapshots, which trim the update log (0 selects the default)")
-	flag.DurationVar(&f.deadline, "deadline", 0, "with -connect or -join: end-to-end deadline budget per request, propagated to the server so both sides shed expired work (0 disables)")
-	flag.Int64Var(&f.chaosSeed, "chaos-seed", 0, "run a seeded chaos soak against an in-process replica fleet instead of serving or driving load; -duration bounds the fault phase (0 disables)")
-	flag.StringVar(&f.metricsAddr, "metrics-addr", "", "serve the admin endpoint on this address (e.g. 127.0.0.1:9090): /metrics (Prometheus text), /metrics.json, /slow, /stream (SSE), /debug/pprof/*; every mode except -connect, whose metrics come from the server over the wire")
-	flag.Parse()
-
-	set := map[string]bool{}
-	flag.Visit(func(fl *flag.Flag) { set[fl.Name] = true })
-	if err := validate(f, set); err != nil {
-		fmt.Fprintln(os.Stderr, "tensorserve:", err)
-		os.Exit(2)
-	}
-
-	if f.chaosSeed != 0 {
-		runChaos(f)
-		return
-	}
-	if f.connect != "" {
-		os.Exit(runConnect(f).exitCode())
-	}
-
-	cfg, err := benchmark(f.modelName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "tensorserve:", err)
-		os.Exit(2)
-	}
-	cfg.TableRows = f.rows
-	cfg.EmbDim = f.dim
-	if f.join != "" {
-		os.Exit(runJoin(cfg, f).exitCode())
-	}
-	model, err := tensordimm.BuildModel(cfg, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("model %s: %d tables x %d rows, dim %d, %d-way %s\n",
-		cfg.Name, cfg.Tables, cfg.TableRows, cfg.EmbDim, cfg.Reduction, poolingName(cfg))
-	switch {
-	case f.listen != "":
-		runListen(model, cfg, f)
-	case f.nodes > 1:
-		os.Exit(runCluster(model, cfg, f).exitCode())
-	default:
-		os.Exit(runSingle(model, cfg, f).exitCode())
-	}
+// verb is one tensorserve subcommand.
+type verb struct {
+	operand string              // "ADDR", "GROUPS", "SEED", or "" for none
+	flags   func(c *cmdline)    // registers the verb's flag groups
+	check   func(o *opts) error // the verb's own rules beyond flag values; may be nil
+	run     func(o *opts) int   // returns the exit code
 }
 
-// validate rejects inconsistent flag combinations up front with one
-// actionable line, instead of a deep panic or a late failure mid-run. set
-// names the flags given on the command line.
-func validate(f flags, set map[string]bool) error {
-	modes := 0
-	for _, m := range []string{f.listen, f.connect, f.join} {
-		if m != "" {
-			modes++
-		}
+var verbs = map[string]verb{
+	"run": {"", func(c *cmdline) { c.modelFlags(); c.nodeFlags(); c.cacheFlag(); c.loadFlags(); c.metricsFlag() }, nil, runLocal},
+	"serve": {"ADDR", func(c *cmdline) {
+		c.modelFlags()
+		c.nodeFlags()
+		c.cacheFlag()
+		c.serverFlags()
+		c.dataDirFlag("persist each shard's hot rows here at drain and pre-warm the caches from them at boot")
+	}, nil, runServe},
+	"shard": {"ADDR", func(c *cmdline) {
+		c.modelFlags()
+		c.nodeFlags()
+		c.serverFlags()
+		c.fs.IntVar(&c.o.shardID, "shard-id", 0, "the shard of the -nodes-way split this replica serves")
+	}, nil, runShard},
+	"drive": {"ADDR", func(c *cmdline) { c.loadFlags(); c.clientFlags() }, nil, runDrive},
+	"route": {"GROUPS", func(c *cmdline) {
+		c.modelFlags()
+		c.strategyFlag()
+		c.loadFlags()
+		c.clientFlags()
+		c.metricsFlag()
+		c.fs.IntVar(&c.o.replicas, "replicas", 0, "require every serving shard's group to list exactly this many replicas (0 skips the check)")
+		c.fs.BoolVar(&c.o.sticky, "sticky", false, "attach read-only (sticky-shard routing): reads go straight to each replica group, updates are refused")
+		c.dataDirFlag("durable update log: each shard's WAL and snapshots live here and a restarted router resumes from them")
+		c.fs.IntVar(&c.o.snapEvery, "snapshot-every", 0, "log entries per shard between snapshots, which trim the update log (0 selects the default)")
+	}, checkRoute, runRoute},
+	"chaos": {"SEED", func(c *cmdline) { c.durationFlag("summed length of the fault phases"); c.metricsFlag() }, checkChaos, runChaos},
+}
+
+// cmdline is one parsed invocation: the verb, its flag set and the values.
+type cmdline struct {
+	name string
+	v    verb
+	fs   *flag.FlagSet
+	o    opts
+}
+
+func (c *cmdline) usage() string {
+	return strings.TrimSuffix("tensorserve "+c.name+" "+c.v.operand, " ") + " [flags]"
+}
+
+// modelFlags is the model geometry: what run, serve and shard build, and
+// what route must agree with.
+func (c *cmdline) modelFlags() {
+	c.fs.StringVar(&c.o.model, "model", "youtube", "benchmark model: ncf, youtube, fox, facebook")
+	c.fs.IntVar(&c.o.rows, "rows", 4000, "rows per embedding table (paper-scale tables are hundreds of GBs; geometry is what matters)")
+	c.fs.IntVar(&c.o.dim, "dim", 256, "embedding dimension (a node needs a multiple of dimms x 16)")
+	c.fs.IntVar(&c.o.maxBatch, "maxbatch", 64, "samples per request at most (a shard's sub-batch cap follows from it)")
+}
+
+// nodeFlags sizes each TensorNode and its server, and splits the model
+// across -nodes of them.
+func (c *cmdline) nodeFlags() {
+	c.fs.IntVar(&c.o.dimms, "dimms", 8, "TensorDIMMs per node")
+	c.fs.IntVar(&c.o.workers, "workers", 4, "concurrent batch executors per node (= deployment slots)")
+	c.fs.IntVar(&c.o.nodes, "nodes", 1, "TensorNode shards the model splits into")
+	c.strategyFlag()
+}
+
+func (c *cmdline) strategyFlag() {
+	c.fs.StringVar(&c.o.strategy, "shard", "table", "sharding: table (whole tables round-robin) or row (rows hashed across shards)")
+}
+
+func (c *cmdline) cacheFlag() {
+	c.fs.Float64Var(&c.o.cacheMB, "cache-mb", 0, "per-shard hot-row cache in MiB (0 disables; a cache selects the cluster even on one node)")
+}
+
+// serverFlags is what a serving process adds: admission and telemetry.
+func (c *cmdline) serverFlags() {
+	c.fs.IntVar(&c.o.inflight, "inflight", 256, "admission budget: in-flight requests beyond it are shed with OVERLOADED")
+	c.metricsFlag()
+}
+
+// loadFlags is the open-loop workload.
+func (c *cmdline) loadFlags() {
+	c.fs.IntVar(&c.o.batch, "batch", 1, "samples per request")
+	c.fs.Float64Var(&c.o.rate, "rate", 1000, "offered load in requests/second (open loop)")
+	c.durationFlag("how long to offer load")
+	c.fs.Float64Var(&c.o.zipf, "zipf", 0, "Zipf exponent of the lookup indices (0.9 matches production skew fits; 0 draws them uniformly)")
+	c.fs.Int64Var(&c.o.seed, "seed", 1, "workload seed")
+	c.fs.Float64Var(&c.o.updFrac, "update-frac", 0, "fraction of requests that are SCATTER_ADD gradient updates (0..1)")
+}
+
+func (c *cmdline) durationFlag(usage string) {
+	c.fs.DurationVar(&c.o.duration, "duration", 2*time.Second, usage)
+}
+
+// clientFlags is a network driver's connection pool and request budget.
+func (c *cmdline) clientFlags() {
+	c.fs.IntVar(&c.o.conns, "conns", 2, "connections per server")
+	c.fs.DurationVar(&c.o.deadline, "deadline", 0, "end-to-end deadline per request, propagated to the server so both sides shed expired work (0 disables)")
+}
+
+func (c *cmdline) dataDirFlag(usage string) { c.fs.StringVar(&c.o.dataDir, "data-dir", "", usage) }
+
+func (c *cmdline) metricsFlag() {
+	c.fs.StringVar(&c.o.metricsAddr, "metrics-addr", "", "serve the admin endpoint on this address (e.g. 127.0.0.1:9090): /metrics, /metrics.json, /slow, /stream, /debug/pprof/")
+}
+
+// checkValues rejects out-of-range values of the flags the verb defines.
+func (c *cmdline) checkValues() error {
+	o := &c.o
+	stripe := 16 * o.dimms
+	rules := []struct {
+		flag string
+		bad  bool
+		why  string
+	}{
+		{"model", models[strings.ToLower(o.model)] == nil, "is not one of ncf, youtube, fox, facebook"},
+		{"rows", o.rows < 1, "must be at least 1"},
+		{"dim", o.dim < 1, "must be at least 1"},
+		{"maxbatch", o.maxBatch < 1, "must be at least 1"},
+		{"dimms", o.dimms < 1, "must be at least 1"},
+		{"dimms", stripe > 0 && o.dim%stripe != 0, fmt.Sprintf("does not stripe -dim %d: it must be a multiple of dimms x 16 = %d", o.dim, stripe)},
+		{"workers", o.workers < 1, "must be at least 1"},
+		{"nodes", o.nodes < 1, "must be at least 1"},
+		{"shard", o.strategy != "table" && o.strategy != "row", "must be table or row"},
+		{"shard-id", o.shardID < 0 || o.shardID >= o.nodes, fmt.Sprintf("is out of range: the model splits into -nodes %d shards", o.nodes)},
+		{"cache-mb", o.cacheMB < 0, "must not be negative"},
+		{"data-dir", c.fs.Lookup("cache-mb") != nil && o.dataDir != "" && o.cacheMB == 0, "persists hot-row caches: it needs -cache-mb"},
+		{"inflight", o.inflight < 1, "must be at least 1"},
+		{"batch", o.batch < 1, "must be at least 1"},
+		{"batch", c.fs.Lookup("maxbatch") != nil && o.batch > o.maxBatch, fmt.Sprintf("exceeds -maxbatch %d: the server would reject every request", o.maxBatch)},
+		{"rate", o.rate <= 0, "must be positive"},
+		{"duration", o.duration <= 0, "must be positive"},
+		{"zipf", o.zipf < 0, "must not be negative (0 draws indices uniformly)"},
+		{"update-frac", o.updFrac < 0 || o.updFrac > 1, "must be in [0, 1]"},
+		{"conns", o.conns < 1, "must be at least 1"},
+		{"deadline", o.deadline < 0, "must not be negative (0 disables)"},
+		{"replicas", o.replicas < 0, "must not be negative"},
+		{"snapshot-every", o.snapEvery < 0, "must not be negative (0 selects the default)"},
 	}
-	if modes > 1 {
-		return fmt.Errorf("-listen, -connect and -join are mutually exclusive (one process serves, the other drives)")
-	}
-	if f.chaosSeed != 0 && modes > 0 {
-		return fmt.Errorf("-chaos-seed cannot be combined with -listen, -connect or -join: the soak boots its own in-process fleet")
-	}
-	if f.deadline < 0 {
-		return fmt.Errorf("-deadline %v must not be negative (0 disables)", f.deadline)
-	}
-	if f.metricsAddr != "" && f.connect != "" {
-		return fmt.Errorf("-metrics-addr cannot be combined with -connect: the serving process owns the registry; the driver reads it over the wire (server report + snapshot)")
-	}
-	if set["deadline"] && f.connect == "" && f.join == "" {
-		return fmt.Errorf("-deadline needs -connect or -join: the budget is stamped by the requesting client")
-	}
-	if f.connect == "" && f.join == "" {
-		// Network-only flags in the in-process driver would be silently
-		// ignored.
-		if set["conns"] {
-			return fmt.Errorf("-conns needs -connect or -join: the in-process driver opens no network connections")
-		}
-	}
-	if f.listen == "" {
-		if set["inflight"] {
-			return fmt.Errorf("-inflight needs -listen: admission control lives in the network server")
-		}
-		if set["shard-id"] {
-			return fmt.Errorf("-shard-id needs -listen: a shard replica is a serving process (drive its group with -join)")
-		}
-	}
-	if f.join == "" && set["replicas"] {
-		return fmt.Errorf("-replicas needs -join: it asserts the width of each replica group being driven")
-	}
-	if f.join == "" && f.sticky {
-		return fmt.Errorf("-sticky needs -join: sticky-shard routing attaches to replica groups")
-	}
-	if f.sticky && f.updFrac > 0 {
-		return fmt.Errorf("-sticky refuses -update-frac %g: a sticky (read-only) router routes no updates; drive them through the fleet's writer", f.updFrac)
-	}
-	if f.snapEvery < 0 {
-		return fmt.Errorf("-snapshot-every %d must not be negative (0 selects the default)", f.snapEvery)
-	}
-	if set["snapshot-every"] && f.join == "" {
-		return fmt.Errorf("-snapshot-every needs -join: the update log lives in the replica-group driver")
-	}
-	if f.dataDir != "" {
-		if f.sticky {
-			return fmt.Errorf("-data-dir cannot be combined with -sticky: a read-only router owns no update log (the fleet's writer persists it)")
-		}
-		if f.join == "" && (f.listen == "" || f.nodes <= 1 || f.shardID >= 0) {
-			return fmt.Errorf("-data-dir needs -join (durable update log) or -listen with -nodes N > 1 (persisted hot-row lists)")
-		}
-	}
-	if f.join != "" {
-		if err := validateJoin(f, set); err != nil {
-			return err
-		}
-	}
-	if f.connect != "" {
-		// The server owns the model and topology; a -connect driver setting
-		// them is a configuration that silently would not take effect.
-		for _, name := range []string{"model", "rows", "dim", "dimms", "maxbatch", "workers", "nodes", "shard", "cache-mb", "inflight"} {
-			if set[name] {
-				return fmt.Errorf("-%s cannot be combined with -connect: the server defines the model, topology and limits (set it on the -listen side)", name)
-			}
-		}
-	} else {
-		// The process defines the model geometry itself.
-		if f.rows < 1 {
-			return fmt.Errorf("-rows %d must be at least 1", f.rows)
-		}
-		if f.maxBatch < 1 {
-			return fmt.Errorf("-maxbatch %d must be at least 1", f.maxBatch)
-		}
-		if s := strings.ToLower(f.shard); s != "table" && s != "row" {
-			return fmt.Errorf("-shard %q must be table or row", f.shard)
-		}
-	}
-	if (f.connect != "" || f.join != "") && f.conns < 1 {
-		return fmt.Errorf("-conns %d must be at least 1", f.conns)
-	}
-	if f.connect == "" && f.join == "" {
-		if stripe := f.dimms * 16; f.dimms < 1 || f.dim%stripe != 0 {
-			return fmt.Errorf("-dim %d must be a positive multiple of dimms x 16 = %d", f.dim, f.dimms*16)
-		}
-		if f.nodes < 1 {
-			return fmt.Errorf("-nodes %d must be at least 1", f.nodes)
-		}
-		if f.workers < 1 {
-			return fmt.Errorf("-workers %d must be at least 1", f.workers)
-		}
-		if set["shard-id"] {
-			if f.shardID < 0 || f.shardID >= f.nodes {
-				return fmt.Errorf("-shard-id %d out of range: the model splits into -nodes %d shards", f.shardID, f.nodes)
-			}
-			if set["cache-mb"] {
-				return fmt.Errorf("-cache-mb cannot be combined with -shard-id: the hot-row cache lives in the in-process cluster router, not in a shard replica")
-			}
-		} else if f.nodes == 1 {
-			// Cluster-only flags on a single node would be silently ignored.
-			if set["shard"] {
-				return fmt.Errorf("-shard needs cluster mode: add -nodes N (N > 1) or serve one shard with -shard-id")
-			}
-			if set["cache-mb"] {
-				return fmt.Errorf("-cache-mb needs cluster mode: add -nodes N (N > 1); the single-node server has no hot-row cache")
-			}
-		}
-		if f.cacheMB < 0 {
-			return fmt.Errorf("-cache-mb %g must not be negative", f.cacheMB)
-		}
-		if f.inflight < 1 {
-			return fmt.Errorf("-inflight %d must be at least 1", f.inflight)
-		}
-	}
-	if f.listen != "" {
-		// The serving process offers no load; driver flags would be silently
-		// ignored.
-		for _, name := range []string{"batch", "rate", "duration", "zipf", "zipf-s", "seed", "update-frac", "conns"} {
-			if set[name] {
-				return fmt.Errorf("-%s cannot be combined with -listen: the workload is driven by the -connect side", name)
-			}
-		}
-	} else {
-		if f.batch < 1 {
-			return fmt.Errorf("-batch %d must be at least 1", f.batch)
-		}
-		if f.connect == "" && f.batch > f.maxBatch {
-			return fmt.Errorf("-batch %d exceeds -maxbatch %d: the server would reject every request", f.batch, f.maxBatch)
-		}
-		if f.rate <= 0 {
-			return fmt.Errorf("-rate %g must be positive", f.rate)
-		}
-		if f.duration <= 0 {
-			return fmt.Errorf("-duration %v must be positive", f.duration)
-		}
-		if f.updFrac < 0 || f.updFrac > 1 {
-			return fmt.Errorf("-update-frac %g must be in [0, 1]", f.updFrac)
-		}
-		if f.zipfS <= 0 {
-			return fmt.Errorf("-zipf-s %g must be positive", f.zipfS)
-		}
-		if set["zipf-s"] && !f.zipf {
-			return fmt.Errorf("-zipf-s needs -zipf (uniform indices ignore the exponent)")
+	for _, r := range rules {
+		if f := c.fs.Lookup(r.flag); r.bad && f != nil {
+			return fmt.Errorf("-%s %s %s", r.flag, f.Value, r.why)
 		}
 	}
 	return nil
 }
 
-// validateJoin checks the replica-group driver's flag set. Unlike
-// -connect, the -join driver defines the model geometry locally (it must
-// match what the shard servers were built with — every replica's
-// handshake is validated against it), so the model flags stay legal;
-// server-side sizing flags would be silently ignored and are rejected.
-func validateJoin(f flags, set map[string]bool) error {
-	for _, name := range []string{"dimms", "workers", "cache-mb", "inflight"} {
-		if set[name] {
-			return fmt.Errorf("-%s cannot be combined with -join: it sizes the serving processes (set it on the -listen -shard-id side)", name)
-		}
-	}
-	if set["nodes"] {
-		return fmt.Errorf("-nodes cannot be combined with -join: the shard count is the number of /-separated groups")
-	}
-	groups, err := parseJoin(f.join)
+// checkRoute parses GROUPS and applies the rules among route's own flags.
+func checkRoute(o *opts) error {
+	groups, err := parseJoin(o.arg)
 	if err != nil {
 		return err
 	}
-	if f.replicas < 0 {
-		return fmt.Errorf("-replicas %d must not be negative", f.replicas)
-	}
-	if f.replicas > 0 {
-		for s, g := range groups {
-			if len(g) > 0 && len(g) != f.replicas {
-				return fmt.Errorf("-replicas %d: shard %d's group lists %d addresses", f.replicas, s, len(g))
-			}
+	for s, g := range groups {
+		if o.replicas > 0 && len(g) > 0 && len(g) != o.replicas {
+			return fmt.Errorf("-replicas %d: shard %d's group lists %d addresses", o.replicas, s, len(g))
 		}
 	}
-	if f.dim < 1 {
-		return fmt.Errorf("-dim %d must be at least 1", f.dim)
+	if o.sticky && o.updFrac > 0 {
+		return fmt.Errorf("-sticky refuses -update-frac %g: a sticky (read-only) router routes no updates; drive them through the fleet's writer", o.updFrac)
 	}
+	if o.sticky && o.dataDir != "" {
+		return fmt.Errorf("-data-dir cannot be combined with -sticky: a read-only router owns no update log (the fleet's writer persists it)")
+	}
+	o.groups = groups
 	return nil
 }
 
-// parseJoin splits a -join value into per-shard replica address groups:
+// checkChaos parses SEED.
+func checkChaos(o *opts) error {
+	seed, err := strconv.ParseInt(o.arg, 10, 64)
+	if err != nil || seed == 0 {
+		return fmt.Errorf("SEED %q must be a non-zero integer", o.arg)
+	}
+	o.seed = seed
+	return nil
+}
+
+// parseJoin splits route's GROUPS into per-shard replica address groups:
 // groups are separated by /, addresses within a group by ,. An empty
 // group stands for a shard the placement leaves without rows (table-wise
 // splits with more shards than tables).
@@ -414,7 +287,7 @@ func parseJoin(join string) ([][]string, error) {
 		for _, a := range strings.Split(g, ",") {
 			a = strings.TrimSpace(a)
 			if a == "" {
-				return nil, fmt.Errorf("-join: shard %d's group %q has an empty address", s, g)
+				return nil, fmt.Errorf("GROUPS: shard %d's group %q has an empty address", s, g)
 			}
 			addrs = append(addrs, a)
 		}
@@ -423,37 +296,164 @@ func parseJoin(join string) ([][]string, error) {
 	return groups, nil
 }
 
-// offer runs the open-loop workload the flags describe against read and
-// update — the one path every driving mode takes — and returns its tally.
-// Reads are batch-sample lookups over every table; updates are SCATTER_ADD
-// gradient batches (batch rows against one random table), the
-// asynchronous-training traffic an online recommender serves. over names
-// the transport for the banner.
-func offer[T any](f flags, tables, rows, reduction, dim int, over string,
+// parse turns the arguments after the program name into a checked
+// invocation. Every error it returns is a usage error.
+func parse(args []string) (*cmdline, error) {
+	if len(args) == 0 {
+		return nil, errors.New("missing verb: run, serve, shard, drive, route or chaos")
+	}
+	v, ok := verbs[args[0]]
+	if !ok {
+		return nil, fmt.Errorf("unknown verb %q: want run, serve, shard, drive, route or chaos", args[0])
+	}
+	c := &cmdline{name: args[0], v: v, fs: flag.NewFlagSet(args[0], flag.ContinueOnError)}
+	c.fs.SetOutput(io.Discard)
+	v.flags(c)
+	// The operand may come before the flags (serve :7077 -nodes 4) or after.
+	args = args[1:]
+	if v.operand != "" && len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		c.o.arg, args = args[0], args[1:]
+	}
+	if err := c.fs.Parse(args); err != nil {
+		return c, err
+	}
+	rest := c.fs.Args()
+	if v.operand != "" && c.o.arg == "" && len(rest) > 0 {
+		c.o.arg, rest = rest[0], rest[1:]
+	}
+	if len(rest) > 0 || (v.operand != "") != (c.o.arg != "") {
+		return c, fmt.Errorf("usage: %s", c.usage())
+	}
+	if err := c.checkValues(); err != nil {
+		return c, err
+	}
+	if v.check != nil {
+		return c, v.check(&c.o)
+	}
+	return c, nil
+}
+
+func main() {
+	c, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		fmt.Println("usage:", c.usage())
+		c.fs.SetOutput(os.Stdout)
+		c.fs.PrintDefaults()
+		return
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tensorserve:", err, "(tensorserve VERB -h lists a verb's flags)")
+		os.Exit(2)
+	}
+	os.Exit(c.v.run(&c.o))
+}
+
+// models are the benchmark models of the paper's evaluation, by -model name.
+var models = map[string]func() tensordimm.ModelConfig{
+	"ncf": tensordimm.NCF, "youtube": tensordimm.YouTube, "fox": tensordimm.Fox, "facebook": tensordimm.Facebook,
+}
+
+// modelConfig is the benchmark model the flags describe.
+func modelConfig(o *opts) tensordimm.ModelConfig {
+	cfg := models[strings.ToLower(o.model)]()
+	cfg.TableRows, cfg.EmbDim = o.rows, o.dim
+	return cfg
+}
+
+// buildModel builds the deterministic model every process of a fleet
+// builds from the same flags and seed, and prints its shape.
+func buildModel(o *opts) (*tensordimm.Model, tensordimm.ModelConfig) {
+	cfg := modelConfig(o)
+	model, err := tensordimm.BuildModel(cfg, 42)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("model %s: %d tables x %d rows, dim %d, %d-way %s\n",
+		cfg.Name, cfg.Tables, cfg.TableRows, cfg.EmbDim, cfg.Reduction, poolingName(cfg))
+	return model, cfg
+}
+
+func clusterConfig(o *opts) tensordimm.ClusterConfig {
+	strategy := tensordimm.TableWise
+	if o.strategy == "row" {
+		strategy = tensordimm.RowWise
+	}
+	return tensordimm.ClusterConfig{
+		Nodes:        o.nodes,
+		Strategy:     strategy,
+		DIMMsPerNode: o.dimms,
+		MaxBatch:     o.maxBatch,
+		Workers:      o.workers,
+		CacheBytes:   int64(o.cacheMB * (1 << 20)),
+	}
+}
+
+// deploy builds the stack run and serve share: one node behind a server,
+// or — with -nodes N > 1 or a hot-row cache — the sharded cluster.
+func deploy(model *tensordimm.Model, o *opts, reg *tensordimm.TelemetryRegistry) (*tensordimm.Server, *tensordimm.Cluster) {
+	if o.nodes > 1 || o.cacheMB > 0 {
+		cc := clusterConfig(o)
+		cl, err := tensordimm.NewCluster(model, cc)
+		if err != nil {
+			log.Fatal(err)
+		}
+		if reg != nil {
+			cl.Instrument(reg)
+		}
+		fmt.Printf("cluster: %d shards (%s), %d TensorDIMMs each, %.1f MiB cache per shard\n",
+			o.nodes, cc.Strategy, o.dimms, o.cacheMB)
+		fmt.Printf("shards: maxBatch %d samples/request, %d workers each\n", o.maxBatch, o.workers)
+		return nil, cl
+	}
+	srv, err := tensordimm.DeployServer(model, o.dimms, tensordimm.ServeConfig{MaxBatch: o.maxBatch, Workers: o.workers})
+	if err != nil {
+		log.Fatal(err)
+	}
+	describe(srv, o, reg)
+	return srv, nil
+}
+
+// describe instruments one node's server and prints the node and server.
+func describe(srv *tensordimm.Server, o *opts, reg *tensordimm.TelemetryRegistry) {
+	if reg != nil {
+		srv.Instrument(reg)
+	}
+	nd := srv.Node()
+	tables, _, _, _, maxBatch := srv.Geometry()
+	fmt.Printf("node: %d TensorDIMMs, %.0f MiB pool, %d B stripe\n",
+		nd.NodeDim(), float64(nd.CapacityBytes())/(1<<20), nd.StripeBytes())
+	fmt.Printf("server: maxBatch %d, %d workers, %d lanes\n", maxBatch, o.workers, o.workers*tables)
+}
+
+// offer runs the flags' open-loop workload against read and update — the
+// one path every driving verb takes. Reads look up batch samples over every
+// table; updates are SCATTER_ADD gradients for batch rows of one random
+// table. over names the transport for the banner.
+func offer[T any](o *opts, tables, rows, reduction, dim int, over string,
 	read func([][]int, int) (T, error), update func([]tensordimm.TableUpdate) error) tally {
 
 	var gen *tensordimm.WorkloadGenerator
 	var err error
 	dist := "uniform"
-	if f.zipf {
-		dist = fmt.Sprintf("zipf(%.2g)", f.zipfS)
-		gen, err = tensordimm.NewZipfWorkload(rows, f.zipfS, f.seed)
+	if o.zipf > 0 {
+		dist = fmt.Sprintf("zipf(%.2g)", o.zipf)
+		gen, err = tensordimm.NewZipfWorkload(rows, o.zipf, o.seed)
 	} else {
-		gen, err = tensordimm.NewWorkload(rows, tensordimm.Uniform, f.seed)
+		gen, err = tensordimm.NewWorkload(rows, tensordimm.Uniform, o.seed)
 	}
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("offering %.0f req/s x %v, batch %d, %s indices, %.0f%% updates (open loop%s)\n\n",
-		f.rate, f.duration, f.batch, dist, 100*f.updFrac, over)
-	rng := rand.New(rand.NewSource(f.seed))
-	return drive(f.rate, f.duration, f.updFrac, f.seed,
+		o.rate, o.duration, o.batch, dist, 100*o.updFrac, over)
+	rng := rand.New(rand.NewSource(o.seed))
+	return drive(o.rate, o.duration, o.updFrac, o.seed,
 		func() func() error {
-			idx := gen.Batch(tables, f.batch, reduction)
-			return func() error { _, err := read(idx, f.batch); return err }
+			idx := gen.Batch(tables, o.batch, reduction)
+			return func() error { _, err := read(idx, o.batch); return err }
 		},
 		func() func() error {
-			urows := gen.Indices(f.batch)
+			urows := gen.Indices(o.batch)
 			grads := tensordimm.NewTensor(len(urows), dim)
 			for i := range grads.Data() {
 				grads.Data()[i] = rng.Float32()*0.02 - 0.01
@@ -463,26 +463,15 @@ func offer[T any](f flags, tables, rows, reduction, dim int, over string,
 		})
 }
 
-// shardStrategy maps the validated -shard flag to a strategy.
-func shardStrategy(f flags) tensordimm.ShardStrategy {
-	if strings.ToLower(f.shard) == "row" {
-		return tensordimm.RowWise
-	}
-	return tensordimm.TableWise
-}
-
-// startMetrics boots the admin HTTP endpoint when -metrics-addr is set:
-// it builds the process registry, adds the Go runtime series, and serves
-// /metrics, /metrics.json, /slow, /stream and /debug/pprof/* on a
-// background goroutine for the life of the process. Returns nil (no
-// registry, layers skip instrumentation) when the flag is unset.
-func startMetrics(f flags) *tensordimm.TelemetryRegistry {
-	if f.metricsAddr == "" {
+// startMetrics serves the process registry, with the Go runtime series, on
+// -metrics-addr for the life of the process; nil when the flag is unset.
+func startMetrics(o *opts) *tensordimm.TelemetryRegistry {
+	if o.metricsAddr == "" {
 		return nil
 	}
 	reg := tensordimm.NewTelemetry()
 	tensordimm.RegisterGoRuntime(reg)
-	l, err := net.Listen("tcp", f.metricsAddr)
+	l, err := net.Listen("tcp", o.metricsAddr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -495,98 +484,6 @@ func startMetrics(f flags) *tensordimm.TelemetryRegistry {
 	}()
 	fmt.Printf("metrics on http://%s/ (/metrics, /metrics.json, /slow, /stream, /debug/pprof/)\n", l.Addr())
 	return reg
-}
-
-// makeCluster builds the sharded cluster the flags describe and prints
-// its description — shared by the local driver and -listen modes so the
-// two paths can never drift apart.
-func makeCluster(model *tensordimm.Model, f flags, reg *tensordimm.TelemetryRegistry) *tensordimm.Cluster {
-	strategy := shardStrategy(f)
-	cl, err := tensordimm.NewCluster(model, tensordimm.ClusterConfig{
-		Nodes:        f.nodes,
-		Strategy:     strategy,
-		DIMMsPerNode: f.dimms,
-		MaxBatch:     f.maxBatch,
-		Workers:      f.workers,
-		CacheBytes:   int64(f.cacheMB * (1 << 20)),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if reg != nil {
-		cl.Instrument(reg)
-	}
-	fmt.Printf("cluster: %d shards (%s), %d TensorDIMMs each, %.1f MiB cache per shard\n",
-		f.nodes, strategy, f.dimms, f.cacheMB)
-	fmt.Printf("shards: maxBatch %d samples/request, %d workers each\n", f.maxBatch, f.workers)
-	return cl
-}
-
-// makeServer deploys one TensorNode and starts the batched server,
-// printing the node/server description — shared like makeCluster.
-func makeServer(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags, reg *tensordimm.TelemetryRegistry) (*tensordimm.Node, *tensordimm.Server) {
-	nd, dep := deploySingle(model, cfg, f)
-	srv, err := tensordimm.NewServer(tensordimm.ServeConfig{
-		MaxBatch: f.maxBatch,
-		Workers:  f.workers,
-	}, dep)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if reg != nil {
-		srv.Instrument(reg)
-	}
-	fmt.Printf("node: %d TensorDIMMs, %.0f MiB pool, %d B stripe\n",
-		nd.NodeDim(), float64(nd.CapacityBytes())/(1<<20), nd.StripeBytes())
-	fmt.Printf("server: maxBatch %d, %d workers, %d lanes\n",
-		f.maxBatch, f.workers, f.workers*cfg.Tables)
-	return nd, srv
-}
-
-// makeShardServer extracts shard f.shardID's gather-only slice of the
-// deterministic model build and deploys it on one TensorNode behind a
-// batched server whose request cap is exactly the placement's largest
-// possible sub-request — the geometry a replica router validates its
-// handshake against. Replicas of the same shard run this same path from
-// the same seed, so a restarted replica reproduces its pre-crash state by
-// replaying the router's update log.
-func makeShardServer(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags, reg *tensordimm.TelemetryRegistry) (*tensordimm.Node, *tensordimm.Server) {
-	strategy := shardStrategy(f)
-	place := tensordimm.NewPlacement(strategy, f.nodes, cfg.Tables, cfg.TableRows)
-	if place.LocalRows(f.shardID) == 0 {
-		log.Fatalf("shard %d holds no rows under %v placement (%d tables across %d shards); it needs no replicas",
-			f.shardID, strategy, cfg.Tables, f.nodes)
-	}
-	shardModel, err := tensordimm.ExtractShardModel(model, strategy, f.nodes, f.shardID)
-	if err != nil {
-		log.Fatal(err)
-	}
-	f.maxBatch = place.MaxSub(f.shardID, f.maxBatch, cfg.Reduction)
-	fmt.Printf("shard %d of %d (%s): %d local rows, sub-batch cap %d samples\n",
-		f.shardID, f.nodes, strategy, shardModel.Cfg.TableRows, f.maxBatch)
-	return makeServer(shardModel, shardModel.Cfg, f, reg)
-}
-
-// buildBackend constructs the serving backend the flags describe: one
-// shard's slice for -shard-id, a single batched server for -nodes 1, the
-// sharded cluster otherwise. It returns the backend, the cluster when one
-// was built (nil otherwise — warm-restart hooks need it), and the close
-// function.
-func buildBackend(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags, reg *tensordimm.TelemetryRegistry) (tensordimm.NetBackend, *tensordimm.Cluster, func() error) {
-	if f.shardID < 0 && f.nodes > 1 {
-		cl := makeCluster(model, f, reg)
-		return tensordimm.ClusterBackend(cl), cl, cl.Close
-	}
-	makeNode := makeServer
-	if f.shardID >= 0 {
-		makeNode = makeShardServer
-	}
-	nd, srv := makeNode(model, cfg, f, reg)
-	return tensordimm.ServeBackend(srv), nil, func() error {
-		err := srv.Close()
-		nd.Close()
-		return err
-	}
 }
 
 // hotRowsTopK bounds how many hot rows a cluster shard persists at drain;
@@ -625,32 +522,22 @@ func persistHotRows(cl *tensordimm.Cluster, dir string, nodes int) {
 	}
 }
 
-// runListen serves the node or cluster over TCP until SIGINT/SIGTERM,
-// then drains gracefully and prints the serving report.
-func runListen(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) {
-	reg := startMetrics(f)
-	backend, cl, closeBackend := buildBackend(model, cfg, f, reg)
-	if cl != nil && f.dataDir != "" {
-		warmCluster(cl, f.dataDir, f.nodes)
-	}
-	role := tensordimm.RoleStandalone
-	if f.shardID >= 0 {
-		role = tensordimm.RoleReplica
-	}
-	srv, err := tensordimm.NewNetServer(backend, tensordimm.NetServeConfig{MaxInflight: f.inflight, Role: role, Registry: reg})
+// serveNet fronts backend with the network plane on the verb's ADDR until
+// SIGINT/SIGTERM, then drains gracefully and prints the serving report.
+// The caller closes the backend.
+func serveNet(backend tensordimm.NetBackend, role tensordimm.NetRole, o *opts, reg *tensordimm.TelemetryRegistry) {
+	srv, err := tensordimm.NewNetServer(backend, tensordimm.NetServeConfig{MaxInflight: o.inflight, Role: role, Registry: reg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	l, err := net.Listen("tcp", f.listen)
+	l, err := net.Listen("tcp", o.arg)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("listening on %s (admission budget %d in-flight); SIGINT/SIGTERM drains and exits\n",
-		l.Addr(), f.inflight)
-
+		l.Addr(), o.inflight)
 	serveDone := make(chan error, 1)
 	go func() { serveDone <- srv.Serve(l) }()
-
 	sigCh := make(chan os.Signal, 1)
 	signal.Notify(sigCh, syscall.SIGINT, syscall.SIGTERM)
 	select {
@@ -664,26 +551,89 @@ func runListen(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) {
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if cl != nil && f.dataDir != "" {
-		persistHotRows(cl, f.dataDir, f.nodes)
-	}
 	fmt.Println(srv.Metrics())
 	fmt.Println(backend.MetricsText())
-	if err := closeBackend(); err != nil {
+}
+
+// closeOrDie closes a backend at exit.
+func closeOrDie(close func() error) {
+	if err := close(); err != nil {
 		log.Fatal(err)
 	}
 }
 
-// runConnect drives the open-loop workload over TCP against a -listen
-// server. Geometry (tables, reduction, dim, rows, max batch) comes from
-// the server's handshake. Shed requests (OVERLOADED) are counted, not
-// fatal — under open-loop overload they are the admission control working
-// as designed. Exits non-zero if nothing completed.
-func runConnect(f flags) tally {
-	cl, err := tensordimm.DialNet(f.connect, tensordimm.NetClientConfig{
-		Conns:    f.conns,
+// runLocal drives the in-process node or cluster.
+func runLocal(o *opts) int {
+	model, cfg := buildModel(o)
+	srv, cl := deploy(model, o, startMetrics(o))
+	var t tally
+	if cl != nil {
+		t = offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", cl.Infer, cl.ApplyUpdates)
+		closeOrDie(cl.Close)
+		fmt.Println(cl.Metrics())
+	} else {
+		t = offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", srv.Infer, srv.Update)
+		closeOrDie(srv.Close)
+		fmt.Println(srv.Metrics())
+		s := srv.Node().Stats()
+		fmt.Printf("NMP activity: %d instructions, %d blocks read, %d blocks written, %d ALU block ops\n",
+			s.Instructions, s.BlocksRead, s.BlocksWritten, s.ALUBlockOps)
+	}
+	fmt.Println()
+	t.report(o.rate)
+	return t.exitCode()
+}
+
+// runServe serves the node or cluster over TCP; with -data-dir, a cluster
+// warms its caches from the previous run's hot rows and persists its own
+// at drain.
+func runServe(o *opts) int {
+	model, _ := buildModel(o)
+	reg := startMetrics(o)
+	srv, cl := deploy(model, o, reg)
+	if cl == nil {
+		serveNet(tensordimm.ServeBackend(srv), tensordimm.RoleStandalone, o, reg)
+		closeOrDie(srv.Close)
+		return 0
+	}
+	if o.dataDir != "" {
+		warmCluster(cl, o.dataDir, o.nodes)
+	}
+	serveNet(tensordimm.ClusterBackend(cl), tensordimm.RoleStandalone, o, reg)
+	if o.dataDir != "" {
+		persistHotRows(cl, o.dataDir, o.nodes)
+	}
+	closeOrDie(cl.Close)
+	return 0
+}
+
+// runShard serves shard -shard-id as a replica: the DeployShard stack a
+// cluster shard runs, identical in every replica built from the same flags.
+func runShard(o *opts) int {
+	model, _ := buildModel(o)
+	reg := startMetrics(o)
+	cc := clusterConfig(o)
+	srv, err := tensordimm.DeployShard(model, cc, o.shardID)
+	if err != nil {
+		log.Fatal(err)
+	}
+	_, _, _, rows, maxSub := srv.Geometry()
+	fmt.Printf("shard %d of %d (%s): %d local rows, sub-batch cap %d samples\n",
+		o.shardID, o.nodes, cc.Strategy, rows, maxSub)
+	describe(srv, o, reg)
+	serveNet(tensordimm.ServeBackend(srv), tensordimm.RoleReplica, o, reg)
+	closeOrDie(srv.Close)
+	return 0
+}
+
+// runDrive drives the workload over TCP, with the geometry from the
+// server's handshake. Shed requests (OVERLOADED) are counted, not fatal:
+// past the knee they are admission control working as designed.
+func runDrive(o *opts) int {
+	cl, err := tensordimm.DialNet(o.arg, tensordimm.NetClientConfig{
+		Conns:    o.conns,
 		RetryFor: 5 * time.Second,
-		Deadline: f.deadline,
+		Deadline: o.deadline,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -691,20 +641,17 @@ func runConnect(f flags) tally {
 	defer cl.Close()
 	g := cl.Geometry()
 	fmt.Printf("connected to %s over %d conns: %d tables x %d rows, dim %d, reduction %d, max batch %d\n",
-		f.connect, f.conns, g.Tables, g.TableRows, g.Dim, g.Reduction, g.MaxBatch)
-	if f.batch > g.MaxBatch {
-		fmt.Fprintf(os.Stderr, "tensorserve: -batch %d exceeds the server's max batch %d\n", f.batch, g.MaxBatch)
-		os.Exit(2)
+		o.arg, o.conns, g.Tables, g.TableRows, g.Dim, g.Reduction, g.MaxBatch)
+	if o.batch > g.MaxBatch {
+		fmt.Fprintf(os.Stderr, "tensorserve: -batch %d exceeds the server's max batch %d\n", o.batch, g.MaxBatch)
+		return 2
 	}
-	t := offer(f, g.Tables, g.TableRows, g.Reduction, g.Dim, " over TCP", cl.Embed, cl.Update)
-	t.report(f.rate)
+	t := offer(o, g.Tables, g.TableRows, g.Reduction, g.Dim, " over TCP", cl.Embed, cl.Update)
+	t.report(o.rate)
 	if snap, report, err := cl.MetricsSnapshot(); err == nil {
 		fmt.Printf("\n--- server report ---\n%s\n", report)
 		if snap != nil && len(snap.Counters) > 0 {
-			// Exact counters from the server's telemetry registry (wire
-			// revision 6) — the same series its /metrics endpoint exports.
-			// An uninstrumented server (-listen without -metrics-addr) ships
-			// an empty snapshot; only the human report applies then.
+			// The server's registry (empty without its -metrics-addr).
 			reqs, _ := snap.Counter("tensordimm_net_requests_total")
 			shedN, _ := snap.Counter("tensordimm_net_shed_total")
 			fmt.Printf("server telemetry: %d requests, %d shed", reqs, shedN)
@@ -716,146 +663,70 @@ func runConnect(f flags) tally {
 	} else {
 		fmt.Fprintln(os.Stderr, "tensorserve: fetching server metrics:", err)
 	}
-	return t
+	return t.exitCode()
 }
 
-// runJoin drives the open-loop workload against replica groups of remote
-// shard processes through the failover router. Unlike -connect, there is
-// no shedding to tolerate at this level: the router retries sheds and
-// fails over transport losses internally, so any surfaced error is a lost
-// request and the run exits non-zero — which is what the CI failover
-// smoke asserts while SIGKILLing a replica mid-run.
-func runJoin(cfg tensordimm.ModelConfig, f flags) tally {
-	groups, err := parseJoin(f.join) // validated; re-parsed for the addresses
-	if err != nil {
-		log.Fatal(err)
-	}
+// runRoute drives the workload through the failover router. The router
+// retries sheds and fails over transport losses itself, so any surfaced
+// error is a lost request and fails the run.
+func runRoute(o *opts) int {
+	cfg := modelConfig(o)
+	strategy := clusterConfig(o).Strategy
 	rc, err := tensordimm.NewRemoteCluster(tensordimm.RemoteConfig{
 		Model:         cfg,
-		Strategy:      shardStrategy(f),
-		Shards:        groups,
-		MaxBatch:      f.maxBatch,
-		Conns:         f.conns,
+		Strategy:      strategy,
+		Shards:        o.groups,
+		MaxBatch:      o.maxBatch,
+		Conns:         o.conns,
 		RetryFor:      5 * time.Second,
-		ReadOnly:      f.sticky,
-		DataDir:       f.dataDir,
-		SnapshotEvery: f.snapEvery,
-		Deadline:      f.deadline,
+		ReadOnly:      o.sticky,
+		DataDir:       o.dataDir,
+		SnapshotEvery: o.snapEvery,
+		Deadline:      o.deadline,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer rc.Close()
-	if reg := startMetrics(f); reg != nil {
+	if reg := startMetrics(o); reg != nil {
 		rc.Instrument(reg)
 	}
 	replicas := 0
-	for _, g := range groups {
+	for _, g := range o.groups {
 		replicas += len(g)
 	}
 	mode := ""
-	if f.sticky {
+	if o.sticky {
 		mode = ", sticky read-only"
 	}
-	if f.dataDir != "" {
-		mode = fmt.Sprintf(", durable log at %s", f.dataDir)
+	if o.dataDir != "" {
+		mode = fmt.Sprintf(", durable log at %s", o.dataDir)
 	}
 	fmt.Printf("joined %d shards (%s%s) over %d replicas: %d tables x %d rows, dim %d, %d-way %s\n",
-		len(groups), shardStrategy(f), mode, replicas, cfg.Tables, cfg.TableRows, cfg.EmbDim,
+		len(o.groups), strategy, mode, replicas, cfg.Tables, cfg.TableRows, cfg.EmbDim,
 		cfg.Reduction, poolingName(cfg))
-	t := offer(f, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, " over replica groups", rc.Embed, rc.ApplyUpdates)
-	t.report(f.rate)
+	t := offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, " over replica groups", rc.Embed, rc.ApplyUpdates)
+	t.report(o.rate)
 	fmt.Println(rc.Metrics())
-	return t
+	return t.exitCode()
 }
 
-// runChaos runs the seeded chaos soak: an in-process replica fleet under
-// a deterministic fault schedule, with bit-identity, durability and
-// deadline invariants checked throughout. Exits non-zero on any
-// violation, which makes it the CI chaos smoke.
-func runChaos(f flags) {
-	fmt.Printf("chaos soak: seed %d, %v fault phase\n", f.chaosSeed, f.duration)
+// runChaos runs the seeded chaos soak (internal/chaos) and exits 1 on any
+// invariant violation.
+func runChaos(o *opts) int {
+	fmt.Printf("chaos soak: seed %d, %v fault phase\n", o.seed, o.duration)
 	rep, err := tensordimm.RunChaos(tensordimm.ChaosConfig{
-		Seed:     f.chaosSeed,
-		Duration: f.duration,
+		Seed:     o.seed,
+		Duration: o.duration,
 		Log:      func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-		Registry: startMetrics(f),
+		Registry: startMetrics(o),
 	})
 	fmt.Println(rep)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tensorserve:", err)
-		os.Exit(1)
+		return 1
 	}
-}
-
-// deploySingle sizes and uploads one TensorNode deployment.
-func deploySingle(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) (*tensordimm.Node, *tensordimm.Deployment) {
-	// Size the pool: tables + per-lane gather scratch + per-slot outputs,
-	// with 2x slack for allocator alignment.
-	lanes := f.workers * cfg.Tables
-	embBytes := uint64(cfg.EmbBytes())
-	need := uint64(cfg.TotalTableBytes()) +
-		uint64(lanes)*2*uint64(f.maxBatch)*uint64(cfg.Reduction)*embBytes +
-		uint64(f.workers)*uint64(cfg.Tables)*uint64(f.maxBatch)*embBytes
-	perDIMM := (2*need/uint64(f.dimms) + 65535) / 65536 * 65536
-
-	nd, err := tensordimm.NewNode(f.dimms, perDIMM)
-	if err != nil {
-		log.Fatal(err)
-	}
-	dep, err := tensordimm.DeployConcurrent(model, nd, f.maxBatch, f.workers, lanes)
-	if err != nil {
-		log.Fatal(err)
-	}
-	return nd, dep
-}
-
-// runSingle drives one TensorNode behind a batched server (the PR 1 path).
-func runSingle(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) tally {
-	nd, srv := makeServer(model, cfg, f, startMetrics(f))
-
-	t := offer(f, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", srv.Infer, srv.Update)
-	if err := srv.Close(); err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println(srv.Metrics())
-	fmt.Println()
-	t.report(f.rate)
-	s := nd.Stats()
-	fmt.Printf("NMP activity: %d instructions, %d blocks read, %d blocks written, %d ALU block ops\n",
-		s.Instructions, s.BlocksRead, s.BlocksWritten, s.ALUBlockOps)
-	nd.Close()
-	return t
-}
-
-// runCluster drives the sharded multi-node cluster.
-func runCluster(model *tensordimm.Model, cfg tensordimm.ModelConfig, f flags) tally {
-	cl := makeCluster(model, f, startMetrics(f))
-
-	t := offer(f, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", cl.Infer, cl.ApplyUpdates)
-	if err := cl.Close(); err != nil {
-		log.Fatal(err)
-	}
-
-	fmt.Println(cl.Metrics())
-	t.report(f.rate)
-	return t
-}
-
-func benchmark(name string) (tensordimm.ModelConfig, error) {
-	switch strings.ToLower(name) {
-	case "ncf":
-		return tensordimm.NCF(), nil
-	case "youtube":
-		return tensordimm.YouTube(), nil
-	case "fox":
-		return tensordimm.Fox(), nil
-	case "facebook":
-		return tensordimm.Facebook(), nil
-	default:
-		return tensordimm.ModelConfig{}, fmt.Errorf("unknown model %q (want ncf, youtube, fox, facebook)", name)
-	}
+	return 0
 }
 
 func poolingName(cfg tensordimm.ModelConfig) string {

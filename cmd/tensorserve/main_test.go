@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -11,74 +12,114 @@ import (
 	"tensordimm"
 )
 
-// defaults mirrors the flag defaults main registers.
-func defaults() flags {
-	return flags{
-		modelName: "youtube", rows: 4000, dim: 256, dimms: 8, batch: 1,
-		rate: 1000, duration: 2 * time.Second, maxBatch: 64,
-		workers: 4, zipfS: 1.2, seed: 1,
-		nodes: 1, shard: "table", conns: 2, inflight: 256, shardID: -1,
+// TestVerbFlags parses one invocation per row through the real flag sets:
+// each verb accepts its own flags, rejects any other verb's as undefined
+// (exit 2, the flag package's own message), and applies its value checks.
+func TestVerbFlags(t *testing.T) {
+	cases := []struct {
+		args    string
+		wantErr string // substring of the rejection; "" means accepted
+	}{
+		{"run", ""},
+		{"run -nodes 2 -shard row -cache-mb 1 -zipf 0.9 -update-frac 0.2", ""},
+		{"run -batch 65", "-batch 65 exceeds -maxbatch 64"},
+		{"run -dim 100", "-dimms 8 does not stripe -dim 100"},
+		{"run -zipf -1", "-zipf -1 must not be negative"},
+		{"run -listen :1", "flag provided but not defined: -listen"},
+		{"run -conns 2", "flag provided but not defined: -conns"},
+		{"run extra", "usage: tensorserve run [flags]"},
+
+		{"serve :1 -nodes 2 -cache-mb 1 -data-dir /d -inflight 8", ""},
+		{"serve -nodes 2 :1", ""},
+		{"serve :1 -rate 5", "flag provided but not defined: -rate"},
+		{"serve :1 -shard-id 0", "flag provided but not defined: -shard-id"},
+		{"serve :1 -data-dir /d", "-data-dir /d persists hot-row caches"},
+		{"serve", "usage: tensorserve serve ADDR [flags]"},
+
+		{"shard :1 -nodes 2 -shard-id 1 -model ncf -rows 64 -dim 128 -maxbatch 32", ""},
+		{"shard :1 -nodes 2 -shard-id 2", "-shard-id 2 is out of range"},
+		{"shard :1 -cache-mb 1", "flag provided but not defined: -cache-mb"},
+		{"shard :1 -data-dir /d", "flag provided but not defined: -data-dir"},
+
+		{"drive :1 -rate 50 -conns 4 -deadline 1s -batch 4", ""},
+		{"drive :1 -rows 9", "flag provided but not defined: -rows"},
+		{"drive :1 -metrics-addr :2", "flag provided but not defined: -metrics-addr"},
+		{"drive :1 -conns 0", "-conns 0 must be at least 1"},
+		{"drive :1 -deadline -1s", "-deadline -1s must not be negative"},
+
+		{"route a,b/c,d -model ncf -rows 64 -replicas 2 -shard row", ""},
+		{"route a -sticky", ""},
+		{"route a -data-dir /d -snapshot-every 64 -update-frac 0.5", ""},
+		{"route a -workers 2", "flag provided but not defined: -workers"},
+		{"route a -nodes 2", "flag provided but not defined: -nodes"},
+		{"route a -dim 0", "-dim 0 must be at least 1"},
+		{"route a,b/c -replicas 2", "shard 1's group lists 1 addresses"},
+		{"route a,,b", "group \"a,,b\" has an empty address"},
+		{"route a -sticky -update-frac 0.1", "-sticky refuses -update-frac"},
+		{"route a -sticky -data-dir /d", "-data-dir cannot be combined with -sticky"},
+
+		{"chaos 7 -duration 1s -metrics-addr :2", ""},
+		{"chaos 0", "SEED \"0\" must be a non-zero integer"},
+		{"chaos 7 -rate 5", "flag provided but not defined: -rate"},
+
+		{"", "missing verb"},
+		{"-listen :0", "unknown verb \"-listen\""},
+		{"-nodes 2 -shard-id 0", "unknown verb \"-nodes\""},
+	}
+	for _, c := range cases {
+		_, err := parse(strings.Fields(c.args))
+		switch {
+		case c.wantErr == "" && err != nil:
+			t.Errorf("tensorserve %s: rejected with %q, want accepted", c.args, err)
+		case c.wantErr != "" && err == nil:
+			t.Errorf("tensorserve %s: accepted, want a rejection mentioning %q", c.args, c.wantErr)
+		case c.wantErr != "" && !strings.Contains(err.Error(), c.wantErr):
+			t.Errorf("tensorserve %s: rejected with %q, want it to mention %q", c.args, err, c.wantErr)
+		}
 	}
 }
 
-func TestValidate(t *testing.T) {
-	cases := []struct {
-		name    string
-		set     string // comma-separated names of the flags given
-		with    func(f *flags)
-		wantErr string // substring of the rejection; "" means accepted
-	}{
-		{"in-process defaults", "", func(f *flags) {}, ""},
-		{"in-process batch over maxbatch", "batch", func(f *flags) { f.batch = 65 }, "-batch 65 exceeds -maxbatch 64"},
-		{"in-process dim off stripe", "dim", func(f *flags) { f.dim = 100 }, "multiple of dimms x 16"},
-
-		{"listen cluster", "listen,nodes,cache-mb", func(f *flags) { f.listen, f.nodes, f.cacheMB = ":1", 2, 1 }, ""},
-		{"listen with rate", "listen,rate", func(f *flags) { f.listen, f.rate = ":1", 5 }, "-rate cannot be combined with -listen"},
-		{"listen and connect", "listen,connect", func(f *flags) { f.listen, f.connect = ":1", ":2" }, "mutually exclusive"},
-
-		{"connect", "connect,rate,conns", func(f *flags) { f.connect, f.rate, f.conns = ":1", 50, 4 }, ""},
-		{"connect with rows", "connect,rows", func(f *flags) { f.connect, f.rows = ":1", 9 }, "-rows cannot be combined with -connect"},
-		{"connect with zero conns", "connect,conns", func(f *flags) { f.connect, f.conns = ":1", 0 }, "-conns 0 must be at least 1"},
-
-		{"join", "join,model,rows,replicas", func(f *flags) { f.join, f.modelName, f.rows, f.replicas = "a,b/c,d", "ncf", 64, 2 }, ""},
-		{"join with workers", "join,workers", func(f *flags) { f.join, f.workers = "a", 2 }, "-workers cannot be combined with -join"},
-		{"join with zero dim", "join,dim", func(f *flags) { f.join, f.dim = "a", 0 }, "-dim 0 must be at least 1"},
-		{"join with zero rows", "join,rows", func(f *flags) { f.join, f.rows = "a", 0 }, "-rows 0 must be at least 1"},
-		{"join replicas mismatch", "join,replicas", func(f *flags) { f.join, f.replicas = "a,b/c", 2 }, "shard 1's group lists 1 addresses"},
-
-		{"sticky join", "join,sticky", func(f *flags) { f.join, f.sticky = "a", true }, ""},
-		{"sticky with updates", "join,sticky,update-frac", func(f *flags) { f.join, f.sticky, f.updFrac = "a", true, 0.1 }, "-sticky refuses -update-frac"},
-		{"sticky without join", "sticky", func(f *flags) { f.sticky = true }, "-sticky needs -join"},
-
-		{"shard-id in range", "listen,nodes,shard-id", func(f *flags) { f.listen, f.nodes, f.shardID = ":1", 2, 1 }, ""},
-		{"shard-id out of range", "listen,nodes,shard-id", func(f *flags) { f.listen, f.nodes, f.shardID = ":1", 2, 2 }, "-shard-id 2 out of range"},
-		{"shard-id without listen", "shard-id", func(f *flags) { f.shardID = 0 }, "-shard-id needs -listen"},
-
-		{"deadline with connect", "connect,deadline", func(f *flags) { f.connect, f.deadline = ":1", time.Second }, ""},
-		{"deadline without a client mode", "deadline", func(f *flags) { f.deadline = time.Second }, "-deadline needs -connect or -join"},
-
-		{"data-dir with join", "join,data-dir", func(f *flags) { f.join, f.dataDir = "a", "/d" }, ""},
-		{"data-dir with cluster listen", "listen,nodes,data-dir", func(f *flags) { f.listen, f.nodes, f.dataDir = ":1", 2, "/d" }, ""},
-		{"data-dir with single-node listen", "listen,data-dir", func(f *flags) { f.listen, f.dataDir = ":1", "/d" }, "-data-dir needs -join"},
-		{"data-dir in-process", "data-dir", func(f *flags) { f.dataDir = "/d" }, "-data-dir needs -join"},
+// TestUsageLinesParse feeds every "tensorserve ..." usage line of the
+// package comment through the real flag sets, so the documentation cannot
+// drift from the verbs.
+func TestUsageLinesParse(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cases {
-		f := defaults()
-		c.with(&f)
-		set := map[string]bool{}
-		for _, name := range strings.Split(c.set, ",") {
-			set[name] = true
+	n := 0
+	for _, line := range strings.Split(string(src), "\n") {
+		cmd, ok := strings.CutPrefix(line, "//\ttensorserve ")
+		if !ok {
+			continue
 		}
-		err := validate(f, set)
-		switch {
-		case c.wantErr == "" && err != nil:
-			t.Errorf("%s: rejected with %q, want accepted", c.name, err)
-		case c.wantErr != "" && err == nil:
-			t.Errorf("%s: accepted, want a rejection mentioning %q", c.name, c.wantErr)
-		case c.wantErr != "" && !strings.Contains(err.Error(), c.wantErr):
-			t.Errorf("%s: rejected with %q, want it to mention %q", c.name, err, c.wantErr)
+		cmd, _, _ = strings.Cut(cmd, " #")
+		if _, err := parse(shellWords(cmd)); err != nil {
+			t.Errorf("documented %q: %v", "tensorserve "+cmd, err)
 		}
+		n++
 	}
+	if n < 10 {
+		t.Fatalf("found %d usage lines in the package comment; the scan is broken", n)
+	}
+}
+
+// shellWords splits a command line on spaces, keeping double-quoted words
+// whole (without their quotes).
+func shellWords(s string) []string {
+	var words []string
+	for s = strings.TrimSpace(s); s != ""; s = strings.TrimSpace(s) {
+		end := strings.IndexByte(s, ' ')
+		if s[0] == '"' {
+			end = strings.IndexByte(s[1:], '"') + 2
+		}
+		if end < 0 {
+			end = len(s)
+		}
+		words = append(words, strings.Trim(s[:end], `"`))
+		s = s[end:]
+	}
+	return words
 }
 
 func TestParseJoin(t *testing.T) {

@@ -27,7 +27,7 @@
 // that fired OnApplied, which keeps the golden model a sound reference.
 // The same seed reproduces the same fault schedule, so a soak failure is
 // replayable from its report line alone. Both the chaos test suite and
-// `tensorserve -chaos-seed` drive this package through Run.
+// `tensorserve chaos SEED` drive this package through Run.
 package chaos
 
 import (
@@ -45,11 +45,9 @@ import (
 	"tensordimm/internal/faultnet"
 	"tensordimm/internal/netclient"
 	"tensordimm/internal/netserve"
-	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/remote"
 	"tensordimm/internal/runtime"
-	"tensordimm/internal/serve"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
@@ -73,10 +71,6 @@ type Config struct {
 	// Deadline is the read-only router's end-to-end budget — the one
 	// invariant 3 is asserted against. Zero defaults to 25ms.
 	Deadline time.Duration
-	// Epsilon is the grace over Deadline a deadline-bounded read may use
-	// to resolve (scheduler noise, reap overhead) before the soak counts
-	// it a violation. Zero defaults to 1s.
-	Epsilon time.Duration
 	// DataDir roots the writing router's WAL and snapshots. Empty creates
 	// (and removes) a temporary directory — the durability invariant
 	// exercises a real on-disk WAL either way.
@@ -116,6 +110,10 @@ func (r Report) String() string {
 const (
 	soakMaxBatch = 8
 	soakRound    = time.Second
+	// epsilon is the grace over Config.Deadline a deadline-bounded read may
+	// use to resolve (scheduler noise, reap overhead) before the soak counts
+	// it a violation.
+	epsilon = time.Second
 )
 
 func soakModelCfg(shards int) recsys.Config {
@@ -199,9 +197,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Deadline == 0 {
 		cfg.Deadline = 25 * time.Millisecond
-	}
-	if cfg.Epsilon == 0 {
-		cfg.Epsilon = time.Second
 	}
 	return cfg
 }
@@ -408,7 +403,7 @@ func (c *soak) runRound(round int, evs []event) {
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(c.cfg.Seed + int64(round)*2 + 3))
-		bound := c.cfg.Deadline + c.cfg.Epsilon
+		bound := c.cfg.Deadline + epsilon
 		var dst []float32
 		for {
 			select {
@@ -610,39 +605,24 @@ func typedErr(err error) bool {
 }
 
 // startReplica boots one in-process replica of shard s: the same
-// construction a real `tensorserve -shard-id` process performs — rebuild
-// the deterministic model from the seed, carve the shard, deploy, serve
-// behind a faultnet-wrapped listener. A fixed addr is re-bound with
+// construction a real `tensorserve shard` process performs — rebuild the
+// deterministic model from the seed, deploy the shard (cluster.DeployShard),
+// serve behind a faultnet-wrapped listener. A fixed addr is re-bound with
 // retries so a restarted replica reclaims its old endpoint.
 func (c *soak) startReplica(s int, addr string) (*proc, error) {
 	m, err := recsys.Build(c.mc, c.cfg.Seed)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	shardModel, err := cluster.ExtractShardModel(m, cluster.TableWise, c.cfg.Shards, s)
+	srv, err := cluster.DeployShard(m, cluster.Config{
+		Nodes: c.cfg.Shards, DIMMsPerNode: 4, MaxBatch: soakMaxBatch, Workers: 2,
+	}, s)
 	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	p := cluster.NewPlacement(cluster.TableWise, c.cfg.Shards, c.mc.Tables, c.mc.TableRows)
-	maxSub := p.MaxSub(s, soakMaxBatch, c.mc.Reduction)
-	nd, err := node.New(node.Config{DIMMs: 4, PerDIMMBytes: 32 << 20})
-	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	dep, err := runtime.DeployConcurrent(shardModel, nd, maxSub, 2, 4)
-	if err != nil {
-		nd.Close()
-		return nil, fmt.Errorf("chaos: %w", err)
-	}
-	srv, err := serve.New(serve.Config{MaxBatch: maxSub, Workers: 2}, dep)
-	if err != nil {
-		nd.Close()
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	ns, err := netserve.New(netserve.ServerBackend(srv), netserve.Config{Role: wire.RoleReplica})
 	if err != nil {
 		srv.Close()
-		nd.Close()
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	listenAt := "127.0.0.1:0"
@@ -659,7 +639,6 @@ func (c *soak) startReplica(s int, addr string) (*proc, error) {
 		if time.Now().After(deadline) {
 			ns.Close()
 			srv.Close()
-			nd.Close()
 			return nil, fmt.Errorf("chaos: listen %s: %w", listenAt, err)
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -672,7 +651,6 @@ func (c *soak) startReplica(s int, addr string) (*proc, error) {
 		once.Do(func() {
 			ns.Close()
 			srv.Close()
-			nd.Close()
 		})
 	}
 	return pr, nil

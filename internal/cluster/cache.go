@@ -3,8 +3,7 @@ package cluster
 import (
 	"sort"
 	"sync"
-
-	"tensordimm/internal/stats"
+	"sync/atomic"
 )
 
 // rowCache is a byte-capacity-bounded LRU of hot embedding rows fronting
@@ -27,8 +26,8 @@ import (
 // every lookup one read routed to it in a single probe call and every row
 // the read then gathered in a single fill call, so a read takes the lock
 // at most twice per shard however many rows it touches. All methods are
-// safe for concurrent use; hit and miss counts are exposed as
-// stats.Counters so reports can read them without taking the lock.
+// safe for concurrent use; hit and miss counts are atomic counters, so
+// reports can read them without taking the lock.
 //
 // Coherence. Online updates mutate shard tables underneath the cache, so
 // the cache carries a version counter: invalidate removes the updated rows
@@ -65,9 +64,9 @@ type rowCache struct {
 	// cache with the Zipf head instead of waiting for traffic to refill it.
 	heat []uint32
 
-	hits          stats.Counter
-	misses        stats.Counter
-	invalidations stats.Counter
+	hits          atomic.Uint64
+	misses        atomic.Uint64
+	invalidations atomic.Uint64
 }
 
 // newRowCache builds a cache of at most capBytes of dim-wide rows

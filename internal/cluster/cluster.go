@@ -57,15 +57,13 @@ package cluster
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"tensordimm/internal/interconnect"
-	"tensordimm/internal/isa"
-	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/serve"
-	"tensordimm/internal/stats"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 )
@@ -79,11 +77,9 @@ type Config struct {
 	Strategy Strategy
 	// DIMMsPerNode is the TensorDIMM count of each node. Defaults to 8.
 	// The model's embedding dimension must be a multiple of
-	// DIMMsPerNode x 16 so rows stripe cleanly.
+	// DIMMsPerNode x 16 so rows stripe cleanly. Each node is sized for its
+	// shard's table slice plus execution scratch (serve.Deploy).
 	DIMMsPerNode int
-	// PerDIMMBytes overrides each node's per-DIMM capacity. Zero auto-sizes
-	// the pool to fit the shard's table slice plus execution scratch.
-	PerDIMMBytes uint64
 	// MaxBatch caps the samples of one cluster request. Defaults to 64.
 	MaxBatch int
 	// Workers is each shard server's concurrent executor count (and its
@@ -92,14 +88,21 @@ type Config struct {
 	// CacheBytes is the per-shard hot-row cache capacity in bytes. Zero
 	// (or anything smaller than one row) disables caching.
 	CacheBytes int64
-	// Fabric is the switch connecting the shards to the router. A zero
-	// value defaults to interconnect.NVSwitch(Nodes + 1): one port per
-	// shard plus the router's.
-	Fabric interconnect.Switch
 }
 
-// withDefaults fills the zero fields.
-func (c Config) withDefaults() Config {
+// checked validates the config against model geometry mc and fills the
+// zero fields with their defaults.
+func (c Config) checked(mc recsys.Config) (Config, error) {
+	if c.Nodes <= 0 {
+		return c, fmt.Errorf("cluster: Nodes must be positive, got %d", c.Nodes)
+	}
+	if c.Strategy != TableWise && c.Strategy != RowWise {
+		return c, fmt.Errorf("cluster: unknown strategy %v", c.Strategy)
+	}
+	if c.DIMMsPerNode < 0 || c.MaxBatch < 0 || c.Workers < 0 || c.CacheBytes < 0 {
+		return c, fmt.Errorf("cluster: negative sizing (DIMMsPerNode %d, MaxBatch %d, Workers %d, CacheBytes %d)",
+			c.DIMMsPerNode, c.MaxBatch, c.Workers, c.CacheBytes)
+	}
 	if c.DIMMsPerNode == 0 {
 		c.DIMMsPerNode = 8
 	}
@@ -109,26 +112,63 @@ func (c Config) withDefaults() Config {
 	if c.Workers == 0 {
 		c.Workers = 2
 	}
-	if c.Fabric.Ports == 0 {
-		c.Fabric = interconnect.NVSwitch(c.Nodes + 1)
+	if stripeElems := c.DIMMsPerNode * 16; mc.EmbDim%stripeElems != 0 {
+		return c, fmt.Errorf("cluster: embedding dim %d must be a multiple of DIMMsPerNode x 16 = %d",
+			mc.EmbDim, stripeElems)
 	}
-	return c
+	return c, nil
+}
+
+// DeployShard builds the serving stack of shard s of the cluster cfg
+// describes, alone: it carves the shard's gather-only model out of m
+// (ExtractShardModel) and deploys it on its own TensorNode behind a server
+// whose batch cap is the placement's largest sub-request — the geometry a
+// replica router validates its handshake against. A replica process (or
+// an in-process stand-in for one) runs exactly this; cfg.CacheBytes is
+// unused, the hot-row cache lives in the router. Closing the returned
+// server closes its node.
+func DeployShard(m *recsys.Model, cfg Config, s int) (*serve.Server, error) {
+	cfg, err := cfg.checked(m.Cfg)
+	if err != nil {
+		return nil, err
+	}
+	if s < 0 || s >= cfg.Nodes {
+		return nil, fmt.Errorf("cluster: shard %d out of range [0, %d)", s, cfg.Nodes)
+	}
+	return deployShard(m, NewPlacement(cfg.Strategy, cfg.Nodes, m.Cfg.Tables, m.Cfg.TableRows), cfg, s)
+}
+
+// deployShard deploys shard s of m under placement p.
+func deployShard(m *recsys.Model, p *Placement, cfg Config, s int) (*serve.Server, error) {
+	shardModel, err := buildShardModel(m, p, s)
+	if err != nil {
+		return nil, err
+	}
+	// Worst case rows of one sub-request: every lookup of a maximal cluster
+	// request lands on this shard.
+	srv, err := serve.Deploy(shardModel, cfg.DIMMsPerNode, serve.Config{
+		MaxBatch: p.MaxSub(s, cfg.MaxBatch, m.Cfg.Reduction),
+		Workers:  cfg.Workers,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
+	}
+	return srv, nil
 }
 
 // shard is one TensorNode of the cluster plus its serving stack.
 type shard struct {
 	id    int
-	node  *node.Node
 	srv   *serve.Server
 	cache *rowCache // nil when caching is disabled
 
-	subRequests  stats.Counter
-	rowsGathered stats.Counter
-	partialBytes stats.Counter // gathered rows shipped shard -> router
-	indexBytes   stats.Counter // index lists shipped router -> shard
-	subUpdates   stats.Counter // sub-updates routed here
-	rowsUpdated  stats.Counter // gradient rows scattered near-memory
-	updateBytes  stats.Counter // indices + gradients shipped router -> shard
+	subRequests  atomic.Uint64
+	rowsGathered atomic.Uint64
+	partialBytes atomic.Uint64 // gathered rows shipped shard -> router
+	indexBytes   atomic.Uint64 // index lists shipped router -> shard
+	subUpdates   atomic.Uint64 // sub-updates routed here
+	rowsUpdated  atomic.Uint64 // gradient rows scattered near-memory
+	updateBytes  atomic.Uint64 // indices + gradients shipped router -> shard
 }
 
 // Cluster is a sharded multi-node serving system for one recommender
@@ -148,6 +188,9 @@ type Cluster struct {
 	place  *Placement
 	shard  []*shard
 	router *Router
+	// sw is the modeled switch connecting the shards to the router: one
+	// NVSwitch port per shard plus the router's.
+	sw interconnect.Switch
 
 	started   time.Time
 	fabric    *telemetry.Histogram // modeled fabric seconds per request
@@ -160,28 +203,16 @@ type Cluster struct {
 // in front of each. The model itself is not modified and keeps serving as
 // the golden reference for merges.
 func New(m *recsys.Model, cfg Config) (*Cluster, error) {
-	if cfg.Nodes <= 0 {
-		return nil, fmt.Errorf("cluster: Nodes must be positive, got %d", cfg.Nodes)
+	cfg, err := cfg.checked(m.Cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Strategy != TableWise && cfg.Strategy != RowWise {
-		return nil, fmt.Errorf("cluster: unknown strategy %v", cfg.Strategy)
-	}
-	cfg = cfg.withDefaults()
 	mc := m.Cfg
-	stripeElems := cfg.DIMMsPerNode * 16
-	if mc.EmbDim%stripeElems != 0 {
-		return nil, fmt.Errorf("cluster: embedding dim %d must be a multiple of DIMMsPerNode x 16 = %d",
-			mc.EmbDim, stripeElems)
-	}
-	if cfg.MaxBatch < 0 || cfg.Workers < 0 || cfg.CacheBytes < 0 {
-		return nil, fmt.Errorf("cluster: negative sizing (MaxBatch %d, Workers %d, CacheBytes %d)",
-			cfg.MaxBatch, cfg.Workers, cfg.CacheBytes)
-	}
-
 	c := &Cluster{
 		model:     m,
 		cfg:       cfg,
 		place:     NewPlacement(cfg.Strategy, cfg.Nodes, mc.Tables, mc.TableRows),
+		sw:        interconnect.NVSwitch(cfg.Nodes + 1),
 		fabric:    telemetry.NewHistogram(),
 		updFabric: telemetry.NewHistogram(),
 	}
@@ -205,70 +236,25 @@ func New(m *recsys.Model, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// buildShard materializes shard s: flat table, node, deployment, server.
-// An empty shard (no rows placed on it) gets no serving stack.
+// buildShard materializes shard s: its gather-only model — one flat table
+// holding every row the shard owns at the flat coordinate Placement.Locate
+// assigns it, reduction 1 (pooling happens at the router's merge) — behind
+// the same serving stack a replica process deploys (deployShard), so an
+// in-process shard and a remote replica serve identical bytes. An empty
+// shard (no rows placed on it) gets no serving stack.
 func (c *Cluster) buildShard(s int) (*shard, error) {
-	mc := c.model.Cfg
 	sh := &shard{id: s}
 	localRows := c.place.localRows[s]
 	if localRows == 0 {
 		return sh, nil
 	}
-
-	// Gather-only shard model: one flat table holding every row this shard
-	// owns at the flat coordinate Placement.Locate assigns it, reduction 1
-	// (pooling happens at the router's merge). Shared with the remote
-	// serving path (ExtractShardModel), so an in-process shard and a
-	// -shard-id TensorNode process serve identical bytes.
-	shardModel, err := buildShardModel(c.model, c.place, s)
+	srv, err := deployShard(c.model, c.place, c.cfg, s)
 	if err != nil {
 		return nil, err
 	}
-
-	// Worst case rows of one sub-request: every lookup of a maximal cluster
-	// request lands on this shard.
-	maxSub := c.place.MaxSub(s, c.cfg.MaxBatch, mc.Reduction)
-
-	nd, err := node.New(node.Config{
-		DIMMs:        c.cfg.DIMMsPerNode,
-		PerDIMMBytes: c.perDIMMBytes(localRows, maxSub),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d node: %w", s, err)
-	}
-	dep, err := runtime.DeployConcurrent(shardModel, nd, maxSub, c.cfg.Workers, c.cfg.Workers)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: shard %d deploy: %w", s, err)
-	}
-	sh.srv, err = serve.New(serve.Config{
-		MaxBatch: maxSub,
-		Workers:  c.cfg.Workers,
-	}, dep)
-	if err != nil {
-		dep.Release()
-		return nil, fmt.Errorf("cluster: shard %d server: %w", s, err)
-	}
-	sh.node = nd
-	sh.cache = newRowCache(c.cfg.CacheBytes, mc.EmbDim, localRows)
+	sh.srv = srv
+	sh.cache = newRowCache(c.cfg.CacheBytes, c.model.Cfg.EmbDim, localRows)
 	return sh, nil
-}
-
-// perDIMMBytes sizes one shard node's per-DIMM capacity: the flat table,
-// two gather buffers per lane, one output region per slot, padding slack
-// on each, stripe-alignment margin per allocation, and 50% headroom.
-func (c *Cluster) perDIMMBytes(localRows, maxSub int) uint64 {
-	if c.cfg.PerDIMMBytes > 0 {
-		return c.cfg.PerDIMMBytes
-	}
-	embBytes := uint64(c.model.Cfg.EmbBytes())
-	stripe := uint64(c.cfg.DIMMsPerNode) * isa.BlockBytes
-	slack := uint64(isa.LanesPerBlock) * stripe
-	region := uint64(maxSub)*embBytes + slack // one gather buffer or output
-	workers := uint64(c.cfg.Workers)
-	allocs := 1 + 3*workers // table + 2 gather buffers and 1 output each
-	need := uint64(localRows)*embBytes + 3*workers*region + allocs*stripe
-	per := (need + need/2) / uint64(c.cfg.DIMMsPerNode)
-	return (per + 4095) / 4096 * 4096
 }
 
 // localTransport is the in-process Transport: each shard is a serve.Server
@@ -331,7 +317,7 @@ func (lc *localCall) Wait(s int) ([]float32, error) {
 	n := len(lc.rowsArg[s][0])
 	idxBytes := int64(n) * 4
 	rowBytes := int64(n) * lc.c.model.Cfg.EmbBytes()
-	sh.subRequests.Inc()
+	sh.subRequests.Add(1)
 	sh.rowsGathered.Add(uint64(n))
 	sh.indexBytes.Add(uint64(idxBytes))
 	sh.partialBytes.Add(uint64(rowBytes))
@@ -343,7 +329,7 @@ func (lc *localCall) Wait(s int) ([]float32, error) {
 // shard responses converge on the router's port, so their payloads
 // serialize at its bandwidth. The gather buffers stay with the call.
 func (lc *localCall) Release() {
-	lc.c.fabric.Observe(lc.c.cfg.Fabric.ConvergeSeconds(lc.fabric))
+	lc.c.fabric.Observe(lc.c.sw.ConvergeSeconds(lc.fabric))
 	clear(lc.fabric)
 }
 
@@ -356,7 +342,7 @@ func (t localTransport) Update(s int, sub runtime.TableUpdate) error {
 		return fmt.Errorf("cluster: shard %d update: %w", s, err)
 	}
 	n := int64(len(sub.Rows))
-	sh.subUpdates.Inc()
+	sh.subUpdates.Add(1)
 	sh.rowsUpdated.Add(uint64(n))
 	sh.updateBytes.Add(uint64(n*4 + n*t.c.model.Cfg.EmbBytes()))
 	return nil
@@ -424,7 +410,7 @@ func (c *Cluster) ApplyUpdates(ups []runtime.TableUpdate) error {
 	for _, up := range ups {
 		rows += int64(len(up.Rows))
 	}
-	c.updFabric.Observe(c.cfg.Fabric.TransferSeconds(rows*4 + rows*c.model.Cfg.EmbBytes()))
+	c.updFabric.Observe(c.sw.TransferSeconds(rows*4 + rows*c.model.Cfg.EmbBytes()))
 	return nil
 }
 
@@ -493,11 +479,6 @@ func (c *Cluster) Close() error {
 		}
 		if err := sh.srv.Close(); err != nil && first == nil {
 			first = err
-		}
-	}
-	for _, sh := range c.shard {
-		if sh != nil && sh.node != nil {
-			sh.node.Close()
 		}
 	}
 	return first

@@ -62,6 +62,57 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestShardNodeSizing pins the per-DIMM capacity New gives each shard node
+// of the benchmark's net_hot_* geometry (4 tables x 4096 rows x dim 64,
+// reduction 2, 2 shards, 4 DIMMs, MaxBatch 64, default Workers) to the
+// bytes the cluster's own sizing picked before serve.Deploy took it over,
+// so the shared sizing cannot move that workload's memory. DeployShard
+// must build the same stack a cluster shard runs.
+func TestShardNodeSizing(t *testing.T) {
+	mc := recsys.Config{
+		Name: "net-hot", Tables: 4, Reduction: 2, FCLayers: 1,
+		EmbDim: 64, TableRows: 4096, Hidden: []int{16},
+	}
+	m, err := recsys.Build(mc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Nodes: 2, DIMMsPerNode: 4, MaxBatch: 64, CacheBytes: 256 << 10}
+	c, err := New(m, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const perDIMM = 946176
+	for _, sh := range c.shard {
+		nd := sh.srv.Node()
+		if got := nd.CapacityBytes() / uint64(nd.NodeDim()); got != perDIMM {
+			t.Errorf("shard %d: %d bytes per DIMM, want %d", sh.id, got, perDIMM)
+		}
+	}
+
+	srv, err := DeployShard(m, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if got, want := srv.Node().CapacityBytes(), c.shard[1].srv.Node().CapacityBytes(); got != want {
+		t.Errorf("DeployShard node holds %d bytes, the cluster's shard %d", got, want)
+	}
+	_, _, _, gotRows, gotMax := srv.Geometry()
+	_, _, _, wantRows, wantMax := c.shard[1].srv.Geometry()
+	if gotRows != wantRows || gotMax != wantMax {
+		t.Errorf("DeployShard serves %d rows, batch cap %d; the cluster's shard %d, %d", gotRows, gotMax, wantRows, wantMax)
+	}
+
+	if _, err := DeployShard(m, cfg, 2); err == nil {
+		t.Error("want error for a shard id past Nodes")
+	}
+	if _, err := DeployShard(m, Config{Nodes: 8, DIMMsPerNode: 4}, 5); err == nil {
+		t.Error("want error for a shard the table-wise placement leaves empty")
+	}
+}
+
 // TestPlacementRowWiseBoundaries pins the row-wise hash mapping at shard
 // boundaries: rows 0..N-1 land on shards 0..N-1, row N wraps back to shard
 // 0 at flat row 1, and the last row of a table that does not divide evenly
@@ -392,8 +443,8 @@ func TestCloseSemantics(t *testing.T) {
 		t.Fatal("want error after close")
 	}
 	for _, sh := range c.shard {
-		if sh.node != nil && sh.node.AllocCount() != 0 {
-			t.Fatalf("shard %d: %d live allocations after close", sh.id, sh.node.AllocCount())
+		if sh.srv != nil && sh.srv.Node().AllocCount() != 0 {
+			t.Fatalf("shard %d: %d live allocations after close", sh.id, sh.srv.Node().AllocCount())
 		}
 	}
 }

@@ -45,8 +45,8 @@ func (s Strategy) String() string {
 // matter how many tables it touches. It is the shared router core: the
 // in-process Cluster and the remote replica router derive identical
 // layouts from it, which is what lets a remote fleet serve bit-identical
-// results and lets cmd/tensorserve carve a single shard's model out of
-// the full one (ExtractShardModel).
+// results and lets a replica process carve a single shard's model out of
+// the full one (DeployShard).
 type Placement struct {
 	strategy Strategy
 	nodes    int
@@ -224,10 +224,11 @@ func buildShardModel(m *recsys.Model, p *Placement, s int) (*recsys.Model, error
 
 // ExtractShardModel materializes the gather-only model shard s of `nodes`
 // serves under the given strategy — the same construction the in-process
-// Cluster performs, exported so a remote TensorNode process
-// (cmd/tensorserve -shard-id) can build exactly the shard the router's
-// placement expects from the same deterministically-seeded full model. A
-// shard the placement leaves empty is an error.
+// Cluster performs, exported so a remote TensorNode process can build
+// exactly the shard the router's placement expects from the same
+// deterministically-seeded full model (DeployShard deploys it, as
+// `tensorserve shard` does). A shard the placement leaves empty is an
+// error.
 func ExtractShardModel(m *recsys.Model, strategy Strategy, nodes, s int) (*recsys.Model, error) {
 	if nodes <= 0 {
 		return nil, fmt.Errorf("cluster: nodes must be positive, got %d", nodes)

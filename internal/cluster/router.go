@@ -8,7 +8,6 @@ import (
 
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
-	"tensordimm/internal/stats"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 )
@@ -83,7 +82,7 @@ type Router struct {
 	// and their routed (table, row) lookups; Failures counts reads and
 	// update batches that returned a routing error; Updates and UpdateRows
 	// count completed update batches and their gradient rows.
-	Requests, Samples, Lookups, Failures, Updates, UpdateRows stats.Counter
+	Requests, Samples, Lookups, Failures, Updates, UpdateRows atomic.Uint64
 	// Latency records the wall-clock seconds of every completed read.
 	Latency *telemetry.Histogram
 
@@ -422,7 +421,7 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 		scr.span.Mark(hopGather)
 	}
 	if failed != nil {
-		r.Failures.Inc()
+		r.Failures.Add(1)
 		scr.call.Release()
 		return failed
 	}
@@ -443,10 +442,10 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 	err := r.merger.Merge(dst, batch, scr.vec)
 	scr.call.Release()
 	if err != nil {
-		r.Failures.Inc()
+		r.Failures.Add(1)
 		return err
 	}
-	r.Requests.Inc()
+	r.Requests.Add(1)
 	r.Samples.Add(uint64(batch))
 	// One clock read closes the merge hop, the latency observation and the
 	// span.
@@ -544,7 +543,7 @@ func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			r.Failures.Inc()
+			r.Failures.Add(1)
 			return err
 		}
 	}
@@ -552,7 +551,7 @@ func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
 	for _, up := range ups {
 		rows += len(up.Rows)
 	}
-	r.Updates.Inc()
+	r.Updates.Add(1)
 	r.UpdateRows.Add(uint64(rows))
 	return nil
 }

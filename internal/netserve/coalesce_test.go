@@ -93,7 +93,7 @@ type goldenReq struct {
 
 // TestCoalescedMixedTrafficBitIdentical drives concurrent EMBED and
 // UPDATE traffic through one shared connection — the topology that makes
-// the client's group-commit buffer and the server's linger window
+// the client's group-commit buffer and the server's response writer
 // coalesce frames — and checks every read bit-identical against the
 // golden model, for both sharding strategies. Real gradient updates are
 // serialized between read rounds (concurrent writes to read rows have no

@@ -10,7 +10,6 @@ import (
 	"tensordimm/internal/cluster"
 	"tensordimm/internal/netclient"
 	"tensordimm/internal/netserve"
-	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/serve"
@@ -171,16 +170,7 @@ func TestE2EClusterBitIdentity(t *testing.T) {
 func TestE2EServeBitIdentity(t *testing.T) {
 	m := e2eModel(t)
 	mc := m.Cfg
-	nd, err := node.New(node.Config{DIMMs: 4, PerDIMMBytes: 16 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { nd.Close() })
-	dep, err := runtime.DeployConcurrent(m, nd, 8, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(serve.Config{MaxBatch: 8, Workers: 2}, dep)
+	srv, err := serve.Deploy(m, 4, serve.Config{MaxBatch: 8, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +207,7 @@ func TestE2EServeBitIdentity(t *testing.T) {
 					errCh <- err
 					return
 				}
-				golden, err := dep.GoldenEmbedding(rows, batch)
+				golden, err := m.Embedding.Forward(rows, batch)
 				if err != nil {
 					errCh <- err
 					return

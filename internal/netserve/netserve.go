@@ -48,7 +48,6 @@ import (
 	"tensordimm/internal/cluster"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/serve"
-	"tensordimm/internal/stats"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
@@ -154,13 +153,6 @@ type Config struct {
 	// beyond it is a protocol violation and closes the connection (the
 	// stream can no longer be trusted to be frame-aligned).
 	MaxFrameBytes int
-	// WriteTimeout bounds one response-frame write. A client that stops
-	// reading fills its socket buffer; without this bound its writer
-	// goroutine would block forever and a graceful drain could never
-	// finish. On expiry the connection is dropped (the client was not
-	// consuming responses anyway). Zero defaults to 30 seconds; negative
-	// is invalid.
-	WriteTimeout time.Duration
 	// Role is the serving role announced in the handshake. The zero value
 	// (wire.RoleStandalone) is a self-contained endpoint; wire.RoleReplica
 	// marks this server as one replica of a shard behind a replica router,
@@ -176,6 +168,12 @@ type Config struct {
 	// section. Nil leaves the server uninstrumented at zero cost.
 	Registry *telemetry.Registry
 }
+
+// writeTimeout bounds one response-frame write. A client that stops reading
+// fills its socket buffer; without this bound its writer goroutine would
+// block forever and a graceful drain could never finish. On expiry the
+// connection is dropped (the client was not consuming responses anyway).
+const writeTimeout = 30 * time.Second
 
 // maxCoalesceBytes soft-caps one coalesced response frame so the writer's
 // reused buffer stays cache-sized even when the configured frame limits
@@ -284,20 +282,20 @@ type Server struct {
 	closeDone chan struct{}
 
 	started    time.Time
-	accepted   stats.Counter
-	requests   stats.Counter
-	updates    stats.Counter
-	syncs      stats.Counter
-	restores   stats.Counter
-	pings      stats.Counter
-	shed       stats.Counter
-	expired    stats.Counter
-	failures   stats.Counter
-	badFrames  stats.Counter
-	batchesIn  stats.Counter
-	batchedIn  stats.Counter
-	batchesOut stats.Counter
-	batchedOut stats.Counter
+	accepted   atomic.Uint64
+	requests   atomic.Uint64
+	updates    atomic.Uint64
+	syncs      atomic.Uint64
+	restores   atomic.Uint64
+	pings      atomic.Uint64
+	shed       atomic.Uint64
+	expired    atomic.Uint64
+	failures   atomic.Uint64
+	badFrames  atomic.Uint64
+	batchesIn  atomic.Uint64
+	batchedIn  atomic.Uint64
+	batchesOut atomic.Uint64
+	batchedOut atomic.Uint64
 	lat        *telemetry.Histogram // executor pickup to response encoded
 
 	// tracer is nil unless Config.Registry was set; every hot-path use is
@@ -339,9 +337,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 	if cfg.MaxFrameBytes < 0 {
 		return nil, fmt.Errorf("netserve: MaxFrameBytes %d is negative (use 0 for the default)", cfg.MaxFrameBytes)
 	}
-	if cfg.WriteTimeout < 0 {
-		return nil, fmt.Errorf("netserve: WriteTimeout %v is negative (use 0 for the 30s default)", cfg.WriteTimeout)
-	}
 	if cfg.Role != wire.RoleStandalone && cfg.Role != wire.RoleReplica {
 		return nil, fmt.Errorf("netserve: unknown role %d", uint8(cfg.Role))
 	}
@@ -350,9 +345,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 	}
 	if cfg.MaxFrameBytes == 0 {
 		cfg.MaxFrameBytes = wire.DefaultMaxFrameBytes
-	}
-	if cfg.WriteTimeout == 0 {
-		cfg.WriteTimeout = 30 * time.Second
 	}
 	tables, reduction, dim, rows, maxBatch := b.Geometry()
 	geom := wire.Geometry{Tables: tables, Reduction: reduction, Dim: dim, TableRows: rows, MaxBatch: maxBatch}
@@ -438,7 +430,7 @@ func (s *Server) startConn(nc net.Conn) {
 	s.conns[c] = struct{}{}
 	s.connWG.Add(2)
 	s.mu.Unlock()
-	s.accepted.Inc()
+	s.accepted.Add(1)
 	go c.readLoop()
 	go c.writeLoop()
 }
@@ -485,13 +477,13 @@ func (c *conn) readLoop() {
 			UpdateSeq:     s.updateSeq.Load(),
 			MaxFrameBytes: s.cfg.MaxFrameBytes,
 		})
-		c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := c.nc.Write(hello); err == nil {
 			ok = true
 		}
 		buf = hello[:0]
 	} else if !isDisconnect(err) {
-		s.badFrames.Inc()
+		s.badFrames.Add(1)
 	}
 	for ok {
 		var op wire.Op
@@ -503,7 +495,7 @@ func (c *conn) readLoop() {
 			// Disconnects (EOF, drain half-close, reset) are the normal end
 			// of a connection; everything else is a frame-level violation.
 			if !isDisconnect(err) {
-				s.badFrames.Inc()
+				s.badFrames.Add(1)
 			}
 			break
 		}
@@ -546,19 +538,19 @@ func (c *conn) dispatch(op wire.Op, id uint64, payload []byte) bool {
 	if err != nil {
 		// A malformed count prefix: the outer frame was still well-formed, so
 		// the stream stays aligned — answer under the batch id and carry on.
-		s.failures.Inc()
+		s.failures.Add(1)
 		t := s.getTask(c, op, id)
 		t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
 		c.enqueue(t)
 		return true
 	}
-	s.batchesIn.Inc()
+	s.batchesIn.Add(1)
 	for {
 		sop, sid, sp, more := it.Next()
 		if !more {
 			break
 		}
-		s.batchedIn.Inc()
+		s.batchedIn.Add(1)
 		if !c.dispatchOne(sop, sid, sp) {
 			return false
 		}
@@ -568,7 +560,7 @@ func (c *conn) dispatch(op wire.Op, id uint64, payload []byte) bool {
 		// sub-frame, nested batch, trailing bytes). Requests before the
 		// damage were already dispatched and will be answered under their own
 		// ids; the damage itself is reported under the batch id.
-		s.failures.Inc()
+		s.failures.Add(1)
 		t := s.getTask(c, wire.OpBatch, id)
 		t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
 		c.enqueue(t)
@@ -584,7 +576,7 @@ func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte) bool {
 	switch op {
 	case wire.OpPing:
 		t := s.getTask(c, op, id)
-		s.pings.Inc()
+		s.pings.Add(1)
 		t.resp = wire.AppendFrame(t.resp[:0], wire.OpPong, id, nil)
 		c.enqueue(t)
 	case wire.OpMetrics:
@@ -601,7 +593,7 @@ func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte) bool {
 		var err error
 		t.batch, t.budget, t.rows, t.idx, err = wire.DecodeEmbed(payload, s.geom, t.rows, t.idx)
 		if err != nil {
-			s.failures.Inc()
+			s.failures.Add(1)
 			t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
 			c.enqueue(t)
 			return true
@@ -616,7 +608,7 @@ func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte) bool {
 			err = t.convertUpdates(wu, s.geom.Dim)
 		}
 		if err != nil {
-			s.failures.Inc()
+			s.failures.Add(1)
 			t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
 			c.enqueue(t)
 			return true
@@ -629,7 +621,7 @@ func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte) bool {
 			err = t.convertUpdates(wu, s.geom.Dim)
 		}
 		if err != nil {
-			s.failures.Inc()
+			s.failures.Add(1)
 			t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
 			c.enqueue(t)
 			return true
@@ -640,7 +632,7 @@ func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte) bool {
 		t := s.getTask(c, op, id)
 		seq, commit, up, err := wire.DecodeRestore(payload, s.geom, &t.upd)
 		if err != nil {
-			s.failures.Inc()
+			s.failures.Add(1)
 			t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
 			c.enqueue(t)
 			return true
@@ -649,7 +641,7 @@ func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte) bool {
 		t.restTab, t.restRows, t.restVals = up.Table, up.Rows, up.Grads
 		c.submit(t)
 	default:
-		s.badFrames.Inc()
+		s.badFrames.Add(1)
 		return false
 	}
 	return true
@@ -682,21 +674,21 @@ func (t *task) convertUpdates(wu []wire.Update, dim int) error {
 func (c *conn) submit(t *task) {
 	s := c.srv
 	if s.draining.Load() {
-		s.failures.Inc()
+		s.failures.Add(1)
 		t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrShuttingDown,
 			"server is draining; no new work accepted")
 		c.enqueue(t)
 		return
 	}
 	if t.expired(time.Now()) {
-		s.expired.Inc()
+		s.expired.Add(1)
 		t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrDeadlineExceeded,
 			"deadline budget exhausted before dispatch")
 		c.enqueue(t)
 		return
 	}
 	if !s.admit() {
-		s.shed.Inc()
+		s.shed.Add(1)
 		t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrOverloaded,
 			"in-flight budget exhausted; retry after backoff")
 		c.enqueue(t)
@@ -740,7 +732,7 @@ func (s *Server) executor() {
 		if t.expired(start) {
 			// The budget lapsed in the queue: the client has moved on, so
 			// executing would burn backend capacity on a dead response.
-			s.expired.Inc()
+			s.expired.Add(1)
 			t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrDeadlineExceeded,
 				"deadline budget exhausted in queue")
 			s.inflight.Add(-1)
@@ -755,20 +747,20 @@ func (s *Server) executor() {
 			}
 			dst, err := s.backend.EmbedInto(t.dst[:need], t.rows, t.batch)
 			if err != nil {
-				s.failures.Inc()
+				s.failures.Add(1)
 				t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
 			} else {
 				t.dst = dst
-				s.requests.Inc()
+				s.requests.Add(1)
 				t.resp = wire.AppendEmbedResp(t.resp[:0], t.id, dst)
 			}
 		case wire.OpUpdate:
 			if err := s.backend.ApplyUpdates(t.ups); err != nil {
-				s.failures.Inc()
+				s.failures.Add(1)
 				t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
 			} else {
 				s.updateSeq.Add(1)
-				s.updates.Inc()
+				s.updates.Add(1)
 				t.resp = wire.AppendFrame(t.resp[:0], wire.OpUpdateResp, t.id, nil)
 			}
 		case wire.OpSync:
@@ -801,19 +793,19 @@ func (s *Server) executeSync(t *task) []byte {
 	cur := s.updateSeq.Load()
 	switch {
 	case t.seq < cur:
-		s.syncs.Inc()
+		s.syncs.Add(1)
 		return wire.AppendSyncResp(t.resp[:0], t.id, cur)
 	case t.seq > cur:
-		s.failures.Inc()
+		s.failures.Add(1)
 		return wire.AppendError(t.resp[:0], t.id, wire.ErrBadRequest,
 			fmt.Sprintf("sync sequence %d ahead of the server's %d applied updates; replay the gap first", t.seq, cur))
 	default:
 		if err := s.backend.ApplyUpdates(t.ups); err != nil {
-			s.failures.Inc()
+			s.failures.Add(1)
 			return wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
 		}
 		s.updateSeq.Store(cur + 1)
-		s.syncs.Inc()
+		s.syncs.Add(1)
 		return wire.AppendSyncResp(t.resp[:0], t.id, cur+1)
 	}
 }
@@ -829,25 +821,25 @@ func (s *Server) executeSync(t *task) []byte {
 func (s *Server) executeRestore(t *task) []byte {
 	rb, ok := s.backend.(RestoreBackend)
 	if !ok {
-		s.failures.Inc()
+		s.failures.Add(1)
 		return wire.AppendError(t.resp[:0], t.id, wire.ErrBadRequest, "backend does not accept snapshot installs")
 	}
 	s.syncMu.Lock()
 	defer s.syncMu.Unlock()
 	cur := s.updateSeq.Load()
 	if t.seq < cur {
-		s.failures.Inc()
+		s.failures.Add(1)
 		return wire.AppendError(t.resp[:0], t.id, wire.ErrBadRequest,
 			fmt.Sprintf("snapshot at sequence %d behind the server's %d applied updates", t.seq, cur))
 	}
 	if err := rb.Restore(t.restTab, t.restRows, t.restVals); err != nil {
-		s.failures.Inc()
+		s.failures.Add(1)
 		return wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
 	}
 	if t.commit {
 		s.updateSeq.Store(t.seq)
 	}
-	s.restores.Inc()
+	s.restores.Add(1)
 	return wire.AppendRestoreResp(t.resp[:0], t.id, s.updateSeq.Load())
 }
 
@@ -933,13 +925,13 @@ func (c *conn) writeLoop() {
 			// The request ids that matter ride inside the sub-frames; the
 			// super-frame's own id carries no information.
 			frame = wire.FinishBatch(wbuf, 0, count)
-			s.batchesOut.Inc()
+			s.batchesOut.Add(1)
 			s.batchedOut.Add(uint64(count))
 		}
 		// The write deadline is what keeps a graceful drain finite: a client
 		// that stops reading trips it, the write fails, and the drain path
 		// above accounts every owed response.
-		c.nc.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
+		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := c.nc.Write(frame); err != nil {
 			failed = true
 		}

@@ -56,7 +56,7 @@ func allocsPerOp(t *testing.T, clients, ops int, op func(client int) error) uint
 
 // pinRoundTrip drives the whole network plane on loopback — 128 closed-loop
 // clients funnelled through one connection, so the client's group-commit
-// buffer and the server's linger window fill — against an instrumented
+// buffer and the server's writer batches fill — against an instrumented
 // netserve.Server fronting an instrumented warm-cache 2-shard cluster, and
 // fails unless encode, send coalescing, admission, backend execution,
 // response coalescing and decode together stay at 0 allocs/op. Geometry as

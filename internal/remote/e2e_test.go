@@ -71,7 +71,7 @@ func e2eStrategyFlag(strat cluster.Strategy) string {
 	return "table"
 }
 
-// e2eProc is one real `tensorserve -listen -shard-id` shard process.
+// e2eProc is one real `tensorserve shard` process.
 type e2eProc struct {
 	addr string
 	cmd  *exec.Cmd
@@ -87,8 +87,7 @@ func startProcReplica(t *testing.T, strat cluster.Strategy, nodes, s int, listen
 		t.Fatal("tensorserve e2e binary was not built")
 	}
 	cfg := e2eModelCfg()
-	cmd := exec.Command(e2eBin,
-		"-listen", listenAt,
+	cmd := exec.Command(e2eBin, "shard", listenAt,
 		"-nodes", strconv.Itoa(nodes),
 		"-shard-id", strconv.Itoa(s),
 		"-shard", e2eStrategyFlag(strat),

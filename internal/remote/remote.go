@@ -82,7 +82,6 @@ import (
 	"tensordimm/internal/persist"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
-	"tensordimm/internal/stats"
 	"tensordimm/internal/wire"
 )
 
@@ -97,7 +96,7 @@ type Config struct {
 	Model recsys.Config
 	// Strategy selects table-wise or row-wise sharding. The shard
 	// processes must have been built with the same strategy and shard
-	// count (cluster.ExtractShardModel / cmd/tensorserve -shard-id).
+	// count (cluster.DeployShard / `tensorserve shard`).
 	Strategy cluster.Strategy
 	// Shards lists each shard's replica addresses: Shards[s] holds the
 	// endpoints serving shard s (1 to 64 entries). A shard the placement
@@ -110,13 +109,10 @@ type Config struct {
 	MaxBatch int
 	// Conns is the connection pool size per replica. Defaults to 1.
 	Conns int
-	// MaxFrameBytes, DialTimeout, RetryFor, ReconnectMin, ReconnectMax
-	// pass through to every replica's netclient.Config.
-	MaxFrameBytes int
-	// DialTimeout bounds one connect plus handshake attempt.
-	DialTimeout time.Duration
-	// RetryFor keeps redialing refused connections at New, so the router
-	// may start before its shard processes.
+	// RetryFor, ReconnectMin and ReconnectMax pass through to every
+	// replica's netclient.Config (frame limit and dial timeout keep the
+	// netclient defaults). RetryFor keeps redialing refused connections at
+	// New, so the router may start before its shard processes.
 	RetryFor time.Duration
 	// ReconnectMin is the first redial backoff after a replica is lost.
 	ReconnectMin time.Duration
@@ -125,11 +121,9 @@ type Config struct {
 
 	// HedgeAfter floors the hedge delay: a second read attempt never
 	// fires earlier than this, even when the tracked percentile is lower.
-	// Defaults to 1ms. Hedging only arms on shards with >= 2 replicas.
+	// Defaults to 1ms. Hedging only arms on shards with >= 2 replicas; the
+	// delay tracks the hedgePercentile of recent attempt latencies.
 	HedgeAfter time.Duration
-	// HedgePercentile is the attempt-latency percentile the hedge delay
-	// tracks, in (0, 1]. Defaults to 0.95.
-	HedgePercentile float64
 
 	// Deadline is the end-to-end budget of one read request. Every attempt
 	// is stamped with the remaining budget on the wire (so a replica sheds
@@ -143,14 +137,11 @@ type Config struct {
 
 	// BreakerWindow sizes the per-replica circuit breaker's rolling
 	// outcome window: when the failure fraction of the last BreakerWindow
-	// attempts reaches BreakerThreshold, the replica stops receiving reads
+	// attempts reaches breakerThreshold, the replica stops receiving reads
 	// until a probe succeeds — which keeps a brown-out replica (alive
 	// connection, failing attempts) from eating a retry on every request.
 	// 2 to 64; zero defaults to 32, negative disables circuit breaking.
 	BreakerWindow int
-	// BreakerThreshold is the failure fraction within the window that
-	// trips the breaker, in (0, 1]. Zero defaults to 0.5.
-	BreakerThreshold float64
 	// BreakerOpenFor is how long a tripped breaker rejects a replica
 	// before admitting one probe attempt (and the spacing between probes
 	// while the replica keeps failing). Zero defaults to 250ms.
@@ -202,6 +193,14 @@ type Config struct {
 	// the writer has not yet caught up serves correspondingly older values.
 	ReadOnly bool
 }
+
+// Fixed robustness tuning: the attempt-latency percentile a shard's hedge
+// delay tracks, and the failure fraction within a breaker window that trips
+// the breaker.
+const (
+	hedgePercentile  = 0.95
+	breakerThreshold = 0.5
+)
 
 // ErrReadOnly is returned by ApplyUpdates on a read-only (sticky) router:
 // updates must go through the fleet's single writer.
@@ -295,7 +294,6 @@ type rShard struct {
 // one shard, recomputed every few dozen observations into an atomically
 // readable threshold — the hot path never sorts or locks.
 type hedgeTracker struct {
-	pct    float64
 	thresh atomic.Int64 // nanoseconds; 0 until enough observations
 
 	mu     sync.Mutex
@@ -321,7 +319,7 @@ func (h *hedgeTracker) observe(d time.Duration) {
 		copy(h.sorted[:h.n], h.ring[:h.n])
 		s := h.sorted[:h.n]
 		slices.Sort(s)
-		h.thresh.Store(s[int(float64(h.n-1)*h.pct)])
+		h.thresh.Store(s[int(float64(h.n-1)*hedgePercentile)])
 	}
 	h.mu.Unlock()
 }
@@ -362,17 +360,17 @@ type RemoteCluster struct {
 	closeCh   chan struct{}
 	janitorWG sync.WaitGroup
 
-	hedges    stats.Counter // hedged second attempts fired
-	hedgeWins stats.Counter // requests won by the hedged attempt
-	failovers stats.Counter // failover replacement attempts started
-	unavail   stats.Counter // operations failed with Unavailable
-	brkTrips  stats.Counter // circuit breakers tripped closed->open
-	denied    stats.Counter // failovers denied by the retry budget
-	deadlines stats.Counter // reads failed with DeadlineExceeded
-	resyncs   stats.Counter // replica catch-up replays completed
-	replayed  stats.Counter // log entries delivered by catch-up replays
-	snapshots stats.Counter // shard snapshots scraped and installed
-	restores  stats.Counter // replicas reseated from a snapshot (RESTORE)
+	hedges    atomic.Uint64 // hedged second attempts fired
+	hedgeWins atomic.Uint64 // requests won by the hedged attempt
+	failovers atomic.Uint64 // failover replacement attempts started
+	unavail   atomic.Uint64 // operations failed with Unavailable
+	brkTrips  atomic.Uint64 // circuit breakers tripped closed->open
+	denied    atomic.Uint64 // failovers denied by the retry budget
+	deadlines atomic.Uint64 // reads failed with DeadlineExceeded
+	resyncs   atomic.Uint64 // replica catch-up replays completed
+	replayed  atomic.Uint64 // log entries delivered by catch-up replays
+	snapshots atomic.Uint64 // shard snapshots scraped and installed
+	restores  atomic.Uint64 // replicas reseated from a snapshot (RESTORE)
 }
 
 // withDefaults fills the zero fields.
@@ -383,14 +381,8 @@ func (cfg Config) withDefaults() Config {
 	if cfg.HedgeAfter == 0 {
 		cfg.HedgeAfter = time.Millisecond
 	}
-	if cfg.HedgePercentile == 0 {
-		cfg.HedgePercentile = 0.95
-	}
 	if cfg.BreakerWindow == 0 {
 		cfg.BreakerWindow = 32
-	}
-	if cfg.BreakerThreshold == 0 {
-		cfg.BreakerThreshold = 0.5
 	}
 	if cfg.BreakerOpenFor == 0 {
 		cfg.BreakerOpenFor = 250 * time.Millisecond
@@ -424,9 +416,8 @@ func New(cfg Config) (*RemoteCluster, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("remote: no shards configured")
 	}
-	if cfg.MaxBatch < 0 || cfg.HedgeAfter < 0 || cfg.HedgePercentile < 0 || cfg.HedgePercentile > 1 {
-		return nil, fmt.Errorf("remote: invalid sizing (MaxBatch %d, HedgeAfter %v, HedgePercentile %g)",
-			cfg.MaxBatch, cfg.HedgeAfter, cfg.HedgePercentile)
+	if cfg.MaxBatch < 0 || cfg.HedgeAfter < 0 {
+		return nil, fmt.Errorf("remote: invalid sizing (MaxBatch %d, HedgeAfter %v)", cfg.MaxBatch, cfg.HedgeAfter)
 	}
 	if cfg.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("remote: SnapshotEvery %d is negative (use 0 for the default)", cfg.SnapshotEvery)
@@ -437,9 +428,9 @@ func New(cfg Config) (*RemoteCluster, error) {
 	if cfg.BreakerWindow == 1 || cfg.BreakerWindow > 64 {
 		return nil, fmt.Errorf("remote: BreakerWindow %d out of range [2, 64] (0 defaults, negative disables)", cfg.BreakerWindow)
 	}
-	if cfg.BreakerThreshold < 0 || cfg.BreakerThreshold > 1 || cfg.BreakerOpenFor < 0 || cfg.RetryBurst < 0 {
-		return nil, fmt.Errorf("remote: invalid robustness tuning (BreakerThreshold %g, BreakerOpenFor %v, RetryBurst %d)",
-			cfg.BreakerThreshold, cfg.BreakerOpenFor, cfg.RetryBurst)
+	if cfg.BreakerOpenFor < 0 || cfg.RetryBurst < 0 {
+		return nil, fmt.Errorf("remote: invalid robustness tuning (BreakerOpenFor %v, RetryBurst %d)",
+			cfg.BreakerOpenFor, cfg.RetryBurst)
 	}
 	if cfg.ReadOnly && cfg.DataDir != "" {
 		return nil, fmt.Errorf("remote: a read-only router holds no update log; drop DataDir %q or ReadOnly", cfg.DataDir)
@@ -463,7 +454,7 @@ func New(cfg Config) (*RemoteCluster, error) {
 		rc.brkCfg = breakerCfg{
 			size:      cfg.BreakerWindow,
 			need:      need,
-			threshold: cfg.BreakerThreshold,
+			threshold: breakerThreshold,
 			openFor:   cfg.BreakerOpenFor,
 		}
 	}
@@ -498,7 +489,6 @@ func New(cfg Config) (*RemoteCluster, error) {
 			maxCap = n
 		}
 		sh := &rShard{id: s, maxSub: maxSub}
-		sh.hedge.pct = cfg.HedgePercentile
 		sh.retryTokens.Store(rc.retryCap) // start with a full burst bucket
 		// Registered before dialing so a mid-shard failure still closes this
 		// shard's store and already-dialed clients through Close.
@@ -524,13 +514,11 @@ func New(cfg Config) (*RemoteCluster, error) {
 			rep := &replica{addr: addr}
 			shc, repc := sh, rep
 			cl, err := netclient.Dial(addr, netclient.Config{
-				Conns:         cfg.Conns,
-				MaxFrameBytes: cfg.MaxFrameBytes,
-				DialTimeout:   cfg.DialTimeout,
-				RetryFor:      cfg.RetryFor,
-				Reconnect:     true,
-				ReconnectMin:  cfg.ReconnectMin,
-				ReconnectMax:  cfg.ReconnectMax,
+				Conns:        cfg.Conns,
+				RetryFor:     cfg.RetryFor,
+				Reconnect:    true,
+				ReconnectMin: cfg.ReconnectMin,
+				ReconnectMax: cfg.ReconnectMax,
 				OnUp: func(h wire.Hello) {
 					<-rc.ready
 					rc.resync(shc, repc, h)
@@ -551,7 +539,7 @@ func New(cfg Config) (*RemoteCluster, error) {
 					s, addr, h.Geom, want))
 			}
 			if len(addrs) > 1 && h.Role != wire.RoleReplica {
-				return fail(fmt.Errorf("remote: shard %d replica %s announced role %v in a %d-replica group; start it with -shard-id so it serves as a replica",
+				return fail(fmt.Errorf("remote: shard %d replica %s announced role %v in a %d-replica group; start it with tensorserve shard so it serves as a replica",
 					s, addr, h.Role, len(addrs)))
 			}
 			if !cfg.ReadOnly && h.UpdateSeq > sh.store.Head() {
@@ -800,7 +788,7 @@ func (call *rCall) wait() {
 			}
 			if a, aerr := call.start(true); aerr == nil {
 				call.alt = a
-				rc.hedges.Inc()
+				rc.hedges.Add(1)
 			}
 		case <-call.dlC:
 			// Budget exhausted: abandon the in-flight attempts (reaped and
@@ -845,9 +833,9 @@ func (call *rCall) abandon(a *attempt) {
 func (call *rCall) fail(err error) {
 	var de *DeadlineExceeded
 	if errors.As(err, &de) {
-		call.rc.deadlines.Inc()
+		call.rc.deadlines.Add(1)
 	} else {
-		call.rc.unavail.Inc()
+		call.rc.unavail.Add(1)
 	}
 	call.err, call.settled = err, true
 }
@@ -913,7 +901,7 @@ func (call *rCall) settle(done, other *attempt, err error) {
 		sh.hedge.observe(time.Since(done.start))
 		done.rep.brk.ok(&rc.brkCfg)
 		if done.hedged {
-			rc.hedgeWins.Inc()
+			rc.hedgeWins.Add(1)
 		}
 		call.out, call.settled = done.ca.Dst(), true
 		call.winCl, call.winCa, call.winBuf = done.rep.cl, done.ca, done.buf
@@ -937,7 +925,7 @@ func (call *rCall) settle(done, other *attempt, err error) {
 	// Transport loss or admission shed: fail over to another replica.
 	call.lastErr = err
 	if done.rep.brk.fail(&rc.brkCfg, time.Now()) {
-		rc.brkTrips.Inc()
+		rc.brkTrips.Add(1)
 	}
 	if other.ca != nil {
 		return // the other attempt may still win
@@ -945,11 +933,11 @@ func (call *rCall) settle(done, other *attempt, err error) {
 	// A replacement attempt spends one of the shard's retry tokens; an
 	// empty bucket fails the read instead of amplifying the brown-out.
 	if rc.retryRefill > 0 && !sh.takeRetry() {
-		rc.denied.Inc()
+		rc.denied.Add(1)
 		call.fail(&Unavailable{Shard: call.s, Err: call.lastErr})
 		return
 	}
-	rc.failovers.Inc()
+	rc.failovers.Add(1)
 	na, aerr := call.start(done.hedged)
 	if aerr != nil {
 		var un *Unavailable

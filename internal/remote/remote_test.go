@@ -12,7 +12,6 @@ import (
 	"tensordimm/internal/cluster"
 	"tensordimm/internal/faultnet"
 	"tensordimm/internal/netserve"
-	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/remote"
 	"tensordimm/internal/runtime"
@@ -45,7 +44,7 @@ func buildModel(t *testing.T) *recsys.Model {
 	return m
 }
 
-// replicaProc is one in-process stand-in for a -shard-id TensorNode
+// replicaProc is one in-process stand-in for a `tensorserve shard`
 // process: a real serve stack behind a real TCP listener, with a fault
 // injector between them.
 type replicaProc struct {
@@ -55,9 +54,9 @@ type replicaProc struct {
 }
 
 // startReplica rebuilds the deterministic full model from its seed and
-// carves shard s out of it (ExtractShardModel — the same construction a
-// real -shard-id process performs at boot), then deploys and serves it
-// with role Replica behind a faultnet-wrapped listener. Building from the
+// deploys shard s of it (cluster.DeployShard — the same construction a
+// real `tensorserve shard` process performs at boot), then serves it with
+// role Replica behind a faultnet-wrapped listener. Building from the
 // seed rather than sharing the test's golden model matters: a restarted
 // replica must come back at update sequence 0 with pristine weights, so
 // the router's full-log replay is what reproduces its state. addr ""
@@ -65,25 +64,7 @@ type replicaProc struct {
 // "restarted" replica can reclaim its old endpoint.
 func startReplica(t *testing.T, strat cluster.Strategy, nodes, s int, addr string) *replicaProc {
 	t.Helper()
-	m := buildModel(t)
-	shardModel, err := cluster.ExtractShardModel(m, strat, nodes, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cluster.NewPlacement(strat, nodes, m.Cfg.Tables, m.Cfg.TableRows)
-	maxSub := p.MaxSub(s, testMaxBatch, m.Cfg.Reduction)
-	nd, err := node.New(node.Config{DIMMs: 4, PerDIMMBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := runtime.DeployConcurrent(shardModel, nd, maxSub, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(serve.Config{MaxBatch: maxSub, Workers: 2}, dep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := deployReplica(t, strat, nodes, s)
 	ns, err := netserve.New(netserve.ServerBackend(srv), netserve.Config{Role: wire.RoleReplica})
 	if err != nil {
 		t.Fatal(err)
@@ -112,11 +93,23 @@ func startReplica(t *testing.T, strat cluster.Strategy, nodes, s int, addr strin
 		once.Do(func() {
 			ns.Close()
 			srv.Close()
-			nd.Close()
 		})
 	}
 	t.Cleanup(rp.stop)
 	return rp
+}
+
+// deployReplica builds shard s's serving stack the way a replica process
+// does: the deterministic model, carved and deployed by cluster.DeployShard.
+func deployReplica(t *testing.T, strat cluster.Strategy, nodes, s int) *serve.Server {
+	t.Helper()
+	srv, err := cluster.DeployShard(buildModel(t), cluster.Config{
+		Nodes: nodes, Strategy: strat, DIMMsPerNode: 4, MaxBatch: testMaxBatch, Workers: 2,
+	}, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
 }
 
 // startFleet spawns `replicas` replicaProcs for each of `nodes` shards

@@ -12,10 +12,7 @@ import (
 	"tensordimm/internal/cluster"
 	"tensordimm/internal/faultnet"
 	"tensordimm/internal/netserve"
-	"tensordimm/internal/node"
 	"tensordimm/internal/remote"
-	"tensordimm/internal/runtime"
-	"tensordimm/internal/serve"
 	"tensordimm/internal/wire"
 )
 
@@ -51,25 +48,7 @@ func (b *brownBackend) release() { b.relOnce.Do(func() { close(b.rel) }) }
 // brownBackend in front of its serve stack and a single admission slot.
 func startShedReplica(t *testing.T, strat cluster.Strategy, nodes, s int) (*replicaProc, *brownBackend) {
 	t.Helper()
-	m := buildModel(t)
-	shardModel, err := cluster.ExtractShardModel(m, strat, nodes, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := cluster.NewPlacement(strat, nodes, m.Cfg.Tables, m.Cfg.TableRows)
-	maxSub := p.MaxSub(s, testMaxBatch, m.Cfg.Reduction)
-	nd, err := node.New(node.Config{DIMMs: 4, PerDIMMBytes: 32 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep, err := runtime.DeployConcurrent(shardModel, nd, maxSub, 2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.New(serve.Config{MaxBatch: maxSub, Workers: 2}, dep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := deployReplica(t, strat, nodes, s)
 	bb := &brownBackend{Backend: netserve.ServerBackend(srv), rel: make(chan struct{})}
 	ns, err := netserve.New(bb, netserve.Config{Role: wire.RoleReplica, MaxInflight: 1})
 	if err != nil {
@@ -87,7 +66,6 @@ func startShedReplica(t *testing.T, strat cluster.Strategy, nodes, s int) (*repl
 		once.Do(func() {
 			ns.Close()
 			srv.Close()
-			nd.Close()
 		})
 	}
 	t.Cleanup(rp.stop)

@@ -59,7 +59,7 @@ func (rc *RemoteCluster) appendAndFan(sh *rShard, sub runtime.TableUpdate) error
 	sh.updMu.Lock()
 	defer sh.updMu.Unlock()
 	if err := sh.store.Append(sub); err != nil {
-		rc.unavail.Inc()
+		rc.unavail.Add(1)
 		return fmt.Errorf("remote: shard %d: %w", sh.id, err)
 	}
 	reached, pending := 0, 0
@@ -80,7 +80,7 @@ func (rc *RemoteCluster) appendAndFan(sh *rShard, sub runtime.TableUpdate) error
 		reached++
 	}
 	if reached == 0 && pending == 0 {
-		rc.unavail.Inc()
+		rc.unavail.Add(1)
 		return &Unavailable{Shard: sh.id, Err: lastErr}
 	}
 	if sh.store.NeedSnapshot() {
@@ -168,7 +168,7 @@ func (rc *RemoteCluster) restoreReplica(sh *rShard, rep *replica) error {
 		at += n
 	}
 	rep.applied = snapSeq
-	rc.restores.Inc()
+	rc.restores.Add(1)
 	return nil
 }
 
@@ -220,7 +220,7 @@ func (rc *RemoteCluster) snapshotShard(sh *rShard) {
 	_, retired, _ := sh.store.Snapshot()
 	if err := sh.store.InstallSnapshot(head, vals); err == nil {
 		sh.snapSpare = retired
-		rc.snapshots.Inc()
+		rc.snapshots.Add(1)
 	}
 }
 
@@ -238,7 +238,7 @@ func (rc *RemoteCluster) resync(sh *rShard, rep *replica, h wire.Hello) {
 		// soon as its connection is back.
 		rep.brk.reset()
 		rep.state.Store(repHealthy)
-		rc.resyncs.Inc()
+		rc.resyncs.Add(1)
 		return
 	}
 	sh.updMu.Lock()
@@ -255,7 +255,7 @@ func (rc *RemoteCluster) resync(sh *rShard, rep *replica, h wire.Hello) {
 		// The breaker's history predates the recovery and would only delay
 		// re-admission of a now-current replica.
 		rep.brk.reset()
-		rc.resyncs.Inc()
+		rc.resyncs.Add(1)
 		rc.replayed.Add(sh.store.Head() - before)
 	}
 }

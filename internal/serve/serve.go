@@ -44,6 +44,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tensordimm/internal/isa"
+	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
@@ -222,6 +224,10 @@ type Server struct {
 	// every use is nil-guarded, so an uninstrumented server pays a single
 	// pointer check per site.
 	tracer *telemetry.Tracer
+
+	// node is the TensorNode Deploy built for the server, closed by Close;
+	// nil when the caller owns the deployments' nodes (New).
+	node *node.Node
 }
 
 // Instrument registers the server's series on a telemetry registry:
@@ -295,6 +301,59 @@ func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 	}
 	return s, nil
 }
+
+// Deploy builds the whole serving stack of one TensorNode holding m: a node
+// of dimms TensorDIMMs sized for exactly what the deployment reserves, the
+// deployment (one execution slot per worker, one scratch lane per worker
+// and table), and a server over it. cfg.MaxBatch and cfg.Workers are
+// required. Closing the returned server also closes its node.
+func Deploy(m *recsys.Model, dimms int, cfg Config) (*Server, error) {
+	if dimms <= 0 || cfg.MaxBatch <= 0 || cfg.Workers <= 0 {
+		return nil, fmt.Errorf("serve: Deploy needs positive DIMMs %d, MaxBatch %d and Workers %d",
+			dimms, cfg.MaxBatch, cfg.Workers)
+	}
+	lanes := cfg.Workers * m.Cfg.Tables
+	nd, err := node.New(node.Config{
+		DIMMs:        dimms,
+		PerDIMMBytes: perDIMMBytes(m.Cfg, dimms, cfg.MaxBatch, cfg.Workers, lanes),
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: node: %w", err)
+	}
+	dep, err := runtime.DeployConcurrent(m, nd, cfg.MaxBatch, cfg.Workers, lanes)
+	if err != nil {
+		nd.Close()
+		return nil, fmt.Errorf("serve: deploy: %w", err)
+	}
+	s, err := New(cfg, dep)
+	if err != nil {
+		dep.Release()
+		nd.Close()
+		return nil, err
+	}
+	s.node = nd
+	return s, nil
+}
+
+// perDIMMBytes sizes one DIMM of a node for what runtime.DeployConcurrent
+// reserves for a model at maxBatch: the tables, two gather buffers per
+// lane, one output region per slot, padding slack on each buffer, a stripe
+// of alignment margin per allocation, and 50% headroom.
+func perDIMMBytes(mc recsys.Config, dimms, maxBatch, slots, lanes int) uint64 {
+	emb := uint64(mc.EmbBytes())
+	stripe := uint64(dimms) * isa.BlockBytes
+	slack := uint64(isa.LanesPerBlock) * stripe
+	gather := uint64(maxBatch*mc.Reduction)*emb + slack
+	out := uint64(mc.Tables) * (uint64(maxBatch)*emb + slack)
+	allocs := uint64(mc.Tables + 2*lanes + slots)
+	need := uint64(mc.TotalTableBytes()) + 2*uint64(lanes)*gather + uint64(slots)*out + allocs*stripe
+	per := (need + need/2) / uint64(dimms)
+	return (per + 4095) / 4096 * 4096
+}
+
+// Node returns the TensorNode Deploy built for the server, or nil for a
+// server made with New over caller-owned deployments.
+func (s *Server) Node() *node.Node { return s.node }
 
 // Infer runs a full inference — near-memory embedding plus the DNN stage —
 // for one request of `batch` samples, blocking until the result is ready.
@@ -732,7 +791,8 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 // Close stops accepting requests, drains everything already submitted
 // (queued requests execute and reply — reads and updates alike, so a caller
 // blocked in Infer, Embed or Update always gets its result), stops the
-// workers, and releases the owned deployments. It is idempotent, and every
+// workers, and releases the owned deployments (and closes the node, for a
+// server built by Deploy). It is idempotent, and every
 // call — including concurrent ones — returns only after the drain has
 // completed; requests submitted after Close fail fast.
 func (s *Server) Close() error {
@@ -747,6 +807,9 @@ func (s *Server) Close() error {
 			if err := d.Release(); err != nil && s.closeErr == nil {
 				s.closeErr = err
 			}
+		}
+		if s.node != nil {
+			s.node.Close()
 		}
 		close(s.closeDone)
 	})

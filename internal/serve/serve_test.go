@@ -65,6 +65,47 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestDeploy builds a multi-table stack with Deploy: every execution slot
+// and lane fits the node it sized, reads are bit-identical to the golden
+// model at the full batch cap, and Close leaves the node empty.
+func TestDeploy(t *testing.T) {
+	cfg := testConfig(3, 5, 128, true, isa.RAdd)
+	m, err := recsys.Build(cfg, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Deploy(m, 8, Config{MaxBatch: 8}); err == nil {
+		t.Fatal("want error for zero Workers")
+	}
+	s, err := Deploy(m, 8, Config{MaxBatch: 8, Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.deps[0].Lanes(); got != 3*cfg.Tables {
+		t.Fatalf("%d lanes, want one per worker and table (%d)", got, 3*cfg.Tables)
+	}
+	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
+	rows := gen.Batch(cfg.Tables, 8, cfg.Reduction)
+	got, err := s.Embed(rows, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := m.Embedding.Forward(rows, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got.Data(), want.Data()) {
+		t.Fatal("Deploy stack diverged from the golden embedding")
+	}
+	nd := s.Node()
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if nd.AllocCount() != 0 {
+		t.Fatalf("%d live allocations after Close", nd.AllocCount())
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	cfg := testConfig(2, 5, 128, true, isa.RAdd)
 	s, err := New(Config{}, newDeployment(t, cfg, 8, 1, 1))

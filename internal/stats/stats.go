@@ -1,5 +1,5 @@
 // Package stats provides the small reporting toolkit the experiment drivers
-// and the serving runtime share: event counters, geometric means, exact
+// and the serving runtime share: hit rates, geometric means, exact
 // percentiles over a sample slice, formatted ASCII tables (the rows/series
 // the paper's figures plot), and CSV export for downstream plotting.
 // Latency recording lives in internal/telemetry (Histogram).
@@ -11,22 +11,7 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync/atomic"
 )
-
-// Counter is a monotonically increasing, concurrency-safe event counter —
-// cache hits and misses, routed sub-requests, transferred bytes. The zero
-// value is ready to use.
-type Counter struct{ n atomic.Uint64 }
-
-// Inc adds one to the counter.
-func (c *Counter) Inc() { c.n.Add(1) }
-
-// Add adds delta to the counter.
-func (c *Counter) Add(delta uint64) { c.n.Add(delta) }
-
-// Load returns the current count.
-func (c *Counter) Load() uint64 { return c.n.Load() }
 
 // HitRate returns hits/(hits+misses), or 0 when nothing was counted, so
 // cache reports never divide by zero.

@@ -9,7 +9,8 @@ import (
 )
 
 // NewHandler returns the admin HTTP handler for a registry — what
-// `tensorserve -metrics-addr` serves:
+// tensorserve's -metrics-addr flag serves (`tensorserve serve ADDR
+// -metrics-addr :9090`, and likewise for run, shard, route and chaos):
 //
 //	/             index page listing the endpoints and registered series
 //	/metrics      Prometheus text exposition format

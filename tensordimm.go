@@ -34,11 +34,10 @@
 //
 // # Serving
 //
-// The serve layer turns deployments into a concurrent inference server with
-// dynamic micro-batching and latency accounting:
+// The serve layer turns a model into a concurrent inference server with
+// dynamic micro-batching and latency accounting, on a node sized for it:
 //
-//	dep, _ := tensordimm.DeployConcurrent(model, nd, 64, 4, 8)
-//	srv, _ := tensordimm.NewServer(tensordimm.ServeConfig{}, dep)
+//	srv, _ := tensordimm.DeployServer(model, 8, tensordimm.ServeConfig{MaxBatch: 64, Workers: 4})
 //	probs, _ := srv.Infer(indices, batch)              // safe from any goroutine
 //	fmt.Println(srv.Metrics())                         // p50/p95/p99, throughput
 //
@@ -158,10 +157,6 @@ type (
 	// NetRole is the serving role a server announces in its handshake
 	// (RoleStandalone or RoleReplica).
 	NetRole = wire.Role
-	// Placement maps every (table, row) coordinate of a sharded model onto
-	// its owning shard — shared by the in-process Cluster and the
-	// RemoteCluster router, and by shard servers sizing their sub-batches.
-	Placement = cluster.Placement
 	// RemoteCluster routes requests over replica groups of remote shard
 	// processes with hedged reads, failover, and sequenced update replay.
 	RemoteCluster = remote.RemoteCluster
@@ -317,6 +312,27 @@ func NewServer(cfg ServeConfig, deps ...*Deployment) (*Server, error) {
 	return serve.New(cfg, deps...)
 }
 
+// DeployServer builds a whole single-node serving stack: a TensorNode of
+// dimms TensorDIMMs sized for the model, the deployment (one slot per
+// worker, one lane per worker and table) and the server over it.
+// cfg.MaxBatch and cfg.Workers are required. Closing the server closes its
+// node.
+func DeployServer(m *Model, dimms int, cfg ServeConfig) (*Server, error) {
+	return serve.Deploy(m, dimms, cfg)
+}
+
+// DeployShard builds the serving stack of shard s of the cluster cfg
+// describes, alone: the shard's gather-only slice of m on its own
+// TensorNode, behind a server capped at the placement's largest
+// sub-request. Fronted by a NetServer with RoleReplica, it is one replica
+// of a RemoteCluster's replica group; replicas of the same shard built
+// from the same deterministic model hold identical bytes, so a restarted
+// replica reproduces its state by replaying the router's update log.
+// Closing the server closes its node.
+func DeployShard(m *Model, cfg ClusterConfig, s int) (*Server, error) {
+	return cluster.DeployShard(m, cfg, s)
+}
+
 // NewCluster shards a model across cfg.Nodes TensorNodes with per-shard
 // hot-row caches and a modeled NVSwitch fabric. Submit with Infer/Embed
 // from any goroutine; merged outputs are bit-identical to a single-node
@@ -344,8 +360,8 @@ func ClusterBackend(c *Cluster) NetBackend { return netserve.ClusterBackend(c) }
 // Cluster: reads hedge and fail over across each shard's replica group,
 // updates fan out with sequenced replay, and results stay bit-identical
 // to the golden model no matter which replica answers. Each shard process
-// serves its slice via `tensorserve -listen -shard-id` (or any NetServer
-// over a Deployment of ExtractShardModel's output with RoleReplica).
+// serves its slice via `tensorserve shard` (a NetServer with RoleReplica
+// over DeployShard's server).
 // With cfg.DataDir set the update log is durable: every update is written
 // to a per-shard WAL before it fans out, full-table snapshots trim the
 // log, and a router restarted from the same DataDir resumes its sequence
@@ -353,22 +369,6 @@ func ClusterBackend(c *Cluster) NetBackend { return netserve.ClusterBackend(c) }
 // writer.
 func NewRemoteCluster(cfg RemoteConfig) (*RemoteCluster, error) {
 	return remote.New(cfg)
-}
-
-// ExtractShardModel materializes the gather-only model slice that shard s
-// of `nodes` serves under the strategy's placement — the model a remote
-// shard process deploys. Replicas of the same shard extract identical
-// slices from the same deterministic build, so a restarted replica
-// reproduces its pre-crash state by replaying the router's update log.
-func ExtractShardModel(m *Model, strategy ShardStrategy, nodes, s int) (*Model, error) {
-	return cluster.ExtractShardModel(m, strategy, nodes, s)
-}
-
-// NewPlacement precomputes the shard layout for a model of `tables`
-// tables by `rows` rows split `nodes` ways — e.g. to size a shard
-// server's sub-batch cap with MaxSub.
-func NewPlacement(strategy ShardStrategy, nodes, tables, rows int) *Placement {
-	return cluster.NewPlacement(strategy, nodes, tables, rows)
 }
 
 // SaveHotRows persists a shard's hot-row top-K (flat local row indices,
