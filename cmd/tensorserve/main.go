@@ -26,8 +26,13 @@
 // killing one replica loses no request. route -data-dir makes the update
 // log durable, so a router killed mid-run resumes from the same directory;
 // serve -data-dir persists each shard's hot rows at drain and pre-warms
-// the caches from them at the next boot. -metrics-addr serves /metrics,
-// /metrics.json, /slow, /stream and /debug/pprof/.
+// the caches from them at the next boot.
+//
+// Every stack registers on one telemetry registry. run, serve, shard and
+// route end by printing its snapshot, one `name{labels} value` line per
+// series; drive prints the server's, fetched with the METRICS op.
+// -metrics-addr also serves the registry as /metrics, /metrics.json,
+// /slow, /stream and /debug/pprof/.
 //
 // Usage:
 //
@@ -397,9 +402,7 @@ func deploy(model *tensordimm.Model, o *opts, reg *tensordimm.TelemetryRegistry)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if reg != nil {
-			cl.Instrument(reg)
-		}
+		cl.Instrument(reg)
 		fmt.Printf("cluster: %d shards (%s), %d TensorDIMMs each, %.1f MiB cache per shard\n",
 			o.nodes, cc.Strategy, o.dimms, o.cacheMB)
 		fmt.Printf("shards: maxBatch %d samples/request, %d workers each\n", o.maxBatch, o.workers)
@@ -415,9 +418,7 @@ func deploy(model *tensordimm.Model, o *opts, reg *tensordimm.TelemetryRegistry)
 
 // describe instruments one node's server and prints the node and server.
 func describe(srv *tensordimm.Server, o *opts, reg *tensordimm.TelemetryRegistry) {
-	if reg != nil {
-		srv.Instrument(reg)
-	}
+	srv.Instrument(reg)
 	nd := srv.Node()
 	tables, _, _, _, maxBatch := srv.Geometry()
 	fmt.Printf("node: %d TensorDIMMs, %.0f MiB pool, %d B stripe\n",
@@ -463,14 +464,15 @@ func offer[T any](o *opts, tables, rows, reduction, dim int, over string,
 		})
 }
 
-// startMetrics serves the process registry, with the Go runtime series, on
-// -metrics-addr for the life of the process; nil when the flag is unset.
+// startMetrics builds the process registry, with the Go runtime series,
+// that the verb's stack registers on and its exit report renders. With
+// -metrics-addr it is also served over HTTP for the life of the process.
 func startMetrics(o *opts) *tensordimm.TelemetryRegistry {
-	if o.metricsAddr == "" {
-		return nil
-	}
 	reg := tensordimm.NewTelemetry()
 	tensordimm.RegisterGoRuntime(reg)
+	if o.metricsAddr == "" {
+		return reg
+	}
 	l, err := net.Listen("tcp", o.metricsAddr)
 	if err != nil {
 		log.Fatal(err)
@@ -485,6 +487,10 @@ func startMetrics(o *opts) *tensordimm.TelemetryRegistry {
 	fmt.Printf("metrics on http://%s/ (/metrics, /metrics.json, /slow, /stream, /debug/pprof/)\n", l.Addr())
 	return reg
 }
+
+// printMetrics prints a verb's exit report: the registry's snapshot, one
+// line per series.
+func printMetrics(reg *tensordimm.TelemetryRegistry) { reg.Snapshot().WriteText(os.Stdout) }
 
 // hotRowsTopK bounds how many hot rows a cluster shard persists at drain;
 // WarmCache additionally clamps the warm set to what the cache can hold.
@@ -523,7 +529,7 @@ func persistHotRows(cl *tensordimm.Cluster, dir string, nodes int) {
 }
 
 // serveNet fronts backend with the network plane on the verb's ADDR until
-// SIGINT/SIGTERM, then drains gracefully and prints the serving report.
+// SIGINT/SIGTERM, then drains gracefully and prints the exit report.
 // The caller closes the backend.
 func serveNet(backend tensordimm.NetBackend, role tensordimm.NetRole, o *opts, reg *tensordimm.TelemetryRegistry) {
 	srv, err := tensordimm.NewNetServer(backend, tensordimm.NetServeConfig{MaxInflight: o.inflight, Role: role, Registry: reg})
@@ -551,8 +557,7 @@ func serveNet(backend tensordimm.NetBackend, role tensordimm.NetRole, o *opts, r
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(srv.Metrics())
-	fmt.Println(backend.MetricsText())
+	printMetrics(reg)
 }
 
 // closeOrDie closes a backend at exit.
@@ -565,16 +570,18 @@ func closeOrDie(close func() error) {
 // runLocal drives the in-process node or cluster.
 func runLocal(o *opts) int {
 	model, cfg := buildModel(o)
-	srv, cl := deploy(model, o, startMetrics(o))
+	reg := startMetrics(o)
+	srv, cl := deploy(model, o, reg)
 	var t tally
 	if cl != nil {
 		t = offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", cl.Infer, cl.ApplyUpdates)
 		closeOrDie(cl.Close)
-		fmt.Println(cl.Metrics())
+		printMetrics(reg)
 	} else {
 		t = offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", srv.Infer, srv.Update)
 		closeOrDie(srv.Close)
-		fmt.Println(srv.Metrics())
+		printMetrics(reg)
+		// Node stats are not registry series.
 		s := srv.Node().Stats()
 		fmt.Printf("NMP activity: %d instructions, %d blocks read, %d blocks written, %d ALU block ops\n",
 			s.Instructions, s.BlocksRead, s.BlocksWritten, s.ALUBlockOps)
@@ -648,18 +655,9 @@ func runDrive(o *opts) int {
 	}
 	t := offer(o, g.Tables, g.TableRows, g.Reduction, g.Dim, " over TCP", cl.Embed, cl.Update)
 	t.report(o.rate)
-	if snap, report, err := cl.MetricsSnapshot(); err == nil {
-		fmt.Printf("\n--- server report ---\n%s\n", report)
-		if snap != nil && len(snap.Counters) > 0 {
-			// The server's registry (empty without its -metrics-addr).
-			reqs, _ := snap.Counter("tensordimm_net_requests_total")
-			shedN, _ := snap.Counter("tensordimm_net_shed_total")
-			fmt.Printf("server telemetry: %d requests, %d shed", reqs, shedN)
-			if h, ok := snap.Histogram("tensordimm_net_request_seconds"); ok && h.Count > 0 {
-				fmt.Printf(", exec p50 %.3gms p99 %.3gms", h.P50*1e3, h.P99*1e3)
-			}
-			fmt.Println()
-		}
+	if snap, err := cl.Metrics(); err == nil {
+		fmt.Printf("\nserver %s:\n", o.arg)
+		snap.WriteText(os.Stdout)
 	} else {
 		fmt.Fprintln(os.Stderr, "tensorserve: fetching server metrics:", err)
 	}
@@ -688,9 +686,8 @@ func runRoute(o *opts) int {
 		log.Fatal(err)
 	}
 	defer rc.Close()
-	if reg := startMetrics(o); reg != nil {
-		rc.Instrument(reg)
-	}
+	reg := startMetrics(o)
+	rc.Instrument(reg)
 	replicas := 0
 	for _, g := range o.groups {
 		replicas += len(g)
@@ -707,7 +704,7 @@ func runRoute(o *opts) int {
 		cfg.Reduction, poolingName(cfg))
 	t := offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, " over replica groups", rc.Embed, rc.ApplyUpdates)
 	t.report(o.rate)
-	fmt.Println(rc.Metrics())
+	printMetrics(reg)
 	return t.exitCode()
 }
 

@@ -2,12 +2,13 @@
 // TensorNodes with a hot-row cache in front of each shard, drive it with a
 // skewed Zipf(0.9) workload from concurrent clients, verify every merged
 // result bit-for-bit against the pure-software golden model, and read the
-// per-shard routing / cache / fabric report.
+// cluster's telemetry: per-shard routing, cache and fabric series.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 	"sync"
 
 	"tensordimm"
@@ -44,6 +45,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer cl.Close()
+	reg := tensordimm.NewTelemetry()
+	cl.Instrument(reg)
 
 	// Production embedding traffic is heavily skewed; Zipf(0.9) is the
 	// published fit. The hot-row caches turn that skew into hit rate.
@@ -92,5 +95,5 @@ func main() {
 	}
 
 	fmt.Printf("%d requests served and verified bit-identical to the golden model\n\n", clients*perClient)
-	fmt.Println(cl.Metrics())
+	reg.Snapshot().WriteText(os.Stdout)
 }

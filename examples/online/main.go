@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"os"
 	"sync"
 
 	"tensordimm"
@@ -39,6 +40,8 @@ func main() {
 		log.Fatal(err)
 	}
 	defer cl.Close()
+	reg := tensordimm.NewTelemetry()
+	cl.Instrument(reg)
 
 	// Phase 1 — warm the caches: Zipf(0.9) reads concentrate on hot rows,
 	// so a second pass over the same distribution mostly hits.
@@ -124,7 +127,7 @@ func main() {
 		checks++
 	}
 	fmt.Printf("%d post-update reads bit-identical to the sequential golden model\n\n", checks)
-	fmt.Println(cl.Metrics())
+	reg.Snapshot().WriteText(os.Stdout)
 }
 
 // cachedRows sums the resident rows across shards.

@@ -1,12 +1,14 @@
 // Serving walkthrough: deploy a recommender model with concurrent execution
 // slots, stand up the batched inference server, drive it from several client
 // goroutines at once, verify every result against the pure-software golden
-// model, and read the latency/throughput report.
+// model, and read the server's telemetry: request, sample and merged-batch
+// counters and the queue and total latency histograms.
 package main
 
 import (
 	"fmt"
 	"log"
+	"os"
 	"sync"
 
 	"tensordimm"
@@ -51,6 +53,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// The server's counters and latency histograms, exposed on a registry
+	// before the traffic they measure.
+	reg := tensordimm.NewTelemetry()
+	srv.Instrument(reg)
 
 	// Eight clients, each issuing a stream of small requests — the shape
 	// of production recommendation traffic (deployed batches of 1-100).
@@ -102,5 +108,5 @@ func main() {
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println(srv.Metrics())
+	reg.Snapshot().WriteText(os.Stdout)
 }

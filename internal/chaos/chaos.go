@@ -293,7 +293,9 @@ func Run(cfg Config) (Report, error) {
 			break
 		}
 		c.goldenSweep(fmt.Sprintf("round %d quiescent", round), 8, int64(round)*7919+cfg.Seed)
-		c.logf("chaos: round %d/%d done: %s", round+1, rounds, c.writer.MetricsText())
+		m := c.writer.Metrics()
+		c.logf("chaos: round %d/%d done: %d/%d replicas up, %d updates, %d resyncs (%d restores), %d failovers, %d failures",
+			round+1, rounds, m.ReplicasUp, m.ReplicasTotal, m.Updates, m.Resyncs, m.Restores, m.Failovers, m.Failures)
 	}
 
 	// Final durability phase: quiesce, then kill EVERY replica and
@@ -527,13 +529,15 @@ func (c *soak) quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	probeRows := c.randRows(rand.New(rand.NewSource(c.cfg.Seed^0x9e37)), 1)
 	for {
-		if m := c.writer.Metrics(); m.ReplicasUp == total {
+		m := c.writer.Metrics()
+		if m.ReplicasUp == total {
 			if _, err := c.writer.Embed(probeRows, 1); err == nil {
 				return nil
 			}
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("fleet not re-admitted within %v: %s", timeout, c.writer.MetricsText())
+			return fmt.Errorf("fleet not re-admitted within %v: %d/%d replicas up, %d breakers open",
+				timeout, m.ReplicasUp, m.ReplicasTotal, m.BreakerOpen)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -2,12 +2,13 @@ package cluster
 
 import (
 	"fmt"
-	"strings"
+	"math/rand"
 	"sync"
 	"testing"
 
 	"tensordimm/internal/isa"
 	"tensordimm/internal/recsys"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/workload"
 )
@@ -476,18 +477,52 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestMetricsString smoke-checks the report rendering.
-func TestMetricsString(t *testing.T) {
+// TestInstrumentExportsMetrics checks that the registry carries every
+// number the cluster's Metrics holds — routing, per-shard cache and both
+// modeled-fabric histograms — since the snapshot is the only report.
+func TestInstrumentExportsMetrics(t *testing.T) {
 	mc := testConfig(2, 2, 64, false, isa.RAdd)
 	c, _ := buildCluster(t, mc, Config{Nodes: 2, CacheBytes: 8 << 10})
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg)
 	gen, _ := workload.NewGenerator(mc.TableRows, workload.Uniform, 1)
-	if _, err := c.Infer(gen.Batch(mc.Tables, 2, mc.Reduction), 2); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		if _, err := c.Infer(gen.Batch(mc.Tables, 2, mc.Reduction), 2); err != nil {
+			t.Fatal(err)
+		}
 	}
-	s := c.Metrics().String()
-	for _, want := range []string{"cluster: 2 shards", "hot-row cache", "per shard"} {
-		if !strings.Contains(s, want) {
-			t.Fatalf("report missing %q:\n%s", want, s)
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 2; i++ {
+		if err := c.ApplyUpdates(randUpdate(rng, mc, 4)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	m, snap := c.Metrics(), reg.Snapshot()
+	counter := func(name string, want uint64, labels ...telemetry.Label) {
+		t.Helper()
+		if v, ok := snap.Counter(name, labels...); !ok || v != want {
+			t.Fatalf("%s%v = %d, %v; want %d, true", name, labels, v, ok, want)
+		}
+	}
+	counter("tensordimm_cluster_requests_total", m.Requests)
+	counter("tensordimm_cluster_lookups_total", m.Lookups)
+	counter("tensordimm_cluster_updates_total", m.Updates)
+	counter("tensordimm_cluster_update_rows_total", m.RowsUpdated)
+	for _, sm := range m.Shards {
+		shard := telemetry.L("shard", fmt.Sprint(sm.Shard))
+		counter("tensordimm_cluster_cache_hits_total", sm.CacheHits, shard)
+		counter("tensordimm_cluster_cache_misses_total", sm.CacheMisses, shard)
+		counter("tensordimm_cluster_sub_updates_total", sm.SubUpdates, shard)
+		counter("tensordimm_serve_batches_total", sm.Serve.Batches, shard)
+	}
+	for name, want := range map[string]uint64{
+		"tensordimm_cluster_request_seconds":       m.TotalLatency.Count,
+		"tensordimm_cluster_fabric_seconds":        m.Transfer.Count,
+		"tensordimm_cluster_update_fabric_seconds": m.UpdateTransfer.Count,
+	} {
+		if h, ok := snap.Histogram(name); !ok || h.Count != want || want == 0 {
+			t.Fatalf("%s count = %d, %v; want %d > 0, true", name, h.Count, ok, want)
 		}
 	}
 	if c.Nodes() != 2 || c.Config().Workers == 0 {

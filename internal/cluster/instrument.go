@@ -24,6 +24,7 @@ func (c *Cluster) Instrument(reg *telemetry.Registry, labels ...telemetry.Label)
 	reg.Counter("tensordimm_cluster_update_rows_total", "gradient rows routed across updates", r.UpdateRows.Load, labels...)
 	reg.RegisterHistogram("tensordimm_cluster_request_seconds", "wall-clock request latency through the router", r.Latency, labels...)
 	reg.RegisterHistogram("tensordimm_cluster_fabric_seconds", "modeled fabric transfer time per request", c.fabric, labels...)
+	reg.RegisterHistogram("tensordimm_cluster_update_fabric_seconds", "modeled fabric transfer time per update batch", c.updFabric, labels...)
 	r.tracer = reg.Tracer("cluster", 0, []string{"route", "gather", "merge"}, labels...)
 
 	for _, sh := range c.shard {

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"tensordimm/internal/serve"
@@ -117,32 +115,4 @@ func (c *Cluster) Metrics() Metrics {
 	}
 	m.HitRate = stats.HitRate(m.CacheHits, m.CacheMisses)
 	return m
-}
-
-// String renders the metrics as a small report with a per-shard table.
-func (m Metrics) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "cluster: %d shards, %s sharding, up %s\n",
-		m.Nodes, m.Strategy, m.Uptime.Round(time.Millisecond))
-	fmt.Fprintf(&b, "requests %d (%d samples, %d failures), %d lookups\n",
-		m.Requests, m.Samples, m.Failures, m.Lookups)
-	fmt.Fprintf(&b, "updates %d (%d gradient rows, %d cache invalidations)\n",
-		m.Updates, m.RowsUpdated, m.Invalidations)
-	fmt.Fprintf(&b, "hot-row cache: %d hits / %d misses (hit rate %.1f%%)\n",
-		m.CacheHits, m.CacheMisses, 100*m.HitRate)
-	fmt.Fprintf(&b, "fabric: %s transferred, modeled per-request %s\n",
-		stats.FormatBytes(int64(m.TransferBytes)), m.Transfer)
-	fmt.Fprintf(&b, "total latency  %s\n", m.TotalLatency)
-	tbl := stats.Table{
-		Title:   "per shard",
-		Columns: []string{"shard", "tables", "rows", "subreqs", "gathered", "hits", "misses", "hit%", "updates", "invals", "partials"},
-	}
-	for _, s := range m.Shards {
-		tbl.AddRow(s.Shard, s.Tables, s.Rows, s.SubRequests, s.RowsGathered,
-			s.CacheHits, s.CacheMisses, fmt.Sprintf("%.1f", 100*s.HitRate),
-			s.SubUpdates, s.Invalidations,
-			stats.FormatBytes(int64(s.PartialBytes)))
-	}
-	b.WriteString(tbl.String())
-	return b.String()
 }

@@ -1,6 +1,6 @@
 // Package experiments contains one driver per table and figure of the
 // paper's evaluation (Sections 3 and 6). Every driver returns the same
-// rows/series the paper plots, as a stats.Table, so the benchmark harness,
+// rows/series the paper plots, as a Table, so the benchmark harness,
 // the CLI tools and EXPERIMENTS.md all report identical data.
 //
 // Drivers that replay DRAM traces (Figures 11 and 12) accept a Scale knob:
@@ -45,14 +45,14 @@ const (
 type Result struct {
 	ID    string // "fig11", "tab3", ...
 	Title string
-	Table stats.Table
+	Table Table
 	Notes []string
 }
 
 // Tab1 reproduces Table 1: the baseline TensorNode configuration.
 func Tab1() Result {
 	p := core.DefaultPlatform()
-	t := stats.Table{
+	t := Table{
 		Title:   "Table 1: baseline TensorNode configuration",
 		Columns: []string{"parameter", "value"},
 	}
@@ -65,7 +65,7 @@ func Tab1() Result {
 
 // Tab2 reproduces Table 2: the evaluated benchmarks.
 func Tab2() Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Table 2: evaluated benchmarks and default configuration",
 		Columns: []string{"network", "lookup tables", "max reduction", "FC/MLP layers"},
 	}
@@ -85,7 +85,7 @@ func Fig3() Result {
 	for _, m := range mlpDims {
 		cols = append(cols, fmt.Sprintf("%d", m))
 	}
-	t := stats.Table{
+	t := Table{
 		Title:   "Figure 3: NCF model size (GB), 5M users + 5M items per table",
 		Columns: cols,
 	}
@@ -107,7 +107,7 @@ func Fig3() Result {
 // Fig4 reproduces Figure 4: CPU-only and CPU-GPU performance normalized to
 // the GPU-only oracle across batch sizes 1..128.
 func Fig4(p core.Platform) Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Figure 4: baseline performance normalized to oracular GPU-only",
 		Columns: []string{"network", "batch", "CPU-only", "CPU-GPU"},
 	}
@@ -180,7 +180,7 @@ func Fig11(s Scale) Result {
 		panic(err) // static configuration, cannot fail
 	}
 	cpu, node := dramSystems(32)
-	t := stats.Table{
+	t := Table{
 		Title: "Figure 11: memory bandwidth utilization (GB/s), CPU (8ch x 4rk) vs TensorNode (32 TensorDIMMs)",
 		Columns: []string{"batch",
 			"GATHER(CPU)", "REDUCE(CPU)", "AVERAGE(CPU)",
@@ -231,7 +231,7 @@ func Fig11(s Scale) Result {
 // channels no matter how many DIMMs it holds; the TensorNode's aggregate
 // bandwidth scales with its TensorDIMM count.
 func Fig12(s Scale) Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Figure 12: memory throughput vs DIMM count (GB/s), embeddings scaled up",
 		Columns: []string{"op", "DIMMs", "emb scale", "CPU", "TensorNode"},
 	}
@@ -288,7 +288,7 @@ func Fig12(s Scale) Result {
 // inference across the five design points, normalized per network to its
 // slowest design.
 func Fig13(p core.Platform) Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Figure 13: latency breakdown at batch 64 (fractions of the slowest design per network)",
 		Columns: []string{"network", "design", "lookup", "memcpy", "DNN", "else", "total(us)", "normalized"},
 	}
@@ -312,7 +312,7 @@ func Fig13(p core.Platform) Result {
 // Fig14 reproduces Figure 14: performance of the five design points
 // normalized to GPU-only, across batches {8, 64, 128}, plus the geomean.
 func Fig14(p core.Platform) Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Figure 14: performance normalized to the GPU-only oracle",
 		Columns: []string{"network", "batch", "CPU-only", "CPU-GPU", "PMEM", "TDIMM", "GPU-only"},
 	}
@@ -343,7 +343,7 @@ func Fig14(p core.Platform) Result {
 // Fig15 reproduces Figure 15: TDIMM speedup over CPU-only and CPU-GPU as the
 // embedding dimension scales 1-8x, averaged over the four networks.
 func Fig15(p core.Platform) Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Figure 15: TDIMM speedup with larger embeddings (geomean over networks)",
 		Columns: []string{"emb scale", "batch", "vs CPU-only", "vs CPU-GPU"},
 	}
@@ -368,7 +368,7 @@ func Fig15(p core.Platform) Result {
 // link bandwidth drops from 150 to 25 GB/s, for embeddings scaled 1-8x,
 // normalized to the 150 GB/s configuration.
 func Fig16(p core.Platform) Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Figure 16: sensitivity to node-GPU link bandwidth (normalized to 150 GB/s)",
 		Columns: []string{"design", "emb scale", "25 GB/s", "50 GB/s", "150 GB/s"},
 	}
@@ -400,7 +400,7 @@ func Fig16(p core.Platform) Result {
 
 // Tab3 reproduces Table 3: FPGA utilization of one NMP core on the VCU1525.
 func Tab3() Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Table 3: NMP core FPGA utilization on Xilinx VCU1525 (XCVU9P)",
 		Columns: []string{"component", "LUT [%]", "FF [%]", "DSP [%]", "BRAM [%]"},
 	}
@@ -424,7 +424,7 @@ func Tab3() Result {
 // PowerBudget reproduces the Section 6.5 power analysis: per-DIMM and
 // whole-TensorNode power from the Micron-calculator-style model.
 func PowerBudget() Result {
-	t := stats.Table{
+	t := Table{
 		Title:   "Section 6.5: TensorNode power budget",
 		Columns: []string{"component", "watts"},
 	}
@@ -449,7 +449,7 @@ func ExtScatter(s Scale) Result {
 		panic(err)
 	}
 	cpu, node := dramSystems(32)
-	t := stats.Table{
+	t := Table{
 		Title:   "Extension: SCATTER_ADD update bandwidth (GB/s), CPU vs TensorNode",
 		Columns: []string{"updates", "CPU", "TensorNode", "ratio"},
 	}
@@ -509,7 +509,7 @@ func ExtOnline(s Scale) Result {
 		reqs = 80
 	}
 	const batch = 4
-	t := stats.Table{
+	t := Table{
 		Title:   "Extension: online updates — update fraction vs throughput and cache hit rate",
 		Columns: []string{"update frac", "req/s", "hit rate [%]", "invalidations", "updated rows"},
 	}

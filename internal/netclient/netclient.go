@@ -173,7 +173,7 @@ func budgetMicros(d time.Duration) uint32 {
 type Call struct {
 	buf  []byte
 	dst  []float32
-	text string
+	snap []byte // METRICS payload, copied off the read buffer
 	wu   []wire.Update
 	seq  uint64
 	done chan error
@@ -545,7 +545,7 @@ func (cc *clientConn) deliver(op wire.Op, id uint64, payload []byte) bool {
 	case wire.OpRestoreResp:
 		ca.seq, res = wire.DecodeRestoreResp(payload)
 	case wire.OpMetricsResp:
-		ca.text = string(payload)
+		ca.snap = append([]byte(nil), payload...)
 	case wire.OpError:
 		code, msg, derr := wire.DecodeError(payload)
 		if derr != nil {
@@ -776,7 +776,7 @@ func (c *Client) getCall() *Call { return c.callPool.Get().(*Call) }
 // called after the call's Done channel delivered its result (or when the
 // call was never started).
 func (c *Client) Finish(ca *Call) {
-	ca.dst, ca.text = nil, ""
+	ca.dst, ca.snap = nil, nil
 	c.callPool.Put(ca)
 }
 
@@ -1048,36 +1048,26 @@ func (c *Client) Restore(seq uint64, commit bool, table int, rows []int, vals []
 	return srvSeq, nil
 }
 
-// Metrics fetches the server's human-readable metrics report: the
-// backend's own report (serve or cluster metrics) followed by the network
-// plane's. The machine-parseable section riding the same response is
-// stripped; use MetricsSnapshot to get both.
-func (c *Client) Metrics() (string, error) {
-	_, text, err := c.MetricsSnapshot()
-	return text, err
-}
-
-// MetricsSnapshot fetches the server's metrics in both forms the METRICS
-// op carries since wire revision 6: the versioned telemetry snapshot
-// (exact counters, gauges, and latency histograms — what a driver or
-// smoke test asserts against) and the human text report. A server with no
-// telemetry registry wired still answers with an empty, well-formed
+// Metrics fetches the server's telemetry snapshot over the METRICS op:
+// every series its registry holds (exact counters, gauges and latency
+// histograms), to assert on or to render with Snapshot.WriteText. A
+// server with no registry wired answers with an empty, well-formed
 // snapshot; a payload without one is telemetry.ErrNoSnapshot.
-func (c *Client) MetricsSnapshot() (*telemetry.Snapshot, string, error) {
+func (c *Client) Metrics() (*telemetry.Snapshot, error) {
 	cc, err := c.pick()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	ca := c.getCall()
 	id := cc.nextID.Add(1)
 	ca.buf = wire.AppendFrame(ca.buf[:0], wire.OpMetrics, id, nil)
 	err = cc.roundTrip(ca, id)
-	payload := ca.text
+	payload := ca.snap
 	c.Finish(ca)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return telemetry.DecodeWirePayload([]byte(payload))
+	return telemetry.DecodeWirePayload(payload)
 }
 
 // Ping round-trips a liveness probe.

@@ -12,6 +12,7 @@ import (
 	"tensordimm/internal/netclient"
 	"tensordimm/internal/netserve"
 	"tensordimm/internal/runtime"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
 )
@@ -51,13 +52,10 @@ func (b *echoBackend) ApplyUpdates(ups []runtime.TableUpdate) error {
 	return nil
 }
 
-// MetricsText implements netserve.Backend.
-func (b *echoBackend) MetricsText() string { return "echo" }
-
 func startEcho(t *testing.T) (*echoBackend, string) {
 	t.Helper()
 	b := &echoBackend{}
-	srv, err := netserve.New(b, netserve.Config{})
+	srv, err := netserve.New(b, netserve.Config{Registry: telemetry.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +243,15 @@ func TestUpdateRoundTripAndMetrics(t *testing.T) {
 		t.Fatalf("update rows %v, want [4 4 9]", gotRows)
 	}
 
-	text, err := cl.Metrics()
+	snap, err := cl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "echo") {
-		t.Fatalf("metrics text %q missing backend report", text)
+	if v, ok := snap.Counter("tensordimm_net_updates_total"); !ok || v != 1 {
+		t.Fatalf("server snapshot net_updates_total = %d, %v; want 1, true", v, ok)
+	}
+	if v, ok := snap.Gauge("tensordimm_net_update_seq"); !ok || v != 1 {
+		t.Fatalf("server snapshot net_update_seq = %g, %v; want 1, true", v, ok)
 	}
 }
 

@@ -76,8 +76,6 @@ type Backend interface {
 	EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error)
 	// ApplyUpdates applies one gradient-update batch.
 	ApplyUpdates(ups []runtime.TableUpdate) error
-	// MetricsText renders the backend's own metrics report.
-	MetricsText() string
 }
 
 // RestoreBackend is the optional backend extension behind the RESTORE
@@ -110,9 +108,6 @@ func (b serverBackend) EmbedInto(dst []float32, rows [][]int, batch int) ([]floa
 // ApplyUpdates implements Backend.
 func (b serverBackend) ApplyUpdates(ups []runtime.TableUpdate) error { return b.s.Update(ups) }
 
-// MetricsText implements Backend.
-func (b serverBackend) MetricsText() string { return b.s.Metrics().String() }
-
 // ServerBackend adapts a single-node serve.Server to the Backend
 // interface.
 func ServerBackend(s *serve.Server) Backend { return serverBackend{s} }
@@ -130,9 +125,6 @@ func (b clusterBackend) EmbedInto(dst []float32, rows [][]int, batch int) ([]flo
 
 // ApplyUpdates implements Backend.
 func (b clusterBackend) ApplyUpdates(ups []runtime.TableUpdate) error { return b.c.ApplyUpdates(ups) }
-
-// MetricsText implements Backend.
-func (b clusterBackend) MetricsText() string { return b.c.Metrics().String() }
 
 // ClusterBackend adapts a sharded cluster.Cluster to the Backend
 // interface.
@@ -164,8 +156,9 @@ type Config struct {
 	// Registry, when non-nil, wires the server into the telemetry plane:
 	// New registers the net_* series (admission, shed/expired, batching,
 	// request-latency histogram) and a queue/exec/flush request tracer,
-	// and METRICS responses carry the registry's versioned snapshot
-	// section. Nil leaves the server uninstrumented at zero cost.
+	// and a METRICS response is the registry's versioned snapshot. Nil
+	// leaves the server uninstrumented at zero cost, and METRICS answers
+	// with an empty snapshot.
 	Registry *telemetry.Registry
 }
 
@@ -323,6 +316,9 @@ func (s *Server) instrument(reg *telemetry.Registry) {
 	reg.Counter("tensordimm_net_batched_out_total", "responses shipped inside BATCH frames", s.batchedOut.Load)
 	reg.Gauge("tensordimm_net_inflight", "requests admitted and not yet completed", func() float64 {
 		return float64(s.inflight.Load())
+	})
+	reg.Gauge("tensordimm_net_update_seq", "update batches applied (the handshake sequence number)", func() float64 {
+		return float64(s.updateSeq.Load())
 	})
 	reg.RegisterHistogram("tensordimm_net_request_seconds", "executor latency per request (dequeue to response encoded)", s.lat)
 	s.tracer = reg.Tracer("net", 0, []string{"queue", "exec", "flush"})
@@ -581,11 +577,7 @@ func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte) bool {
 		c.enqueue(t)
 	case wire.OpMetrics:
 		t := s.getTask(c, op, id)
-		report := s.backend.MetricsText() + "\n" + s.Metrics().String()
-		// Since wire revision 6 a METRICS response leads with the
-		// registry's versioned snapshot section; the human report rides
-		// behind it (telemetry.DecodeWirePayload splits them).
-		t.resp = wire.AppendFrame(t.resp[:0], wire.OpMetricsResp, id, telemetry.EncodeWirePayload(s.cfg.Registry, report))
+		t.resp = wire.AppendFrame(t.resp[:0], wire.OpMetricsResp, id, telemetry.EncodeWirePayload(s.cfg.Registry))
 		c.enqueue(t)
 	case wire.OpEmbed:
 		t := s.getTask(c, op, id)
@@ -1063,19 +1055,4 @@ func (s *Server) Metrics() Metrics {
 		BatchedOut: s.batchedOut.Load(),
 		Latency:    s.lat.Snapshot(),
 	}
-}
-
-// String renders the metrics as a small report.
-func (m Metrics) String() string {
-	return fmt.Sprintf(
-		"network: %d conns accepted, up %s\n"+
-			"served %d embeds, %d updates, %d syncs, %d restores (seq %d), %d pings (%d failures)\n"+
-			"admission: %d shed (OVERLOADED), %d expired (DEADLINE_EXCEEDED), %d in flight, %d bad frames\n"+
-			"coalescing: %d sub-requests in %d BATCH frames received, %d responses in %d coalesced frames written\n"+
-			"server-side latency  %s",
-		m.Accepted, m.Uptime.Round(time.Millisecond),
-		m.Requests, m.Updates, m.Syncs, m.Restores, m.UpdateSeq, m.Pings, m.Failures,
-		m.Shed, m.Expired, m.Inflight, m.BadFrames,
-		m.BatchedIn, m.BatchesIn, m.BatchedOut, m.BatchesOut,
-		m.Latency)
 }

@@ -3,9 +3,7 @@ package netserve_test
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +12,7 @@ import (
 	"tensordimm/internal/netclient"
 	"tensordimm/internal/netserve"
 	"tensordimm/internal/runtime"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
 
@@ -82,9 +81,6 @@ func (b *stubBackend) ApplyUpdates(ups []runtime.TableUpdate) error {
 	return nil
 }
 
-// MetricsText implements netserve.Backend.
-func (b *stubBackend) MetricsText() string { return "stub backend metrics" }
-
 // startServer serves a stub backend on a loopback listener, returning the
 // server, its address, and a cleanup-registered close.
 func startServer(t *testing.T, b netserve.Backend, cfg netserve.Config) (*netserve.Server, string) {
@@ -149,7 +145,7 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEmbedUpdatePingMetricsRoundTrip(t *testing.T) {
 	b := newStub()
-	srv, addr := startServer(t, b, netserve.Config{})
+	srv, addr := startServer(t, b, netserve.Config{Registry: telemetry.NewRegistry()})
 	cl := dialClient(t, addr, netclient.Config{})
 
 	g := cl.Geometry()
@@ -179,12 +175,14 @@ func TestEmbedUpdatePingMetricsRoundTrip(t *testing.T) {
 	if err := cl.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	text, err := cl.Metrics()
+	snap, err := cl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(text, "stub backend metrics") || !strings.Contains(text, "network:") {
-		t.Fatalf("metrics report missing sections:\n%s", text)
+	for name, want := range map[string]uint64{"tensordimm_net_requests_total": 1, "tensordimm_net_pings_total": 1, "tensordimm_net_shed_total": 0} {
+		if v, ok := snap.Counter(name); !ok || v != want {
+			t.Fatalf("server snapshot %s = %d, %v; want %d, true", name, v, ok, want)
+		}
 	}
 
 	m := srv.Metrics()
@@ -461,5 +459,3 @@ func TestServeAfterCloseFails(t *testing.T) {
 		t.Fatal("Serve on a closed server succeeded")
 	}
 }
-
-var _ fmt.Stringer = netserve.Metrics{} // the report must stay printable

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tensordimm/internal/netserve"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
 
@@ -58,7 +59,8 @@ func syncFrame(id, seq uint64, rows []int) []byte {
 // a sync ahead of the counter is rejected (the sender skipped updates).
 func TestSyncSeqGuard(t *testing.T) {
 	b := newStub()
-	srv, addr := startServer(t, b, netserve.Config{Role: wire.RoleReplica})
+	reg := telemetry.NewRegistry()
+	srv, addr := startServer(t, b, netserve.Config{Role: wire.RoleReplica, Registry: reg})
 	nc, h := rawDial(t, addr)
 
 	if h.Role != wire.RoleReplica || h.UpdateSeq != 0 {
@@ -133,8 +135,12 @@ func TestSyncSeqGuard(t *testing.T) {
 	if m.Syncs != 2 || m.Updates != 1 || m.UpdateSeq != 2 {
 		t.Fatalf("metrics Syncs %d Updates %d UpdateSeq %d, want 2 1 2", m.Syncs, m.Updates, m.UpdateSeq)
 	}
-	if !strings.Contains(m.String(), "2 syncs, 0 restores (seq 2)") {
-		t.Fatalf("metrics report missing sync line:\n%s", m.String())
+	snap := reg.Snapshot()
+	if v, _ := snap.Counter("tensordimm_net_syncs_total"); v != 2 {
+		t.Fatalf("net_syncs_total %d, want 2", v)
+	}
+	if v, _ := snap.Gauge("tensordimm_net_update_seq"); v != 2 {
+		t.Fatalf("net_update_seq %g, want 2", v)
 	}
 }
 

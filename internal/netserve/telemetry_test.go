@@ -69,6 +69,9 @@ func TestTelemetryInstrumentedServer(t *testing.T) {
 	if v, ok := snap.Gauge("tensordimm_net_inflight"); !ok || v != 0 {
 		t.Fatalf("net_inflight = %g, %v; want 0, true", v, ok)
 	}
+	if v, ok := snap.Gauge("tensordimm_net_update_seq"); !ok || v != 1 {
+		t.Fatalf("net_update_seq = %g, %v; want 1, true", v, ok)
+	}
 	h, ok := snap.Histogram("tensordimm_net_request_seconds")
 	if !ok || h.Count < fastEmbeds+1 {
 		t.Fatalf("net_request_seconds count = %d, %v; want >= %d, true", h.Count, ok, fastEmbeds+1)
@@ -85,8 +88,8 @@ func TestTelemetryInstrumentedServer(t *testing.T) {
 	}
 
 	// The METRICS wire op carries the same registry as a versioned
-	// snapshot ahead of the human report.
-	wireSnap, text, err := cl.MetricsSnapshot()
+	// snapshot, and nothing else.
+	wireSnap, err := cl.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,8 +98,5 @@ func TestTelemetryInstrumentedServer(t *testing.T) {
 	}
 	if v, ok := wireSnap.Counter("tensordimm_net_requests_total"); !ok || v != fastEmbeds+1 {
 		t.Fatalf("wire net_requests_total = %d, %v; want %d, true", v, ok, fastEmbeds+1)
-	}
-	if text == "" {
-		t.Fatal("wire payload missing the human text report")
 	}
 }

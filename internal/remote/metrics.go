@@ -1,7 +1,6 @@
 package remote
 
 import (
-	"fmt"
 	"strconv"
 
 	"tensordimm/internal/telemetry"
@@ -77,6 +76,14 @@ func (rc *RemoteCluster) Metrics() Metrics {
 		Restores:         rc.restores.Load(),
 		Latency:          rc.router.Latency.Snapshot(),
 	}
+	rc.readFleet(&m)
+	return m
+}
+
+// readFleet fills m's fleet-health and durability fields: replicas up and
+// configured, breakers not closed, and the retained log tail and WAL bytes
+// summed across shards, each store read under its shard's update lock.
+func (rc *RemoteCluster) readFleet(m *Metrics) {
 	for _, sh := range rc.shards {
 		for _, rep := range sh.replicas {
 			m.ReplicasTotal++
@@ -94,22 +101,7 @@ func (rc *RemoteCluster) Metrics() Metrics {
 			sh.updMu.Unlock()
 		}
 	}
-	return m
 }
-
-// String renders a one-line operator summary.
-func (m Metrics) String() string {
-	return fmt.Sprintf(
-		"remote: %d/%d replicas up (%d breakers open); %d requests (%d samples, %d lookups), %d updates (%d rows, %d log entries, %d WAL B, %d snapshots); %d hedges (%d wins), %d failovers (%d denied), %d breaker trips, %d unavailable, %d deadline exceeded, %d resyncs (%d replayed, %d restored); %d failures; latency %v",
-		m.ReplicasUp, m.ReplicasTotal, m.BreakerOpen, m.Requests, m.Samples, m.Lookups,
-		m.Updates, m.UpdateRows, m.LogEntries, m.WALBytes, m.Snapshots,
-		m.Hedges, m.HedgeWins, m.Failovers, m.RetriesDenied, m.BreakerTrips,
-		m.Unavailable, m.DeadlineExceeded, m.Resyncs, m.Replayed, m.Restores,
-		m.Failures, m.Latency)
-}
-
-// MetricsText renders the Metrics snapshot, satisfying netserve.Backend.
-func (rc *RemoteCluster) MetricsText() string { return rc.Metrics().String() }
 
 // Instrument registers the router's series on a telemetry registry: the
 // remote_* counters over the existing atomics, fleet-health and
@@ -136,59 +128,23 @@ func (rc *RemoteCluster) Instrument(reg *telemetry.Registry, labels ...telemetry
 	reg.Counter("tensordimm_remote_replayed_total", "log entries delivered by catch-up replays", rc.replayed.Load, labels...)
 	reg.Counter("tensordimm_remote_snapshots_total", "shard snapshots scraped and installed", rc.snapshots.Load, labels...)
 	reg.Counter("tensordimm_remote_restores_total", "replicas reseated from a snapshot", rc.restores.Load, labels...)
-	reg.Gauge("tensordimm_remote_replicas_up", "replicas currently healthy", func() float64 {
-		n := 0
-		for _, sh := range rc.shards {
-			for _, rep := range sh.replicas {
-				if rep.state.Load() == repHealthy {
-					n++
-				}
-			}
+	fleet := func(field func(m *Metrics) float64) func() float64 {
+		return func() float64 {
+			var m Metrics
+			rc.readFleet(&m)
+			return field(&m)
 		}
-		return float64(n)
-	}, labels...)
-	reg.Gauge("tensordimm_remote_replicas_total", "replicas configured across all shards", func() float64 {
-		n := 0
-		for _, sh := range rc.shards {
-			n += len(sh.replicas)
-		}
-		return float64(n)
-	}, labels...)
-	reg.Gauge("tensordimm_remote_breakers_open", "replica circuit breakers not closed", func() float64 {
-		n := 0
-		for _, sh := range rc.shards {
-			for _, rep := range sh.replicas {
-				if rep.brk.state.Load() != brkClosed {
-					n++
-				}
-			}
-		}
-		return float64(n)
-	}, labels...)
-	reg.Gauge("tensordimm_remote_log_entries", "retained update-log tail entries across shards", func() float64 {
-		var n uint64
-		for _, sh := range rc.shards {
-			if sh.store == nil {
-				continue
-			}
-			sh.updMu.Lock()
-			n += sh.store.Head() - sh.store.Base()
-			sh.updMu.Unlock()
-		}
-		return float64(n)
-	}, labels...)
-	reg.Gauge("tensordimm_remote_wal_bytes", "on-disk WAL bytes across shards", func() float64 {
-		var n int64
-		for _, sh := range rc.shards {
-			if sh.store == nil {
-				continue
-			}
-			sh.updMu.Lock()
-			n += sh.store.WALBytes()
-			sh.updMu.Unlock()
-		}
-		return float64(n)
-	}, labels...)
+	}
+	reg.Gauge("tensordimm_remote_replicas_up", "replicas currently healthy",
+		fleet(func(m *Metrics) float64 { return float64(m.ReplicasUp) }), labels...)
+	reg.Gauge("tensordimm_remote_replicas_total", "replicas configured across all shards",
+		fleet(func(m *Metrics) float64 { return float64(m.ReplicasTotal) }), labels...)
+	reg.Gauge("tensordimm_remote_breakers_open", "replica circuit breakers not closed",
+		fleet(func(m *Metrics) float64 { return float64(m.BreakerOpen) }), labels...)
+	reg.Gauge("tensordimm_remote_log_entries", "retained update-log tail entries across shards",
+		fleet(func(m *Metrics) float64 { return float64(m.LogEntries) }), labels...)
+	reg.Gauge("tensordimm_remote_wal_bytes", "on-disk WAL bytes across shards",
+		fleet(func(m *Metrics) float64 { return float64(m.WALBytes) }), labels...)
 	reg.RegisterHistogram("tensordimm_remote_request_seconds", "read latency through the replica router", r.Latency, labels...)
 	for s, sh := range rc.shards {
 		if sh.store != nil {

@@ -54,8 +54,6 @@ func (g *gateBackend) EmbedInto(dst []float32, perTableRows [][]int, _ int) ([]f
 
 func (g *gateBackend) ApplyUpdates([]runtime.TableUpdate) error { return nil }
 
-func (g *gateBackend) MetricsText() string { return "" }
-
 // startGateReplica serves shard s of the test model from a gateBackend on
 // a loopback listener and returns its address.
 func startGateReplica(t *testing.T, m *recsys.Model, nodes, s int, entered func(), gate <-chan struct{}) string {

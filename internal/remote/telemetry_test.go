@@ -69,8 +69,12 @@ func TestInstrumentExportsSeries(t *testing.T) {
 		}
 	}
 
-	// The human renderers ride the same counters.
-	if s := rc.MetricsText(); !strings.Contains(s, "replicas up") {
-		t.Fatalf("MetricsText missing fleet health: %q", s)
+	// The human report is the same snapshot, one line per series.
+	var text strings.Builder
+	snap.WriteText(&text)
+	for _, line := range []string{"tensordimm_remote_replicas_up 2\n", "tensordimm_remote_updates_total 6\n", "tensordimm_remote_request_seconds n=8 "} {
+		if !strings.Contains(text.String(), line) {
+			t.Fatalf("report missing %q:\n%s", line, text.String())
+		}
 	}
 }

@@ -861,18 +861,3 @@ func (s *Server) Metrics() Metrics {
 	}
 	return m
 }
-
-// String renders the metrics as a small report.
-func (m Metrics) String() string {
-	return fmt.Sprintf(
-		"requests %d (%d samples, %d failures) in %s\n"+
-			"updates %d (%d gradient rows)\n"+
-			"merged executions %d (mean batch %.1f)\n"+
-			"throughput %.0f samples/s\n"+
-			"queue latency  %s\n"+
-			"total latency  %s",
-		m.Requests, m.Samples, m.Failures, m.Uptime.Round(time.Millisecond),
-		m.Updates, m.RowsUpdated,
-		m.Batches, m.MeanBatch, m.Throughput,
-		m.QueueLatency, m.TotalLatency)
-}

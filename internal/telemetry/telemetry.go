@@ -19,11 +19,13 @@
 //   - spans are plain value structs embedded in the layers' already-
 //     pooled request objects, so tracing recycles with them.
 //
-// Snapshots render three ways: Prometheus text exposition for scrapers,
-// JSON for tooling and the SSE stream, and a versioned wire payload
-// (EncodeWirePayload) that the METRICS network op carries so remote
-// drivers can assert on exact counters instead of grepping a text report.
-// The admin HTTP endpoint over all of it lives in NewHandler.
+// Registry.Snapshot is the only read of the registry, and every view
+// renders a Snapshot: WriteText, one line per series, for the human
+// reports the commands and examples print; Prometheus text exposition
+// (PromText) for scrapers; JSON for tooling and the SSE stream; and the
+// versioned wire payload (EncodeWirePayload) that the METRICS network op
+// carries, so a remote client renders or asserts on the server's exact
+// series. The admin HTTP endpoint over all of it lives in NewHandler.
 package telemetry
 
 import (
@@ -31,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"sort"
 	"strconv"
@@ -366,8 +369,8 @@ func (s *HistogramSnapshot) Mean() float64 {
 	return float64(s.SumNanos) / 1e9 / float64(s.Count)
 }
 
-// String renders the digest in human units, the form every layer's
-// Metrics report prints.
+// String renders the digest in human units, the value WriteText prints
+// for a histogram series.
 func (s HistogramSnapshot) String() string {
 	if s.Count == 0 {
 		return "no observations"
@@ -512,80 +515,115 @@ func (s *Snapshot) Histogram(name string, labels ...Label) (HistogramSnapshot, b
 	return HistogramSnapshot{}, false
 }
 
+// sample renders one exposition line: `name{labels} value`, or
+// `name value` for an unlabeled series.
+func sample(name, labels, val string) string {
+	if labels == "" {
+		return name + " " + val
+	}
+	return name + "{" + labels + "} " + val
+}
+
+// WriteText renders the snapshot for a human reader, one line per series
+// as `name{labels} value`: counters, then gauges (exact, without an
+// exponent), then histograms, each in registration order, a histogram's
+// value being its HistogramSnapshot digest. A snapshot decoded from a
+// METRICS payload renders exactly like the registry's own.
+func (s *Snapshot) WriteText(w io.Writer) error {
+	var b strings.Builder
+	for _, c := range s.Counters {
+		b.WriteString(sample(c.Name, c.Labels, strconv.FormatUint(c.Value, 10)) + "\n")
+	}
+	for _, g := range s.Gauges {
+		b.WriteString(sample(g.Name, g.Labels, strconv.FormatFloat(g.Value, 'f', -1, 64)) + "\n")
+	}
+	for _, h := range s.Histograms {
+		b.WriteString(sample(h.Name, h.Labels, h.String()) + "\n")
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
 // promGroup orders series of one metric name together, as the Prometheus
 // exposition format requires (HELP/TYPE once, then every labeled sample).
 type promGroup struct {
-	name, help, kind string
-	lines            []string
+	name, kind string
+	lines      []string
 }
 
-// PromText renders the snapshot in the Prometheus text exposition format:
+// helpText maps every registered metric name to its HELP string — the
+// first registrant's, since the exposition format carries one per name.
+// Help lives in the registry's series table rather than the Snapshot, so
+// the snapshot's JSON schema stays what SnapshotVersion pins.
+func (r *Registry) helpText() map[string]string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	help := make(map[string]string)
+	add := func(name, h string) {
+		if _, ok := help[name]; !ok {
+			help[name] = h
+		}
+	}
+	for _, c := range r.counters {
+		add(c.name, c.help)
+	}
+	for _, g := range r.gauges {
+		add(g.name, g.help)
+	}
+	for _, h := range r.hists {
+		add(h.name, h.help)
+	}
+	return help
+}
+
+// PromText renders a Snapshot in the Prometheus text exposition format:
 // counters and gauges as single samples, histograms as cumulative
 // le-labeled buckets with _sum and _count. Series of one name are grouped
 // under one HELP/TYPE header regardless of registration interleaving.
+// The snapshot hooks run once per call, inside Snapshot.
 func (r *Registry) PromText() string {
-	r.mu.Lock()
-	counters := r.counters
-	gauges := r.gauges
-	hists := r.hists
-	hooks := r.hooks
-	r.mu.Unlock()
-	for _, fn := range hooks {
-		fn()
-	}
+	s := r.Snapshot()
+	help := r.helpText()
 
-	order := []string{}
+	var order []*promGroup
 	groups := map[string]*promGroup{}
-	grp := func(name, help, kind string) *promGroup {
+	grp := func(name, kind string) *promGroup {
 		g, ok := groups[name]
 		if !ok {
-			g = &promGroup{name: name, help: help, kind: kind}
+			g = &promGroup{name: name, kind: kind}
 			groups[name] = g
-			order = append(order, name)
+			order = append(order, g)
 		}
 		return g
 	}
-	sample := func(name, labels string, val string) string {
-		if labels == "" {
-			return name + " " + val
-		}
-		return name + "{" + labels + "} " + val
+	for _, c := range s.Counters {
+		g := grp(c.Name, "counter")
+		g.lines = append(g.lines, sample(c.Name, c.Labels, strconv.FormatUint(c.Value, 10)))
 	}
-	for _, c := range counters {
-		g := grp(c.name, c.help, "counter")
-		g.lines = append(g.lines, sample(c.name, c.labels, strconv.FormatUint(c.fn(), 10)))
+	for _, gg := range s.Gauges {
+		g := grp(gg.Name, "gauge")
+		g.lines = append(g.lines, sample(gg.Name, gg.Labels, strconv.FormatFloat(gg.Value, 'g', -1, 64)))
 	}
-	for _, gg := range gauges {
-		g := grp(gg.name, gg.help, "gauge")
-		g.lines = append(g.lines, sample(gg.name, gg.labels, strconv.FormatFloat(gg.fn(), 'g', -1, 64)))
-	}
-	for _, h := range hists {
-		hs := h.h.Snapshot()
-		hs.Labels = h.labels
-		g := grp(h.name, h.help, "histogram")
-		cum := uint64(0)
-		for i, c := range hs.Counts {
-			cum += c
-			le := strconv.FormatFloat(bounds[i], 'g', -1, 64)
-			ls := hs.Labels
-			if ls != "" {
-				ls += ","
-			}
-			g.lines = append(g.lines, sample(h.name+"_bucket", ls+`le="`+le+`"`, strconv.FormatUint(cum, 10)))
-		}
+	for _, hs := range s.Histograms {
+		g := grp(hs.Name, "histogram")
 		ls := hs.Labels
 		if ls != "" {
 			ls += ","
 		}
-		g.lines = append(g.lines, sample(h.name+"_bucket", ls+`le="+Inf"`, strconv.FormatUint(hs.Count, 10)))
-		g.lines = append(g.lines, sample(h.name+"_sum", hs.Labels, strconv.FormatFloat(float64(hs.SumNanos)/1e9, 'g', -1, 64)))
-		g.lines = append(g.lines, sample(h.name+"_count", hs.Labels, strconv.FormatUint(hs.Count, 10)))
+		cum := uint64(0)
+		for i, c := range hs.Counts {
+			cum += c
+			le := strconv.FormatFloat(bounds[i], 'g', -1, 64)
+			g.lines = append(g.lines, sample(hs.Name+"_bucket", ls+`le="`+le+`"`, strconv.FormatUint(cum, 10)))
+		}
+		g.lines = append(g.lines, sample(hs.Name+"_bucket", ls+`le="+Inf"`, strconv.FormatUint(hs.Count, 10)))
+		g.lines = append(g.lines, sample(hs.Name+"_sum", hs.Labels, strconv.FormatFloat(float64(hs.SumNanos)/1e9, 'g', -1, 64)))
+		g.lines = append(g.lines, sample(hs.Name+"_count", hs.Labels, strconv.FormatUint(hs.Count, 10)))
 	}
 
 	var b strings.Builder
-	for _, name := range order {
-		g := groups[name]
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", g.name, g.help, g.name, g.kind)
+	for _, g := range order {
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", g.name, help[g.name], g.name, g.kind)
 		for _, line := range g.lines {
 			b.WriteString(line)
 			b.WriteByte('\n')
@@ -594,18 +632,15 @@ func (r *Registry) PromText() string {
 	return b.String()
 }
 
-// wireMagic opens the METRICS wire payload's machine-parseable section:
+// wireMagic opens the METRICS wire payload, ahead of the JSON snapshot:
 // "TensorDIMM Metrics Snapshot", revision 1.
 const wireMagic = "TDMS1\n"
 
-// wireSep separates the snapshot section from the human text report.
-const wireSep = "\n---\n"
-
 // EncodeWirePayload builds the METRICS wire op's response payload: the
-// registry's versioned JSON snapshot, a separator line, then the human
-// text report. A nil registry encodes an empty (but well-formed) snapshot
-// so the payload shape is uniform for every server.
-func EncodeWirePayload(reg *Registry, text string) []byte {
+// snapshot magic followed by the registry's versioned JSON snapshot and
+// nothing else. A nil registry encodes an empty (but well-formed)
+// snapshot so the payload shape is uniform for every server.
+func EncodeWirePayload(reg *Registry) []byte {
 	var snap *Snapshot
 	if reg != nil {
 		snap = reg.Snapshot()
@@ -615,41 +650,34 @@ func EncodeWirePayload(reg *Registry, text string) []byte {
 	data, err := json.Marshal(snap)
 	if err != nil {
 		// Only a gauge reading NaN or Inf cannot marshal; ship an empty
-		// snapshot beside the text rather than fail the metrics fetch.
+		// snapshot rather than fail the metrics fetch.
 		data, _ = json.Marshal(&Snapshot{Version: SnapshotVersion, TakenUnixNano: snap.TakenUnixNano})
 	}
-	out := make([]byte, 0, len(wireMagic)+len(data)+len(wireSep)+len(text))
-	out = append(out, wireMagic...)
-	out = append(out, data...)
-	out = append(out, wireSep...)
-	out = append(out, text...)
-	return out
+	return append([]byte(wireMagic), data...)
 }
 
 // ErrNoSnapshot is returned by DecodeWirePayload for a payload that does
 // not open with the snapshot magic.
 var ErrNoSnapshot = errors.New("telemetry: metrics payload has no snapshot section")
 
-// DecodeWirePayload splits a METRICS response payload into its snapshot
-// and human text sections. Every peer that passes the wire handshake
-// stamps the snapshot magic, so a payload without it is ErrNoSnapshot.
-func DecodeWirePayload(payload []byte) (*Snapshot, string, error) {
-	if !bytes.HasPrefix(payload, []byte(wireMagic)) {
-		return nil, "", ErrNoSnapshot
-	}
-	rest := payload[len(wireMagic):]
-	sep := bytes.Index(rest, []byte(wireSep))
-	if sep < 0 {
-		return nil, "", fmt.Errorf("telemetry: metrics payload missing the snapshot/text separator")
+// DecodeWirePayload decodes a METRICS response payload into the server's
+// snapshot. Every peer that passes the wire handshake stamps the snapshot
+// magic, so a payload without it is ErrNoSnapshot; anything after the
+// JSON document (the text report a revision-6 server appended) is an
+// error, as is a snapshot version other than SnapshotVersion.
+func DecodeWirePayload(payload []byte) (*Snapshot, error) {
+	rest, ok := bytes.CutPrefix(payload, []byte(wireMagic))
+	if !ok {
+		return nil, ErrNoSnapshot
 	}
 	var snap Snapshot
-	if err := json.Unmarshal(rest[:sep], &snap); err != nil {
-		return nil, "", fmt.Errorf("telemetry: metrics snapshot section: %w", err)
+	if err := json.Unmarshal(rest, &snap); err != nil {
+		return nil, fmt.Errorf("telemetry: metrics snapshot: %w", err)
 	}
 	if snap.Version != SnapshotVersion {
-		return nil, "", fmt.Errorf("telemetry: metrics snapshot version %d, want %d", snap.Version, SnapshotVersion)
+		return nil, fmt.Errorf("telemetry: metrics snapshot version %d, want %d", snap.Version, SnapshotVersion)
 	}
-	return &snap, string(rest[sep+len(wireSep):]), nil
+	return &snap, nil
 }
 
 // sortedSeriesNames returns every registered series key, sorted — a debug

@@ -289,45 +289,131 @@ func TestPromText(t *testing.T) {
 	}
 }
 
-// TestWirePayloadRoundTrip covers encode/decode of the METRICS payload,
-// the nil-registry shape, and the malformed-payload errors.
+// TestPromTextRendersOneSnapshot pins that a scrape runs the snapshot
+// hooks exactly once and renders byte-for-byte the exposition a fixed
+// registry has always produced.
+func TestPromTextRendersOneSnapshot(t *testing.T) {
+	reg := NewRegistry()
+	hooks := 0
+	reg.OnSnapshot(func() { hooks++ })
+	var c0, c1 atomic.Uint64
+	c0.Store(5)
+	c1.Store(9)
+	reg.Counter("hits_total", "cache hits", c0.Load, L("shard", "0"))
+	reg.Gauge("rate", "hit rate", func() float64 { return 0.25 })
+	reg.Counter("hits_total", "cache hits", c1.Load, L("shard", "1"))
+	reg.Gauge("up", "replicas up", func() float64 { return 2 })
+
+	got := reg.PromText()
+	if hooks != 1 {
+		t.Fatalf("one scrape ran the snapshot hooks %d times, want 1", hooks)
+	}
+	const want = `# HELP hits_total cache hits
+# TYPE hits_total counter
+hits_total{shard="0"} 5
+hits_total{shard="1"} 9
+# HELP rate hit rate
+# TYPE rate gauge
+rate 0.25
+# HELP up replicas up
+# TYPE up gauge
+up 2
+`
+	if got != want {
+		t.Fatalf("PromText:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestWriteTextGolden pins the human renderer line for line: counters,
+// then gauges, then histograms, each in registration order, and a
+// snapshot decoded from the METRICS payload renders identically.
+func TestWriteTextGolden(t *testing.T) {
+	reg := NewRegistry()
+	var reqs, hits atomic.Uint64
+	reqs.Store(42)
+	hits.Store(7)
+	reg.Counter("reqs_total", "requests", reqs.Load)
+	reg.Gauge("depth", "queue depth", func() float64 { return 2.5 }, L("shard", "1"))
+	reg.Counter("hits_total", "cache hits", hits.Load, L("shard", "0"))
+	h := reg.Histogram("lat_seconds", "latency")
+	for i := 0; i < 3; i++ {
+		h.Observe(0.002)
+	}
+	reg.Histogram("idle_seconds", "never observed")
+
+	const want = `reqs_total 42
+hits_total{shard="0"} 7
+depth{shard="1"} 2.5
+lat_seconds n=3 mean=2.00 ms p50=2.00 ms p95=2.00 ms p99=2.00 ms max=2.00 ms
+idle_seconds no observations
+`
+	var local strings.Builder
+	if err := reg.Snapshot().WriteText(&local); err != nil {
+		t.Fatal(err)
+	}
+	if local.String() != want {
+		t.Fatalf("WriteText:\n%s\nwant:\n%s", local.String(), want)
+	}
+	decoded, err := DecodeWirePayload(EncodeWirePayload(reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var remote strings.Builder
+	decoded.WriteText(&remote)
+	if remote.String() != want {
+		t.Fatalf("decoded snapshot renders:\n%s\nwant:\n%s", remote.String(), want)
+	}
+}
+
+// TestWirePayloadRoundTrip covers encode/decode of the METRICS payload:
+// exactly the magic plus the JSON snapshot, and the nil-registry shape.
 func TestWirePayloadRoundTrip(t *testing.T) {
 	reg := NewRegistry()
 	var n atomic.Uint64
 	n.Store(42)
 	reg.Counter("reqs_total", "requests", n.Load)
-	payload := EncodeWirePayload(reg, "human report\nsecond line")
-	snap, text, err := DecodeWirePayload(payload)
+	payload := EncodeWirePayload(reg)
+	var direct Snapshot
+	if err := json.Unmarshal([]byte(strings.TrimPrefix(string(payload), wireMagic)), &direct); err != nil || !strings.HasPrefix(string(payload), wireMagic) {
+		t.Fatalf("payload is not magic + one JSON document: %v\n%q", err, payload)
+	}
+	snap, err := DecodeWirePayload(payload)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if text != "human report\nsecond line" {
-		t.Fatalf("text section = %q", text)
-	}
-	if snap == nil {
-		t.Fatal("expected a snapshot")
 	}
 	if v, ok := snap.Counter("reqs_total"); !ok || v != 42 {
 		t.Fatalf("snapshot counter: %v %v", v, ok)
 	}
 
 	// Nil registry still yields a well-formed, versioned payload.
-	snap, text, err = DecodeWirePayload(EncodeWirePayload(nil, "bare"))
-	if err != nil || snap == nil || snap.Version != SnapshotVersion || text != "bare" {
-		t.Fatalf("nil-registry payload: snap=%+v text=%q err=%v", snap, text, err)
+	snap, err = DecodeWirePayload(EncodeWirePayload(nil))
+	if err != nil || snap == nil || snap.Version != SnapshotVersion || len(snap.Counters) != 0 {
+		t.Fatalf("nil-registry payload: snap=%+v err=%v", snap, err)
 	}
+}
 
-	// Corrupt payloads fail loudly.
-	if _, _, err := DecodeWirePayload([]byte("text report without the magic")); !errors.Is(err, ErrNoSnapshot) {
-		t.Fatalf("magic-less payload: err=%v, want ErrNoSnapshot", err)
-	}
-	if _, _, err := DecodeWirePayload([]byte(wireMagic + "no separator here")); err == nil {
-		t.Fatal("missing separator should error")
-	}
-	if _, _, err := DecodeWirePayload([]byte(wireMagic + "{bad json" + wireSep + "x")); err == nil {
-		t.Fatal("bad JSON should error")
-	}
-	if _, _, err := DecodeWirePayload([]byte(wireMagic + `{"version":99}` + wireSep + "x")); err == nil {
-		t.Fatal("unknown snapshot version should error")
+// TestDecodeWirePayloadRejects covers every malformed METRICS payload,
+// including a revision-6 payload that still trails its text report.
+func TestDecodeWirePayloadRejects(t *testing.T) {
+	good := string(EncodeWirePayload(NewRegistry()))
+	for _, tc := range []struct {
+		name, payload string
+		want          error // nil: any error
+	}{
+		{"no magic", "text report without the magic", ErrNoSnapshot},
+		{"v6 text tail", good + "\n---\nrequests 3 (3 samples, 0 failures)", nil},
+		{"unknown version", wireMagic + `{"version":99}`, nil},
+		{"version zero", wireMagic + `{}`, nil},
+		{"bad json", wireMagic + "{bad json", nil},
+		{"empty", wireMagic, nil},
+	} {
+		snap, err := DecodeWirePayload([]byte(tc.payload))
+		if err == nil || snap != nil {
+			t.Errorf("%s: snap=%v err=%v, want an error", tc.name, snap, err)
+			continue
+		}
+		if tc.want != nil && !errors.Is(err, tc.want) {
+			t.Errorf("%s: err=%v, want %v", tc.name, err, tc.want)
+		}
 	}
 }

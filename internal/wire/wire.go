@@ -57,12 +57,13 @@ const Magic = 0x54444e50
 // DEADLINE_EXCEEDED error code, so a server can shed already-expired
 // requests before executing doomed work. Revision 6 made METRICS
 // responses carry a versioned machine-parseable telemetry snapshot
-// section ahead of the human text report (split by
-// telemetry.DecodeWirePayload), so drivers and smoke tests assert on
-// exact counters instead of grepping text. The handshake layout itself is
-// unchanged across revisions 2-6 — only the version number moves — so a
-// version mismatch is always detected cleanly at connect time.
-const Version = 6
+// section ahead of a human text report. Revision 7 dropped the text
+// report: a METRICS response is the snapshot alone
+// (telemetry.DecodeWirePayload), which a client renders or asserts on.
+// The handshake layout itself is unchanged across revisions 2-7 — only
+// the version number moves — so a version mismatch is always detected
+// cleanly at connect time, before a peer can misread a payload.
+const Version = 7
 
 // DefaultMaxFrameBytes bounds one frame's wire size when a Config leaves
 // the limit zero: large enough for a maximal update batch against the
@@ -106,9 +107,11 @@ const (
 	OpUpdate Op = 3
 	// OpUpdateResp answers OpUpdate with an empty payload.
 	OpUpdateResp Op = 4
-	// OpMetrics requests a metrics report; empty payload.
+	// OpMetrics requests the server's telemetry snapshot; empty payload.
 	OpMetrics Op = 5
-	// OpMetricsResp answers OpMetrics: payload is a UTF-8 text report.
+	// OpMetricsResp answers OpMetrics: payload is the snapshot magic
+	// "TDMS1\n" followed by the registry's versioned JSON snapshot
+	// (telemetry.EncodeWirePayload) and nothing else.
 	OpMetricsResp Op = 6
 	// OpPing is a liveness probe; empty payload.
 	OpPing Op = 7

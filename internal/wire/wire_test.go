@@ -61,10 +61,14 @@ func TestHandshakeRejectsBadMagicAndVersion(t *testing.T) {
 	if _, _, err := ReadClientHello(bytes.NewReader(bad), nil); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("corrupt magic: err = %v, want magic error", err)
 	}
-	bad = AppendClientHello(nil, 0)
-	binary.LittleEndian.PutUint16(bad[4:], Version+1)
-	if _, _, err := ReadClientHello(bytes.NewReader(bad), nil); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("wrong version: err = %v, want version error", err)
+	// A newer peer and the previous revision (whose METRICS payload trailed
+	// a text report) are both refused at connect time.
+	for _, v := range []uint16{Version + 1, Version - 1} {
+		bad = AppendClientHello(nil, 0)
+		binary.LittleEndian.PutUint16(bad[4:], v)
+		if _, _, err := ReadClientHello(bytes.NewReader(bad), nil); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("client version %d: err = %v, want version error", v, err)
+		}
 	}
 	srv := AppendServerHello(nil, Hello{Geom: testGeom})
 	srv[0] ^= 0xff
@@ -72,10 +76,12 @@ func TestHandshakeRejectsBadMagicAndVersion(t *testing.T) {
 		t.Fatalf("corrupt server magic: err = %v, want magic error", err)
 	}
 	// A server speaking a different revision is rejected.
-	srv = AppendServerHello(nil, Hello{Geom: testGeom})
-	binary.LittleEndian.PutUint16(srv[4:], Version+1)
-	if _, _, err := ReadServerHello(bytes.NewReader(srv), nil); err == nil || !strings.Contains(err.Error(), "version") {
-		t.Fatalf("wrong server version: err = %v, want version error", err)
+	for _, v := range []uint16{Version + 1, Version - 1} {
+		srv = AppendServerHello(nil, Hello{Geom: testGeom})
+		binary.LittleEndian.PutUint16(srv[4:], v)
+		if _, _, err := ReadServerHello(bytes.NewReader(srv), nil); err == nil || !strings.Contains(err.Error(), "version") {
+			t.Fatalf("server version %d: err = %v, want version error", v, err)
+		}
 	}
 	// Zero geometry fields are rejected even when the framing is valid.
 	srv = AppendServerHello(nil, Hello{Geom: Geometry{Tables: 0, Reduction: 1, Dim: 8, MaxBatch: 4}})

@@ -38,8 +38,10 @@
 // dynamic micro-batching and latency accounting, on a node sized for it:
 //
 //	srv, _ := tensordimm.DeployServer(model, 8, tensordimm.ServeConfig{MaxBatch: 64, Workers: 4})
+//	reg := tensordimm.NewTelemetry()
+//	srv.Instrument(reg)                                // before the traffic it measures
 //	probs, _ := srv.Infer(indices, batch)              // safe from any goroutine
-//	fmt.Println(srv.Metrics())                         // p50/p95/p99, throughput
+//	reg.Snapshot().WriteText(os.Stdout)                // counters, p50/p95/p99 per series
 //
 // The steady-state serving path is allocation-free: callers that reuse a
 // result buffer through Server.EmbedInto (or Cluster.EmbedInto,
@@ -181,11 +183,11 @@ type (
 	ChaosReport = chaos.Report
 	// TelemetryRegistry is the process-wide metrics registry of the
 	// observability plane: counters, gauges, latency histograms and slow
-	// request traces, snapshot on read and rendered as Prometheus text or
-	// versioned JSON.
+	// request traces, read only as a Snapshot.
 	TelemetryRegistry = telemetry.Registry
 	// TelemetrySnapshot is a point-in-time, versioned capture of every
-	// series a TelemetryRegistry holds.
+	// series a TelemetryRegistry holds; WriteText renders it one line per
+	// series, and NetClient.Metrics fetches a server's over the wire.
 	TelemetrySnapshot = telemetry.Snapshot
 	// TelemetryLabel is one key="value" dimension on a telemetry series.
 	TelemetryLabel = telemetry.Label
