@@ -367,7 +367,7 @@ func modelConfig(o *opts) tensordimm.ModelConfig {
 
 // buildModel builds the deterministic model every process of a fleet
 // builds from the same flags and seed, and prints its shape.
-func buildModel(o *opts) (*tensordimm.Model, tensordimm.ModelConfig) {
+func buildModel(o *opts) *tensordimm.Model {
 	cfg := modelConfig(o)
 	model, err := tensordimm.BuildModel(cfg, 42)
 	if err != nil {
@@ -375,7 +375,7 @@ func buildModel(o *opts) (*tensordimm.Model, tensordimm.ModelConfig) {
 	}
 	fmt.Printf("model %s: %d tables x %d rows, dim %d, %d-way %s\n",
 		cfg.Name, cfg.Tables, cfg.TableRows, cfg.EmbDim, cfg.Reduction, poolingName(cfg))
-	return model, cfg
+	return model
 }
 
 func clusterConfig(o *opts) tensordimm.ClusterConfig {
@@ -420,17 +420,17 @@ func deploy(model *tensordimm.Model, o *opts, reg *tensordimm.TelemetryRegistry)
 func describe(srv *tensordimm.Server, o *opts, reg *tensordimm.TelemetryRegistry) {
 	srv.Instrument(reg)
 	nd := srv.Node()
-	tables, _, _, _, maxBatch := srv.Geometry()
+	g := srv.Geometry()
 	fmt.Printf("node: %d TensorDIMMs, %.0f MiB pool, %d B stripe\n",
 		nd.NodeDim(), float64(nd.CapacityBytes())/(1<<20), nd.StripeBytes())
-	fmt.Printf("server: maxBatch %d, %d workers, %d lanes\n", maxBatch, o.workers, o.workers*tables)
+	fmt.Printf("server: maxBatch %d, %d workers, %d lanes\n", g.MaxBatch, o.workers, o.workers*g.Tables)
 }
 
 // offer runs the flags' open-loop workload against read and update — the
 // one path every driving verb takes. Reads look up batch samples over every
-// table; updates are SCATTER_ADD gradients for batch rows of one random
-// table. over names the transport for the banner.
-func offer[T any](o *opts, tables, rows, reduction, dim int, over string,
+// table of the served geometry g; updates are SCATTER_ADD gradients for
+// batch rows of one random table. over names the transport for the banner.
+func offer[T any](o *opts, g tensordimm.NetGeometry, over string,
 	read func([][]int, int) (T, error), update func([]tensordimm.TableUpdate) error) tally {
 
 	var gen *tensordimm.WorkloadGenerator
@@ -438,9 +438,9 @@ func offer[T any](o *opts, tables, rows, reduction, dim int, over string,
 	dist := "uniform"
 	if o.zipf > 0 {
 		dist = fmt.Sprintf("zipf(%.2g)", o.zipf)
-		gen, err = tensordimm.NewZipfWorkload(rows, o.zipf, o.seed)
+		gen, err = tensordimm.NewZipfWorkload(g.TableRows, o.zipf, o.seed)
 	} else {
-		gen, err = tensordimm.NewWorkload(rows, tensordimm.Uniform, o.seed)
+		gen, err = tensordimm.NewWorkload(g.TableRows, tensordimm.Uniform, o.seed)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -450,16 +450,16 @@ func offer[T any](o *opts, tables, rows, reduction, dim int, over string,
 	rng := rand.New(rand.NewSource(o.seed))
 	return drive(o.rate, o.duration, o.updFrac, o.seed,
 		func() func() error {
-			idx := gen.Batch(tables, o.batch, reduction)
+			idx := gen.Batch(g.Tables, o.batch, g.Reduction)
 			return func() error { _, err := read(idx, o.batch); return err }
 		},
 		func() func() error {
 			urows := gen.Indices(o.batch)
-			grads := tensordimm.NewTensor(len(urows), dim)
+			grads := tensordimm.NewTensor(len(urows), g.Dim)
 			for i := range grads.Data() {
 				grads.Data()[i] = rng.Float32()*0.02 - 0.01
 			}
-			ups := []tensordimm.TableUpdate{{Table: rng.Intn(tables), Rows: urows, Grads: grads}}
+			ups := []tensordimm.TableUpdate{{Table: rng.Intn(g.Tables), Rows: urows, Grads: grads}}
 			return func() error { return update(ups) }
 		})
 }
@@ -569,16 +569,16 @@ func closeOrDie(close func() error) {
 
 // runLocal drives the in-process node or cluster.
 func runLocal(o *opts) int {
-	model, cfg := buildModel(o)
+	model := buildModel(o)
 	reg := startMetrics(o)
 	srv, cl := deploy(model, o, reg)
 	var t tally
 	if cl != nil {
-		t = offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", cl.Infer, cl.ApplyUpdates)
+		t = offer(o, cl.Geometry(), "", cl.Infer, cl.ApplyUpdates)
 		closeOrDie(cl.Close)
 		printMetrics(reg)
 	} else {
-		t = offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, "", srv.Infer, srv.Update)
+		t = offer(o, srv.Geometry(), "", srv.Infer, srv.Update)
 		closeOrDie(srv.Close)
 		printMetrics(reg)
 		// Node stats are not registry series.
@@ -595,7 +595,7 @@ func runLocal(o *opts) int {
 // warms its caches from the previous run's hot rows and persists its own
 // at drain.
 func runServe(o *opts) int {
-	model, _ := buildModel(o)
+	model := buildModel(o)
 	reg := startMetrics(o)
 	srv, cl := deploy(model, o, reg)
 	if cl == nil {
@@ -617,16 +617,16 @@ func runServe(o *opts) int {
 // runShard serves shard -shard-id as a replica: the DeployShard stack a
 // cluster shard runs, identical in every replica built from the same flags.
 func runShard(o *opts) int {
-	model, _ := buildModel(o)
+	model := buildModel(o)
 	reg := startMetrics(o)
 	cc := clusterConfig(o)
 	srv, err := tensordimm.DeployShard(model, cc, o.shardID)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, _, _, rows, maxSub := srv.Geometry()
+	g := srv.Geometry()
 	fmt.Printf("shard %d of %d (%s): %d local rows, sub-batch cap %d samples\n",
-		o.shardID, o.nodes, cc.Strategy, rows, maxSub)
+		o.shardID, o.nodes, cc.Strategy, g.TableRows, g.MaxBatch)
 	describe(srv, o, reg)
 	serveNet(tensordimm.ServeBackend(srv), tensordimm.RoleReplica, o, reg)
 	closeOrDie(srv.Close)
@@ -653,7 +653,7 @@ func runDrive(o *opts) int {
 		fmt.Fprintf(os.Stderr, "tensorserve: -batch %d exceeds the server's max batch %d\n", o.batch, g.MaxBatch)
 		return 2
 	}
-	t := offer(o, g.Tables, g.TableRows, g.Reduction, g.Dim, " over TCP", cl.Embed, cl.Update)
+	t := offer(o, g, " over TCP", cl.Embed, cl.Update)
 	t.report(o.rate)
 	if snap, err := cl.Metrics(); err == nil {
 		fmt.Printf("\nserver %s:\n", o.arg)
@@ -702,7 +702,7 @@ func runRoute(o *opts) int {
 	fmt.Printf("joined %d shards (%s%s) over %d replicas: %d tables x %d rows, dim %d, %d-way %s\n",
 		len(o.groups), strategy, mode, replicas, cfg.Tables, cfg.TableRows, cfg.EmbDim,
 		cfg.Reduction, poolingName(cfg))
-	t := offer(o, cfg.Tables, cfg.TableRows, cfg.Reduction, cfg.EmbDim, " over replica groups", rc.Embed, rc.ApplyUpdates)
+	t := offer(o, rc.Geometry(), " over replica groups", rc.Embed, rc.ApplyUpdates)
 	t.report(o.rate)
 	printMetrics(reg)
 	return t.exitCode()

@@ -66,6 +66,7 @@ import (
 	"tensordimm/internal/serve"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
+	"tensordimm/internal/wire"
 )
 
 // Config sizes a cluster. The zero value of every optional field selects a
@@ -359,7 +360,7 @@ func (c *Cluster) Embed(perTableRows [][]int, batch int) (*tensor.Tensor, error)
 	if err != nil {
 		return nil, err
 	}
-	return tensor.FromSlice(dst, batch, c.router.width)
+	return tensor.FromSlice(dst, batch, c.router.geom.Width())
 }
 
 // EmbedInto is Embed writing the pooled [batch, tables*dim] values
@@ -428,10 +429,7 @@ func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 // batch cap. The network serving plane announces exactly these numbers in
 // its wire handshake, so a remote client can validate and size every
 // request without out-of-band configuration.
-func (c *Cluster) Geometry() (tables, reduction, dim, tableRows, maxBatch int) {
-	mc := c.model.Cfg
-	return mc.Tables, mc.Reduction, mc.EmbDim, mc.TableRows, c.cfg.MaxBatch
-}
+func (c *Cluster) Geometry() wire.Geometry { return c.router.Geometry() }
 
 // Config returns the cluster's effective configuration (defaults filled).
 func (c *Cluster) Config() Config { return c.cfg }

@@ -100,10 +100,8 @@ func TestShardNodeSizing(t *testing.T) {
 	if got, want := srv.Node().CapacityBytes(), c.shard[1].srv.Node().CapacityBytes(); got != want {
 		t.Errorf("DeployShard node holds %d bytes, the cluster's shard %d", got, want)
 	}
-	_, _, _, gotRows, gotMax := srv.Geometry()
-	_, _, _, wantRows, wantMax := c.shard[1].srv.Geometry()
-	if gotRows != wantRows || gotMax != wantMax {
-		t.Errorf("DeployShard serves %d rows, batch cap %d; the cluster's shard %d, %d", gotRows, gotMax, wantRows, wantMax)
+	if got, want := srv.Geometry(), c.shard[1].srv.Geometry(); got != want {
+		t.Errorf("DeployShard serves geometry %+v; the cluster's shard %+v", got, want)
 	}
 
 	if _, err := DeployShard(m, cfg, 2); err == nil {

@@ -4,16 +4,20 @@ import (
 	"testing"
 
 	"tensordimm/internal/isa"
+	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
+	"tensordimm/internal/runtime"
 	"tensordimm/internal/tensor"
 )
 
 // FuzzClusterEmbed feeds arbitrary per-table row indices — including
 // dup-heavy, negative, and far-out-of-range values, plus mis-shaped index
 // lists — through the cluster router and merge of both sharding
-// strategies. The contract: Embed must never panic, must reject invalid
-// inputs with an error, and must stay bit-identical to GoldenEmbedding on
-// every valid input.
+// strategies, and straight into a runtime.Deployment of the whole model,
+// whose tables sit back to back in one pool. The contract: neither may
+// panic, both must reject invalid inputs with an error, and both must stay
+// bit-identical to GoldenEmbedding on every valid input. valid is written
+// out by hand: it is the reference the shared request contract is held to.
 func FuzzClusterEmbed(f *testing.F) {
 	mc := recsys.Config{
 		Name: "fuzz", Tables: 2, Reduction: 2, FCLayers: 1,
@@ -36,6 +40,16 @@ func FuzzClusterEmbed(f *testing.F) {
 		f.Cleanup(func() { c.Close() })
 		clusters = append(clusters, c)
 	}
+	nd, err := node.New(node.Config{DIMMs: 4, PerDIMMBytes: 1 << 20})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(nd.Close)
+	dep, err := runtime.Deploy(m, nd, 4)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(func() { dep.Release() })
 
 	f.Add([]byte{1, 0, 0, 0, 1, 0, 2, 0, 3})             // small valid request
 	f.Add([]byte{4, 0xff, 0xff, 0, 0, 0, 0, 0, 0})       // out-of-range index
@@ -122,6 +136,24 @@ func FuzzClusterEmbed(f *testing.F) {
 			if !tensor.Equal(got, want) {
 				t.Fatalf("%v: embed differs from golden", c.cfg.Strategy)
 			}
+		}
+
+		got, err := dep.RunEmbedding(rows, batch)
+		if !valid {
+			if err == nil {
+				t.Fatalf("runtime: invalid input accepted (batch %d)", batch)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("runtime: valid input rejected: %v", err)
+		}
+		want, err := dep.GoldenEmbedding(rows, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tensor.Equal(got, want) {
+			t.Fatal("runtime: embed differs from golden")
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
+	"tensordimm/internal/wire"
 )
 
 // Hop indices of the cluster tracer: routing (locate, one batched cache
@@ -86,13 +87,11 @@ type Router struct {
 	// Latency records the wall-clock seconds of every completed read.
 	Latency *telemetry.Histogram
 
-	name     string // error prefix of the owning layer
-	mc       recsys.Config
-	maxBatch int
-	width    int // tables x dim, the per-sample output width
-	place    *Placement
-	merger   Merger
-	tr       Transport
+	name   string        // error prefix of the owning layer
+	geom   wire.Geometry // the request contract every read and update is checked against
+	place  *Placement
+	merger Merger
+	tr     Transport
 	// caches holds each shard's hot-row cache; nil entries (every entry, for
 	// the remote router) skip the probe.
 	caches []*rowCache
@@ -128,17 +127,15 @@ type Router struct {
 // own admission behind) bounds the sub-requests in flight.
 func NewRouter(name string, mc recsys.Config, place *Placement, maxBatch int, tr Transport, applied func(runtime.TableUpdate)) *Router {
 	r := &Router{
-		Latency:  telemetry.NewHistogram(),
-		name:     name,
-		mc:       mc,
-		maxBatch: maxBatch,
-		width:    mc.Tables * mc.EmbDim,
-		place:    place,
-		merger:   Merger{Tables: mc.Tables, Dim: mc.EmbDim, Reduction: mc.Reduction, Mean: mc.Mean, Op: mc.Op},
-		tr:       tr,
-		caches:   make([]*rowCache, place.nodes),
-		applied:  applied,
-		tableMu:  make([]sync.Mutex, mc.Tables),
+		Latency: telemetry.NewHistogram(),
+		name:    name,
+		geom:    wire.Geometry{Tables: mc.Tables, Reduction: mc.Reduction, Dim: mc.EmbDim, TableRows: mc.TableRows, MaxBatch: maxBatch},
+		place:   place,
+		merger:  Merger{Tables: mc.Tables, Dim: mc.EmbDim, Reduction: mc.Reduction, Mean: mc.Mean, Op: mc.Op},
+		tr:      tr,
+		caches:  make([]*rowCache, place.nodes),
+		applied: applied,
+		tableMu: make([]sync.Mutex, mc.Tables),
 	}
 	r.scratchPool.New = func() any { return r.newScratch() }
 	return r
@@ -203,16 +200,17 @@ type scratch struct {
 
 // newScratch sizes a scratch for the router's geometry.
 func (r *Router) newScratch() *scratch {
-	lookups := r.maxBatch * r.mc.Reduction
+	g := r.geom
+	lookups := g.MaxBatch * g.Reduction
 	nodes := len(r.caches)
 	scr := &scratch{
 		call:     r.tr.NewCall(),
 		sub:      make([]subScratch, nodes),
 		cacheVer: make([]uint64, nodes),
-		src:      make([]rowSrc, r.mc.Tables*lookups),
+		src:      make([]rowSrc, g.Tables*lookups),
 	}
 	for s := range scr.sub {
-		maxSub := r.place.MaxSub(s, r.maxBatch, r.mc.Reduction)
+		maxSub := r.place.MaxSub(s, g.MaxBatch, g.Reduction)
 		scr.sub[s] = subScratch{
 			rows:  make([]int, 0, maxSub),
 			stamp: make([]uint32, r.place.localRows[s]),
@@ -225,10 +223,10 @@ func (r *Router) newScratch() *scratch {
 		scr.sub[s].probePos = make([]int32, 0, maxSub)
 		scr.sub[s].probeHit = make([]bool, maxSub)
 		if scr.hitBuf == nil {
-			scr.hitBuf = make([]float32, r.mc.Tables*lookups*r.mc.EmbDim)
+			scr.hitBuf = make([]float32, g.Tables*lookups*g.Dim)
 		}
 	}
-	dim := r.mc.EmbDim
+	dim := g.Dim
 	scr.vec = func(t, i int) []float32 {
 		src := scr.src[t*scr.lookups+i]
 		if src.shard < 0 {
@@ -263,10 +261,10 @@ func (scr *scratch) nextEpoch() uint32 {
 // allocations in steady state. Safe for concurrent use (with distinct dst
 // buffers).
 func (r *Router) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
-	if err := r.validateRead(perTableRows, batch); err != nil {
-		return nil, err
+	if err := r.geom.CheckRead(perTableRows, batch); err != nil {
+		return nil, fmt.Errorf("%s: %w", r.name, err)
 	}
-	need := batch * r.width
+	need := batch * r.geom.Width()
 	if cap(dst) < need {
 		dst = make([]float32, need)
 	}
@@ -277,29 +275,9 @@ func (r *Router) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]fl
 	return dst, nil
 }
 
-// validateRead checks one read submission against the model geometry.
-func (r *Router) validateRead(perTableRows [][]int, batch int) error {
-	mc := &r.mc
-	if batch <= 0 || batch > r.maxBatch {
-		return fmt.Errorf("%s: batch %d out of range [1, %d]", r.name, batch, r.maxBatch)
-	}
-	if len(perTableRows) != mc.Tables {
-		return fmt.Errorf("%s: %d index lists for %d tables", r.name, len(perTableRows), mc.Tables)
-	}
-	lookups := batch * mc.Reduction
-	for t, rows := range perTableRows {
-		if len(rows) != lookups {
-			return fmt.Errorf("%s: table %d: %d rows for batch %d x reduction %d",
-				r.name, t, len(rows), batch, mc.Reduction)
-		}
-		for _, row := range rows {
-			if row < 0 || row >= mc.TableRows {
-				return fmt.Errorf("%s: table %d: row index %d out of range [0, %d)", r.name, t, row, mc.TableRows)
-			}
-		}
-	}
-	return nil
-}
+// Geometry returns the model shape and per-request batch cap the router
+// checks every read and update against — what a network front announces.
+func (r *Router) Geometry() wire.Geometry { return r.geom }
 
 // enter registers one in-flight operation, failing once the router is
 // closed; the matching r.inflight.Done() lets Close drain before teardown.
@@ -336,9 +314,9 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 		return err
 	}
 	defer r.inflight.Done()
-	lookups := batch * r.mc.Reduction
-	dim := r.mc.EmbDim
-	r.Lookups.Add(uint64(r.mc.Tables * lookups))
+	lookups := batch * r.geom.Reduction
+	dim := r.geom.Dim
+	r.Lookups.Add(uint64(r.geom.Tables * lookups))
 
 	scr := r.scratchPool.Get().(*scratch)
 	defer r.scratchPool.Put(scr)
@@ -486,7 +464,7 @@ func (r *Router) warmCache(s int, flatRows []int) (int, error) {
 
 	scr := r.scratchPool.Get().(*scratch)
 	defer r.scratchPool.Put(scr)
-	maxSub := r.place.MaxSub(s, r.maxBatch, r.mc.Reduction)
+	maxSub := r.place.MaxSub(s, r.geom.MaxBatch, r.geom.Reduction)
 	warmed := 0
 	for len(rows) > 0 {
 		chunk := rows[:min(maxSub, len(rows))]
@@ -514,8 +492,8 @@ func (r *Router) warmCache(s int, flatRows []int) (int, error) {
 // rows, or a mix — but never a stale cache entry that outlives the update
 // (see rowCache's version handshake). Safe for concurrent use.
 func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
-	if err := r.validateUpdates(ups); err != nil {
-		return err
+	if err := runtime.CheckUpdates(ups, r.geom); err != nil {
+		return fmt.Errorf("%s: %w", r.name, err)
 	}
 	if err := r.enter(); err != nil {
 		return err
@@ -556,34 +534,6 @@ func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
 	return nil
 }
 
-// validateUpdates checks an update batch against the model geometry. Each
-// entry carries 1 to maxBatch x reduction rows — one request's worth,
-// mirroring the read path and wire.DecodeUpdate.
-func (r *Router) validateUpdates(ups []runtime.TableUpdate) error {
-	mc := &r.mc
-	if len(ups) == 0 {
-		return fmt.Errorf("%s: empty update batch", r.name)
-	}
-	maxRows := r.maxBatch * mc.Reduction
-	for i, up := range ups {
-		if up.Table < 0 || up.Table >= mc.Tables {
-			return fmt.Errorf("%s: update %d: table %d out of range [0, %d)", r.name, i, up.Table, mc.Tables)
-		}
-		if up.Grads == nil || up.Grads.Rank() != 2 || up.Grads.Dim(0) != len(up.Rows) || up.Grads.Dim(1) != mc.EmbDim {
-			return fmt.Errorf("%s: update %d: gradient shape for %d rows of dim %d", r.name, i, len(up.Rows), mc.EmbDim)
-		}
-		if len(up.Rows) == 0 || len(up.Rows) > maxRows {
-			return fmt.Errorf("%s: update %d: %d rows out of range [1, %d]", r.name, i, len(up.Rows), maxRows)
-		}
-		for _, row := range up.Rows {
-			if row < 0 || row >= mc.TableRows {
-				return fmt.Errorf("%s: update %d: row index %d out of range [0, %d)", r.name, i, row, mc.TableRows)
-			}
-		}
-	}
-	return nil
-}
-
 // applyTableUpdate routes one table's update to its owning shards (callers
 // hold the table's update lock): split the rows by placement, commit each
 // shard's slice through the transport concurrently, invalidate the
@@ -610,7 +560,7 @@ func (r *Router) applyTableUpdate(up runtime.TableUpdate) error {
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			grads := tensor.New(len(flatRows[s]), r.mc.EmbDim)
+			grads := tensor.New(len(flatRows[s]), r.geom.Dim)
 			for j, i := range gradSrc[s] {
 				copy(grads.Row(j), up.Grads.Row(i))
 			}

@@ -237,7 +237,6 @@ type Client struct {
 	cfg   Config
 	addr  string
 	geom  wire.Geometry
-	width int
 	hello atomic.Pointer[wire.Hello] // latest handshake observed
 
 	slots     []*connSlot
@@ -297,8 +296,7 @@ func Dial(addr string, cfg Config) (*Client, error) {
 		}
 		if i == 0 {
 			c.geom = h.Geom
-			c.width = h.Geom.Width()
-			maxResp := wire.HeaderBytes + 4*h.Geom.MaxBatch*c.width
+			maxResp := wire.HeaderBytes + 4*h.Geom.MaxBatch*h.Geom.Width()
 			if cfg.MaxFrameBytes < maxResp {
 				cc.nc.Close()
 				c.Close()
@@ -807,10 +805,12 @@ func (c *Client) StartEmbedBudget(dst []float32, perTableRows [][]int, batch int
 // returning the call plus the connection and id a deadline-bounded wait
 // needs to abandon it.
 func (c *Client) startEmbed(dst []float32, perTableRows [][]int, batch int, budget time.Duration) (*Call, *clientConn, uint64, error) {
-	if err := c.validateRead(perTableRows, batch); err != nil {
-		return nil, nil, 0, err
+	// Checked here, so a malformed read fails without a round trip and the
+	// encoder's length derivations are always in range.
+	if err := c.geom.CheckRead(perTableRows, batch); err != nil {
+		return nil, nil, 0, fmt.Errorf("netclient: %w", err)
 	}
-	need := batch * c.width
+	need := batch * c.geom.Width()
 	if cap(dst) < need {
 		dst = make([]float32, need)
 	}
@@ -856,70 +856,30 @@ func (c *Client) Embed(perTableRows [][]int, batch int) ([]float32, error) {
 	return c.EmbedInto(nil, perTableRows, batch)
 }
 
-// validateRead checks one read submission against the announced geometry,
-// so a malformed request fails here instead of costing a network round
-// trip (and so the encoder's length derivations are always in range).
-func (c *Client) validateRead(perTableRows [][]int, batch int) error {
-	g := c.geom
-	if batch <= 0 || batch > g.MaxBatch {
-		return fmt.Errorf("netclient: batch %d out of range [1, %d]", batch, g.MaxBatch)
-	}
-	if len(perTableRows) != g.Tables {
-		return fmt.Errorf("netclient: %d index lists for %d tables", len(perTableRows), g.Tables)
-	}
-	n := batch * g.Reduction
-	for t, rows := range perTableRows {
-		if len(rows) != n {
-			return fmt.Errorf("netclient: table %d: %d rows for batch %d x reduction %d", t, len(rows), batch, g.Reduction)
-		}
-		for _, r := range rows {
-			if r < 0 || r >= g.TableRows {
-				return fmt.Errorf("netclient: table %d: row index %d out of range [0, %d)", t, r, g.TableRows)
-			}
-		}
-	}
-	return nil
-}
-
 // validateUpdates checks one update batch against the announced geometry
-// and returns its encoded frame size given the payload overhead before
-// the update list (4+2 B budget+count for UPDATE, 8+2 B seq+count for
-// SYNC).
-func (c *Client) validateUpdates(ups []runtime.TableUpdate, overhead int) (int, error) {
-	g := c.geom
-	if len(ups) == 0 {
-		return 0, fmt.Errorf("netclient: empty update batch")
+// (runtime.CheckUpdates) and against what one frame can carry, given the
+// payload overhead before the update list (4+2 B budget+count for UPDATE,
+// 8+2 B seq+count for SYNC).
+func (c *Client) validateUpdates(ups []runtime.TableUpdate, overhead int) error {
+	if err := runtime.CheckUpdates(ups, c.geom); err != nil {
+		return fmt.Errorf("netclient: %w", err)
 	}
 	if len(ups) > wire.MaxUpdatesPerFrame {
-		return 0, fmt.Errorf("netclient: %d updates exceed the %d-per-frame protocol cap; split the batch",
+		return fmt.Errorf("netclient: %d updates exceed the %d-per-frame protocol cap; split the batch",
 			len(ups), wire.MaxUpdatesPerFrame)
 	}
 	frameBytes := wire.HeaderBytes + overhead
-	for i, up := range ups {
-		if up.Table < 0 || up.Table >= g.Tables {
-			return 0, fmt.Errorf("netclient: update %d: table %d out of range [0, %d)", i, up.Table, g.Tables)
-		}
-		if len(up.Rows) == 0 || len(up.Rows) > g.MaxBatch*g.Reduction {
-			return 0, fmt.Errorf("netclient: update %d: %d rows out of range [1, %d]", i, len(up.Rows), g.MaxBatch*g.Reduction)
-		}
-		for _, r := range up.Rows {
-			if r < 0 || r >= g.TableRows {
-				return 0, fmt.Errorf("netclient: update %d: row index %d out of range [0, %d)", i, r, g.TableRows)
-			}
-		}
-		if up.Grads == nil || up.Grads.Rank() != 2 || up.Grads.Dim(0) != len(up.Rows) || up.Grads.Dim(1) != g.Dim {
-			return 0, fmt.Errorf("netclient: update %d: gradient shape for %d rows of dim %d", i, len(up.Rows), g.Dim)
-		}
-		frameBytes += 8 + 4*len(up.Rows) + 4*len(up.Rows)*g.Dim
+	for _, up := range ups {
+		frameBytes += 8 + 4*len(up.Rows) + 4*len(up.Rows)*c.geom.Dim
 	}
 	// A frame over the limit would be rejected server-side as a protocol
 	// violation, tearing down the shared connection and failing every
 	// pipelined call on it — so it is refused here as a per-call error.
 	if frameBytes > c.cfg.MaxFrameBytes {
-		return 0, fmt.Errorf("netclient: update batch encodes to %d B, above the %d B frame limit; split the batch",
+		return fmt.Errorf("netclient: update batch encodes to %d B, above the %d B frame limit; split the batch",
 			frameBytes, c.cfg.MaxFrameBytes)
 	}
-	return frameBytes, nil
+	return nil
 }
 
 // borrowUpdates views ups as wire updates in the call's reused slice.
@@ -945,7 +905,7 @@ func (ca *Call) releaseUpdates() {
 // update is applied server-side and every later read observes it. Safe
 // for concurrent use.
 func (c *Client) Update(ups []runtime.TableUpdate) error {
-	if _, err := c.validateUpdates(ups, 6); err != nil {
+	if err := c.validateUpdates(ups, 6); err != nil {
 		return err
 	}
 	cc, err := c.pick()
@@ -973,7 +933,7 @@ func (c *Client) Update(ups []runtime.TableUpdate) error {
 // a replay of something already absorbed. Safe for concurrent use,
 // though replay order is the caller's contract.
 func (c *Client) Sync(seq uint64, ups []runtime.TableUpdate) (uint64, error) {
-	if _, err := c.validateUpdates(ups, 10); err != nil {
+	if err := c.validateUpdates(ups, 10); err != nil {
 		return 0, err
 	}
 	cc, err := c.pick()
@@ -1017,20 +977,11 @@ func (c *Client) MaxRestoreRows() int {
 // its applied state. Returns the server's applied count after the call.
 // Safe for concurrent use, though chunk order is the caller's contract.
 func (c *Client) Restore(seq uint64, commit bool, table int, rows []int, vals []float32) (uint64, error) {
-	g := c.geom
-	if table < 0 || table >= g.Tables {
-		return 0, fmt.Errorf("netclient: restore: table %d out of range [0, %d)", table, g.Tables)
+	if err := c.geom.CheckRows(table, rows, len(vals)); err != nil {
+		return 0, fmt.Errorf("netclient: restore: %w", err)
 	}
-	if n := c.MaxRestoreRows(); len(rows) == 0 || len(rows) > n {
-		return 0, fmt.Errorf("netclient: restore: %d rows out of range [1, %d]; chunk the install", len(rows), n)
-	}
-	for _, r := range rows {
-		if r < 0 || r >= g.TableRows {
-			return 0, fmt.Errorf("netclient: restore: row index %d out of range [0, %d)", r, g.TableRows)
-		}
-	}
-	if len(vals) != len(rows)*g.Dim {
-		return 0, fmt.Errorf("netclient: restore: %d values for %d rows of dim %d", len(vals), len(rows), g.Dim)
+	if n := c.MaxRestoreRows(); len(rows) > n {
+		return 0, fmt.Errorf("netclient: restore: %d rows above the %d a frame carries; chunk the install", len(rows), n)
 	}
 	cc, err := c.pick()
 	if err != nil {

@@ -26,7 +26,9 @@ type echoBackend struct {
 }
 
 // Geometry implements netserve.Backend.
-func (b *echoBackend) Geometry() (int, int, int, int, int) { return 2, 2, 4, 100, 8 }
+func (b *echoBackend) Geometry() wire.Geometry {
+	return wire.Geometry{Tables: 2, Reduction: 2, Dim: 4, TableRows: 100, MaxBatch: 8}
+}
 
 // EmbedInto implements netserve.Backend.
 func (b *echoBackend) EmbedInto(dst []float32, rows [][]int, batch int) ([]float32, error) {

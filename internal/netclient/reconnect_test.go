@@ -19,7 +19,9 @@ import (
 type wideBackend struct{ echoBackend }
 
 // Geometry implements netserve.Backend.
-func (b *wideBackend) Geometry() (int, int, int, int, int) { return 2, 2, 8, 100, 8 }
+func (b *wideBackend) Geometry() wire.Geometry {
+	return wire.Geometry{Tables: 2, Reduction: 2, Dim: 8, TableRows: 100, MaxBatch: 8}
+}
 
 // serveAt binds a backend at a fixed address (so a restart can reuse it)
 // and returns the server.

@@ -68,9 +68,9 @@ const (
 // ClusterBackend) satisfy it through thin adapters; tests substitute
 // stubs to exercise admission and drain behavior deterministically.
 type Backend interface {
-	// Geometry reports tables, reduction, dim, tableRows, maxBatch — the
-	// numbers the wire handshake announces.
-	Geometry() (tables, reduction, dim, tableRows, maxBatch int)
+	// Geometry reports the model shape and batch cap the wire handshake
+	// announces.
+	Geometry() wire.Geometry
 	// EmbedInto computes the pooled embedding for one request into dst,
 	// exactly like serve.Server.EmbedInto / cluster.EmbedInto.
 	EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error)
@@ -98,7 +98,7 @@ func (b serverBackend) Restore(table int, rows []int, vals []float32) error {
 }
 
 // Geometry implements Backend.
-func (b serverBackend) Geometry() (int, int, int, int, int) { return b.s.Geometry() }
+func (b serverBackend) Geometry() wire.Geometry { return b.s.Geometry() }
 
 // EmbedInto implements Backend.
 func (b serverBackend) EmbedInto(dst []float32, rows [][]int, batch int) ([]float32, error) {
@@ -116,7 +116,7 @@ func ServerBackend(s *serve.Server) Backend { return serverBackend{s} }
 type clusterBackend struct{ c *cluster.Cluster }
 
 // Geometry implements Backend.
-func (b clusterBackend) Geometry() (int, int, int, int, int) { return b.c.Geometry() }
+func (b clusterBackend) Geometry() wire.Geometry { return b.c.Geometry() }
 
 // EmbedInto implements Backend.
 func (b clusterBackend) EmbedInto(dst []float32, rows [][]int, batch int) ([]float32, error) {
@@ -251,7 +251,6 @@ type Server struct {
 	cfg     Config
 	backend Backend
 	geom    wire.Geometry
-	width   int
 
 	tasks    chan *task
 	taskPool sync.Pool
@@ -342,15 +341,14 @@ func New(b Backend, cfg Config) (*Server, error) {
 	if cfg.MaxFrameBytes == 0 {
 		cfg.MaxFrameBytes = wire.DefaultMaxFrameBytes
 	}
-	tables, reduction, dim, rows, maxBatch := b.Geometry()
-	geom := wire.Geometry{Tables: tables, Reduction: reduction, Dim: dim, TableRows: rows, MaxBatch: maxBatch}
+	geom := b.Geometry()
 	if err := geom.Validate(); err != nil {
 		return nil, fmt.Errorf("netserve: backend geometry: %w", err)
 	}
 	// The largest legal frame in either direction must fit the limit, or
 	// every maximal request would be "oversized" by configuration.
-	maxReq := wire.HeaderBytes + 8 + 4*tables*maxBatch*reduction
-	maxResp := wire.HeaderBytes + 4*maxBatch*tables*dim
+	maxReq := wire.HeaderBytes + 8 + 4*geom.Tables*geom.MaxBatch*geom.Reduction
+	maxResp := wire.HeaderBytes + 4*geom.MaxBatch*geom.Width()
 	if need := max(maxReq, maxResp); cfg.MaxFrameBytes < need {
 		return nil, fmt.Errorf("netserve: MaxFrameBytes %d below the %d B a maximal request/response needs", cfg.MaxFrameBytes, need)
 	}
@@ -358,7 +356,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 		cfg:       cfg,
 		backend:   b,
 		geom:      geom,
-		width:     geom.Width(),
 		tasks:     make(chan *task, cfg.MaxInflight),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
@@ -733,7 +730,7 @@ func (s *Server) executor() {
 		}
 		switch t.op {
 		case wire.OpEmbed:
-			need := t.batch * s.width
+			need := t.batch * s.geom.Width()
 			if cap(t.dst) < need {
 				t.dst = make([]float32, need)
 			}

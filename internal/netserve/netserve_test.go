@@ -36,8 +36,8 @@ func newStub() *stubBackend {
 }
 
 // Geometry implements netserve.Backend.
-func (b *stubBackend) Geometry() (int, int, int, int, int) {
-	return b.tables, b.reduction, b.dim, b.rows, b.maxBatch
+func (b *stubBackend) Geometry() wire.Geometry {
+	return wire.Geometry{Tables: b.tables, Reduction: b.reduction, Dim: b.dim, TableRows: b.rows, MaxBatch: b.maxBatch}
 }
 
 // stubValue is the deterministic embedding value at (table, sample,

@@ -21,9 +21,9 @@ const (
 )
 
 // breakerCfg is the resolved breaker tuning shared by every replica of a
-// router. A zero size disables circuit breaking entirely.
+// router.
 type breakerCfg struct {
-	size      int           // rolling outcome window (<= 64); 0 disables
+	size      int           // rolling outcome window (<= 64)
 	need      int           // minimum observations before tripping
 	threshold float64       // failure fraction within the window that trips
 	openFor   time.Duration // open duration, and the spacing between probes
@@ -50,9 +50,6 @@ type breaker struct {
 // openFor window (so a probe lost to a reaped hedge or a dead connection
 // cannot wedge the replica out of the rotation forever).
 func (b *breaker) allow(cfg *breakerCfg, now time.Time) bool {
-	if cfg.size == 0 {
-		return true
-	}
 	switch b.state.Load() {
 	case brkClosed:
 		return true
@@ -80,9 +77,6 @@ func (b *breaker) allow(cfg *breakerCfg, now time.Time) bool {
 // probe (or a straggler) proving the replica back: the breaker closes
 // with a clean window.
 func (b *breaker) ok(cfg *breakerCfg) {
-	if cfg.size == 0 {
-		return
-	}
 	if b.state.Load() != brkClosed {
 		b.reset()
 		return
@@ -95,9 +89,6 @@ func (b *breaker) ok(cfg *breakerCfg) {
 // (the probe failed); a failure while already open is a straggler and is
 // ignored.
 func (b *breaker) fail(cfg *breakerCfg, now time.Time) bool {
-	if cfg.size == 0 {
-		return false
-	}
 	switch b.state.Load() {
 	case brkHalfOpen:
 		b.openedAt.Store(now.UnixNano())
@@ -149,9 +140,6 @@ func (b *breaker) reset() {
 // refillRetry credits the shard's failover token bucket for one offered
 // read request: budget millitokens, capped at the bucket's capacity.
 func (sh *rShard) refillRetry(budgetMilli, capMilli int64) {
-	if budgetMilli <= 0 {
-		return
-	}
 	for {
 		cur := sh.retryTokens.Load()
 		next := cur + budgetMilli

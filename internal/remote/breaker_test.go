@@ -74,18 +74,6 @@ func TestBreakerStateMachine(t *testing.T) {
 	if !b.fail(&cfg, t2) {
 		t.Fatalf("%d straight failures on a clean window did not trip", cfg.need)
 	}
-
-	// A disabled breaker (zero cfg) never rejects and never trips.
-	var off breakerCfg
-	var b2 breaker
-	for i := 0; i < 100; i++ {
-		if b2.fail(&off, t0) {
-			t.Fatal("disabled breaker tripped")
-		}
-	}
-	if !b2.allow(&off, t0) {
-		t.Fatal("disabled breaker rejected traffic")
-	}
 }
 
 // TestBreakerMixedWindow checks the rolling-window arithmetic: failures

@@ -23,7 +23,7 @@
 // the whole group shedding or the retry budget spent — surfaces as a typed
 // *Unavailable. Each sub-request round-robins over its shard's healthy
 // replicas; when the first attempt has not answered within the shard's
-// hedge delay (a tracked latency percentile, floored at Config.HedgeAfter),
+// hedge delay (a tracked latency percentile, floored at hedgeAfter),
 // a second attempt fires on another replica and the first answer wins — the
 // loser is drained and recycled in the background. The hedge timer runs
 // from Start, but a hedge is only launched from Wait: a timer that fired
@@ -119,12 +119,6 @@ type Config struct {
 	// ReconnectMax caps the doubling redial backoff.
 	ReconnectMax time.Duration
 
-	// HedgeAfter floors the hedge delay: a second read attempt never
-	// fires earlier than this, even when the tracked percentile is lower.
-	// Defaults to 1ms. Hedging only arms on shards with >= 2 replicas; the
-	// delay tracks the hedgePercentile of recent attempt latencies.
-	HedgeAfter time.Duration
-
 	// Deadline is the end-to-end budget of one read request. Every attempt
 	// is stamped with the remaining budget on the wire (so a replica sheds
 	// work the caller has already given up on, and a failover or hedge can
@@ -134,30 +128,6 @@ type Config struct {
 	// no deadline. Updates are not deadline-bounded: once appended to the
 	// shard log they are applied-eventually by design.
 	Deadline time.Duration
-
-	// BreakerWindow sizes the per-replica circuit breaker's rolling
-	// outcome window: when the failure fraction of the last BreakerWindow
-	// attempts reaches breakerThreshold, the replica stops receiving reads
-	// until a probe succeeds — which keeps a brown-out replica (alive
-	// connection, failing attempts) from eating a retry on every request.
-	// 2 to 64; zero defaults to 32, negative disables circuit breaking.
-	BreakerWindow int
-	// BreakerOpenFor is how long a tripped breaker rejects a replica
-	// before admitting one probe attempt (and the spacing between probes
-	// while the replica keeps failing). Zero defaults to 250ms.
-	BreakerOpenFor time.Duration
-
-	// RetryBudget caps failover amplification: each read entering a shard
-	// earns the shard RetryBudget failover tokens and each failover spends
-	// one, so sustained retry traffic cannot exceed RetryBudget times the
-	// offered load (plus the RetryBurst bucket). When a shard's bucket is
-	// empty the read fails with a typed *Unavailable instead of retrying.
-	// Zero defaults to 0.2; negative disables the budget. Hedges are not
-	// charged — they are bounded by design to one per request.
-	RetryBudget float64
-	// RetryBurst is the failover token bucket's capacity, allowing short
-	// failure bursts to retry freely. Zero defaults to 16.
-	RetryBurst int
 
 	// DataDir, when set, roots the router's durable state: each shard's
 	// WAL, snapshots, and hot-row lists live under DataDir/shard-NNN. A
@@ -194,13 +164,39 @@ type Config struct {
 	ReadOnly bool
 }
 
-// Fixed robustness tuning: the attempt-latency percentile a shard's hedge
-// delay tracks, and the failure fraction within a breaker window that trips
-// the breaker.
+// Fixed robustness tuning.
 const (
-	hedgePercentile  = 0.95
+	// hedgePercentile is the attempt-latency percentile a shard's hedge
+	// delay tracks; hedgeAfter floors that delay, so a second read attempt
+	// never fires earlier. Hedging only arms on shards with >= 2 replicas.
+	hedgePercentile = 0.95
+	hedgeAfter      = time.Millisecond
+	// A replica's circuit breaker trips when breakerThreshold of its last
+	// breakerWindow attempts failed, and then rejects it for breakerOpenFor
+	// before admitting one probe (the same spacing between probes while it
+	// keeps failing) — which keeps a brown-out replica (alive connection,
+	// failing attempts) from eating a retry on every request.
+	breakerWindow    = 32
 	breakerThreshold = 0.5
+	breakerOpenFor   = 250 * time.Millisecond
+	// retryBudget caps failover amplification: each read entering a shard
+	// earns the shard retryBudget failover tokens and each failover spends
+	// one, so sustained retry traffic cannot exceed retryBudget times the
+	// offered load plus the retryBurst bucket. When a shard's bucket is
+	// empty the read fails with a typed *Unavailable instead of retrying.
+	// Hedges are not charged — they are bounded by design to one per request.
+	retryBudget = 0.2
+	retryBurst  = 16
 )
+
+// tuning is the robustness tuning a router runs with: the constants above,
+// which only tests vary (export_test.go).
+type tuning struct {
+	hedgeAfter     time.Duration
+	breakerOpenFor time.Duration
+	retryBudget    float64
+	retryBurst     int
+}
 
 // ErrReadOnly is returned by ApplyUpdates on a read-only (sticky) router:
 // updates must go through the fleet's single writer.
@@ -345,8 +341,9 @@ type RemoteCluster struct {
 	// transport (fleetTransport).
 	router *cluster.Router
 	brkCfg breakerCfg
-	// retryRefill/retryCap are the resolved failover token-bucket
-	// parameters in millitokens (0 refill disables the budget).
+	// hedgeAfter floors the hedge delay; retryRefill/retryCap are the
+	// failover token-bucket parameters in millitokens.
+	hedgeAfter  time.Duration
 	retryRefill int64
 	retryCap    int64
 
@@ -373,29 +370,6 @@ type RemoteCluster struct {
 	restores  atomic.Uint64 // replicas reseated from a snapshot (RESTORE)
 }
 
-// withDefaults fills the zero fields.
-func (cfg Config) withDefaults() Config {
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 64
-	}
-	if cfg.HedgeAfter == 0 {
-		cfg.HedgeAfter = time.Millisecond
-	}
-	if cfg.BreakerWindow == 0 {
-		cfg.BreakerWindow = 32
-	}
-	if cfg.BreakerOpenFor == 0 {
-		cfg.BreakerOpenFor = 250 * time.Millisecond
-	}
-	if cfg.RetryBudget == 0 {
-		cfg.RetryBudget = 0.2
-	}
-	if cfg.RetryBurst == 0 {
-		cfg.RetryBurst = 16
-	}
-	return cfg
-}
-
 // New opens (and replays) each shard's durable update log, dials every
 // replica of every shard, validates each handshake against the placement
 // (a replica must announce exactly the flat gather-only geometry its
@@ -405,6 +379,11 @@ func (cfg Config) withDefaults() Config {
 // connection reconnects with backoff and rejoins through a catch-up
 // replay of the shard's update log.
 func New(cfg Config) (*RemoteCluster, error) {
+	return newCluster(cfg, tuning{hedgeAfter, breakerOpenFor, retryBudget, retryBurst})
+}
+
+// newCluster is New with the robustness tuning spelled out.
+func newCluster(cfg Config, tune tuning) (*RemoteCluster, error) {
 	mc := cfg.Model
 	if mc.Tables <= 0 || mc.Reduction <= 0 || mc.EmbDim <= 0 || mc.TableRows <= 0 {
 		return nil, fmt.Errorf("remote: model geometry must be positive (tables %d, reduction %d, dim %d, rows %d)",
@@ -416,8 +395,8 @@ func New(cfg Config) (*RemoteCluster, error) {
 	if len(cfg.Shards) == 0 {
 		return nil, fmt.Errorf("remote: no shards configured")
 	}
-	if cfg.MaxBatch < 0 || cfg.HedgeAfter < 0 {
-		return nil, fmt.Errorf("remote: invalid sizing (MaxBatch %d, HedgeAfter %v)", cfg.MaxBatch, cfg.HedgeAfter)
+	if cfg.MaxBatch < 0 {
+		return nil, fmt.Errorf("remote: MaxBatch %d is negative (use 0 for the default)", cfg.MaxBatch)
 	}
 	if cfg.SnapshotEvery < 0 {
 		return nil, fmt.Errorf("remote: SnapshotEvery %d is negative (use 0 for the default)", cfg.SnapshotEvery)
@@ -425,43 +404,31 @@ func New(cfg Config) (*RemoteCluster, error) {
 	if cfg.Deadline < 0 {
 		return nil, fmt.Errorf("remote: Deadline %v is negative (use 0 for no deadline)", cfg.Deadline)
 	}
-	if cfg.BreakerWindow == 1 || cfg.BreakerWindow > 64 {
-		return nil, fmt.Errorf("remote: BreakerWindow %d out of range [2, 64] (0 defaults, negative disables)", cfg.BreakerWindow)
-	}
-	if cfg.BreakerOpenFor < 0 || cfg.RetryBurst < 0 {
-		return nil, fmt.Errorf("remote: invalid robustness tuning (BreakerOpenFor %v, RetryBurst %d)",
-			cfg.BreakerOpenFor, cfg.RetryBurst)
-	}
 	if cfg.ReadOnly && cfg.DataDir != "" {
 		return nil, fmt.Errorf("remote: a read-only router holds no update log; drop DataDir %q or ReadOnly", cfg.DataDir)
 	}
-	cfg = cfg.withDefaults()
+	if cfg.MaxBatch == 0 {
+		cfg.MaxBatch = 64
+	}
 
 	rc := &RemoteCluster{
-		cfg:     cfg,
-		place:   cluster.NewPlacement(cfg.Strategy, len(cfg.Shards), mc.Tables, mc.TableRows),
-		ready:   make(chan struct{}),
-		closeCh: make(chan struct{}),
+		cfg:   cfg,
+		place: cluster.NewPlacement(cfg.Strategy, len(cfg.Shards), mc.Tables, mc.TableRows),
+		brkCfg: breakerCfg{
+			size:      breakerWindow,
+			need:      breakerWindow / 4,
+			threshold: breakerThreshold,
+			openFor:   tune.breakerOpenFor,
+		},
+		hedgeAfter:  tune.hedgeAfter,
+		retryRefill: int64(tune.retryBudget * 1000),
+		retryCap:    int64(tune.retryBurst) * 1000,
+		ready:       make(chan struct{}),
+		closeCh:     make(chan struct{}),
 	}
 	// Built before the first dial so a failing New tears down through the
 	// same Close as a running router; it serves nothing until New returns.
 	rc.router = cluster.NewRouter("remote", mc, rc.place, cfg.MaxBatch, fleetTransport{rc}, cfg.OnApplied)
-	if cfg.BreakerWindow > 0 {
-		need := cfg.BreakerWindow / 4
-		if need < 4 {
-			need = 4
-		}
-		rc.brkCfg = breakerCfg{
-			size:      cfg.BreakerWindow,
-			need:      need,
-			threshold: breakerThreshold,
-			openFor:   cfg.BreakerOpenFor,
-		}
-	}
-	if cfg.RetryBudget > 0 {
-		rc.retryRefill = int64(cfg.RetryBudget * 1000)
-		rc.retryCap = int64(cfg.RetryBurst) * 1000
-	}
 	fail := func(err error) (*RemoteCluster, error) {
 		rc.Close()
 		return nil, err
@@ -748,7 +715,7 @@ func (call *rCall) begin() {
 	call.cur = cur
 	if len(sh.replicas) > 1 {
 		call.tm = rc.timerPool.Get().(*time.Timer)
-		call.tm.Reset(sh.hedge.after(rc.cfg.HedgeAfter))
+		call.tm.Reset(sh.hedge.after(rc.hedgeAfter))
 		call.hedgeC = call.tm.C
 	}
 	if !call.deadline.IsZero() {
@@ -932,7 +899,7 @@ func (call *rCall) settle(done, other *attempt, err error) {
 	}
 	// A replacement attempt spends one of the shard's retry tokens; an
 	// empty bucket fails the read instead of amplifying the brown-out.
-	if rc.retryRefill > 0 && !sh.takeRetry() {
+	if !sh.takeRetry() {
 		rc.denied.Add(1)
 		call.fail(&Unavailable{Shard: call.s, Err: call.lastErr})
 		return
@@ -979,10 +946,7 @@ func (rc *RemoteCluster) EmbedInto(dst []float32, perTableRows [][]int, batch in
 // Geometry reports the full model's shape and limits, mirroring
 // cluster.Cluster.Geometry — which makes a RemoteCluster a valid
 // netserve.Backend.
-func (rc *RemoteCluster) Geometry() (tables, reduction, dim, tableRows, maxBatch int) {
-	mc := rc.cfg.Model
-	return mc.Tables, mc.Reduction, mc.EmbDim, mc.TableRows, rc.cfg.MaxBatch
-}
+func (rc *RemoteCluster) Geometry() wire.Geometry { return rc.router.Geometry() }
 
 // WaitReady blocks until every non-empty shard has at least one healthy
 // replica, or the timeout elapses.

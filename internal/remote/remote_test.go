@@ -133,6 +133,14 @@ func startFleet(t *testing.T, strat cluster.Strategy, nodes, replicas int) ([][]
 // embedding stays the bit-identity reference.
 func newRouter(t *testing.T, m *recsys.Model, strat cluster.Strategy, addrs [][]string, tweak func(*remote.Config)) *remote.RemoteCluster {
 	t.Helper()
+	return newTunedRouter(t, m, strat, addrs, tweak, nil)
+}
+
+// newTunedRouter is newRouter with the router's fixed robustness tuning
+// varied by tune (nil keeps it).
+func newTunedRouter(t *testing.T, m *recsys.Model, strat cluster.Strategy, addrs [][]string,
+	tweak func(*remote.Config), tune func(*remote.Tuning)) *remote.RemoteCluster {
+	t.Helper()
 	cfg := remote.Config{
 		Model:        m.Cfg,
 		Strategy:     strat,
@@ -148,6 +156,9 @@ func newRouter(t *testing.T, m *recsys.Model, strat cluster.Strategy, addrs [][]
 		tweak(&cfg)
 	}
 	rc, err := remote.New(cfg)
+	if tune != nil {
+		rc, err = remote.NewTuned(cfg, tune)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +411,8 @@ func TestHedgedReads(t *testing.T) {
 	m := buildModel(t)
 	a := startReplica(t, cluster.TableWise, 1, 0, "")
 	b := startReplica(t, cluster.TableWise, 1, 0, "")
-	rc := newRouter(t, m, cluster.TableWise, [][]string{{a.addr, b.addr}}, func(cfg *remote.Config) {
-		cfg.HedgeAfter = 200 * time.Microsecond
+	rc := newTunedRouter(t, m, cluster.TableWise, [][]string{{a.addr, b.addr}}, nil, func(tu *remote.Tuning) {
+		tu.HedgeAfter = 200 * time.Microsecond
 	})
 	a.in.SetReadDelay(40 * time.Millisecond)
 	rng := rand.New(rand.NewSource(17))

@@ -85,11 +85,11 @@ func TestBreakerCapsAmplification(t *testing.T) {
 	m := buildModel(t)
 	brown, bb := startShedReplica(t, cluster.TableWise, 1, 0)
 	good := startReplica(t, cluster.TableWise, 1, 0, "")
-	rc := newRouter(t, m, cluster.TableWise, [][]string{{brown.addr, good.addr}}, func(cfg *remote.Config) {
-		cfg.HedgeAfter = time.Second     // no hedging: isolate failover behavior
-		cfg.BreakerOpenFor = time.Minute // no probe re-admission inside the test window
-		cfg.RetryBudget = 5              // ample tokens: the breaker must be the cap
-		cfg.RetryBurst = 64
+	rc := newTunedRouter(t, m, cluster.TableWise, [][]string{{brown.addr, good.addr}}, nil, func(tu *remote.Tuning) {
+		tu.HedgeAfter = time.Second     // no hedging: isolate failover behavior
+		tu.BreakerOpenFor = time.Minute // no probe re-admission inside the test window
+		tu.RetryBudget = 5              // ample tokens: the breaker must be the cap
+		tu.RetryBurst = 64
 	})
 	bb.hold.Store(int64(300 * time.Millisecond))
 
@@ -135,7 +135,8 @@ func TestBreakerCapsAmplification(t *testing.T) {
 	}
 }
 
-// TestRetryBudgetCapsFailover disables the breaker and asserts the shard
+// TestRetryBudgetCapsFailover gives the breaker a zero open time, so a
+// tripped breaker re-admits the replica at once, and asserts the shard
 // retry budget alone bounds failover amplification: failovers can never
 // exceed burst + budget-rate x offered reads, the overflow is denied with
 // a typed *Unavailable, and the one read stuck on the wedged replica
@@ -144,11 +145,12 @@ func TestRetryBudgetCapsFailover(t *testing.T) {
 	m := buildModel(t)
 	brown, bb := startShedReplica(t, cluster.TableWise, 1, 0)
 	good := startReplica(t, cluster.TableWise, 1, 0, "")
-	rc := newRouter(t, m, cluster.TableWise, [][]string{{brown.addr, good.addr}}, func(cfg *remote.Config) {
-		cfg.HedgeAfter = 30 * time.Second // no hedging
-		cfg.BreakerWindow = -1            // breaker off: the budget is the only cap
-		cfg.Deadline = 2 * time.Second    // bounds the read wedged in the blocked slot
-		// Defaults: RetryBudget 0.2, RetryBurst 16.
+	rc := newTunedRouter(t, m, cluster.TableWise, [][]string{{brown.addr, good.addr}}, func(cfg *remote.Config) {
+		cfg.Deadline = 2 * time.Second // bounds the read wedged in the blocked slot
+	}, func(tu *remote.Tuning) {
+		tu.HedgeAfter = 30 * time.Second // no hedging
+		tu.BreakerOpenFor = 0            // breaker re-admits at once: the budget is the only cap
+		// Fixed: retryBudget 0.2, retryBurst 16.
 	})
 	bb.hold.Store(-1) // block the single admission slot outright
 

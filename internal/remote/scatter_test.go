@@ -34,8 +34,8 @@ type gateBackend struct {
 	gate    <-chan struct{}
 }
 
-func (g *gateBackend) Geometry() (tables, reduction, dim, tableRows, maxBatch int) {
-	return 1, 1, g.tbl.Dim(), g.tbl.Rows(), g.maxSub
+func (g *gateBackend) Geometry() wire.Geometry {
+	return wire.Geometry{Tables: 1, Reduction: 1, Dim: g.tbl.Dim(), TableRows: g.tbl.Rows(), MaxBatch: g.maxSub}
 }
 
 func (g *gateBackend) EmbedInto(dst []float32, perTableRows [][]int, _ int) ([]float32, error) {
@@ -174,9 +174,10 @@ func TestLateHedgeSkippedWhenPrimaryAnswered(t *testing.T) {
 			startGateReplica(t, m, nodes, 1, func() { fast <- struct{}{} }, nil),
 		},
 	}
-	rc := newRouter(t, m, cluster.TableWise, addrs, func(cfg *remote.Config) {
+	rc := newTunedRouter(t, m, cluster.TableWise, addrs, func(cfg *remote.Config) {
 		cfg.ReadOnly = true
-		cfg.HedgeAfter = 20 * time.Millisecond
+	}, func(tu *remote.Tuning) {
+		tu.HedgeAfter = 20 * time.Millisecond
 	})
 	// Registered last, so it runs first: a failed run must not leave gathers
 	// blocked inside the replicas while the router and the servers drain.

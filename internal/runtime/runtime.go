@@ -52,6 +52,7 @@ import (
 	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/tensor"
+	"tensordimm/internal/wire"
 )
 
 // scratchLane is the per-execution scratch a single table's embedding stage
@@ -120,10 +121,10 @@ type Deployment struct {
 	// Node is the TensorNode pool holding the uploaded tables and scratch.
 	Node *node.Node
 
-	tableBase []uint64 // pool byte address of each table
-	stripes   int      // stripes per embedding (k)
-	maxBatch  int
-	padSlack  uint64 // per-table output slack absorbing GATHER index padding
+	tableBase []uint64      // pool byte address of each table
+	stripes   int           // stripes per embedding (k)
+	geom      wire.Geometry // the request contract, MaxBatch = the deployment's
+	padSlack  uint64        // per-table output slack absorbing GATHER index padding
 
 	outBase  []uint64       // pooled output tensor region, one per slot
 	lanes    []*scratchLane // index + gather scratch, one per lane worker
@@ -192,7 +193,7 @@ func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int
 		Model:    m,
 		Node:     nd,
 		stripes:  embBytes / stripeBytes,
-		maxBatch: maxBatch,
+		geom:     wire.Geometry{Tables: cfg.Tables, Reduction: cfg.Reduction, Dim: cfg.EmbDim, TableRows: cfg.TableRows, MaxBatch: maxBatch},
 		freeSlot: make(chan int, slots),
 		work:     make(chan *laneJob, slots*cfg.Tables),
 		tableMu:  make([]sync.Mutex, cfg.Tables),
@@ -325,7 +326,7 @@ func (d *Deployment) Release() error {
 func (d *Deployment) Stripes() int { return d.stripes }
 
 // MaxBatch returns the largest batch one embedding execution accepts.
-func (d *Deployment) MaxBatch() int { return d.maxBatch }
+func (d *Deployment) MaxBatch() int { return d.geom.MaxBatch }
 
 // Slots returns how many batches can execute concurrently.
 func (d *Deployment) Slots() int { return len(d.outBase) }
@@ -385,6 +386,9 @@ func ExpandIndicesInto(dst []int32, rows []int, reduction, stripes int) []int32 
 // which compiles against whichever lane and slot it acquired. The compile
 // runs on a private host scratch, so it never races the lane workers.
 func (d *Deployment) CompileTable(t int, rows []int, batch int) (isa.Program, []int32, error) {
+	if r := d.Model.Cfg.Reduction; len(rows) != batch*r {
+		return nil, nil, fmt.Errorf("runtime: table %d: %d rows for batch %d x reduction %d", t, len(rows), batch, r)
+	}
 	ln := &scratchLane{idxBase: d.lanes[0].idxBase, gatherBase: d.lanes[0].gatherBase}
 	return d.compileTable(t, rows, batch, ln, d.outBase[0])
 }
@@ -392,7 +396,8 @@ func (d *Deployment) CompileTable(t int, rows []int, batch int) (isa.Program, []
 // compileTable builds one table's program against an explicit scratch lane
 // and output region: a GATHER (after the runtime loads the expanded index
 // list into the lane's shared region) followed by the pooling pass, writing
-// the pooled rows for table t at outBase + t*batch*embBytes.
+// the pooled rows for table t at outBase + t*batch*embBytes. rows must hold
+// batch x reduction valid indices (wire.Geometry.CheckRead).
 //
 // Pooling lowers as follows (Table 2 workloads):
 //   - reduction == 1: GATHER directly into the output region;
@@ -403,10 +408,6 @@ func (d *Deployment) CompileTable(t int, rows []int, batch int) (isa.Program, []
 //     (none of the paper's workloads need it).
 func (d *Deployment) compileTable(t int, rows []int, batch int, ln *scratchLane, out uint64) (isa.Program, []int32, error) {
 	cfg := d.Model.Cfg
-	if len(rows) != batch*cfg.Reduction {
-		return nil, nil, fmt.Errorf("runtime: table %d: %d rows for batch %d x reduction %d",
-			t, len(rows), batch, cfg.Reduction)
-	}
 	outBase := (out + uint64(t)*d.outStride(batch)) / isa.BlockBytes
 	tableBase := d.tableBase[t] / isa.BlockBytes
 	idxBase := ln.idxBase / isa.BlockBytes
@@ -484,8 +485,8 @@ func (d *Deployment) runTable(ln *scratchLane, out uint64, t int, rows []int, ba
 // sized with more than one lane.
 func (d *Deployment) RunEmbedding(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
 	cfg := d.Model.Cfg
-	if batch < 0 || batch > d.maxBatch {
-		return nil, fmt.Errorf("runtime: batch %d exceeds deployment maxBatch %d", batch, d.maxBatch)
+	if err := d.geom.CheckRead(perTableRows, batch); err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
 	}
 	dst := make([]float32, batch*cfg.Tables*cfg.EmbDim)
 	if err := d.RunEmbeddingInto(dst, perTableRows, batch); err != nil {
@@ -499,18 +500,16 @@ func (d *Deployment) RunEmbedding(perTableRows [][]int, batch int) (*tensor.Tens
 // exactly batch*tables*dim. It is the zero-allocation variant of the hot
 // serving path: the caller owns dst for the duration of the call and may
 // reuse it across calls; the deployment never retains a reference to it.
+// The read is checked (wire.Geometry.CheckRead) before any instruction runs.
 func (d *Deployment) RunEmbeddingInto(dst []float32, perTableRows [][]int, batch int) error {
 	cfg := d.Model.Cfg
+	if err := d.geom.CheckRead(perTableRows, batch); err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
 	if err := d.enter(); err != nil {
 		return err
 	}
 	defer d.inflight.Done()
-	if batch > d.maxBatch {
-		return fmt.Errorf("runtime: batch %d exceeds deployment maxBatch %d", batch, d.maxBatch)
-	}
-	if len(perTableRows) != cfg.Tables {
-		return fmt.Errorf("runtime: %d index lists for %d tables", len(perTableRows), cfg.Tables)
-	}
 	width := cfg.Tables * cfg.EmbDim
 	if len(dst) != batch*width {
 		return fmt.Errorf("runtime: destination holds %d floats, batch %d needs %d", len(dst), batch, batch*width)
@@ -577,6 +576,31 @@ type TableUpdate struct {
 	Grads *tensor.Tensor
 }
 
+// Check validates one update against g: Grads is a [len(Rows), Dim]
+// tensor, and table and rows are a valid write (wire.Geometry.CheckRows).
+func (up TableUpdate) Check(g wire.Geometry) error {
+	if up.Grads == nil || up.Grads.Rank() != 2 || up.Grads.Dim(0) != len(up.Rows) || up.Grads.Dim(1) != g.Dim {
+		return fmt.Errorf("gradient shape for %d rows of dim %d", len(up.Rows), g.Dim)
+	}
+	return g.CheckRows(up.Table, up.Rows, up.Grads.Len())
+}
+
+// CheckUpdates validates an update batch against g: at least one entry,
+// and every entry passing TableUpdate.Check. Every entry point that takes
+// updates runs it before anything executes, so an invalid entry leaves
+// every table untouched.
+func CheckUpdates(ups []TableUpdate, g wire.Geometry) error {
+	if len(ups) == 0 {
+		return fmt.Errorf("empty update batch")
+	}
+	for i, up := range ups {
+		if err := up.Check(g); err != nil {
+			return fmt.Errorf("update %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // UpdateTable applies per-row gradient accumulation to table t near-memory
 // via the SCATTER_ADD extension: table[rows[i]] += grads.Row(i). It is
 // ApplyUpdates for a single table; see there for the ordering contract.
@@ -639,18 +663,10 @@ func (d *Deployment) RestoreRowsToNode(t int, rows []int, vals []float32) error 
 
 func (d *Deployment) restoreRows(t int, rows []int, vals []float32, writeThrough bool) error {
 	cfg := d.Model.Cfg
-	if t < 0 || t >= cfg.Tables {
-		return fmt.Errorf("runtime: restore: table %d out of range", t)
-	}
-	if len(vals) != len(rows)*cfg.EmbDim {
-		return fmt.Errorf("runtime: restore: %d values for %d rows of dim %d", len(vals), len(rows), cfg.EmbDim)
+	if err := d.geom.CheckRows(t, rows, len(vals)); err != nil {
+		return fmt.Errorf("runtime: restore: %w", err)
 	}
 	tb := d.Model.Embedding.Tables[t]
-	for _, r := range rows {
-		if r < 0 || r >= tb.Rows() {
-			return fmt.Errorf("runtime: restore: row %d out of range [0, %d)", r, tb.Rows())
-		}
-	}
 	if err := d.enter(); err != nil {
 		return err
 	}
@@ -709,33 +725,15 @@ func AccumulateGolden(table *embed.Table, up TableUpdate) {
 // fleet's writers issue — has nothing to group or fan out: it runs on the
 // caller's goroutine and allocates nothing.
 func (d *Deployment) applyUpdates(ups []TableUpdate, writeThrough bool) error {
-	cfg := d.Model.Cfg
+	// The cap of maxBatch x reduction rows per entry also keeps scatterTable's
+	// padded stripes within the lane scratch (idxCap, the gather slack).
+	if err := CheckUpdates(ups, d.geom); err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
 	if err := d.enter(); err != nil {
 		return err
 	}
 	defer d.inflight.Done()
-	for i, up := range ups {
-		if up.Table < 0 || up.Table >= cfg.Tables {
-			return fmt.Errorf("runtime: update %d: table %d out of range", i, up.Table)
-		}
-		if up.Grads == nil || up.Grads.Rank() != 2 || up.Grads.Dim(0) != len(up.Rows) || up.Grads.Dim(1) != cfg.EmbDim {
-			return fmt.Errorf("runtime: update %d: gradient shape for %d rows of dim %d", i, len(up.Rows), cfg.EmbDim)
-		}
-		for _, r := range up.Rows {
-			if r < 0 || r >= d.Model.Embedding.Tables[up.Table].Rows() {
-				return fmt.Errorf("runtime: update %d: row %d out of range [0, %d)",
-					i, r, d.Model.Embedding.Tables[up.Table].Rows())
-			}
-		}
-		// Capacity check against the PADDED stripe count: ExpandIndices
-		// rounds up to a whole 16-index block and the zero staging in
-		// scatterTable writes a stripe for every padded slot, so the bound
-		// must cover the rounding or the zeros spill past the scratch.
-		padded := (len(up.Rows)*d.stripes + isa.LanesPerBlock - 1) / isa.LanesPerBlock * isa.LanesPerBlock
-		if padded > (d.maxBatch*cfg.Reduction*d.stripes)+isa.LanesPerBlock {
-			return fmt.Errorf("runtime: update %d: %d gradient rows exceed scratch capacity", i, len(up.Rows))
-		}
-	}
 
 	if oneTable(ups) {
 		return d.applyTableGroup(ups[0].Table, ups, writeThrough)

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -178,6 +179,41 @@ func TestBatchLimits(t *testing.T) {
 	}
 	if _, _, err := d.CompileTable(0, []int{1, 2, 3}, 1); err == nil {
 		t.Fatal("want row-count error")
+	}
+}
+
+// TestRunEmbeddingRejectsOutOfRangeRows pins the runtime's read check: the
+// tables sit back to back in the pool, so an unchecked row past table 0
+// gathers table 1's row 0 and one past the last table reads whatever was
+// allocated next. Both read paths must refuse, naming the table and row,
+// before any instruction runs.
+func TestRunEmbeddingRejectsOutOfRangeRows(t *testing.T) {
+	cfg := smallConfig("oob", 2, 1, 128, false, isa.RAdd)
+	d := deploy(t, cfg, 8, 2)
+	last := cfg.Tables - 1
+	cases := []struct {
+		name  string
+		rows  [][]int
+		batch int
+		want  string
+	}{
+		{"table 0, row TableRows", [][]int{{cfg.TableRows}, {0}}, 1, fmt.Sprintf("table 0: row index %d", cfg.TableRows)},
+		{"last table, row TableRows+3", [][]int{{0}, {cfg.TableRows + 3}}, 1, fmt.Sprintf("table %d: row index %d", last, cfg.TableRows+3)},
+		{"row -1", [][]int{{-1}, {0}}, 1, "table 0: row index -1"},
+		{"batch 0", [][]int{{}, {}}, 0, "batch 0"},
+	}
+	before := d.Node.Stats()
+	for _, tc := range cases {
+		if _, err := d.RunEmbedding(tc.rows, tc.batch); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunEmbedding, %s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+		dst := make([]float32, tc.batch*cfg.Tables*cfg.EmbDim)
+		if err := d.RunEmbeddingInto(dst, tc.rows, tc.batch); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("RunEmbeddingInto, %s: err = %v, want one naming %q", tc.name, err, tc.want)
+		}
+	}
+	if s := d.Node.Stats(); s != before {
+		t.Errorf("rejected reads executed instructions: %+v, before %+v", s, before)
 	}
 }
 

@@ -50,6 +50,7 @@ import (
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
+	"tensordimm/internal/wire"
 )
 
 // Hop indices of the serve tracer: queue wait (submission to execution
@@ -178,8 +179,7 @@ type Server struct {
 	// each write exactly once.
 	writeThrough []bool
 
-	tables, dim, reduction int // model geometry, cached for the hot path
-	width                  int // tables*dim, the embedding row width
+	geom wire.Geometry // the request contract, MaxBatch = cfg.MaxBatch
 
 	mu       sync.Mutex
 	closed   bool
@@ -280,10 +280,7 @@ func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
 	s := &Server{
 		cfg:       cfg,
 		deps:      deps,
-		tables:    ref.Tables,
-		dim:       ref.EmbDim,
-		reduction: ref.Reduction,
-		width:     ref.Tables * ref.EmbDim,
+		geom:      wire.Geometry{Tables: ref.Tables, Reduction: ref.Reduction, Dim: ref.EmbDim, TableRows: ref.TableRows, MaxBatch: cfg.MaxBatch},
 		queue:     make(chan *request, queueDepth),
 		closeDone: make(chan struct{}),
 		started:   time.Now(),
@@ -360,8 +357,8 @@ func (s *Server) Node() *node.Node { return s.node }
 // perTableRows holds batch x reduction row indices per table, exactly as
 // Deployment.Infer takes them. Safe for concurrent use.
 func (s *Server) Infer(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	if err := s.validateRead(perTableRows, batch); err != nil {
-		return nil, err
+	if err := s.geom.CheckRead(perTableRows, batch); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
 	req := getRequest()
 	req.rows, req.batch, req.infer = perTableRows, batch, true
@@ -380,7 +377,7 @@ func (s *Server) Embed(perTableRows [][]int, batch int) (*tensor.Tensor, error) 
 	if err != nil {
 		return nil, err
 	}
-	return tensor.FromSlice(dst, batch, s.width)
+	return tensor.FromSlice(dst, batch, s.geom.Width())
 }
 
 // EmbedInto is Embed writing the pooled [batch, tables*dim] values
@@ -412,10 +409,10 @@ type Pending struct{ req *request }
 // drains a started read like any other accepted request: its Wait delivers
 // the result even after Close returned.
 func (s *Server) StartEmbedInto(dst []float32, perTableRows [][]int, batch int) (Pending, error) {
-	if err := s.validateRead(perTableRows, batch); err != nil {
-		return Pending{}, err
+	if err := s.geom.CheckRead(perTableRows, batch); err != nil {
+		return Pending{}, fmt.Errorf("serve: %w", err)
 	}
-	need := batch * s.width
+	need := batch * s.geom.Width()
 	if cap(dst) < need {
 		dst = make([]float32, need)
 	}
@@ -437,37 +434,12 @@ func (p Pending) Wait() ([]float32, error) {
 	return dst, nil
 }
 
-// validateRead checks one read submission against the server geometry.
-func (s *Server) validateRead(perTableRows [][]int, batch int) error {
-	cfg := s.deps[0].Model.Cfg
-	if batch <= 0 || batch > s.cfg.MaxBatch {
-		return fmt.Errorf("serve: batch %d out of range [1, %d]", batch, s.cfg.MaxBatch)
-	}
-	if len(perTableRows) != s.tables {
-		return fmt.Errorf("serve: %d index lists for %d tables", len(perTableRows), s.tables)
-	}
-	for t, rows := range perTableRows {
-		if len(rows) != batch*s.reduction {
-			return fmt.Errorf("serve: table %d: %d rows for batch %d x reduction %d",
-				t, len(rows), batch, s.reduction)
-		}
-		for _, r := range rows {
-			if r < 0 || r >= cfg.TableRows {
-				return fmt.Errorf("serve: table %d: row index %d out of range [0, %d)", t, r, cfg.TableRows)
-			}
-		}
-	}
-	return nil
-}
-
 // Geometry reports the served model's shape and limits: table count,
 // pooling reduction, embedding dimension, table height, and the per-request
 // batch cap. The network serving plane announces exactly these numbers in
 // its wire handshake, so a remote client can validate and size every
 // request without out-of-band configuration.
-func (s *Server) Geometry() (tables, reduction, dim, tableRows, maxBatch int) {
-	return s.tables, s.reduction, s.dim, s.deps[0].Model.Cfg.TableRows, s.cfg.MaxBatch
-}
+func (s *Server) Geometry() wire.Geometry { return s.geom }
 
 // Update submits a batch of embedding-table gradient updates through the
 // same micro-batching queue as reads. Within a merged batch, updates apply
@@ -476,28 +448,12 @@ func (s *Server) Geometry() (tables, reduction, dim, tableRows, maxBatch int) {
 // waits for Update to return is guaranteed every later read observes the
 // update. The update is applied to every replica deployment (write-through
 // to each distinct golden model exactly once), so replicas stay
-// bit-identical. Safe for concurrent use.
+// bit-identical. The batch is checked (runtime.CheckUpdates) at submit, so
+// a bad update never fails the merged batch it would have joined. Safe for
+// concurrent use.
 func (s *Server) Update(ups []runtime.TableUpdate) error {
-	cfg := s.deps[0].Model.Cfg
-	if len(ups) == 0 {
-		return fmt.Errorf("serve: empty update batch")
-	}
-	for i, up := range ups {
-		if up.Table < 0 || up.Table >= cfg.Tables {
-			return fmt.Errorf("serve: update %d: table %d out of range [0, %d)", i, up.Table, cfg.Tables)
-		}
-		if up.Grads == nil || up.Grads.Rank() != 2 || up.Grads.Dim(0) != len(up.Rows) || up.Grads.Dim(1) != cfg.EmbDim {
-			return fmt.Errorf("serve: update %d: gradient shape for %d rows of dim %d", i, len(up.Rows), cfg.EmbDim)
-		}
-		if len(up.Rows) > s.cfg.MaxBatch*cfg.Reduction {
-			return fmt.Errorf("serve: update %d: %d rows exceed the %d-row update cap",
-				i, len(up.Rows), s.cfg.MaxBatch*cfg.Reduction)
-		}
-		for _, r := range up.Rows {
-			if r < 0 || r >= cfg.TableRows {
-				return fmt.Errorf("serve: update %d: row index %d out of range [0, %d)", i, r, cfg.TableRows)
-			}
-		}
+	if err := runtime.CheckUpdates(ups, s.geom); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
 	req := getRequest()
 	req.updates = ups
@@ -550,11 +506,11 @@ func (s *Server) worker() {
 		reqs:   make([]*request, 0, queueDepth),
 		ups:    make([]*request, 0, queueDepth),
 		reads:  make([]*request, 0, queueDepth),
-		merged: make([][]int, s.tables),
-		emb:    make([]float32, s.cfg.MaxBatch*s.width),
+		merged: make([][]int, s.geom.Tables),
+		emb:    make([]float32, s.cfg.MaxBatch*s.geom.Width()),
 	}
 	for t := range ws.merged {
-		ws.merged[t] = make([]int, 0, s.cfg.MaxBatch*s.reduction)
+		ws.merged[t] = make([]int, 0, s.cfg.MaxBatch*s.geom.Reduction)
 	}
 	var pending *request
 	for {
@@ -638,7 +594,7 @@ func (s *Server) execute(ws *workerScratch, total int) {
 		ws.merged[t] = rows
 	}
 
-	emb := ws.emb[:total*s.width]
+	emb := ws.emb[:total*s.geom.Width()]
 	s.tblMu.RLock()
 	err := dep.RunEmbeddingInto(emb, ws.merged, total)
 	s.tblMu.RUnlock()
@@ -657,11 +613,11 @@ func (s *Server) execute(ws *workerScratch, total int) {
 	// independent of co-batched rows).
 	off := 0
 	for _, r := range reads {
-		rows := emb[off*s.width : (off+r.batch)*s.width]
+		rows := emb[off*s.geom.Width() : (off+r.batch)*s.geom.Width()]
 		off += r.batch
 		var res result
 		if r.infer {
-			view, err := tensor.FromSlice(rows, r.batch, s.width)
+			view, err := tensor.FromSlice(rows, r.batch, s.geom.Width())
 			if err == nil {
 				view, err = dep.Model.InferFromEmbeddings(view)
 			}
@@ -746,23 +702,8 @@ func (s *Server) fanOutUpdate(ups []runtime.TableUpdate) error {
 // overwritten, so a read-only router hitting a replica mid-restore can
 // never observe a torn row.
 func (s *Server) Restore(table int, rows []int, vals []float32) error {
-	cfg := s.deps[0].Model.Cfg
-	if table < 0 || table >= cfg.Tables {
-		return fmt.Errorf("serve: restore: table %d out of range [0, %d)", table, cfg.Tables)
-	}
-	if len(rows) == 0 {
-		return fmt.Errorf("serve: restore: empty row set")
-	}
-	if len(rows) > s.cfg.MaxBatch*cfg.Reduction {
-		return fmt.Errorf("serve: restore: %d rows exceed the %d-row cap", len(rows), s.cfg.MaxBatch*cfg.Reduction)
-	}
-	if len(vals) != len(rows)*cfg.EmbDim {
-		return fmt.Errorf("serve: restore: %d values for %d rows of dim %d", len(vals), len(rows), cfg.EmbDim)
-	}
-	for _, r := range rows {
-		if r < 0 || r >= cfg.TableRows {
-			return fmt.Errorf("serve: restore: row index %d out of range [0, %d)", r, cfg.TableRows)
-		}
+	if err := s.geom.CheckRows(table, rows, len(vals)); err != nil {
+		return fmt.Errorf("serve: restore: %w", err)
 	}
 	s.mu.Lock()
 	if s.closed {

@@ -206,7 +206,10 @@ func (c ErrCode) String() string {
 
 // Geometry is the model shape the server announces in its handshake: with
 // it a client can validate and size every request and destination buffer
-// without any out-of-band configuration.
+// without any out-of-band configuration. It is also the serving stack's one
+// model-shape type: CheckRead and CheckRows are the request contract every
+// entry point (runtime, serve, both routers, netclient) applies before it
+// does any work.
 type Geometry struct {
 	// Tables is the embedding table count of the served model.
 	Tables int
@@ -232,6 +235,54 @@ func (g Geometry) Width() int { return g.Tables * g.Dim }
 func (g Geometry) Validate() error {
 	if g.Tables <= 0 || g.Reduction <= 0 || g.Dim <= 0 || g.TableRows <= 0 || g.MaxBatch <= 0 {
 		return fmt.Errorf("wire: invalid geometry %+v (all fields must be positive)", g)
+	}
+	return nil
+}
+
+// CheckRead is the read half of the request contract: batch is in [1,
+// MaxBatch], there is one row list per table, each list holds batch x
+// Reduction rows, and every row is in [0, TableRows). The tables sit back to
+// back in a TensorNode's pool, so a row past its table would read the next
+// one. Errors carry no package prefix; each caller wraps them with its own.
+func (g Geometry) CheckRead(perTableRows [][]int, batch int) error {
+	if batch <= 0 || batch > g.MaxBatch {
+		return fmt.Errorf("batch %d out of range [1, %d]", batch, g.MaxBatch)
+	}
+	if len(perTableRows) != g.Tables {
+		return fmt.Errorf("%d index lists for %d tables", len(perTableRows), g.Tables)
+	}
+	n := batch * g.Reduction
+	for t, rows := range perTableRows {
+		if len(rows) != n {
+			return fmt.Errorf("table %d: %d rows for batch %d x reduction %d", t, len(rows), batch, g.Reduction)
+		}
+		for _, r := range rows {
+			if r < 0 || r >= g.TableRows {
+				return fmt.Errorf("table %d: row index %d out of range [0, %d)", t, r, g.TableRows)
+			}
+		}
+	}
+	return nil
+}
+
+// CheckRows is the write half of the request contract, shared by updates
+// and snapshot restores: table is in range, rows holds 1 to MaxBatch x
+// Reduction entries (one request's worth), every row is in [0, TableRows),
+// and vals — the value count that rides along — is len(rows) x Dim.
+func (g Geometry) CheckRows(table int, rows []int, vals int) error {
+	if table < 0 || table >= g.Tables {
+		return fmt.Errorf("table %d out of range [0, %d)", table, g.Tables)
+	}
+	if maxRows := g.MaxBatch * g.Reduction; len(rows) == 0 || len(rows) > maxRows {
+		return fmt.Errorf("%d rows out of range [1, %d]", len(rows), maxRows)
+	}
+	for _, r := range rows {
+		if r < 0 || r >= g.TableRows {
+			return fmt.Errorf("table %d: row index %d out of range [0, %d)", table, r, g.TableRows)
+		}
+	}
+	if vals != len(rows)*g.Dim {
+		return fmt.Errorf("%d values for %d rows of dim %d", vals, len(rows), g.Dim)
 	}
 	return nil
 }

@@ -193,6 +193,97 @@ func TestDecodeEmbedRejectsBadShapes(t *testing.T) {
 	}
 }
 
+// TestRequestContract pins CheckRead and CheckRows: every rejection class,
+// and acceptance exactly at each boundary (batch == MaxBatch, rows ==
+// MaxBatch x Reduction, row == TableRows-1).
+func TestRequestContract(t *testing.T) {
+	g := testGeom
+	lists := func(batch int, set func(t, i int) int) [][]int {
+		rows := make([][]int, g.Tables)
+		for t := range rows {
+			rows[t] = make([]int, batch*g.Reduction)
+			for i := range rows[t] {
+				rows[t][i] = set(t, i)
+			}
+		}
+		return rows
+	}
+	zero := func(int, int) int { return 0 }
+	rowAt := func(tbl, row int) func(t, i int) int {
+		return func(t, i int) int {
+			if t == tbl && i == 0 {
+				return row
+			}
+			return 0
+		}
+	}
+	last := g.Tables - 1
+	reads := []struct {
+		name  string
+		rows  [][]int
+		batch int
+		want  string // "" accepts
+	}{
+		{"batch 1", lists(1, zero), 1, ""},
+		{"batch == MaxBatch, row == TableRows-1", lists(g.MaxBatch, rowAt(last, g.TableRows-1)), g.MaxBatch, ""},
+		{"zero batch", lists(0, zero), 0, "batch 0 out of range"},
+		{"negative batch", lists(0, zero), -1, "batch -1 out of range"},
+		{"batch above MaxBatch", lists(g.MaxBatch+1, zero), g.MaxBatch + 1, "out of range [1, 16]"},
+		{"missing table list", lists(1, zero)[1:], 1, "2 index lists for 3 tables"},
+		{"extra table list", append(lists(1, zero), []int{0, 0}), 1, "4 index lists for 3 tables"},
+		{"short row list", append(lists(1, zero)[:last], []int{0}), 1, "table 2: 1 rows for batch 1"},
+		{"long row list", lists(2, zero), 1, "table 0: 4 rows for batch 1"},
+		{"row == TableRows", lists(1, rowAt(0, g.TableRows)), 1, "table 0: row index 640 out of range"},
+		{"row past the last table", lists(1, rowAt(last, g.TableRows+3)), 1, "table 2: row index 643 out of range"},
+		{"negative row", lists(1, rowAt(1, -1)), 1, "table 1: row index -1 out of range"},
+	}
+	for _, tc := range reads {
+		err := g.CheckRead(tc.rows, tc.batch)
+		if tc.want == "" && err != nil {
+			t.Errorf("CheckRead %s: rejected: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("CheckRead %s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+
+	maxRows := g.MaxBatch * g.Reduction
+	n := func(k, row int) []int {
+		rows := make([]int, k)
+		if k > 0 {
+			rows[k-1] = row
+		}
+		return rows
+	}
+	writes := []struct {
+		name  string
+		table int
+		rows  []int
+		vals  int
+		want  string
+	}{
+		{"one row", 0, n(1, 0), g.Dim, ""},
+		{"rows == MaxBatch x Reduction, row == TableRows-1", last, n(maxRows, g.TableRows-1), maxRows * g.Dim, ""},
+		{"negative table", -1, n(1, 0), g.Dim, "table -1 out of range [0, 3)"},
+		{"table past the last", g.Tables, n(1, 0), g.Dim, "table 3 out of range [0, 3)"},
+		{"zero rows", 0, nil, 0, "0 rows out of range [1, 32]"},
+		{"rows above the cap", 0, n(maxRows+1, 0), (maxRows + 1) * g.Dim, "33 rows out of range [1, 32]"},
+		{"row == TableRows", 1, n(2, g.TableRows), 2 * g.Dim, "table 1: row index 640 out of range"},
+		{"negative row", 1, n(1, -1), g.Dim, "table 1: row index -1 out of range"},
+		{"short values", 0, n(2, 0), 2*g.Dim - 1, "15 values for 2 rows of dim 8"},
+		{"long values", 0, n(1, 0), g.Dim + 1, "9 values for 1 rows of dim 8"},
+	}
+	for _, tc := range writes {
+		err := g.CheckRows(tc.table, tc.rows, tc.vals)
+		if tc.want == "" && err != nil {
+			t.Errorf("CheckRows %s: rejected: %v", tc.name, err)
+		}
+		if tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+			t.Errorf("CheckRows %s: err = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 func TestEmbedRespRoundTrip(t *testing.T) {
 	vals := []float32{0, 1.5, -2.25, float32(math.Inf(1)), float32(math.NaN()), 3.1415927}
 	frame := AppendEmbedResp(nil, 7, vals)
