@@ -8,21 +8,31 @@ import (
 	"tensordimm/internal/isa"
 )
 
-// Fuzz geometry: a rank small enough that random bases overlap each other
-// and run off the end all the time.
+// Fuzz geometry: bases crowd the first fuzzNearBlocks of the rank, so they
+// overlap each other all the time, or sit in its last blocks and run off the
+// end; the rank is long enough for a GATHER past two windows (gatherWindow)
+// to fit behind a near base.
 const (
-	fuzzLocalBlocks  = 96
-	fuzzSharedBlocks = 12
+	fuzzLocalBlocks  = 800
+	fuzzNearBlocks   = 100
+	fuzzMaxIdxBlocks = 40 // the longest index list, in blocks: 640 indices
+	fuzzSharedBlocks = fuzzMaxIdxBlocks + 12
 	fuzzMaxInstrs    = 16
 	fuzzInstrBytes   = 8
 )
 
 // fuzzInstruction decodes one instruction from eight bytes. Bases land on
-// stripe boundaries seven times out of eight and reach a little past the
-// rank; counts stay small enough that most instructions fit.
+// stripe boundaries seven times out of eight; a byte below 200 names one of
+// the first fuzzNearBlocks stripes, one above it the rank's last 52 stripes
+// or the 4 just past them. Counts stay small enough that most instructions
+// fit, except that an index list may run past the replicated region.
 func fuzzInstruction(b []byte, dim int) isa.Instruction {
 	base := func(v byte, skew byte) uint64 {
-		g := uint64(v%(fuzzLocalBlocks+4)) * uint64(dim)
+		g := uint64(v % fuzzNearBlocks)
+		if v >= 2*fuzzNearBlocks {
+			g = fuzzLocalBlocks - 52 + uint64(v-2*fuzzNearBlocks)
+		}
+		g *= uint64(dim)
 		if skew%8 == 7 {
 			g += 1 + uint64(skew>>3)%uint64(dim)
 		}
@@ -36,8 +46,8 @@ func fuzzInstruction(b []byte, dim int) isa.Instruction {
 	}
 	switch in.Op {
 	case isa.OpGather, isa.OpScatterAdd:
-		in.Aux = uint64(b[2] % (fuzzSharedBlocks + 1))
-		in.Count = isa.LanesPerBlock * uint32(1+b[4]%3)
+		in.Aux = uint64(b[2] % 16)
+		in.Count = isa.LanesPerBlock * uint32(1+b[4]%fuzzMaxIdxBlocks)
 	case isa.OpReduce:
 		in.Aux = base(b[2], b[7])
 		in.Count = 1 + uint32(b[4]%24)
@@ -57,7 +67,7 @@ func FuzzNMPBulkVsReference(f *testing.F) {
 	// One of each opcode over aligned operands; an in-place REDUCE chain; a
 	// GATHER whose output smears over its own table; misaligned and
 	// out-of-range bases; SCATTER_ADD straight after the GATHER that read
-	// the same rows.
+	// the same rows; index lists of 640, two and a half GATHER windows.
 	f.Add([]byte{3, 1, 1,
 		0, 10, 2, 60, 1, 0, 0, 0, // GATHER
 		1, 60, 40, 70, 7, 0, 0, 0, // REDUCE.add
@@ -74,10 +84,14 @@ func FuzzNMPBulkVsReference(f *testing.F) {
 	f.Add([]byte{3, 2, 4,
 		0, 10, 2, 60, 1, 7, 0, 0, // misaligned table base
 		1, 60, 40, 70, 7, 0, 0, 15, // misaligned operand B
-		0, 97, 2, 60, 1, 0, 0, 0, // table base past the rank
-		3, 10, 12, 60, 0, 0, 0, 0, // index block past the region
-		1, 90, 40, 70, 23, 0, 0, 0, // operand A runs off the end
+		0, 255, 2, 60, 1, 0, 0, 0, // table base past the rank
+		3, 10, 15, 60, 39, 0, 0, 0, // index list past the region
+		1, 250, 40, 70, 23, 0, 0, 0, // operand A runs off the end
 		1, 0, 8, 16, 3, 0, 0, 0}) // and the core still works afterwards
+	f.Add([]byte{2, 0, 4,
+		0, 10, 0, 20, 39, 0, 0, 0, // GATHER of 640 over rows its output later covers
+		3, 10, 0, 20, 39, 0, 0, 0, // SCATTER_ADD of the same list
+		0, 10, 0, 13, 39, 0, 0, 0}) // GATHER smearing over its own table
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -87,11 +101,11 @@ func FuzzNMPBulkVsReference(f *testing.F) {
 		rng := rand.New(rand.NewSource(int64(data[2])))
 		fillFloats(env.local, rng)
 		// Index lists: runs of consecutive stripes near the table base, one
-		// run in sixteen anywhere up to just past the rank; one shared block
-		// in eight stays unwritten.
+		// run in 64 anywhere up to just past the rank; one shared block in
+		// 64 stays unwritten (a 640-index list is whole half the time).
 		for i := 0; i < fuzzSharedBlocks*isa.LanesPerBlock; {
 			first, run := rng.Intn(fuzzLocalBlocks/4), 1+rng.Intn(6)
-			if rng.Intn(16) == 0 {
+			if rng.Intn(64) == 0 {
 				first = rng.Intn(fuzzLocalBlocks + 2)
 			}
 			for s := 0; s < run && i < fuzzSharedBlocks*isa.LanesPerBlock; s++ {
@@ -100,7 +114,7 @@ func FuzzNMPBulkVsReference(f *testing.F) {
 			}
 		}
 		for b := range env.written {
-			env.written[b] = rng.Intn(8) != 0
+			env.written[b] = rng.Intn(64) != 0
 		}
 		d := newDuo(t, env)
 		prog := data[3:]

@@ -111,6 +111,8 @@ const (
 	ktTable, ktInA, ktInB, ktOut, ktGrad, ktRows = 100, 400, 600, 800, 900, 256
 	ktIdx                                        = 10 // first index block
 	ktGroup                                      = 3  // AVERAGE group size
+	// ktLong is the long index list: three GATHER windows and a tail.
+	ktLong = 3*gatherWindow + 48
 )
 
 // ktInstruction is the well-formed instruction of each opcode at count.
@@ -139,6 +141,22 @@ func TestKernelsMatchReference(t *testing.T) {
 	// setIdx overwrites index i of the list the instruction walks.
 	setIdx := func(env *fakeEnv, i int, v uint32) {
 		binary.NativeEndian.PutUint32(env.shared[ktIdx*isa.BlockBytes+i*4:], v)
+	}
+	// longList makes the list ktLong indices long — three GATHER windows and
+	// a tail — continuing the 4-stripe runs the first 48 indices hold.
+	longList := func(env *fakeEnv) {
+		for i := 48; i < ktLong; i += 4 {
+			row := (i/4*37 + 11) % (ktRows / 4)
+			for s := 0; s < 4; s++ {
+				setIdx(env, i+s, uint32(row*4+s))
+			}
+		}
+		for b := 0; b < ktLong/isa.LanesPerBlock; b++ {
+			env.written[ktIdx+b] = true
+		}
+	}
+	if ktOut+ktLong > fakeBlocks || ktGrad+ktLong > fakeBlocks {
+		t.Fatalf("a %d-index list does not fit the kernel table's rank", ktLong)
 	}
 	cases := []struct {
 		name    string
@@ -203,6 +221,30 @@ func TestKernelsMatchReference(t *testing.T) {
 		// the groups that read them.
 		{name: "output inside its own group input", count: 16, only: []isa.Opcode{isa.OpAverage},
 			mutate: func(in *isa.Instruction, _ *fakeEnv) { in.OutputBase = in.InputBase + ktDim*ktGroup*8 }},
+		// Index lists longer than a GATHER window (gatherWindow): the touch
+		// of each next window, the runs that cross into it, a fault past it.
+		{name: "three windows and a tail", count: ktLong, only: indexed,
+			mutate: func(_ *isa.Instruction, env *fakeEnv) { longList(env) }},
+		{name: "index past capacity just past the first window", count: ktLong, only: indexed, wantErr: true,
+			mutate: func(_ *isa.Instruction, env *fakeEnv) {
+				longList(env)
+				setIdx(env, gatherWindow+1, fakeBlocks-ktTable)
+			}},
+		{name: "run straddles a window boundary", count: ktLong, only: indexed,
+			mutate: func(_ *isa.Instruction, env *fakeEnv) {
+				longList(env)
+				for i := -3; i < 6; i++ {
+					setIdx(env, gatherWindow+i, uint32(40+i))
+				}
+			}},
+		{name: "output smears over the rows ahead across windows", count: ktLong, only: []isa.Opcode{isa.OpGather},
+			mutate: func(in *isa.Instruction, env *fakeEnv) {
+				longList(env)
+				for i := 0; i < ktLong; i++ {
+					setIdx(env, i, uint32(i)) // one run through every window
+				}
+				in.OutputBase = in.InputBase + ktDim*3
+			}},
 	}
 	for _, op := range []isa.Opcode{isa.OpGather, isa.OpReduce, isa.OpAverage, isa.OpScatterAdd} {
 		for _, rop := range []isa.ReduceOp{isa.RAdd, isa.RSub, isa.RMul, isa.RMax} {

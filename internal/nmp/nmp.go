@@ -18,15 +18,17 @@
 // What runs here is one bulk kernel per opcode. A kernel resolves its
 // operands once per instruction into slices of the DIMM's rank-local bytes
 // (Env.Local), streams them — GATHER coalesces consecutive stripe indices
-// into one copy; REDUCE, AVERAGE and SCATTER_ADD switch on their operator
-// once and run one flat loop over []float32 views of whole operand runs —
-// and adds the block, index-read, ALU and queue-occupancy counts the FSM
-// would have produced arithmetically. Rank bytes are host-native (float32
-// and int32 lanes in the machine's own byte order), so a view is the data,
-// with nothing to decode; the wire and on-disk formats, not the rank, fix a
-// byte order. The block-at-a-time FSM of Figure 9, queues and
-// forward path included, lives on in this package's tests as the reference
-// model every kernel is differentially fuzzed against
+// into one copy, window by window, first touching the rows of the next
+// window so their misses overlap; REDUCE, AVERAGE and SCATTER_ADD switch on
+// their operator once and run one flat loop over []float32 views of whole
+// operand runs — and adds the block, index-read, ALU and queue-occupancy
+// counts the FSM would have produced arithmetically. GATHER's touches are
+// plain reads that move no data and count nothing in Stats. Rank bytes are
+// host-native (float32 and int32 lanes in the machine's own byte order), so
+// a view is the data, with nothing to decode; the wire and on-disk formats,
+// not the rank, fix a byte order. The block-at-a-time FSM of Figure 9,
+// queues and forward path included, lives on in this package's tests as the
+// reference model every kernel is differentially fuzzed against
 // (FuzzNMPBulkVsReference); nothing outside the tests can reach it.
 //
 // Execution is functionally exact: the same arithmetic, in the same order,
@@ -106,6 +108,9 @@ type Core struct {
 	// pops every block it pushes before it fetches the next, so a queue an
 	// opcode stages through peaks at one block.
 	hwA, hwB, hwOut int
+	// touched sinks GATHER's touch-ahead loads (see touch); its value means
+	// nothing.
+	touched byte
 }
 
 // NewCore builds a core for DIMM tid of nodeDim.
@@ -265,38 +270,68 @@ func lanes(v []float32, b uint64) *[ALULanes]float32 {
 	return (*[ALULanes]float32)(v[b*ALULanes:])
 }
 
+// gatherWindow is the number of stripe indices GATHER touches at a time, one
+// window ahead of its copies (see gather). Chosen by a sweep of the node's
+// BenchmarkGatherRandomRows (EXPERIMENTS.md).
+const gatherWindow = 256
+
 // gather implements Figure 9(a): stream indices, copy table stripes to the
 // output tensor. A run of consecutive stripe indices — the runtime expands
 // every embedding row into k of them — is one contiguous copy on both sides.
+// The walk goes window by window: before it copies the runs that start in
+// one window it has touched every table block the next window names, so
+// that window's misses are in flight together instead of one behind each
+// copy. The first window is touched up front, and a run that crosses into
+// the next window is still one copy.
 func (c *Core) gather(in isa.Instruction, m []byte) error {
 	idx, table, rows, out, err := c.indexed(in, m)
 	if err != nil {
 		return err
 	}
 	n := uint64(in.Count)
-	for i := uint64(0); i < n; {
-		first := uint64(binary.NativeEndian.Uint32(idx[i*4:]))
-		run := uint64(1)
-		for i+run < n && uint64(binary.NativeEndian.Uint32(idx[(i+run)*4:])) == first+run {
-			run++
-		}
-		if first+run > rows {
-			return fmt.Errorf("nmp core %d: GATHER index %d beyond local capacity %d B", c.TID, first+run-1, len(m))
-		}
-		src, dst := table+first, out+i
-		if dst > src && dst < src+run {
-			// The output overlaps the rows still to be read: copy block by
-			// block in ascending order, as the FSM does, so an earlier
-			// write feeds the later read exactly as it would in hardware.
-			for k := uint64(0); k < run; k++ {
-				*block(m, dst+k) = *block(m, src+k)
+	c.touch(m, idx[:4*min(n, gatherWindow)], table, rows)
+	for i, end := uint64(0), min(n, gatherWindow); i < n; end = min(n, end+gatherWindow) {
+		c.touch(m, idx[4*end:4*min(n, end+gatherWindow)], table, rows)
+		for i < end {
+			first := uint64(binary.NativeEndian.Uint32(idx[i*4:]))
+			run := uint64(1)
+			for i+run < n && uint64(binary.NativeEndian.Uint32(idx[(i+run)*4:])) == first+run {
+				run++
 			}
-		} else {
-			copy(m[dst*isa.BlockBytes:(dst+run)*isa.BlockBytes], m[src*isa.BlockBytes:(src+run)*isa.BlockBytes])
+			if first+run > rows {
+				return fmt.Errorf("nmp core %d: GATHER index %d beyond local capacity %d B", c.TID, max(first, rows), len(m))
+			}
+			src, dst := table+first, out+i
+			if dst > src && dst < src+run {
+				// The output overlaps the rows still to be read: copy block
+				// by block in ascending order, as the FSM does, so an
+				// earlier write feeds the later read exactly as it would in
+				// hardware.
+				for k := uint64(0); k < run; k++ {
+					*block(m, dst+k) = *block(m, src+k)
+				}
+			} else {
+				copy(m[dst*isa.BlockBytes:(dst+run)*isa.BlockBytes], m[src*isa.BlockBytes:(src+run)*isa.BlockBytes])
+			}
+			i += run
 		}
-		i += run
 	}
 	return nil
+}
+
+// touch issues one plain load of the first byte of each table block that an
+// index of idx names, skipping an index past the rank (the copy refuses it).
+// The loads are independent, so their misses overlap; they sum into
+// c.touched only so that the compiler keeps them. A touch moves no data and
+// counts nothing in Stats.
+func (c *Core) touch(m, idx []byte, table, rows uint64) {
+	var sum byte
+	for o := 0; o+4 <= len(idx); o += 4 {
+		if r := uint64(binary.NativeEndian.Uint32(idx[o:])); r < rows {
+			sum += m[(table+r)*isa.BlockBytes]
+		}
+	}
+	c.touched += sum
 }
 
 // reduce implements Figure 9(b): C = A <OP> B, as one loop over the three

@@ -3,6 +3,7 @@ package nmp
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -216,6 +217,38 @@ func TestGather(t *testing.T) {
 	s := core.Stats()
 	if s.SharedReads != 1 || s.BlocksRead != 16 || s.BlocksWritten != 16 {
 		t.Fatalf("stats: %+v", s)
+	}
+}
+
+// TestGatherErrorNamesFirstOffendingIndex: a run of consecutive stripe
+// indices that starts inside the rank and ends past it is refused, and the
+// error names the first index past the rank, not the run's last one.
+func TestGatherErrorNamesFirstOffendingIndex(t *testing.T) {
+	const table = fakeBlocks - 8 // 8 local blocks from the table base to the end
+	for _, tc := range []struct {
+		name  string
+		first int32
+		want  string
+	}{
+		{"run straddles the end", 6, "GATHER index 8 beyond"},
+		{"run starts past the end", 11, "GATHER index 11 beyond"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			env := newFakeEnv(0, 1)
+			core, _ := NewCore(0, 1, env)
+			indices := make([]int32, 16) // a 4-index run, then row 0 repeated
+			for i := int32(0); i < 4; i++ {
+				indices[i] = tc.first + i
+			}
+			env.putShared(50, PackIndices(indices))
+			err := core.Execute(isa.Gather(table, 50, 10, 16))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+			if core.Stats() != (Stats{}) {
+				t.Fatalf("refused GATHER counted: %+v", core.Stats())
+			}
+		})
 	}
 }
 

@@ -594,7 +594,13 @@ func (s *Server) execute(ws *workerScratch, total int) {
 		ws.merged[t] = rows
 	}
 
+	// A lone read (not an inference) reads back straight into its own
+	// destination, which is exactly total samples wide: no split copy.
+	lone := len(reads) == 1 && !reads[0].infer
 	emb := ws.emb[:total*s.geom.Width()]
+	if lone {
+		emb = reads[0].dst
+	}
 	s.tblMu.RLock()
 	err := dep.RunEmbeddingInto(emb, ws.merged, total)
 	s.tblMu.RUnlock()
@@ -622,7 +628,7 @@ func (s *Server) execute(ws *workerScratch, total int) {
 				view, err = dep.Model.InferFromEmbeddings(view)
 			}
 			res = result{out: view, err: err}
-		} else {
+		} else if !lone {
 			copy(r.dst, rows)
 		}
 		if res.err != nil {

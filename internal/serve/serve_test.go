@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	goruntime "runtime"
 	"slices"
 	"sync"
@@ -245,6 +246,53 @@ func TestInferMatchesUnbatchedModel(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLoneReadFillsDestination pins the lone-read path: a merged batch
+// holding exactly one embedding read reads back straight into that read's
+// destination, with no scratch copy. Every read here runs alone on an idle
+// server, into a NaN-filled buffer with room to spare: the batch*width
+// prefix must come back golden in full, the spare tail untouched.
+func TestLoneReadFillsDestination(t *testing.T) {
+	cfg := testConfig(3, 4, 128, true, isa.RAdd)
+	dep := newDeployment(t, cfg, 8, 1, cfg.Tables)
+	s, err := New(Config{Workers: 1}, dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 5)
+	width := s.Geometry().Width()
+	nan := float32(math.NaN())
+	for _, batch := range []int{1, 3, 8} {
+		rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
+		want, err := dep.GoldenEmbedding(rows, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]float32, (batch+1)*width)
+		for i := range buf {
+			buf[i] = nan
+		}
+		got, err := s.EmbedInto(buf, rows, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != batch*width || &got[0] != &buf[0] {
+			t.Fatalf("batch %d: got %d floats at a different buffer, want the first %d of dst", batch, len(got), batch*width)
+		}
+		if !slices.Equal(got, want.Data()) {
+			t.Fatalf("batch %d: lone read not bit-identical to the golden embedding", batch)
+		}
+		for i, v := range buf[batch*width:] {
+			if v == v {
+				t.Fatalf("batch %d: spare float %d past the read overwritten with %v", batch, i, v)
+			}
+		}
+	}
+	if m := s.Metrics(); m.Requests != 3 || m.Batches != 3 {
+		t.Fatalf("%d requests in %d executions, want 3 lone reads", m.Requests, m.Batches)
 	}
 }
 
