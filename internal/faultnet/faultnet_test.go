@@ -58,12 +58,14 @@ func TestPassThroughEcho(t *testing.T) {
 func TestReadDelay(t *testing.T) {
 	addr, in := pipeServer(t)
 	in.SetReadDelay(50 * time.Millisecond)
+	// The server's first Read sleeps on entry, which may be before Dial
+	// returns, so the clock starts before the connection exists.
+	start := time.Now()
 	nc, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	start := time.Now()
 	nc.Write([]byte("x"))
 	buf := make([]byte, 1)
 	if _, err := io.ReadFull(nc, buf); err != nil {

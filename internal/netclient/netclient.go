@@ -12,15 +12,14 @@
 // reader goroutine correlates responses — which arrive in completion
 // order, not request order — back to their waiting callers.
 //
-// Sends coalesce: concurrent requests on one connection append their
-// frames to a shared combining buffer and ring a doorbell; a dedicated
-// per-connection flusher goroutine writes everything packed since its
-// last pass as one BATCH super-frame (group commit), so one write
-// syscall is amortized over a micro-batch while appenders never touch
-// the socket. The flusher splits its buffer into multiple BATCH frames
-// rather than exceed the frame-size limit the server's handshake
-// announced. Responses arrive either plain or coalesced by the server's
-// symmetric writer; the reader unpacks both.
+// Sends coalesce: concurrent requests on one connection Append their
+// frames to the connection's wire.Writer, and a dedicated per-connection
+// flusher goroutine flushes everything appended since its last pass as
+// one BATCH super-frame (group commit), so one write syscall is amortized
+// over a micro-batch while senders never touch the socket. The flusher
+// never yields: the coalescing window is its own scheduling delay and the
+// write in flight. Responses arrive either plain or coalesced by the
+// server's wire.Writer; the reader unpacks both.
 //
 // Connection lifecycle: without Reconnect, a lost connection is broken
 // permanently and calls fail until the pool is exhausted — the original
@@ -40,7 +39,6 @@ package netclient
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -53,11 +51,6 @@ import (
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
-
-// maxCoalesceBytes soft-caps one coalesced request frame so the combining
-// buffer stays cache-sized even when the negotiated frame limits are
-// generous; past it the flusher just emits another BATCH frame.
-const maxCoalesceBytes = 256 << 10
 
 // readBufBytes sizes the buffered reader on each connection, so one read
 // syscall pulls in many pipelined (or coalesced) response frames.
@@ -187,29 +180,14 @@ func (ca *Call) Done() <-chan error { return ca.done }
 // re-sliced to the response length. Valid after Done delivered nil.
 func (ca *Call) Dst() []float32 { return ca.dst }
 
-// clientConn is one pooled connection: the send combiner coalescing
+// clientConn is one pooled connection: the send side coalescing
 // concurrent request frames into BATCH super-frames, the pending table
 // correlating request ids to waiting calls, and a reader goroutine
 // delivering responses.
 type clientConn struct {
 	nc net.Conn
 	br *bufio.Reader
-	// sendMax caps one coalesced frame: the smallest of this client's
-	// limit, the server's announced limit, and the cache-friendly soft cap.
-	sendMax int
-
-	// The send combiner, guarded by sendMu: senders append their complete
-	// frames behind sendBuf's BATCH-header headroom and nudge the flushCh
-	// doorbell; the connection's flusher goroutine swaps the filled buffer
-	// against spare and writes it out while senders keep appending. Keeping
-	// the flusher off the senders' goroutines is what creates the
-	// coalescing window — while the flusher is writing (or waiting its turn
-	// on a busy scheduler), concurrent senders pack the other buffer.
-	sendMu  sync.Mutex
-	sendBuf []byte
-	sendCnt int
-	spare   []byte
-	flushCh chan struct{}
+	w  *wire.Writer
 
 	pmu     sync.Mutex
 	pending map[uint64]*Call
@@ -350,10 +328,7 @@ func dialOne(addr string, cfg Config, deadline time.Time) (*clientConn, wire.Hel
 		return &clientConn{
 			nc:        nc,
 			br:        br,
-			sendMax:   min(cfg.MaxFrameBytes, h.MaxFrameBytes, maxCoalesceBytes),
-			sendBuf:   make([]byte, wire.BatchHeaderBytes, 32<<10),
-			spare:     make([]byte, wire.BatchHeaderBytes, 32<<10),
-			flushCh:   make(chan struct{}, 1),
+			w:         wire.NewWriter(cfg.MaxFrameBytes, h.MaxFrameBytes),
 			pending:   make(map[uint64]*Call),
 			abandoned: make(map[uint64]struct{}),
 			rdDone:    make(chan struct{}),
@@ -446,22 +421,8 @@ func (c *Client) Hello() wire.Hello { return *c.hello.Load() }
 // live. With Reconnect it flips back to true once the supervisor has a
 // fresh connection up; without it, false is permanent.
 func (c *Client) Healthy() bool {
-	if c.closed.Load() {
-		return false
-	}
-	for _, slot := range c.slots {
-		cc := slot.cur.Load()
-		if cc == nil {
-			continue
-		}
-		cc.pmu.Lock()
-		broken := cc.broken
-		cc.pmu.Unlock()
-		if broken == nil {
-			return true
-		}
-	}
-	return false
+	_, err := c.pick()
+	return err == nil
 }
 
 // readLoop is one connection's reader goroutine: it decodes response
@@ -611,12 +572,12 @@ func (c *Client) pick() (*clientConn, error) {
 	return nil, fmt.Errorf("netclient: every connection is down")
 }
 
-// start registers ca under id on cc and submits the frame in ca.buf to
-// the send combiner. A non-nil return means the call was never registered
-// (the connection was already broken) and nothing will arrive on done;
-// after a nil return the result — including a write failure, which the
-// reader delivers when it fails the pending set — arrives exactly once on
-// done.
+// start registers ca under id on cc and appends the frame in ca.buf to
+// the connection's Writer, which copies it. A non-nil return means the
+// call was never registered (the connection was already broken) and
+// nothing will arrive on done; after a nil return the result — including
+// a write failure, which the reader delivers when it fails the pending
+// set — arrives exactly once on done.
 func (cc *clientConn) start(ca *Call, id uint64) error {
 	cc.pmu.Lock()
 	if cc.broken != nil {
@@ -626,108 +587,32 @@ func (cc *clientConn) start(ca *Call, id uint64) error {
 	}
 	cc.pending[id] = ca
 	cc.pmu.Unlock()
-	cc.send(ca.buf)
+	cc.w.Append(ca.buf)
 	return nil
 }
 
-// send appends one complete frame to the combining buffer and rings the
-// flusher's doorbell. The frame is copied, so the caller's buffer is
-// free for reuse on return; the response (or a write failure, delivered
-// through the failed pending set) arrives on the call's done channel.
-func (cc *clientConn) send(frame []byte) {
-	cc.sendMu.Lock()
-	cc.sendBuf = append(cc.sendBuf, frame...)
-	cc.sendCnt++
-	cc.sendMu.Unlock()
-	// Nonblocking ring: the one-slot doorbell latches the signal even when
-	// the flusher is mid-pass, so no appended frame is ever stranded.
-	select {
-	case cc.flushCh <- struct{}{}:
-	default:
-	}
-}
-
-// flushLoop is one connection's dedicated flusher goroutine: on each
-// doorbell ring it drains the combining buffer until it stays empty —
-// swap the filled buffer against the spare, write it out (coalesced),
-// repeat. It holds no lock while on the socket, so concurrent senders
-// keep packing the other buffer; and because it is a separate goroutine,
-// a busy scheduler naturally lets several senders append before the
-// flusher gets the CPU — that is where the coalescing comes from. Runs
-// until the connection's reader exits (socket dead or client closed) or
-// a write fails.
+// flushLoop is one connection's flusher goroutine: on each doorbell ring
+// it flushes whatever the senders appended. It never yields first —
+// while it writes, or waits its turn on a busy scheduler, concurrent
+// senders keep appending, and that is the coalescing window. Runs until
+// the connection's reader exits (socket dead or client closed) or a
+// write fails.
 func (c *Client) flushLoop(cc *clientConn) {
 	defer c.readerWG.Done()
 	for {
 		select {
-		case <-cc.flushCh:
+		case <-cc.w.Ready():
 		case <-cc.rdDone:
 			return
 		}
-		for {
-			cc.sendMu.Lock()
-			if cc.sendCnt == 0 {
-				cc.sendMu.Unlock()
-				break
-			}
-			buf, cnt := cc.sendBuf, cc.sendCnt
-			cc.sendBuf = cc.spare[:wire.BatchHeaderBytes]
-			cc.spare = nil
-			cc.sendCnt = 0
-			cc.sendMu.Unlock()
-
-			err := cc.writeCoalesced(buf, cnt)
-
-			cc.sendMu.Lock()
-			cc.spare = buf
-			cc.sendMu.Unlock()
-			if err != nil {
-				// fail closes the socket, which wakes the reader; the reader
-				// then fails everything pending — including the calls whose
-				// frames were in buf — exactly once.
-				cc.fail(fmt.Errorf("netclient: write: %w", err))
-				return
-			}
+		if _, _, _, err := cc.w.Flush(cc.nc); err != nil {
+			// fail closes the socket, which wakes the reader; the reader then
+			// fails everything pending — including the calls whose frames
+			// were in the failed flush — exactly once.
+			cc.fail(fmt.Errorf("netclient: write: %w", err))
+			return
 		}
 	}
-}
-
-// writeCoalesced writes cnt packed frames (behind BatchHeaderBytes of
-// headroom in buf): a single frame goes out plain, several go out as one
-// or more BATCH super-frames, split wherever the next sub-frame would
-// push a chunk past sendMax or the protocol's sub-frame cap. Splitting
-// re-stamps each chunk's BATCH header into the bytes just before the
-// chunk — those belong to an already-written chunk (or the headroom), so
-// scribbling there is safe and the whole flush is zero-copy.
-func (cc *clientConn) writeCoalesced(buf []byte, cnt int) error {
-	if cnt == 1 {
-		_, err := cc.nc.Write(buf[wire.BatchHeaderBytes:])
-		return err
-	}
-	off := wire.BatchHeaderBytes // start of the first unwritten frame
-	for cnt > 0 {
-		end, n := off, 0
-		for n < cnt && n < wire.MaxBatchSubFrames {
-			flen := 4 + int(binary.LittleEndian.Uint32(buf[end:]))
-			if n > 0 && (end-off)+flen+wire.BatchHeaderBytes > cc.sendMax {
-				break
-			}
-			end += flen
-			n++
-		}
-		var chunk []byte
-		if n == 1 {
-			chunk = buf[off:end]
-		} else {
-			chunk = wire.FinishBatch(buf[off-wire.BatchHeaderBytes:end], 0, n)
-		}
-		if _, err := cc.nc.Write(chunk); err != nil {
-			return err
-		}
-		off = end
-		cnt -= n
-	}
-	return nil
 }
 
 // roundTrip starts ca and waits for its response.
@@ -857,7 +742,7 @@ func (c *Client) Embed(perTableRows [][]int, batch int) ([]float32, error) {
 }
 
 // validateUpdates checks one update batch against the announced geometry
-// (runtime.CheckUpdates) and against what one frame can carry, given the
+// (runtime.CheckUpdates) and against what one frame can hold, given the
 // payload overhead before the update list (4+2 B budget+count for UPDATE,
 // 8+2 B seq+count for SYNC).
 func (c *Client) validateUpdates(ups []runtime.TableUpdate, overhead int) error {
@@ -955,7 +840,7 @@ func (c *Client) Sync(seq uint64, ups []runtime.TableUpdate) (uint64, error) {
 }
 
 // MaxRestoreRows reports the largest row count one Restore call may
-// carry: the geometry's per-frame update cap, shrunk if needed so the
+// hold: the geometry's per-frame update cap, shrunk if needed so the
 // encoded frame fits both this client's frame limit and the one the
 // server's handshake announced. A snapshot installer chunks by it.
 func (c *Client) MaxRestoreRows() int {

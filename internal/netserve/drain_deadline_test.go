@@ -86,23 +86,30 @@ func (l *pipeListener) dial(t *testing.T) (net.Conn, wire.Hello) {
 	return cli, h
 }
 
-// scanFrames reads frames until a read error (deadline, EOF, peer close),
-// reporting whether one with the given op and id appeared — unwrapping
-// coalesced BATCH responses.
-func scanFrames(r io.Reader, wantOp wire.Op, wantID uint64) (found bool, code wire.ErrCode) {
-	var buf []byte
+// scanned is one response scanFrames saw: its op, and its code when it is
+// an error frame.
+type scanned struct {
+	op   wire.Op
+	code wire.ErrCode
+}
+
+// scanFrames reads frames until a read error (deadline, EOF, peer close)
+// and returns every response seen by request id, unwrapping coalesced
+// BATCH responses.
+func scanFrames(r io.Reader) map[uint64]scanned {
+	seen := make(map[uint64]scanned)
 	match := func(op wire.Op, id uint64, payload []byte) {
-		if op == wantOp && id == wantID {
-			found = true
-			if op == wire.OpError {
-				code, _, _ = wire.DecodeError(payload)
-			}
+		sc := scanned{op: op}
+		if op == wire.OpError {
+			sc.code, _, _ = wire.DecodeError(payload)
 		}
+		seen[id] = sc
 	}
+	var buf []byte
 	for {
 		op, id, payload, nbuf, err := wire.ReadFrame(r, buf, wire.DefaultMaxFrameBytes)
 		if err != nil {
-			return found, code
+			return seen
 		}
 		buf = nbuf
 		if op != wire.OpBatch {
@@ -111,7 +118,7 @@ func scanFrames(r io.Reader, wantOp wire.Op, wantID uint64) (found bool, code wi
 		}
 		it, err := wire.DecodeBatch(payload)
 		if err != nil {
-			return found, code
+			return seen
 		}
 		for {
 			sop, sid, sp, more := it.Next()
@@ -124,17 +131,17 @@ func scanFrames(r io.Reader, wantOp wire.Op, wantID uint64) (found bool, code wi
 }
 
 // TestDrainRacesExpiringDeadline pins the graceful-drain x deadline
-// interleaving of "response owed vs. expired in queue". With MaxInflight
-// 1 the executor pool is a single goroutine, and an admitted task can
-// only wait in the queue while that executor is blocked handing a
-// finished response to a backpressured connection. The test constructs
-// that wedge deterministically over net.Pipe: the writer is pinned
-// mid-Write of a pong (one byte read, twelve withheld), the out channel
-// is filled to capacity behind it, the executor finishes a slow embed
-// into the full channel, and a second request is admitted with a 20ms
-// budget it can only lose. The drain must flush the owed response, shed
-// the expired request with a typed DEADLINE_EXCEEDED counted in
-// Metrics.Expired, and still complete.
+// interleaving of "response owed vs. expired while waiting". With
+// MaxInflight 1 the executor pool is a single goroutine and a connection
+// holds 17 response credits. The test wedges one connection
+// deterministically over net.Pipe: its writer is pinned mid-Write of a
+// pong (one byte read, twelve withheld), and one BATCH of pings uses up
+// the credits behind it, leaving the reader waiting for one with an embed
+// of 20ms budget still undispatched in that BATCH. A slow embed finishing
+// meanwhile must append its response without waiting on the wedged
+// writer, so the sole executor still serves another connection. The drain
+// must flush the owed response, shed the expired request with a typed
+// DEADLINE_EXCEEDED counted in Metrics.Expired, and still complete.
 func TestDrainRacesExpiringDeadline(t *testing.T) {
 	b := newStub()
 	b.entered = make(chan struct{}, 4)
@@ -153,7 +160,7 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 	// Pin conn1's writer mid-frame: send one ping, then consume exactly
 	// one byte of the 13-byte pong. The pipe write cannot complete until
 	// the remaining twelve are read, so the writer goroutine is provably
-	// wedged and can no longer drain the out channel.
+	// wedged and returns no credit.
 	if _, err := conn1.Write(wire.AppendFrame(nil, wire.OpPing, 101, nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -162,26 +169,29 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Fill the out channel (capacity MaxInflight+16 = 17) behind the
-	// pinned writer with 17 more pongs; an 18th blocks the read loop in
-	// enqueue, so Pings reaching 19 is the stable, fully-wedged state.
-	var pings []byte
-	for id := uint64(102); id < 120; id++ {
-		pings = wire.AppendFrame(pings, wire.OpPing, id, nil)
+	// A and the pinned pong hold 2 of the 17 credits; a BATCH of 17 more
+	// pings and B (an embed with a 20ms budget) gets 15 pings answered
+	// before the reader blocks on the 16th, so Pings reaching 16 is the
+	// stable, fully-wedged state, with B stamped as arrived.
+	subs := make([][]byte, 0, 18)
+	for id := uint64(102); id < 119; id++ {
+		subs = append(subs, wire.AppendFrame(nil, wire.OpPing, id, nil))
 	}
-	if _, err := conn1.Write(pings); err != nil {
+	subs = append(subs, wire.AppendEmbed(nil, 2, 20_000, reqRows(g, 1, 2), 1, g.Reduction))
+	if _, err := conn1.Write(wire.AppendBatch(nil, 9, subs...)); err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Pings != 19; {
+	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Pings != 16; {
 		if time.Now().After(deadline) {
 			t.Fatalf("connection never wedged: %+v", srv.Metrics())
 		}
 		time.Sleep(time.Millisecond)
 	}
 
-	// Release A: the executor finishes it, frees the admission slot
-	// (Inflight back to 0 is the observable edge), and blocks handing the
-	// response to the full out channel — the "response owed" half.
+	// Release A: the executor finishes it and frees the admission slot
+	// (Inflight back to 0 is the observable edge), its response appended
+	// behind the pinned write — the "response owed" half. The executor is
+	// free again: C on conn2 is served while conn1 stays wedged.
 	close(b.release)
 	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Inflight != 0; {
 		if time.Now().After(deadline) {
@@ -189,45 +199,34 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-
-	// B on conn2: admitted into the freed slot with a 20ms budget, queued
-	// behind the wedged executor — the "expired in queue" half.
 	conn2, _ := l.dial(t)
-	conn2.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn2.Write(wire.AppendEmbed(nil, 1, 20_000, reqRows(g, 1, 2), 1, g.Reduction)); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Inflight != 1; {
-		if time.Now().After(deadline) {
-			t.Fatalf("queued request never admitted: %+v", srv.Metrics())
-		}
-		time.Sleep(time.Millisecond)
+	conn2.SetDeadline(time.Now().Add(5 * time.Second))
+	if op, id, _ := rawCall(t, conn2, wire.AppendEmbed(nil, 3, 0, reqRows(g, 1, 3), 1, g.Reduction)); op != wire.OpEmbedResp || id != 3 {
+		t.Fatalf("embed on another connection answered op %d id %d while conn1 was wedged, want EMBED_RESP 3", op, id)
 	}
 
-	// Drain while A's response is owed and B is queued; let B's budget
-	// lapse before unblocking anything.
+	// Drain while A's response is owed and B waits for a credit; let B's
+	// budget lapse before unblocking anything.
 	closed := make(chan error, 1)
 	go func() { closed <- srv.Close() }()
 	time.Sleep(50 * time.Millisecond)
 
 	// Unpin conn1 by reading it: first the withheld twelve pong bytes,
 	// then every flushed frame until the server tears the connection
-	// down. The owed embed response must be among them.
+	// down. The owed embed response must be among them, and B — dispatched
+	// once the flush returned its credits — is expired: a typed shed, not
+	// execution.
 	conn1.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := io.ReadFull(conn1, make([]byte, 12)); err != nil {
 		t.Fatal(err)
 	}
-	if foundA, _ := scanFrames(conn1, wire.OpEmbedResp, 1); !foundA {
+	seen := scanFrames(conn1)
+	if seen[1].op != wire.OpEmbedResp {
 		t.Fatal("owed embed response was never flushed across the drain")
 	}
-
-	// With the writer unpinned the executor's handoff completes and the
-	// next task it picks up — B — is expired: a typed shed, not execution.
-	conn2.SetReadDeadline(time.Now().Add(5 * time.Second))
-	foundB, codeB := scanFrames(conn2, wire.OpError, 1)
-	if !foundB || codeB != wire.ErrDeadlineExceeded {
-		t.Fatalf("queued request got (found=%v, code=%v), want a typed %v shed\nserver: %+v",
-			foundB, codeB, wire.ErrDeadlineExceeded, srv.Metrics())
+	if sc := seen[2]; sc.op != wire.OpError || sc.code != wire.ErrDeadlineExceeded {
+		t.Fatalf("waiting request got %+v, want a typed %v shed\nserver: %+v",
+			sc, wire.ErrDeadlineExceeded, srv.Metrics())
 	}
 
 	select {
@@ -236,12 +235,12 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 			t.Fatalf("drain returned %v", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("Close wedged draining an expired queued request")
+		t.Fatal("Close wedged draining an expired request")
 	}
 	if m := srv.Metrics(); m.Expired != 1 {
 		t.Fatalf("Metrics.Expired = %d, want 1: %+v", m.Expired, m)
 	}
-	if b.embeds.Load() != 1 {
-		t.Fatalf("backend ran %d embeds, want 1: the expired request must never reach it", b.embeds.Load())
+	if b.embeds.Load() != 2 {
+		t.Fatalf("backend ran %d embeds, want 2 (A and C): the expired request must never reach it", b.embeds.Load())
 	}
 }

@@ -6,11 +6,12 @@
 // embedding tier.
 //
 // Structure per connection: one reader goroutine decodes frames and one
-// writer goroutine encodes responses, so requests pipeline — a client may
-// have many requests outstanding and responses complete out of order,
-// correlated by request id. Execution happens on a server-wide pool of
-// executor goroutines feeding the backend, whose self-batching workers
-// coalesce concurrent network requests exactly like in-process ones.
+// writer goroutine flushes the connection's wire.Writer, so requests
+// pipeline — a client may have many requests outstanding and responses
+// complete out of order, correlated by request id. Execution happens on a
+// server-wide pool of executor goroutines feeding the backend, whose
+// self-batching workers coalesce concurrent network requests exactly like
+// in-process ones.
 //
 // Admission control: the server holds a bounded in-flight budget
 // (Config.MaxInflight). A request arriving with the budget exhausted is
@@ -54,9 +55,9 @@ import (
 )
 
 // Hop indices of the net tracer: executor-queue wait, backend execution
-// (including response encoding), and flush wait — completion to the
-// writer packing the response into its coalesced frame, which includes
-// the writer's one yield per flush but not the final write syscall.
+// (including response encoding), and flush — completion to the response
+// appended to the connection's wire.Writer, which is the wait for the
+// Writer's mutex; the writer's yield and the write syscall come after.
 const (
 	netHopQueue = iota
 	netHopExec
@@ -168,11 +169,6 @@ type Config struct {
 // connection is dropped (the client was not consuming responses anyway).
 const writeTimeout = 30 * time.Second
 
-// maxCoalesceBytes soft-caps one coalesced response frame so the writer's
-// reused buffer stays cache-sized even when the configured frame limits
-// are generous; past it the writer just flushes and starts the next batch.
-const maxCoalesceBytes = 256 << 10
-
 // readBufBytes sizes the buffered reader in front of each connection, so
 // one read syscall pulls in many pipelined (or coalesced) frames.
 const readBufBytes = 64 << 10
@@ -180,8 +176,8 @@ const readBufBytes = 64 << 10
 // task is one in-flight request: the decoded arguments, the destination
 // scratch the backend writes into, and the encoded response frame. Tasks
 // are pooled server-wide; a task is owned by exactly one goroutine at a
-// time (reader -> executor -> writer) and recycled by the writer after
-// its response frame is on the wire.
+// time (reader, then executor) and recycled by whichever of them appends
+// its response to the connection's Writer.
 type task struct {
 	c  *conn
 	op wire.Op
@@ -212,33 +208,31 @@ type task struct {
 	restRows []int
 	restVals []float32
 
-	// encoded response frame, written verbatim by the conn writer
+	// encoded response frame, copied verbatim into the conn's Writer
 	resp []byte
 
 	// per-hop trace slot, recycled with the task (see putTask)
 	span telemetry.Span
 }
 
-// conn is one accepted connection: its reader goroutine (the function
-// handle runs in), its writer goroutine draining out, and the count of
-// responses still owed so the drain can wait for them.
+// conn is one accepted connection: its reader goroutine, the Writer its
+// responses are appended to, the writer goroutine flushing it, and the
+// accounting that bounds and drains what the connection owes.
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	out chan *task
-	// owed counts tasks handed to the executor or writer but not yet
-	// written; the reader waits on it before closing out, so a drain never
-	// loses an in-flight response.
-	owed sync.WaitGroup
-	// pending counts responses owed to this connection that the writer has
-	// not yet dequeued: draining out dry with pending positive, the writer
-	// yields once so they share the flush; at zero it flushes at once.
+	w   *wire.Writer // made by the reader at the handshake, before the writer starts
+	// credit holds a token per response taken on and not yet written: the
+	// reader blocks when none is left, the writer returns one per flushed
+	// frame. It bounds what a client that never reads can make the server
+	// buffer, while Append never blocks an executor.
+	credit chan struct{}
+	// owed and pending both count tasks in the executor pool whose response
+	// is not yet appended: the reader's drain waits on owed, and the writer
+	// yields once before a flush while pending is positive.
+	owed    sync.WaitGroup
 	pending atomic.Int64
-	// peerMax is the frame-size limit the client announced in its
-	// handshake; the writer caps coalesced response frames at it. Written
-	// by the reader before the first task is enqueued (the channel send
-	// orders it for the writer).
-	peerMax int
+	done    chan struct{} // closed after the drain wait: last flush, teardown
 }
 
 // Server is the network serving plane: accept loops feed per-connection
@@ -409,11 +403,11 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// startConn registers one accepted connection and spawns its reader and
-// writer goroutines. A connection arriving during (or after) Close is
-// refused immediately.
+// startConn registers one accepted connection and spawns its reader,
+// which starts the writer after the handshake. A connection arriving
+// during (or after) Close is refused immediately.
 func (s *Server) startConn(nc net.Conn) {
-	c := &conn{srv: s, nc: nc, out: make(chan *task, s.cfg.MaxInflight+16)}
+	c := &conn{srv: s, nc: nc, credit: make(chan struct{}, s.cfg.MaxInflight+16), done: make(chan struct{})}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -421,11 +415,10 @@ func (s *Server) startConn(nc net.Conn) {
 		return
 	}
 	s.conns[c] = struct{}{}
-	s.connWG.Add(2)
+	s.connWG.Add(1)
 	s.mu.Unlock()
 	s.accepted.Add(1)
 	go c.readLoop()
-	go c.writeLoop()
 }
 
 // forget removes a finished connection from the server's registry.
@@ -452,7 +445,8 @@ func (s *Server) admit() bool {
 // readLoop is a connection's reader goroutine: handshake, then decode and
 // dispatch frames until EOF, a protocol violation, or the server's drain
 // half-closes the read side. On exit it waits for every response still
-// owed, then hands the connection to the writer for teardown.
+// owed to be appended, then hands the connection to the writer for the
+// last flush and teardown.
 func (c *conn) readLoop() {
 	s := c.srv
 	defer s.connWG.Done()
@@ -463,7 +457,7 @@ func (c *conn) readLoop() {
 	ok := false
 	var buf []byte
 	if peerMax, hbuf, err := wire.ReadClientHello(br, nil); err == nil {
-		c.peerMax = peerMax
+		c.w = wire.NewWriter(s.cfg.MaxFrameBytes, peerMax)
 		hello := wire.AppendServerHello(hbuf[:0], wire.Hello{
 			Geom:          s.geom,
 			Role:          s.cfg.Role,
@@ -478,7 +472,16 @@ func (c *conn) readLoop() {
 	} else if !isDisconnect(err) {
 		s.badFrames.Add(1)
 	}
-	for ok {
+	if !ok {
+		c.nc.Close()
+		s.forget(c)
+		return
+	}
+	// The reader still holds its own count, so this Add cannot race Close's
+	// Wait past zero.
+	s.connWG.Add(1)
+	go c.writeLoop()
+	for {
 		var op wire.Op
 		var id uint64
 		var payload []byte
@@ -492,15 +495,14 @@ func (c *conn) readLoop() {
 			}
 			break
 		}
-		if !c.dispatch(op, id, payload) {
+		if !c.dispatch(op, id, payload, time.Now()) {
 			break
 		}
 	}
-	// Drain handover: every response owed must be encoded and enqueued
-	// before out closes, and the writer flushes them all before closing
-	// the socket.
+	// Drain handover: every response owed must be appended before done
+	// closes, and the writer flushes them all before closing the socket.
 	c.owed.Wait()
-	close(c.out)
+	close(c.done)
 }
 
 // isDisconnect reports whether a read error means the peer (or the drain)
@@ -520,43 +522,37 @@ func isDisconnect(err error) bool {
 }
 
 // dispatch routes one decoded frame, unpacking BATCH super-frames into
-// their sub-requests. It returns false when the frame is a protocol
-// violation that must close the connection.
-func (c *conn) dispatch(op wire.Op, id uint64, payload []byte) bool {
+// their sub-requests, all stamped with the frame's arrival time. It
+// returns false when the frame is a protocol violation that must close
+// the connection.
+func (c *conn) dispatch(op wire.Op, id uint64, payload []byte, arrived time.Time) bool {
 	s := c.srv
 	if op != wire.OpBatch {
-		return c.dispatchOne(op, id, payload)
+		return c.dispatchOne(op, id, payload, arrived)
 	}
 	it, err := wire.DecodeBatch(payload)
+	if err == nil {
+		s.batchesIn.Add(1)
+		for {
+			sop, sid, sp, more := it.Next()
+			if !more {
+				break
+			}
+			s.batchedIn.Add(1)
+			if !c.dispatchOne(sop, sid, sp, arrived) {
+				return false
+			}
+		}
+		err = it.Err()
+	}
 	if err != nil {
-		// A malformed count prefix: the outer frame was still well-formed, so
-		// the stream stays aligned — answer under the batch id and carry on.
+		// A malformed count prefix, or a structural violation inside the
+		// batch (truncated interior sub-frame, nested batch, trailing bytes).
+		// The outer frame was well-formed, so the stream stays aligned:
+		// requests before the damage are answered under their own ids, the
+		// damage under the batch id.
 		s.failures.Add(1)
-		t := s.getTask(c, op, id)
-		t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
-		c.enqueue(t)
-		return true
-	}
-	s.batchesIn.Add(1)
-	for {
-		sop, sid, sp, more := it.Next()
-		if !more {
-			break
-		}
-		s.batchedIn.Add(1)
-		if !c.dispatchOne(sop, sid, sp) {
-			return false
-		}
-	}
-	if err := it.Err(); err != nil {
-		// A structural violation inside the batch (truncated interior
-		// sub-frame, nested batch, trailing bytes). Requests before the
-		// damage were already dispatched and will be answered under their own
-		// ids; the damage itself is reported under the batch id.
-		s.failures.Add(1)
-		t := s.getTask(c, wire.OpBatch, id)
-		t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
-		c.enqueue(t)
+		c.replyError(s.getTask(c, op, id), wire.ErrBadRequest, err.Error())
 	}
 	return true
 }
@@ -564,75 +560,49 @@ func (c *conn) dispatch(op wire.Op, id uint64, payload []byte) bool {
 // dispatchOne routes one non-BATCH request frame (top-level or a batch
 // sub-frame). It returns false when the op is unknown, which must close
 // the connection.
-func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte) bool {
+func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte, arrived time.Time) bool {
 	s := c.srv
+	t := s.getTask(c, op, id)
+	var wu []wire.Update
+	var err error
 	switch op {
 	case wire.OpPing:
-		t := s.getTask(c, op, id)
 		s.pings.Add(1)
 		t.resp = wire.AppendFrame(t.resp[:0], wire.OpPong, id, nil)
-		c.enqueue(t)
+		c.reply(t)
+		return true
 	case wire.OpMetrics:
-		t := s.getTask(c, op, id)
 		t.resp = wire.AppendFrame(t.resp[:0], wire.OpMetricsResp, id, telemetry.EncodeWirePayload(s.cfg.Registry))
-		c.enqueue(t)
+		c.reply(t)
+		return true
 	case wire.OpEmbed:
-		t := s.getTask(c, op, id)
-		t.arrived = time.Now()
-		var err error
+		t.arrived = arrived
 		t.batch, t.budget, t.rows, t.idx, err = wire.DecodeEmbed(payload, s.geom, t.rows, t.idx)
-		if err != nil {
-			s.failures.Add(1)
-			t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
-			c.enqueue(t)
-			return true
-		}
-		c.submit(t)
 	case wire.OpUpdate:
-		t := s.getTask(c, op, id)
-		t.arrived = time.Now()
-		wu, budget, err := wire.DecodeUpdate(payload, s.geom, &t.upd)
-		if err == nil {
-			t.budget = budget
+		t.arrived = arrived
+		if wu, t.budget, err = wire.DecodeUpdate(payload, s.geom, &t.upd); err == nil {
 			err = t.convertUpdates(wu, s.geom.Dim)
 		}
-		if err != nil {
-			s.failures.Add(1)
-			t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
-			c.enqueue(t)
-			return true
-		}
-		c.submit(t)
 	case wire.OpSync:
-		t := s.getTask(c, op, id)
-		seq, wu, err := wire.DecodeSync(payload, s.geom, &t.upd)
-		if err == nil {
+		if t.seq, wu, err = wire.DecodeSync(payload, s.geom, &t.upd); err == nil {
 			err = t.convertUpdates(wu, s.geom.Dim)
 		}
-		if err != nil {
-			s.failures.Add(1)
-			t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
-			c.enqueue(t)
-			return true
-		}
-		t.seq = seq
-		c.submit(t)
 	case wire.OpRestore:
-		t := s.getTask(c, op, id)
-		seq, commit, up, err := wire.DecodeRestore(payload, s.geom, &t.upd)
-		if err != nil {
-			s.failures.Add(1)
-			t.resp = wire.AppendError(t.resp[:0], id, wire.ErrBadRequest, err.Error())
-			c.enqueue(t)
-			return true
-		}
-		t.seq, t.commit = seq, commit
+		var up wire.Update
+		t.seq, t.commit, up, err = wire.DecodeRestore(payload, s.geom, &t.upd)
 		t.restTab, t.restRows, t.restVals = up.Table, up.Rows, up.Grads
-		c.submit(t)
 	default:
+		// The connection closes, and the task's credit goes with it.
+		s.putTask(t)
 		s.badFrames.Add(1)
 		return false
 	}
+	if err != nil {
+		s.failures.Add(1)
+		c.replyError(t, wire.ErrBadRequest, err.Error())
+		return true
+	}
+	c.submit(t)
 	return true
 }
 
@@ -653,34 +623,27 @@ func (t *task) convertUpdates(wu []wire.Update, dim int) error {
 	return nil
 }
 
-// submit runs one decoded request through admission control: a request
-// racing the drain window (Close marked the server draining but the read
-// half-close has not reached this connection yet) is refused with
-// SHUTTING_DOWN, one whose deadline budget already lapsed is shed with
-// DEADLINE_EXCEEDED before it can consume an in-flight slot, admitted
-// tasks go to the executor pool, and the rest are shed with an OVERLOADED
-// error frame.
+// submit runs one decoded request through admission control: one whose
+// deadline budget already lapsed (in flight, or waiting for a credit) is
+// shed with DEADLINE_EXCEEDED before it can consume an in-flight slot, a
+// request racing the drain window (Close marked the server draining but
+// the read half-close has not reached this connection yet) is refused
+// with SHUTTING_DOWN, admitted tasks go to the executor pool, and the
+// rest are shed with an OVERLOADED error frame.
 func (c *conn) submit(t *task) {
 	s := c.srv
-	if s.draining.Load() {
-		s.failures.Add(1)
-		t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrShuttingDown,
-			"server is draining; no new work accepted")
-		c.enqueue(t)
-		return
-	}
-	if t.expired(time.Now()) {
+	switch {
+	case t.expired(time.Now()):
 		s.expired.Add(1)
-		t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrDeadlineExceeded,
-			"deadline budget exhausted before dispatch")
-		c.enqueue(t)
+		c.replyError(t, wire.ErrDeadlineExceeded, "deadline budget exhausted before dispatch")
 		return
-	}
-	if !s.admit() {
+	case s.draining.Load():
+		s.failures.Add(1)
+		c.replyError(t, wire.ErrShuttingDown, "server is draining; no new work accepted")
+		return
+	case !s.admit():
 		s.shed.Add(1)
-		t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrOverloaded,
-			"in-flight budget exhausted; retry after backoff")
-		c.enqueue(t)
+		c.replyError(t, wire.ErrOverloaded, "in-flight budget exhausted; retry after backoff")
 		return
 	}
 	if s.tracer != nil {
@@ -699,16 +662,31 @@ func (c *conn) submit(t *task) {
 	s.tasks <- t
 }
 
-// enqueue hands a ready-to-write response to the connection's writer.
-func (c *conn) enqueue(t *task) {
-	c.owed.Add(1)
-	c.pending.Add(1)
-	c.out <- t
+// reply appends a task's finished response to the connection's Writer and
+// recycles the task; the reader answers this way for requests it settles
+// itself, without a hand-off.
+func (c *conn) reply(t *task) {
+	c.w.Append(t.resp)
+	c.srv.putTask(t)
+}
+
+// replyError answers a task the reader settles with an error frame.
+func (c *conn) replyError(t *task, code wire.ErrCode, msg string) {
+	t.resp = wire.AppendError(t.resp[:0], t.id, code, msg)
+	c.reply(t)
+}
+
+// replyOwed is reply for a task the executor pool ran: it also settles
+// the task's debt, so the drain and the writer's yield stop waiting on it.
+func (c *conn) replyOwed(t *task) {
+	c.reply(t)
+	c.pending.Add(-1)
+	c.owed.Done()
 }
 
 // executor is one worker of the server-wide pool: it runs admitted tasks
-// against the backend, encodes the response, and hands it to the owning
-// connection's writer.
+// against the backend, encodes the response, and appends it to the owning
+// connection's Writer.
 func (s *Server) executor() {
 	defer s.workerWG.Done()
 	for t := range s.tasks {
@@ -725,7 +703,7 @@ func (s *Server) executor() {
 			t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrDeadlineExceeded,
 				"deadline budget exhausted in queue")
 			s.inflight.Add(-1)
-			t.c.out <- t
+			t.c.replyOwed(t)
 			continue
 		}
 		switch t.op {
@@ -763,9 +741,7 @@ func (s *Server) executor() {
 			t.span.MarkAt(netHopExec, end)
 		}
 		s.inflight.Add(-1)
-		// The task already owes its response (owed was incremented at
-		// admission), so it goes to the writer directly, not via enqueue.
-		t.c.out <- t
+		t.c.replyOwed(t)
 	}
 }
 
@@ -837,103 +813,61 @@ func (s *Server) executeRestore(t *task) []byte {
 // how much of its update log to replay.
 func (s *Server) UpdateSeq() uint64 { return s.updateSeq.Load() }
 
-// writeLoop is a connection's writer goroutine: it drains completed
-// responses (in completion order, not request order — that is the
-// pipelining contract) into a reused write buffer and flushes the whole
-// drain with one write syscall, as a single frame when one response was
-// ready or a coalesced BATCH frame when several were. When the drain runs
-// dry with responses still owed it yields the processor once per flush —
-// runnable executors finish and enqueue, as in netclient's flushLoop —
-// and packs what arrived; it never waits on a clock. When out closes
-// (reader done, all responses flushed) it tears the connection down.
+// writeLoop is a connection's writer goroutine: on each doorbell ring it
+// flushes the responses appended since its last pass (in completion
+// order, not request order — that is the pipelining contract), plain when
+// one was ready and coalesced into BATCH frames when several were. When
+// responses are still owed it first yields the processor once —
+// runnable executors finish and append — and it never waits on a clock.
+// When the reader is done it makes a last flush and tears the connection
+// down.
 func (c *conn) writeLoop() {
 	s := c.srv
 	defer s.connWG.Done()
-	wbuf := make([]byte, wire.BatchHeaderBytes, 32<<10)
-	count := 0
-	// pack appends one response to the flush being built. owed.Done fires at
-	// pack time: the reader's drain Wait only needs the response owned by the
-	// writer, which flushes before it ever gives the socket up.
-	pack := func(t *task) {
-		wbuf = append(wbuf, t.resp...)
-		count++
-		c.owed.Done()
-		s.putTask(t)
-	}
-	failed := false
-	var carry *task // response that did not fit the previous flush
-	for {
-		t := carry
-		carry = nil
-		if t == nil {
-			var open bool
-			if t, open = <-c.out; !open {
-				break
-			}
-			c.pending.Add(-1)
-		}
-		if failed {
-			// The client is gone; stop writing but keep draining so every
-			// owed response is accounted and the reader's Wait returns.
-			c.owed.Done()
-			s.putTask(t)
-			continue
-		}
-		// Start a flush cycle: reserve BATCH-header headroom (stamped only if
-		// this flush coalesces), then pack completed responses behind it, up
-		// to what the client's handshake said it will read.
-		maxCoalesce := min(s.cfg.MaxFrameBytes, c.peerMax, maxCoalesceBytes)
-		wbuf, count = wbuf[:wire.BatchHeaderBytes], 0
-		pack(t)
-		yielded := false
-	gather:
-		for count < wire.MaxBatchSubFrames {
-			select {
-			case t2, open := <-c.out:
-				if !open {
-					break gather
-				}
-				c.pending.Add(-1)
-				if len(wbuf)+len(t2.resp) > maxCoalesce {
-					carry = t2
-					break gather
-				}
-				pack(t2)
-			default:
-				// Queue dry: flush, unless more is owed and this cycle has not
-				// yet yielded to the executors about to enqueue it.
-				if yielded || c.pending.Load() == 0 {
-					break gather
-				}
-				yielded = true
+	for open := true; open; {
+		select {
+		case <-c.w.Ready():
+			if c.pending.Load() > 0 {
 				goruntime.Gosched()
 			}
-		}
-		frame := wbuf[wire.BatchHeaderBytes:]
-		if count > 1 {
-			// The request ids that matter ride inside the sub-frames; the
-			// super-frame's own id carries no information.
-			frame = wire.FinishBatch(wbuf, 0, count)
-			s.batchesOut.Add(1)
-			s.batchedOut.Add(uint64(count))
+		case <-c.done:
+			open = false
 		}
 		// The write deadline is what keeps a graceful drain finite: a client
-		// that stops reading trips it, the write fails, and the drain path
-		// above accounts every owed response.
+		// that stops reading trips it and the connection is dropped.
 		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		if _, err := c.nc.Write(frame); err != nil {
-			failed = true
+		frames, batches, batched, err := c.w.Flush(c.nc)
+		if err != nil {
+			break
+		}
+		s.batchesOut.Add(uint64(batches))
+		s.batchedOut.Add(uint64(batched))
+		for i := 0; i < frames; i++ {
+			<-c.credit
 		}
 	}
 	c.nc.Close()
-	s.forget(c)
+	// After a failed write the reader may be blocked on a credit; keep
+	// returning them until its drain finishes. The closed socket ends its
+	// reads, and the Writer drops whatever is still appended.
+	for {
+		select {
+		case <-c.credit:
+		case <-c.done:
+			s.forget(c)
+			return
+		}
+	}
 }
 
-// getTask fetches a pooled task stamped for one request.
+// getTask fetches a pooled task stamped for one request, first taking one
+// of the connection's credits for the response it will owe — the reader's
+// only blocking point besides the socket.
 func (s *Server) getTask(c *conn, op wire.Op, id uint64) *task {
+	c.credit <- struct{}{}
 	t := s.taskPool.Get().(*task)
 	t.c, t.op, t.id = c, op, id
-	t.budget = 0
+	t.budget, t.arrived = 0, time.Time{}
 	return t
 }
 
@@ -944,9 +878,9 @@ func (t *task) expired(now time.Time) bool {
 }
 
 // putTask recycles a task. Buffers keep their capacity; references into
-// per-request state are dropped. The writer is the only caller, at pack
-// time, so this is where a traced task's flush hop closes and its span
-// feeds the slow ring before the slot is recycled.
+// per-request state are dropped. reply calls it right after the append,
+// so this is where a traced task's flush hop closes and its span feeds
+// the slow ring before the slot is recycled.
 func (s *Server) putTask(t *task) {
 	if s.tracer != nil && t.span.Active() {
 		now := time.Now()

@@ -155,9 +155,12 @@ func newTunedRouter(t *testing.T, m *recsys.Model, strat cluster.Strategy, addrs
 	if tweak != nil {
 		tweak(&cfg)
 	}
-	rc, err := remote.New(cfg)
+	var rc *remote.RemoteCluster
+	var err error
 	if tune != nil {
 		rc, err = remote.NewTuned(cfg, tune)
+	} else {
+		rc, err = remote.New(cfg)
 	}
 	if err != nil {
 		t.Fatal(err)

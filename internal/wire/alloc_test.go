@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"io"
 	"testing"
 )
 
@@ -90,7 +91,7 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 		frame = append(frame, sub...)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		frame = FinishBatch(frame, 1, 4)
+		frame = finishBatch(frame, 1, 4)
 		it, err := DecodeBatch(frame[HeaderBytes:])
 		if err != nil {
 			t.Fatal(err)
@@ -107,6 +108,31 @@ func TestBatchCodecZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("batch finish+iterate allocates %.1f times, want 0", allocs)
+	}
+}
+
+// TestWriterZeroAlloc pins the group commit's steady state: once both
+// halves of the double buffer have grown, appending frames and flushing
+// them (plain or as a BATCH) does not touch the heap.
+func TestWriterZeroAlloc(t *testing.T) {
+	frame := AppendFrame(nil, OpEmbedResp, 7, make([]byte, 256))
+	w := NewWriter(DefaultMaxFrameBytes, DefaultMaxFrameBytes)
+	round := func(n int) {
+		for i := 0; i < n; i++ {
+			w.Append(frame)
+		}
+		if _, _, _, err := w.Flush(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round(64) // warm both halves of the double buffer
+	round(64)
+	allocs := testing.AllocsPerRun(100, func() {
+		round(1)
+		round(64)
+	})
+	if allocs != 0 {
+		t.Fatalf("Writer Append+Flush allocates %.1f times per round, want 0", allocs)
 	}
 }
 

@@ -78,9 +78,9 @@ func TestFinishBatchMatchesAppendBatch(t *testing.T) {
 	got := make([]byte, BatchHeaderBytes, 256)
 	got = append(got, a...)
 	got = append(got, b...)
-	got = FinishBatch(got, 42, 2)
+	got = finishBatch(got, 42, 2)
 	if !bytes.Equal(got, want) {
-		t.Fatalf("FinishBatch bytes differ from AppendBatch:\n%x\n%x", got, want)
+		t.Fatalf("finishBatch bytes differ from AppendBatch:\n%x\n%x", got, want)
 	}
 }
 

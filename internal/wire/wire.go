@@ -1,7 +1,9 @@
 // Package wire defines the binary network protocol of the serving plane:
 // the frame format a netclient.Client and a netserve.Server exchange over
-// TCP. It is pure encoding — no sockets, no goroutines — so both endpoints
-// and the protocol tests share exactly one implementation of the layout.
+// TCP. It is encoding plus one connection's send side (Writer, the BATCH
+// group commit) — no sockets, no goroutines — so both endpoints and the
+// protocol tests share exactly one implementation of the layout and of the
+// coalescing policy.
 //
 // A connection opens with a fixed-size handshake: the client sends magic +
 // version + its frame-size limit, the server answers magic + version + a
@@ -76,15 +78,14 @@ const DefaultMaxFrameBytes = 16 << 20
 const HeaderBytes = 4 + 1 + 8
 
 // BatchHeaderBytes is the fixed prefix of an OpBatch super-frame: the
-// standard frame header plus the uint16 sub-frame count. Coalescing
-// writers reserve exactly this much headroom at the front of their buffer
-// so FinishBatch can stamp the header in place without moving the packed
-// sub-frames.
+// standard frame header plus the uint16 sub-frame count. A Writer
+// reserves exactly this much headroom at the front of its buffer so the
+// header can be stamped in place without moving the packed sub-frames.
 const BatchHeaderBytes = HeaderBytes + 2
 
 // MaxBatchSubFrames bounds one OpBatch frame's sub-frame count. The cap
-// keeps a corrupt count from looking plausible, and a coalescing writer
-// splits its buffer into multiple BATCH frames rather than exceed it.
+// keeps a corrupt count from looking plausible, and a Writer splits its
+// buffer into multiple BATCH frames rather than exceed it.
 const MaxBatchSubFrames = 1024
 
 // Op identifies a frame's meaning.
@@ -536,7 +537,7 @@ func DecodeEmbed(payload []byte, g Geometry, rows [][]int, idx []int) (batch int
 // batch x tables x dim embedding values) as raw float32 bits.
 func AppendEmbedResp(buf []byte, id uint64, vals []float32) []byte {
 	buf, lenAt := beginFrame(buf, OpEmbedResp, id)
-	buf = appendFloats(buf, vals)
+	buf = AppendFloat32s(buf, vals)
 	return endFrame(buf, lenAt)
 }
 
@@ -547,7 +548,7 @@ func DecodeEmbedResp(payload []byte, dst []float32) error {
 	if len(payload) != 4*len(dst) {
 		return fmt.Errorf("wire: embed response %d B, want %d (%d float32)", len(payload), 4*len(dst), len(dst))
 	}
-	decodeFloats(dst, payload)
+	DecodeFloat32s(dst, payload)
 	return nil
 }
 
@@ -587,7 +588,7 @@ func appendUpdates(buf []byte, ups []Update) []byte {
 		for _, r := range up.Rows {
 			buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
 		}
-		buf = appendFloats(buf, up.Grads)
+		buf = AppendFloat32s(buf, up.Grads)
 	}
 	return buf
 }
@@ -670,7 +671,7 @@ func decodeUpdates(payload []byte, g Geometry, s *UpdateScratch) ([]Update, erro
 		}
 		p = p[4*n:]
 		s.Grads = growFloats(s.Grads, n*g.Dim)
-		decodeFloats(s.Grads[gradAt:], p[:4*n*g.Dim])
+		DecodeFloat32s(s.Grads[gradAt:], p[:4*n*g.Dim])
 		p = p[4*n*g.Dim:]
 		s.Ups[u] = Update{Table: table, Rows: s.Rows[rowAt:], Grads: s.Grads[gradAt:]}
 	}
@@ -745,7 +746,7 @@ func AppendRestore(buf []byte, id uint64, seq uint64, commit bool, table int, ro
 	for _, r := range rows {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
 	}
-	buf = appendFloats(buf, vals)
+	buf = AppendFloat32s(buf, vals)
 	return endFrame(buf, lenAt)
 }
 
@@ -791,7 +792,7 @@ func DecodeRestore(payload []byte, g Geometry, s *UpdateScratch) (seq uint64, co
 		s.Rows = append(s.Rows, r)
 	}
 	s.Grads = growFloats(s.Grads, n*g.Dim)
-	decodeFloats(s.Grads, p[4*n:])
+	DecodeFloat32s(s.Grads, p[4*n:])
 	return seq, commit, Update{Table: table, Rows: s.Rows, Grads: s.Grads}, nil
 }
 
@@ -828,13 +829,13 @@ func DecodeError(payload []byte) (ErrCode, string, error) {
 	return ErrCode(binary.LittleEndian.Uint16(payload)), string(payload[2:]), nil
 }
 
-// FinishBatch stamps the OpBatch header into the BatchHeaderBytes of
-// headroom a coalescing writer reserved at buf's front, covering the count
-// sub-frames packed behind it, and returns the finished frame. The caller
-// guarantees count matches the packed sub-frames and stays within
-// MaxBatchSubFrames — FinishBatch is the zero-copy fast path, so like the
-// other hot encoders it does not re-walk the buffer to validate.
-func FinishBatch(buf []byte, id uint64, count int) []byte {
+// finishBatch stamps the OpBatch header into the BatchHeaderBytes of
+// headroom reserved at buf's front, covering the count sub-frames packed
+// behind it, and returns the finished frame. The caller guarantees count
+// matches the packed sub-frames and stays within MaxBatchSubFrames — it is
+// Writer's zero-copy fast path, so like the other hot encoders it does not
+// re-walk the buffer to validate.
+func finishBatch(buf []byte, id uint64, count int) []byte {
 	binary.LittleEndian.PutUint32(buf, uint32(len(buf)-4))
 	buf[4] = byte(OpBatch)
 	binary.LittleEndian.PutUint64(buf[5:], id)
@@ -844,15 +845,15 @@ func FinishBatch(buf []byte, id uint64, count int) []byte {
 
 // AppendBatch appends an OpBatch frame coalescing the given complete
 // frames (each already carrying its own header). It is the convenience
-// encoder for tests and cold paths; the hot coalescing writers pack
-// sub-frames directly behind reserved headroom and use FinishBatch.
+// encoder for tests and cold paths; a Writer packs sub-frames directly
+// behind reserved headroom instead.
 func AppendBatch(buf []byte, id uint64, subs ...[]byte) []byte {
 	at := len(buf)
 	buf = append(buf, make([]byte, BatchHeaderBytes)...)
 	for _, sub := range subs {
 		buf = append(buf, sub...)
 	}
-	FinishBatch(buf[at:], id, len(subs))
+	finishBatch(buf[at:], id, len(subs))
 	return buf
 }
 
@@ -975,7 +976,6 @@ func growFloats(s []float32, n int) []float32 {
 	return out
 }
 
-// appendFloats appends vals as raw little-endian float32 bits.
 // hostLittleEndian reports whether the host's native uint32 layout is
 // already the wire's little-endian layout, in which case the float
 // codecs degenerate to single memmoves — they dominate the per-byte
@@ -986,7 +986,10 @@ var hostLittleEndian = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-func appendFloats(buf []byte, vals []float32) []byte {
+// AppendFloat32s appends vals to buf as raw little-endian float32 bits —
+// the wire's float encoding, exported so on-disk formats (the durability
+// plane's snapshot files) lay floats out exactly like the protocol does.
+func AppendFloat32s(buf []byte, vals []float32) []byte {
 	if hostLittleEndian && len(vals) > 0 {
 		return append(buf, unsafe.Slice((*byte)(unsafe.Pointer(&vals[0])), 4*len(vals))...)
 	}
@@ -996,8 +999,9 @@ func appendFloats(buf []byte, vals []float32) []byte {
 	return buf
 }
 
-// decodeFloats fills dst from len(dst)*4 raw little-endian bytes.
-func decodeFloats(dst []float32, p []byte) {
+// DecodeFloat32s fills dst from len(dst)*4 raw little-endian bytes, the
+// inverse of AppendFloat32s. p must hold at least 4*len(dst) bytes.
+func DecodeFloat32s(dst []float32, p []byte) {
 	if hostLittleEndian && len(dst) > 0 {
 		copy(unsafe.Slice((*byte)(unsafe.Pointer(&dst[0])), 4*len(dst)), p)
 		return
@@ -1005,17 +1009,4 @@ func decodeFloats(dst []float32, p []byte) {
 	for i := range dst {
 		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(p[4*i:]))
 	}
-}
-
-// AppendFloat32s appends vals to buf as raw little-endian float32 bits —
-// the wire's float encoding, exported so on-disk formats (the durability
-// plane's snapshot files) lay floats out exactly like the protocol does.
-func AppendFloat32s(buf []byte, vals []float32) []byte {
-	return appendFloats(buf, vals)
-}
-
-// DecodeFloat32s fills dst from len(dst)*4 raw little-endian bytes, the
-// inverse of AppendFloat32s. p must hold at least 4*len(dst) bytes.
-func DecodeFloat32s(dst []float32, p []byte) {
-	decodeFloats(dst, p)
 }
