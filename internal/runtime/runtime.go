@@ -631,16 +631,39 @@ func (d *Deployment) UpdateTable(t int, rows []int, grads *tensor.Tensor) error 
 // callers that need consistent snapshots during updates must quiesce
 // first.
 func (d *Deployment) ApplyUpdates(ups []TableUpdate) error {
-	return d.applyUpdates(ups, true)
-}
+	// The cap of maxBatch x reduction rows per entry also keeps scatterTable's
+	// padded stripes within the lane scratch (idxCap, the gather slack).
+	if err := CheckUpdates(ups, d.geom); err != nil {
+		return fmt.Errorf("runtime: %w", err)
+	}
+	if err := d.enter(); err != nil {
+		return err
+	}
+	defer d.inflight.Done()
 
-// ApplyUpdatesToNode is ApplyUpdates without the write-through to the
-// host-side golden tables. It exists for replica fan-out: when several
-// deployments share one *recsys.Model (replicas of the same model across
-// pools), the golden tables must absorb each update exactly once —
-// ApplyUpdates on the first replica, ApplyUpdatesToNode on the rest.
-func (d *Deployment) ApplyUpdatesToNode(ups []TableUpdate) error {
-	return d.applyUpdates(ups, false)
+	// A batch touching one table — every update the serving fleet's writers
+	// issue — has nothing to group or fan out: it runs on the caller's
+	// goroutine and allocates nothing.
+	if oneTable(ups) {
+		return d.applyTableGroup(ups[0].Table, ups)
+	}
+	order, groups := GroupUpdatesByTable(ups)
+	errs := make([]error, len(order))
+	var wg sync.WaitGroup
+	for gi, t := range order {
+		wg.Add(1)
+		go func(gi, t int) {
+			defer wg.Done()
+			errs[gi] = d.applyTableGroup(t, groups[t])
+		}(gi, t)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RestoreRows overwrites rows of table t with absolute values (vals holds
@@ -651,17 +674,6 @@ func (d *Deployment) ApplyUpdatesToNode(ups []TableUpdate) error {
 // history that produced it. Rows are written in slice order under the
 // table's update lock, serializing against in-flight SCATTER_ADDs.
 func (d *Deployment) RestoreRows(t int, rows []int, vals []float32) error {
-	return d.restoreRows(t, rows, vals, true)
-}
-
-// RestoreRowsToNode is RestoreRows without the golden write-through, for
-// replica fan-out over a shared *recsys.Model — the same split as
-// ApplyUpdates / ApplyUpdatesToNode.
-func (d *Deployment) RestoreRowsToNode(t int, rows []int, vals []float32) error {
-	return d.restoreRows(t, rows, vals, false)
-}
-
-func (d *Deployment) restoreRows(t int, rows []int, vals []float32, writeThrough bool) error {
 	cfg := d.Model.Cfg
 	if err := d.geom.CheckRows(t, rows, len(vals)); err != nil {
 		return fmt.Errorf("runtime: restore: %w", err)
@@ -679,9 +691,7 @@ func (d *Deployment) restoreRows(t int, rows []int, vals []float32, writeThrough
 		if err := d.Node.WriteFloats(d.tableBase[t]+uint64(r)*embBytes, src); err != nil {
 			return fmt.Errorf("runtime: restore row %d: %w", r, err)
 		}
-		if writeThrough {
-			copy(tb.Row(r), src)
-		}
+		copy(tb.Row(r), src)
 	}
 	return nil
 }
@@ -719,44 +729,6 @@ func AccumulateGolden(table *embed.Table, up TableUpdate) {
 	}
 }
 
-// applyUpdates validates the whole batch, groups it by table, and fans the
-// per-table groups out across scratch lanes, each group under its table's
-// update lock. A batch touching one table — every update the serving
-// fleet's writers issue — has nothing to group or fan out: it runs on the
-// caller's goroutine and allocates nothing.
-func (d *Deployment) applyUpdates(ups []TableUpdate, writeThrough bool) error {
-	// The cap of maxBatch x reduction rows per entry also keeps scatterTable's
-	// padded stripes within the lane scratch (idxCap, the gather slack).
-	if err := CheckUpdates(ups, d.geom); err != nil {
-		return fmt.Errorf("runtime: %w", err)
-	}
-	if err := d.enter(); err != nil {
-		return err
-	}
-	defer d.inflight.Done()
-
-	if oneTable(ups) {
-		return d.applyTableGroup(ups[0].Table, ups, writeThrough)
-	}
-	order, groups := GroupUpdatesByTable(ups)
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for gi, t := range order {
-		wg.Add(1)
-		go func(gi, t int) {
-			defer wg.Done()
-			errs[gi] = d.applyTableGroup(t, groups[t], writeThrough)
-		}(gi, t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // oneTable reports whether a non-empty batch targets a single table.
 func oneTable(ups []TableUpdate) bool {
 	for _, up := range ups {
@@ -769,7 +741,7 @@ func oneTable(ups []TableUpdate) bool {
 
 // applyTableGroup applies one table's updates in slice order under that
 // table's update lock, stopping at the first failure.
-func (d *Deployment) applyTableGroup(t int, group []TableUpdate, writeThrough bool) error {
+func (d *Deployment) applyTableGroup(t int, group []TableUpdate) error {
 	d.tableMu[t].Lock()
 	defer d.tableMu[t].Unlock()
 	sc := &d.scatter[t]
@@ -787,9 +759,7 @@ func (d *Deployment) applyTableGroup(t int, group []TableUpdate, writeThrough bo
 		if err != nil {
 			return err
 		}
-		if writeThrough {
-			AccumulateGolden(d.Model.Embedding.Tables[t], up)
-		}
+		AccumulateGolden(d.Model.Embedding.Tables[t], up)
 	}
 	return nil
 }

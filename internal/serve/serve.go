@@ -1,5 +1,5 @@
 // Package serve turns a deployed recommender model into a concurrent
-// inference server: the serving runtime a TensorNode-equipped host would run
+// embedding server: the serving runtime a TensorNode-equipped host would run
 // in production.
 //
 // The paper's runtime (Section 4.4) executes one embedding batch at a time.
@@ -23,15 +23,20 @@
 //     partitions, so table-level parallelism is architecturally free).
 //
 // The server also accepts online embedding updates (Update) through the
-// same queue: within a merged batch, member updates apply — to every
-// replica, in arrival order — before the merged embedding executes, so an
-// update never loses to a read it was coalesced with on the same rows.
+// same queue: within a merged batch, member updates apply, in arrival
+// order, before the merged embedding executes, so an update never loses to
+// a read it was coalesced with on the same rows.
+//
+// A server holds exactly one deployment. It offloads only the embedding
+// stage: Infer runs the DNN on the caller's goroutine over the pooled
+// tensor, as the GPU does with what a TensorNode returns. Replication
+// belongs to the fleet (remote replica groups), not to one server.
 //
 // Every entry point is a submit (put the request on the queue) followed
-// by an await (block for its reply). The blocking calls — Infer, Embed,
-// EmbedInto, Update — do both; StartEmbedInto and Pending.Wait expose the
-// two halves of an embedding read, so a caller with sub-requests for several
-// servers (the cluster router) can queue all of them before it waits.
+// by an await (block for its reply). The blocking calls — Embed, EmbedInto,
+// Update — do both; StartEmbedInto and Pending.Wait expose the two halves
+// of an embedding read, so a caller with sub-requests for several servers
+// (the cluster router) can queue all of them before it waits.
 //
 // Every request's queue and total latency is recorded; Metrics reports
 // p50/p95/p99 percentiles plus sustained throughput, the numbers a serving
@@ -66,12 +71,12 @@ const (
 // as an error).
 type Config struct {
 	// MaxBatch caps how many samples one merged embedding execution may
-	// carry. Zero defaults to the smallest MaxBatch of the deployments;
-	// negative is invalid.
+	// carry. Zero defaults to the deployment's MaxBatch; negative is
+	// invalid.
 	MaxBatch int
 	// Workers is the number of merged batches executed concurrently — the
-	// server's only goroutines. Zero defaults to the total execution slots
-	// across the deployments; negative is invalid.
+	// server's only goroutines. Zero defaults to the deployment's execution
+	// slots; negative is invalid.
 	Workers int
 }
 
@@ -94,49 +99,35 @@ func (c Config) validate() error {
 
 // withDefaults fills every zero field with its documented default. It must
 // run after validate: it only ever replaces exact zeros.
-func (c Config) withDefaults(deps []*runtime.Deployment) Config {
+func (c Config) withDefaults(dep *runtime.Deployment) Config {
 	if c.MaxBatch == 0 {
-		c.MaxBatch = deps[0].MaxBatch()
-		for _, d := range deps[1:] {
-			if d.MaxBatch() < c.MaxBatch {
-				c.MaxBatch = d.MaxBatch()
-			}
-		}
+		c.MaxBatch = dep.MaxBatch()
 	}
 	if c.Workers == 0 {
-		for _, d := range deps {
-			c.Workers += d.Slots()
-		}
+		c.Workers = dep.Slots()
 	}
 	return c
 }
 
-// request is one submitted inference or update, pending or in flight.
-// Updates carry a non-nil updates slice and contribute zero samples to a
-// merged batch; reads carry rows/batch. Embedding reads carry dst, the
-// caller-provided buffer the worker writes the result into; inference
-// reads leave dst nil and receive a fresh tensor. Requests are pooled: the
-// submitter puts its request back only after reading the reply, so a
-// pooled request is never aliased by two in-flight submissions.
+// request is one submitted read or update, pending or in flight. Updates
+// carry a non-nil updates slice and contribute zero samples to a merged
+// batch; reads carry rows/batch and dst, the caller-provided buffer the
+// worker writes the result into. Requests are pooled: the submitter puts
+// its request back only after reading the reply, so a pooled request is
+// never aliased by two in-flight submissions.
 type request struct {
 	rows    [][]int
 	batch   int
-	dst     []float32 // embedding destination; nil for inference reads
-	infer   bool      // run the DNN stage on the merged embedding
+	dst     []float32
 	updates []runtime.TableUpdate
 	enq     time.Time
 	span    telemetry.Span // per-hop trace slot, recycled with the request
-	done    chan result
-}
-
-type result struct {
-	out *tensor.Tensor
-	err error
+	done    chan error
 }
 
 // reqPool recycles request objects (with their reply channels) across
 // submissions; the steady-state submit path allocates nothing.
-var reqPool = sync.Pool{New: func() any { return &request{done: make(chan result, 1)} }}
+var reqPool = sync.Pool{New: func() any { return &request{done: make(chan error, 1)} }}
 
 // getRequest fetches a pooled request stamped with the submission time.
 func getRequest() *request {
@@ -149,7 +140,7 @@ func getRequest() *request {
 // submitter calls it, after the reply has been received — the worker never
 // touches a request after sending its result.
 func putRequest(r *request) {
-	r.rows, r.dst, r.updates, r.infer, r.batch = nil, nil, nil, false, 0
+	r.rows, r.dst, r.updates, r.batch = nil, nil, nil, 0
 	reqPool.Put(r)
 }
 
@@ -165,20 +156,13 @@ type workerScratch struct {
 	emb    []float32
 }
 
-// Server owns one or more Deployments of the same model (replicas across
-// TensorNode pools) and serves concurrent inference requests against them
-// with dynamic micro-batching. Create with New, submit with Infer or Embed
-// from any number of goroutines, and Close when done — Close releases the
-// owned deployments.
+// Server owns one Deployment and serves concurrent embedding reads and
+// updates against it with dynamic micro-batching. Create with New or
+// Deploy, submit with Embed, Infer or Update from any number of goroutines,
+// and Close when done — Close releases the deployment.
 type Server struct {
 	cfg  Config
-	deps []*runtime.Deployment
-	// writeThrough[i] marks deployment i as the first of its golden model:
-	// it applies an update or restore to the golden too, later replicas of
-	// the same model to their node copy only, so a shared golden absorbs
-	// each write exactly once.
-	writeThrough []bool
-
+	dep  *runtime.Deployment
 	geom wire.Geometry // the request contract, MaxBatch = cfg.MaxBatch
 
 	mu       sync.Mutex
@@ -195,9 +179,11 @@ type Server struct {
 	closeDone chan struct{}
 	closeErr  error
 
-	// upMu serializes update application across workers: an update fans out
-	// to every replica, and the fan-out must be atomic so all replicas
-	// accumulate updates in one global order and stay bit-identical.
+	// upMu serializes update application across workers and against
+	// Restore: one merged batch's updates apply as a contiguous run in
+	// arrival order, and a Restore never lands between two of them. The
+	// deployment's per-table locks order each update alone; upMu orders the
+	// batch.
 	upMu sync.Mutex
 
 	// tblMu guards table memory against Restore: merged-batch gathers hold
@@ -205,11 +191,10 @@ type Server struct {
 	// scatter-adds are NMP instructions and serialize with gathers on each
 	// core's mutex — but Restore writes table rows directly (WriteFloats
 	// bypasses the cores by design; see Restore) and would otherwise tear
-	// rows under a concurrent read from a second, read-only router.
+	// rows under a concurrent gather.
 	tblMu sync.RWMutex
 
 	started time.Time
-	rr      atomic.Uint64 // round-robin deployment cursor
 
 	requests atomic.Uint64
 	samples  atomic.Uint64
@@ -226,7 +211,7 @@ type Server struct {
 	tracer *telemetry.Tracer
 
 	// node is the TensorNode Deploy built for the server, closed by Close;
-	// nil when the caller owns the deployments' nodes (New).
+	// nil when the caller owns the deployment's node (New).
 	node *node.Node
 }
 
@@ -248,49 +233,30 @@ func (s *Server) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) 
 	s.tracer = reg.Tracer("serve", 0, []string{"queue", "exec"}, labels...)
 }
 
-// New validates the deployments (same model geometry everywhere, batching
-// cap within every deployment's capacity), starts the worker goroutines,
-// and returns a serving handle.
-func New(cfg Config, deps ...*runtime.Deployment) (*Server, error) {
-	if len(deps) == 0 {
-		return nil, fmt.Errorf("serve: at least one deployment required")
-	}
-	ref := deps[0].Model.Cfg
-	for i, d := range deps[1:] {
-		c := d.Model.Cfg
-		if c.Tables != ref.Tables || c.Reduction != ref.Reduction ||
-			c.EmbDim != ref.EmbDim || c.TableRows != ref.TableRows ||
-			c.Mean != ref.Mean || c.Op != ref.Op {
-			return nil, fmt.Errorf("serve: deployment %d serves a different model geometry than deployment 0", i+1)
-		}
+// New validates the deployment and the batching cap against its capacity,
+// starts the worker goroutines, and returns a serving handle.
+func New(cfg Config, dep *runtime.Deployment) (*Server, error) {
+	if dep == nil {
+		return nil, fmt.Errorf("serve: a deployment is required")
 	}
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg = cfg.withDefaults(deps)
-	if cfg.MaxBatch <= 0 {
-		return nil, fmt.Errorf("serve: MaxBatch must be positive")
+	cfg = cfg.withDefaults(dep)
+	if cfg.MaxBatch > dep.MaxBatch() {
+		return nil, fmt.Errorf("serve: MaxBatch %d exceeds the deployment's capacity %d",
+			cfg.MaxBatch, dep.MaxBatch())
 	}
-	for i, d := range deps {
-		if d.MaxBatch() < cfg.MaxBatch {
-			return nil, fmt.Errorf("serve: MaxBatch %d exceeds deployment %d's capacity %d",
-				cfg.MaxBatch, i, d.MaxBatch())
-		}
-	}
+	mc := dep.Model.Cfg
 	s := &Server{
 		cfg:       cfg,
-		deps:      deps,
-		geom:      wire.Geometry{Tables: ref.Tables, Reduction: ref.Reduction, Dim: ref.EmbDim, TableRows: ref.TableRows, MaxBatch: cfg.MaxBatch},
+		dep:       dep,
+		geom:      wire.Geometry{Tables: mc.Tables, Reduction: mc.Reduction, Dim: mc.EmbDim, TableRows: mc.TableRows, MaxBatch: cfg.MaxBatch},
 		queue:     make(chan *request, queueDepth),
 		closeDone: make(chan struct{}),
 		started:   time.Now(),
 		queueLat:  telemetry.NewHistogram(),
 		totalLat:  telemetry.NewHistogram(),
-	}
-	seen := make(map[*recsys.Model]bool, len(deps))
-	for _, d := range deps {
-		s.writeThrough = append(s.writeThrough, !seen[d.Model])
-		seen[d.Model] = true
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		s.workerWG.Add(1)
@@ -349,23 +315,21 @@ func perDIMMBytes(mc recsys.Config, dimms, maxBatch, slots, lanes int) uint64 {
 }
 
 // Node returns the TensorNode Deploy built for the server, or nil for a
-// server made with New over caller-owned deployments.
+// server made with New over a caller-owned deployment.
 func (s *Server) Node() *node.Node { return s.node }
 
-// Infer runs a full inference — near-memory embedding plus the DNN stage —
-// for one request of `batch` samples, blocking until the result is ready.
-// perTableRows holds batch x reduction row indices per table, exactly as
-// Deployment.Infer takes them. Safe for concurrent use.
+// Infer runs Embed plus the model's DNN stage on the caller's goroutine
+// (the GPU that received the pooled tensor), returning [batch, 1]
+// probabilities. perTableRows holds batch x reduction row indices per
+// table, exactly as Deployment.Infer takes them. The DNN stage runs after
+// the read completed, so the request latency the server records covers the
+// embedding stage only. Safe for concurrent use.
 func (s *Server) Infer(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	if err := s.geom.CheckRead(perTableRows, batch); err != nil {
-		return nil, fmt.Errorf("serve: %w", err)
-	}
-	req := getRequest()
-	req.rows, req.batch, req.infer = perTableRows, batch, true
-	if err := s.submit(req); err != nil {
+	emb, err := s.Embed(perTableRows, batch)
+	if err != nil {
 		return nil, err
 	}
-	return await(req)
+	return s.dep.Model.InferFromEmbeddings(emb)
 }
 
 // Embed runs only the embedding stage, returning the pooled [batch,
@@ -428,7 +392,7 @@ func (s *Server) StartEmbedInto(dst []float32, perTableRows [][]int, batch int) 
 // and returns the destination re-sliced to exactly batch*tables*dim.
 func (p Pending) Wait() ([]float32, error) {
 	dst := p.req.dst
-	if _, err := await(p.req); err != nil {
+	if err := await(p.req); err != nil {
 		return nil, err
 	}
 	return dst, nil
@@ -446,11 +410,9 @@ func (s *Server) Geometry() wire.Geometry { return s.geom }
 // before the merged embedding executes, so an update never loses to a read
 // it was coalesced with on the same rows; across batches, a caller that
 // waits for Update to return is guaranteed every later read observes the
-// update. The update is applied to every replica deployment (write-through
-// to each distinct golden model exactly once), so replicas stay
-// bit-identical. The batch is checked (runtime.CheckUpdates) at submit, so
-// a bad update never fails the merged batch it would have joined. Safe for
-// concurrent use.
+// update. The update writes through to the deployment's golden model. The
+// batch is checked (runtime.CheckUpdates) at submit, so a bad update never
+// fails the merged batch it would have joined. Safe for concurrent use.
 func (s *Server) Update(ups []runtime.TableUpdate) error {
 	if err := runtime.CheckUpdates(ups, s.geom); err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -460,13 +422,12 @@ func (s *Server) Update(ups []runtime.TableUpdate) error {
 	if err := s.submit(req); err != nil {
 		return err
 	}
-	_, err := await(req)
-	return err
+	return await(req)
 }
 
 // submit queues one request without waiting for its result — the one way
-// into the queue for reads, inferences and updates alike. A refused request
-// is recycled here.
+// into the queue for reads and updates alike. A refused request is
+// recycled here.
 func (s *Server) submit(req *request) error {
 	s.mu.Lock()
 	if s.closed {
@@ -487,10 +448,10 @@ func (s *Server) submit(req *request) error {
 // await blocks for a submitted request's result and recycles the request.
 // The reply channel is buffered, so a worker never waits for a submitter
 // that has not reached await yet.
-func await(req *request) (*tensor.Tensor, error) {
-	r := <-req.done
+func await(req *request) error {
+	err := <-req.done
 	putRequest(req)
-	return r.out, r.err
+	return err
 }
 
 // worker is the only goroutine between submit and execute. It blocks for
@@ -550,17 +511,16 @@ func (s *Server) worker() {
 
 // execute runs one merged batch: member updates first (in arrival order,
 // so an update never loses to a read it was coalesced with on the same
-// rows), then the merged embedding for the member reads on the next
-// deployment replica, fanning results back out to the member requests.
-// ws.reqs holds the members, total their summed samples.
+// rows), then the merged embedding for the member reads, fanning results
+// back out to the member requests. ws.reqs holds the members, total their
+// summed samples.
 func (s *Server) execute(ws *workerScratch, total int) {
 	start := time.Now()
 	for _, r := range ws.reqs {
-		wait := start.Sub(r.enq).Seconds()
-		s.queueLat.Observe(wait)
+		s.queueLat.Observe(start.Sub(r.enq).Seconds())
 		if s.tracer != nil {
 			r.span.BeginAt(r.enq)
-			r.span.Mark(hopQueue)
+			r.span.MarkAt(hopQueue, start)
 		}
 	}
 
@@ -581,8 +541,6 @@ func (s *Server) execute(ws *workerScratch, total int) {
 		return
 	}
 
-	dep := s.deps[int(s.rr.Add(1)-1)%len(s.deps)]
-
 	// Merge: concatenate the member requests' per-table row lists. Pooling
 	// groups are positional, so sample i of member j lands at output row
 	// (offset of j) + i with identical arithmetic to a solo run.
@@ -594,74 +552,63 @@ func (s *Server) execute(ws *workerScratch, total int) {
 		ws.merged[t] = rows
 	}
 
-	// A lone read (not an inference) reads back straight into its own
-	// destination, which is exactly total samples wide: no split copy.
-	lone := len(reads) == 1 && !reads[0].infer
+	// A lone read reads back straight into its own destination, which is
+	// exactly total samples wide: no split copy.
+	lone := len(reads) == 1
 	emb := ws.emb[:total*s.geom.Width()]
 	if lone {
 		emb = reads[0].dst
 	}
 	s.tblMu.RLock()
-	err := dep.RunEmbeddingInto(emb, ws.merged, total)
+	err := s.dep.RunEmbeddingInto(emb, ws.merged, total)
 	s.tblMu.RUnlock()
 	if err != nil {
 		s.failures.Add(uint64(len(reads)))
 		for _, r := range reads {
-			r.done <- result{err: fmt.Errorf("serve: merged batch of %d failed: %w", total, err)}
+			r.done <- fmt.Errorf("serve: merged batch of %d failed: %w", total, err)
 		}
 		return
 	}
 	s.batches.Add(1)
 
 	// Split: each member request gets its slice of the embedding rows
-	// copied into its destination buffer, or — for inference — its own DNN
-	// stage over a view of the scratch (row-wise MLP results are
-	// independent of co-batched rows).
+	// copied into its destination buffer.
 	off := 0
 	for _, r := range reads {
-		rows := emb[off*s.geom.Width() : (off+r.batch)*s.geom.Width()]
+		if !lone {
+			copy(r.dst, emb[off*s.geom.Width():(off+r.batch)*s.geom.Width()])
+		}
 		off += r.batch
-		var res result
-		if r.infer {
-			view, err := tensor.FromSlice(rows, r.batch, s.geom.Width())
-			if err == nil {
-				view, err = dep.Model.InferFromEmbeddings(view)
-			}
-			res = result{out: view, err: err}
-		} else if !lone {
-			copy(r.dst, rows)
-		}
-		if res.err != nil {
-			s.failures.Add(1)
-			r.done <- res
-			continue
-		}
 		s.requests.Add(1)
 		s.samples.Add(uint64(r.batch))
-		total := time.Since(r.enq).Seconds()
-		s.totalLat.Observe(total)
-		// Trace bookkeeping strictly precedes the reply send: the
-		// submitter recycles the request (and its span slot) as soon as
-		// the result lands.
-		if s.tracer != nil {
-			r.span.Mark(hopExec)
-			s.tracer.Finish(&r.span)
-		}
-		r.done <- res
+		s.reply(r)
 	}
 }
 
-// applyUpdates applies a merged batch's update requests in arrival order,
-// replying to each. The server-wide update lock makes the per-request
-// replica fan-out atomic: concurrent workers cannot interleave two updates
-// across replicas, so every replica accumulates the same global order.
+// reply records a successful request's total latency and closes its trace
+// at one clock reading, so the exec hop ends exactly where the total does,
+// then delivers the reply. Trace bookkeeping strictly precedes the send:
+// the submitter recycles the request (and its span slot) as soon as the
+// reply lands.
+func (s *Server) reply(r *request) {
+	now := time.Now()
+	s.totalLat.Observe(now.Sub(r.enq).Seconds())
+	if s.tracer != nil {
+		r.span.MarkAt(hopExec, now)
+		s.tracer.FinishAt(&r.span, now)
+	}
+	r.done <- nil
+}
+
+// applyUpdates applies a merged batch's update requests in arrival order
+// under the server-wide update lock, replying to each.
 func (s *Server) applyUpdates(reqs []*request) {
 	s.upMu.Lock()
 	defer s.upMu.Unlock()
 	for _, r := range reqs {
-		if err := s.fanOutUpdate(r.updates); err != nil {
+		if err := s.dep.ApplyUpdates(r.updates); err != nil {
 			s.failures.Add(1)
-			r.done <- result{err: fmt.Errorf("serve: update failed: %w", err)}
+			r.done <- fmt.Errorf("serve: update failed: %w", err)
 			continue
 		}
 		rows := 0
@@ -670,43 +617,19 @@ func (s *Server) applyUpdates(reqs []*request) {
 		}
 		s.updates.Add(1)
 		s.upRows.Add(uint64(rows))
-		total := time.Since(r.enq).Seconds()
-		s.totalLat.Observe(total)
-		if s.tracer != nil {
-			r.span.Mark(hopExec)
-			s.tracer.Finish(&r.span)
-		}
-		r.done <- result{}
+		s.reply(r)
 	}
 }
 
-// fanOutUpdate applies one update batch to every replica deployment (see
-// writeThrough for which of them also update their golden model).
-func (s *Server) fanOutUpdate(ups []runtime.TableUpdate) error {
-	for i, d := range s.deps {
-		var err error
-		if s.writeThrough[i] {
-			err = d.ApplyUpdates(ups)
-		} else {
-			err = d.ApplyUpdatesToNode(ups)
-		}
-		if err != nil {
-			return fmt.Errorf("replica %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Restore overwrites rows of one table with absolute embedding values on
-// every replica deployment (write-through to each distinct golden model
-// exactly once) — the serving-side half of a durable snapshot install. It
-// bypasses the micro-batching queue: restores are a cold recovery path
-// that must not contend with live traffic for batch slots, and the
-// server-wide update lock already gives them the same atomicity as a
-// fanned-out update. Safe for concurrent use with reads and updates: the
-// table barrier (tblMu) excludes in-flight gathers while rows are
-// overwritten, so a read-only router hitting a replica mid-restore can
-// never observe a torn row.
+// Restore overwrites rows of one table with absolute embedding values, on
+// the deployment's node table and its golden model — the serving-side half
+// of a durable snapshot install. It bypasses the micro-batching queue:
+// restores are a cold recovery path that must not contend with live
+// traffic for batch slots. It holds the server-wide update lock, so it
+// never lands inside a merged batch's run of updates. Safe for concurrent
+// use with reads and updates: the table barrier (tblMu) excludes in-flight
+// gathers while rows are overwritten, so a read-only router hitting this
+// replica mid-restore can never observe a torn row.
 func (s *Server) Restore(table int, rows []int, vals []float32) error {
 	if err := s.geom.CheckRows(table, rows, len(vals)); err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
@@ -721,16 +644,8 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 	defer s.upMu.Unlock()
 	s.tblMu.Lock()
 	defer s.tblMu.Unlock()
-	for i, d := range s.deps {
-		var err error
-		if s.writeThrough[i] {
-			err = d.RestoreRows(table, rows, vals)
-		} else {
-			err = d.RestoreRowsToNode(table, rows, vals)
-		}
-		if err != nil {
-			return fmt.Errorf("serve: restore: replica %d: %w", i, err)
-		}
+	if err := s.dep.RestoreRows(table, rows, vals); err != nil {
+		return fmt.Errorf("serve: restore: %w", err)
 	}
 	return nil
 }
@@ -738,10 +653,10 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 // Close stops accepting requests, drains everything already submitted
 // (queued requests execute and reply — reads and updates alike, so a caller
 // blocked in Infer, Embed or Update always gets its result), stops the
-// workers, and releases the owned deployments (and closes the node, for a
-// server built by Deploy). It is idempotent, and every
-// call — including concurrent ones — returns only after the drain has
-// completed; requests submitted after Close fail fast.
+// workers, and releases the deployment (and closes the node, for a server
+// built by Deploy). It is idempotent, and every call — including
+// concurrent ones — returns only after the drain has completed; requests
+// submitted after Close fail fast.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
@@ -750,11 +665,7 @@ func (s *Server) Close() error {
 		s.inflight.Wait() // every accepted submit has reached the queue
 		close(s.queue)
 		s.workerWG.Wait()
-		for _, d := range s.deps {
-			if err := d.Release(); err != nil && s.closeErr == nil {
-				s.closeErr = err
-			}
-		}
+		s.closeErr = s.dep.Release()
 		if s.node != nil {
 			s.node.Close()
 		}

@@ -6,11 +6,13 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"tensordimm/internal/isa"
 	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/workload"
 )
@@ -43,18 +45,13 @@ func newDeployment(t *testing.T, cfg recsys.Config, maxBatch, slots, lanes int) 
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("want error for zero deployments")
-	}
 	cfg := testConfig(2, 5, 128, true, isa.RAdd)
 	d := newDeployment(t, cfg, 8, 1, 1)
 	if _, err := New(Config{MaxBatch: 16}, d); err == nil {
 		t.Fatal("want error for MaxBatch beyond deployment capacity")
 	}
-	other := testConfig(3, 5, 128, true, isa.RAdd) // different table count
-	d2 := newDeployment(t, other, 8, 1, 1)
-	if _, err := New(Config{}, d, d2); err == nil {
-		t.Fatal("want error for mismatched deployment geometries")
+	if _, err := New(Config{}, nil); err == nil {
+		t.Fatal("want error for a nil deployment")
 	}
 	s, err := New(Config{}, d)
 	if err != nil {
@@ -82,7 +79,7 @@ func TestDeploy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.deps[0].Lanes(); got != 3*cfg.Tables {
+	if got := s.dep.Lanes(); got != 3*cfg.Tables {
 		t.Fatalf("%d lanes, want one per worker and table (%d)", got, 3*cfg.Tables)
 	}
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
@@ -308,12 +305,12 @@ func stall(s *Server) (release func()) {
 // current state and returns the handles with the golden results to expect.
 func startReads(t *testing.T, s *Server, gen *workload.Generator, batches ...int) ([]Pending, [][]float32) {
 	t.Helper()
-	cfg := s.deps[0].Model.Cfg
+	cfg := s.dep.Model.Cfg
 	pending := make([]Pending, len(batches))
 	want := make([][]float32, len(batches))
 	for i, b := range batches {
 		rows := gen.Batch(cfg.Tables, b, cfg.Reduction)
-		golden, err := s.deps[0].GoldenEmbedding(rows, b)
+		golden, err := s.dep.GoldenEmbedding(rows, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -352,6 +349,38 @@ func closeDuringStall(s *Server, release func()) error {
 	}
 	release()
 	return <-done
+}
+
+// TestServeTraceSumsToTotal: serve reads the clock once per boundary, so
+// a traced read's queue and exec hops add up to its total exactly. The read
+// is held behind the stalled worker until 2 ms have passed on the clock,
+// which puts it over the tracer's 1 ms slow threshold.
+func TestServeTraceSumsToTotal(t *testing.T) {
+	cfg := testConfig(2, 2, 128, false, isa.RAdd)
+	s, err := New(Config{Workers: 1}, newDeployment(t, cfg, 8, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 6)
+	release := stall(s)
+	pending, want := startReads(t, s, gen, 1)
+	for t0 := time.Now(); time.Since(t0) < 2*time.Millisecond; {
+		goruntime.Gosched()
+	}
+	release()
+	waitGolden(t, pending, want)
+	slow := reg.SlowRequests()
+	if len(slow) != 1 || slow[0].Tracer != "serve" || len(slow[0].Hops) != 2 {
+		t.Fatalf("slow ring %+v, want one serve entry with two hops", slow)
+	}
+	sr := slow[0]
+	if sum := sr.Hops[hopQueue].Nanos + sr.Hops[hopExec].Nanos; sum != sr.TotalNanos {
+		t.Fatalf("queue %dns + exec %dns = %dns, want the total %dns exactly",
+			sr.Hops[hopQueue].Nanos, sr.Hops[hopExec].Nanos, sum, sr.TotalNanos)
+	}
 }
 
 // TestBatchingCoalesces queues 64 single-sample reads behind a stalled
@@ -434,57 +463,6 @@ func TestHeadOfLineCarry(t *testing.T) {
 			}
 		})
 	}
-}
-
-// TestMultipleDeployments serves from two replicas and checks both get
-// traffic and results stay golden.
-func TestMultipleDeployments(t *testing.T) {
-	cfg := testConfig(2, 5, 128, true, isa.RAdd)
-	d1 := newDeployment(t, cfg, 8, 1, cfg.Tables)
-	d2 := newDeployment(t, cfg, 8, 1, cfg.Tables)
-	s, err := New(Config{}, d1, d2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 9)
-	var wg sync.WaitGroup
-	errs := make([]error, 16)
-	for i := range errs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			rows := gen2(gen, cfg)
-			got, err := s.Embed(rows, 1)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			want, _ := d1.GoldenEmbedding(rows, 1)
-			if !tensor.Equal(got, want) {
-				errs[i] = errMismatch(i, 0)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// gen2 draws one single-sample request under the generator's mutex-free
-// sequential API (the generator itself is not safe for concurrent use, so
-// tests draw up front or serialize).
-var genMu sync.Mutex
-
-func gen2(g *workload.Generator, cfg recsys.Config) [][]int {
-	genMu.Lock()
-	defer genMu.Unlock()
-	return g.Batch(cfg.Tables, 1, cfg.Reduction)
 }
 
 func TestCloseSemantics(t *testing.T) {

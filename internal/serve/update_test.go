@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"tensordimm/internal/isa"
-	"tensordimm/internal/node"
-	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/workload"
@@ -73,7 +71,7 @@ func TestUpdateVisibleToLaterReads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := s.deps[0].GoldenEmbedding(rows, 2)
+		want, err := s.dep.GoldenEmbedding(rows, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +97,7 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	}
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 8)
 	rows := [][]int{{7, 7}, {1, 2}}
-	stale, err := s.deps[0].GoldenEmbedding(rows, 1)
+	stale, err := s.dep.GoldenEmbedding(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +120,10 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := await(up); err != nil {
+	if err := await(up); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.deps[0].GoldenEmbedding(rows, 1)
+	fresh, err := s.dep.GoldenEmbedding(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,64 +141,43 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	}
 }
 
-// TestUpdateReplicasStayIdentical deploys the SAME model twice (shared
-// golden) plus serves updates: every replica's node table must absorb every
-// update exactly once, and the shared golden only once.
-func TestUpdateReplicasStayIdentical(t *testing.T) {
+// TestUpdateAbsorbsDuplicateRowsOnce: an update listing a row twice
+// reaches the deployment once, so the golden model absorbs each of the two
+// gradient rows exactly once, and later reads of the row match it.
+func TestUpdateAbsorbsDuplicateRowsOnce(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RAdd)
-	m, err := recsys.Build(cfg, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var deps []*runtime.Deployment
-	for i := 0; i < 2; i++ {
-		nd, err := node.New(node.Config{DIMMs: 8, PerDIMMBytes: 8 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := runtime.DeployConcurrent(m, nd, 8, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		deps = append(deps, d)
-	}
-	s, err := New(Config{}, deps...)
+	dep := newDeployment(t, cfg, 8, 1, 2)
+	s, err := New(Config{}, dep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
+	golden := dep.Model.Embedding.Tables[0]
 	rng := rand.New(rand.NewSource(4))
-	snap := append([]float32(nil), m.Embedding.Tables[0].Row(3)...)
+	snap := append([]float32(nil), golden.Row(3)...)
 	g := randGrads(rng, 2, cfg.EmbDim)
 	if err := s.Update([]runtime.TableUpdate{{Table: 0, Rows: []int{3, 3}, Grads: g}}); err != nil {
 		t.Fatal(err)
 	}
-	// Golden absorbed the two gradient rows exactly once each.
 	for k := range snap {
-		want := snap[k] + g.At(0, k) + g.At(1, k)
-		if m.Embedding.Tables[0].Row(3)[k] != want {
-			t.Fatalf("golden lane %d: %v != %v (double write-through?)", k,
-				m.Embedding.Tables[0].Row(3)[k], want)
+		if want := snap[k] + g.At(0, k) + g.At(1, k); golden.Row(3)[k] != want {
+			t.Fatalf("golden lane %d: %v != %v (update applied twice?)", k, golden.Row(3)[k], want)
 		}
 	}
-	// Both replicas' node tables now serve the updated row; every embed
-	// against either replica must match the golden.
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 5)
-	for i := 0; i < 4; i++ { // round-robins across both replicas
-		rows := gen.Batch(cfg.Tables, 1, cfg.Reduction)
-		rows[0] = []int{3, 9}
-		got, err := s.Embed(rows, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := deps[0].GoldenEmbedding(rows, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tensor.Equal(got, want) {
-			t.Fatalf("embed %d differs from golden after replicated update", i)
-		}
+	rows := gen.Batch(cfg.Tables, 1, cfg.Reduction)
+	rows[0] = []int{3, 9}
+	got, err := s.Embed(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := dep.GoldenEmbedding(rows, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !tensor.Equal(got, want) {
+		t.Fatal("read of the updated row differs from golden")
 	}
 }
 
@@ -267,7 +244,7 @@ func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.deps[0].GoldenEmbedding(rows, 4)
+	want, err := s.dep.GoldenEmbedding(rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -114,7 +114,7 @@ func TestServeZeroAlloc(t *testing.T) {
 // caller-owned rows and gradients, 4 concurrent writers of 8-row single-table
 // updates — to 0 allocs/op at both levels: a direct Deployment.ApplyUpdates
 // (no grouping, the table's preallocated scatter job) and Update on top of
-// it (queueing, batching, the replica fan-out under the server-wide lock and
+// it (queueing, batching, the apply under the server-wide update lock and
 // the reply).
 func TestServeUpdateZeroAlloc(t *testing.T) {
 	const clients, rows = 4, 8
@@ -134,7 +134,7 @@ func TestServeUpdateZeroAlloc(t *testing.T) {
 		cursors[c]++
 		return feed[(c+cursors[c]*clients)%len(feed)]
 	}
-	below := allocsPerOp(t, clients, 400, func(c int) error { return srv.deps[0].ApplyUpdates(next(c)) })
+	below := allocsPerOp(t, clients, 400, func(c int) error { return srv.dep.ApplyUpdates(next(c)) })
 	if below != 0 {
 		t.Fatalf("steady-state single-table ApplyUpdates allocates %d times per op, want 0", below)
 	}

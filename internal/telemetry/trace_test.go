@@ -7,16 +7,16 @@ import (
 	"time"
 )
 
-// TestSpanHops checks per-hop attribution: time between marks lands in
-// the named hop, and the slow ring records the breakdown.
+// TestSpanHops checks the wall-clock path: Mark and Finish name their
+// hops, a span over the tracer's threshold lands in the slow ring, and its
+// total covers its hops. The span is backdated past the threshold instead
+// of slept through; TestSpanMarkAtFinishAt pins the exact hop arithmetic.
 func TestSpanHops(t *testing.T) {
 	reg := NewRegistry()
 	tr := reg.Tracer("serve", time.Microsecond, []string{"queue", "exec"})
 	var sp Span
-	sp.Begin()
-	time.Sleep(2 * time.Millisecond)
+	sp.BeginAt(time.Now().Add(-2 * time.Millisecond))
 	sp.Mark(0)
-	time.Sleep(time.Millisecond)
 	sp.Mark(1)
 	tr.Finish(&sp)
 
@@ -31,14 +31,11 @@ func TestSpanHops(t *testing.T) {
 	if len(sr.Hops) != 2 || sr.Hops[0].Name != "queue" || sr.Hops[1].Name != "exec" {
 		t.Fatalf("hops = %+v", sr.Hops)
 	}
-	if sr.Hops[0].Nanos < int64(time.Millisecond) {
-		t.Fatalf("queue hop %dns, want >= 1ms", sr.Hops[0].Nanos)
+	if sr.Hops[0].Nanos < int64(2*time.Millisecond) || sr.Hops[1].Nanos < 0 {
+		t.Fatalf("hops %+v, want the backdated 2ms in queue and exec >= 0", sr.Hops)
 	}
-	if sr.Hops[1].Nanos < int64(500*time.Microsecond) {
-		t.Fatalf("exec hop %dns", sr.Hops[1].Nanos)
-	}
-	if sr.TotalNanos < sr.Hops[0].Nanos+sr.Hops[1].Nanos {
-		t.Fatalf("total %d < sum of hops", sr.TotalNanos)
+	if sum := sr.Hops[0].Nanos + sr.Hops[1].Nanos; sr.TotalNanos < sum {
+		t.Fatalf("total %d < sum of hops %d", sr.TotalNanos, sum)
 	}
 
 	// A fast request must not enter the ring.

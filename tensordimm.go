@@ -307,11 +307,11 @@ func DeployConcurrent(m *Model, nd *Node, maxBatch, slots, lanes int) (*Deployme
 	return runtime.DeployConcurrent(m, nd, maxBatch, slots, lanes)
 }
 
-// NewServer starts a concurrent batched inference server over one or more
-// deployments of the same model. Close the server to stop it and release
-// the deployments.
-func NewServer(cfg ServeConfig, deps ...*Deployment) (*Server, error) {
-	return serve.New(cfg, deps...)
+// NewServer starts a concurrent batched embedding server over one
+// deployment; its Infer runs the DNN stage on the caller. Close the server
+// to stop it and release the deployment.
+func NewServer(cfg ServeConfig, dep *Deployment) (*Server, error) {
+	return serve.New(cfg, dep)
 }
 
 // DeployServer builds a whole single-node serving stack: a TensorNode of
