@@ -160,9 +160,9 @@ func budgetMicros(d time.Duration) uint32 {
 // reader decodes an embed response into, and the reply channel. Calls are
 // pooled per client; a Call is owned by its submitter from StartEmbed (or
 // an internal submit) until Finish, with the reader borrowing it between
-// correlation and reply delivery. A started Call must be waited on (Done)
-// and then returned with Finish, even when abandoned — a hedged-read
-// loser is finished by whoever drains its Done channel.
+// correlation and reply delivery. A started Call ends either with its
+// result received from Done and the call returned with Finish, or — a
+// hedged read's loser — with Abandon.
 type Call struct {
 	buf  []byte
 	dst  []float32
@@ -170,6 +170,9 @@ type Call struct {
 	wu   []wire.Update
 	seq  uint64
 	done chan error
+	// cc and id locate the started call on the wire, for abandoning it.
+	cc *clientConn
+	id uint64
 }
 
 // Done returns the channel the call's result is delivered on: exactly one
@@ -191,11 +194,11 @@ type clientConn struct {
 
 	pmu     sync.Mutex
 	pending map[uint64]*Call
-	// abandoned ids belong to deadline-expired calls whose caller already
-	// left: the reader drops their late responses instead of treating them
-	// as protocol violations. Entries are removed when the straggler
-	// arrives and die with the connection otherwise; the server answers
-	// every admitted request, so the set cannot grow without bound.
+	// abandoned ids belong to calls whose caller already left (a deadline
+	// lapsed, or Abandon): the reader drops their late responses instead
+	// of treating them as protocol violations. Entries are removed when the
+	// straggler arrives and die with the connection otherwise; the server
+	// answers every admitted request, so the set cannot grow without bound.
 	abandoned map[uint64]struct{}
 	broken    error // set once the connection is unusable; guarded by pmu
 	nextID    atomic.Uint64
@@ -535,7 +538,7 @@ func (cc *clientConn) fail(err error) {
 	}
 }
 
-// abandon removes a deadline-expired call from the pending table and
+// abandon removes a call whose caller gave up from the pending table and
 // tombstones its id, so the reader drops the late response instead of
 // failing the connection. A false return means the reader already claimed
 // the call — its result is on the way and the caller must take it.
@@ -572,12 +575,12 @@ func (c *Client) pick() (*clientConn, error) {
 	return nil, fmt.Errorf("netclient: every connection is down")
 }
 
-// start registers ca under id on cc and appends the frame in ca.buf to
-// the connection's Writer, which copies it. A non-nil return means the
-// call was never registered (the connection was already broken) and
-// nothing will arrive on done; after a nil return the result — including
-// a write failure, which the reader delivers when it fails the pending
-// set — arrives exactly once on done.
+// start registers ca under id on cc (recording both in ca) and appends
+// the frame in ca.buf to the connection's Writer, which copies it. A
+// non-nil return means the call was never registered (the connection was
+// already broken) and nothing will arrive on done; after a nil return the
+// result — including a write failure, which the reader delivers when it
+// fails the pending set — arrives exactly once on done.
 func (cc *clientConn) start(ca *Call, id uint64) error {
 	cc.pmu.Lock()
 	if cc.broken != nil {
@@ -585,6 +588,7 @@ func (cc *clientConn) start(ca *Call, id uint64) error {
 		cc.pmu.Unlock()
 		return err
 	}
+	ca.cc, ca.id = cc, id
 	cc.pending[id] = ca
 	cc.pmu.Unlock()
 	cc.w.Append(ca.buf)
@@ -628,7 +632,7 @@ func (cc *clientConn) roundTrip(ca *Call, id uint64) error {
 // late response will be dropped by the reader) and a *DeadlineError
 // returned. The expiry timer is pooled, so the deadline-armed steady
 // state stays allocation-free.
-func (c *Client) await(cc *clientConn, ca *Call, id uint64, budget time.Duration) error {
+func (c *Client) await(ca *Call, budget time.Duration) error {
 	if budget <= 0 {
 		return <-ca.done
 	}
@@ -643,7 +647,7 @@ func (c *Client) await(cc *clientConn, ca *Call, id uint64, budget time.Duration
 		return err
 	case <-tm.C:
 		c.timerPool.Put(tm)
-		if cc.abandon(id) {
+		if ca.cc.abandon(ca.id) {
 			return &DeadlineError{Budget: budget}
 		}
 		// The reader claimed the call before it could be abandoned: the
@@ -659,21 +663,32 @@ func (c *Client) getCall() *Call { return c.callPool.Get().(*Call) }
 // called after the call's Done channel delivered its result (or when the
 // call was never started).
 func (c *Client) Finish(ca *Call) {
-	ca.dst, ca.snap = nil, nil
+	ca.dst, ca.snap, ca.cc = nil, nil, nil
 	c.callPool.Put(ca)
+}
+
+// Abandon gives up on a started call whose result was not received from
+// Done — a hedged read's loser, an attempt past the caller's deadline —
+// and recycles it at once: its id is tombstoned, so the reader drops the
+// late response. A call the reader already claimed is first waited out,
+// so nothing writes to its destination after Abandon returns.
+func (c *Client) Abandon(ca *Call) {
+	if !ca.cc.abandon(ca.id) {
+		<-ca.done
+	}
+	c.Finish(ca)
 }
 
 // StartEmbed submits one embedding request without waiting: it validates,
 // grows dst if needed (to batch*tables*dim), encodes, and writes the
 // frame, returning the in-flight Call. The result is delivered exactly
 // once on Done; after a nil result Dst holds the decoded response. The
-// caller must Finish the call after draining Done — this is the hedged
-// read primitive, where the losing attempt is drained and finished by a
-// reaper. A non-nil error means nothing was sent (validation or no
+// caller must Finish the call after draining Done, or Abandon it instead
+// — this is the hedged read primitive, where the losing attempt is
+// abandoned. A non-nil error means nothing was sent (validation or no
 // usable connection).
 func (c *Client) StartEmbed(dst []float32, perTableRows [][]int, batch int) (*Call, error) {
-	ca, _, _, err := c.startEmbed(dst, perTableRows, batch, c.cfg.Deadline)
-	return ca, err
+	return c.StartEmbedBudget(dst, perTableRows, batch, c.cfg.Deadline)
 }
 
 // StartEmbedBudget is StartEmbed with an explicit remaining deadline
@@ -682,18 +697,10 @@ func (c *Client) StartEmbed(dst []float32, perTableRows [][]int, batch int) (*Ca
 // can never outlive the original request's budget. Zero means no
 // deadline.
 func (c *Client) StartEmbedBudget(dst []float32, perTableRows [][]int, batch int, budget time.Duration) (*Call, error) {
-	ca, _, _, err := c.startEmbed(dst, perTableRows, batch, budget)
-	return ca, err
-}
-
-// startEmbed validates, encodes, and submits one embedding request,
-// returning the call plus the connection and id a deadline-bounded wait
-// needs to abandon it.
-func (c *Client) startEmbed(dst []float32, perTableRows [][]int, batch int, budget time.Duration) (*Call, *clientConn, uint64, error) {
 	// Checked here, so a malformed read fails without a round trip and the
 	// encoder's length derivations are always in range.
 	if err := c.geom.CheckRead(perTableRows, batch); err != nil {
-		return nil, nil, 0, fmt.Errorf("netclient: %w", err)
+		return nil, fmt.Errorf("netclient: %w", err)
 	}
 	need := batch * c.geom.Width()
 	if cap(dst) < need {
@@ -702,7 +709,7 @@ func (c *Client) startEmbed(dst []float32, perTableRows [][]int, batch int, budg
 	dst = dst[:need]
 	cc, err := c.pick()
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, err
 	}
 	ca := c.getCall()
 	ca.dst = dst
@@ -710,9 +717,9 @@ func (c *Client) startEmbed(dst []float32, perTableRows [][]int, batch int, budg
 	ca.buf = wire.AppendEmbed(ca.buf[:0], id, budgetMicros(budget), perTableRows, batch, c.geom.Reduction)
 	if err := cc.start(ca, id); err != nil {
 		c.Finish(ca)
-		return nil, nil, 0, err
+		return nil, err
 	}
-	return ca, cc, id, nil
+	return ca, nil
 }
 
 // EmbedInto submits one embedding request of `batch` samples and decodes
@@ -723,11 +730,11 @@ func (c *Client) startEmbed(dst []float32, perTableRows [][]int, batch int, budg
 // zero heap allocations in steady state. Safe for concurrent use (with
 // distinct dst buffers).
 func (c *Client) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
-	ca, cc, id, err := c.startEmbed(dst, perTableRows, batch, c.cfg.Deadline)
+	ca, err := c.StartEmbed(dst, perTableRows, batch)
 	if err != nil {
 		return nil, err
 	}
-	err = c.await(cc, ca, id, c.cfg.Deadline)
+	err = c.await(ca, c.cfg.Deadline)
 	dst = ca.dst
 	c.Finish(ca)
 	if err != nil {
@@ -803,7 +810,7 @@ func (c *Client) Update(ups []runtime.TableUpdate) error {
 	ca.buf = wire.AppendUpdate(ca.buf[:0], id, budgetMicros(c.cfg.Deadline), ca.wu)
 	ca.releaseUpdates()
 	if err = cc.start(ca, id); err == nil {
-		err = c.await(cc, ca, id, c.cfg.Deadline)
+		err = c.await(ca, c.cfg.Deadline)
 	}
 	c.Finish(ca)
 	return err

@@ -47,8 +47,8 @@ type breaker struct {
 // allow reports whether an attempt may be sent to this replica now. On an
 // open breaker past its openFor, the winning caller transitions it to
 // half-open and becomes the probe; in half-open, one probe is granted per
-// openFor window (so a probe lost to a reaped hedge or a dead connection
-// cannot wedge the replica out of the rotation forever).
+// openFor window (so a probe lost to an abandoned hedge or a dead
+// connection cannot wedge the replica out of the rotation forever).
 func (b *breaker) allow(cfg *breakerCfg, now time.Time) bool {
 	switch b.state.Load() {
 	case brkClosed:

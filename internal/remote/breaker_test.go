@@ -53,8 +53,9 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatal("re-opened breaker admitted traffic")
 	}
 
-	// A reaped probe must not wedge the breaker: a fresh window grants
-	// another probe even though the previous one never settled.
+	// A lost probe (an abandoned hedge) must not wedge the breaker: a
+	// fresh window grants another probe even though the previous one never
+	// settled.
 	t2 := t1.Add(2 * cfg.openFor)
 	if !b.allow(&cfg, t2) {
 		t.Fatal("probe not granted after the previous one was lost")

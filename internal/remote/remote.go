@@ -25,17 +25,17 @@
 // replicas; when the first attempt has not answered within the shard's
 // hedge delay (a tracked latency percentile, floored at hedgeAfter),
 // a second attempt fires on another replica and the first answer wins — the
-// loser is drained and recycled in the background. The hedge timer runs
-// from Start, but a hedge is only launched from Wait: a timer that fired
-// while the read was still waiting on an earlier shard is ignored when the
-// primary has answered in the meantime. A transport loss or an
+// loser is abandoned to netclient, which drops its late response. Start
+// only records the hedge and deadline instants; Wait takes an answer that
+// is already here before it acts on a passed instant, and arms the
+// sub-read's one timer only when it has to block. A transport loss or an
 // admission-control shed fails over to the next healthy replica; only
 // when every replica of a shard is unreachable does the request fail,
 // fast, with a typed *Unavailable. The gathered partials merge through
 // the shared cluster.Merger, so results are bit-identical to the golden
 // embedding no matter which replica answered. The steady-state read path
-// performs no heap allocations: the router's scratch, destination buffers,
-// calls, and hedge timers are all pooled.
+// performs no heap allocations: the router's scratch (with each shard
+// sub-read's timer), destination buffers and calls are all pooled.
 //
 // Writes. The router is the single writer of its fleet. Every per-shard
 // sub-update is appended to that shard's durable update log
@@ -347,8 +347,7 @@ type RemoteCluster struct {
 	retryRefill int64
 	retryCap    int64
 
-	bufPool   sync.Pool
-	timerPool sync.Pool
+	bufPool sync.Pool
 
 	// ready gates the netclient callbacks until New finished wiring the
 	// replica structures they reference.
@@ -547,13 +546,6 @@ func newCluster(cfg Config, tune tuning) (*RemoteCluster, error) {
 		b := make([]float32, 0, maxCap)
 		return &b
 	}
-	rc.timerPool.New = func() any {
-		t := time.NewTimer(time.Hour)
-		if !t.Stop() {
-			<-t.C
-		}
-		return t
-	}
 	// The janitor re-admits replicas whose connection recovered but whose
 	// catch-up replay failed (or who were dropped for persistent shedding)
 	// — any down replica with a live connection is retried.
@@ -594,11 +586,14 @@ func (rc *RemoteCluster) janitor() {
 // sequenced SYNC fan-out for writes (appendAndFan).
 type fleetTransport struct{ rc *RemoteCluster }
 
-// NewCall allocates one rCall per shard for a router scratch.
+// NewCall allocates one rCall per shard for a router scratch, each with
+// its stopped timer.
 func (t fleetTransport) NewCall() cluster.Call {
 	fc := &fleetCall{shard: make([]rCall, len(t.rc.shards))}
 	for s := range fc.shard {
-		fc.shard[s] = rCall{rc: t.rc, s: s, rowsArg: make([][]int, 1)}
+		tm := time.NewTimer(time.Hour)
+		tm.Stop()
+		fc.shard[s] = rCall{rc: t.rc, s: s, rowsArg: make([][]int, 1), tm: tm}
 	}
 	return fc
 }
@@ -613,8 +608,7 @@ func (t fleetTransport) Update(s int, sub runtime.TableUpdate) error {
 type fleetCall struct{ shard []rCall }
 
 // Start puts one shard's sub-request on the wire — the primary attempt on
-// the next healthy replica, with the hedge and deadline timers armed — and
-// returns without waiting for the answer.
+// the next healthy replica — and returns without waiting for the answer.
 func (fc *fleetCall) Start(s int, rows []int, start time.Time) {
 	call := &fc.shard[s]
 	call.rowsArg[0] = rows
@@ -638,18 +632,12 @@ func (fc *fleetCall) Wait(s int) ([]float32, error) {
 func (fc *fleetCall) Release() {
 	for s := range fc.shard {
 		call := &fc.shard[s]
-		if call.winCa == nil {
-			continue
-		}
-		*call.winBuf = call.winCa.Dst()
-		call.winCl.Finish(call.winCa)
-		call.rc.bufPool.Put(call.winBuf)
-		call.winCl, call.winCa, call.winBuf = nil, nil, nil
+		call.rc.recycle(&call.win, true)
 	}
 }
 
 // rCall is one shard sub-request of a routed read. Its in-flight state —
-// the attempts on the wire, the replicas already tried, the armed timers —
+// the attempts on the wire, the replicas already tried, the hedge instant —
 // lives here, in the router's pooled scratch, rather than on a goroutine's
 // stack, because the request's goroutine leaves between begin and wait to
 // start the other shards. The submitting goroutine owns all of it from
@@ -664,25 +652,25 @@ type rCall struct {
 	// is configured); set per request before begin.
 	deadline time.Time
 
+	// tm is the sub-read's one timer, stopped and drained except while
+	// wait blocks on it.
+	tm *time.Timer
+
 	// In flight between begin and wait. settled is true once out/err hold
 	// the sub-request's outcome; cur is the primary (or its failover
-	// replacement), alt the hedge; tried is the bitmask of replicas already
-	// attempted and lastErr the last failover-worthy error. tm and dtm are
-	// the pooled hedge and deadline timers (nil when not armed), hedgeC and
-	// dlC their channels until the timer has been honoured.
+	// replacement), alt the hedge; hedgeAt is when wait launches the hedge
+	// (zero once launched, or on a single-replica shard); tried is the
+	// bitmask of replicas already attempted and lastErr the last
+	// failover-worthy error.
 	settled bool
 	cur     attempt
 	alt     attempt
+	hedgeAt time.Time
 	tried   uint64
 	lastErr error
-	tm      *time.Timer
-	dtm     *time.Timer
-	hedgeC  <-chan time.Time
-	dlC     <-chan time.Time
 
-	winCl  *netclient.Client
-	winCa  *netclient.Call
-	winBuf *[]float32
+	// win is the winning attempt, kept until Release.
+	win attempt
 }
 
 // attempt is one in-flight read attempt on a replica.
@@ -695,11 +683,11 @@ type attempt struct {
 }
 
 // begin starts one shard's sub-request: it refills the shard's retry
-// tokens, fires the round-robin first attempt and arms the hedge timer (at
-// the shard's tracked latency percentile, on shards with a second replica)
-// and the deadline timer. It never blocks on the network; when no replica
-// can take the attempt the call settles here with a typed error, which wait
-// reports.
+// tokens, fires the round-robin first attempt and records when to hedge it
+// (the shard's tracked latency percentile after the attempt started, on
+// shards with a second replica). It arms no timer and never blocks on the
+// network; when no replica can take the attempt the call settles here with
+// a typed error, which wait reports.
 func (call *rCall) begin() {
 	rc := call.rc
 	sh := rc.shards[call.s]
@@ -713,86 +701,89 @@ func (call *rCall) begin() {
 		return
 	}
 	call.cur = cur
+	call.hedgeAt = time.Time{}
 	if len(sh.replicas) > 1 {
-		call.tm = rc.timerPool.Get().(*time.Timer)
-		call.tm.Reset(sh.hedge.after(rc.hedgeAfter))
-		call.hedgeC = call.tm.C
-	}
-	if !call.deadline.IsZero() {
-		call.dtm = rc.timerPool.Get().(*time.Timer)
-		call.dtm.Reset(time.Until(call.deadline))
-		call.dlC = call.dtm.C
+		call.hedgeAt = cur.start.Add(sh.hedge.after(rc.hedgeAfter))
 	}
 }
 
 // wait drives a begun sub-request to its outcome: the first answer wins, a
-// hedged second attempt fires once the hedge timer has lapsed, transport
+// hedged second attempt fires once the hedge instant has passed, transport
 // losses and sheds fail over, and the whole replica group being unreachable
-// (or the budget lapsing) fails typed. It returns with out/err set, no
-// attempt in flight that the call still owns, and both timers recycled.
+// (or the deadline passing) fails typed. An answer that has already arrived
+// wins over a hedge or deadline instant that passed while the read was
+// parked on an earlier shard; only a wait that has to block arms the timer,
+// for the earlier of the two pending instants. It returns with out/err set,
+// no attempt in flight that the call still owns, and the timer stopped.
 func (call *rCall) wait() {
 	rc := call.rc
 	for !call.settled {
-		var curC, altC <-chan error
-		if call.cur.ca != nil {
-			curC = call.cur.ca.Done()
-		}
-		if call.alt.ca != nil {
-			altC = call.alt.ca.Done()
+		curC, altC := call.cur.done(), call.alt.done()
+		var tmC <-chan time.Time
+		if len(curC) == 0 && len(altC) == 0 {
+			now := time.Now()
+			if !call.deadline.IsZero() && !now.Before(call.deadline) {
+				// Budget exhausted: abandon the in-flight attempts and fail typed.
+				rc.recycle(&call.cur, false)
+				rc.recycle(&call.alt, false)
+				call.fail(&DeadlineExceeded{Shard: call.s, Budget: rc.cfg.Deadline})
+				return
+			}
+			if !call.hedgeAt.IsZero() && !now.Before(call.hedgeAt) {
+				call.hedgeAt = time.Time{}
+				if a, aerr := call.start(true); aerr == nil {
+					call.alt = a
+					rc.hedges.Add(1)
+				}
+				continue
+			}
+			at := call.deadline
+			if !call.hedgeAt.IsZero() && (at.IsZero() || call.hedgeAt.Before(at)) {
+				at = call.hedgeAt
+			}
+			if !at.IsZero() {
+				call.tm.Reset(at.Sub(now))
+				tmC = call.tm.C
+			}
 		}
 		select {
 		case err := <-curC:
 			call.settle(&call.cur, &call.alt, err)
 		case err := <-altC:
 			call.settle(&call.alt, &call.cur, err)
-		case <-call.hedgeC:
-			call.hedgeC = nil
-			// The timer may have fired while the request was still waiting
-			// on an earlier shard. An answer that is already here wins over
-			// such a late hedge: select picks among ready cases at random.
-			if len(curC) > 0 {
-				continue
-			}
-			if a, aerr := call.start(true); aerr == nil {
-				call.alt = a
-				rc.hedges.Add(1)
-			}
-		case <-call.dlC:
-			// Budget exhausted: abandon the in-flight attempts (reaped and
-			// recycled in the background) and fail typed.
-			call.dlC = nil
-			call.abandon(&call.cur)
-			call.abandon(&call.alt)
-			call.fail(&DeadlineExceeded{Shard: call.s, Budget: rc.cfg.Deadline})
+		case <-tmC:
+			tmC = nil // fired and received; the next pass acts on the instant
+		}
+		if tmC != nil && !call.tm.Stop() {
+			<-tmC
 		}
 	}
-	rc.putTimer(call.tm)
-	rc.putTimer(call.dtm)
-	call.tm, call.dtm, call.hedgeC, call.dlC = nil, nil, nil, nil
 }
 
-// putTimer stops a pooled timer (nil: it was never armed), drains a fire
-// nobody consumed, and recycles it.
-func (rc *RemoteCluster) putTimer(t *time.Timer) {
-	if t == nil {
+// done is the attempt's result channel, nil when no attempt is in flight.
+func (a *attempt) done() <-chan error {
+	if a.ca == nil {
+		return nil
+	}
+	return a.ca.Done()
+}
+
+// recycle returns an in-flight attempt's call and destination buffer to
+// their pools (nothing in flight: a no-op). received says whether the
+// call's result was taken from Done; one that was not is abandoned, so
+// netclient drops the late response.
+func (rc *RemoteCluster) recycle(a *attempt, received bool) {
+	if a.ca == nil {
 		return
 	}
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
+	*a.buf = a.ca.Dst()
+	if received {
+		a.rep.cl.Finish(a.ca)
+	} else {
+		a.rep.cl.Abandon(a.ca)
 	}
-	rc.timerPool.Put(t)
-}
-
-// abandon hands an attempt that is still in flight to a background reaper,
-// which drains and recycles it.
-func (call *rCall) abandon(a *attempt) {
-	if a.ca != nil {
-		go call.rc.reap(a.rep.cl, a.ca, a.buf)
-		a.ca = nil
-	}
+	rc.bufPool.Put(a.buf)
+	a.ca = nil
 }
 
 // fail settles the call with a terminal routing failure, classifying it
@@ -871,22 +862,19 @@ func (call *rCall) settle(done, other *attempt, err error) {
 			rc.hedgeWins.Add(1)
 		}
 		call.out, call.settled = done.ca.Dst(), true
-		call.winCl, call.winCa, call.winBuf = done.rep.cl, done.ca, done.buf
+		call.win = *done
 		done.ca = nil
-		call.abandon(other)
+		rc.recycle(other, false)
 		return
 	}
 	// The attempt failed: recycle its call before deciding what's next.
-	*done.buf = done.ca.Dst()
-	done.rep.cl.Finish(done.ca)
-	rc.bufPool.Put(done.buf)
-	done.ca = nil
+	rc.recycle(done, true)
 	var se *netclient.ServerError
 	if errors.As(err, &se) && se.Code != wire.ErrOverloaded {
 		// The server rejected or failed the request itself; no other
 		// replica would answer differently.
 		call.err, call.settled = fmt.Errorf("remote: shard %d: %w", call.s, err), true
-		call.abandon(other)
+		rc.recycle(other, false)
 		return
 	}
 	// Transport loss or admission shed: fail over to another replica.
@@ -915,14 +903,6 @@ func (call *rCall) settle(done, other *attempt, err error) {
 		return
 	}
 	*done = na
-}
-
-// reap drains and recycles a hedged read's losing attempt.
-func (rc *RemoteCluster) reap(cl *netclient.Client, ca *netclient.Call, buf *[]float32) {
-	<-ca.Done()
-	*buf = ca.Dst()
-	cl.Finish(ca)
-	rc.bufPool.Put(buf)
 }
 
 // Embed runs one embedding request of `batch` samples and returns the

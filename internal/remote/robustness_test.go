@@ -202,8 +202,8 @@ func TestRetryBudgetCapsFailover(t *testing.T) {
 // TestDeadlineExceededTyped pins end-to-end deadline semantics on the
 // remote router: a healthy fleet under a deadline serves bit-identically,
 // a stalled fleet fails within the budget (not the stall) with a typed
-// *DeadlineExceeded, and the abandoned attempt is reaped cleanly so the
-// fleet serves again the moment the stall clears.
+// *DeadlineExceeded, and the abandoned attempt's late answer is dropped
+// cleanly so the fleet serves again the moment the stall clears.
 func TestDeadlineExceededTyped(t *testing.T) {
 	m := buildModel(t)
 	a := startReplica(t, cluster.TableWise, 1, 0, "")
@@ -236,8 +236,8 @@ func TestDeadlineExceededTyped(t *testing.T) {
 	}
 	a.in.SetReadDelay(0)
 
-	// The reaped attempt drains in the background; once the stall clears
-	// the same router serves bit-identical reads again.
+	// netclient drops the abandoned attempt's late answer; once the stall
+	// clears the same router serves bit-identical reads again.
 	waitCond(t, 5*time.Second, "fleet recovery after the stall", func() bool {
 		_, err := rc.Embed(randRows(rng, m.Cfg, 1), 1)
 		return err == nil

@@ -152,11 +152,11 @@ func TestInFlightWidth(t *testing.T) {
 	}
 }
 
-// TestLateHedgeSkippedWhenPrimaryAnswered: shard 1's hedge timer fires
+// TestLateHedgeSkippedWhenPrimaryAnswered: shard 1's hedge instant passes
 // while the read is still waiting on shard 0, whose replicas both hold
 // their answer back. By the time the read reaches shard 1 its primary has
-// long answered, so the late hedge timer must not launch a second attempt:
-// the only hedge of the run is shard 0's.
+// long answered, so the passed hedge instant must not launch a second
+// attempt: the only hedge of the run is shard 0's.
 func TestLateHedgeSkippedWhenPrimaryAnswered(t *testing.T) {
 	const nodes = 2
 	m := buildModel(t)
@@ -199,9 +199,9 @@ func TestLateHedgeSkippedWhenPrimaryAnswered(t *testing.T) {
 	}()
 
 	// Shard 1's primary is served at once; shard 0's primary and — one hedge
-	// delay later — its hedge both arrive and block. Both timers were armed
-	// back to back with the same delay, so once shard 0's hedge is inside
-	// its replica, shard 1's timer has fired too, unconsumed: the read is
+	// delay later — its hedge both arrive and block. Both hedge instants
+	// were set back to back with the same delay, so once shard 0's hedge is
+	// inside its replica, shard 1's instant has passed too: the read is
 	// parked on shard 0.
 	timeout := time.After(30 * time.Second)
 	for _, ch := range []chan struct{}{fast, slow, slow} {
@@ -225,6 +225,6 @@ func TestLateHedgeSkippedWhenPrimaryAnswered(t *testing.T) {
 		t.Fatal("read never completed after shard 0 was released")
 	}
 	if h := rc.Metrics().Hedges; h != 1 {
-		t.Fatalf("Hedges = %d, want 1 (shard 0's; shard 1's timer fired late and its primary had answered)", h)
+		t.Fatalf("Hedges = %d, want 1 (shard 0's; shard 1's hedge instant passed while its primary's answer waited)", h)
 	}
 }

@@ -10,10 +10,26 @@ import (
 	"tensordimm/internal/wire"
 )
 
-// maxShedRetries bounds how often one log entry is re-sent to a replica
-// that sheds it under admission control before the replica is dropped
-// from the group (the janitor re-admits it through a fresh catch-up).
+// maxShedRetries bounds how often one log entry (or snapshot chunk) is
+// re-sent to a replica that sheds it under admission control before the
+// replica is dropped from the group (the janitor re-admits it through a
+// fresh catch-up).
 const maxShedRetries = 200
+
+// retryShed runs one replica call, re-sending it every 2 ms while the
+// replica sheds it under admission control (wire.ErrOverloaded), at most
+// maxShedRetries times; it returns the first other outcome, or the last
+// shed.
+func retryShed(send func() (uint64, error)) (uint64, error) {
+	for sheds := 0; ; sheds++ {
+		seq, err := send()
+		var se *netclient.ServerError
+		if err == nil || sheds == maxShedRetries || !errors.As(err, &se) || se.Code != wire.ErrOverloaded {
+			return seq, err
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+}
 
 // ApplyUpdates applies a batch of per-table gradient updates fleet-wide:
 // the shared router core (cluster.Router.ApplyUpdates) validates the
@@ -92,9 +108,8 @@ func (rc *RemoteCluster) appendAndFan(sh *rShard, sub runtime.TableUpdate) error
 // catchUp drives one replica from its applied count to the shard's log
 // head (callers hold the shard's updMu): a chunked snapshot reseat when
 // the replica is below the log's trim horizon, then sequenced replay one
-// entry at a time. Admission-control sheds are retried with a short
-// backoff; any other error aborts and leaves the replica where it
-// stopped.
+// entry at a time. Admission-control sheds are retried (retryShed); any
+// other error aborts and leaves the replica where it stopped.
 func (rc *RemoteCluster) catchUp(sh *rShard, rep *replica) error {
 	head := sh.store.Head()
 	if rep.applied > head {
@@ -106,16 +121,11 @@ func (rc *RemoteCluster) catchUp(sh *rShard, rep *replica) error {
 			return err
 		}
 	}
-	sheds := 0
 	for rep.applied < head {
-		srvSeq, err := rep.cl.Sync(rep.applied, sh.store.Entries(rep.applied)[:1])
+		srvSeq, err := retryShed(func() (uint64, error) {
+			return rep.cl.Sync(rep.applied, sh.store.Entries(rep.applied)[:1])
+		})
 		if err != nil {
-			var se *netclient.ServerError
-			if errors.As(err, &se) && se.Code == wire.ErrOverloaded && sheds < maxShedRetries {
-				sheds++
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
 			return err
 		}
 		if srvSeq > head || srvSeq <= rep.applied {
@@ -143,7 +153,6 @@ func (rc *RemoteCluster) restoreReplica(sh *rShard, rep *replica) error {
 	localRows := rc.place.LocalRows(sh.id)
 	chunk := rep.cl.MaxRestoreRows()
 	rowIdx := make([]int, 0, chunk)
-	sheds := 0
 	for at := 0; at < localRows; {
 		n := min(chunk, localRows-at)
 		rowIdx = rowIdx[:0]
@@ -151,14 +160,10 @@ func (rc *RemoteCluster) restoreReplica(sh *rShard, rep *replica) error {
 			rowIdx = append(rowIdx, r)
 		}
 		commit := at+n == localRows
-		srvSeq, err := rep.cl.Restore(snapSeq, commit, 0, rowIdx, vals[at*dim:(at+n)*dim])
+		srvSeq, err := retryShed(func() (uint64, error) {
+			return rep.cl.Restore(snapSeq, commit, 0, rowIdx, vals[at*dim:(at+n)*dim])
+		})
 		if err != nil {
-			var se *netclient.ServerError
-			if errors.As(err, &se) && se.Code == wire.ErrOverloaded && sheds < maxShedRetries {
-				sheds++
-				time.Sleep(2 * time.Millisecond)
-				continue
-			}
 			return err
 		}
 		if commit && srvSeq != snapSeq {
