@@ -1,5 +1,11 @@
 package netclient
 
+// DialFrameLimit is Dial with the client's frame limit lowered from
+// wire.DefaultMaxFrameBytes to limit.
+func DialFrameLimit(addr string, cfg Config, limit int) (*Client, error) {
+	return dial(addr, cfg, limit)
+}
+
 // Tombstones counts the abandoned request ids, over every live
 // connection, whose late response has not arrived yet.
 func (c *Client) Tombstones() int {

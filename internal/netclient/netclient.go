@@ -7,8 +7,9 @@
 // reconnect with exponential backoff (Config.Reconnect).
 //
 // Requests pipeline: any number of goroutines may call into one Client
-// concurrently, each request is stamped with a connection-local id,
-// writes interleave on the shared connections, and a per-connection
+// concurrently, each request is stamped with a client-wide id when its
+// call leaves the pool (so its frame is encoded before a connection is
+// picked), writes interleave on the shared connections, and a per-connection
 // reader goroutine correlates responses — which arrive in completion
 // order, not request order — back to their waiting callers.
 //
@@ -56,20 +57,19 @@ import (
 // syscall pulls in many pipelined (or coalesced) response frames.
 const readBufBytes = 64 << 10
 
+// dialTimeout bounds one TCP connect attempt.
+const dialTimeout = 5 * time.Second
+
 // Config tunes a client. The zero value of every field selects a
-// documented default at Dial; negative values are invalid.
+// documented default at Dial; negative values are invalid. The frame
+// limit (wire.DefaultMaxFrameBytes, which Dial checks against the largest
+// response the announced geometry can produce) and the 5 s connect
+// timeout are fixed.
 type Config struct {
 	// Conns is the connection pool size. Requests round-robin across the
 	// pool; more connections spread socket write contention at the cost of
 	// server-side reader goroutines. Zero defaults to 1.
 	Conns int
-	// MaxFrameBytes caps one frame's wire size. Zero defaults to
-	// wire.DefaultMaxFrameBytes. It must admit the largest response the
-	// announced geometry can produce; Dial validates that.
-	MaxFrameBytes int
-	// DialTimeout bounds one TCP connect plus handshake attempt. Zero
-	// defaults to 5 seconds.
-	DialTimeout time.Duration
 	// RetryFor keeps re-dialing a refused connection until this much time
 	// has elapsed — the knob that lets a client start before its server
 	// in scripted two-process runs. Zero means a single attempt.
@@ -157,12 +157,12 @@ func budgetMicros(d time.Duration) uint32 {
 }
 
 // Call is one in-flight request: the encode buffer, the destination the
-// reader decodes an embed response into, and the reply channel. Calls are
-// pooled per client; a Call is owned by its submitter from StartEmbed (or
-// an internal submit) until Finish, with the reader borrowing it between
-// correlation and reply delivery. A started Call ends either with its
-// result received from Done and the call returned with Finish, or — a
-// hedged read's loser — with Abandon.
+// reader decodes an embed response into, the reply channel and a deadline
+// timer. Calls are pooled per client; a Call is owned by its submitter
+// from StartEmbed (or a blocking op) until Finish, with the reader
+// borrowing it between correlation and reply delivery. A started Call
+// ends either with its result received from Done and the call returned
+// with Finish, or — a hedged read's loser — with Abandon.
 type Call struct {
 	buf  []byte
 	dst  []float32
@@ -170,9 +170,14 @@ type Call struct {
 	wu   []wire.Update
 	seq  uint64
 	done chan error
-	// cc and id locate the started call on the wire, for abandoning it.
-	cc *clientConn
+	// id is the call's client-wide request id, assigned by getCall; cc is
+	// the connection it was started on. Together they locate the call on
+	// the wire, for abandoning it.
 	id uint64
+	cc *clientConn
+	// tm is the call's deadline timer, created with it and stopped (and
+	// drained) whenever await is not blocked on it.
+	tm *time.Timer
 }
 
 // Done returns the channel the call's result is delivered on: exactly one
@@ -201,7 +206,6 @@ type clientConn struct {
 	// answers every admitted request, so the set cannot grow without bound.
 	abandoned map[uint64]struct{}
 	broken    error // set once the connection is unusable; guarded by pmu
-	nextID    atomic.Uint64
 	rdDone    chan struct{}
 }
 
@@ -215,15 +219,16 @@ type connSlot struct {
 // Client is a pooled, pipelined client of one serving endpoint. Create
 // with Dial, submit from any number of goroutines, and Close when done.
 type Client struct {
-	cfg   Config
-	addr  string
-	geom  wire.Geometry
-	hello atomic.Pointer[wire.Hello] // latest handshake observed
+	cfg      Config
+	addr     string
+	maxFrame int // this end's frame limit, announced in every handshake
+	geom     wire.Geometry
+	hello    atomic.Pointer[wire.Hello] // latest handshake observed
 
-	slots     []*connSlot
-	rr        atomic.Uint64
-	callPool  sync.Pool
-	timerPool sync.Pool // stopped *time.Timer, for deadline waits
+	slots    []*connSlot
+	rr       atomic.Uint64
+	nextID   atomic.Uint64 // request ids, unique across every connection
+	callPool sync.Pool
 
 	closed   atomic.Bool
 	closeCh  chan struct{}
@@ -236,19 +241,18 @@ type Client struct {
 // geometry. With cfg.RetryFor > 0 a refused connection is retried until
 // the deadline, so a client may start before its server.
 func Dial(addr string, cfg Config) (*Client, error) {
-	if cfg.Conns < 0 || cfg.MaxFrameBytes < 0 || cfg.DialTimeout < 0 || cfg.RetryFor < 0 ||
-		cfg.ReconnectMin < 0 || cfg.ReconnectMax < 0 || cfg.Deadline < 0 {
-		return nil, fmt.Errorf("netclient: negative config (Conns %d, MaxFrameBytes %d, DialTimeout %v, RetryFor %v, ReconnectMin %v, ReconnectMax %v, Deadline %v)",
-			cfg.Conns, cfg.MaxFrameBytes, cfg.DialTimeout, cfg.RetryFor, cfg.ReconnectMin, cfg.ReconnectMax, cfg.Deadline)
+	return dial(addr, cfg, wire.DefaultMaxFrameBytes)
+}
+
+// dial is Dial with the client's frame limit as a parameter, which only
+// tests set below wire.DefaultMaxFrameBytes.
+func dial(addr string, cfg Config, maxFrame int) (*Client, error) {
+	if cfg.Conns < 0 || cfg.RetryFor < 0 || cfg.ReconnectMin < 0 || cfg.ReconnectMax < 0 || cfg.Deadline < 0 {
+		return nil, fmt.Errorf("netclient: negative config (Conns %d, RetryFor %v, ReconnectMin %v, ReconnectMax %v, Deadline %v)",
+			cfg.Conns, cfg.RetryFor, cfg.ReconnectMin, cfg.ReconnectMax, cfg.Deadline)
 	}
 	if cfg.Conns == 0 {
 		cfg.Conns = 1
-	}
-	if cfg.MaxFrameBytes == 0 {
-		cfg.MaxFrameBytes = wire.DefaultMaxFrameBytes
-	}
-	if cfg.DialTimeout == 0 {
-		cfg.DialTimeout = 5 * time.Second
 	}
 	if cfg.ReconnectMin == 0 {
 		cfg.ReconnectMin = 50 * time.Millisecond
@@ -259,18 +263,15 @@ func Dial(addr string, cfg Config) (*Client, error) {
 	if cfg.ReconnectMin > cfg.ReconnectMax {
 		return nil, fmt.Errorf("netclient: ReconnectMin %v above ReconnectMax %v", cfg.ReconnectMin, cfg.ReconnectMax)
 	}
-	c := &Client{cfg: cfg, addr: addr, closeCh: make(chan struct{})}
-	c.callPool.New = func() any { return &Call{done: make(chan error, 1)} }
-	c.timerPool.New = func() any {
+	c := &Client{cfg: cfg, addr: addr, maxFrame: maxFrame, closeCh: make(chan struct{})}
+	c.callPool.New = func() any {
 		tm := time.NewTimer(time.Hour)
-		if !tm.Stop() {
-			<-tm.C
-		}
-		return tm
+		tm.Stop()
+		return &Call{done: make(chan error, 1), tm: tm}
 	}
 	deadline := time.Now().Add(cfg.RetryFor)
 	for i := 0; i < cfg.Conns; i++ {
-		cc, h, err := dialOne(addr, cfg, deadline)
+		cc, h, err := c.dialOne(deadline)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -278,10 +279,10 @@ func Dial(addr string, cfg Config) (*Client, error) {
 		if i == 0 {
 			c.geom = h.Geom
 			maxResp := wire.HeaderBytes + 4*h.Geom.MaxBatch*h.Geom.Width()
-			if cfg.MaxFrameBytes < maxResp {
+			if maxFrame < maxResp {
 				cc.nc.Close()
 				c.Close()
-				return nil, fmt.Errorf("netclient: MaxFrameBytes %d below the %d B a maximal response needs", cfg.MaxFrameBytes, maxResp)
+				return nil, fmt.Errorf("netclient: frame limit %d below the %d B a maximal response needs", maxFrame, maxResp)
 			}
 		} else if h.Geom != c.geom {
 			cc.nc.Close()
@@ -308,17 +309,17 @@ func Dial(addr string, cfg Config) (*Client, error) {
 
 // dialOne establishes and handshakes a single connection, retrying
 // refused connects until the deadline.
-func dialOne(addr string, cfg Config, deadline time.Time) (*clientConn, wire.Hello, error) {
+func (c *Client) dialOne(deadline time.Time) (*clientConn, wire.Hello, error) {
 	for {
-		nc, err := net.DialTimeout("tcp", addr, cfg.DialTimeout)
+		nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
 		if err != nil {
 			if time.Now().Before(deadline) {
 				time.Sleep(50 * time.Millisecond)
 				continue
 			}
-			return nil, wire.Hello{}, fmt.Errorf("netclient: dial %s: %w", addr, err)
+			return nil, wire.Hello{}, fmt.Errorf("netclient: dial %s: %w", c.addr, err)
 		}
-		if _, err := nc.Write(wire.AppendClientHello(make([]byte, 0, 16), cfg.MaxFrameBytes)); err != nil {
+		if _, err := nc.Write(wire.AppendClientHello(make([]byte, 0, 16), c.maxFrame)); err != nil {
 			nc.Close()
 			return nil, wire.Hello{}, fmt.Errorf("netclient: handshake write: %w", err)
 		}
@@ -331,7 +332,7 @@ func dialOne(addr string, cfg Config, deadline time.Time) (*clientConn, wire.Hel
 		return &clientConn{
 			nc:        nc,
 			br:        br,
-			w:         wire.NewWriter(cfg.MaxFrameBytes, h.MaxFrameBytes),
+			w:         wire.NewWriter(c.maxFrame, h.MaxFrameBytes),
 			pending:   make(map[uint64]*Call),
 			abandoned: make(map[uint64]struct{}),
 			rdDone:    make(chan struct{}),
@@ -371,7 +372,7 @@ func (c *Client) supervise(slot *connSlot) {
 				return
 			default:
 			}
-			ncc, h, err := dialOne(c.addr, c.cfg, time.Time{})
+			ncc, h, err := c.dialOne(time.Time{})
 			if err == nil && h.Geom != c.geom {
 				ncc.nc.Close()
 				err = fmt.Errorf("netclient: reconnect handshake announced geometry %+v, want %+v", h.Geom, c.geom)
@@ -441,7 +442,7 @@ func (c *Client) readLoop(cc *clientConn) {
 		var id uint64
 		var payload []byte
 		var err error
-		op, id, payload, buf, err = wire.ReadFrame(cc.br, buf, c.cfg.MaxFrameBytes)
+		op, id, payload, buf, err = wire.ReadFrame(cc.br, buf, c.maxFrame)
 		if err != nil {
 			cc.fail(fmt.Errorf("netclient: connection lost: %w", err))
 			return
@@ -575,21 +576,21 @@ func (c *Client) pick() (*clientConn, error) {
 	return nil, fmt.Errorf("netclient: every connection is down")
 }
 
-// start registers ca under id on cc (recording both in ca) and appends
+// start registers ca under its id on cc (recording cc in ca) and appends
 // the frame in ca.buf to the connection's Writer, which copies it. A
 // non-nil return means the call was never registered (the connection was
 // already broken) and nothing will arrive on done; after a nil return the
 // result — including a write failure, which the reader delivers when it
 // fails the pending set — arrives exactly once on done.
-func (cc *clientConn) start(ca *Call, id uint64) error {
+func (cc *clientConn) start(ca *Call) error {
 	cc.pmu.Lock()
 	if cc.broken != nil {
 		err := cc.broken
 		cc.pmu.Unlock()
 		return err
 	}
-	ca.cc, ca.id = cc, id
-	cc.pending[id] = ca
+	ca.cc = cc
+	cc.pending[ca.id] = ca
 	cc.pmu.Unlock()
 	cc.w.Append(ca.buf)
 	return nil
@@ -619,34 +620,37 @@ func (c *Client) flushLoop(cc *clientConn) {
 	}
 }
 
-// roundTrip starts ca and waits for its response.
-func (cc *clientConn) roundTrip(ca *Call, id uint64) error {
-	if err := cc.start(ca, id); err != nil {
-		return err
+// begin sends an encoded call: it picks a connection and starts ca on
+// it. On failure the call is recycled and nothing was sent.
+func (c *Client) begin(ca *Call) error {
+	cc, err := c.pick()
+	if err == nil {
+		err = cc.start(ca)
 	}
-	return <-ca.done
+	if err != nil {
+		c.Finish(ca)
+	}
+	return err
 }
 
-// await waits for a started call's result, bounded by the deadline budget
-// when one is set: if the budget lapses first the call is abandoned (its
-// late response will be dropped by the reader) and a *DeadlineError
-// returned. The expiry timer is pooled, so the deadline-armed steady
+// await is the one wait for a started call's result, bounded by budget
+// when it is positive (0 waits for as long as the connection lives): if
+// the budget lapses first the call is abandoned (its late response will
+// be dropped by the reader) and a *DeadlineError returned. The timer is
+// the call's own and is armed only here, so the deadline-armed steady
 // state stays allocation-free.
 func (c *Client) await(ca *Call, budget time.Duration) error {
 	if budget <= 0 {
 		return <-ca.done
 	}
-	tm := c.timerPool.Get().(*time.Timer)
-	tm.Reset(budget)
+	ca.tm.Reset(budget)
 	select {
 	case err := <-ca.done:
-		if !tm.Stop() {
-			<-tm.C
+		if !ca.tm.Stop() {
+			<-ca.tm.C
 		}
-		c.timerPool.Put(tm)
 		return err
-	case <-tm.C:
-		c.timerPool.Put(tm)
+	case <-ca.tm.C:
 		if ca.cc.abandon(ca.id) {
 			return &DeadlineError{Budget: budget}
 		}
@@ -656,8 +660,27 @@ func (c *Client) await(ca *Call, budget time.Duration) error {
 	}
 }
 
-// getCall fetches a pooled call.
-func (c *Client) getCall() *Call { return c.callPool.Get().(*Call) }
+// exchange is every blocking op's round trip: it begins the encoded call,
+// awaits its result within budget (0 = none), and recycles it, returning
+// the applied-update count (SYNC, RESTORE) or METRICS payload the
+// response carried — zero values unless err is nil.
+func (c *Client) exchange(ca *Call, budget time.Duration) (seq uint64, snap []byte, err error) {
+	if err = c.begin(ca); err != nil {
+		return 0, nil, err
+	}
+	if err = c.await(ca, budget); err == nil {
+		seq, snap = ca.seq, ca.snap
+	}
+	c.Finish(ca)
+	return seq, snap, err
+}
+
+// getCall fetches a pooled call and stamps it with a fresh request id.
+func (c *Client) getCall() *Call {
+	ca := c.callPool.Get().(*Call)
+	ca.id = c.nextID.Add(1)
+	return ca
+}
 
 // Finish clears a call's request state and recycles it. It must only be
 // called after the call's Done channel delivered its result (or when the
@@ -706,17 +729,10 @@ func (c *Client) StartEmbedBudget(dst []float32, perTableRows [][]int, batch int
 	if cap(dst) < need {
 		dst = make([]float32, need)
 	}
-	dst = dst[:need]
-	cc, err := c.pick()
-	if err != nil {
-		return nil, err
-	}
 	ca := c.getCall()
-	ca.dst = dst
-	id := cc.nextID.Add(1)
-	ca.buf = wire.AppendEmbed(ca.buf[:0], id, budgetMicros(budget), perTableRows, batch, c.geom.Reduction)
-	if err := cc.start(ca, id); err != nil {
-		c.Finish(ca)
+	ca.dst = dst[:need]
+	ca.buf = wire.AppendEmbed(ca.buf[:0], ca.id, budgetMicros(budget), perTableRows, batch, c.geom.Reduction)
+	if err := c.begin(ca); err != nil {
 		return nil, err
 	}
 	return ca, nil
@@ -767,12 +783,17 @@ func (c *Client) validateUpdates(ups []runtime.TableUpdate, overhead int) error 
 	// A frame over the limit would be rejected server-side as a protocol
 	// violation, tearing down the shared connection and failing every
 	// pipelined call on it — so it is refused here as a per-call error.
-	if frameBytes > c.cfg.MaxFrameBytes {
+	if limit := c.frameLimit(); frameBytes > limit {
 		return fmt.Errorf("netclient: update batch encodes to %d B, above the %d B frame limit; split the batch",
-			frameBytes, c.cfg.MaxFrameBytes)
+			frameBytes, limit)
 	}
 	return nil
 }
+
+// frameLimit is the largest frame this client may send: the smaller of
+// its own limit and the one the server's handshake announced, past which
+// the server's reader treats the frame as a protocol violation.
+func (c *Client) frameLimit() int { return min(c.maxFrame, c.Hello().MaxFrameBytes) }
 
 // borrowUpdates views ups as wire updates in the call's reused slice.
 func (ca *Call) borrowUpdates(ups []runtime.TableUpdate) {
@@ -800,19 +821,11 @@ func (c *Client) Update(ups []runtime.TableUpdate) error {
 	if err := c.validateUpdates(ups, 6); err != nil {
 		return err
 	}
-	cc, err := c.pick()
-	if err != nil {
-		return err
-	}
 	ca := c.getCall()
 	ca.borrowUpdates(ups)
-	id := cc.nextID.Add(1)
-	ca.buf = wire.AppendUpdate(ca.buf[:0], id, budgetMicros(c.cfg.Deadline), ca.wu)
+	ca.buf = wire.AppendUpdate(ca.buf[:0], ca.id, budgetMicros(c.cfg.Deadline), ca.wu)
 	ca.releaseUpdates()
-	if err = cc.start(ca, id); err == nil {
-		err = c.await(ca, c.cfg.Deadline)
-	}
-	c.Finish(ca)
+	_, _, err := c.exchange(ca, c.cfg.Deadline)
 	return err
 }
 
@@ -828,33 +841,22 @@ func (c *Client) Sync(seq uint64, ups []runtime.TableUpdate) (uint64, error) {
 	if err := c.validateUpdates(ups, 10); err != nil {
 		return 0, err
 	}
-	cc, err := c.pick()
-	if err != nil {
-		return 0, err
-	}
 	ca := c.getCall()
 	ca.borrowUpdates(ups)
-	id := cc.nextID.Add(1)
-	ca.buf = wire.AppendSync(ca.buf[:0], id, seq, ca.wu)
+	ca.buf = wire.AppendSync(ca.buf[:0], ca.id, seq, ca.wu)
 	ca.releaseUpdates()
-	err = cc.roundTrip(ca, id)
-	srvSeq := ca.seq
-	c.Finish(ca)
-	if err != nil {
-		return 0, err
-	}
-	return srvSeq, nil
+	srvSeq, _, err := c.exchange(ca, 0)
+	return srvSeq, err
 }
 
 // MaxRestoreRows reports the largest row count one Restore call may
 // hold: the geometry's per-frame update cap, shrunk if needed so the
-// encoded frame fits both this client's frame limit and the one the
-// server's handshake announced. A snapshot installer chunks by it.
+// encoded frame fits the frame limit (frameLimit). A snapshot installer
+// chunks by it.
 func (c *Client) MaxRestoreRows() int {
 	g := c.geom
 	n := g.MaxBatch * g.Reduction
-	limit := min(c.cfg.MaxFrameBytes, c.Hello().MaxFrameBytes)
-	if fit := (limit - wire.HeaderBytes - 17) / (4 + 4*g.Dim); fit < n {
+	if fit := (c.frameLimit() - wire.HeaderBytes - 17) / (4 + 4*g.Dim); fit < n {
 		n = fit
 	}
 	return max(n, 1)
@@ -875,20 +877,10 @@ func (c *Client) Restore(seq uint64, commit bool, table int, rows []int, vals []
 	if n := c.MaxRestoreRows(); len(rows) > n {
 		return 0, fmt.Errorf("netclient: restore: %d rows above the %d a frame carries; chunk the install", len(rows), n)
 	}
-	cc, err := c.pick()
-	if err != nil {
-		return 0, err
-	}
 	ca := c.getCall()
-	id := cc.nextID.Add(1)
-	ca.buf = wire.AppendRestore(ca.buf[:0], id, seq, commit, table, rows, vals)
-	err = cc.roundTrip(ca, id)
-	srvSeq := ca.seq
-	c.Finish(ca)
-	if err != nil {
-		return 0, err
-	}
-	return srvSeq, nil
+	ca.buf = wire.AppendRestore(ca.buf[:0], ca.id, seq, commit, table, rows, vals)
+	srvSeq, _, err := c.exchange(ca, 0)
+	return srvSeq, err
 }
 
 // Metrics fetches the server's telemetry snapshot over the METRICS op:
@@ -897,16 +889,9 @@ func (c *Client) Restore(seq uint64, commit bool, table int, rows []int, vals []
 // server with no registry wired answers with an empty, well-formed
 // snapshot; a payload without one is telemetry.ErrNoSnapshot.
 func (c *Client) Metrics() (*telemetry.Snapshot, error) {
-	cc, err := c.pick()
-	if err != nil {
-		return nil, err
-	}
 	ca := c.getCall()
-	id := cc.nextID.Add(1)
-	ca.buf = wire.AppendFrame(ca.buf[:0], wire.OpMetrics, id, nil)
-	err = cc.roundTrip(ca, id)
-	payload := ca.snap
-	c.Finish(ca)
+	ca.buf = wire.AppendFrame(ca.buf[:0], wire.OpMetrics, ca.id, nil)
+	_, payload, err := c.exchange(ca, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -915,15 +900,9 @@ func (c *Client) Metrics() (*telemetry.Snapshot, error) {
 
 // Ping round-trips a liveness probe.
 func (c *Client) Ping() error {
-	cc, err := c.pick()
-	if err != nil {
-		return err
-	}
 	ca := c.getCall()
-	id := cc.nextID.Add(1)
-	ca.buf = wire.AppendFrame(ca.buf[:0], wire.OpPing, id, nil)
-	err = cc.roundTrip(ca, id)
-	c.Finish(ca)
+	ca.buf = wire.AppendFrame(ca.buf[:0], wire.OpPing, ca.id, nil)
+	_, _, err := c.exchange(ca, 0)
 	return err
 }
 

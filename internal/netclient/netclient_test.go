@@ -78,14 +78,14 @@ func TestDialValidationAndFailures(t *testing.T) {
 		t.Fatal("negative RetryFor accepted")
 	}
 	// Nothing listening, no retry budget: fail immediately.
-	if _, err := netclient.Dial("127.0.0.1:1", netclient.Config{DialTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := netclient.Dial("127.0.0.1:1", netclient.Config{}); err == nil {
 		t.Fatal("dial to a dead port succeeded")
 	}
 	// A frame limit below one maximal response is a config error.
 	_, addr := startEcho(t)
-	if _, err := netclient.Dial(addr, netclient.Config{MaxFrameBytes: 64}); err == nil ||
-		!strings.Contains(err.Error(), "MaxFrameBytes") {
-		t.Fatalf("undersized MaxFrameBytes: err = %v", err)
+	if _, err := netclient.DialFrameLimit(addr, netclient.Config{}, 64); err == nil ||
+		!strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("undersized frame limit: err = %v", err)
 	}
 }
 
@@ -201,7 +201,7 @@ func TestClientValidatesBeforeSending(t *testing.T) {
 // connection.
 func TestUpdateBatchOverFrameLimitRefusedClientSide(t *testing.T) {
 	_, addr := startEcho(t)
-	cl, err := netclient.Dial(addr, netclient.Config{MaxFrameBytes: 512})
+	cl, err := netclient.DialFrameLimit(addr, netclient.Config{}, 512)
 	if err != nil {
 		t.Fatal(err)
 	}

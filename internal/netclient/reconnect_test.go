@@ -72,7 +72,6 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 		Reconnect:    true,
 		ReconnectMin: 5 * time.Millisecond,
 		ReconnectMax: 50 * time.Millisecond,
-		DialTimeout:  time.Second,
 		OnUp: func(h wire.Hello) {
 			lastHello.Store(&h)
 			ups.Add(1)
@@ -152,7 +151,6 @@ func TestReconnectRejectsChangedGeometry(t *testing.T) {
 		Reconnect:    true,
 		ReconnectMin: 5 * time.Millisecond,
 		ReconnectMax: 20 * time.Millisecond,
-		DialTimeout:  time.Second,
 		OnUp:         func(wire.Hello) { ups.Add(1) },
 	})
 	if err != nil {

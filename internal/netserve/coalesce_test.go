@@ -383,7 +383,12 @@ func TestResponsesCoalesceBehindBlockedWrite(t *testing.T) {
 		checkStubResponse(t, g, payload, int(id))
 	}
 	// However many responses the parked first flush carried, the rest were
-	// all queued behind it: at most one of the k left as a lone frame.
+	// all queued behind it: at most one of the k left as a lone frame. The
+	// writer counts a flush after its Write returns, which can trail the
+	// client's read of the last byte, so the count is awaited.
+	for settle := time.Now().Add(5 * time.Second); srv.Metrics().BatchedOut < k-1 && time.Now().Before(settle); {
+		goruntime.Gosched()
+	}
 	if sm := srv.Metrics(); sm.BatchedOut < k-1 {
 		t.Fatalf("%d of %d responses rode in %d BATCH frames, want >=%d: responses queued behind a blocked write were not coalesced",
 			sm.BatchedOut, k, sm.BatchesOut, k-1)

@@ -64,10 +64,10 @@ const (
 	netHopFlush
 )
 
-// Backend is the serving engine a network server fronts. Both
-// serve.Server (via ServerBackend) and cluster.Cluster (via
-// ClusterBackend) satisfy it through thin adapters; tests substitute
-// stubs to exercise admission and drain behavior deterministically.
+// Backend is the serving engine a network server fronts. A
+// *cluster.Cluster satisfies it as is, a serve.Server through the
+// ServerBackend adapter; tests substitute stubs to exercise admission and
+// drain behavior deterministically.
 type Backend interface {
 	// Geometry reports the model shape and batch cap the wire handshake
 	// announces.
@@ -81,8 +81,8 @@ type Backend interface {
 
 // RestoreBackend is the optional backend extension behind the RESTORE
 // op: installing absolute row values from a durable snapshot, the cold
-// half of a replica router's crash recovery. Backends that lack it (the
-// cluster adapter, test stubs) answer RESTORE frames with BAD_REQUEST —
+// half of a replica router's crash recovery. Backends that lack it (a
+// cluster.Cluster, test stubs) answer RESTORE frames with BAD_REQUEST —
 // only shard replicas fronting a serve.Server are restore targets.
 type RestoreBackend interface {
 	// Restore overwrites rows of one table with absolute embedding values
@@ -113,26 +113,16 @@ func (b serverBackend) ApplyUpdates(ups []runtime.TableUpdate) error { return b.
 // interface.
 func ServerBackend(s *serve.Server) Backend { return serverBackend{s} }
 
-// clusterBackend adapts a cluster.Cluster.
-type clusterBackend struct{ c *cluster.Cluster }
-
-// Geometry implements Backend.
-func (b clusterBackend) Geometry() wire.Geometry { return b.c.Geometry() }
-
-// EmbedInto implements Backend.
-func (b clusterBackend) EmbedInto(dst []float32, rows [][]int, batch int) ([]float32, error) {
-	return b.c.EmbedInto(dst, rows, batch)
-}
-
-// ApplyUpdates implements Backend.
-func (b clusterBackend) ApplyUpdates(ups []runtime.TableUpdate) error { return b.c.ApplyUpdates(ups) }
-
-// ClusterBackend adapts a sharded cluster.Cluster to the Backend
-// interface.
-func ClusterBackend(c *cluster.Cluster) Backend { return clusterBackend{c} }
+// ClusterBackend returns a sharded cluster.Cluster as a Backend; the
+// cluster implements the interface itself.
+func ClusterBackend(c *cluster.Cluster) Backend { return c }
 
 // Config tunes the network server. The zero value of every field selects
-// a documented default at New; negative values are invalid.
+// a documented default at New; negative values are invalid. The frame
+// limit is fixed at wire.DefaultMaxFrameBytes in both directions: the
+// handshake announces it, each end enforces the smaller of its own and
+// its peer's, and New rejects a backend geometry whose maximal request or
+// response would not fit.
 type Config struct {
 	// MaxInflight is the admission budget: the number of embed/update
 	// requests simultaneously admitted (queued or executing) across all
@@ -141,11 +131,6 @@ type Config struct {
 	// admitted request reaches the backend's own queue without waiting
 	// behind another. Zero defaults to 256; negative is invalid.
 	MaxInflight int
-	// MaxFrameBytes caps one frame's wire size in both directions. Zero
-	// defaults to wire.DefaultMaxFrameBytes; negative is invalid. A frame
-	// beyond it is a protocol violation and closes the connection (the
-	// stream can no longer be trusted to be frame-aligned).
-	MaxFrameBytes int
 	// Role is the serving role announced in the handshake. The zero value
 	// (wire.RoleStandalone) is a self-contained endpoint; wire.RoleReplica
 	// marks this server as one replica of a shard behind a replica router,
@@ -172,6 +157,11 @@ const writeTimeout = 30 * time.Second
 // readBufBytes sizes the buffered reader in front of each connection, so
 // one read syscall pulls in many pipelined (or coalesced) frames.
 const readBufBytes = 64 << 10
+
+// maxFrameBytes caps one frame's wire size in both directions. A frame
+// beyond it is a protocol violation and closes the connection (the stream
+// can no longer be trusted to be frame-aligned).
+const maxFrameBytes = wire.DefaultMaxFrameBytes
 
 // task is one in-flight request: the decoded arguments, the destination
 // scratch the backend writes into, and the encoded response frame. Tasks
@@ -254,7 +244,9 @@ type Server struct {
 	draining atomic.Bool
 
 	// updateSeq counts successfully applied update batches (plain and
-	// sequenced). syncMu makes the OpSync check-apply-bump atomic, which is
+	// sequenced); every bump is an Add, so a plain update finishing inside
+	// a sync's window is never overwritten. syncMu makes the OpSync
+	// check-apply-bump atomic against other syncs and restores, which is
 	// what gives a router's catch-up replay its exactly-once guarantee.
 	updateSeq atomic.Uint64
 	syncMu    sync.Mutex
@@ -323,17 +315,11 @@ func New(b Backend, cfg Config) (*Server, error) {
 	if cfg.MaxInflight < 0 {
 		return nil, fmt.Errorf("netserve: MaxInflight %d is negative (use 0 for the default)", cfg.MaxInflight)
 	}
-	if cfg.MaxFrameBytes < 0 {
-		return nil, fmt.Errorf("netserve: MaxFrameBytes %d is negative (use 0 for the default)", cfg.MaxFrameBytes)
-	}
 	if cfg.Role != wire.RoleStandalone && cfg.Role != wire.RoleReplica {
 		return nil, fmt.Errorf("netserve: unknown role %d", uint8(cfg.Role))
 	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = 256
-	}
-	if cfg.MaxFrameBytes == 0 {
-		cfg.MaxFrameBytes = wire.DefaultMaxFrameBytes
 	}
 	geom := b.Geometry()
 	if err := geom.Validate(); err != nil {
@@ -343,8 +329,8 @@ func New(b Backend, cfg Config) (*Server, error) {
 	// every maximal request would be "oversized" by configuration.
 	maxReq := wire.HeaderBytes + 8 + 4*geom.Tables*geom.MaxBatch*geom.Reduction
 	maxResp := wire.HeaderBytes + 4*geom.MaxBatch*geom.Width()
-	if need := max(maxReq, maxResp); cfg.MaxFrameBytes < need {
-		return nil, fmt.Errorf("netserve: MaxFrameBytes %d below the %d B a maximal request/response needs", cfg.MaxFrameBytes, need)
+	if need := max(maxReq, maxResp); maxFrameBytes < need {
+		return nil, fmt.Errorf("netserve: frame limit %d below the %d B a maximal request/response needs", maxFrameBytes, need)
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -457,12 +443,12 @@ func (c *conn) readLoop() {
 	ok := false
 	var buf []byte
 	if peerMax, hbuf, err := wire.ReadClientHello(br, nil); err == nil {
-		c.w = wire.NewWriter(s.cfg.MaxFrameBytes, peerMax)
+		c.w = wire.NewWriter(maxFrameBytes, peerMax)
 		hello := wire.AppendServerHello(hbuf[:0], wire.Hello{
 			Geom:          s.geom,
 			Role:          s.cfg.Role,
 			UpdateSeq:     s.updateSeq.Load(),
-			MaxFrameBytes: s.cfg.MaxFrameBytes,
+			MaxFrameBytes: maxFrameBytes,
 		})
 		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := c.nc.Write(hello); err == nil {
@@ -486,7 +472,7 @@ func (c *conn) readLoop() {
 		var id uint64
 		var payload []byte
 		var err error
-		op, id, payload, buf, err = wire.ReadFrame(br, buf, s.cfg.MaxFrameBytes)
+		op, id, payload, buf, err = wire.ReadFrame(br, buf, maxFrameBytes)
 		if err != nil {
 			// Disconnects (EOF, drain half-close, reset) are the normal end
 			// of a connection; everything else is a frame-level violation.
@@ -769,9 +755,8 @@ func (s *Server) executeSync(t *task) []byte {
 			s.failures.Add(1)
 			return wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
 		}
-		s.updateSeq.Store(cur + 1)
 		s.syncs.Add(1)
-		return wire.AppendSyncResp(t.resp[:0], t.id, cur+1)
+		return wire.AppendSyncResp(t.resp[:0], t.id, s.updateSeq.Add(1))
 	}
 }
 

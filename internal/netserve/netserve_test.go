@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -130,11 +131,12 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := netserve.New(b, netserve.Config{MaxInflight: -1}); err == nil {
 		t.Fatal("negative MaxInflight accepted")
 	}
-	if _, err := netserve.New(b, netserve.Config{MaxFrameBytes: -1}); err == nil {
-		t.Fatal("negative MaxFrameBytes accepted")
-	}
-	if _, err := netserve.New(b, netserve.Config{MaxFrameBytes: 64}); err == nil {
-		t.Fatal("MaxFrameBytes below a maximal response accepted")
+	// A geometry whose maximal response (1 Mi samples x 8 floats = 32 MiB)
+	// exceeds the fixed frame limit is a config error.
+	huge := newStub()
+	huge.maxBatch = 1 << 20
+	if _, err := netserve.New(huge, netserve.Config{}); err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Fatalf("geometry beyond the frame limit: err = %v", err)
 	}
 	bad := newStub()
 	bad.tables = 0
@@ -289,7 +291,7 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 	<-closeDone
 
 	// After the drain, new connections are refused.
-	if _, err := netclient.Dial(addr, netclient.Config{DialTimeout: time.Second}); err == nil {
+	if _, err := netclient.Dial(addr, netclient.Config{}); err == nil {
 		t.Fatal("dial succeeded after Close")
 	}
 	// And Close is idempotent.

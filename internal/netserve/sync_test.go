@@ -3,9 +3,11 @@ package netserve_test
 import (
 	"net"
 	"strings"
+	"sync"
 	"testing"
 
 	"tensordimm/internal/netserve"
+	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
@@ -141,6 +143,59 @@ func TestSyncSeqGuard(t *testing.T) {
 	}
 	if v, _ := snap.Gauge("tensordimm_net_update_seq"); v != 2 {
 		t.Fatalf("net_update_seq %g, want 2", v)
+	}
+}
+
+// gatedApply is stubBackend whose first ApplyUpdates signals entered and
+// then waits for release; later ones pass straight through.
+type gatedApply struct {
+	*stubBackend
+	entered, release chan struct{}
+	once             sync.Once
+}
+
+// ApplyUpdates implements netserve.Backend.
+func (b *gatedApply) ApplyUpdates(ups []runtime.TableUpdate) error {
+	first := false
+	b.once.Do(func() { first = true })
+	if first {
+		close(b.entered)
+		<-b.release
+	}
+	return b.stubBackend.ApplyUpdates(ups)
+}
+
+// TestPlainUpdateDuringSyncCounted pins that a plain UPDATE applied while a
+// SYNC is inside its apply still counts: the SYNC's bump must not
+// overwrite it, so the counter reads 2 after one of each.
+func TestPlainUpdateDuringSyncCounted(t *testing.T) {
+	b := &gatedApply{stubBackend: newStub(), entered: make(chan struct{}), release: make(chan struct{})}
+	srv, addr := startServer(t, b, netserve.Config{Role: wire.RoleReplica})
+	var once sync.Once
+	release := func() { once.Do(func() { close(b.release) }) }
+	t.Cleanup(release)
+
+	nc, _ := rawDial(t, addr)
+	if _, err := nc.Write(syncFrame(1, 0, []int{1})); err != nil {
+		t.Fatal(err)
+	}
+	<-b.entered // the SYNC holds its apply
+	op, _, _ := rawCall(t, nc, wire.AppendUpdate(nil, 2, 0, []wire.Update{{
+		Table: 1, Rows: []int{4}, Grads: make([]float32, 4),
+	}}))
+	if op != wire.OpUpdateResp {
+		t.Fatalf("plain update answered with op %d, want OpUpdateResp", op)
+	}
+	release()
+	op, id, payload, _, err := wire.ReadFrame(nc, nil, 0)
+	if err != nil || op != wire.OpSyncResp || id != 1 {
+		t.Fatalf("sync answered op %d id %d err %v, want OpSyncResp id 1", op, id, err)
+	}
+	if seq, err := wire.DecodeSyncResp(payload); err != nil || seq != 2 {
+		t.Fatalf("sync resp seq %d err %v, want 2", seq, err)
+	}
+	if got := srv.UpdateSeq(); got != 2 {
+		t.Fatalf("UpdateSeq %d after one SYNC and one UPDATE, want 2", got)
 	}
 }
 

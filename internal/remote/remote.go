@@ -110,8 +110,8 @@ type Config struct {
 	// Conns is the connection pool size per replica. Defaults to 1.
 	Conns int
 	// RetryFor, ReconnectMin and ReconnectMax pass through to every
-	// replica's netclient.Config (frame limit and dial timeout keep the
-	// netclient defaults). RetryFor keeps redialing refused connections at
+	// replica's netclient.Config (the frame limit and dial timeout are
+	// netclient constants). RetryFor keeps redialing refused connections at
 	// New, so the router may start before its shard processes.
 	RetryFor time.Duration
 	// ReconnectMin is the first redial backoff after a replica is lost.

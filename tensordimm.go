@@ -141,7 +141,7 @@ type (
 	ShardStrategy = cluster.Strategy
 	// NetServer is the TCP serving plane fronting a server or cluster.
 	NetServer = netserve.Server
-	// NetServeConfig tunes the network server (admission budget, frame cap).
+	// NetServeConfig tunes the network server (admission budget, role, telemetry).
 	NetServeConfig = netserve.Config
 	// NetServeMetrics is a snapshot of the network plane's counters.
 	NetServeMetrics = netserve.Metrics
@@ -149,7 +149,7 @@ type (
 	NetBackend = netserve.Backend
 	// NetClient is the pooled, pipelined client of a NetServer.
 	NetClient = netclient.Client
-	// NetClientConfig tunes the client (pool size, dial retry).
+	// NetClientConfig tunes the client (pool size, dial retry, reconnect, deadline).
 	NetClientConfig = netclient.Config
 	// NetServerError is an error frame returned by a server, carrying the
 	// machine-readable wire code (e.g. OVERLOADED for shed requests).
