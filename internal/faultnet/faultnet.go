@@ -75,13 +75,6 @@ func (in *Injector) Reset() {
 	}
 }
 
-// Live reports how many wrapped connections are currently open.
-func (in *Injector) Live() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return len(in.conns)
-}
-
 // track registers a connection for Reset/SetTruncateAfter fan-out.
 func (in *Injector) track(c *Conn) {
 	in.mu.Lock()

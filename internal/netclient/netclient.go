@@ -3,8 +3,8 @@
 // pool of TCP connections and exposes the same request surface as the
 // in-process serving layers (EmbedInto, Update, Metrics, Ping), plus the
 // replica-oriented extensions a router needs: sequenced updates (Sync),
-// asynchronous embeds (StartEmbed, for hedged reads), and supervised
-// reconnect with exponential backoff (Config.Reconnect).
+// asynchronous embeds (StartEmbed, for hedged reads), and a supervised
+// pool that redials every lost connection.
 //
 // Requests pipeline: any number of goroutines may call into one Client
 // concurrently, each request is stamped with a client-wide id when its
@@ -22,11 +22,15 @@
 // write in flight. Responses arrive either plain or coalesced by the
 // server's wire.Writer; the reader unpacks both.
 //
-// Connection lifecycle: without Reconnect, a lost connection is broken
-// permanently and calls fail until the pool is exhausted — the original
-// fail-fast contract. With Reconnect, each lost connection is redialed in
-// the background with exponential backoff; the re-handshake must announce
-// the geometry learned at Dial (a restarted server with a different model
+// Connection lifecycle: every connection comes from one connect attempt —
+// TCP connect, client hello, server hello — bounded as a whole by
+// wire.HandshakeTimeout, so a server that accepts and then goes silent
+// costs one bound, never a wedged caller. Attempts repeat in one redial
+// loop with jittered exponential backoff (ReconnectMin to ReconnectMax):
+// Dial runs it until RetryFor lapses, and each pool slot's supervisor runs
+// it after every loss until Close. While a slot is down, calls use the
+// others and fail fast once none is left. A re-handshake must announce the
+// geometry learned at Dial (a restarted server with a different model
 // stays down), and the OnUp/OnDown hooks report transitions so a replica
 // router can replay its update log before trusting the endpoint again.
 //
@@ -53,26 +57,19 @@ import (
 	"tensordimm/internal/wire"
 )
 
-// readBufBytes sizes the buffered reader on each connection, so one read
-// syscall pulls in many pipelined (or coalesced) response frames.
-const readBufBytes = 64 << 10
-
-// dialTimeout bounds one TCP connect attempt.
-const dialTimeout = 5 * time.Second
-
 // Config tunes a client. The zero value of every field selects a
 // documented default at Dial; negative values are invalid. The frame
 // limit (wire.DefaultMaxFrameBytes, which Dial checks against the largest
-// response the announced geometry can produce) and the 5 s connect
-// timeout are fixed.
+// response the announced geometry can produce) and the handshake bound
+// (wire.HandshakeTimeout, from connect to the server's hello) are fixed.
 type Config struct {
 	// Conns is the connection pool size. Requests round-robin across the
 	// pool; more connections spread socket write contention at the cost of
 	// server-side reader goroutines. Zero defaults to 1.
 	Conns int
-	// RetryFor keeps re-dialing a refused connection until this much time
-	// has elapsed — the knob that lets a client start before its server
-	// in scripted two-process runs. Zero means a single attempt.
+	// RetryFor keeps Dial's redial loop going until this much time has
+	// elapsed — the knob that lets a client start before its server in
+	// scripted two-process runs. Zero means a single attempt.
 	RetryFor time.Duration
 	// Deadline is the per-request deadline budget stamped into EMBED and
 	// UPDATE frames and enforced client-side: a request with no response
@@ -85,14 +82,8 @@ type Config struct {
 	// expired.
 	Deadline time.Duration
 
-	// Reconnect supervises every pooled connection: when one is lost, a
-	// background goroutine redials it with exponential backoff instead of
-	// leaving it permanently broken. A reconnect handshake must announce
-	// the geometry learned at Dial; a mismatching server (restarted with a
-	// different model) is treated as still down and retried. False keeps
-	// the original contract: a lost connection is broken for good.
-	Reconnect bool
-	// ReconnectMin is the first redial backoff. Zero defaults to 50ms.
+	// ReconnectMin is the first redial backoff, at Dial and after a lost
+	// connection. Zero defaults to 50ms.
 	ReconnectMin time.Duration
 	// ReconnectMax caps the doubling backoff. Zero defaults to 2s.
 	ReconnectMax time.Duration
@@ -209,9 +200,8 @@ type clientConn struct {
 	rdDone    chan struct{}
 }
 
-// connSlot is one position in the pool. Without Reconnect it holds its
-// Dial-time connection forever; with Reconnect the supervisor swaps in a
-// fresh connection after each loss (nil while down).
+// connSlot is one position in the pool. Its supervisor swaps in a fresh
+// connection after each loss (nil while down).
 type connSlot struct {
 	cur atomic.Pointer[clientConn]
 }
@@ -219,11 +209,12 @@ type connSlot struct {
 // Client is a pooled, pipelined client of one serving endpoint. Create
 // with Dial, submit from any number of goroutines, and Close when done.
 type Client struct {
-	cfg      Config
-	addr     string
-	maxFrame int // this end's frame limit, announced in every handshake
-	geom     wire.Geometry
-	hello    atomic.Pointer[wire.Hello] // latest handshake observed
+	cfg       Config
+	addr      string
+	maxFrame  int                        // this end's frame limit, announced in every handshake
+	handshake time.Duration              // bound on one connect attempt
+	geom      wire.Geometry              // learned at Dial; every later handshake must match
+	hello     atomic.Pointer[wire.Hello] // latest handshake observed
 
 	slots    []*connSlot
 	rr       atomic.Uint64
@@ -238,15 +229,16 @@ type Client struct {
 
 // Dial connects cfg.Conns connections to addr, performs the protocol
 // handshake on each, and verifies every connection announces the same
-// geometry. With cfg.RetryFor > 0 a refused connection is retried until
-// the deadline, so a client may start before its server.
+// geometry. With cfg.RetryFor > 0 failed attempts are retried until the
+// deadline, so a client may start before its server. Every connection is
+// supervised until Close.
 func Dial(addr string, cfg Config) (*Client, error) {
-	return dial(addr, cfg, wire.DefaultMaxFrameBytes)
+	return dial(addr, cfg, wire.DefaultMaxFrameBytes, wire.HandshakeTimeout)
 }
 
-// dial is Dial with the client's frame limit as a parameter, which only
-// tests set below wire.DefaultMaxFrameBytes.
-func dial(addr string, cfg Config, maxFrame int) (*Client, error) {
+// dial is Dial with the client's frame limit and handshake bound as
+// parameters, which only tests set below their wire constants.
+func dial(addr string, cfg Config, maxFrame int, handshake time.Duration) (*Client, error) {
 	if cfg.Conns < 0 || cfg.RetryFor < 0 || cfg.ReconnectMin < 0 || cfg.ReconnectMax < 0 || cfg.Deadline < 0 {
 		return nil, fmt.Errorf("netclient: negative config (Conns %d, RetryFor %v, ReconnectMin %v, ReconnectMax %v, Deadline %v)",
 			cfg.Conns, cfg.RetryFor, cfg.ReconnectMin, cfg.ReconnectMax, cfg.Deadline)
@@ -263,140 +255,127 @@ func dial(addr string, cfg Config, maxFrame int) (*Client, error) {
 	if cfg.ReconnectMin > cfg.ReconnectMax {
 		return nil, fmt.Errorf("netclient: ReconnectMin %v above ReconnectMax %v", cfg.ReconnectMin, cfg.ReconnectMax)
 	}
-	c := &Client{cfg: cfg, addr: addr, maxFrame: maxFrame, closeCh: make(chan struct{})}
+	c := &Client{cfg: cfg, addr: addr, maxFrame: maxFrame, handshake: handshake, closeCh: make(chan struct{})}
 	c.callPool.New = func() any {
 		tm := time.NewTimer(time.Hour)
 		tm.Stop()
 		return &Call{done: make(chan error, 1), tm: tm}
 	}
-	deadline := time.Now().Add(cfg.RetryFor)
+	until := time.Now().Add(cfg.RetryFor)
 	for i := 0; i < cfg.Conns; i++ {
-		cc, h, err := c.dialOne(deadline)
+		cc, h, err := c.redial(until)
 		if err != nil {
 			c.Close()
 			return nil, err
 		}
 		if i == 0 {
 			c.geom = h.Geom
-			maxResp := wire.HeaderBytes + 4*h.Geom.MaxBatch*h.Geom.Width()
-			if maxFrame < maxResp {
-				cc.nc.Close()
-				c.Close()
-				return nil, fmt.Errorf("netclient: frame limit %d below the %d B a maximal response needs", maxFrame, maxResp)
-			}
-		} else if h.Geom != c.geom {
-			cc.nc.Close()
-			c.Close()
-			return nil, fmt.Errorf("netclient: connection %d announced geometry %+v, connection 0 got %+v", i, h.Geom, c.geom)
 		}
-		hc := h
-		c.hello.Store(&hc)
-		slot := &connSlot{}
-		slot.cur.Store(cc)
-		c.slots = append(c.slots, slot)
-		c.readerWG.Add(2)
-		go c.readLoop(cc)
-		go c.flushLoop(cc)
+		c.slots = append(c.slots, &connSlot{})
+		c.install(c.slots[i], cc, h)
 	}
-	if cfg.Reconnect {
-		for _, slot := range c.slots {
-			c.superWG.Add(1)
-			go c.supervise(slot)
-		}
+	if maxResp := wire.HeaderBytes + 4*c.geom.MaxBatch*c.geom.Width(); maxFrame < maxResp {
+		c.Close()
+		return nil, fmt.Errorf("netclient: frame limit %d below the %d B a maximal response needs", maxFrame, maxResp)
+	}
+	// Supervisors start only once Dial can no longer fail, so a failing
+	// Dial never waits out an OnDown or OnUp hook.
+	for _, slot := range c.slots {
+		c.superWG.Add(1)
+		go c.supervise(slot)
 	}
 	return c, nil
 }
 
-// dialOne establishes and handshakes a single connection, retrying
-// refused connects until the deadline.
-func (c *Client) dialOne(deadline time.Time) (*clientConn, wire.Hello, error) {
-	for {
-		nc, err := net.DialTimeout("tcp", c.addr, dialTimeout)
-		if err != nil {
-			if time.Now().Before(deadline) {
-				time.Sleep(50 * time.Millisecond)
-				continue
-			}
-			return nil, wire.Hello{}, fmt.Errorf("netclient: dial %s: %w", c.addr, err)
+// connect makes one connection attempt — TCP connect, client hello, server
+// hello — under a single handshake deadline, and refuses a server whose
+// geometry differs from the one learned at Dial. The hello is read off the
+// raw socket (the server sends nothing more until the first request), so
+// the read buffer is allocated only for a connection that succeeded.
+func (c *Client) connect() (*clientConn, wire.Hello, error) {
+	deadline := time.Now().Add(c.handshake)
+	nc, err := (&net.Dialer{Deadline: deadline}).Dial("tcp", c.addr)
+	if err != nil {
+		return nil, wire.Hello{}, fmt.Errorf("netclient: dial %s: %w", c.addr, err)
+	}
+	nc.SetDeadline(deadline)
+	var h wire.Hello
+	if _, err = nc.Write(wire.AppendClientHello(make([]byte, 0, 16), c.maxFrame)); err == nil {
+		h, _, err = wire.ReadServerHello(nc, nil)
+	}
+	if err == nil && c.geom != (wire.Geometry{}) && h.Geom != c.geom {
+		err = fmt.Errorf("announced geometry %+v, want %+v", h.Geom, c.geom)
+	}
+	if err != nil {
+		nc.Close()
+		return nil, wire.Hello{}, fmt.Errorf("netclient: handshake with %s: %w", c.addr, err)
+	}
+	nc.SetDeadline(time.Time{})
+	return &clientConn{
+		nc:        nc,
+		br:        bufio.NewReaderSize(nc, wire.ReadBufBytes),
+		w:         wire.NewWriter(c.maxFrame, h.MaxFrameBytes),
+		pending:   make(map[uint64]*Call),
+		abandoned: make(map[uint64]struct{}),
+		rdDone:    make(chan struct{}),
+	}, h, nil
+}
+
+// redial is the one redial loop: it repeats connect, sleeping a jittered
+// backoff that doubles from ReconnectMin up to ReconnectMax between
+// attempts, until one succeeds. It gives up with the last attempt's error
+// once until has passed (a zero until never does), and with net.ErrClosed
+// when the client closes.
+func (c *Client) redial(until time.Time) (*clientConn, wire.Hello, error) {
+	for backoff := c.cfg.ReconnectMin; ; backoff = min(2*backoff, c.cfg.ReconnectMax) {
+		cc, h, err := c.connect()
+		if err == nil || (!until.IsZero() && !time.Now().Before(until)) {
+			return cc, h, err
 		}
-		if _, err := nc.Write(wire.AppendClientHello(make([]byte, 0, 16), c.maxFrame)); err != nil {
-			nc.Close()
-			return nil, wire.Hello{}, fmt.Errorf("netclient: handshake write: %w", err)
+		select {
+		case <-c.closeCh:
+			return nil, wire.Hello{}, net.ErrClosed
+		case <-time.After(jitter(backoff)):
 		}
-		br := bufio.NewReaderSize(nc, readBufBytes)
-		h, _, err := wire.ReadServerHello(br, nil)
-		if err != nil {
-			nc.Close()
-			return nil, wire.Hello{}, fmt.Errorf("netclient: handshake: %w", err)
-		}
-		return &clientConn{
-			nc:        nc,
-			br:        br,
-			w:         wire.NewWriter(c.maxFrame, h.MaxFrameBytes),
-			pending:   make(map[uint64]*Call),
-			abandoned: make(map[uint64]struct{}),
-			rdDone:    make(chan struct{}),
-		}, h, nil
 	}
 }
 
-// supervise watches one slot: when its connection dies, it reports the
-// loss, then redials with exponential backoff until a server announcing
-// the original geometry is back, swaps the fresh connection in, and
-// reports it up. Runs until Close.
+// install makes a handshaken connection its slot's current one, records
+// its hello as the latest, and starts the connection's reader and flusher.
+func (c *Client) install(slot *connSlot, cc *clientConn, h wire.Hello) {
+	c.hello.Store(&h)
+	slot.cur.Store(cc)
+	c.readerWG.Add(2)
+	go c.readLoop(cc)
+	go c.flushLoop(cc)
+}
+
+// supervise watches one slot until Close: when its connection dies, it
+// reports the loss, runs the redial loop, installs the fresh connection
+// and reports it up.
 func (c *Client) supervise(slot *connSlot) {
 	defer c.superWG.Done()
 	for {
 		cc := slot.cur.Load()
-		if cc != nil {
-			select {
-			case <-cc.rdDone:
-			case <-c.closeCh:
-				return
-			}
-			slot.cur.Store(nil)
-			if c.cfg.OnDown != nil {
-				cc.pmu.Lock()
-				err := cc.broken
-				cc.pmu.Unlock()
-				if err == nil {
-					err = fmt.Errorf("netclient: connection lost")
-				}
-				c.cfg.OnDown(err)
-			}
+		select {
+		case <-cc.rdDone:
+		case <-c.closeCh:
+			return
 		}
-		backoff := c.cfg.ReconnectMin
-		for {
-			select {
-			case <-c.closeCh:
-				return
-			default:
-			}
-			ncc, h, err := c.dialOne(time.Time{})
-			if err == nil && h.Geom != c.geom {
-				ncc.nc.Close()
-				err = fmt.Errorf("netclient: reconnect handshake announced geometry %+v, want %+v", h.Geom, c.geom)
-			}
-			if err == nil {
-				slot.cur.Store(ncc)
-				hc := h
-				c.hello.Store(&hc)
-				c.readerWG.Add(2)
-				go c.readLoop(ncc)
-				go c.flushLoop(ncc)
-				if c.cfg.OnUp != nil {
-					c.cfg.OnUp(h)
-				}
-				break
-			}
-			select {
-			case <-c.closeCh:
-				return
-			case <-time.After(jitter(backoff)):
-			}
-			if backoff *= 2; backoff > c.cfg.ReconnectMax {
-				backoff = c.cfg.ReconnectMax
-			}
+		slot.cur.Store(nil)
+		if c.cfg.OnDown != nil {
+			cc.pmu.Lock()
+			err := cc.broken // every reader exit sets it
+			cc.pmu.Unlock()
+			c.cfg.OnDown(err)
+		}
+		cc, h, err := c.redial(time.Time{})
+		if err != nil {
+			return
+		}
+		c.install(slot, cc, h)
+		if c.cfg.OnUp != nil {
+			c.cfg.OnUp(h)
 		}
 	}
 }
@@ -422,8 +401,8 @@ func (c *Client) Geometry() wire.Geometry { return c.geom }
 func (c *Client) Hello() wire.Hello { return *c.hello.Load() }
 
 // Healthy reports whether at least one pooled connection is currently
-// live. With Reconnect it flips back to true once the supervisor has a
-// fresh connection up; without it, false is permanent.
+// live. It is false while every connection is down and true again as soon
+// as a supervisor has a fresh one up.
 func (c *Client) Healthy() bool {
 	_, err := c.pick()
 	return err == nil

@@ -69,7 +69,6 @@ func TestReconnectAfterServerRestart(t *testing.T) {
 	addr := freeAddr(t)
 	srv := serveAt(t, &echoBackend{}, addr, netserve.Config{Role: wire.RoleReplica})
 	cl, err := netclient.Dial(addr, netclient.Config{
-		Reconnect:    true,
 		ReconnectMin: 5 * time.Millisecond,
 		ReconnectMax: 50 * time.Millisecond,
 		OnUp: func(h wire.Hello) {
@@ -148,7 +147,6 @@ func TestReconnectRejectsChangedGeometry(t *testing.T) {
 	srv := serveAt(t, &echoBackend{}, addr, netserve.Config{})
 	var ups atomic.Int64
 	cl, err := netclient.Dial(addr, netclient.Config{
-		Reconnect:    true,
 		ReconnectMin: 5 * time.Millisecond,
 		ReconnectMax: 20 * time.Millisecond,
 		OnUp:         func(wire.Hello) { ups.Add(1) },

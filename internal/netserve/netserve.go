@@ -154,15 +154,6 @@ type Config struct {
 // connection is dropped (the client was not consuming responses anyway).
 const writeTimeout = 30 * time.Second
 
-// readBufBytes sizes the buffered reader in front of each connection, so
-// one read syscall pulls in many pipelined (or coalesced) frames.
-const readBufBytes = 64 << 10
-
-// maxFrameBytes caps one frame's wire size in both directions. A frame
-// beyond it is a protocol violation and closes the connection (the stream
-// can no longer be trusted to be frame-aligned).
-const maxFrameBytes = wire.DefaultMaxFrameBytes
-
 // task is one in-flight request: the decoded arguments, the destination
 // scratch the backend writes into, and the encoded response frame. Tasks
 // are pooled server-wide; a task is owned by exactly one goroutine at a
@@ -232,9 +223,10 @@ type conn struct {
 // does not own the backend — closing the netserve.Server leaves the
 // serve.Server or cluster.Cluster running for its owner to close.
 type Server struct {
-	cfg     Config
-	backend Backend
-	geom    wire.Geometry
+	cfg       Config
+	backend   Backend
+	geom      wire.Geometry
+	handshake time.Duration // accept to hello written; shorter only in tests
 
 	tasks    chan *task
 	taskPool sync.Pool
@@ -329,13 +321,14 @@ func New(b Backend, cfg Config) (*Server, error) {
 	// every maximal request would be "oversized" by configuration.
 	maxReq := wire.HeaderBytes + 8 + 4*geom.Tables*geom.MaxBatch*geom.Reduction
 	maxResp := wire.HeaderBytes + 4*geom.MaxBatch*geom.Width()
-	if need := max(maxReq, maxResp); maxFrameBytes < need {
-		return nil, fmt.Errorf("netserve: frame limit %d below the %d B a maximal request/response needs", maxFrameBytes, need)
+	if need := max(maxReq, maxResp); wire.DefaultMaxFrameBytes < need {
+		return nil, fmt.Errorf("netserve: frame limit %d below the %d B a maximal request/response needs", wire.DefaultMaxFrameBytes, need)
 	}
 	s := &Server{
 		cfg:       cfg,
 		backend:   b,
 		geom:      geom,
+		handshake: wire.HandshakeTimeout,
 		tasks:     make(chan *task, cfg.MaxInflight),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
@@ -390,10 +383,12 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // startConn registers one accepted connection and spawns its reader,
-// which starts the writer after the handshake. A connection arriving
-// during (or after) Close is refused immediately.
+// which starts the writer after the handshake. The handshake deadline is
+// set before registering, so a drain's closeRead lands after it; a
+// connection arriving during (or after) Close is refused immediately.
 func (s *Server) startConn(nc net.Conn) {
 	c := &conn{srv: s, nc: nc, credit: make(chan struct{}, s.cfg.MaxInflight+16), done: make(chan struct{})}
+	nc.SetDeadline(time.Now().Add(s.handshake))
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -436,21 +431,19 @@ func (s *Server) admit() bool {
 func (c *conn) readLoop() {
 	s := c.srv
 	defer s.connWG.Done()
-	// All reads go through a buffered reader so one syscall pulls in many
-	// pipelined or coalesced frames; the frame decoder then slices them out
-	// of the buffer without further kernel round trips.
-	br := bufio.NewReaderSize(c.nc, readBufBytes)
+	// The hello is read off the raw socket under the handshake deadline: a
+	// client sends nothing more until our hello arrives, so a peer that
+	// never speaks costs one bound and no read buffer.
 	ok := false
 	var buf []byte
-	if peerMax, hbuf, err := wire.ReadClientHello(br, nil); err == nil {
-		c.w = wire.NewWriter(maxFrameBytes, peerMax)
+	if peerMax, hbuf, err := wire.ReadClientHello(c.nc, nil); err == nil {
+		c.w = wire.NewWriter(wire.DefaultMaxFrameBytes, peerMax)
 		hello := wire.AppendServerHello(hbuf[:0], wire.Hello{
 			Geom:          s.geom,
 			Role:          s.cfg.Role,
 			UpdateSeq:     s.updateSeq.Load(),
-			MaxFrameBytes: maxFrameBytes,
+			MaxFrameBytes: wire.DefaultMaxFrameBytes,
 		})
-		c.nc.SetWriteDeadline(time.Now().Add(writeTimeout))
 		if _, err := c.nc.Write(hello); err == nil {
 			ok = true
 		}
@@ -463,6 +456,16 @@ func (c *conn) readLoop() {
 		s.forget(c)
 		return
 	}
+	// Clearing the deadline would undo a drain's closeRead on a non-TCP
+	// conn, so one that began meanwhile is reapplied.
+	c.nc.SetReadDeadline(time.Time{})
+	if s.draining.Load() {
+		closeRead(c.nc)
+	}
+	// All reads go through a buffered reader so one syscall pulls in many
+	// pipelined or coalesced frames; the frame decoder then slices them out
+	// of the buffer without further kernel round trips.
+	br := bufio.NewReaderSize(c.nc, wire.ReadBufBytes)
 	// The reader still holds its own count, so this Add cannot race Close's
 	// Wait past zero.
 	s.connWG.Add(1)
@@ -472,7 +475,7 @@ func (c *conn) readLoop() {
 		var id uint64
 		var payload []byte
 		var err error
-		op, id, payload, buf, err = wire.ReadFrame(br, buf, maxFrameBytes)
+		op, id, payload, buf, err = wire.ReadFrame(br, buf, wire.DefaultMaxFrameBytes)
 		if err != nil {
 			// Disconnects (EOF, drain half-close, reset) are the normal end
 			// of a connection; everything else is a frame-level violation.

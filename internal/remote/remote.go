@@ -110,9 +110,9 @@ type Config struct {
 	// Conns is the connection pool size per replica. Defaults to 1.
 	Conns int
 	// RetryFor, ReconnectMin and ReconnectMax pass through to every
-	// replica's netclient.Config (the frame limit and dial timeout are
-	// netclient constants). RetryFor keeps redialing refused connections at
-	// New, so the router may start before its shard processes.
+	// replica's netclient.Config (the frame limit and handshake bound are
+	// wire constants). RetryFor keeps redialing failed attempts at New, so
+	// the router may start before its shard processes.
 	RetryFor time.Duration
 	// ReconnectMin is the first redial backoff after a replica is lost.
 	ReconnectMin time.Duration
@@ -482,7 +482,6 @@ func newCluster(cfg Config, tune tuning) (*RemoteCluster, error) {
 			cl, err := netclient.Dial(addr, netclient.Config{
 				Conns:        cfg.Conns,
 				RetryFor:     cfg.RetryFor,
-				Reconnect:    true,
 				ReconnectMin: cfg.ReconnectMin,
 				ReconnectMax: cfg.ReconnectMax,
 				OnUp: func(h wire.Hello) {

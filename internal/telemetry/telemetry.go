@@ -259,8 +259,8 @@ func (h *Histogram) Observe(v float64) {
 	}
 	h.buckets[bucketIndex(v)].Add(1)
 	h.count.Add(1)
-	// The sum is kept in integer nanoseconds so merging snapshots is
-	// exactly associative (float addition is not).
+	// The sum is kept in integer nanoseconds, so one atomic add records
+	// it.
 	h.sumNanos.Add(uint64(v * 1e9))
 	for {
 		old := h.minBits.Load()
@@ -297,8 +297,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 
 // HistogramSnapshot is a point-in-time copy of one histogram: per-bucket
 // counts in the fixed SnapshotVersion geometry plus derived percentiles.
-// All times are in seconds except SumNanos (integer nanoseconds, kept
-// integral so Merge is exactly associative).
+// All times are in seconds except SumNanos (integer nanoseconds).
 type HistogramSnapshot struct {
 	// Name and Labels identify the series.
 	Name   string `json:"name"`
@@ -378,38 +377,6 @@ func (s HistogramSnapshot) String() string {
 	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s max=%s",
 		s.Count, stats.FormatSeconds(s.Mean()), stats.FormatSeconds(s.P50),
 		stats.FormatSeconds(s.P95), stats.FormatSeconds(s.P99), stats.FormatSeconds(s.Max))
-}
-
-// Merge combines two histogram snapshots of the same geometry — the
-// cross-shard aggregation a fleet-level view needs. Counts and sums add
-// (integer adds, so merging is exactly associative and commutative); Min
-// and Max combine; percentiles are recomputed. The result carries a's
-// name and labels. Errors if the bucket layouts differ.
-func Merge(a, b HistogramSnapshot) (HistogramSnapshot, error) {
-	if len(a.Counts) != len(b.Counts) {
-		return HistogramSnapshot{}, fmt.Errorf("telemetry: merging %d-bucket with %d-bucket histogram", len(a.Counts), len(b.Counts))
-	}
-	out := HistogramSnapshot{
-		Name:     a.Name,
-		Labels:   a.Labels,
-		Count:    a.Count + b.Count,
-		SumNanos: a.SumNanos + b.SumNanos,
-		Counts:   make([]uint64, len(a.Counts)),
-	}
-	for i := range out.Counts {
-		out.Counts[i] = a.Counts[i] + b.Counts[i]
-	}
-	switch {
-	case a.Count == 0:
-		out.Min, out.Max = b.Min, b.Max
-	case b.Count == 0:
-		out.Min, out.Max = a.Min, a.Max
-	default:
-		out.Min = math.Min(a.Min, b.Min)
-		out.Max = math.Max(a.Max, b.Max)
-	}
-	out.finalize()
-	return out, nil
 }
 
 // CounterValue is one counter series' snapshot value.

@@ -88,61 +88,6 @@ func TestHistogramConcurrentRecording(t *testing.T) {
 	}
 }
 
-// TestMergeAssociativity checks that merging shard histograms is exactly
-// associative: (a+b)+c == a+(b+c) bucket-for-bucket and in the integer
-// nanosecond sum — the property that makes fleet-level aggregation
-// order-independent.
-func TestMergeAssociativity(t *testing.T) {
-	reg := NewRegistry()
-	mk := func(seed int64) HistogramSnapshot {
-		h := reg.Histogram("m_seconds", "test", L("shard", string(rune('a'+seed))))
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < 3000; i++ {
-			h.Observe(2e-6 * math.Pow(1e5, rng.Float64()))
-		}
-		return h.Snapshot()
-	}
-	a, b, c := mk(1), mk(2), mk(3)
-	ab, err := Merge(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abc1, err := Merge(ab, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bc, err := Merge(b, c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	abc2, err := Merge(a, bc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if abc1.Count != abc2.Count || abc1.SumNanos != abc2.SumNanos {
-		t.Fatalf("count/sum differ: %d/%d vs %d/%d", abc1.Count, abc1.SumNanos, abc2.Count, abc2.SumNanos)
-	}
-	if abc1.Min != abc2.Min || abc1.Max != abc2.Max {
-		t.Fatalf("min/max differ: %v/%v vs %v/%v", abc1.Min, abc1.Max, abc2.Min, abc2.Max)
-	}
-	for i := range abc1.Counts {
-		if abc1.Counts[i] != abc2.Counts[i] {
-			t.Fatalf("bucket %d differs: %d vs %d", i, abc1.Counts[i], abc2.Counts[i])
-		}
-	}
-	if abc1.P99 != abc2.P99 || abc1.P50 != abc2.P50 {
-		t.Fatalf("percentiles differ after merge")
-	}
-	if abc1.Count != a.Count+b.Count+c.Count {
-		t.Fatalf("merged count %d, want %d", abc1.Count, a.Count+b.Count+c.Count)
-	}
-	// Mismatched geometries must refuse to merge.
-	bad := HistogramSnapshot{Counts: make([]uint64, 3)}
-	if _, err := Merge(a, bad); err == nil {
-		t.Fatal("expected a geometry-mismatch error")
-	}
-}
-
 // TestHistogramEdgeCases covers empty histograms, zero/negative samples,
 // overflow clamping, and quantile bounds.
 func TestHistogramEdgeCases(t *testing.T) {

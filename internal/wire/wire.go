@@ -37,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"time"
 	"unsafe"
 )
 
@@ -72,6 +73,15 @@ const Version = 7
 // biggest benchmark geometry, small enough that a corrupt length field
 // cannot make an endpoint allocate gigabytes.
 const DefaultMaxFrameBytes = 16 << 20
+
+// HandshakeTimeout bounds a connection's whole handshake at each end, from
+// connect (or accept) to both hellos exchanged: a peer that goes silent
+// mid-handshake costs the other end this long, never more.
+const HandshakeTimeout = 5 * time.Second
+
+// ReadBufBytes sizes the buffered reader each end puts in front of a
+// connection after the handshake, so one read syscall pulls in many frames.
+const ReadBufBytes = 64 << 10
 
 // HeaderBytes is the fixed per-frame header: the 4-byte length prefix plus
 // the 1-byte op and 8-byte request id the length covers.

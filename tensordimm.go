@@ -149,7 +149,8 @@ type (
 	NetBackend = netserve.Backend
 	// NetClient is the pooled, pipelined client of a NetServer.
 	NetClient = netclient.Client
-	// NetClientConfig tunes the client (pool size, dial retry, reconnect, deadline).
+	// NetClientConfig tunes the client (pool size, dial retry, redial
+	// backoff and hooks, deadline); every client redials a lost connection.
 	NetClientConfig = netclient.Config
 	// NetServerError is an error frame returned by a server, carrying the
 	// machine-readable wire code (e.g. OVERLOADED for shed requests).
