@@ -4,15 +4,11 @@
 // A const/var/type group is considered documented if either the group
 // declaration or the individual specification carries a comment.
 //
-// CI runs it over the packages whose documentation this repository treats
-// as a contract:
+// With no arguments it checks contractPackages, the packages whose
+// documentation this repository treats as a contract; CI runs it that way,
+// from the repository root:
 //
-//	go run ./cmd/doccheck internal/cluster internal/serve internal/runtime \
-//	    internal/node internal/nmp internal/dimm internal/workload \
-//	    internal/wire internal/netserve internal/netclient internal/remote \
-//	    internal/faultnet
-//
-// With no arguments it checks that default set.
+//	go run ./cmd/doccheck
 package main
 
 import (
@@ -24,16 +20,20 @@ import (
 	"strings"
 )
 
+// contractPackages is the default set of package directories, relative to
+// the repository root.
+var contractPackages = []string{
+	"internal/cluster", "internal/serve", "internal/runtime",
+	"internal/node", "internal/nmp", "internal/dimm", "internal/workload",
+	"internal/wire", "internal/netserve", "internal/netclient",
+	"internal/remote", "internal/faultnet",
+	"internal/persist", "internal/chaos", "internal/telemetry",
+}
+
 func main() {
 	dirs := os.Args[1:]
 	if len(dirs) == 0 {
-		dirs = []string{
-			"internal/cluster", "internal/serve", "internal/runtime",
-			"internal/node", "internal/nmp", "internal/dimm", "internal/workload",
-			"internal/wire", "internal/netserve", "internal/netclient",
-			"internal/remote", "internal/faultnet",
-			"internal/persist", "internal/chaos", "internal/telemetry",
-		}
+		dirs = contractPackages
 	}
 	var failures []string
 	for _, dir := range dirs {

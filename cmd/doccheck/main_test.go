@@ -67,7 +67,8 @@ var (
 // TestContractPackagesAreClean runs the real check over the packages CI
 // gates on, so a missing doc comment fails the test suite before CI.
 func TestContractPackagesAreClean(t *testing.T) {
-	for _, dir := range []string{"../../internal/cluster", "../../internal/serve", "../../internal/runtime"} {
+	for _, pkg := range contractPackages {
+		dir := "../../" + pkg
 		missing, err := checkDir(dir)
 		if err != nil {
 			t.Fatal(err)

@@ -428,10 +428,11 @@ func describe(srv *tensordimm.Server, o *opts, reg *tensordimm.TelemetryRegistry
 
 // offer runs the flags' open-loop workload against read and update — the
 // one path every driving verb takes. Reads look up batch samples over every
-// table of the served geometry g; updates are SCATTER_ADD gradients for
-// batch rows of one random table. over names the transport for the banner.
-func offer[T any](o *opts, g tensordimm.NetGeometry, over string,
-	read func([][]int, int) (T, error), update func([]tensordimm.TableUpdate) error) tally {
+// table of the served geometry g through the layer's EmbedInto; updates are
+// SCATTER_ADD gradients for batch rows of one random table. over names the
+// transport for the banner.
+func offer(o *opts, g tensordimm.NetGeometry, over string,
+	read func([]float32, [][]int, int) ([]float32, error), update func([]tensordimm.TableUpdate) error) tally {
 
 	var gen *tensordimm.WorkloadGenerator
 	var err error
@@ -451,7 +452,7 @@ func offer[T any](o *opts, g tensordimm.NetGeometry, over string,
 	return drive(o.rate, o.duration, o.updFrac, o.seed,
 		func() func() error {
 			idx := gen.Batch(g.Tables, o.batch, g.Reduction)
-			return func() error { _, err := read(idx, o.batch); return err }
+			return func() error { _, err := read(nil, idx, o.batch); return err }
 		},
 		func() func() error {
 			urows := gen.Indices(o.batch)
@@ -574,11 +575,11 @@ func runLocal(o *opts) int {
 	srv, cl := deploy(model, o, reg)
 	var t tally
 	if cl != nil {
-		t = offer(o, cl.Geometry(), "", cl.Infer, cl.ApplyUpdates)
+		t = offer(o, cl.Geometry(), "", cl.EmbedInto, cl.ApplyUpdates)
 		closeOrDie(cl.Close)
 		printMetrics(reg)
 	} else {
-		t = offer(o, srv.Geometry(), "", srv.Infer, srv.Update)
+		t = offer(o, srv.Geometry(), "", srv.EmbedInto, srv.Update)
 		closeOrDie(srv.Close)
 		printMetrics(reg)
 		// Node stats are not registry series.
@@ -606,7 +607,7 @@ func runServe(o *opts) int {
 	if o.dataDir != "" {
 		warmCluster(cl, o.dataDir, o.nodes)
 	}
-	serveNet(tensordimm.ClusterBackend(cl), tensordimm.RoleStandalone, o, reg)
+	serveNet(cl, tensordimm.RoleStandalone, o, reg)
 	if o.dataDir != "" {
 		persistHotRows(cl, o.dataDir, o.nodes)
 	}
@@ -653,7 +654,7 @@ func runDrive(o *opts) int {
 		fmt.Fprintf(os.Stderr, "tensorserve: -batch %d exceeds the server's max batch %d\n", o.batch, g.MaxBatch)
 		return 2
 	}
-	t := offer(o, g, " over TCP", cl.Embed, cl.Update)
+	t := offer(o, g, " over TCP", cl.EmbedInto, cl.Update)
 	t.report(o.rate)
 	if snap, err := cl.Metrics(); err == nil {
 		fmt.Printf("\nserver %s:\n", o.arg)
@@ -702,7 +703,7 @@ func runRoute(o *opts) int {
 	fmt.Printf("joined %d shards (%s%s) over %d replicas: %d tables x %d rows, dim %d, %d-way %s\n",
 		len(o.groups), strategy, mode, replicas, cfg.Tables, cfg.TableRows, cfg.EmbDim,
 		cfg.Reduction, poolingName(cfg))
-	t := offer(o, rc.Geometry(), " over replica groups", rc.Embed, rc.ApplyUpdates)
+	t := offer(o, rc.Geometry(), " over replica groups", rc.EmbedInto, rc.ApplyUpdates)
 	t.report(o.rate)
 	printMetrics(reg)
 	return t.exitCode()

@@ -68,9 +68,17 @@ func main() {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			// The router merges the shards' partial results into the
+			// pooled [4, tables*dim] embeddings; the DNN stage then runs
+			// here, on the client that received them.
+			emb := tensordimm.NewTensor(4, cfg.Tables*cfg.EmbDim)
 			for i := 0; i < perClient; i++ {
 				rows := requests[c*perClient+i]
-				got, err := cl.Infer(rows, 4)
+				if _, err := cl.EmbedInto(emb.Data(), rows, 4); err != nil {
+					errs[c] = err
+					return
+				}
+				got, err := model.InferFromEmbeddings(emb)
 				if err != nil {
 					errs[c] = err
 					return

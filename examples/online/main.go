@@ -11,6 +11,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 
 	"tensordimm"
@@ -57,7 +58,7 @@ func main() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if _, err := cl.Embed(rows, batch); err != nil {
+				if _, err := cl.EmbedInto(nil, rows, batch); err != nil {
 					log.Fatal(err)
 				}
 			}()
@@ -81,7 +82,7 @@ func main() {
 			hot[t][j] = j % 16
 		}
 	}
-	if _, err := cl.Embed(hot, 4); err != nil {
+	if _, err := cl.EmbedInto(nil, hot, 4); err != nil {
 		log.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
@@ -108,20 +109,21 @@ func main() {
 	// absorbed the same updates write-through. A stale cache entry or a
 	// missed shard scatter would break equality.
 	checks := 0
+	var got []float32 // reused across the reads
 	for i := 0; i < 32; i++ {
 		rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
 		for t := range rows {
 			rows[t][0] = rng.Intn(16) // always touch an updated hot row
 		}
-		got, err := cl.Embed(rows, batch)
+		got, err = cl.EmbedInto(got, rows, batch)
 		if err != nil {
 			log.Fatal(err)
 		}
-		want, err := cl.GoldenEmbedding(rows, batch)
+		want, err := model.Embedding.Forward(rows, batch)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !equal(got, want) {
+		if !slices.Equal(got, want.Data()) {
 			log.Fatalf("read %d diverged from the sequential golden model", i)
 		}
 		checks++
@@ -137,17 +139,4 @@ func cachedRows(m tensordimm.ClusterMetrics) int {
 		n += s.CacheRows
 	}
 	return n
-}
-
-// equal compares two tensors bit-for-bit.
-func equal(a, b *tensordimm.Tensor) bool {
-	if len(a.Data()) != len(b.Data()) {
-		return false
-	}
-	for i, v := range a.Data() {
-		if v != b.Data()[i] {
-			return false
-		}
-	}
-	return true
 }

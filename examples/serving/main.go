@@ -9,10 +9,10 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"slices"
 	"sync"
 
 	"tensordimm"
-	"tensordimm/internal/tensor"
 )
 
 func main() {
@@ -72,6 +72,7 @@ func main() {
 				errs[c] = err
 				return
 			}
+			var got []float32 // reused across this client's requests
 			for i := 0; i < perClient; i++ {
 				batch := 1 + (c+i)%4
 				rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
@@ -79,17 +80,17 @@ func main() {
 				// The server merges this request with whatever else is
 				// in flight; the result is still bit-identical to
 				// running it alone.
-				got, err := srv.Embed(rows, batch)
+				got, err = srv.EmbedInto(got, rows, batch)
 				if err != nil {
 					errs[c] = err
 					return
 				}
-				want, err := dep.GoldenEmbedding(rows, batch)
+				want, err := model.Embedding.Forward(rows, batch)
 				if err != nil {
 					errs[c] = err
 					return
 				}
-				if !tensor.Equal(got, want) {
+				if !slices.Equal(got, want.Data()) {
 					errs[c] = fmt.Errorf("client %d: batched result differs from golden model", c)
 					return
 				}

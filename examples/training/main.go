@@ -45,12 +45,14 @@ func main() {
 	fmt.Printf("training %d steps of batch %d on %s (2 tables x %d rows x %d dims)\n\n",
 		steps, batch, cfg.Name, cfg.TableRows, cfg.EmbDim)
 
+	// The pooled [batch, tables*dim] embeddings the node hands back, reused
+	// by every forward pass.
+	emb := tensordimm.NewTensor(batch, cfg.Tables*cfg.EmbDim)
 	for step := 0; step < steps; step++ {
 		indices := gen.Batch(cfg.Tables, batch, cfg.Reduction)
 
 		// Forward: embedding layer near-memory, MLP on the host/GPU.
-		emb, err := dep.RunEmbedding(indices, batch)
-		if err != nil {
+		if err := dep.RunEmbeddingInto(emb.Data(), indices, batch); err != nil {
 			log.Fatal(err)
 		}
 		probs, err := model.InferFromEmbeddings(emb)
@@ -71,7 +73,8 @@ func main() {
 				g := lr * (1 - probs.At((i/cfg.EmbDim)/cfg.Reduction%batch, 0))
 				grads.Data()[i] = g
 			}
-			if err := dep.UpdateTable(t, rows, grads); err != nil {
+			up := tensordimm.TableUpdate{Table: t, Rows: rows, Grads: grads}
+			if err := dep.ApplyUpdates([]tensordimm.TableUpdate{up}); err != nil {
 				log.Fatal(err)
 			}
 		}
@@ -85,15 +88,14 @@ func main() {
 	// Verify: node tables and golden tables must agree bit for bit after
 	// all the near-memory updates.
 	indices := gen.Batch(cfg.Tables, batch, cfg.Reduction)
-	got, err := dep.RunEmbedding(indices, batch)
+	if err := dep.RunEmbeddingInto(emb.Data(), indices, batch); err != nil {
+		log.Fatal(err)
+	}
+	want, err := model.Embedding.Forward(indices, batch)
 	if err != nil {
 		log.Fatal(err)
 	}
-	want, err := dep.GoldenEmbedding(indices, batch)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if !tensor.Equal(got, want) {
+	if !tensor.Equal(emb, want) {
 		log.Fatal("MISMATCH: node tables diverged from golden after training")
 	}
 	s := nd.Stats()

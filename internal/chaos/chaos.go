@@ -531,7 +531,7 @@ func (c *soak) quiesce(timeout time.Duration) error {
 	for {
 		m := c.writer.Metrics()
 		if m.ReplicasUp == total {
-			if _, err := c.writer.Embed(probeRows, 1); err == nil {
+			if _, err := c.writer.EmbedInto(nil, probeRows, 1); err == nil {
 				return nil
 			}
 		}
@@ -551,7 +551,7 @@ func (c *soak) goldenSweep(phase string, n int, seed int64) {
 	for i := 0; i < n; i++ {
 		batch := 1 + rng.Intn(soakMaxBatch)
 		rows := c.randRows(rng, batch)
-		got, err := c.writer.Embed(rows, batch)
+		got, err := c.writer.EmbedInto(nil, rows, batch)
 		if err != nil {
 			c.vio("%s: quiescent read %d failed: %v", phase, i, err)
 			return

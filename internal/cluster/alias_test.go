@@ -44,24 +44,12 @@ func TestClusterResultsImmutableUnderConcurrentEmbedUpdate(t *testing.T) {
 					gen, _ := workload.NewZipfGenerator(mc.TableRows, 0.9, int64(g))
 					for i := 0; i < rounds; i++ {
 						rows := gen.Batch(mc.Tables, batch, mc.Reduction)
-						// Alternate the allocating and the into-path: both
-						// must return stable results.
-						if i%2 == 0 {
-							out, err := c.Embed(rows, batch)
-							if err != nil {
-								errCh <- err
-								return
-							}
-							got := out.Data()
-							results[g] = append(results[g], held{got: got, want: append([]float32(nil), got...)})
-						} else {
-							out, err := c.EmbedInto(nil, rows, batch)
-							if err != nil {
-								errCh <- err
-								return
-							}
-							results[g] = append(results[g], held{got: out, want: append([]float32(nil), out...)})
+						out, err := c.EmbedInto(nil, rows, batch)
+						if err != nil {
+							errCh <- err
+							return
 						}
+						results[g] = append(results[g], held{got: out, want: append([]float32(nil), out...)})
 					}
 				}(g)
 			}

@@ -121,7 +121,7 @@ func TestRowCacheZeroBudget(t *testing.T) {
 	mc := testConfig(2, 1, 64, false, isa.RAdd)
 	c, _ := buildCluster(t, mc, Config{Nodes: 2}) // CacheBytes 0
 	rows := [][]int{{0, 1}, {2, 3}}
-	if _, err := c.Embed(rows, 2); err != nil {
+	if _, err := c.EmbedInto(nil, rows, 2); err != nil {
 		t.Fatal(err)
 	}
 	g := tensor.New(1, mc.EmbDim)
@@ -133,11 +133,11 @@ func TestRowCacheZeroBudget(t *testing.T) {
 	if m.CacheHits != 0 || m.CacheMisses != 0 || m.Invalidations != 0 {
 		t.Fatalf("cacheless cluster recorded cache traffic: %+v", m)
 	}
-	got, err := c.Embed(rows, 2)
+	got, err := embedTensor(c, rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.GoldenEmbedding(rows, 2)
+	want, err := c.model.Embedding.Forward(rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,8 @@
 //     payloads serialize at its bandwidth.
 //   - merge: gathered rows and cache hits are reassembled in request
 //     order and pooled with the golden embed.Pool / embed.Average code, so
-//     the merged output is bit-identical to Deployment.GoldenEmbedding for
-//     both strategies.
+//     the merged output is bit-identical to the golden
+//     recsys.Model.Embedding.Forward for both strategies.
 //
 // Pooling happens at the router rather than near-memory: a row-wise
 // pooling group spans shards, and a cache hit must bypass the gather path
@@ -65,7 +65,6 @@ import (
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/serve"
 	"tensordimm/internal/telemetry"
-	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
 )
 
@@ -173,15 +172,17 @@ type shard struct {
 }
 
 // Cluster is a sharded multi-node serving system for one recommender
-// model. Create with New, submit with Infer or Embed from any number of
-// goroutines, inspect with Metrics, and Close when done.
+// model. Create with New, read with EmbedInto (the caller runs the DNN
+// stage, recsys.Model.InferFromEmbeddings, over the merged tensor) and
+// write with ApplyUpdates from any number of goroutines, inspect with
+// Metrics, and Close when done.
 //
 // A Cluster is a thin owner of the shared Router core (router.go), which
 // does the routing, deduplication, cache probing, scatter/gather, merge and
 // update splitting, over the in-process transport below: one serve.Server per
 // shard plus the modeled fabric accounting. The router's scratch and the
-// transport's gather buffers are pooled together, so the steady-state Embed
-// path performs no heap allocations (see ARCHITECTURE.md, "Memory
+// transport's gather buffers are pooled together, so the steady-state
+// EmbedInto path performs no heap allocations (see ARCHITECTURE.md, "Memory
 // discipline").
 type Cluster struct {
 	model  *recsys.Model
@@ -349,40 +350,18 @@ func (t localTransport) Update(s int, sub runtime.TableUpdate) error {
 	return nil
 }
 
-// Embed runs the sharded embedding stage for one request of `batch`
-// samples and returns the pooled [batch, tables*dim] tensor, bit-identical
-// to Deployment.GoldenEmbedding regardless of strategy, cache state or
+// EmbedInto runs the sharded embedding stage for one request of `batch`
+// samples and writes the pooled [batch, tables*dim] values row-major into
+// dst, which is grown if its capacity is insufficient and returned
+// re-sliced to exactly batch*tables*dim. The output is bit-identical to the
+// golden model's Embedding.Forward regardless of strategy, cache state or
 // co-running requests. perTableRows holds batch x reduction row indices
-// per table, exactly as Deployment.Infer takes them. Safe for concurrent
-// use.
-func (c *Cluster) Embed(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	dst, err := c.router.EmbedInto(nil, perTableRows, batch)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.FromSlice(dst, batch, c.router.geom.Width())
-}
-
-// EmbedInto is Embed writing the pooled [batch, tables*dim] values
-// row-major into dst, which is grown if its capacity is insufficient and
-// returned re-sliced to exactly batch*tables*dim. A caller that reuses the
-// returned slice performs zero heap allocations in steady state; the
-// cluster writes to dst only for the duration of the call and never
-// retains it. Safe for concurrent use (with distinct dst buffers).
+// per table. A caller that reuses the returned slice performs zero heap
+// allocations in steady state; the cluster writes to dst only for the
+// duration of the call and never retains it. Safe for concurrent use (with
+// distinct dst buffers).
 func (c *Cluster) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
 	return c.router.EmbedInto(dst, perTableRows, batch)
-}
-
-// Infer runs Embed plus the model's DNN stage at the router (the GPU that
-// received the merged tensor), returning [batch, 1] probabilities. The DNN
-// stage runs after the routed read completed, so the request latency
-// Metrics reports covers the embedding stage only. Safe for concurrent use.
-func (c *Cluster) Infer(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	emb, err := c.Embed(perTableRows, batch)
-	if err != nil {
-		return nil, err
-	}
-	return c.model.InferFromEmbeddings(emb)
 }
 
 // ApplyUpdates applies a batch of per-table gradient updates cluster-wide:
@@ -393,7 +372,7 @@ func (c *Cluster) Infer(perTableRows [][]int, batch int) (*tensor.Tensor, error)
 // hot-row caches. Index and gradient transfer bytes are charged to the
 // fabric like read traffic. Validation, ordering and concurrency are the
 // shared router's (Router.ApplyUpdates): same-table updates serialize,
-// and after ApplyUpdates returns every subsequent Embed observes the
+// and after ApplyUpdates returns every subsequent EmbedInto observes the
 // update and remains bit-identical to the sequential golden model.
 //
 // Each entry carries 1 to MaxBatch x reduction rows — one request's
@@ -414,15 +393,6 @@ func (c *Cluster) ApplyUpdates(ups []runtime.TableUpdate) error {
 	c.updFabric.Observe(c.sw.TransferSeconds(rows*4 + rows*c.model.Cfg.EmbBytes()))
 	return nil
 }
-
-// GoldenEmbedding computes the single-node reference embedding output the
-// cluster's merge must match bit-for-bit.
-func (c *Cluster) GoldenEmbedding(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	return c.model.Embedding.Forward(perTableRows, batch)
-}
-
-// Nodes returns the shard count.
-func (c *Cluster) Nodes() int { return c.cfg.Nodes }
 
 // Geometry reports the sharded model's shape and limits: table count,
 // pooling reduction, embedding dimension, table height, and the per-request

@@ -44,6 +44,16 @@ func buildCluster(t *testing.T, mc recsys.Config, cfg Config) (*Cluster, *recsys
 	return c, m
 }
 
+// embedTensor reads through EmbedInto and shapes the result as the
+// [batch, tables*dim] tensor the golden Model.Embedding.Forward returns.
+func embedTensor(c *Cluster, rows [][]int, batch int) (*tensor.Tensor, error) {
+	out, err := c.EmbedInto(nil, rows, batch)
+	if err != nil {
+		return nil, err
+	}
+	return tensor.FromSlice(out, batch, c.Geometry().Width())
+}
+
 func TestNewValidation(t *testing.T) {
 	m, err := recsys.Build(testConfig(2, 2, 64, false, isa.RAdd), 1)
 	if err != nil {
@@ -175,11 +185,11 @@ func matchGolden(t *testing.T, c *Cluster, m *recsys.Model, seed int64, iters in
 	for i := 0; i < iters; i++ {
 		batch := 1 + i%c.cfg.MaxBatch
 		rows := gen.Batch(m.Cfg.Tables, batch, m.Cfg.Reduction)
-		got, err := c.Embed(rows, batch)
+		got, err := embedTensor(c, rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.GoldenEmbedding(rows, batch)
+		want, err := c.model.Embedding.Forward(rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,7 +245,7 @@ func TestEmptySubBatches(t *testing.T) {
 	gen, _ := workload.NewGenerator(mc.TableRows, workload.Uniform, 3)
 	for i := 0; i < 3; i++ {
 		rows := gen.Batch(mc.Tables, 2, mc.Reduction)
-		got, err := c.Embed(rows, 2)
+		got, err := embedTensor(c, rows, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,7 +275,7 @@ func TestEmptySubBatches(t *testing.T) {
 			rows[t2] = append(rows[t2], (i*2+t2*4)%mc.TableRows&^1)
 		}
 	}
-	got, err := c2.Embed(rows, 2)
+	got, err := embedTensor(c2, rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,12 +302,12 @@ func TestCacheHitAccounting(t *testing.T) {
 	rows := gen.Batch(mc.Tables, 2, mc.Reduction)
 	want, _ := m.Embedding.Forward(rows, 2)
 
-	first, err := c.Embed(rows, 2)
+	first, err := embedTensor(c, rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := c.Metrics()
-	second, err := c.Embed(rows, 2)
+	second, err := embedTensor(c, rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +359,12 @@ func TestConcurrentInferAccounting(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				batch := 1 + (cl+i)%4
 				rows := gen.Batch(mc.Tables, batch, mc.Reduction)
-				got, err := c.Infer(rows, batch)
+				emb, err := embedTensor(c, rows, batch)
+				if err != nil {
+					errs[cl] = err
+					return
+				}
+				got, err := m.InferFromEmbeddings(emb)
 				if err != nil {
 					errs[cl] = err
 					return
@@ -400,7 +415,7 @@ func TestZipfHitRate(t *testing.T) {
 	run := func(n int) {
 		for i := 0; i < n; i++ {
 			rows := gen.Batch(mc.Tables, 4, mc.Reduction)
-			if _, err := c.Embed(rows, 4); err != nil {
+			if _, err := c.EmbedInto(nil, rows, 4); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -429,7 +444,7 @@ func TestCloseSemantics(t *testing.T) {
 	c, _ := buildCluster(t, mc, Config{Nodes: 2})
 	gen, _ := workload.NewGenerator(mc.TableRows, workload.Uniform, 1)
 	rows := gen.Batch(mc.Tables, 1, mc.Reduction)
-	if _, err := c.Infer(rows, 1); err != nil {
+	if _, err := c.EmbedInto(nil, rows, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Close(); err != nil {
@@ -438,7 +453,7 @@ func TestCloseSemantics(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if _, err := c.Infer(rows, 1); err == nil {
+	if _, err := c.EmbedInto(nil, rows, 1); err == nil {
 		t.Fatal("want error after close")
 	}
 	for _, sh := range c.shard {
@@ -454,23 +469,23 @@ func TestRequestValidation(t *testing.T) {
 	c, _ := buildCluster(t, mc, Config{Nodes: 2, MaxBatch: 4})
 	gen, _ := workload.NewGenerator(mc.TableRows, workload.Uniform, 1)
 	good := gen.Batch(mc.Tables, 1, mc.Reduction)
-	if _, err := c.Embed(good, 0); err == nil {
+	if _, err := c.EmbedInto(nil, good, 0); err == nil {
 		t.Fatal("want batch range error")
 	}
-	if _, err := c.Embed(good, 5); err == nil {
+	if _, err := c.EmbedInto(nil, good, 5); err == nil {
 		t.Fatal("want batch > MaxBatch error")
 	}
-	if _, err := c.Embed(good[:1], 1); err == nil {
+	if _, err := c.EmbedInto(nil, good[:1], 1); err == nil {
 		t.Fatal("want table count error")
 	}
 	bad := gen.Batch(mc.Tables, 1, mc.Reduction)
 	bad[1][0] = mc.TableRows
-	if _, err := c.Embed(bad, 1); err == nil {
+	if _, err := c.EmbedInto(nil, bad, 1); err == nil {
 		t.Fatal("want row range error")
 	}
 	short := gen.Batch(mc.Tables, 1, mc.Reduction)
 	short[0] = short[0][:1]
-	if _, err := c.Embed(short, 1); err == nil {
+	if _, err := c.EmbedInto(nil, short, 1); err == nil {
 		t.Fatal("want row count error")
 	}
 }
@@ -485,7 +500,7 @@ func TestInstrumentExportsMetrics(t *testing.T) {
 	c.Instrument(reg)
 	gen, _ := workload.NewGenerator(mc.TableRows, workload.Uniform, 1)
 	for i := 0; i < 3; i++ {
-		if _, err := c.Infer(gen.Batch(mc.Tables, 2, mc.Reduction), 2); err != nil {
+		if _, err := c.EmbedInto(nil, gen.Batch(mc.Tables, 2, mc.Reduction), 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -523,7 +538,7 @@ func TestInstrumentExportsMetrics(t *testing.T) {
 			t.Fatalf("%s count = %d, %v; want %d > 0, true", name, h.Count, ok, want)
 		}
 	}
-	if c.Nodes() != 2 || c.Config().Workers == 0 {
+	if c.Config().Nodes != 2 || c.Config().Workers == 0 {
 		t.Fatal("accessors")
 	}
 }

@@ -119,7 +119,7 @@ func FuzzClusterEmbed(f *testing.F) {
 		}
 
 		for _, c := range clusters {
-			got, err := c.Embed(rows, batch)
+			got, err := embedTensor(c, rows, batch)
 			if !valid {
 				if err == nil {
 					t.Fatalf("%v: invalid input accepted (batch %d)", c.cfg.Strategy, batch)
@@ -129,7 +129,7 @@ func FuzzClusterEmbed(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%v: valid input rejected: %v", c.cfg.Strategy, err)
 			}
-			want, err := c.GoldenEmbedding(rows, batch)
+			want, err := c.model.Embedding.Forward(rows, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +138,8 @@ func FuzzClusterEmbed(f *testing.F) {
 			}
 		}
 
-		got, err := dep.RunEmbedding(rows, batch)
+		got := tensor.New(max(batch, 0), mc.Tables*mc.EmbDim)
+		err := dep.RunEmbeddingInto(got.Data(), rows, batch)
 		if !valid {
 			if err == nil {
 				t.Fatalf("runtime: invalid input accepted (batch %d)", batch)
@@ -148,7 +149,7 @@ func FuzzClusterEmbed(f *testing.F) {
 		if err != nil {
 			t.Fatalf("runtime: valid input rejected: %v", err)
 		}
-		want, err := dep.GoldenEmbedding(rows, batch)
+		want, err := dep.Model.Embedding.Forward(rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,7 +12,7 @@ import (
 // operator per member in order, scale for mean. It is the other half of
 // the shared router core — the in-process Cluster and the remote replica
 // router run the same Merge over their gathered rows, which is what makes
-// both bit-identical to Deployment.GoldenEmbedding.
+// both bit-identical to the golden recsys.Model.Embedding.Forward.
 type Merger struct {
 	// Tables, Dim, Reduction describe the full model's pooling geometry.
 	Tables, Dim, Reduction int

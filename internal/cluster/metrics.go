@@ -68,7 +68,7 @@ type Metrics struct {
 }
 
 // Metrics snapshots every counter. Safe to call at any time, including
-// after Close and concurrently with Infer.
+// after Close and concurrently with EmbedInto.
 func (c *Cluster) Metrics() Metrics {
 	m := Metrics{
 		Strategy:       c.cfg.Strategy,

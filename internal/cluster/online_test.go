@@ -114,7 +114,7 @@ func TestGoldenRandomInterleavings(t *testing.T) {
 								}
 							}
 						}
-						got, err := c.Embed(rows, batch)
+						got, err := embedTensor(c, rows, batch)
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -199,7 +199,7 @@ func TestGoldenConcurrentMixedTraffic(t *testing.T) {
 								rows[tb][j] = rng.Intn(8) // hot rows: contend with updates
 							}
 						}
-						if _, err := c.Embed(rows, 2); err != nil {
+						if _, err := c.EmbedInto(nil, rows, 2); err != nil {
 							errs[mc.Tables+r] = err
 							return
 						}
@@ -237,7 +237,7 @@ func TestGoldenConcurrentMixedTraffic(t *testing.T) {
 						rows[tb][j] = base + j
 					}
 				}
-				got, err := c.Embed(rows, batch)
+				got, err := embedTensor(c, rows, batch)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -295,10 +295,10 @@ func TestUpdateMetricsAndInvalidation(t *testing.T) {
 
 	// Warm the cache with rows 0..3 of both tables.
 	rows := [][]int{{0, 1, 2, 3}, {0, 1, 2, 3}}
-	if _, err := c.Embed(rows, 4); err != nil {
+	if _, err := c.EmbedInto(nil, rows, 4); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Embed(rows, 4); err != nil { // second pass: hits
+	if _, err := c.EmbedInto(nil, rows, 4); err != nil { // second pass: hits
 		t.Fatal(err)
 	}
 	m := c.Metrics()
@@ -334,11 +334,11 @@ func TestUpdateMetricsAndInvalidation(t *testing.T) {
 		t.Fatalf("update transfer not observed: %+v", m.UpdateTransfer)
 	}
 	// The updated rows must re-gather fresh: an Embed now matches golden.
-	got, err := c.Embed(rows, 4)
+	got, err := embedTensor(c, rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.GoldenEmbedding(rows, 4)
+	want, err := c.model.Embedding.Forward(rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ func TestWarmCacheHitsFirstRequest(t *testing.T) {
 	// Skewed read traffic: a handful of rows dominate.
 	hot := [][]int{{1, 1, 5, 5}, {9, 9, 3, 3}}
 	for i := 0; i < 20; i++ {
-		if _, err := c1.Embed(hot, 2); err != nil {
+		if _, err := c1.EmbedInto(nil, hot, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,11 +135,11 @@ func TestWarmCacheHitsFirstRequest(t *testing.T) {
 	}
 
 	before := c2.Metrics().CacheHits
-	got, err := c2.Embed(hot, 2)
+	got, err := embedTensor(c2, hot, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c2.GoldenEmbedding(hot, 2)
+	want, err := c2.model.Embedding.Forward(hot, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -534,7 +534,7 @@ func ExtOnline(s Scale) Result {
 			panic(err)
 		}
 		for i := 0; i < 100; i++ {
-			if _, err := cl.Embed(warmGen.Batch(mc.Tables, batch, mc.Reduction), batch); err != nil {
+			if _, err := cl.EmbedInto(nil, warmGen.Batch(mc.Tables, batch, mc.Reduction), batch); err != nil {
 				panic(err)
 			}
 		}
@@ -567,7 +567,7 @@ func ExtOnline(s Scale) Result {
 					}
 					return
 				}
-				if _, err := cl.Embed(rows, batch); err != nil {
+				if _, err := cl.EmbedInto(nil, rows, batch); err != nil {
 					panic(err)
 				}
 			}()

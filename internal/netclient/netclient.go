@@ -738,11 +738,6 @@ func (c *Client) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]fl
 	return dst, nil
 }
 
-// Embed is EmbedInto with a freshly allocated destination.
-func (c *Client) Embed(perTableRows [][]int, batch int) ([]float32, error) {
-	return c.EmbedInto(nil, perTableRows, batch)
-}
-
 // validateUpdates checks one update batch against the announced geometry
 // (runtime.CheckUpdates) and against what one frame can hold, given the
 // payload overhead before the update list (4+2 B budget+count for UPDATE,

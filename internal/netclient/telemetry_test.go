@@ -46,7 +46,7 @@ func TestEmbedVariantsAndRestore(t *testing.T) {
 		}
 	}
 
-	out, err := cl.Embed(rows, 2)
+	out, err := cl.EmbedInto(nil, rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,7 +147,7 @@ func TestE2EClusterBitIdentity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				golden, err := cl.GoldenEmbedding(rows, batch)
+				golden, err := m.Embedding.Forward(rows, batch)
 				if err != nil {
 					t.Fatal(err)
 				}

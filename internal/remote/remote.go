@@ -904,13 +904,6 @@ func (call *rCall) settle(done, other *attempt, err error) {
 	*done = na
 }
 
-// Embed runs one embedding request of `batch` samples and returns the
-// pooled [batch, tables*dim] values in a fresh slice. Safe for concurrent
-// use.
-func (rc *RemoteCluster) Embed(perTableRows [][]int, batch int) ([]float32, error) {
-	return rc.router.EmbedInto(nil, perTableRows, batch)
-}
-
 // EmbedInto runs one embedding request of `batch` samples and decodes
 // the pooled [batch, tables*dim] values row-major into dst, which is
 // grown if its capacity is insufficient and returned re-sliced to exactly

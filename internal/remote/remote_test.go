@@ -201,7 +201,7 @@ func randUpdate(rng *rand.Rand, mc recsys.Config) runtime.TableUpdate {
 // embedding forward.
 func checkGolden(t *testing.T, m *recsys.Model, rc *remote.RemoteCluster, rows [][]int, batch int) {
 	t.Helper()
-	got, err := rc.Embed(rows, batch)
+	got, err := rc.EmbedInto(nil, rows, batch)
 	if err != nil {
 		t.Fatalf("remote embed: %v", err)
 	}
@@ -390,7 +390,7 @@ func TestUnavailableFailFast(t *testing.T) {
 	})
 
 	start := time.Now()
-	_, err := rc.Embed(randRows(rng, m.Cfg, 2), 2)
+	_, err := rc.EmbedInto(nil, randRows(rng, m.Cfg, 2), 2)
 	var un *remote.Unavailable
 	if !errors.As(err, &un) || un.Shard != 0 {
 		t.Fatalf("read error = %v, want *Unavailable for shard 0", err)
@@ -465,7 +465,7 @@ func TestNewValidation(t *testing.T) {
 		t.Fatalf("empty shard with empty address list rejected: %v", err)
 	}
 	rng := rand.New(rand.NewSource(23))
-	if _, err := rc.Embed(randRows(rng, m.Cfg, 3), 3); err != nil {
+	if _, err := rc.EmbedInto(nil, randRows(rng, m.Cfg, 3), 3); err != nil {
 		t.Fatalf("read over a fleet with an empty shard: %v", err)
 	}
 	rc.Close()

@@ -224,7 +224,7 @@ func TestDeadlineExceededTyped(t *testing.T) {
 	var elapsed time.Duration
 	waitCond(t, 5*time.Second, "a deadline-bounded failure", func() bool {
 		start := time.Now()
-		_, err := rc.Embed(randRows(rng, m.Cfg, 2), 2)
+		_, err := rc.EmbedInto(nil, randRows(rng, m.Cfg, 2), 2)
 		elapsed = time.Since(start)
 		return errors.As(err, &de)
 	})
@@ -239,7 +239,7 @@ func TestDeadlineExceededTyped(t *testing.T) {
 	// netclient drops the abandoned attempt's late answer; once the stall
 	// clears the same router serves bit-identical reads again.
 	waitCond(t, 5*time.Second, "fleet recovery after the stall", func() bool {
-		_, err := rc.Embed(randRows(rng, m.Cfg, 1), 1)
+		_, err := rc.EmbedInto(nil, randRows(rng, m.Cfg, 1), 1)
 		return err == nil
 	})
 	for i := 0; i < 5; i++ {

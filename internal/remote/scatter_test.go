@@ -131,7 +131,7 @@ func TestInFlightWidth(t *testing.T) {
 	done := make(chan error, readers)
 	for i := 0; i < readers; i++ {
 		go func() {
-			got, err := rc.Embed(rows, 1)
+			got, err := rc.EmbedInto(nil, rows, 1)
 			if err == nil && !slices.Equal(got, want.Data()) {
 				t.Error("read not bit-identical to the golden embedding")
 			}
@@ -194,7 +194,7 @@ func TestLateHedgeSkippedWhenPrimaryAnswered(t *testing.T) {
 	}
 	got := make(chan reply, 1)
 	go func() {
-		out, err := rc.Embed(rows, 2)
+		out, err := rc.EmbedInto(nil, rows, 2)
 		got <- reply{out, err}
 	}()
 

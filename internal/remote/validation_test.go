@@ -23,11 +23,11 @@ func (c clientEntry) ApplyUpdates(ups []runtime.TableUpdate) error { return c.Up
 type deploymentEntry struct{ *runtime.Deployment }
 
 func (d deploymentEntry) EmbedInto(_ []float32, rows [][]int, batch int) ([]float32, error) {
-	x, err := d.RunEmbedding(rows, batch)
-	if err != nil {
+	dst := make([]float32, max(batch, 0)*d.Model.Cfg.Tables*d.Model.Cfg.EmbDim)
+	if err := d.RunEmbeddingInto(dst, rows, batch); err != nil {
 		return nil, err
 	}
-	return x.Data(), nil
+	return dst, nil
 }
 
 // TestRequestValidationBothRouters runs one table of malformed reads and

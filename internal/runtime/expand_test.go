@@ -6,10 +6,9 @@ import (
 	"tensordimm/internal/isa"
 )
 
-// TestExpandIndicesIntoMatchesExpandIndices pins the refactoring contract:
-// the appending variant over a reused buffer is bit-identical to the
-// allocating one for every (rows, reduction, stripes) shape the runtime
-// emits.
+// TestExpandIndicesIntoMatchesExpandIndices pins the reuse contract: an
+// expansion appended over a reused buffer is bit-identical to a fresh one
+// for every (rows, reduction, stripes) shape the runtime emits.
 func TestExpandIndicesIntoMatchesExpandIndices(t *testing.T) {
 	cases := []struct {
 		rows      []int
@@ -26,7 +25,7 @@ func TestExpandIndicesIntoMatchesExpandIndices(t *testing.T) {
 	}
 	buf := make([]int32, 0, 256)
 	for _, tc := range cases {
-		want := ExpandIndices(tc.rows, tc.reduction, tc.stripes)
+		want := ExpandIndicesInto(nil, tc.rows, tc.reduction, tc.stripes)
 		buf = ExpandIndicesInto(buf[:0], tc.rows, tc.reduction, tc.stripes)
 		if len(buf) != len(want) {
 			t.Fatalf("rows %v red %d stripes %d: len %d, want %d", tc.rows, tc.reduction, tc.stripes, len(buf), len(want))
@@ -54,8 +53,8 @@ func TestExpandIndicesIntoAppendsWithPerHalfPadding(t *testing.T) {
 		t.Fatalf("first half not block padded: %d", countA)
 	}
 	buf = ExpandIndicesInto(buf, b, 1, stripes)
-	wantA := ExpandIndices(a, 1, stripes)
-	wantB := ExpandIndices(b, 1, stripes)
+	wantA := ExpandIndicesInto(nil, a, 1, stripes)
+	wantB := ExpandIndicesInto(nil, b, 1, stripes)
 	if countA != len(wantA) || len(buf) != len(wantA)+len(wantB) {
 		t.Fatalf("lengths: countA %d (want %d), total %d (want %d)",
 			countA, len(wantA), len(buf), len(wantA)+len(wantB))
@@ -72,9 +71,9 @@ func TestExpandIndicesIntoAppendsWithPerHalfPadding(t *testing.T) {
 	}
 }
 
-// TestRunEmbeddingIntoMatchesRunEmbedding checks the into-variant against
-// the allocating one and the golden model, including buffer reuse across
-// calls with different batch sizes.
+// TestRunEmbeddingIntoMatchesRunEmbedding checks a read into a reused
+// buffer against one into a fresh tensor and against the golden model,
+// reusing the buffer across calls with different batch sizes.
 func TestRunEmbeddingIntoMatchesRunEmbedding(t *testing.T) {
 	d := deploy(t, smallConfig("into", 2, 2, 128, false, isa.RAdd), 8, 8)
 	defer d.Release()
@@ -89,11 +88,11 @@ func TestRunEmbeddingIntoMatchesRunEmbedding(t *testing.T) {
 				rows[t2][i] = (t2*31 + i*7) % cfg.TableRows
 			}
 		}
-		want, err := d.RunEmbedding(rows, batch)
+		want, err := embedTensor(d, rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden, err := d.GoldenEmbedding(rows, batch)
+		golden, err := d.Model.Embedding.Forward(rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

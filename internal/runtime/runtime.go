@@ -15,13 +15,13 @@
 //
 // Concurrency. A Deployment partitions its scratch memory into execution
 // slots (one pooled-output region each) and scratch lanes (one index-list
-// region plus two gather operand buffers each). RunEmbedding acquires a free
-// slot for the whole batch and fans the per-table GATHER/REDUCE programs out
-// across the lanes, so every in-flight table touches a disjoint slice of
-// the pool and concurrent batches never alias. Deploy gives a deployment one
-// slot and one lane — the sequential behavior of the paper's runtime —
-// while DeployConcurrent sizes both for a serving workload (see
-// internal/serve).
+// region plus two gather operand buffers each). RunEmbeddingInto acquires a
+// free slot for the whole batch and fans the per-table GATHER/REDUCE
+// programs out across the lanes, so every in-flight table touches a
+// disjoint slice of the pool and concurrent batches never alias. Deploy
+// gives a deployment one slot and one lane — the sequential behavior of the
+// paper's runtime — while DeployConcurrent sizes both for a serving
+// workload (see internal/serve).
 //
 // Memory discipline. Each lane is owned by one persistent worker goroutine
 // holding the lane's host-side scratch (expanded index list, row-split
@@ -112,7 +112,7 @@ type tableScatter struct {
 
 // Deployment is a recommender model resident in a TensorNode pool.
 //
-// RunEmbedding, Infer and UpdateTable are safe for concurrent use; the
+// RunEmbeddingInto, Infer and ApplyUpdates are safe for concurrent use; the
 // number of concurrent batches in flight is bounded by the deployment's
 // slots and the per-table parallelism within a batch by its lanes.
 type Deployment struct {
@@ -334,23 +334,19 @@ func (d *Deployment) Slots() int { return len(d.outBase) }
 // Lanes returns how many per-table programs can be in flight at once.
 func (d *Deployment) Lanes() int { return len(d.lanes) }
 
-// ExpandIndices expands logical row indices into stripe indices for GATHER,
-// stripe-transposed within pooling groups of size `reduction` (see the
-// package comment), and pads the result to a whole index block (multiple of
-// 16) by repeating the last stripe index (the padded outputs land beyond the
-// consumed region and are ignored). Rows beyond the last whole group expand
-// row-major; an empty row list expands to an empty index list.
-func ExpandIndices(rows []int, reduction, stripes int) []int32 {
-	return ExpandIndicesInto(make([]int32, 0, len(rows)*stripes+isa.LanesPerBlock), rows, reduction, stripes)
-}
-
-// ExpandIndicesInto is ExpandIndices appending into dst, for callers that
-// reuse a scratch buffer across requests (pass dst[:0] to overwrite it):
-// the hot serving path expands every index list this way without
-// allocating. When dst is non-empty its length must be a multiple of 16 so
-// the padding of the appended expansion stays self-contained — that is how
-// the pairwise-REDUCE path expands both operand halves into one buffer,
-// each half padded exactly as a standalone ExpandIndices would pad it.
+// ExpandIndicesInto expands logical row indices into stripe indices for
+// GATHER, stripe-transposed within pooling groups of size `reduction` (see
+// the package comment), and appends them to dst padded to a whole index
+// block (multiple of 16) by repeating the last stripe index (the padded
+// outputs land beyond the consumed region and are ignored). Rows beyond the
+// last whole group expand row-major; an empty row list appends nothing.
+//
+// Callers reuse a scratch buffer across requests (pass dst[:0] to
+// overwrite it): the hot serving path expands every index list this way
+// without allocating. When dst is non-empty its length must be a multiple
+// of 16 so the padding of the appended expansion stays self-contained —
+// that is how the pairwise-REDUCE path expands both operand halves into
+// one buffer, each half padded exactly as a standalone expansion would be.
 func ExpandIndicesInto(dst []int32, rows []int, reduction, stripes int) []int32 {
 	if reduction <= 0 {
 		reduction = 1
@@ -382,9 +378,10 @@ func ExpandIndicesInto(dst []int32, rows []int, reduction, stripes int) []int32 
 
 // CompileTable builds the TensorISA program for one table's embedding stage
 // of a batch against the deployment's first scratch lane and output slot.
-// It exists for inspection and tests; executions go through RunEmbedding,
-// which compiles against whichever lane and slot it acquired. The compile
-// runs on a private host scratch, so it never races the lane workers.
+// It exists for inspection and tests; executions go through
+// RunEmbeddingInto, which compiles against whichever lane and slot it
+// acquired. The compile runs on a private host scratch, so it never races
+// the lane workers.
 func (d *Deployment) CompileTable(t int, rows []int, batch int) (isa.Program, []int32, error) {
 	if r := d.Model.Cfg.Reduction; len(rows) != batch*r {
 		return nil, nil, fmt.Errorf("runtime: table %d: %d rows for batch %d x reduction %d", t, len(rows), batch, r)
@@ -475,32 +472,20 @@ func (d *Deployment) runTable(ln *scratchLane, out uint64, t int, rows []int, ba
 	return d.Node.Execute(prog)
 }
 
-// RunEmbedding executes the full embedding layer near-memory and returns the
-// pooled, concatenated [batch, tables*dim] tensor (the data a GPU would copy
-// back over NVLink). Results are bit-identical to the golden model.
+// RunEmbeddingInto executes the full embedding layer near-memory and
+// writes the pooled, concatenated [batch, tables*dim] tensor (the data a
+// GPU would copy back over NVLink) row-major into a caller-provided
+// buffer, whose length must be exactly batch*tables*dim. Results are
+// bit-identical to the golden model (Model.Embedding.Forward). It is the
+// zero-allocation hot serving path: the caller owns dst for the duration
+// of the call and may reuse it across calls; the deployment never retains
+// a reference to it. The read is checked (wire.Geometry.CheckRead) before
+// any instruction runs.
 //
 // The call acquires one execution slot for the whole batch (blocking if all
 // slots are busy) and fans the per-table programs out across the free
 // scratch lanes, so tables execute concurrently when the deployment was
 // sized with more than one lane.
-func (d *Deployment) RunEmbedding(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	cfg := d.Model.Cfg
-	if err := d.geom.CheckRead(perTableRows, batch); err != nil {
-		return nil, fmt.Errorf("runtime: %w", err)
-	}
-	dst := make([]float32, batch*cfg.Tables*cfg.EmbDim)
-	if err := d.RunEmbeddingInto(dst, perTableRows, batch); err != nil {
-		return nil, err
-	}
-	return tensor.FromSlice(dst, batch, cfg.Tables*cfg.EmbDim)
-}
-
-// RunEmbeddingInto is RunEmbedding writing the pooled [batch, tables*dim]
-// tensor row-major into a caller-provided buffer, whose length must be
-// exactly batch*tables*dim. It is the zero-allocation variant of the hot
-// serving path: the caller owns dst for the duration of the call and may
-// reuse it across calls; the deployment never retains a reference to it.
-// The read is checked (wire.Geometry.CheckRead) before any instruction runs.
 func (d *Deployment) RunEmbeddingInto(dst []float32, perTableRows [][]int, batch int) error {
 	cfg := d.Model.Cfg
 	if err := d.geom.CheckRead(perTableRows, batch); err != nil {
@@ -549,18 +534,17 @@ func (d *Deployment) RunEmbeddingInto(dst []float32, perTableRows [][]int, batch
 
 // Infer runs a full inference with the embedding stage near-memory and the
 // DNN stage on the (simulated) GPU: functionally identical to
-// Model.Infer, with the embedding tensor produced by the TensorNode.
+// Model.Infer, with the pooled embedding tensor produced by the TensorNode
+// (RunEmbeddingInto) into one fresh [batch, tables*dim] tensor.
 func (d *Deployment) Infer(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	x, err := d.RunEmbedding(perTableRows, batch)
-	if err != nil {
+	if err := d.geom.CheckRead(perTableRows, batch); err != nil {
+		return nil, fmt.Errorf("runtime: %w", err)
+	}
+	x := tensor.New(batch, d.geom.Width())
+	if err := d.RunEmbeddingInto(x.Data(), perTableRows, batch); err != nil {
 		return nil, err
 	}
 	return d.Model.InferFromEmbeddings(x)
-}
-
-// GoldenEmbedding computes the reference embedding output for comparison.
-func (d *Deployment) GoldenEmbedding(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	return d.Model.Embedding.Forward(perTableRows, batch)
 }
 
 // TableUpdate is one table's slice of an online update batch: gradient rows
@@ -599,13 +583,6 @@ func CheckUpdates(ups []TableUpdate, g wire.Geometry) error {
 		}
 	}
 	return nil
-}
-
-// UpdateTable applies per-row gradient accumulation to table t near-memory
-// via the SCATTER_ADD extension: table[rows[i]] += grads.Row(i). It is
-// ApplyUpdates for a single table; see there for the ordering contract.
-func (d *Deployment) UpdateTable(t int, rows []int, grads *tensor.Tensor) error {
-	return d.ApplyUpdates([]TableUpdate{{Table: t, Rows: rows, Grads: grads}})
 }
 
 // ApplyUpdates applies a batch of per-table gradient updates near-memory:

@@ -45,6 +45,13 @@ func deploy(t *testing.T, cfg recsys.Config, dimms, maxBatch int) *Deployment {
 	return d
 }
 
+// embedTensor runs the embedding layer (RunEmbeddingInto) into a fresh [batch,
+// tables*dim] tensor, the shape the golden Model.Embedding.Forward returns.
+func embedTensor(d *Deployment, rows [][]int, batch int) (*tensor.Tensor, error) {
+	x := tensor.New(batch, d.geom.Width())
+	return x, d.RunEmbeddingInto(x.Data(), rows, batch)
+}
+
 func TestDeployValidation(t *testing.T) {
 	// dim 100 floats = 400 B is not a multiple of an 8-DIMM stripe (512 B).
 	cfg := smallConfig("bad", 1, 1, 100, false, isa.RAdd)
@@ -63,7 +70,7 @@ func TestDeployValidation(t *testing.T) {
 }
 
 func TestExpandIndicesSingleStripe(t *testing.T) {
-	idx := ExpandIndices([]int{5, 9, 2, 7}, 2, 1)
+	idx := ExpandIndicesInto(nil, []int{5, 9, 2, 7}, 2, 1)
 	// Groups (5,9) and (2,7), k=1: order unchanged, padded to 16.
 	if len(idx) != 16 {
 		t.Fatalf("len = %d, want padded 16", len(idx))
@@ -84,7 +91,7 @@ func TestExpandIndicesSingleStripe(t *testing.T) {
 func TestExpandIndicesStripeTransposed(t *testing.T) {
 	// Two groups of two rows, k=2 stripes: within each group the order must
 	// be stripe-major: (r0s0, r1s0, r0s1, r1s1).
-	idx := ExpandIndices([]int{3, 4, 8, 9}, 2, 2)
+	idx := ExpandIndicesInto(nil, []int{3, 4, 8, 9}, 2, 2)
 	want := []int32{6, 8, 7, 9, 16, 18, 17, 19}
 	for i, w := range want {
 		if idx[i] != w {
@@ -94,11 +101,11 @@ func TestExpandIndicesStripeTransposed(t *testing.T) {
 }
 
 func TestExpandIndicesDefensive(t *testing.T) {
-	if got := ExpandIndices([]int{1, 2, 3}, 0, 1); len(got)%16 != 0 {
+	if got := ExpandIndicesInto(nil, []int{1, 2, 3}, 0, 1); len(got)%16 != 0 {
 		t.Fatal("reduction 0 must behave as 1 and pad")
 	}
 	// Tail rows beyond whole groups expand row-major.
-	idx := ExpandIndices([]int{1, 2, 3}, 2, 2)
+	idx := ExpandIndicesInto(nil, []int{1, 2, 3}, 2, 2)
 	want := []int32{2, 4, 3, 5, 6, 7}
 	for i, w := range want {
 		if idx[i] != w {
@@ -115,11 +122,11 @@ func checkMatchesGolden(t *testing.T, cfg recsys.Config, dimms, batch int) {
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 5)
 	rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
 
-	got, err := d.RunEmbedding(rows, batch)
+	got, err := embedTensor(d, rows, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.GoldenEmbedding(rows, batch)
+	want, err := d.Model.Embedding.Forward(rows, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +169,7 @@ func TestUnsupportedLowering(t *testing.T) {
 	d := deploy(t, cfg, 8, 2)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
 	rows := gen.Batch(1, 2, 5)
-	if _, err := d.RunEmbedding(rows, 2); err == nil {
+	if _, err := embedTensor(d, rows, 2); err == nil {
 		t.Fatal("want lowering error for N-way non-mean reduce")
 	}
 }
@@ -171,10 +178,10 @@ func TestBatchLimits(t *testing.T) {
 	cfg := smallConfig("lim", 1, 2, 128, true, isa.RAdd)
 	d := deploy(t, cfg, 8, 2)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
-	if _, err := d.RunEmbedding(gen.Batch(1, 4, 2), 4); err == nil {
+	if _, err := embedTensor(d, gen.Batch(1, 4, 2), 4); err == nil {
 		t.Fatal("want batch > maxBatch error")
 	}
-	if _, err := d.RunEmbedding([][]int{{1, 2}, {3, 4}}, 1); err == nil {
+	if _, err := embedTensor(d, [][]int{{1, 2}, {3, 4}}, 1); err == nil {
 		t.Fatal("want table-count error")
 	}
 	if _, _, err := d.CompileTable(0, []int{1, 2, 3}, 1); err == nil {
@@ -185,7 +192,7 @@ func TestBatchLimits(t *testing.T) {
 // TestRunEmbeddingRejectsOutOfRangeRows pins the runtime's read check: the
 // tables sit back to back in the pool, so an unchecked row past table 0
 // gathers table 1's row 0 and one past the last table reads whatever was
-// allocated next. Both read paths must refuse, naming the table and row,
+// allocated next. Both read paths (Infer, RunEmbeddingInto) must refuse, naming the table and row,
 // before any instruction runs.
 func TestRunEmbeddingRejectsOutOfRangeRows(t *testing.T) {
 	cfg := smallConfig("oob", 2, 1, 128, false, isa.RAdd)
@@ -204,8 +211,8 @@ func TestRunEmbeddingRejectsOutOfRangeRows(t *testing.T) {
 	}
 	before := d.Node.Stats()
 	for _, tc := range cases {
-		if _, err := d.RunEmbedding(tc.rows, tc.batch); err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("RunEmbedding, %s: err = %v, want one naming %q", tc.name, err, tc.want)
+		if _, err := d.Infer(tc.rows, tc.batch); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Infer, %s: err = %v, want one naming %q", tc.name, err, tc.want)
 		}
 		dst := make([]float32, tc.batch*cfg.Tables*cfg.EmbDim)
 		if err := d.RunEmbeddingInto(dst, tc.rows, tc.batch); err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -279,7 +286,7 @@ func TestDeployReleaseCyclesKeepIndexRegionFlat(t *testing.T) {
 		}
 		// Every lane loads an index list at least once.
 		for i := 0; i < 4; i++ {
-			if _, err := d.RunEmbedding(rows, 2); err != nil {
+			if _, err := embedTensor(d, rows, 2); err != nil {
 				t.Fatalf("cycle %d: %v", cycle, err)
 			}
 		}
@@ -314,15 +321,15 @@ func TestMaxBatchPaddingStaysInBounds(t *testing.T) {
 func TestExpandIndicesEdgeCases(t *testing.T) {
 	// Empty row list: nothing to expand, and the result is already a whole
 	// (zero) number of index blocks.
-	if got := ExpandIndices(nil, 4, 2); len(got) != 0 {
+	if got := ExpandIndicesInto(nil, nil, 4, 2); len(got) != 0 {
 		t.Fatalf("empty rows expanded to %d indices, want 0", len(got))
 	}
-	if got := ExpandIndices([]int{}, 1, 1); len(got) != 0 {
+	if got := ExpandIndicesInto(nil, []int{}, 1, 1); len(got) != 0 {
 		t.Fatalf("empty rows expanded to %d indices, want 0", len(got))
 	}
 	// Reduction larger than the row list: no whole group forms, so every
 	// row expands row-major, then pads to one block.
-	idx := ExpandIndices([]int{4, 7}, 5, 3)
+	idx := ExpandIndicesInto(nil, []int{4, 7}, 5, 3)
 	want := []int32{12, 13, 14, 21, 22, 23}
 	if len(idx) != 16 {
 		t.Fatalf("len = %d, want one padded block", len(idx))
@@ -408,12 +415,12 @@ func TestConcurrentRunEmbedding(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				batch := 1 + (c+i)%6
 				rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
-				got, err := d.RunEmbedding(rows, batch)
+				got, err := embedTensor(d, rows, batch)
 				if err != nil {
 					errs[c] = err
 					return
 				}
-				want, err := d.GoldenEmbedding(rows, batch)
+				want, err := d.Model.Embedding.Forward(rows, batch)
 				if err != nil {
 					errs[c] = err
 					return
@@ -455,12 +462,12 @@ func TestConcurrentPairwiseReduce(t *testing.T) {
 			gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, int64(c)+51)
 			for i := 0; i < 3; i++ {
 				rows := gen.Batch(cfg.Tables, 4, cfg.Reduction)
-				got, err := d.RunEmbedding(rows, 4)
+				got, err := embedTensor(d, rows, 4)
 				if err != nil {
 					errs[c] = err
 					return
 				}
-				want, _ := d.GoldenEmbedding(rows, 4)
+				want, _ := d.Model.Embedding.Forward(rows, 4)
 				if !tensor.Equal(got, want) {
 					errs[c] = fmt.Errorf("client %d: pairwise reduce differs from golden", c)
 					return
@@ -486,14 +493,14 @@ func TestUpdateTablePaddingCapacityBound(t *testing.T) {
 	d := deploy(t, cfg, 8, 5)
 	rows := make([]int, 7)
 	grads := tensor.New(len(rows), cfg.EmbDim)
-	if err := d.UpdateTable(0, rows, grads); err == nil {
+	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: rows, Grads: grads}}); err == nil {
 		t.Fatal("want scratch-capacity error for padded overrun")
 	}
 	// 6 rows = 36 stripes pads to 48... also over; 5 rows = 30 pads to
 	// 32 <= 46 and must succeed.
 	rows = rows[:5]
 	grads = tensor.New(len(rows), cfg.EmbDim)
-	if err := d.UpdateTable(0, rows, grads); err != nil {
+	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: rows, Grads: grads}}); err != nil {
 		t.Fatal(err)
 	}
 }

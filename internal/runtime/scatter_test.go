@@ -27,7 +27,7 @@ func TestUpdateTableMatchesGolden(t *testing.T) {
 	for i := range grads.Data() {
 		grads.Data()[i] = rng.Float32() - 0.5
 	}
-	if err := d.UpdateTable(0, rows, grads); err != nil {
+	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: rows, Grads: grads}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -43,11 +43,11 @@ func TestUpdateTableMatchesGolden(t *testing.T) {
 	batch := 2
 	indices := gen.Batch(cfg.Tables, batch, cfg.Reduction)
 	indices[0] = []int{3, 17, 99, 42, 3, 5, 6, 7} // touch updated rows
-	got, err := d.RunEmbedding(indices, batch)
+	got, err := embedTensor(d, indices, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.GoldenEmbedding(indices, batch)
+	want, err := d.Model.Embedding.Forward(indices, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestUpdateTableMultiStripe(t *testing.T) {
 	grads := tensor.New(len(rows), cfg.EmbDim)
 	grads.Fill(0.25)
 	snapshot := append([]float32(nil), d.Model.Embedding.Tables[0].Row(2)...)
-	if err := d.UpdateTable(0, rows, grads); err != nil {
+	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: rows, Grads: grads}}); err != nil {
 		t.Fatal(err)
 	}
 	vals, err := d.Node.ReadFloats(d.tableBase[0]+2*uint64(cfg.EmbBytes()), cfg.EmbDim)
@@ -251,14 +251,14 @@ func TestUpdateTableValidation(t *testing.T) {
 	cfg := smallConfig("trainv", 1, 2, 128, true, isa.RAdd)
 	d := deploy(t, cfg, 8, 2)
 	grads := tensor.New(2, cfg.EmbDim)
-	if err := d.UpdateTable(5, []int{1, 2}, grads); err == nil {
+	if err := d.ApplyUpdates([]TableUpdate{{Table: 5, Rows: []int{1, 2}, Grads: grads}}); err == nil {
 		t.Fatal("want table-range error")
 	}
-	if err := d.UpdateTable(0, []int{1}, grads); err == nil {
+	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: []int{1}, Grads: grads}}); err == nil {
 		t.Fatal("want shape error (rows vs grad rows)")
 	}
 	bad := tensor.New(2, cfg.EmbDim+1)
-	if err := d.UpdateTable(0, []int{1, 2}, bad); err == nil {
+	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: []int{1, 2}, Grads: bad}}); err == nil {
 		t.Fatal("want dim error")
 	}
 }

@@ -47,7 +47,7 @@ func TestResultsImmutableUnderConcurrentEmbedUpdate(t *testing.T) {
 			gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, int64(g))
 			for i := 0; i < rounds; i++ {
 				rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
-				got, err := s.Embed(rows, batch)
+				got, err := embedTensor(s, rows, batch)
 				if err != nil {
 					errCh <- err
 					return

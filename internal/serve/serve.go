@@ -28,12 +28,13 @@
 // a read it was coalesced with on the same rows.
 //
 // A server holds exactly one deployment. It offloads only the embedding
-// stage: Infer runs the DNN on the caller's goroutine over the pooled
-// tensor, as the GPU does with what a TensorNode returns. Replication
-// belongs to the fleet (remote replica groups), not to one server.
+// stage: the caller runs the DNN (recsys.Model.InferFromEmbeddings) over
+// the pooled tensor EmbedInto returns, as the GPU does with what a
+// TensorNode returns. Replication belongs to the fleet (remote replica
+// groups), not to one server.
 //
 // Every entry point is a submit (put the request on the queue) followed
-// by an await (block for its reply). The blocking calls — Embed, EmbedInto,
+// by an await (block for its reply). The blocking calls — EmbedInto and
 // Update — do both; StartEmbedInto and Pending.Wait expose the two halves
 // of an embedding read, so a caller with sub-requests for several servers
 // (the cluster router) can queue all of them before it waits.
@@ -54,7 +55,6 @@ import (
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
-	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
 )
 
@@ -158,7 +158,7 @@ type workerScratch struct {
 
 // Server owns one Deployment and serves concurrent embedding reads and
 // updates against it with dynamic micro-batching. Create with New or
-// Deploy, submit with Embed, Infer or Update from any number of goroutines,
+// Deploy, submit with EmbedInto or Update from any number of goroutines,
 // and Close when done — Close releases the deployment.
 type Server struct {
 	cfg  Config
@@ -318,38 +318,15 @@ func perDIMMBytes(mc recsys.Config, dimms, maxBatch, slots, lanes int) uint64 {
 // server made with New over a caller-owned deployment.
 func (s *Server) Node() *node.Node { return s.node }
 
-// Infer runs Embed plus the model's DNN stage on the caller's goroutine
-// (the GPU that received the pooled tensor), returning [batch, 1]
-// probabilities. perTableRows holds batch x reduction row indices per
-// table, exactly as Deployment.Infer takes them. The DNN stage runs after
-// the read completed, so the request latency the server records covers the
-// embedding stage only. Safe for concurrent use.
-func (s *Server) Infer(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	emb, err := s.Embed(perTableRows, batch)
-	if err != nil {
-		return nil, err
-	}
-	return s.dep.Model.InferFromEmbeddings(emb)
-}
-
-// Embed runs only the embedding stage, returning the pooled [batch,
-// tables*dim] tensor. The output is bit-identical to
-// Deployment.GoldenEmbedding regardless of how the request was batched with
-// others. Safe for concurrent use.
-func (s *Server) Embed(perTableRows [][]int, batch int) (*tensor.Tensor, error) {
-	dst, err := s.EmbedInto(nil, perTableRows, batch)
-	if err != nil {
-		return nil, err
-	}
-	return tensor.FromSlice(dst, batch, s.geom.Width())
-}
-
-// EmbedInto is Embed writing the pooled [batch, tables*dim] values
-// row-major into dst, which is grown if its capacity is insufficient and
+// EmbedInto runs the embedding stage for one request of `batch` samples
+// and writes the pooled [batch, tables*dim] values row-major into dst, which is grown if its capacity is insufficient and
 // returned re-sliced to exactly batch*tables*dim. A caller that reuses the
 // returned slice across requests performs zero heap allocations in steady
 // state; the server writes to dst only between submission and return and
-// never retains it. Safe for concurrent use (with distinct dst buffers).
+// never retains it. perTableRows holds batch x reduction row indices per
+// table. The output is bit-identical to the golden model's
+// Embedding.Forward regardless of how the request was batched with others.
+// Safe for concurrent use (with distinct dst buffers).
 func (s *Server) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
 	p, err := s.StartEmbedInto(dst, perTableRows, batch)
 	if err != nil {
@@ -652,7 +629,7 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 
 // Close stops accepting requests, drains everything already submitted
 // (queued requests execute and reply — reads and updates alike, so a caller
-// blocked in Infer, Embed or Update always gets its result), stops the
+// blocked in EmbedInto or Update always gets its result), stops the
 // workers, and releases the deployment (and closes the node, for a server
 // built by Deploy). It is idempotent, and every call — including
 // concurrent ones — returns only after the drain has completed; requests

@@ -44,6 +44,14 @@ func newDeployment(t *testing.T, cfg recsys.Config, maxBatch, slots, lanes int) 
 	return d
 }
 
+// embedTensor reads through EmbedInto into a fresh [batch, tables*dim]
+// tensor, the shape the golden Model.Embedding.Forward returns.
+func embedTensor(s *Server, rows [][]int, batch int) (*tensor.Tensor, error) {
+	x := tensor.New(batch, s.geom.Width())
+	_, err := s.EmbedInto(x.Data(), rows, batch)
+	return x, err
+}
+
 func TestNewValidation(t *testing.T) {
 	cfg := testConfig(2, 5, 128, true, isa.RAdd)
 	d := newDeployment(t, cfg, 8, 1, 1)
@@ -84,7 +92,7 @@ func TestDeploy(t *testing.T) {
 	}
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
 	rows := gen.Batch(cfg.Tables, 8, cfg.Reduction)
-	got, err := s.Embed(rows, 8)
+	got, err := embedTensor(s, rows, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,25 +121,25 @@ func TestSubmitValidation(t *testing.T) {
 	defer s.Close()
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
 	good := gen.Batch(cfg.Tables, 1, cfg.Reduction)
-	if _, err := s.Infer(good, 0); err == nil {
+	if _, err := s.EmbedInto(nil, good, 0); err == nil {
 		t.Fatal("want batch range error")
 	}
-	if _, err := s.Infer(good, 9); err == nil {
+	if _, err := s.EmbedInto(nil, good, 9); err == nil {
 		t.Fatal("want batch > MaxBatch error")
 	}
-	if _, err := s.Infer(good[:1], 1); err == nil {
+	if _, err := s.EmbedInto(nil, good[:1], 1); err == nil {
 		t.Fatal("want table count error")
 	}
-	if _, err := s.Infer([][]int{{1}, {2}}, 1); err == nil {
+	if _, err := s.EmbedInto(nil, [][]int{{1}, {2}}, 1); err == nil {
 		t.Fatal("want row count error")
 	}
 	bad := gen.Batch(cfg.Tables, 1, cfg.Reduction)
 	bad[1][0] = cfg.TableRows // out of range
-	if _, err := s.Infer(bad, 1); err == nil {
+	if _, err := s.EmbedInto(nil, bad, 1); err == nil {
 		t.Fatal("want row range error")
 	}
 	// A valid request still succeeds after the rejected ones.
-	if _, err := s.Infer(good, 1); err != nil {
+	if _, err := s.EmbedInto(nil, good, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -158,12 +166,12 @@ func TestConcurrentClientsMatchGolden(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				batch := 1 + (c+i)%3
 				rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
-				got, err := s.Embed(rows, batch)
+				got, err := embedTensor(s, rows, batch)
 				if err != nil {
 					errs[c] = err
 					return
 				}
-				want, err := dep.GoldenEmbedding(rows, batch)
+				want, err := dep.Model.Embedding.Forward(rows, batch)
 				if err != nil {
 					errs[c] = err
 					return
@@ -221,7 +229,12 @@ func TestInferMatchesUnbatchedModel(t *testing.T) {
 			gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, int64(c)+7)
 			for i := 0; i < 4; i++ {
 				rows := gen.Batch(cfg.Tables, 2, cfg.Reduction)
-				got, err := s.Infer(rows, 2)
+				emb, err := embedTensor(s, rows, 2)
+				if err != nil {
+					errs[c] = err
+					return
+				}
+				got, err := dep.Model.InferFromEmbeddings(emb)
 				if err != nil {
 					errs[c] = err
 					return
@@ -264,7 +277,7 @@ func TestLoneReadFillsDestination(t *testing.T) {
 	nan := float32(math.NaN())
 	for _, batch := range []int{1, 3, 8} {
 		rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
-		want, err := dep.GoldenEmbedding(rows, batch)
+		want, err := dep.Model.Embedding.Forward(rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +323,7 @@ func startReads(t *testing.T, s *Server, gen *workload.Generator, batches ...int
 	want := make([][]float32, len(batches))
 	for i, b := range batches {
 		rows := gen.Batch(cfg.Tables, b, cfg.Reduction)
-		golden, err := s.dep.GoldenEmbedding(rows, b)
+		golden, err := s.dep.Model.Embedding.Forward(rows, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -474,7 +487,7 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 2)
 	rows := gen.Batch(cfg.Tables, 1, cfg.Reduction)
-	if _, err := s.Infer(rows, 1); err != nil {
+	if _, err := s.EmbedInto(nil, rows, 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -483,7 +496,7 @@ func TestCloseSemantics(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if _, err := s.Infer(rows, 1); err == nil {
+	if _, err := s.EmbedInto(nil, rows, 1); err == nil {
 		t.Fatal("want error after close")
 	}
 	// Close released the deployment's pool memory.

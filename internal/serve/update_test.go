@@ -67,11 +67,11 @@ func TestUpdateVisibleToLaterReads(t *testing.T) {
 		}
 		rows := gen.Batch(cfg.Tables, 2, cfg.Reduction)
 		rows[step%cfg.Tables] = []int{7, 11, 7, 12} // touch updated rows
-		got, err := s.Embed(rows, 2)
+		got, err := embedTensor(s, rows, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := s.dep.GoldenEmbedding(rows, 2)
+		want, err := s.dep.Model.Embedding.Forward(rows, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	}
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 8)
 	rows := [][]int{{7, 7}, {1, 2}}
-	stale, err := s.dep.GoldenEmbedding(rows, 1)
+	stale, err := s.dep.Model.Embedding.Forward(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	if err := await(up); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.dep.GoldenEmbedding(rows, 1)
+	fresh, err := s.dep.Model.Embedding.Forward(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,11 @@ func TestUpdateAbsorbsDuplicateRowsOnce(t *testing.T) {
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 5)
 	rows := gen.Batch(cfg.Tables, 1, cfg.Reduction)
 	rows[0] = []int{3, 9}
-	got, err := s.Embed(rows, 1)
+	got, err := embedTensor(s, rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dep.GoldenEmbedding(rows, 1)
+	want, err := dep.Model.Embedding.Forward(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +223,7 @@ func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 				genMu.Lock()
 				rows := gen.Batch(cfg.Tables, 2, cfg.Reduction)
 				genMu.Unlock()
-				if _, err := s.Embed(rows, 2); err != nil {
+				if _, err := s.EmbedInto(nil, rows, 2); err != nil {
 					errs[cfg.Tables+r] = err
 					return
 				}
@@ -240,11 +240,11 @@ func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 	genMu.Lock()
 	rows := gen.Batch(cfg.Tables, 4, cfg.Reduction)
 	genMu.Unlock()
-	got, err := s.Embed(rows, 4)
+	got, err := embedTensor(s, rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.dep.GoldenEmbedding(rows, 4)
+	want, err := s.dep.Model.Embedding.Forward(rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestCloseDrainsPendingMixedTraffic(t *testing.T) {
 					replied <- s.Update([]runtime.TableUpdate{{Table: 0, Rows: []int{i}, Grads: g}})
 					return
 				}
-				_, err := s.Embed(rows, 1)
+				_, err := s.EmbedInto(nil, rows, 1)
 				replied <- err
 			}(i, rows)
 		}

@@ -34,20 +34,26 @@
 //
 // # Serving
 //
-// The serve layer turns a model into a concurrent inference server with
-// dynamic micro-batching and latency accounting, on a node sized for it:
+// The serve layer turns a model into a concurrent embedding server with
+// dynamic micro-batching and latency accounting, on a node sized for it.
+// Every serving layer (Server, Cluster, RemoteCluster, NetClient) has one
+// read verb, EmbedInto, which fills a caller-owned buffer with the pooled
+// [batch, tables*dim] embeddings; the DNN stage runs on the caller:
 //
 //	srv, _ := tensordimm.DeployServer(model, 8, tensordimm.ServeConfig{MaxBatch: 64, Workers: 4})
 //	reg := tensordimm.NewTelemetry()
 //	srv.Instrument(reg)                                // before the traffic it measures
-//	probs, _ := srv.Infer(indices, batch)              // safe from any goroutine
+//	emb := tensordimm.NewTensor(batch, cfg.Tables*cfg.EmbDim)
+//	_, _ = srv.EmbedInto(emb.Data(), indices, batch)   // safe from any goroutine
+//	probs, _ := model.InferFromEmbeddings(emb)         // DNN stage on the caller
 //	reg.Snapshot().WriteText(os.Stdout)                // counters, p50/p95/p99 per series
 //
-// The steady-state serving path is allocation-free: callers that reuse a
-// result buffer through Server.EmbedInto (or Cluster.EmbedInto,
-// Deployment.RunEmbeddingInto) perform zero heap allocations per request,
-// which the ZeroAlloc tests beside each serving layer pin at 0 allocs/op
-// in CI. See ARCHITECTURE.md, "Memory discipline".
+// The steady-state serving path is allocation-free: callers that reuse the
+// buffer they pass to EmbedInto (or Deployment.RunEmbeddingInto) perform
+// zero heap allocations per request, which the ZeroAlloc tests beside each
+// serving layer pin at 0 allocs/op in CI. EmbedInto allocates only when
+// the buffer is nil or too small. See ARCHITECTURE.md, "Memory
+// discipline".
 //
 // # Online updates
 //
@@ -70,7 +76,6 @@ import (
 	"tensordimm/internal/chaos"
 	"tensordimm/internal/cluster"
 	"tensordimm/internal/core"
-	"tensordimm/internal/embed"
 	"tensordimm/internal/experiments"
 	"tensordimm/internal/isa"
 	"tensordimm/internal/netclient"
@@ -92,8 +97,6 @@ import (
 type (
 	// Node is a TensorNode: a disaggregated pool of TensorDIMMs.
 	Node = node.Node
-	// NodeConfig sizes a TensorNode.
-	NodeConfig = node.Config
 	// ModelConfig describes one recommender benchmark (Table 2).
 	ModelConfig = recsys.Config
 	// Model is a materialized recommender: embedding tables plus MLP.
@@ -108,10 +111,6 @@ type (
 	Breakdown = core.Breakdown
 	// Tensor is a dense row-major float32 tensor.
 	Tensor = tensor.Tensor
-	// Table is one embedding lookup table.
-	Table = embed.Table
-	// Instruction is one TensorISA instruction (Figure 8).
-	Instruction = isa.Instruction
 	// Program is an ordered TensorISA instruction sequence.
 	Program = isa.Program
 	// ExperimentResult is one reproduced table or figure.
@@ -122,8 +121,6 @@ type (
 	Server = serve.Server
 	// ServeConfig tunes the server's batching and worker pool.
 	ServeConfig = serve.Config
-	// ServeMetrics is a snapshot of serving throughput and latency.
-	ServeMetrics = serve.Metrics
 	// TableUpdate is one table's slice of an online gradient-update batch,
 	// accepted by Deployment.ApplyUpdates, Server.Update and
 	// Cluster.ApplyUpdates.
@@ -135,16 +132,10 @@ type (
 	// ClusterMetrics is a snapshot of cluster routing, cache and fabric
 	// counters.
 	ClusterMetrics = cluster.Metrics
-	// ShardMetrics is one shard's slice of ClusterMetrics.
-	ShardMetrics = cluster.ShardMetrics
-	// ShardStrategy selects table-wise or row-wise sharding.
-	ShardStrategy = cluster.Strategy
 	// NetServer is the TCP serving plane fronting a server or cluster.
 	NetServer = netserve.Server
 	// NetServeConfig tunes the network server (admission budget, role, telemetry).
 	NetServeConfig = netserve.Config
-	// NetServeMetrics is a snapshot of the network plane's counters.
-	NetServeMetrics = netserve.Metrics
 	// NetBackend is the serving engine a NetServer fronts.
 	NetBackend = netserve.Backend
 	// NetClient is the pooled, pipelined client of a NetServer.
@@ -165,9 +156,6 @@ type (
 	RemoteCluster = remote.RemoteCluster
 	// RemoteConfig describes the fleet a RemoteCluster routes over.
 	RemoteConfig = remote.Config
-	// RemoteMetrics is a snapshot of a RemoteCluster's routing, hedging,
-	// failover and replay counters.
-	RemoteMetrics = remote.Metrics
 	// RemoteUnavailable is the typed fast-failure a RemoteCluster returns
 	// when every replica of a shard is unreachable.
 	RemoteUnavailable = remote.Unavailable
@@ -186,15 +174,6 @@ type (
 	// observability plane: counters, gauges, latency histograms and slow
 	// request traces, read only as a Snapshot.
 	TelemetryRegistry = telemetry.Registry
-	// TelemetrySnapshot is a point-in-time, versioned capture of every
-	// series a TelemetryRegistry holds; WriteText renders it one line per
-	// series, and NetClient.Metrics fetches a server's over the wire.
-	TelemetrySnapshot = telemetry.Snapshot
-	// TelemetryLabel is one key="value" dimension on a telemetry series.
-	TelemetryLabel = telemetry.Label
-	// TelemetryHistogram is a lock-free fixed-bucket log-scale latency
-	// histogram registered on a TelemetryRegistry.
-	TelemetryHistogram = telemetry.Histogram
 )
 
 // RunChaos executes one seeded chaos soak against an in-process replica
@@ -235,15 +214,9 @@ const (
 
 // Machine-readable error codes a NetServerError carries.
 const (
-	// NetErrBadRequest marks a malformed or rejected request.
-	NetErrBadRequest = wire.ErrBadRequest
 	// NetErrOverloaded marks a request shed by admission control; retrying
 	// after backoff is safe.
 	NetErrOverloaded = wire.ErrOverloaded
-	// NetErrShuttingDown marks a request refused by a draining server.
-	NetErrShuttingDown = wire.ErrShuttingDown
-	// NetErrInternal marks a backend execution failure.
-	NetErrInternal = wire.ErrInternal
 	// NetErrUnavailable marks an operation refused because a shard's whole
 	// replica group is unreachable; RemoteCluster surfaces it locally as a
 	// *RemoteUnavailable.
@@ -309,7 +282,7 @@ func DeployConcurrent(m *Model, nd *Node, maxBatch, slots, lanes int) (*Deployme
 }
 
 // NewServer starts a concurrent batched embedding server over one
-// deployment; its Infer runs the DNN stage on the caller. Close the server
+// deployment; read it with EmbedInto from any goroutine. Close the server
 // to stop it and release the deployment.
 func NewServer(cfg ServeConfig, dep *Deployment) (*Server, error) {
 	return serve.New(cfg, dep)
@@ -337,7 +310,7 @@ func DeployShard(m *Model, cfg ClusterConfig, s int) (*Server, error) {
 }
 
 // NewCluster shards a model across cfg.Nodes TensorNodes with per-shard
-// hot-row caches and a modeled NVSwitch fabric. Submit with Infer/Embed
+// hot-row caches and a modeled NVSwitch fabric. Read it with EmbedInto
 // from any goroutine; merged outputs are bit-identical to a single-node
 // deployment. Close the cluster to stop the shard servers and release
 // their pools.
@@ -345,8 +318,8 @@ func NewCluster(m *Model, cfg ClusterConfig) (*Cluster, error) {
 	return cluster.New(m, cfg)
 }
 
-// NewNetServer wraps a backend (ServeBackend or ClusterBackend) in the
-// TCP serving plane. Start it with Serve on a listener; Close drains
+// NewNetServer wraps a backend (ServeBackend's adapter, or a *Cluster or
+// *RemoteCluster as is) in the TCP serving plane. Start it with Serve on a listener; Close drains
 // gracefully and leaves the backend running for its owner to close.
 func NewNetServer(b NetBackend, cfg NetServeConfig) (*NetServer, error) {
 	return netserve.New(b, cfg)
@@ -354,9 +327,6 @@ func NewNetServer(b NetBackend, cfg NetServeConfig) (*NetServer, error) {
 
 // ServeBackend adapts a single-node Server for NewNetServer.
 func ServeBackend(s *Server) NetBackend { return netserve.ServerBackend(s) }
-
-// ClusterBackend adapts a sharded Cluster for NewNetServer.
-func ClusterBackend(c *Cluster) NetBackend { return netserve.ClusterBackend(c) }
 
 // NewRemoteCluster dials every replica of every shard in cfg.Shards and
 // returns a router exposing the same request surface as an in-process
@@ -425,19 +395,6 @@ func Simulate(dp DesignPoint, cfg ModelConfig, batch int, p Platform) Breakdown 
 // Speedup returns how much faster design a is than design b on a workload.
 func Speedup(a, b DesignPoint, cfg ModelConfig, batch int, p Platform) float64 {
 	return core.Speedup(a, b, cfg, batch, p)
-}
-
-// SimulateShared costs one inference when n GPUs serve inferences
-// concurrently against the shared platform resources (the TensorNode is an
-// NVSwitch endpoint reachable by every GPU, Section 4.3).
-func SimulateShared(dp DesignPoint, cfg ModelConfig, batch int, p Platform, nGPUs int) Breakdown {
-	return core.SimulateShared(dp, cfg, batch, p, nGPUs)
-}
-
-// SharedThroughput returns aggregate inferences/second for n GPUs sharing
-// the platform under the given design point.
-func SharedThroughput(dp DesignPoint, cfg ModelConfig, batch int, p Platform, nGPUs int) float64 {
-	return core.SharedThroughput(dp, cfg, batch, p, nGPUs)
 }
 
 // Experiments lists the identifiers of every reproduced table and figure.

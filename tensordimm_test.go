@@ -1,6 +1,7 @@
 package tensordimm_test
 
 import (
+	"slices"
 	"testing"
 
 	"tensordimm"
@@ -67,8 +68,9 @@ func TestPublicBenchmarks(t *testing.T) {
 
 func TestPublicSimulation(t *testing.T) {
 	p := tensordimm.DefaultPlatform()
-	if len(tensordimm.DesignPoints()) != 5 {
-		t.Fatal("want five design points")
+	want := []tensordimm.DesignPoint{tensordimm.CPUOnly, tensordimm.CPUGPU, tensordimm.PMEM, tensordimm.TDIMM, tensordimm.GPUOnly}
+	if !slices.Equal(tensordimm.DesignPoints(), want) {
+		t.Fatalf("DesignPoints() = %v, want the five designs in the paper's order %v", tensordimm.DesignPoints(), want)
 	}
 	b := tensordimm.Simulate(tensordimm.TDIMM, tensordimm.YouTube(), 64, p)
 	if b.TotalS() <= 0 {
@@ -123,9 +125,13 @@ func TestPublicClusterAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	emb := tensordimm.NewTensor(4, cfg.Tables*cfg.EmbDim)
 	for i := 0; i < 4; i++ {
 		indices := gen.Batch(cfg.Tables, 4, cfg.Reduction)
-		got, err := cl.Infer(indices, 4)
+		if _, err := cl.EmbedInto(emb.Data(), indices, 4); err != nil {
+			t.Fatal(err)
+		}
+		got, err := model.InferFromEmbeddings(emb)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,11 +187,11 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 	}
 	indices := gen.Batch(cfg.Tables, 4, cfg.Reduction)
 	indices[1][0], indices[1][1] = 5, 17 // touch the updated rows
-	got, err := cl.Embed(indices, 4)
-	if err != nil {
+	got := tensordimm.NewTensor(4, cfg.Tables*cfg.EmbDim)
+	if _, err := cl.EmbedInto(got.Data(), indices, 4); err != nil {
 		t.Fatal(err)
 	}
-	want, err := cl.GoldenEmbedding(indices, 4)
+	want, err := model.Embedding.Forward(indices, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +219,10 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 	if err := srv.Update([]tensordimm.TableUpdate{up}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = srv.Embed(indices, 4)
-	if err != nil {
+	if _, err := srv.EmbedInto(got.Data(), indices, 4); err != nil {
 		t.Fatal(err)
 	}
-	want, err = dep.GoldenEmbedding(indices, 4)
+	want, err = model.Embedding.Forward(indices, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
