@@ -54,7 +54,9 @@ import (
 )
 
 // Config parameterizes one soak. The zero value of every field except
-// Seed selects a documented default.
+// Seed selects a documented default. The fleet itself is fixed: soakShards
+// shards of soakReplicas replicas, a soakDeadline read budget, and a
+// temporary directory for the WAL.
 type Config struct {
 	// Seed derives the fault schedule, the model weights, and the traffic
 	// mix. The same seed reproduces the same soak.
@@ -63,18 +65,6 @@ type Config struct {
 	// followed by a quiescent verification phase that does not count
 	// toward it. Zero defaults to 8s.
 	Duration time.Duration
-	// Shards and Replicas shape the fleet: Shards shard processes with
-	// Replicas replicas each. Defaults 2 and 2; Replicas must be >= 2
-	// (replica 0 of each shard is never faulted).
-	Shards   int
-	Replicas int
-	// Deadline is the read-only router's end-to-end budget — the one
-	// invariant 3 is asserted against. Zero defaults to 25ms.
-	Deadline time.Duration
-	// DataDir roots the writing router's WAL and snapshots. Empty creates
-	// (and removes) a temporary directory — the durability invariant
-	// exercises a real on-disk WAL either way.
-	DataDir string
 	// Log, when set, receives one line per round and phase.
 	Log func(format string, args ...any)
 	// Registry, when set, receives the soak's live counters (updates,
@@ -110,7 +100,14 @@ func (r Report) String() string {
 const (
 	soakMaxBatch = 8
 	soakRound    = time.Second
-	// epsilon is the grace over Config.Deadline a deadline-bounded read may
+	// soakShards shard processes of soakReplicas replicas each. Replica 0
+	// of each shard is never faulted, so faults need a second replica.
+	soakShards   = 2
+	soakReplicas = 2
+	// soakDeadline is the read-only router's end-to-end budget — the one
+	// invariant 3 is asserted against.
+	soakDeadline = 25 * time.Millisecond
+	// epsilon is the grace over soakDeadline a deadline-bounded read may
 	// use to resolve (scheduler noise, reap overhead) before the soak counts
 	// it a violation.
 	epsilon = time.Second
@@ -189,15 +186,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Duration == 0 {
 		cfg.Duration = 8 * time.Second
 	}
-	if cfg.Shards == 0 {
-		cfg.Shards = 2
-	}
-	if cfg.Replicas == 0 {
-		cfg.Replicas = 2
-	}
-	if cfg.Deadline == 0 {
-		cfg.Deadline = 25 * time.Millisecond
-	}
 	return cfg
 }
 
@@ -205,35 +193,26 @@ func (cfg Config) withDefaults() Config {
 // when any invariant was violated or the fleet could not be driven.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Replicas < 2 {
-		return Report{}, fmt.Errorf("chaos: Replicas %d < 2 (replica 0 is never faulted, so faults need a second replica)", cfg.Replicas)
+	// The durability invariant exercises a real on-disk WAL.
+	dir, err := os.MkdirTemp("", "chaos-soak-*")
+	if err != nil {
+		return Report{}, fmt.Errorf("chaos: %w", err)
 	}
-	if cfg.Shards < 1 {
-		return Report{}, fmt.Errorf("chaos: Shards %d < 1", cfg.Shards)
-	}
-	dir := cfg.DataDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "chaos-soak-*")
-		if err != nil {
-			return Report{}, fmt.Errorf("chaos: %w", err)
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
-	}
+	defer os.RemoveAll(dir)
 
-	c := &soak{cfg: cfg, mc: soakModelCfg(cfg.Shards)}
+	c := &soak{cfg: cfg, mc: soakModelCfg(soakShards)}
 	golden, err := recsys.Build(c.mc, cfg.Seed)
 	if err != nil {
 		return Report{}, fmt.Errorf("chaos: %w", err)
 	}
 	c.golden = golden
 
-	// Fleet: Shards x Replicas real serve stacks.
-	c.procs = make([][]*proc, cfg.Shards)
-	addrs := make([][]string, cfg.Shards)
+	// Fleet: soakShards x soakReplicas real serve stacks.
+	c.procs = make([][]*proc, soakShards)
+	addrs := make([][]string, soakShards)
 	defer c.stopAll()
-	for s := 0; s < cfg.Shards; s++ {
-		for r := 0; r < cfg.Replicas; r++ {
+	for s := 0; s < soakShards; s++ {
+		for r := 0; r < soakReplicas; r++ {
 			p, err := c.startReplica(s, "")
 			if err != nil {
 				return Report{}, err
@@ -266,7 +245,7 @@ func Run(cfg Config) (Report, error) {
 	// budget, against the same fleet the schedule is abusing.
 	c.skew, err = remote.New(remote.Config{
 		Model: c.mc, Strategy: cluster.TableWise, Shards: addrs,
-		MaxBatch: soakMaxBatch, ReadOnly: true, Deadline: cfg.Deadline,
+		MaxBatch: soakMaxBatch, ReadOnly: true, Deadline: soakDeadline,
 		ReconnectMin: 5 * time.Millisecond, ReconnectMax: 50 * time.Millisecond,
 	})
 	if err != nil {
@@ -278,13 +257,13 @@ func Run(cfg Config) (Report, error) {
 	}
 
 	rounds := int((cfg.Duration + soakRound - 1) / soakRound)
-	schedule := genSchedule(cfg.Seed, rounds, cfg.Shards, cfg.Replicas, soakRound)
+	schedule := genSchedule(cfg.Seed, rounds, soakShards, soakReplicas, soakRound)
 	faults := 0
 	for _, evs := range schedule {
 		faults += len(evs)
 	}
 	c.logf("chaos: seed %d: %d rounds, %d scheduled faults, fleet %dx%d, deadline %v",
-		cfg.Seed, rounds, faults, cfg.Shards, cfg.Replicas, cfg.Deadline)
+		cfg.Seed, rounds, faults, soakShards, soakReplicas, soakDeadline)
 
 	for round := 0; round < rounds && !c.violated(); round++ {
 		c.runRound(round, schedule[round])
@@ -303,7 +282,7 @@ func Run(cfg Config) (Report, error) {
 	// the whole fleet to the acknowledged head — any lost acknowledged
 	// write breaks the closing bit-identity sweep.
 	if !c.violated() {
-		c.logf("chaos: final durability check: killing and cold-restarting all %d replicas", cfg.Shards*cfg.Replicas)
+		c.logf("chaos: final durability check: killing and cold-restarting all %d replicas", soakShards*soakReplicas)
 		c.pmu.Lock()
 		for s := range c.procs {
 			for r := range c.procs[s] {
@@ -405,7 +384,7 @@ func (c *soak) runRound(round int, evs []event) {
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(c.cfg.Seed + int64(round)*2 + 3))
-		bound := c.cfg.Deadline + epsilon
+		bound := soakDeadline + epsilon
 		var dst []float32
 		for {
 			select {
@@ -619,7 +598,7 @@ func (c *soak) startReplica(s int, addr string) (*proc, error) {
 		return nil, fmt.Errorf("chaos: %w", err)
 	}
 	srv, err := cluster.DeployShard(m, cluster.Config{
-		Nodes: c.cfg.Shards, DIMMsPerNode: 4, MaxBatch: soakMaxBatch, Workers: 2,
+		Nodes: soakShards, DIMMsPerNode: 4, MaxBatch: soakMaxBatch, Workers: 2,
 	}, s)
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %w", err)

@@ -69,10 +69,3 @@ func TestChaosSoakFixedSeed(t *testing.T) {
 		t.Fatalf("kill-everything restart triggered no resyncs: %+v", rep)
 	}
 }
-
-// TestChaosConfigValidation pins the Replicas >= 2 floor.
-func TestChaosConfigValidation(t *testing.T) {
-	if _, err := Run(Config{Seed: 1, Replicas: 1}); err == nil {
-		t.Fatal("Replicas 1 accepted; replica 0 is never faulted, so a soak needs 2+")
-	}
-}

@@ -116,34 +116,6 @@ func (p *Placement) Locate(table, row int) (shard, flat int) {
 	}
 }
 
-// Unlocate is the inverse of Locate: given a shard and a row index into
-// its flat local table, it returns the global (table, row) coordinate
-// stored there. The durability plane uses it to replay a shard's
-// persisted hot-row list — recorded in flat coordinates — back through
-// the golden model's coordinate space.
-func (p *Placement) Unlocate(s, flat int) (table, row int, err error) {
-	if s < 0 || s >= p.nodes {
-		return 0, 0, fmt.Errorf("cluster: shard %d out of range [0, %d)", s, p.nodes)
-	}
-	if flat < 0 || flat >= p.localRows[s] {
-		return 0, 0, fmt.Errorf("cluster: flat row %d out of range [0, %d) on shard %d", flat, p.localRows[s], s)
-	}
-	// The owning table is the one with the largest base at or below flat
-	// (bases are appended in table order, so they are ascending where
-	// present).
-	table = -1
-	base := -1
-	for t, b := range p.flatBase[s] {
-		if b >= 0 && b <= flat && b > base {
-			table, base = t, b
-		}
-	}
-	if p.strategy == RowWise {
-		return table, s + (flat-base)*p.nodes, nil
-	}
-	return table, flat - base, nil
-}
-
 // TablesOn returns how many global tables shard s holds a slice of.
 func (p *Placement) TablesOn(s int) int {
 	n := 0

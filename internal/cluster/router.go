@@ -500,9 +500,8 @@ func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
 	}
 	defer r.inflight.Done()
 
-	// Group by table (shared grouping with the runtime, so orderings can
-	// never diverge) and fan the groups out.
-	order, groups := runtime.GroupUpdatesByTable(ups)
+	// Group by table and fan the groups out.
+	order, groups := groupUpdatesByTable(ups)
 	errs := make([]error, len(order))
 	var wg sync.WaitGroup
 	for gi, t := range order {
@@ -532,6 +531,21 @@ func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
 	r.Updates.Add(1)
 	r.UpdateRows.Add(uint64(rows))
 	return nil
+}
+
+// groupUpdatesByTable splits an update batch into per-table groups,
+// preserving slice order within each table, and returns the tables in
+// first-appearance order.
+func groupUpdatesByTable(ups []runtime.TableUpdate) ([]int, map[int][]runtime.TableUpdate) {
+	groups := make(map[int][]runtime.TableUpdate)
+	order := make([]int, 0, len(ups))
+	for _, up := range ups {
+		if _, seen := groups[up.Table]; !seen {
+			order = append(order, up.Table)
+		}
+		groups[up.Table] = append(groups[up.Table], up)
+	}
+	return order, groups
 }
 
 // applyTableUpdate routes one table's update to its owning shards (callers

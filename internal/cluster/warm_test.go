@@ -11,44 +11,33 @@ import (
 	"tensordimm/internal/tensor"
 )
 
-// TestUnlocateRoundTrip pins Unlocate as the exact inverse of Locate over
-// every (table, row) coordinate, for both sharding strategies and a node
+// TestUnlocateRoundTrip pins Locate as a bijection onto the shards' flat
+// local tables: every (table, row) coordinate lands on a distinct in-range
+// flat slot, and every slot is hit, for both sharding strategies and a node
 // count that does not divide the table height.
 func TestUnlocateRoundTrip(t *testing.T) {
 	const nodes, tables, rows = 3, 4, 301
 	for _, strat := range []Strategy{TableWise, RowWise} {
 		p := NewPlacement(strat, nodes, tables, rows)
+		seen := make(map[[2]int]bool)
 		for tab := 0; tab < tables; tab++ {
 			for r := 0; r < rows; r++ {
 				s, flat := p.Locate(tab, r)
-				gotTab, gotRow, err := p.Unlocate(s, flat)
-				if err != nil {
-					t.Fatalf("%v: unlocate(%d, %d): %v", strat, s, flat, err)
+				if s < 0 || s >= nodes || flat < 0 || flat >= p.LocalRows(s) {
+					t.Fatalf("%v: locate(%d, %d) = (%d, %d) out of range", strat, tab, r, s, flat)
 				}
-				if gotTab != tab || gotRow != r {
-					t.Fatalf("%v: locate(%d, %d) = (%d, %d), unlocate = (%d, %d)",
-						strat, tab, r, s, flat, gotTab, gotRow)
+				if seen[[2]int{s, flat}] {
+					t.Fatalf("%v: locate(%d, %d) = (%d, %d) is already taken", strat, tab, r, s, flat)
 				}
+				seen[[2]int{s, flat}] = true
 			}
 		}
-		// Every flat coordinate must also map back into range.
+		slots := 0
 		for s := 0; s < nodes; s++ {
-			for flat := 0; flat < p.LocalRows(s); flat++ {
-				tab, r, err := p.Unlocate(s, flat)
-				if err != nil {
-					t.Fatalf("%v: unlocate(%d, %d): %v", strat, s, flat, err)
-				}
-				if tab < 0 || tab >= tables || r < 0 || r >= rows {
-					t.Fatalf("%v: unlocate(%d, %d) = (%d, %d) out of model range",
-						strat, s, flat, tab, r)
-				}
-			}
+			slots += p.LocalRows(s)
 		}
-		if _, _, err := p.Unlocate(-1, 0); err == nil {
-			t.Fatalf("%v: want error for negative shard", strat)
-		}
-		if _, _, err := p.Unlocate(0, p.LocalRows(0)); err == nil {
-			t.Fatalf("%v: want error for flat row past local table", strat)
+		if slots != len(seen) {
+			t.Fatalf("%v: %d coordinates fill %d of %d flat slots", strat, tables*rows, len(seen), slots)
 		}
 	}
 }

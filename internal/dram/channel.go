@@ -57,7 +57,6 @@ type rankState struct {
 type channel struct {
 	timing Timing
 	geom   addrmap.Geometry
-	policy RowPolicy
 
 	ranks []*rankState
 	queue []queued
@@ -410,20 +409,8 @@ func (ch *channel) run(reqs []queuedReq, window int) {
 				bestIdx, bestKind, bestAt, bestScore = i, kind, at, score
 			}
 		}
-		q := &ch.queue[bestIdx]
-		addr := q.addr
-		if done := ch.issue(q, bestKind, bestAt); done {
+		if done := ch.issue(&ch.queue[bestIdx], bestKind, bestAt); done {
 			ch.queue = append(ch.queue[:bestIdx], ch.queue[bestIdx+1:]...)
-			// Closed-row policy: auto-precharge after the column command
-			// unless another queued request still hits this row.
-			if ch.policy == PolicyClosedRow && !ch.pendingHit(addr) {
-				bk := ch.bank(addr)
-				bk.openRow = -1
-				if v := bk.nextPRE + int64(ch.timing.RP); v > bk.nextACT {
-					bk.nextACT = v
-				}
-				ch.stats.Precharges++
-			}
 		}
 	}
 	// Account for the tail of the last data burst.
@@ -431,20 +418,6 @@ func (ch *channel) run(reqs []queuedReq, window int) {
 		ch.now = ch.busFreeAt
 	}
 	ch.stats.Cycles = ch.now
-}
-
-// pendingHit reports whether any queued request hits the open row of the
-// bank at a.
-func (ch *channel) pendingHit(a addrmap.Addr) bool {
-	bk := ch.bank(a)
-	for i := range ch.queue {
-		q := &ch.queue[i]
-		if q.addr.Rank == a.Rank && q.addr.BankGroup == a.BankGroup &&
-			q.addr.Bank == a.Bank && q.addr.Row == bk.openRow {
-			return true
-		}
-	}
-	return false
 }
 
 // recordHit classifies a completing request as a row hit or miss.

@@ -210,38 +210,6 @@ func BenchmarkSequentialRead(b *testing.B) {
 	}
 }
 
-func TestRowPolicyTradeoff(t *testing.T) {
-	// Closed-row auto-precharge must beat (or at least match) open-row on
-	// single-shot random traffic, and must not beat it on streaming
-	// traffic where row hits dominate.
-	rng := rand.New(rand.NewSource(17))
-	open := NewSystem(addrmap.CPUBaseline(1, 1, 1<<14), DDR43200())
-	closed := open.WithPolicy(PolicyClosedRow)
-	capBytes := open.Scheme.Geom.TotalBytes()
-	random := make([]Request, reqCount(t, 15000))
-	for i := range random {
-		random[i] = Request{Phys: (rng.Uint64() % (capBytes / 64)) * 64}
-	}
-	randOpen := open.Run(random).BandwidthGBs(open.Timing)
-	randClosed := closed.Run(random).BandwidthGBs(closed.Timing)
-	if randClosed < randOpen*0.95 {
-		t.Fatalf("closed-row random %.1f GB/s much worse than open-row %.1f", randClosed, randOpen)
-	}
-	seq := sequential(reqCount(t, 15000), false)
-	seqOpen := open.Run(seq).BandwidthGBs(open.Timing)
-	seqClosed := closed.Run(seq).BandwidthGBs(closed.Timing)
-	if seqClosed > seqOpen*1.05 {
-		t.Fatalf("closed-row streaming %.1f GB/s should not beat open-row %.1f", seqClosed, seqOpen)
-	}
-	// The pending-hit guard must keep streaming near peak even when closed.
-	if seqClosed < seqOpen*0.8 {
-		t.Fatalf("closed-row streaming collapsed: %.1f vs %.1f GB/s", seqClosed, seqOpen)
-	}
-	if PolicyClosedRow.String() != "closed-row" || PolicyOpenRow.String() != "open-row" {
-		t.Fatal("RowPolicy.String misbehaves")
-	}
-}
-
 func TestBankGroupCCDLVisible(t *testing.T) {
 	// DDR4 timing fidelity: back-to-back column bursts inside one bank
 	// group are spaced by tCCD_L (8 > BL), so a stream pinned to a single

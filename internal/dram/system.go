@@ -11,25 +11,6 @@ import (
 // write buffer), sized like a contemporary server memory controller.
 const DefaultWindow = 64
 
-// RowPolicy selects the controller's page policy.
-type RowPolicy int
-
-// Page policies: open-row keeps the activated row latched for later hits
-// (best for streaming); closed-row auto-precharges after a column command
-// when no queued request still hits the row (hides tRP for random traffic).
-const (
-	PolicyOpenRow RowPolicy = iota
-	PolicyClosedRow
-)
-
-// String implements fmt.Stringer.
-func (p RowPolicy) String() string {
-	if p == PolicyClosedRow {
-		return "closed-row"
-	}
-	return "open-row"
-}
-
 // System is a complete multi-channel memory system: an address-mapping
 // scheme plus one controller per channel. DDR4 channels share nothing, so
 // they are simulated independently and concurrently.
@@ -37,19 +18,11 @@ type System struct {
 	Scheme *addrmap.Scheme
 	Timing Timing
 	Window int
-	Policy RowPolicy
 }
 
 // NewSystem builds a system over the given mapping scheme.
 func NewSystem(scheme *addrmap.Scheme, timing Timing) *System {
 	return &System{Scheme: scheme, Timing: timing, Window: DefaultWindow}
-}
-
-// WithPolicy returns a copy of the system using the given page policy.
-func (s *System) WithPolicy(p RowPolicy) *System {
-	c := *s
-	c.Policy = p
-	return &c
 }
 
 // PeakGBs returns the aggregate theoretical peak bandwidth.
@@ -73,7 +46,6 @@ func (s *System) RunPhases(phases [][]Request) Result {
 	chans := make([]*channel, nch)
 	for i := range chans {
 		chans[i] = newChannel(s.Timing, s.Scheme.Geom)
-		chans[i].policy = s.Policy
 	}
 
 	perChannel := make([][]queuedReq, nch)

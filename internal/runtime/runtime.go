@@ -29,17 +29,18 @@
 // and WaitGroup; RunEmbeddingInto writes the pooled result into a
 // caller-provided buffer. Together these make the steady-state embedding
 // path — expansion, compilation, broadcast, execution, read-back — free of
-// heap allocations (see ARCHITECTURE.md, "Memory discipline"). Each table
-// also carries one preallocated scatter job, so a single-table update
-// allocates nothing either.
+// heap allocations (see ARCHITECTURE.md, "Memory discipline"). The update
+// lane's scratch is preallocated too, so an update allocates nothing either.
 //
-// Online updates. ApplyUpdates programs the SCATTER_ADD extension over the
-// same lane partitioning: gradient rows are staged into a lane's gather
-// scratch, expanded stripe indices into its index region, and the NMP cores
-// accumulate them into the resident table. Distinct tables update
-// concurrently (disjoint row-ranges commute); updates to one table are
-// serialized by a per-table lock, because float accumulation order is part
-// of the bit-identity contract with the write-through golden tables.
+// Online updates. ApplyUpdates programs the SCATTER_ADD extension on the
+// deployment's one update lane, on the caller's goroutine: gradient rows are
+// staged into the lane's staging buffer, expanded stripe indices into its
+// index region, and the NMP cores accumulate them into the resident table.
+// One update lock orders every write of the deployment (updates and
+// restores) in slice order, because float accumulation order is part of the
+// bit-identity contract with the write-through golden tables. Tables inside
+// one multi-table batch therefore scatter one after another, not
+// concurrently.
 package runtime
 
 import (
@@ -71,24 +72,14 @@ type scratchLane struct {
 	prog  isa.Program
 }
 
-// jobKind selects what a lane worker does with a job.
-type jobKind int
-
-const (
-	jobGather  jobKind = iota // one table's GATHER/REDUCE stage of a batch
-	jobScatter                // one table's SCATTER_ADD update
-)
-
-// laneJob is one unit of work handed to a lane worker. Gather jobs live in
-// a slot's preallocated job array and scatter jobs in their table's
-// tableScatter, so neither allocates per batch or per update.
+// laneJob is one table's GATHER/REDUCE stage of a batch, handed to a lane
+// worker. Jobs live in a slot's preallocated job array, so none allocates
+// per batch.
 type laneJob struct {
-	kind  jobKind
-	t     int   // gather: target table
-	rows  []int // gather: the table's row indices
-	batch int   // gather: batch size
+	t     int   // target table
+	rows  []int // the table's row indices
+	batch int
 	out   uint64
-	up    TableUpdate // scatter: the update to apply
 	wg    *sync.WaitGroup
 	err   error
 }
@@ -102,19 +93,12 @@ type slotScratch struct {
 	jobs []laneJob
 }
 
-// tableScatter is a table's one preallocated scatter job and the WaitGroup
-// it signals. It is used only under the table's update lock, which makes
-// the holder of that lock its sole owner.
-type tableScatter struct {
-	wg  sync.WaitGroup
-	job laneJob
-}
-
 // Deployment is a recommender model resident in a TensorNode pool.
 //
-// RunEmbeddingInto, Infer and ApplyUpdates are safe for concurrent use; the
-// number of concurrent batches in flight is bounded by the deployment's
-// slots and the per-table parallelism within a batch by its lanes.
+// RunEmbeddingInto, Infer, ApplyUpdates and RestoreRows are safe for
+// concurrent use; the number of concurrent batches in flight is bounded by
+// the deployment's slots and the per-table parallelism within a batch by its
+// lanes. Writes run one at a time on the update lane, under the update lock.
 type Deployment struct {
 	// Model is the deployed recommender (golden tables plus MLP).
 	Model *recsys.Model
@@ -132,13 +116,14 @@ type Deployment struct {
 	freeSlot chan int
 	work     chan *laneJob // feeds the persistent lane workers
 
-	// tableMu serializes SCATTER_ADD updates per table row-range: updates
-	// to the same table apply in submission order (float accumulation is
-	// not associative, so order is part of the bit-identity contract with
-	// the golden model), while updates to disjoint tables proceed
-	// concurrently on separate scratch lanes.
-	tableMu []sync.Mutex
-	scatter []tableScatter // one per table, guarded by tableMu
+	// updMu serializes every write (ApplyUpdates, RestoreRows): writes
+	// apply in lock order, and within a call in slice order (float
+	// accumulation is not associative, so order is part of the
+	// bit-identity contract with the golden model). It also makes the
+	// holder the sole user of upd, the update lane: an index region and
+	// one staging buffer (gatherBase[0]) of maxBatch x reduction rows.
+	updMu sync.Mutex
+	upd   *scratchLane
 
 	// relMu guards the released flag against the in-flight counter so
 	// Release can wait for every running execution before closing the lane
@@ -174,7 +159,9 @@ func Deploy(m *recsys.Model, nd *node.Node, maxBatch int) (*Deployment, error) {
 // how many batches can execute at once (one pooled-output region each) and
 // lanes bounds how many per-table programs can be in flight across those
 // batches (one index region plus two gather buffers each). A serving setup
-// typically uses slots = worker count and lanes = slots x tables.
+// typically uses slots = worker count and lanes = slots x tables. Next to
+// the lanes it reserves the update lane: one index region and one staging
+// buffer the size of a gather buffer.
 func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int) (*Deployment, error) {
 	cfg := m.Cfg
 	embBytes := int(cfg.EmbBytes())
@@ -196,11 +183,6 @@ func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int
 		geom:     wire.Geometry{Tables: cfg.Tables, Reduction: cfg.Reduction, Dim: cfg.EmbDim, TableRows: cfg.TableRows, MaxBatch: maxBatch},
 		freeSlot: make(chan int, slots),
 		work:     make(chan *laneJob, slots*cfg.Tables),
-		tableMu:  make([]sync.Mutex, cfg.Tables),
-		scatter:  make([]tableScatter, cfg.Tables),
-	}
-	for t := range d.scatter {
-		d.scatter[t].job = laneJob{kind: jobScatter, wg: &d.scatter[t].wg}
 	}
 
 	// Upload tables.
@@ -249,6 +231,11 @@ func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int
 		}
 		d.lanes = append(d.lanes, ln)
 	}
+	stage, err := nd.Alloc(gatherBytes)
+	if err != nil {
+		return nil, fmt.Errorf("runtime: alloc update staging: %w", err)
+	}
+	d.upd = &scratchLane{idxBase: nd.ReserveIndexRegion(idxBytes), gatherBase: [2]uint64{stage}, idx: make([]int32, 0, idxCap)}
 	outBytes := uint64(cfg.Tables) * (uint64(maxBatch)*uint64(embBytes) + padSlack)
 	d.slots = make([]slotScratch, slots)
 	for s := 0; s < slots; s++ {
@@ -276,20 +263,16 @@ func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int
 // closes the channel.
 func (d *Deployment) laneWorker(ln *scratchLane) {
 	for j := range d.work {
-		switch j.kind {
-		case jobGather:
-			j.err = d.runTable(ln, j.out, j.t, j.rows, j.batch)
-		case jobScatter:
-			j.err = d.scatterTable(ln, j.up)
-		}
+		j.err = d.runTable(ln, j.out, j.t, j.rows, j.batch)
 		j.wg.Done()
 	}
 }
 
 // Release frees all pool allocations of the deployment and returns every
-// lane's index region to the node. It is idempotent:
-// releasing an already-released deployment is a no-op, so shutdown paths
-// (server close, deferred cleanup) can release unconditionally.
+// lane's index region, the update lane's included, to the node. It is
+// idempotent: releasing an already-released deployment is a no-op, so
+// shutdown paths (server close, deferred cleanup) can release
+// unconditionally.
 func (d *Deployment) Release() error {
 	d.relMu.Lock()
 	defer d.relMu.Unlock()
@@ -316,6 +299,8 @@ func (d *Deployment) Release() error {
 		keep(d.Node.Free(ln.gatherBase[1]))
 		keep(d.Node.ReleaseIndexRegion(ln.idxBase))
 	}
+	keep(d.Node.Free(d.upd.gatherBase[0]))
+	keep(d.Node.ReleaseIndexRegion(d.upd.idxBase))
 	for _, b := range d.outBase {
 		keep(d.Node.Free(b))
 	}
@@ -331,7 +316,8 @@ func (d *Deployment) MaxBatch() int { return d.geom.MaxBatch }
 // Slots returns how many batches can execute concurrently.
 func (d *Deployment) Slots() int { return len(d.outBase) }
 
-// Lanes returns how many per-table programs can be in flight at once.
+// Lanes returns how many per-table programs can be in flight at once. The
+// update lane is not counted: it runs writes only.
 func (d *Deployment) Lanes() int { return len(d.lanes) }
 
 // ExpandIndicesInto expands logical row indices into stripe indices for
@@ -374,20 +360,6 @@ func ExpandIndicesInto(dst []int32, rows []int, reduction, stripes int) []int32 
 		dst = append(dst, pad)
 	}
 	return dst
-}
-
-// CompileTable builds the TensorISA program for one table's embedding stage
-// of a batch against the deployment's first scratch lane and output slot.
-// It exists for inspection and tests; executions go through
-// RunEmbeddingInto, which compiles against whichever lane and slot it
-// acquired. The compile runs on a private host scratch, so it never races
-// the lane workers.
-func (d *Deployment) CompileTable(t int, rows []int, batch int) (isa.Program, []int32, error) {
-	if r := d.Model.Cfg.Reduction; len(rows) != batch*r {
-		return nil, nil, fmt.Errorf("runtime: table %d: %d rows for batch %d x reduction %d", t, len(rows), batch, r)
-	}
-	ln := &scratchLane{idxBase: d.lanes[0].idxBase, gatherBase: d.lanes[0].gatherBase}
-	return d.compileTable(t, rows, batch, ln, d.outBase[0])
 }
 
 // compileTable builds one table's program against an explicit scratch lane
@@ -507,7 +479,7 @@ func (d *Deployment) RunEmbeddingInto(dst []float32, perTableRows [][]int, batch
 	sc.wg.Add(cfg.Tables)
 	for t := 0; t < cfg.Tables; t++ {
 		j := &sc.jobs[t]
-		j.kind, j.t, j.rows, j.batch, j.out, j.err = jobGather, t, perTableRows[t], batch, out, nil
+		j.t, j.rows, j.batch, j.out, j.err = t, perTableRows[t], batch, out, nil
 		d.work <- j
 	}
 	sc.wg.Wait()
@@ -590,14 +562,14 @@ func CheckUpdates(ups []TableUpdate, g wire.Geometry) error {
 // whole batch is validated before anything executes, so an invalid entry
 // leaves every table untouched.
 //
-// Concurrency and ordering. Updates to distinct tables fan out across the
-// deployment's scratch lanes and execute concurrently — tables occupy
-// disjoint row-ranges of the pool, so they commute. Updates to the same
-// table are serialized (in slice order within one call, and in lock
-// acquisition order across concurrent calls): float accumulation is not
-// associative, so per-row-range ordering is what keeps the node table
-// bit-identical to the write-through golden table, which is updated under
-// the same per-table lock.
+// Concurrency and ordering. The batch runs on the caller's goroutine, on
+// the deployment's update lane, under the update lock: entries apply in
+// slice order, and concurrent calls in lock acquisition order. Slice order
+// is a total order containing every per-table order, and float
+// accumulation is not associative, so this is what keeps each node table
+// bit-identical to its write-through golden table, which is updated under
+// the same lock right after each entry's SCATTER_ADD. Entries for distinct
+// tables therefore apply one after another, not concurrently.
 //
 // An update races with concurrent inferences reading the same table —
 // exactly as asynchronous training against a live serving replica would.
@@ -609,7 +581,8 @@ func CheckUpdates(ups []TableUpdate, g wire.Geometry) error {
 // first.
 func (d *Deployment) ApplyUpdates(ups []TableUpdate) error {
 	// The cap of maxBatch x reduction rows per entry also keeps scatterTable's
-	// padded stripes within the lane scratch (idxCap, the gather slack).
+	// padded stripes within the update lane's scratch (idxCap, the gather
+	// slack).
 	if err := CheckUpdates(ups, d.geom); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
@@ -617,28 +590,13 @@ func (d *Deployment) ApplyUpdates(ups []TableUpdate) error {
 		return err
 	}
 	defer d.inflight.Done()
-
-	// A batch touching one table — every update the serving fleet's writers
-	// issue — has nothing to group or fan out: it runs on the caller's
-	// goroutine and allocates nothing.
-	if oneTable(ups) {
-		return d.applyTableGroup(ups[0].Table, ups)
-	}
-	order, groups := GroupUpdatesByTable(ups)
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for gi, t := range order {
-		wg.Add(1)
-		go func(gi, t int) {
-			defer wg.Done()
-			errs[gi] = d.applyTableGroup(t, groups[t])
-		}(gi, t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	d.updMu.Lock()
+	defer d.updMu.Unlock()
+	for _, up := range ups {
+		if err := d.scatterTable(up); err != nil {
 			return err
 		}
+		AccumulateGolden(d.Model.Embedding.Tables[up.Table], up)
 	}
 	return nil
 }
@@ -649,7 +607,9 @@ func (d *Deployment) ApplyUpdates(ups []TableUpdate) error {
 // durability plane: unlike ApplyUpdates it does not accumulate, so it can
 // reseat a replica from a full-table snapshot without replaying the update
 // history that produced it. Rows are written in slice order under the
-// table's update lock, serializing against in-flight SCATTER_ADDs.
+// deployment's update lock, so a restore never lands inside an
+// ApplyUpdates batch. It does not exclude concurrent reads: a caller
+// serving reads holds its own barrier against gathers (serve.Server.Restore).
 func (d *Deployment) RestoreRows(t int, rows []int, vals []float32) error {
 	cfg := d.Model.Cfg
 	if err := d.geom.CheckRows(t, rows, len(vals)); err != nil {
@@ -661,8 +621,8 @@ func (d *Deployment) RestoreRows(t int, rows []int, vals []float32) error {
 	}
 	defer d.inflight.Done()
 	embBytes := uint64(cfg.EmbBytes())
-	d.tableMu[t].Lock()
-	defer d.tableMu[t].Unlock()
+	d.updMu.Lock()
+	defer d.updMu.Unlock()
 	for i, r := range rows {
 		src := vals[i*cfg.EmbDim : (i+1)*cfg.EmbDim]
 		if err := d.Node.WriteFloats(d.tableBase[t]+uint64(r)*embBytes, src); err != nil {
@@ -671,24 +631,6 @@ func (d *Deployment) RestoreRows(t int, rows []int, vals []float32) error {
 		copy(tb.Row(r), src)
 	}
 	return nil
-}
-
-// GroupUpdatesByTable splits an update batch into per-table groups,
-// preserving slice order within each table, and returns the tables in
-// first-appearance order. It is the single authoritative grouping for the
-// write path — the runtime and the cluster router both use it, so their
-// per-table orderings (part of the golden bit-identity contract) can
-// never diverge.
-func GroupUpdatesByTable(ups []TableUpdate) ([]int, map[int][]TableUpdate) {
-	groups := make(map[int][]TableUpdate)
-	order := make([]int, 0, len(ups))
-	for _, up := range ups {
-		if _, seen := groups[up.Table]; !seen {
-			order = append(order, up.Table)
-		}
-		groups[up.Table] = append(groups[up.Table], up)
-	}
-	return order, groups
 }
 
 // AccumulateGolden applies one update to a host-side golden table in slice
@@ -706,51 +648,18 @@ func AccumulateGolden(table *embed.Table, up TableUpdate) {
 	}
 }
 
-// oneTable reports whether a non-empty batch targets a single table.
-func oneTable(ups []TableUpdate) bool {
-	for _, up := range ups {
-		if up.Table != ups[0].Table {
-			return false
-		}
-	}
-	return len(ups) > 0
-}
-
-// applyTableGroup applies one table's updates in slice order under that
-// table's update lock, stopping at the first failure.
-func (d *Deployment) applyTableGroup(t int, group []TableUpdate) error {
-	d.tableMu[t].Lock()
-	defer d.tableMu[t].Unlock()
-	sc := &d.scatter[t]
-	for _, up := range group {
-		// Scatter through a lane worker: the worker stages the gradients
-		// and indices on its own lane, so concurrent table groups use
-		// disjoint scratch. The job drops the update once it is done, so
-		// the deployment never holds on to the caller's rows or gradients.
-		sc.job.up, sc.job.err = up, nil
-		sc.wg.Add(1)
-		d.work <- &sc.job
-		sc.wg.Wait()
-		err := sc.job.err
-		sc.job.up = TableUpdate{}
-		if err != nil {
-			return err
-		}
-		AccumulateGolden(d.Model.Embedding.Tables[t], up)
-	}
-	return nil
-}
-
 // zeroLanes is one index block's worth of zero gradient elements, used to
 // neutralize SCATTER_ADD padding without a per-update allocation.
 var zeroLanes [isa.LanesPerBlock]float32
 
-// scatterTable stages one validated table update into a scratch lane and
-// executes its SCATTER_ADD program: gradients into the lane's gather
-// scratch (the NVLink copy a training step would perform), expanded stripe
+// scatterTable stages one validated table update into the update lane and
+// executes its SCATTER_ADD program: gradients into the lane's staging
+// buffer (the NVLink copy a training step would perform), expanded stripe
 // indices into the lane's index region, then one near-memory accumulate.
-func (d *Deployment) scatterTable(ln *scratchLane, up TableUpdate) error {
-	// Stage gradients into the lane's gather scratch, row-major.
+// The caller holds updMu.
+func (d *Deployment) scatterTable(up TableUpdate) error {
+	ln := d.upd
+	// Stage gradients into the lane's staging buffer, row-major.
 	embBytes := uint64(d.Model.Cfg.EmbBytes())
 	for i := 0; i < len(up.Rows); i++ {
 		if err := d.Node.WriteFloats(ln.gatherBase[0]+uint64(i)*embBytes, up.Grads.Row(i)); err != nil {

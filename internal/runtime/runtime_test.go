@@ -184,9 +184,6 @@ func TestBatchLimits(t *testing.T) {
 	if _, err := embedTensor(d, [][]int{{1, 2}, {3, 4}}, 1); err == nil {
 		t.Fatal("want table-count error")
 	}
-	if _, _, err := d.CompileTable(0, []int{1, 2, 3}, 1); err == nil {
-		t.Fatal("want row-count error")
-	}
 }
 
 // TestRunEmbeddingRejectsOutOfRangeRows pins the runtime's read check: the
@@ -284,8 +281,23 @@ func TestDeployReleaseCyclesKeepIndexRegionFlat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cycle %d: %v", cycle, err)
 		}
-		// Every lane loads an index list at least once.
-		for i := 0; i < 4; i++ {
+		// Every lane loads an index list at least once. Which worker takes
+		// a table is up to the scheduler, so read until each lane's host
+		// index scratch is filled (RunEmbeddingInto's wait orders the
+		// workers' writes before this check).
+		for reads := 0; ; reads++ {
+			used := 0
+			for _, ln := range d.lanes {
+				if len(ln.idx) > 0 {
+					used++
+				}
+			}
+			if used == len(d.lanes) {
+				break
+			}
+			if reads == 10000 {
+				t.Fatalf("cycle %d: %d of %d lanes ran a table in %d reads", cycle, used, len(d.lanes), reads)
+			}
 			if _, err := embedTensor(d, rows, 2); err != nil {
 				t.Fatalf("cycle %d: %v", cycle, err)
 			}

@@ -173,7 +173,7 @@ func TestApplyUpdatesConcurrentDisjointTables(t *testing.T) {
 
 	// One updater goroutine per table: per-table order is deterministic, so
 	// the final state must match the golden accumulation exactly even though
-	// tables update concurrently.
+	// the updaters call concurrently.
 	const steps = 5
 	perTable := make([][]TableUpdate, cfg.Tables)
 	for tb := 0; tb < cfg.Tables; tb++ {

@@ -179,19 +179,13 @@ type Server struct {
 	closeDone chan struct{}
 	closeErr  error
 
-	// upMu serializes update application across workers and against
-	// Restore: one merged batch's updates apply as a contiguous run in
-	// arrival order, and a Restore never lands between two of them. The
-	// deployment's per-table locks order each update alone; upMu orders the
-	// batch.
-	upMu sync.Mutex
-
 	// tblMu guards table memory against Restore: merged-batch gathers hold
 	// it shared, Restore holds it exclusively. Updates need no share — their
 	// scatter-adds are NMP instructions and serialize with gathers on each
 	// core's mutex — but Restore writes table rows directly (WriteFloats
 	// bypasses the cores by design; see Restore) and would otherwise tear
-	// rows under a concurrent gather.
+	// rows under a concurrent gather. Writes are ordered against each other
+	// by the deployment's own update lock, not here.
 	tblMu sync.RWMutex
 
 	started time.Time
@@ -301,7 +295,9 @@ func Deploy(m *recsys.Model, dimms int, cfg Config) (*Server, error) {
 // perDIMMBytes sizes one DIMM of a node for what runtime.DeployConcurrent
 // reserves for a model at maxBatch: the tables, two gather buffers per
 // lane, one output region per slot, padding slack on each buffer, a stripe
-// of alignment margin per allocation, and 50% headroom.
+// of alignment margin per allocation, and 50% headroom. The deployment's
+// update lane (one staging buffer the size of a gather buffer) is not
+// counted: the headroom, at least one lane's two gather buffers, holds it.
 func perDIMMBytes(mc recsys.Config, dimms, maxBatch, slots, lanes int) uint64 {
 	emb := uint64(mc.EmbBytes())
 	stripe := uint64(dimms) * isa.BlockBytes
@@ -577,11 +573,10 @@ func (s *Server) reply(r *request) {
 	r.done <- nil
 }
 
-// applyUpdates applies a merged batch's update requests in arrival order
-// under the server-wide update lock, replying to each.
+// applyUpdates applies a merged batch's update requests in arrival order,
+// replying to each. The deployment orders each request against every other
+// write (runtime.Deployment.ApplyUpdates).
 func (s *Server) applyUpdates(reqs []*request) {
-	s.upMu.Lock()
-	defer s.upMu.Unlock()
 	for _, r := range reqs {
 		if err := s.dep.ApplyUpdates(r.updates); err != nil {
 			s.failures.Add(1)
@@ -602,11 +597,11 @@ func (s *Server) applyUpdates(reqs []*request) {
 // the deployment's node table and its golden model — the serving-side half
 // of a durable snapshot install. It bypasses the micro-batching queue:
 // restores are a cold recovery path that must not contend with live
-// traffic for batch slots. It holds the server-wide update lock, so it
-// never lands inside a merged batch's run of updates. Safe for concurrent
-// use with reads and updates: the table barrier (tblMu) excludes in-flight
-// gathers while rows are overwritten, so a read-only router hitting this
-// replica mid-restore can never observe a torn row.
+// traffic for batch slots. The deployment orders it against every update
+// (runtime.Deployment.RestoreRows). Safe for concurrent use with reads and
+// updates: the table barrier (tblMu) excludes in-flight gathers while rows
+// are overwritten, so a read-only router hitting this replica mid-restore
+// can never observe a torn row.
 func (s *Server) Restore(table int, rows []int, vals []float32) error {
 	if err := s.geom.CheckRows(table, rows, len(vals)); err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
@@ -617,8 +612,6 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 		return fmt.Errorf("serve: server is closed")
 	}
 	s.mu.Unlock()
-	s.upMu.Lock()
-	defer s.upMu.Unlock()
 	s.tblMu.Lock()
 	defer s.tblMu.Unlock()
 	if err := s.dep.RestoreRows(table, rows, vals); err != nil {

@@ -111,35 +111,48 @@ func TestServeZeroAlloc(t *testing.T) {
 }
 
 // TestServeUpdateZeroAlloc pins the steady-state write path — Update with
-// caller-owned rows and gradients, 4 concurrent writers of 8-row single-table
-// updates — to 0 allocs/op at both levels: a direct Deployment.ApplyUpdates
-// (no grouping, the table's preallocated scatter job) and Update on top of
-// it (queueing, batching, the apply under the server-wide update lock and
-// the reply).
+// caller-owned rows and gradients, 4 concurrent writers of 8-row updates —
+// to 0 allocs/op at both levels: a direct Deployment.ApplyUpdates (on the
+// caller's goroutine, the deployment's update lane) and Update on top of it
+// (queueing, batching, the apply and the reply). Each feed is one input: a
+// batch of one table's rows, and a batch with one entry on each of two
+// tables.
 func TestServeUpdateZeroAlloc(t *testing.T) {
 	const clients, rows = 4, 8
-	srv, cfg := allocPinServer(t)
-	gen, err := workload.NewZipfGenerator(cfg.TableRows, 0.9, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feed := make([][]runtime.TableUpdate, 64)
-	for i := range feed {
-		grads := tensor.New(rows, cfg.EmbDim)
-		grads.Fill(0.001)
-		feed[i] = []runtime.TableUpdate{{Table: i % cfg.Tables, Rows: gen.Indices(rows), Grads: grads}}
-	}
-	cursors := make([]int, clients)
-	next := func(c int) []runtime.TableUpdate {
-		cursors[c]++
-		return feed[(c+cursors[c]*clients)%len(feed)]
-	}
-	below := allocsPerOp(t, clients, 400, func(c int) error { return srv.dep.ApplyUpdates(next(c)) })
-	if below != 0 {
-		t.Fatalf("steady-state single-table ApplyUpdates allocates %d times per op, want 0", below)
-	}
-	got := allocsPerOp(t, clients, 400, func(c int) error { return srv.Update(next(c)) })
-	if got != 0 {
-		t.Fatalf("steady-state Update allocates %d times per op, want 0", got)
+	for _, tc := range []struct {
+		name   string
+		tables int // entries per batch, each on its own table
+	}{
+		{"single-table", 1},
+		{"two-table", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, cfg := allocPinServer(t)
+			gen, err := workload.NewZipfGenerator(cfg.TableRows, 0.9, 11)
+			if err != nil {
+				t.Fatal(err)
+			}
+			feed := make([][]runtime.TableUpdate, 64)
+			for i := range feed {
+				for e := 0; e < tc.tables; e++ {
+					grads := tensor.New(rows, cfg.EmbDim)
+					grads.Fill(0.001)
+					feed[i] = append(feed[i], runtime.TableUpdate{Table: (i + e) % cfg.Tables, Rows: gen.Indices(rows), Grads: grads})
+				}
+			}
+			cursors := make([]int, clients)
+			next := func(c int) []runtime.TableUpdate {
+				cursors[c]++
+				return feed[(c+cursors[c]*clients)%len(feed)]
+			}
+			below := allocsPerOp(t, clients, 400, func(c int) error { return srv.dep.ApplyUpdates(next(c)) })
+			if below != 0 {
+				t.Fatalf("steady-state %s ApplyUpdates allocates %d times per op, want 0", tc.name, below)
+			}
+			got := allocsPerOp(t, clients, 400, func(c int) error { return srv.Update(next(c)) })
+			if got != 0 {
+				t.Fatalf("steady-state %s Update allocates %d times per op, want 0", tc.name, got)
+			}
+		})
 	}
 }

@@ -73,15 +73,6 @@ var bounds = func() [HistBuckets]float64 {
 	return b
 }()
 
-// BucketBounds returns a copy of the histogram bucket upper bounds in
-// seconds — the geometry SnapshotVersion pins, for tools that post-process
-// snapshot counts.
-func BucketBounds() []float64 {
-	out := make([]float64, HistBuckets)
-	copy(out, bounds[:])
-	return out
-}
-
 // Label is one name=value dimension of a series (e.g. shard="0"). Series
 // identity is the metric name plus the rendered label string, in the
 // order given — registrants of the same metric must use one label order.

@@ -117,7 +117,7 @@ func TestHistogramEdgeCases(t *testing.T) {
 	if hs.Quantile(1) > hs.Max || hs.Quantile(0) < hs.Min {
 		t.Fatalf("quantile escaped [min,max]")
 	}
-	bb := BucketBounds()
+	bb := bounds
 	if len(bb) != HistBuckets || bb[0] != HistBase {
 		t.Fatalf("bucket bounds: len %d first %v", len(bb), bb[0])
 	}
