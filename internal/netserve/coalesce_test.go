@@ -33,6 +33,16 @@ func coalesceModelCfg() recsys.Config {
 // model the cluster was built from.
 func startClusterServer(t *testing.T, strat cluster.Strategy, cfg netserve.Config) (*recsys.Model, *netserve.Server, string) {
 	t.Helper()
+	m, c := clusterBackend(t, strat)
+	srv, addr := startServer(t, netserve.ClusterBackend(c), cfg)
+	return m, srv, addr
+}
+
+// clusterBackend builds the coalescing-test model on a real 2-shard
+// cluster with a hot-row cache, closed at cleanup after any
+// netserve.Server registered later.
+func clusterBackend(t *testing.T, strat cluster.Strategy) (*recsys.Model, *cluster.Cluster) {
+	t.Helper()
 	m, err := recsys.Build(coalesceModelCfg(), 42)
 	if err != nil {
 		t.Fatal(err)
@@ -45,8 +55,7 @@ func startClusterServer(t *testing.T, strat cluster.Strategy, cfg netserve.Confi
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	srv, addr := startServer(t, netserve.ClusterBackend(c), cfg)
-	return m, srv, addr
+	return m, c
 }
 
 // randBatchRows draws one embed request against the real-model geometry.
@@ -270,43 +279,79 @@ func TestBatchSplitBitIdenticalToUnbatched(t *testing.T) {
 
 // TestBatchDrainCompletesSubRequests pins graceful drain for coalesced
 // requests: every sub-request of a BATCH in flight when Close begins is
-// answered before the connection dies — none are silently dropped.
+// answered before the connection dies — none are silently dropped. A
+// gated stub holds every sub-request in the executor pool until the drain
+// has begun. The in-process backends run the reads on the connection's
+// reader and cannot be held, so Close starts as soon as all of them are
+// admitted, with the reads still in flight or already answered.
 func TestBatchDrainCompletesSubRequests(t *testing.T) {
 	const k = 4
-	b := newStub()
-	b.entered = make(chan struct{}, k)
-	b.release = make(chan struct{})
-	srv, addr := startServer(t, b, netserve.Config{})
-	nc, _ := rawDial(t, addr)
-	g := srv.Geometry()
+	for _, tc := range []struct {
+		name string
+		// backend returns the backend under test and, when it is a gated
+		// stub, the stub.
+		backend func(t *testing.T) (netserve.Backend, *stubBackend)
+	}{
+		{"pool", func(*testing.T) (netserve.Backend, *stubBackend) {
+			b := newStub()
+			b.entered = make(chan struct{}, k)
+			b.release = make(chan struct{})
+			return b, b
+		}},
+		{"reader-serve", func(t *testing.T) (netserve.Backend, *stubBackend) {
+			_, ss := serveBackend(t)
+			return netserve.ServerBackend(ss), nil
+		}},
+		{"reader-cluster", func(t *testing.T) (netserve.Backend, *stubBackend) {
+			_, c := clusterBackend(t, cluster.TableWise)
+			return netserve.ClusterBackend(c), nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, gated := tc.backend(t)
+			srv, addr := startServer(t, b, netserve.Config{})
+			nc, _ := rawDial(t, addr)
+			g := srv.Geometry()
 
-	frames := make([][]byte, k)
-	for i := range frames {
-		frames[i] = wire.AppendEmbed(nil, uint64(i+1), 0, reqRows(g, 1, i), 1, g.Reduction)
-	}
-	if _, err := nc.Write(wire.AppendBatch(nil, 9, frames...)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < k; i++ {
-		<-b.entered // every sub-request is executing in the backend
-	}
+			frames := make([][]byte, k)
+			for i := range frames {
+				frames[i] = wire.AppendEmbed(nil, uint64(i+1), 0, reqRows(g, 1, i), 1, g.Reduction)
+			}
+			if _, err := nc.Write(wire.AppendBatch(nil, 9, frames...)); err != nil {
+				t.Fatal(err)
+			}
+			if gated != nil {
+				for i := 0; i < k; i++ {
+					<-gated.entered // every sub-request is executing in the backend
+				}
+			} else {
+				// Every sub-request is admitted: answered, or in flight.
+				waitFor(t, 5*time.Second, func() bool {
+					m := srv.Metrics()
+					return m.Requests+uint64(m.Inflight) >= k
+				})
+			}
 
-	closeDone := make(chan struct{})
-	go func() { srv.Close(); close(closeDone) }()
-	select {
-	case <-closeDone:
-		t.Fatal("Close returned with BATCH sub-requests in flight")
-	case <-time.After(50 * time.Millisecond):
-	}
+			closeDone := make(chan struct{})
+			go func() { srv.Close(); close(closeDone) }()
+			if gated != nil {
+				select {
+				case <-closeDone:
+					t.Fatal("Close returned with BATCH sub-requests in flight")
+				case <-time.After(50 * time.Millisecond):
+				}
+				close(gated.release)
+			}
 
-	close(b.release)
-	resp := readEmbedResponses(t, nc, k)
-	for i := 1; i <= k; i++ {
-		if _, ok := resp[uint64(i)]; !ok {
-			t.Fatalf("sub-request %d of the in-flight BATCH was dropped during drain", i)
-		}
+			resp := readEmbedResponses(t, nc, k)
+			for i := 1; i <= k; i++ {
+				if _, ok := resp[uint64(i)]; !ok {
+					t.Fatalf("sub-request %d of the in-flight BATCH was dropped during drain", i)
+				}
+			}
+			<-closeDone
+		})
 	}
-	<-closeDone
 }
 
 // checkStubResponse decodes one single-sample EMBED_RESP payload and

@@ -132,115 +132,144 @@ func scanFrames(r io.Reader) map[uint64]scanned {
 
 // TestDrainRacesExpiringDeadline pins the graceful-drain x deadline
 // interleaving of "response owed vs. expired while waiting". With
-// MaxInflight 1 the executor pool is a single goroutine and a connection
-// holds 17 response credits. The test wedges one connection
+// MaxInflight 1 a connection holds 17 response credits (and the executor
+// pool is a single goroutine). The test wedges one connection
 // deterministically over net.Pipe: its writer is pinned mid-Write of a
-// pong (one byte read, twelve withheld), and one BATCH of pings uses up
-// the credits behind it, leaving the reader waiting for one with an embed
-// of 20ms budget still undispatched in that BATCH. A slow embed finishing
-// meanwhile must append its response without waiting on the wedged
-// writer, so the sole executor still serves another connection. The drain
-// must flush the owed response, shed the expired request with a typed
-// DEADLINE_EXCEEDED counted in Metrics.Expired, and still complete.
+// pong (one byte read, twelve withheld), an embed A owes its response
+// behind it, and one BATCH of pings uses up the credits left, leaving the
+// reader waiting for one with an embed of 20ms budget still undispatched
+// in that BATCH. On the pool, A is held in a gated stub and finishes only
+// once the connection is wedged: it must append its response without
+// waiting on the wedged writer, so the sole executor still serves another
+// connection. An in-process backend runs A on the reader, which appends
+// its response itself, and another connection's reader is served the same
+// way. The drain must flush the owed response, shed the expired request
+// with a typed DEADLINE_EXCEEDED counted in Metrics.Expired, and still
+// complete.
 func TestDrainRacesExpiringDeadline(t *testing.T) {
-	b := newStub()
-	b.entered = make(chan struct{}, 4)
-	b.release = make(chan struct{})
-	srv, l := startPipeServer(t, b, netserve.Config{MaxInflight: 1})
+	for _, tc := range []struct {
+		name string
+		// backend returns the backend under test, a hook that returns once
+		// A owes its response (nil: A is answered before the next frame is
+		// read), one that lets A finish (nil: it already has), and the
+		// count of embeds the backend ran.
+		backend func(t *testing.T) (b netserve.Backend, enteredA, releaseA func(), embeds func() int64)
+	}{
+		{"pool", func(*testing.T) (netserve.Backend, func(), func(), func() int64) {
+			b := newStub()
+			b.entered = make(chan struct{}, 4)
+			b.release = make(chan struct{})
+			return b, func() { <-b.entered }, func() { close(b.release) }, b.embeds.Load
+		}},
+		{"reader-serve", func(t *testing.T) (netserve.Backend, func(), func(), func() int64) {
+			_, ss := serveBackend(t)
+			return netserve.ServerBackend(ss), nil, nil, func() int64 { return int64(ss.Metrics().Requests) }
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, enteredA, releaseA, embeds := tc.backend(t)
+			srv, l := startPipeServer(t, b, netserve.Config{MaxInflight: 1})
+			conn1, h := l.dial(t)
+			g := h.Geom
 
-	// A on conn1: enters the sole executor and blocks in the backend.
-	conn1, h := l.dial(t)
-	g := h.Geom
-	conn1.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn1.Write(wire.AppendEmbed(nil, 1, 0, reqRows(g, 1, 1), 1, g.Reduction)); err != nil {
-		t.Fatal(err)
-	}
-	<-b.entered
+			// Pin conn1's writer mid-frame: send one ping, then consume
+			// exactly one byte of the 13-byte pong. The pipe write cannot
+			// complete until the remaining twelve are read, so the writer
+			// goroutine is provably wedged and returns no credit.
+			conn1.SetWriteDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn1.Write(wire.AppendFrame(nil, wire.OpPing, 101, nil)); err != nil {
+				t.Fatal(err)
+			}
+			conn1.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn1.Read(make([]byte, 1)); err != nil {
+				t.Fatal(err)
+			}
 
-	// Pin conn1's writer mid-frame: send one ping, then consume exactly
-	// one byte of the 13-byte pong. The pipe write cannot complete until
-	// the remaining twelve are read, so the writer goroutine is provably
-	// wedged and returns no credit.
-	if _, err := conn1.Write(wire.AppendFrame(nil, wire.OpPing, 101, nil)); err != nil {
-		t.Fatal(err)
-	}
-	conn1.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := conn1.Read(make([]byte, 1)); err != nil {
-		t.Fatal(err)
-	}
+			// A on conn1: it holds a credit until its response is flushed.
+			if _, err := conn1.Write(wire.AppendEmbed(nil, 1, 0, reqRows(g, 1, 1), 1, g.Reduction)); err != nil {
+				t.Fatal(err)
+			}
+			if enteredA != nil {
+				enteredA()
+			}
 
-	// A and the pinned pong hold 2 of the 17 credits; a BATCH of 17 more
-	// pings and B (an embed with a 20ms budget) gets 15 pings answered
-	// before the reader blocks on the 16th, so Pings reaching 16 is the
-	// stable, fully-wedged state, with B stamped as arrived.
-	subs := make([][]byte, 0, 18)
-	for id := uint64(102); id < 119; id++ {
-		subs = append(subs, wire.AppendFrame(nil, wire.OpPing, id, nil))
-	}
-	subs = append(subs, wire.AppendEmbed(nil, 2, 20_000, reqRows(g, 1, 2), 1, g.Reduction))
-	if _, err := conn1.Write(wire.AppendBatch(nil, 9, subs...)); err != nil {
-		t.Fatal(err)
-	}
-	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Pings != 16; {
-		if time.Now().After(deadline) {
-			t.Fatalf("connection never wedged: %+v", srv.Metrics())
-		}
-		time.Sleep(time.Millisecond)
-	}
+			// The pinned pong and A hold 2 of the 17 credits; a BATCH of 17
+			// more pings and B (an embed with a 20ms budget) gets 15 pings
+			// answered before the reader blocks on the 16th, so Pings
+			// reaching 16 is the stable, fully-wedged state, with B stamped
+			// as arrived.
+			subs := make([][]byte, 0, 18)
+			for id := uint64(102); id < 119; id++ {
+				subs = append(subs, wire.AppendFrame(nil, wire.OpPing, id, nil))
+			}
+			subs = append(subs, wire.AppendEmbed(nil, 2, 20_000, reqRows(g, 1, 2), 1, g.Reduction))
+			if _, err := conn1.Write(wire.AppendBatch(nil, 9, subs...)); err != nil {
+				t.Fatal(err)
+			}
+			for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Pings != 16; {
+				if time.Now().After(deadline) {
+					t.Fatalf("connection never wedged: %+v", srv.Metrics())
+				}
+				time.Sleep(time.Millisecond)
+			}
 
-	// Release A: the executor finishes it and frees the admission slot
-	// (Inflight back to 0 is the observable edge), its response appended
-	// behind the pinned write — the "response owed" half. The executor is
-	// free again: C on conn2 is served while conn1 stays wedged.
-	close(b.release)
-	for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Inflight != 0; {
-		if time.Now().After(deadline) {
-			t.Fatalf("executor never finished the blocked embed: %+v", srv.Metrics())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	conn2, _ := l.dial(t)
-	conn2.SetDeadline(time.Now().Add(5 * time.Second))
-	if op, id, _ := rawCall(t, conn2, wire.AppendEmbed(nil, 3, 0, reqRows(g, 1, 3), 1, g.Reduction)); op != wire.OpEmbedResp || id != 3 {
-		t.Fatalf("embed on another connection answered op %d id %d while conn1 was wedged, want EMBED_RESP 3", op, id)
-	}
+			// Release A: it finishes and frees the admission slot (Inflight
+			// back to 0 is the observable edge), its response appended
+			// behind the pinned write — the "response owed" half. C on
+			// conn2 is served while conn1 stays wedged.
+			if releaseA != nil {
+				releaseA()
+			}
+			for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Inflight != 0; {
+				if time.Now().After(deadline) {
+					t.Fatalf("the blocked embed never finished: %+v", srv.Metrics())
+				}
+				time.Sleep(time.Millisecond)
+			}
+			conn2, _ := l.dial(t)
+			conn2.SetDeadline(time.Now().Add(5 * time.Second))
+			if op, id, _ := rawCall(t, conn2, wire.AppendEmbed(nil, 3, 0, reqRows(g, 1, 3), 1, g.Reduction)); op != wire.OpEmbedResp || id != 3 {
+				t.Fatalf("embed on another connection answered op %d id %d while conn1 was wedged, want EMBED_RESP 3", op, id)
+			}
 
-	// Drain while A's response is owed and B waits for a credit; let B's
-	// budget lapse before unblocking anything.
-	closed := make(chan error, 1)
-	go func() { closed <- srv.Close() }()
-	time.Sleep(50 * time.Millisecond)
+			// Drain while A's response is owed and B waits for a credit; let
+			// B's budget lapse before unblocking anything.
+			closed := make(chan error, 1)
+			go func() { closed <- srv.Close() }()
+			time.Sleep(50 * time.Millisecond)
 
-	// Unpin conn1 by reading it: first the withheld twelve pong bytes,
-	// then every flushed frame until the server tears the connection
-	// down. The owed embed response must be among them, and B — dispatched
-	// once the flush returned its credits — is expired: a typed shed, not
-	// execution.
-	conn1.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if _, err := io.ReadFull(conn1, make([]byte, 12)); err != nil {
-		t.Fatal(err)
-	}
-	seen := scanFrames(conn1)
-	if seen[1].op != wire.OpEmbedResp {
-		t.Fatal("owed embed response was never flushed across the drain")
-	}
-	if sc := seen[2]; sc.op != wire.OpError || sc.code != wire.ErrDeadlineExceeded {
-		t.Fatalf("waiting request got %+v, want a typed %v shed\nserver: %+v",
-			sc, wire.ErrDeadlineExceeded, srv.Metrics())
-	}
+			// Unpin conn1 by reading it: first the withheld twelve pong
+			// bytes, then every flushed frame until the server tears the
+			// connection down. The owed embed response must be among them,
+			// and B — dispatched once the flush returned its credits — is
+			// expired: a typed shed, not execution.
+			conn1.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := io.ReadFull(conn1, make([]byte, 12)); err != nil {
+				t.Fatal(err)
+			}
+			seen := scanFrames(conn1)
+			if seen[1].op != wire.OpEmbedResp {
+				t.Fatal("owed embed response was never flushed across the drain")
+			}
+			if sc := seen[2]; sc.op != wire.OpError || sc.code != wire.ErrDeadlineExceeded {
+				t.Fatalf("waiting request got %+v, want a typed %v shed\nserver: %+v",
+					sc, wire.ErrDeadlineExceeded, srv.Metrics())
+			}
 
-	select {
-	case err := <-closed:
-		if err != nil {
-			t.Fatalf("drain returned %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close wedged draining an expired request")
-	}
-	if m := srv.Metrics(); m.Expired != 1 {
-		t.Fatalf("Metrics.Expired = %d, want 1: %+v", m.Expired, m)
-	}
-	if b.embeds.Load() != 2 {
-		t.Fatalf("backend ran %d embeds, want 2 (A and C): the expired request must never reach it", b.embeds.Load())
+			select {
+			case err := <-closed:
+				if err != nil {
+					t.Fatalf("drain returned %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Close wedged draining an expired request")
+			}
+			if m := srv.Metrics(); m.Expired != 1 {
+				t.Fatalf("Metrics.Expired = %d, want 1: %+v", m.Expired, m)
+			}
+			if n := embeds(); n != 2 {
+				t.Fatalf("backend ran %d embeds, want 2 (A and C): the expired request must never reach it", n)
+			}
+		})
 	}
 }

@@ -8,10 +8,16 @@
 // Structure per connection: one reader goroutine decodes frames and one
 // writer goroutine flushes the connection's wire.Writer, so requests
 // pipeline — a client may have many requests outstanding and responses
-// complete out of order, correlated by request id. Execution happens on a
-// server-wide pool of executor goroutines feeding the backend, whose
-// self-batching workers coalesce concurrent network requests exactly like
-// in-process ones.
+// complete out of order, correlated by request id. A read for one of the
+// two in-process backends (a *cluster.Cluster, or a serve.Server through
+// ServerBackend) runs on the reader itself: it never waits on another
+// process, so a hand-off would only add a goroutine boundary. For a
+// serve.Server the reader starts every read of a frame before it awaits
+// any, so the sub-requests of a BATCH reach serve's self-batching workers
+// together and merge exactly like concurrent in-process ones. Updates,
+// SYNC and RESTORE, and every request for any other backend (a replica
+// router waits on the network), run on a server-wide pool of executor
+// goroutines.
 //
 // Admission control: the server holds a bounded in-flight budget
 // (Config.MaxInflight). A request arriving with the budget exhausted is
@@ -54,10 +60,11 @@ import (
 	"tensordimm/internal/wire"
 )
 
-// Hop indices of the net tracer: executor-queue wait, backend execution
-// (including response encoding), and flush — completion to the response
-// appended to the connection's wire.Writer, which is the wait for the
-// Writer's mutex; the writer's yield and the write syscall come after.
+// Hop indices of the net tracer: executor-queue wait (zero for a read run
+// on the reader), backend execution (including response encoding), and
+// flush — completion to the response appended to the connection's
+// wire.Writer, which is the wait for the Writer's mutex; the writer's yield
+// and the write syscall come after.
 const (
 	netHopQueue = iota
 	netHopExec
@@ -126,10 +133,13 @@ func ClusterBackend(c *cluster.Cluster) Backend { return c }
 type Config struct {
 	// MaxInflight is the admission budget: the number of embed/update
 	// requests simultaneously admitted (queued or executing) across all
-	// connections. A request beyond it is shed with an OVERLOADED error
-	// frame instead of queueing. It also sizes the executor pool, so every
-	// admitted request reaches the backend's own queue without waiting
-	// behind another. Zero defaults to 256; negative is invalid.
+	// connections, reads an in-process backend runs on a connection's
+	// reader included. A request beyond it is shed with an OVERLOADED error
+	// frame instead of queueing. It also sizes the executor pool, which
+	// carries updates, SYNC and RESTORE, and every read of a backend that
+	// is not in-process, so each of those reaches the backend's own queue
+	// without waiting behind another. Zero defaults to 256; negative is
+	// invalid.
 	MaxInflight int
 	// Role is the serving role announced in the handshake. The zero value
 	// (wire.RoleStandalone) is a self-contained endpoint; wire.RoleReplica
@@ -157,8 +167,10 @@ const writeTimeout = 30 * time.Second
 // task is one in-flight request: the decoded arguments, the destination
 // scratch the backend writes into, and the encoded response frame. Tasks
 // are pooled server-wide; a task is owned by exactly one goroutine at a
-// time (reader, then executor) and recycled by whichever of them appends
-// its response to the connection's Writer.
+// time: the reader, then an executor for work the pool carries. A read run
+// on the reader never leaves it, including one started on a serve.Server
+// and awaited after the rest of its frame. Whichever goroutine appends the
+// response to the connection's Writer recycles the task.
 type task struct {
 	c  *conn
 	op wire.Op
@@ -171,12 +183,17 @@ type task struct {
 	// executing a response nobody is waiting for.
 	budget  uint32
 	arrived time.Time
+	// start is when execution began, the latency histogram's origin: the
+	// executor's pickup, or submit's clock reading for a read on the reader.
+	start time.Time
 
 	// embed arguments + result scratch
 	batch int
 	rows  [][]int
 	idx   []int
 	dst   []float32
+	// pend is a read started on a serve.Server and not yet awaited
+	pend serve.Pending
 
 	// update arguments (decoded views + converted headers)
 	upd wire.UpdateScratch
@@ -210,9 +227,14 @@ type conn struct {
 	credit chan struct{}
 	// owed and pending both count tasks in the executor pool whose response
 	// is not yet appended: the reader's drain waits on owed, and the writer
-	// yields once before a flush while pending is positive.
+	// yields once before a flush while pending is positive. Reads on the
+	// reader count in neither: the reader appends their responses itself.
 	owed    sync.WaitGroup
 	pending atomic.Int64
+	// started holds the reads of the current frame the reader started on a
+	// serve.Server, awaited in order once the frame is dispatched; reused
+	// across frames.
+	started []*task
 	done    chan struct{} // closed after the drain wait: last flush, teardown
 }
 
@@ -231,6 +253,13 @@ type Server struct {
 	tasks    chan *task
 	taskPool sync.Pool
 	workerWG sync.WaitGroup
+
+	// inline marks an in-process backend, whose reads run on the
+	// connection's reader instead of the executor pool; batcher is the
+	// serve.Server behind ServerBackend, on which the reader starts a
+	// frame's reads before it awaits any.
+	inline  bool
+	batcher *serve.Server
 
 	inflight atomic.Int64
 	draining atomic.Bool
@@ -266,7 +295,7 @@ type Server struct {
 	batchedIn  atomic.Uint64
 	batchesOut atomic.Uint64
 	batchedOut atomic.Uint64
-	lat        *telemetry.Histogram // executor pickup to response encoded
+	lat        *telemetry.Histogram // execution start to response encoded
 
 	// tracer is nil unless Config.Registry was set; every hot-path use is
 	// nil-guarded.
@@ -297,7 +326,7 @@ func (s *Server) instrument(reg *telemetry.Registry) {
 	reg.Gauge("tensordimm_net_update_seq", "update batches applied (the handshake sequence number)", func() float64 {
 		return float64(s.updateSeq.Load())
 	})
-	reg.RegisterHistogram("tensordimm_net_request_seconds", "executor latency per request (dequeue to response encoded)", s.lat)
+	reg.RegisterHistogram("tensordimm_net_request_seconds", "request latency (execution start: executor pickup, or admission for a read on the reader; to response encoded)", s.lat)
 	s.tracer = reg.Tracer("net", 0, []string{"queue", "exec", "flush"})
 }
 
@@ -337,6 +366,12 @@ func New(b Backend, cfg Config) (*Server, error) {
 		lat:       telemetry.NewHistogram(),
 	}
 	s.taskPool.New = func() any { return &task{} }
+	switch be := b.(type) {
+	case *cluster.Cluster:
+		s.inline = true
+	case serverBackend:
+		s.inline, s.batcher = true, be.s
+	}
 	if cfg.Registry != nil {
 		s.instrument(cfg.Registry)
 	}
@@ -484,7 +519,12 @@ func (c *conn) readLoop() {
 			}
 			break
 		}
-		if !c.dispatch(op, id, payload, time.Now()) {
+		ok := c.dispatch(op, id, payload, time.Now())
+		// A frame's started reads are answered before the next frame is
+		// read, and before the drain handover when the frame ended the
+		// connection.
+		c.awaitStarted()
+		if !ok {
 			break
 		}
 	}
@@ -617,12 +657,16 @@ func (t *task) convertUpdates(wu []wire.Update, dim int) error {
 // shed with DEADLINE_EXCEEDED before it can consume an in-flight slot, a
 // request racing the drain window (Close marked the server draining but
 // the read half-close has not reached this connection yet) is refused
-// with SHUTTING_DOWN, admitted tasks go to the executor pool, and the
-// rest are shed with an OVERLOADED error frame.
+// with SHUTTING_DOWN, and the rest are shed with an OVERLOADED error
+// frame. An admitted read of an in-process backend runs on the reader
+// (startEmbed); every other admitted task goes to the executor pool.
 func (c *conn) submit(t *task) {
 	s := c.srv
+	// submit reads the clock once: the expiry check, the trace's start and,
+	// for a read run on the reader, its queue hop and latency origin.
+	now := time.Now()
 	switch {
-	case t.expired(time.Now()):
+	case t.expired(now):
 		s.expired.Add(1)
 		c.replyError(t, wire.ErrDeadlineExceeded, "deadline budget exhausted before dispatch")
 		return
@@ -630,7 +674,7 @@ func (c *conn) submit(t *task) {
 		s.failures.Add(1)
 		c.replyError(t, wire.ErrShuttingDown, "server is draining; no new work accepted")
 		return
-	case !s.admit():
+	case !c.admit():
 		s.shed.Add(1)
 		c.replyError(t, wire.ErrOverloaded, "in-flight budget exhausted; retry after backoff")
 		return
@@ -639,16 +683,78 @@ func (c *conn) submit(t *task) {
 		// Embed/update tasks trace from frame arrival; sync/restore tasks
 		// (no arrival stamp) trace from admission.
 		if t.arrived.IsZero() {
-			t.span.Begin()
+			t.span.BeginAt(now)
 		} else {
 			t.span.BeginAt(t.arrived)
 		}
+	}
+	if t.op == wire.OpEmbed && s.inline {
+		c.startEmbed(t, now)
+		return
 	}
 	c.owed.Add(1)
 	c.pending.Add(1)
 	// Admission bounds senders at MaxInflight, which is exactly the
 	// channel's capacity: this send never blocks.
 	s.tasks <- t
+}
+
+// admit takes one unit of the in-flight budget for the reader. With the
+// budget spent and reads of this frame started, it awaits those first, so
+// a BATCH wider than the budget is not shed against its own head.
+func (c *conn) admit() bool {
+	if c.srv.admit() {
+		return true
+	}
+	if len(c.started) == 0 {
+		return false
+	}
+	c.awaitStarted()
+	return c.srv.admit()
+}
+
+// startEmbed runs an admitted read of an in-process backend on the reader,
+// from now, submit's clock reading. A cluster read runs to completion
+// here; a serve.Server read is only started, and awaitStarted finishes it
+// once the rest of the frame is submitted, so a BATCH's reads queue at
+// serve's batcher together.
+func (c *conn) startEmbed(t *task, now time.Time) {
+	s := c.srv
+	if s.tracer != nil {
+		t.span.MarkAt(netHopQueue, now)
+	}
+	t.start = now
+	if s.batcher == nil {
+		dst, err := s.backend.EmbedInto(t.embedDst(s.geom), t.rows, t.batch)
+		c.finishEmbed(t, dst, err)
+		return
+	}
+	p, err := s.batcher.StartEmbedInto(t.embedDst(s.geom), t.rows, t.batch)
+	if err != nil {
+		c.finishEmbed(t, nil, err)
+		return
+	}
+	t.pend = p
+	c.started = append(c.started, t)
+}
+
+// awaitStarted waits for every read startEmbed started, in start order,
+// and answers each.
+func (c *conn) awaitStarted() {
+	for i, t := range c.started {
+		dst, err := t.pend.Wait()
+		t.pend = serve.Pending{}
+		c.started[i] = nil
+		c.finishEmbed(t, dst, err)
+	}
+	c.started = c.started[:0]
+}
+
+// finishEmbed answers a read run on the reader.
+func (c *conn) finishEmbed(t *task, dst []float32, err error) {
+	c.srv.encodeEmbed(t, dst, err)
+	c.srv.finish(t)
+	c.reply(t)
 }
 
 // reply appends a task's finished response to the connection's Writer and
@@ -675,17 +781,18 @@ func (c *conn) replyOwed(t *task) {
 
 // executor is one worker of the server-wide pool: it runs admitted tasks
 // against the backend, encodes the response, and appends it to the owning
-// connection's Writer.
+// connection's Writer. The pool carries updates, SYNC and RESTORE, and
+// the reads of a backend that is not in-process.
 func (s *Server) executor() {
 	defer s.workerWG.Done()
 	for t := range s.tasks {
-		start := time.Now()
+		t.start = time.Now()
 		// The queue hop closes here for expired tasks too — their trace
 		// shows exactly where the budget died.
 		if s.tracer != nil {
-			t.span.MarkAt(netHopQueue, start)
+			t.span.MarkAt(netHopQueue, t.start)
 		}
-		if t.expired(start) {
+		if t.expired(t.start) {
 			// The budget lapsed in the queue: the client has moved on, so
 			// executing would burn backend capacity on a dead response.
 			s.expired.Add(1)
@@ -697,19 +804,8 @@ func (s *Server) executor() {
 		}
 		switch t.op {
 		case wire.OpEmbed:
-			need := t.batch * s.geom.Width()
-			if cap(t.dst) < need {
-				t.dst = make([]float32, need)
-			}
-			dst, err := s.backend.EmbedInto(t.dst[:need], t.rows, t.batch)
-			if err != nil {
-				s.failures.Add(1)
-				t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
-			} else {
-				t.dst = dst
-				s.requests.Add(1)
-				t.resp = wire.AppendEmbedResp(t.resp[:0], t.id, dst)
-			}
+			dst, err := s.backend.EmbedInto(t.embedDst(s.geom), t.rows, t.batch)
+			s.encodeEmbed(t, dst, err)
 		case wire.OpUpdate:
 			if err := s.backend.ApplyUpdates(t.ups); err != nil {
 				s.failures.Add(1)
@@ -724,14 +820,43 @@ func (s *Server) executor() {
 		case wire.OpRestore:
 			t.resp = s.executeRestore(t)
 		}
-		end := time.Now()
-		s.lat.Observe(end.Sub(start).Seconds())
-		if s.tracer != nil {
-			t.span.MarkAt(netHopExec, end)
-		}
-		s.inflight.Add(-1)
+		s.finish(t)
 		t.c.replyOwed(t)
 	}
+}
+
+// embedDst is the task's response scratch sized for its read.
+func (t *task) embedDst(g wire.Geometry) []float32 {
+	need := t.batch * g.Width()
+	if cap(t.dst) < need {
+		t.dst = make([]float32, need)
+	}
+	return t.dst[:need]
+}
+
+// encodeEmbed encodes a finished read's response: the embedding, or the
+// backend's failure as an INTERNAL error frame.
+func (s *Server) encodeEmbed(t *task, dst []float32, err error) {
+	if err != nil {
+		s.failures.Add(1)
+		t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
+		return
+	}
+	t.dst = dst
+	s.requests.Add(1)
+	t.resp = wire.AppendEmbedResp(t.resp[:0], t.id, dst)
+}
+
+// finish closes an executed task, its response encoded: the latency sample
+// and the exec hop end at one clock reading, and its admission slot is
+// returned.
+func (s *Server) finish(t *task) {
+	end := time.Now()
+	s.lat.Observe(end.Sub(t.start).Seconds())
+	if s.tracer != nil {
+		t.span.MarkAt(netHopExec, end)
+	}
+	s.inflight.Add(-1)
 }
 
 // executeSync runs one sequenced update against the seq guard and returns
@@ -946,8 +1071,10 @@ type Metrics struct {
 	BatchesOut uint64 // coalesced BATCH response frames written
 	BatchedOut uint64 // responses that rode inside coalesced frames
 
-	// Latency digests server-side request latency: executor pickup to
-	// response enqueued (decode and socket time excluded), in seconds.
+	// Latency digests server-side request latency, in seconds: execution
+	// start to response encoded. Execution starts at the executor's pickup,
+	// or at admission for a read run on the connection's reader (decode,
+	// executor-queue and socket time excluded).
 	Latency telemetry.HistogramSnapshot
 }
 
