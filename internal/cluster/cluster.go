@@ -364,6 +364,17 @@ func (c *Cluster) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]f
 	return c.router.EmbedInto(dst, perTableRows, batch)
 }
 
+// StartEmbedInto is the submit half of EmbedInto: it validates and routes
+// the read, probes the hot-row caches and queues every shard's
+// sub-request, and returns without waiting, so a caller with several reads
+// can have all of them queued at the shard servers, where they merge,
+// before it blocks on any. Pending.Wait is the other half and must be
+// called exactly once. It blocks only while a shard server's submission
+// queue is full.
+func (c *Cluster) StartEmbedInto(dst []float32, perTableRows [][]int, batch int) (Pending, error) {
+	return c.router.start(dst, perTableRows, batch)
+}
+
 // ApplyUpdates applies a batch of per-table gradient updates cluster-wide:
 // every entry's rows are routed through the same TableWise/RowWise
 // placement as gathers, scattered near-memory on the owning shards (via

@@ -196,6 +196,13 @@ type scratch struct {
 	lookups int
 	vec     func(t, i int) []float32
 	span    telemetry.Span // per-hop trace slot, recycled with the scratch
+
+	// The started read, from start to Pending.Wait: its router, destination,
+	// sample count and arrival time.
+	r     *Router
+	dst   []float32
+	batch int
+	start time.Time
 }
 
 // newScratch sizes a scratch for the router's geometry.
@@ -204,6 +211,7 @@ func (r *Router) newScratch() *scratch {
 	lookups := g.MaxBatch * g.Reduction
 	nodes := len(r.caches)
 	scr := &scratch{
+		r:        r,
 		call:     r.tr.NewCall(),
 		sub:      make([]subScratch, nodes),
 		cacheVer: make([]uint64, nodes),
@@ -261,18 +269,11 @@ func (scr *scratch) nextEpoch() uint32 {
 // allocations in steady state. Safe for concurrent use (with distinct dst
 // buffers).
 func (r *Router) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
-	if err := r.geom.CheckRead(perTableRows, batch); err != nil {
-		return nil, fmt.Errorf("%s: %w", r.name, err)
-	}
-	need := batch * r.geom.Width()
-	if cap(dst) < need {
-		dst = make([]float32, need)
-	}
-	dst = dst[:need]
-	if err := r.run(dst, perTableRows, batch); err != nil {
+	p, err := r.start(dst, perTableRows, batch)
+	if err != nil {
 		return nil, err
 	}
-	return dst, nil
+	return p.Wait()
 }
 
 // Geometry returns the model shape and per-request batch cap the router
@@ -305,23 +306,36 @@ func (r *Router) Close() bool {
 	return true
 }
 
-// run executes one validated read against dst (length batch*tables*dim) on
-// the caller's goroutine: route, start every shard's sub-request, wait for
-// each, merge.
-func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
+// Pending is a read started on a Router and not yet awaited: the handle
+// Cluster.StartEmbedInto returns. It is owned by the starting goroutine
+// from the start to Wait, which must be called exactly once: the handle
+// holds a pooled scratch and the router's in-flight count, and dst belongs
+// to the router until Wait returns.
+type Pending struct{ scr *scratch }
+
+// start is the submit half of a read, on the caller's goroutine: validate,
+// route, probe the caches, and start every shard's sub-request. Pending.Wait
+// is the rest.
+func (r *Router) start(dst []float32, perTableRows [][]int, batch int) (Pending, error) {
+	if err := r.geom.CheckRead(perTableRows, batch); err != nil {
+		return Pending{}, fmt.Errorf("%s: %w", r.name, err)
+	}
+	need := batch * r.geom.Width()
+	if cap(dst) < need {
+		dst = make([]float32, need)
+	}
 	start := time.Now()
 	if err := r.enter(); err != nil {
-		return err
+		return Pending{}, err
 	}
-	defer r.inflight.Done()
 	lookups := batch * r.geom.Reduction
 	dim := r.geom.Dim
 	r.Lookups.Add(uint64(r.geom.Tables * lookups))
 
 	scr := r.scratchPool.Get().(*scratch)
-	defer r.scratchPool.Put(scr)
 	epoch := scr.nextEpoch()
 	scr.hitRows, scr.lookups = 0, lookups
+	scr.dst, scr.batch, scr.start = dst[:need], batch, start
 	if r.tracer != nil {
 		scr.span.BeginAt(start)
 	}
@@ -374,16 +388,39 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 	}
 
 	// Scatter before gather: every non-empty sub-request is submitted before
-	// any is awaited, so the shards work concurrently while this goroutine —
-	// which has nothing else to do — blocks on each in shard order. Every
-	// started shard is waited on even after an earlier one failed, so the
-	// transport never holds an attempt or buffer past Release; the lowest
-	// failing shard's error is the request's.
+	// any is awaited, so the shards work concurrently while the caller
+	// blocks on each in shard order in Wait.
 	for s := range scr.sub {
 		if sub := &scr.sub[s]; len(sub.rows) > 0 {
 			scr.call.Start(s, sub.rows, start)
 		}
 	}
+	return Pending{scr}, nil
+}
+
+// Wait is the await half of a read: it blocks on each started shard in
+// shard order, fills the caches, and merges into the destination, which it
+// returns re-sliced to exactly batch*tables*dim. Every started shard is
+// waited on even after an earlier one failed, so the transport never holds
+// an attempt or buffer past Release; the lowest failing shard's error is
+// the read's. The router's latency sample runs from the start, so it
+// includes whatever the caller did before Wait.
+func (p Pending) Wait() ([]float32, error) {
+	scr := p.scr
+	r, dst := scr.r, scr.dst
+	scr.dst = nil
+	err := r.finish(scr, dst)
+	r.scratchPool.Put(scr)
+	r.inflight.Done()
+	if err != nil {
+		return nil, err
+	}
+	return dst, nil
+}
+
+// finish runs the await half of a started read into dst (length
+// batch*tables*dim): wait for each shard, fill, merge.
+func (r *Router) finish(scr *scratch, dst []float32) error {
 	var failed error
 	for s := range scr.sub {
 		sub := &scr.sub[s]
@@ -417,18 +454,18 @@ func (r *Router) run(dst []float32, perTableRows [][]int, batch int) error {
 	// Merge: pool each table's rows in request order directly into dst —
 	// the exact golden embed.Pool / embed.Average operation sequence,
 	// bit-identical to Layer.Forward.
-	err := r.merger.Merge(dst, batch, scr.vec)
+	err := r.merger.Merge(dst, scr.batch, scr.vec)
 	scr.call.Release()
 	if err != nil {
 		r.Failures.Add(1)
 		return err
 	}
 	r.Requests.Add(1)
-	r.Samples.Add(uint64(batch))
+	r.Samples.Add(uint64(scr.batch))
 	// One clock read closes the merge hop, the latency observation and the
 	// span.
 	now := time.Now()
-	r.Latency.Observe(now.Sub(start).Seconds())
+	r.Latency.Observe(now.Sub(scr.start).Seconds())
 	if r.tracer != nil {
 		scr.span.MarkAt(hopMerge, now)
 		r.tracer.FinishAt(&scr.span, now)

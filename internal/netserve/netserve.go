@@ -8,16 +8,16 @@
 // Structure per connection: one reader goroutine decodes frames and one
 // writer goroutine flushes the connection's wire.Writer, so requests
 // pipeline — a client may have many requests outstanding and responses
-// complete out of order, correlated by request id. A read for one of the
-// two in-process backends (a *cluster.Cluster, or a serve.Server through
-// ServerBackend) runs on the reader itself: it never waits on another
-// process, so a hand-off would only add a goroutine boundary. For a
-// serve.Server the reader starts every read of a frame before it awaits
-// any, so the sub-requests of a BATCH reach serve's self-batching workers
-// together and merge exactly like concurrent in-process ones. Updates,
-// SYNC and RESTORE, and every request for any other backend (a replica
-// router waits on the network), run on a server-wide pool of executor
-// goroutines.
+// complete out of order, correlated by request id. A read for an
+// in-process backend (a *cluster.Cluster, or a serve.Server through
+// ServerBackend: one whose StartEmbedInto half New finds) runs on the
+// reader itself: it never waits on another process, so a hand-off would
+// only add a goroutine boundary. The reader starts every read of a frame
+// before it awaits any, so the sub-requests of a BATCH reach serve's
+// self-batching workers (the shard servers', behind a cluster) together
+// and merge exactly like concurrent in-process ones. Updates, SYNC and
+// RESTORE, and every request for any other backend (a replica router
+// waits on the network), run on a server-wide pool of executor goroutines.
 //
 // Admission control: the server holds a bounded in-flight budget
 // (Config.MaxInflight). A request arriving with the budget exhausted is
@@ -116,6 +116,49 @@ func (b serverBackend) EmbedInto(dst []float32, rows [][]int, batch int) ([]floa
 // ApplyUpdates implements Backend.
 func (b serverBackend) ApplyUpdates(ups []runtime.TableUpdate) error { return b.s.Update(ups) }
 
+// StartEmbedInto is the submit half New looks for: it marks the backend as
+// in-process.
+func (b serverBackend) StartEmbedInto(dst []float32, rows [][]int, batch int) (serve.Pending, error) {
+	return b.s.StartEmbedInto(dst, rows, batch)
+}
+
+// waiter is a read started on an in-process backend and not yet awaited: a
+// serve.Pending or a cluster.Pending.
+type waiter interface{ Wait() ([]float32, error) }
+
+// startFunc is the submit half of an in-process backend's read.
+type startFunc func(dst []float32, rows [][]int, batch int) (waiter, error)
+
+// inProcess returns the submit half of a backend whose reads never wait on
+// another process: one with a StartEmbedInto that returns a serve.Pending
+// (ServerBackend) or a cluster.Pending (a *cluster.Cluster), itself or
+// through a wrapper that forwards it. Any other backend gets nil, and its
+// reads run on the executor pool.
+func inProcess(b Backend) startFunc {
+	switch be := b.(type) {
+	case interface {
+		StartEmbedInto([]float32, [][]int, int) (serve.Pending, error)
+	}:
+		return startOf(be.StartEmbedInto)
+	case interface {
+		StartEmbedInto([]float32, [][]int, int) (cluster.Pending, error)
+	}:
+		return startOf(be.StartEmbedInto)
+	}
+	return nil
+}
+
+// startOf adapts a backend's typed submit half to a startFunc.
+func startOf[P waiter](start func([]float32, [][]int, int) (P, error)) startFunc {
+	return func(dst []float32, rows [][]int, batch int) (waiter, error) {
+		p, err := start(dst, rows, batch)
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
+	}
+}
+
 // ServerBackend adapts a single-node serve.Server to the Backend
 // interface.
 func ServerBackend(s *serve.Server) Backend { return serverBackend{s} }
@@ -168,9 +211,10 @@ const writeTimeout = 30 * time.Second
 // scratch the backend writes into, and the encoded response frame. Tasks
 // are pooled server-wide; a task is owned by exactly one goroutine at a
 // time: the reader, then an executor for work the pool carries. A read run
-// on the reader never leaves it, including one started on a serve.Server
-// and awaited after the rest of its frame. Whichever goroutine appends the
-// response to the connection's Writer recycles the task.
+// on the reader never leaves it: it is started there and awaited there,
+// after the rest of its frame or before the reader blocks on a credit.
+// Whichever goroutine appends the response to the connection's Writer
+// recycles the task.
 type task struct {
 	c  *conn
 	op wire.Op
@@ -192,8 +236,8 @@ type task struct {
 	rows  [][]int
 	idx   []int
 	dst   []float32
-	// pend is a read started on a serve.Server and not yet awaited
-	pend serve.Pending
+	// pend is a read started on an in-process backend and not yet awaited
+	pend waiter
 
 	// update arguments (decoded views + converted headers)
 	upd wire.UpdateScratch
@@ -231,9 +275,9 @@ type conn struct {
 	// reader count in neither: the reader appends their responses itself.
 	owed    sync.WaitGroup
 	pending atomic.Int64
-	// started holds the reads of the current frame the reader started on a
-	// serve.Server, awaited in order once the frame is dispatched; reused
-	// across frames.
+	// started holds the reads of the current frame the reader started on an
+	// in-process backend, awaited in order once the frame is dispatched (or
+	// before the reader waits for a credit); reused across frames.
 	started []*task
 	done    chan struct{} // closed after the drain wait: last flush, teardown
 }
@@ -254,12 +298,10 @@ type Server struct {
 	taskPool sync.Pool
 	workerWG sync.WaitGroup
 
-	// inline marks an in-process backend, whose reads run on the
-	// connection's reader instead of the executor pool; batcher is the
-	// serve.Server behind ServerBackend, on which the reader starts a
-	// frame's reads before it awaits any.
-	inline  bool
-	batcher *serve.Server
+	// startRead is the submit half of an in-process backend's read, nil for
+	// any other backend; with it a read runs on the connection's reader
+	// instead of the executor pool.
+	startRead startFunc
 
 	inflight atomic.Int64
 	draining atomic.Bool
@@ -326,7 +368,7 @@ func (s *Server) instrument(reg *telemetry.Registry) {
 	reg.Gauge("tensordimm_net_update_seq", "update batches applied (the handshake sequence number)", func() float64 {
 		return float64(s.updateSeq.Load())
 	})
-	reg.RegisterHistogram("tensordimm_net_request_seconds", "request latency (execution start: executor pickup, or admission for a read on the reader; to response encoded)", s.lat)
+	reg.RegisterHistogram("tensordimm_net_request_seconds", "request latency (execution start: executor pickup, or admission for a read on the reader, which then includes the rest of its frame; to response encoded)", s.lat)
 	s.tracer = reg.Tracer("net", 0, []string{"queue", "exec", "flush"})
 }
 
@@ -366,12 +408,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 		lat:       telemetry.NewHistogram(),
 	}
 	s.taskPool.New = func() any { return &task{} }
-	switch be := b.(type) {
-	case *cluster.Cluster:
-		s.inline = true
-	case serverBackend:
-		s.inline, s.batcher = true, be.s
-	}
+	s.startRead = inProcess(b)
 	if cfg.Registry != nil {
 		s.instrument(cfg.Registry)
 	}
@@ -581,7 +618,7 @@ func (c *conn) dispatch(op wire.Op, id uint64, payload []byte, arrived time.Time
 		// requests before the damage are answered under their own ids, the
 		// damage under the batch id.
 		s.failures.Add(1)
-		c.replyError(s.getTask(c, op, id), wire.ErrBadRequest, err.Error())
+		c.replyError(c.getTask(op, id), wire.ErrBadRequest, err.Error())
 	}
 	return true
 }
@@ -591,7 +628,7 @@ func (c *conn) dispatch(op wire.Op, id uint64, payload []byte, arrived time.Time
 // the connection.
 func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte, arrived time.Time) bool {
 	s := c.srv
-	t := s.getTask(c, op, id)
+	t := c.getTask(op, id)
 	var wu []wire.Update
 	var err error
 	switch op {
@@ -688,7 +725,7 @@ func (c *conn) submit(t *task) {
 			t.span.BeginAt(t.arrived)
 		}
 	}
-	if t.op == wire.OpEmbed && s.inline {
+	if t.op == wire.OpEmbed && s.startRead != nil {
 		c.startEmbed(t, now)
 		return
 	}
@@ -713,23 +750,17 @@ func (c *conn) admit() bool {
 	return c.srv.admit()
 }
 
-// startEmbed runs an admitted read of an in-process backend on the reader,
-// from now, submit's clock reading. A cluster read runs to completion
-// here; a serve.Server read is only started, and awaitStarted finishes it
-// once the rest of the frame is submitted, so a BATCH's reads queue at
-// serve's batcher together.
+// startEmbed starts an admitted read of an in-process backend on the
+// reader, from now, submit's clock reading. awaitStarted finishes it once
+// the rest of the frame is submitted, so a BATCH's reads queue at serve's
+// batcher together.
 func (c *conn) startEmbed(t *task, now time.Time) {
 	s := c.srv
 	if s.tracer != nil {
 		t.span.MarkAt(netHopQueue, now)
 	}
 	t.start = now
-	if s.batcher == nil {
-		dst, err := s.backend.EmbedInto(t.embedDst(s.geom), t.rows, t.batch)
-		c.finishEmbed(t, dst, err)
-		return
-	}
-	p, err := s.batcher.StartEmbedInto(t.embedDst(s.geom), t.rows, t.batch)
+	p, err := s.startRead(t.embedDst(s.geom), t.rows, t.batch)
 	if err != nil {
 		c.finishEmbed(t, nil, err)
 		return
@@ -743,7 +774,7 @@ func (c *conn) startEmbed(t *task, now time.Time) {
 func (c *conn) awaitStarted() {
 	for i, t := range c.started {
 		dst, err := t.pend.Wait()
-		t.pend = serve.Pending{}
+		t.pend = nil
 		c.started[i] = nil
 		c.finishEmbed(t, dst, err)
 	}
@@ -974,11 +1005,20 @@ func (c *conn) writeLoop() {
 }
 
 // getTask fetches a pooled task stamped for one request, first taking one
-// of the connection's credits for the response it will owe — the reader's
-// only blocking point besides the socket.
-func (s *Server) getTask(c *conn, op wire.Op, id uint64) *task {
-	c.credit <- struct{}{}
-	t := s.taskPool.Get().(*task)
+// of the connection's credits for the response it will owe. Waiting for a
+// credit is the reader's only blocking point besides the socket and an
+// in-process backend, and a client that stops reading can make it last
+// until the write timeout. The reads the frame started hold server-wide
+// admission slots, so they are awaited and answered before the reader
+// blocks: a client that does not read can pin only its own credits.
+func (c *conn) getTask(op wire.Op, id uint64) *task {
+	select {
+	case c.credit <- struct{}{}:
+	default:
+		c.awaitStarted()
+		c.credit <- struct{}{}
+	}
+	t := c.srv.taskPool.Get().(*task)
 	t.c, t.op, t.id = c, op, id
 	t.budget, t.arrived = 0, time.Time{}
 	return t
@@ -1074,7 +1114,10 @@ type Metrics struct {
 	// Latency digests server-side request latency, in seconds: execution
 	// start to response encoded. Execution starts at the executor's pickup,
 	// or at admission for a read run on the connection's reader (decode,
-	// executor-queue and socket time excluded).
+	// executor-queue and socket time excluded). A read on the reader is
+	// awaited only after the rest of its frame is dispatched and the reads
+	// started before it are answered, so for an in-process backend the
+	// sample includes that wait.
 	Latency telemetry.HistogramSnapshot
 }
 

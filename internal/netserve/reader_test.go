@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"tensordimm/internal/cluster"
 	"tensordimm/internal/netserve"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/serve"
@@ -31,60 +32,101 @@ func serveBackend(t *testing.T) (*recsys.Model, *serve.Server) {
 	return m, ss
 }
 
-// TestServeBackendKeepsCoalescing pins that reads a serve.Server backend
+// TestServeBackendKeepsCoalescing pins that reads an in-process backend
 // runs on the connection's reader still merge in serve's batcher: the
 // reader starts every read of a BATCH frame before it awaits any, so with
 // one serve worker a frame's reads queue together and run as fewer merged
-// batches than reads. A reader that awaited each read before starting the
-// next would run every read alone. Every response must stay bit-identical
-// to the golden model. The admission budget is half a frame, so a frame
-// wider than the budget must not be shed against the reads it started
-// itself: the reader awaits those and admits the rest.
+// batches than reads. That holds for a serve.Server backend and for the
+// shard servers behind a cluster.Cluster, whose reads start every shard's
+// sub-request before the reader awaits any. A reader that awaited each
+// read before starting the next would run every read alone. Every
+// response must stay bit-identical to the golden model. The admission
+// budget is half a frame, so a frame wider than the budget must not be
+// shed against the reads it started itself: the reader awaits those and
+// admits the rest.
 func TestServeBackendKeepsCoalescing(t *testing.T) {
 	const frames, k = 8, 8
-	m, ss := serveBackend(t)
-	_, addr := startServer(t, netserve.ServerBackend(ss), netserve.Config{MaxInflight: k / 2})
-	nc, _ := rawDial(t, addr)
-	nc.SetDeadline(time.Now().Add(10 * time.Second))
-	rng := rand.New(rand.NewSource(23))
-
-	for f := 0; f < frames; f++ {
-		subs := make([][]byte, k)
-		want := make(map[uint64][]float32, k)
-		for i := range subs {
-			batch := 1 + rng.Intn(2)
-			rows := randBatchRows(rng, m.Cfg, batch)
-			id := uint64(f*k + i + 1)
-			subs[i] = wire.AppendEmbed(nil, id, 0, rows, batch, m.Cfg.Reduction)
-			golden, err := m.Embedding.Forward(rows, batch)
+	for _, tc := range []struct {
+		name string
+		// backend returns the model, the backend, and a reader of the
+		// serve-level reads and merged batches behind it.
+		backend func(t *testing.T) (*recsys.Model, netserve.Backend, func() (reads, batches uint64))
+	}{
+		{"serve", func(t *testing.T) (*recsys.Model, netserve.Backend, func() (uint64, uint64)) {
+			m, ss := serveBackend(t)
+			return m, netserve.ServerBackend(ss), func() (uint64, uint64) {
+				sm := ss.Metrics()
+				return sm.Requests, sm.Batches
+			}
+		}},
+		{"cluster", func(t *testing.T) (*recsys.Model, netserve.Backend, func() (uint64, uint64)) {
+			m, err := recsys.Build(coalesceModelCfg(), 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want[id] = append([]float32(nil), golden.Data()...)
-		}
-		if _, err := nc.Write(wire.AppendBatch(nil, 0, subs...)); err != nil {
-			t.Fatal(err)
-		}
-		for id, payload := range readEmbedResponses(t, nc, k) {
-			got := make([]float32, len(want[id]))
-			if err := wire.DecodeEmbedResp(payload, got); err != nil {
-				t.Fatalf("request %d: %v", id, err)
+			c, err := cluster.New(m, cluster.Config{Nodes: 2, DIMMsPerNode: 4, MaxBatch: 16, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j, w := range want[id] {
-				if math.Float32bits(got[j]) != math.Float32bits(w) {
-					t.Fatalf("request %d value %d: net %v != golden %v", id, j, got[j], w)
+			t.Cleanup(func() { c.Close() })
+			return m, netserve.ClusterBackend(c), func() (reads, batches uint64) {
+				for _, sh := range c.Metrics().Shards {
+					reads += sh.Serve.Requests
+					batches += sh.Serve.Batches
+				}
+				return reads, batches
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, b, merged := tc.backend(t)
+			srv, addr := startServer(t, b, netserve.Config{MaxInflight: k / 2})
+			nc, _ := rawDial(t, addr)
+			nc.SetDeadline(time.Now().Add(10 * time.Second))
+			rng := rand.New(rand.NewSource(23))
+
+			for f := 0; f < frames; f++ {
+				subs := make([][]byte, k)
+				want := make(map[uint64][]float32, k)
+				for i := range subs {
+					batch := 1 + rng.Intn(2)
+					rows := randBatchRows(rng, m.Cfg, batch)
+					id := uint64(f*k + i + 1)
+					subs[i] = wire.AppendEmbed(nil, id, 0, rows, batch, m.Cfg.Reduction)
+					golden, err := m.Embedding.Forward(rows, batch)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want[id] = append([]float32(nil), golden.Data()...)
+				}
+				if _, err := nc.Write(wire.AppendBatch(nil, 0, subs...)); err != nil {
+					t.Fatal(err)
+				}
+				for id, payload := range readEmbedResponses(t, nc, k) {
+					got := make([]float32, len(want[id]))
+					if err := wire.DecodeEmbedResp(payload, got); err != nil {
+						t.Fatalf("request %d: %v", id, err)
+					}
+					for j, w := range want[id] {
+						if math.Float32bits(got[j]) != math.Float32bits(w) {
+							t.Fatalf("request %d value %d: net %v != golden %v", id, j, got[j], w)
+						}
+					}
 				}
 			}
-		}
+			if got := srv.Metrics().Requests; got != frames*k {
+				t.Fatalf("server completed %d reads, want %d", got, frames*k)
+			}
+			reads, batches := merged()
+			if reads < frames*k {
+				t.Fatalf("serve completed %d reads, want at least %d", reads, frames*k)
+			}
+			if batches >= reads {
+				t.Fatalf("serve ran %d reads as %d merged batches: a frame's reads did not reach the batcher together", reads, batches)
+			}
+			t.Logf("%d serve reads in %d merged batches", reads, batches)
+		})
 	}
-	sm := ss.Metrics()
-	if sm.Requests != frames*k {
-		t.Fatalf("serve completed %d reads, want %d", sm.Requests, frames*k)
-	}
-	if sm.Batches >= sm.Requests {
-		t.Fatalf("serve ran %d reads as %d merged batches: a frame's reads did not reach the batcher together", sm.Requests, sm.Batches)
-	}
-	t.Logf("%d reads in %d merged batches", sm.Requests, sm.Batches)
 }
 
 // TestBadSubFrameAnswersStartedReads pins that a protocol violation in
