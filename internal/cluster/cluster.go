@@ -372,7 +372,7 @@ func (c *Cluster) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]f
 // called exactly once. It blocks only while a shard server's submission
 // queue is full.
 func (c *Cluster) StartEmbedInto(dst []float32, perTableRows [][]int, batch int) (Pending, error) {
-	return c.router.start(dst, perTableRows, batch)
+	return c.router.StartEmbedInto(dst, perTableRows, batch)
 }
 
 // ApplyUpdates applies a batch of per-table gradient updates cluster-wide:

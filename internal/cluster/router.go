@@ -43,8 +43,9 @@ type Transport interface {
 // Call is a Transport's per-request half: the shard sub-requests of one
 // routed read, submitted and awaited in two phases so every sub-request is
 // in flight before the router blocks on any, and the release of whatever
-// they hold. A Call is owned by the goroutine running the request from the
-// first Start to Release; no method is called concurrently.
+// they hold. A Call is owned by one goroutine at a time from the first
+// Start to Release: the one that started the read, or the one it handed
+// the Pending to. No method is called concurrently.
 type Call interface {
 	// Start submits the gather of the given deduplicated flat local rows
 	// (never empty) to a shard without waiting for the result. start is the
@@ -269,7 +270,7 @@ func (scr *scratch) nextEpoch() uint32 {
 // allocations in steady state. Safe for concurrent use (with distinct dst
 // buffers).
 func (r *Router) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
-	p, err := r.start(dst, perTableRows, batch)
+	p, err := r.StartEmbedInto(dst, perTableRows, batch)
 	if err != nil {
 		return nil, err
 	}
@@ -307,16 +308,18 @@ func (r *Router) Close() bool {
 }
 
 // Pending is a read started on a Router and not yet awaited: the handle
-// Cluster.StartEmbedInto returns. It is owned by the starting goroutine
-// from the start to Wait, which must be called exactly once: the handle
-// holds a pooled scratch and the router's in-flight count, and dst belongs
-// to the router until Wait returns.
+// Router.StartEmbedInto returns. It is owned by one goroutine at a time
+// from the start to Wait: the starting one, or one it handed the handle to
+// over a synchronizing edge (a channel send). Wait must be called exactly
+// once: the handle holds a pooled scratch and the router's in-flight count,
+// and dst belongs to the router until Wait returns.
 type Pending struct{ scr *scratch }
 
-// start is the submit half of a read, on the caller's goroutine: validate,
-// route, probe the caches, and start every shard's sub-request. Pending.Wait
-// is the rest.
-func (r *Router) start(dst []float32, perTableRows [][]int, batch int) (Pending, error) {
+// StartEmbedInto is the submit half of EmbedInto, on the caller's
+// goroutine: validate, route, probe the caches, and start every shard's
+// sub-request through the transport (Call.Start). It never waits for an
+// answer; Pending.Wait is the rest and must be called exactly once.
+func (r *Router) StartEmbedInto(dst []float32, perTableRows [][]int, batch int) (Pending, error) {
 	if err := r.geom.CheckRead(perTableRows, batch); err != nil {
 		return Pending{}, fmt.Errorf("%s: %w", r.name, err)
 	}

@@ -281,9 +281,11 @@ func TestBatchSplitBitIdenticalToUnbatched(t *testing.T) {
 // requests: every sub-request of a BATCH in flight when Close begins is
 // answered before the connection dies — none are silently dropped. A
 // gated stub holds every sub-request in the executor pool until the drain
-// has begun. The in-process backends run the reads on the connection's
-// reader and cannot be held, so Close starts as soon as all of them are
-// admitted, with the reads still in flight or already answered.
+// has begun; behind a backend whose reads wait on the network the reader
+// has sent every read and the pool holds their awaits. The in-process
+// backends run the reads on the connection's reader and cannot be held, so
+// Close starts as soon as all of them are admitted, with the reads still
+// in flight or already answered.
 func TestBatchDrainCompletesSubRequests(t *testing.T) {
 	const k = 4
 	for _, tc := range []struct {
@@ -297,6 +299,12 @@ func TestBatchDrainCompletesSubRequests(t *testing.T) {
 			b.entered = make(chan struct{}, k)
 			b.release = make(chan struct{})
 			return b, b
+		}},
+		{"wire", func(*testing.T) (netserve.Backend, *stubBackend) {
+			b := newWireStub()
+			b.entered = make(chan struct{}, k)
+			b.release = make(chan struct{})
+			return b, b.stubBackend
 		}},
 		{"reader-serve", func(t *testing.T) (netserve.Backend, *stubBackend) {
 			_, ss := serveBackend(t)

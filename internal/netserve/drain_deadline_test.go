@@ -143,9 +143,12 @@ func scanFrames(r io.Reader) map[uint64]scanned {
 // waiting on the wedged writer, so the sole executor still serves another
 // connection. An in-process backend runs A on the reader, which appends
 // its response itself, and another connection's reader is served the same
-// way. The drain must flush the owed response, shed the expired request
-// with a typed DEADLINE_EXCEEDED counted in Metrics.Expired, and still
-// complete.
+// way. Behind a backend whose reads wait on the network the reader sends A
+// and the sole executor holds its await at the gate, so the same edge is
+// A's await returning; B, stamped as arrived but never sent, must never
+// reach the backend either. The drain must flush the owed response, shed
+// the expired request with a typed DEADLINE_EXCEEDED counted in
+// Metrics.Expired, and still complete.
 func TestDrainRacesExpiringDeadline(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -160,6 +163,15 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 			b.entered = make(chan struct{}, 4)
 			b.release = make(chan struct{})
 			return b, func() { <-b.entered }, func() { close(b.release) }, b.embeds.Load
+		}},
+		{"wire", func(*testing.T) (netserve.Backend, func(), func(), func() int64) {
+			b := newWireStub()
+			b.entered = make(chan struct{}, 4)
+			b.release = make(chan struct{})
+			return b, func() { <-b.entered }, func() { close(b.release) }, func() int64 {
+				sent, _ := b.sends()
+				return int64(len(sent))
+			}
 		}},
 		{"reader-serve", func(t *testing.T) (netserve.Backend, func(), func(), func() int64) {
 			_, ss := serveBackend(t)

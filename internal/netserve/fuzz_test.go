@@ -42,8 +42,8 @@ func FuzzWireFrames(f *testing.F) {
 	f.Add(wire.AppendFrame(nil, wire.OpPing, 4, nil))
 	f.Add(wire.AppendFrame(nil, wire.OpMetrics, 5, nil))
 	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})                     // absurd length prefix
-	f.Add(wire.AppendFrame(nil, wire.Op(77), 6, []byte{1}))   // unknown op
+	f.Add([]byte{0xff, 0xff, 0xff, 0x7f})                        // absurd length prefix
+	f.Add(wire.AppendFrame(nil, wire.Op(77), 6, []byte{1}))      // unknown op
 	f.Add(wire.AppendEmbed(nil, 7, 0, rows, 1, g.Reduction)[:9]) // truncated mid-frame
 
 	// Coalesced super-frames: valid BATCH of two embeds, plus the BATCH

@@ -15,9 +15,14 @@
 // only add a goroutine boundary. The reader starts every read of a frame
 // before it awaits any, so the sub-requests of a BATCH reach serve's
 // self-batching workers (the shard servers', behind a cluster) together
-// and merge exactly like concurrent in-process ones. Updates, SYNC and
-// RESTORE, and every request for any other backend (a replica router
-// waits on the network), run on a server-wide pool of executor goroutines.
+// and merge exactly like concurrent in-process ones. A read for a backend
+// whose reads wait on the network (a replica router, through the
+// SendEmbedInto half New finds) is split at the same seam: the reader puts
+// it on the wire, and a server-wide pool of executor goroutines only
+// awaits, encodes and answers it, so a frame's sub-requests leave
+// together while the await overlaps the round trip. Updates, SYNC and
+// RESTORE, and every read of a backend with neither half, run on that
+// pool from the start.
 //
 // Admission control: the server holds a bounded in-flight budget
 // (Config.MaxInflight). A request arriving with the budget exhausted is
@@ -61,7 +66,8 @@ import (
 )
 
 // Hop indices of the net tracer: executor-queue wait (zero for a read run
-// on the reader), backend execution (including response encoding), and
+// on the reader; for a wire read it holds the send and the hand-off to the
+// pool), backend execution (including response encoding), and
 // flush — completion to the response appended to the connection's
 // wire.Writer, which is the wait for the Writer's mutex; the writer's yield
 // and the write syscall come after.
@@ -122,11 +128,12 @@ func (b serverBackend) StartEmbedInto(dst []float32, rows [][]int, batch int) (s
 	return b.s.StartEmbedInto(dst, rows, batch)
 }
 
-// waiter is a read started on an in-process backend and not yet awaited: a
-// serve.Pending or a cluster.Pending.
+// waiter is a read started on the reader and not yet awaited: a
+// serve.Pending, or a cluster.Pending of a *cluster.Cluster or a replica
+// router.
 type waiter interface{ Wait() ([]float32, error) }
 
-// startFunc is the submit half of an in-process backend's read.
+// startFunc is the submit half of a backend's read.
 type startFunc func(dst []float32, rows [][]int, batch int) (waiter, error)
 
 // inProcess returns the submit half of a backend whose reads never wait on
@@ -144,6 +151,21 @@ func inProcess(b Backend) startFunc {
 		StartEmbedInto([]float32, [][]int, int) (cluster.Pending, error)
 	}:
 		return startOf(be.StartEmbedInto)
+	}
+	return nil
+}
+
+// onWire returns the submit half of a backend whose reads wait on the
+// network: one with a SendEmbedInto that returns a cluster.Pending (a
+// replica router), itself or through a wrapper that forwards it. Such a
+// read is sent on the connection's reader and awaited on the executor
+// pool, since awaiting the round trip on the reader would stall every
+// later frame of the connection. Any other backend gets nil.
+func onWire(b Backend) startFunc {
+	if be, ok := b.(interface {
+		SendEmbedInto([]float32, [][]int, int) (cluster.Pending, error)
+	}); ok {
+		return startOf(be.SendEmbedInto)
 	}
 	return nil
 }
@@ -179,10 +201,10 @@ type Config struct {
 	// connections, reads an in-process backend runs on a connection's
 	// reader included. A request beyond it is shed with an OVERLOADED error
 	// frame instead of queueing. It also sizes the executor pool, which
-	// carries updates, SYNC and RESTORE, and every read of a backend that
-	// is not in-process, so each of those reaches the backend's own queue
-	// without waiting behind another. Zero defaults to 256; negative is
-	// invalid.
+	// carries updates, SYNC and RESTORE, the await of every read the
+	// reader put on the wire, and every read of a backend with no submit
+	// half, so none of them waits behind another. Zero defaults to 256;
+	// negative is invalid.
 	MaxInflight int
 	// Role is the serving role announced in the handshake. The zero value
 	// (wire.RoleStandalone) is a self-contained endpoint; wire.RoleReplica
@@ -210,25 +232,31 @@ const writeTimeout = 30 * time.Second
 // task is one in-flight request: the decoded arguments, the destination
 // scratch the backend writes into, and the encoded response frame. Tasks
 // are pooled server-wide; a task is owned by exactly one goroutine at a
-// time: the reader, then an executor for work the pool carries. A read run
-// on the reader never leaves it: it is started there and awaited there,
-// after the rest of its frame or before the reader blocks on a credit.
-// Whichever goroutine appends the response to the connection's Writer
-// recycles the task.
+// time: the reader, then an executor for work the pool carries. An
+// in-process read never leaves the reader: it is started there and
+// awaited there, after the rest of its frame or before the reader blocks
+// on a credit. A wire read is started on the reader and handed, with its
+// pend, to an executor that awaits it. Whichever goroutine appends the
+// response to the connection's Writer recycles the task.
 type task struct {
 	c  *conn
 	op wire.Op
 	id uint64
 
 	// deadline bookkeeping (OpEmbed and OpUpdate): the request's budget in
-	// microseconds (0 = none) and the frame's arrival time. The executor
-	// re-checks the budget after the queue wait — the dominant expiry cause
-	// under load — and sheds expired work with DEADLINE_EXCEEDED instead of
-	// executing a response nobody is waiting for.
+	// microseconds (0 = none) and the frame's arrival time. submit checks
+	// the budget before admission; the executor re-checks it after the queue
+	// wait — the dominant expiry cause under load — and sheds expired work
+	// with DEADLINE_EXCEEDED instead of executing a response nobody is
+	// waiting for. A wire read the reader started is exempt from that second
+	// check: it is already on the wire, and the await must run to release
+	// it. submit's check and the backend's own deadline (a replica router's
+	// Config.Deadline) bound it instead.
 	budget  uint32
 	arrived time.Time
 	// start is when execution began, the latency histogram's origin: the
-	// executor's pickup, or submit's clock reading for a read on the reader.
+	// executor's pickup, or submit's clock reading for a read the reader
+	// started (in-process or on the wire).
 	start time.Time
 
 	// embed arguments + result scratch
@@ -236,7 +264,7 @@ type task struct {
 	rows  [][]int
 	idx   []int
 	dst   []float32
-	// pend is a read started on an in-process backend and not yet awaited
+	// pend is a read started on the reader and not yet awaited
 	pend waiter
 
 	// update arguments (decoded views + converted headers)
@@ -300,8 +328,11 @@ type Server struct {
 
 	// startRead is the submit half of an in-process backend's read, nil for
 	// any other backend; with it a read runs on the connection's reader
-	// instead of the executor pool.
+	// instead of the executor pool. sendRead is the submit half of a backend
+	// whose reads wait on the network: the reader sends with it and the
+	// executor pool awaits.
 	startRead startFunc
+	sendRead  startFunc
 
 	inflight atomic.Int64
 	draining atomic.Bool
@@ -368,7 +399,7 @@ func (s *Server) instrument(reg *telemetry.Registry) {
 	reg.Gauge("tensordimm_net_update_seq", "update batches applied (the handshake sequence number)", func() float64 {
 		return float64(s.updateSeq.Load())
 	})
-	reg.RegisterHistogram("tensordimm_net_request_seconds", "request latency (execution start: executor pickup, or admission for a read on the reader, which then includes the rest of its frame; to response encoded)", s.lat)
+	reg.RegisterHistogram("tensordimm_net_request_seconds", "request latency (execution start: executor pickup, or admission for a read the reader starts, which then includes the rest of its frame in process, and the executor hand-off and the round trip on the wire; to response encoded)", s.lat)
 	s.tracer = reg.Tracer("net", 0, []string{"queue", "exec", "flush"})
 }
 
@@ -408,7 +439,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 		lat:       telemetry.NewHistogram(),
 	}
 	s.taskPool.New = func() any { return &task{} }
-	s.startRead = inProcess(b)
+	s.startRead, s.sendRead = inProcess(b), onWire(b)
 	if cfg.Registry != nil {
 		s.instrument(cfg.Registry)
 	}
@@ -696,11 +727,13 @@ func (t *task) convertUpdates(wu []wire.Update, dim int) error {
 // the read half-close has not reached this connection yet) is refused
 // with SHUTTING_DOWN, and the rest are shed with an OVERLOADED error
 // frame. An admitted read of an in-process backend runs on the reader
-// (startEmbed); every other admitted task goes to the executor pool.
+// (startEmbed); an admitted read of a backend that waits on the network
+// is put on the wire here and goes to the executor pool to be awaited;
+// every other admitted task goes to the pool as it is.
 func (c *conn) submit(t *task) {
 	s := c.srv
 	// submit reads the clock once: the expiry check, the trace's start and,
-	// for a read run on the reader, its queue hop and latency origin.
+	// for a read the reader starts, its queue hop and latency origin.
 	now := time.Now()
 	switch {
 	case t.expired(now):
@@ -726,7 +759,12 @@ func (c *conn) submit(t *task) {
 		}
 	}
 	if t.op == wire.OpEmbed && s.startRead != nil {
-		c.startEmbed(t, now)
+		if c.startEmbed(s.startRead, t, now) {
+			c.started = append(c.started, t)
+		}
+		return
+	}
+	if t.op == wire.OpEmbed && s.sendRead != nil && !c.startEmbed(s.sendRead, t, now) {
 		return
 	}
 	c.owed.Add(1)
@@ -750,27 +788,29 @@ func (c *conn) admit() bool {
 	return c.srv.admit()
 }
 
-// startEmbed starts an admitted read of an in-process backend on the
-// reader, from now, submit's clock reading. awaitStarted finishes it once
-// the rest of the frame is submitted, so a BATCH's reads queue at serve's
-// batcher together.
-func (c *conn) startEmbed(t *task, now time.Time) {
+// startEmbed starts an admitted read on the reader with the backend's
+// submit half, from now, submit's clock reading, and reports whether it is
+// now in flight in t.pend; a read that failed to start is answered at once.
+// An in-process read is finished by awaitStarted once the rest of the frame
+// is submitted, so a BATCH's reads queue at serve's batcher together; a
+// wire read by an executor, so a BATCH's sub-requests leave together.
+func (c *conn) startEmbed(start startFunc, t *task, now time.Time) bool {
 	s := c.srv
 	if s.tracer != nil {
 		t.span.MarkAt(netHopQueue, now)
 	}
 	t.start = now
-	p, err := s.startRead(t.embedDst(s.geom), t.rows, t.batch)
+	p, err := start(t.embedDst(s.geom), t.rows, t.batch)
 	if err != nil {
 		c.finishEmbed(t, nil, err)
-		return
+		return false
 	}
 	t.pend = p
-	c.started = append(c.started, t)
+	return true
 }
 
-// awaitStarted waits for every read startEmbed started, in start order,
-// and answers each.
+// awaitStarted waits for every in-process read the frame started, in start
+// order, and answers each.
 func (c *conn) awaitStarted() {
 	for i, t := range c.started {
 		dst, err := t.pend.Wait()
@@ -781,7 +821,7 @@ func (c *conn) awaitStarted() {
 	c.started = c.started[:0]
 }
 
-// finishEmbed answers a read run on the reader.
+// finishEmbed answers a read the reader settles itself.
 func (c *conn) finishEmbed(t *task, dst []float32, err error) {
 	c.srv.encodeEmbed(t, dst, err)
 	c.srv.finish(t)
@@ -811,31 +851,46 @@ func (c *conn) replyOwed(t *task) {
 }
 
 // executor is one worker of the server-wide pool: it runs admitted tasks
-// against the backend, encodes the response, and appends it to the owning
-// connection's Writer. The pool carries updates, SYNC and RESTORE, and
-// the reads of a backend that is not in-process.
+// against the backend (or awaits a read the reader put on the wire),
+// encodes the response, and appends it to the owning connection's Writer.
+// The pool carries updates, SYNC and RESTORE, wire reads, and the reads of
+// a backend with no submit half.
 func (s *Server) executor() {
 	defer s.workerWG.Done()
 	for t := range s.tasks {
-		t.start = time.Now()
+		now := time.Now()
 		// The queue hop closes here for expired tasks too — their trace
-		// shows exactly where the budget died.
+		// shows exactly where the budget died. For a wire read it includes
+		// the send and the hand-off, both overlapping the round trip.
 		if s.tracer != nil {
-			t.span.MarkAt(netHopQueue, t.start)
+			t.span.MarkAt(netHopQueue, now)
 		}
-		if t.expired(t.start) {
-			// The budget lapsed in the queue: the client has moved on, so
-			// executing would burn backend capacity on a dead response.
-			s.expired.Add(1)
-			t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrDeadlineExceeded,
-				"deadline budget exhausted in queue")
-			s.inflight.Add(-1)
-			t.c.replyOwed(t)
-			continue
+		// A wire read started at submit, its clock with it, and is on the
+		// wire already: it is never shed here, since only its await releases
+		// what the send took.
+		if t.pend == nil {
+			t.start = now
+			if t.expired(now) {
+				// The budget lapsed in the queue: the client has moved on, so
+				// executing would burn backend capacity on a dead response.
+				s.expired.Add(1)
+				t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrDeadlineExceeded,
+					"deadline budget exhausted in queue")
+				s.inflight.Add(-1)
+				t.c.replyOwed(t)
+				continue
+			}
 		}
 		switch t.op {
 		case wire.OpEmbed:
-			dst, err := s.backend.EmbedInto(t.embedDst(s.geom), t.rows, t.batch)
+			var dst []float32
+			var err error
+			if t.pend != nil {
+				dst, err = t.pend.Wait()
+				t.pend = nil
+			} else {
+				dst, err = s.backend.EmbedInto(t.embedDst(s.geom), t.rows, t.batch)
+			}
 			s.encodeEmbed(t, dst, err)
 		case wire.OpUpdate:
 			if err := s.backend.ApplyUpdates(t.ups); err != nil {
@@ -1113,11 +1168,12 @@ type Metrics struct {
 
 	// Latency digests server-side request latency, in seconds: execution
 	// start to response encoded. Execution starts at the executor's pickup,
-	// or at admission for a read run on the connection's reader (decode,
-	// executor-queue and socket time excluded). A read on the reader is
+	// or at admission for a read the connection's reader starts (decode,
+	// executor-queue and socket time excluded). An in-process read is
 	// awaited only after the rest of its frame is dispatched and the reads
-	// started before it are answered, so for an in-process backend the
-	// sample includes that wait.
+	// started before it are answered, so its sample includes that wait. A
+	// wire read is sent at admission and awaited by an executor, so its
+	// sample includes the hand-off to the pool and the round trip.
 	Latency telemetry.HistogramSnapshot
 }
 

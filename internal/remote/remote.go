@@ -16,9 +16,11 @@
 // waits for any (Wait), all on the calling goroutine: a read costs one
 // round trip to its slowest shard, and nothing between the caller and the
 // replicas queues it. The router therefore bounds no concurrency of its
-// own. Behind a netserve front, Config.MaxInflight there admits the reads;
-// a caller driving a RemoteCluster directly, in process, gets every read it
-// submits concurrently on the wire at once, and a replica past its own
+// own. Behind a netserve front, Config.MaxInflight there admits the reads
+// (the front's reader puts each on the wire through SendEmbedInto, the
+// submit half alone, and an executor only awaits it); a caller driving a
+// RemoteCluster directly, in process, gets every read it submits
+// concurrently on the wire at once, and a replica past its own
 // admission limit sheds with a typed OVERLOADED, which fails over and — with
 // the whole group shedding or the retry budget spent — surfaces as a typed
 // *Unavailable. Each sub-request round-robins over its shard's healthy
@@ -639,8 +641,9 @@ func (fc *fleetCall) Release() {
 // the attempts on the wire, the replicas already tried, the hedge instant —
 // lives here, in the router's pooled scratch, rather than on a goroutine's
 // stack, because the request's goroutine leaves between begin and wait to
-// start the other shards. The submitting goroutine owns all of it from
-// begin to wait; the winning attempt's resources stay until Release.
+// start the other shards (and, behind netserve, wait runs on another
+// goroutine). Whichever goroutine holds the read's Pending owns all of it
+// from begin to wait; the winning attempt's resources stay until Release.
 type rCall struct {
 	rc      *RemoteCluster
 	s       int
@@ -913,6 +916,16 @@ func (call *rCall) settle(done, other *attempt, err error) {
 // state. Safe for concurrent use (with distinct dst buffers).
 func (rc *RemoteCluster) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]float32, error) {
 	return rc.router.EmbedInto(dst, perTableRows, batch)
+}
+
+// SendEmbedInto is the submit half of EmbedInto: it validates, routes and
+// deduplicates the read and puts every shard's sub-request on the wire (a
+// netclient Append per shard), then returns without waiting for an answer.
+// The returned Pending's Wait is the other half and blocks on the network:
+// hedging, failover, the deadline and the merge all happen there. Wait must
+// be called exactly once, on any one goroutine the handle was handed to.
+func (rc *RemoteCluster) SendEmbedInto(dst []float32, perTableRows [][]int, batch int) (cluster.Pending, error) {
+	return rc.router.StartEmbedInto(dst, perTableRows, batch)
 }
 
 // Geometry reports the full model's shape and limits, mirroring
