@@ -99,6 +99,12 @@ func main() {
 		if err := cl.ApplyUpdates(ups); err != nil {
 			log.Fatal(err)
 		}
+		// The cluster keeps no copy of the tables, so the model it was
+		// built from is this program's golden: it absorbs every
+		// acknowledged update in the same order.
+		for _, up := range ups {
+			tensordimm.AccumulateGolden(model.Embedding.Tables[up.Table], up)
+		}
 	}
 	m := cl.Metrics()
 	fmt.Printf("after %d update batches: %d gradient rows scattered, %d cache invalidations\n",
@@ -106,8 +112,8 @@ func main() {
 
 	// Phase 3 — coherence proof: re-read the updated hot rows (and a spread
 	// of cold ones) and compare bit-for-bit with the golden model, which
-	// absorbed the same updates write-through. A stale cache entry or a
-	// missed shard scatter would break equality.
+	// absorbed the same updates after each acknowledgement. A stale cache
+	// entry or a missed shard scatter would break equality.
 	checks := 0
 	var got []float32 // reused across the reads
 	for i := 0; i < 32; i++ {

@@ -77,6 +77,10 @@ func main() {
 			if err := dep.ApplyUpdates([]tensordimm.TableUpdate{up}); err != nil {
 				log.Fatal(err)
 			}
+			// The deployment keeps no copy of the tables, so the model it
+			// was built from is this program's golden: it absorbs every
+			// acknowledged update in the same order.
+			tensordimm.AccumulateGolden(model.Embedding.Tables[t], up)
 		}
 		for i := 0; i < batch; i++ {
 			p := float64(probs.At(i, 0))

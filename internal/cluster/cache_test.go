@@ -120,15 +120,18 @@ func TestRowCacheZeroBudget(t *testing.T) {
 	// A cacheless cluster still serves updates and reads correctly.
 	mc := testConfig(2, 1, 64, false, isa.RAdd)
 	c, _ := buildCluster(t, mc, Config{Nodes: 2}) // CacheBytes 0
+	ref := newReference(t, mc)
 	rows := [][]int{{0, 1}, {2, 3}}
 	if _, err := c.EmbedInto(nil, rows, 2); err != nil {
 		t.Fatal(err)
 	}
 	g := tensor.New(1, mc.EmbDim)
 	g.Fill(0.5)
-	if err := c.ApplyUpdates([]runtime.TableUpdate{{Table: 0, Rows: []int{1}, Grads: g}}); err != nil {
+	ups := []runtime.TableUpdate{{Table: 0, Rows: []int{1}, Grads: g}}
+	if err := c.ApplyUpdates(ups); err != nil {
 		t.Fatal(err)
 	}
+	ref.apply(ups)
 	m := c.Metrics()
 	if m.CacheHits != 0 || m.CacheMisses != 0 || m.Invalidations != 0 {
 		t.Fatalf("cacheless cluster recorded cache traffic: %+v", m)
@@ -137,7 +140,7 @@ func TestRowCacheZeroBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.model.Embedding.Forward(rows, 2)
+	want, err := ref.embed(rows, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

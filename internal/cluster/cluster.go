@@ -46,13 +46,14 @@
 //
 // Online updates (ApplyUpdates) reuse the same routing: an update's rows
 // split by placement into per-shard sub-updates that SCATTER_ADD
-// near-memory through each shard's server, the golden model absorbs the
-// same gradients write-through, and the scattered rows are invalidated
-// from the shard caches. Per-table locks serialize same-table updates
-// (float accumulation order is part of the bit-identity contract), and a
-// cache version handshake (rowCache.probe / fill / invalidate) keeps a
-// concurrent reader from parking a pre-update row in a cache after the
-// update's invalidation pass.
+// near-memory through each shard's server, and the scattered rows are
+// invalidated from the shard caches. The shard nodes hold the only copy of
+// the tables: the cluster keeps no host-side model to write through to.
+// Per-table locks serialize same-table updates (float accumulation order
+// is part of the bit-identity contract), and a cache version handshake
+// (rowCache.probe / fill / invalidate) keeps a concurrent reader from
+// parking a pre-update row in a cache after the update's invalidation
+// pass.
 package cluster
 
 import (
@@ -185,7 +186,7 @@ type shard struct {
 // EmbedInto path performs no heap allocations (see ARCHITECTURE.md, "Memory
 // discipline").
 type Cluster struct {
-	model  *recsys.Model
+	mc     recsys.Config // the full model's geometry
 	cfg    Config
 	place  *Placement
 	shard  []*shard
@@ -200,10 +201,10 @@ type Cluster struct {
 }
 
 // New shards the model across cfg.Nodes TensorNodes: it materializes each
-// shard's flat local table from the model's golden tables, builds and
-// uploads a gather-only deployment per shard, and starts a serve.Server
-// in front of each. The model itself is not modified and keeps serving as
-// the golden reference for merges.
+// shard's flat local table from the model's tables, builds and uploads a
+// gather-only deployment per shard, and starts a serve.Server in front of
+// each. The model is input only: it is not modified, the cluster keeps
+// only its config, and each carved shard table is garbage once uploaded.
 func New(m *recsys.Model, cfg Config) (*Cluster, error) {
 	cfg, err := cfg.checked(m.Cfg)
 	if err != nil {
@@ -211,52 +212,34 @@ func New(m *recsys.Model, cfg Config) (*Cluster, error) {
 	}
 	mc := m.Cfg
 	c := &Cluster{
-		model:     m,
+		mc:        mc,
 		cfg:       cfg,
 		place:     NewPlacement(cfg.Strategy, cfg.Nodes, mc.Tables, mc.TableRows),
 		sw:        interconnect.NVSwitch(cfg.Nodes + 1),
 		fabric:    telemetry.NewHistogram(),
 		updFabric: telemetry.NewHistogram(),
 	}
-	// Updates write through to the golden model under the router's table
-	// lock, in the same per-table order the shards applied (shared
-	// accumulation with the runtime).
-	c.router = NewRouter("cluster", mc, c.place, cfg.MaxBatch, localTransport{c},
-		func(up runtime.TableUpdate) { runtime.AccumulateGolden(m.Embedding.Tables[up.Table], up) })
+	c.router = NewRouter("cluster", mc, c.place, cfg.MaxBatch, localTransport{c}, nil)
+	// Each shard runs the stack a replica process deploys (deployShard), so
+	// an in-process shard and a remote replica serve identical bytes. An
+	// empty shard (no rows placed on it) gets no serving stack.
 	for s := 0; s < cfg.Nodes; s++ {
-		sh, err := c.buildShard(s)
-		if err != nil {
+		sh := &shard{id: s}
+		c.shard = append(c.shard, sh)
+		if c.place.localRows[s] == 0 {
+			continue
+		}
+		if sh.srv, err = deployShard(m, c.place, cfg, s); err != nil {
 			c.Close() // release the shards already built
 			return nil, err
 		}
-		c.shard = append(c.shard, sh)
+		sh.cache = newRowCache(cfg.CacheBytes, mc.EmbDim, c.place.localRows[s])
 		c.router.caches[s] = sh.cache
 	}
 	// Uptime starts when the cluster is ready to serve, not when table
 	// upload began, so Metrics-derived throughput reflects serving time.
 	c.started = time.Now()
 	return c, nil
-}
-
-// buildShard materializes shard s: its gather-only model — one flat table
-// holding every row the shard owns at the flat coordinate Placement.Locate
-// assigns it, reduction 1 (pooling happens at the router's merge) — behind
-// the same serving stack a replica process deploys (deployShard), so an
-// in-process shard and a remote replica serve identical bytes. An empty
-// shard (no rows placed on it) gets no serving stack.
-func (c *Cluster) buildShard(s int) (*shard, error) {
-	sh := &shard{id: s}
-	localRows := c.place.localRows[s]
-	if localRows == 0 {
-		return sh, nil
-	}
-	srv, err := deployShard(c.model, c.place, c.cfg, s)
-	if err != nil {
-		return nil, err
-	}
-	sh.srv = srv
-	sh.cache = newRowCache(c.cfg.CacheBytes, c.model.Cfg.EmbDim, localRows)
-	return sh, nil
 }
 
 // localTransport is the in-process Transport: each shard is a serve.Server
@@ -279,7 +262,7 @@ type localCall struct {
 // NewCall sizes the per-shard gather buffers for a maximal sub-request.
 func (t localTransport) NewCall() Call {
 	c := t.c
-	mc := c.model.Cfg
+	mc := c.mc
 	lc := &localCall{
 		c:       c,
 		rowsArg: make([][][]int, c.cfg.Nodes),
@@ -318,7 +301,7 @@ func (lc *localCall) Wait(s int) ([]float32, error) {
 	lc.out[s] = out
 	n := len(lc.rowsArg[s][0])
 	idxBytes := int64(n) * 4
-	rowBytes := int64(n) * lc.c.model.Cfg.EmbBytes()
+	rowBytes := int64(n) * lc.c.mc.EmbBytes()
 	sh.subRequests.Add(1)
 	sh.rowsGathered.Add(uint64(n))
 	sh.indexBytes.Add(uint64(idxBytes))
@@ -346,7 +329,7 @@ func (t localTransport) Update(s int, sub runtime.TableUpdate) error {
 	n := int64(len(sub.Rows))
 	sh.subUpdates.Add(1)
 	sh.rowsUpdated.Add(uint64(n))
-	sh.updateBytes.Add(uint64(n*4 + n*t.c.model.Cfg.EmbBytes()))
+	sh.updateBytes.Add(uint64(n*4 + n*t.c.mc.EmbBytes()))
 	return nil
 }
 
@@ -378,19 +361,19 @@ func (c *Cluster) StartEmbedInto(dst []float32, perTableRows [][]int, batch int)
 // ApplyUpdates applies a batch of per-table gradient updates cluster-wide:
 // every entry's rows are routed through the same TableWise/RowWise
 // placement as gathers, scattered near-memory on the owning shards (via
-// each shard's server, where updates order ahead of co-batched reads),
-// written through to the golden model, and invalidated from the shards'
-// hot-row caches. Index and gradient transfer bytes are charged to the
-// fabric like read traffic. Validation, ordering and concurrency are the
-// shared router's (Router.ApplyUpdates): same-table updates serialize,
-// and after ApplyUpdates returns every subsequent EmbedInto observes the
-// update and remains bit-identical to the sequential golden model.
+// each shard's server, where updates order ahead of co-batched reads), and
+// invalidated from the shards' hot-row caches. Index and gradient transfer
+// bytes are charged to the fabric like read traffic. Validation, ordering
+// and concurrency are the shared router's (Router.ApplyUpdates):
+// same-table updates serialize, and after ApplyUpdates returns every
+// subsequent EmbedInto observes the update and remains bit-identical to a
+// sequential golden model that accumulates the same updates
+// (runtime.AccumulateGolden).
 //
 // Each entry carries 1 to MaxBatch x reduction rows — one request's
 // worth, mirroring the read path. A shard failure mid-batch returns an
-// error and leaves that table inconsistent between shards and golden model
-// (counted in Failures); callers should treat it as fatal for the
-// deployment.
+// error and leaves that table inconsistent between shards (counted in
+// Failures); callers should treat it as fatal for the deployment.
 func (c *Cluster) ApplyUpdates(ups []runtime.TableUpdate) error {
 	if err := c.router.ApplyUpdates(ups); err != nil {
 		return err
@@ -401,7 +384,7 @@ func (c *Cluster) ApplyUpdates(ups []runtime.TableUpdate) error {
 	for _, up := range ups {
 		rows += int64(len(up.Rows))
 	}
-	c.updFabric.Observe(c.sw.TransferSeconds(rows*4 + rows*c.model.Cfg.EmbBytes()))
+	c.updFabric.Observe(c.sw.TransferSeconds(rows*4 + rows*c.mc.EmbBytes()))
 	return nil
 }
 

@@ -3,11 +3,14 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
 	"tensordimm/internal/isa"
 	"tensordimm/internal/recsys"
+	"tensordimm/internal/runtime"
+	"tensordimm/internal/serve"
 	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/workload"
@@ -75,10 +78,11 @@ func TestNewValidation(t *testing.T) {
 
 // TestShardNodeSizing pins the per-DIMM capacity New gives each shard node
 // of the benchmark's net_hot_* geometry (4 tables x 4096 rows x dim 64,
-// reduction 2, 2 shards, 4 DIMMs, MaxBatch 64, default Workers) to the
-// bytes the cluster's own sizing picked before serve.Deploy took it over,
-// so the shared sizing cannot move that workload's memory. DeployShard
-// must build the same stack a cluster shard runs.
+// reduction 2, 2 shards, 4 DIMMs, MaxBatch 64, default Workers) to exactly
+// what the shard's deployment reserves, with no headroom (serve's
+// perDIMMBytes), so no change to the shared sizing can move that
+// workload's memory unnoticed. DeployShard must build the same stack a
+// cluster shard runs.
 func TestShardNodeSizing(t *testing.T) {
 	mc := recsys.Config{
 		Name: "net-hot", Tables: 4, Reduction: 2, FCLayers: 1,
@@ -94,7 +98,7 @@ func TestShardNodeSizing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	const perDIMM = 946176
+	const perDIMM = 647168
 	for _, sh := range c.shard {
 		nd := sh.srv.Node()
 		if got := nd.CapacityBytes() / uint64(nd.NodeDim()); got != perDIMM {
@@ -175,7 +179,8 @@ func TestPlacementTableWise(t *testing.T) {
 }
 
 // matchGolden asserts the cluster's Embed output is bit-identical to the
-// golden single-node embedding for several batches.
+// golden single-node embedding of m, the model the cluster was built from
+// (input only: the cluster keeps no reference to it), for several batches.
 func matchGolden(t *testing.T, c *Cluster, m *recsys.Model, seed int64, iters int) {
 	t.Helper()
 	gen, err := workload.NewGenerator(m.Cfg.TableRows, workload.Uniform, seed)
@@ -189,13 +194,79 @@ func matchGolden(t *testing.T, c *Cluster, m *recsys.Model, seed int64, iters in
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := c.model.Embedding.Forward(rows, batch)
+		want, err := m.Embedding.Forward(rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !tensor.Equal(got, want) {
 			t.Fatalf("iter %d: cluster embedding differs from golden", i)
 		}
+	}
+}
+
+// TestGoldenCallerModelIsInputOnly: the model handed to serve.Deploy or
+// New is input only. After updates and a Restore through each stack, it
+// still equals a fresh build of the same seed bit for bit: no layer keeps
+// a write-through mirror of the caller's tables.
+func TestGoldenCallerModelIsInputOnly(t *testing.T) {
+	mc := testConfig(2, 2, 64, false, isa.RAdd)
+	g := tensor.New(3, mc.EmbDim)
+	g.Fill(0.5)
+	ups := []runtime.TableUpdate{
+		{Table: 0, Rows: []int{1, 1, 7}, Grads: g},
+		{Table: 1, Rows: []int{2, 300, 5}, Grads: g},
+	}
+	vals := make([]float32, 2*mc.EmbDim)
+	for i := range vals {
+		vals[i] = float32(i) * 0.25
+	}
+	unchanged := func(t *testing.T, m *recsys.Model) {
+		t.Helper()
+		fresh, err := recsys.Build(mc, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for tb, want := range fresh.Embedding.Tables {
+			for r := 0; r < mc.TableRows; r++ {
+				if !slices.Equal(m.Embedding.Tables[tb].Row(r), want.Row(r)) {
+					t.Fatalf("table %d row %d of the caller's model changed", tb, r)
+				}
+			}
+		}
+	}
+
+	t.Run("serve.Deploy", func(t *testing.T) {
+		m, err := recsys.Build(mc, 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := serve.Deploy(m, 4, serve.Config{MaxBatch: 8, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.Update(ups); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Restore(0, []int{1, 7}, vals); err != nil {
+			t.Fatal(err)
+		}
+		unchanged(t, m)
+	})
+	for _, strat := range []Strategy{TableWise, RowWise} {
+		t.Run("New/"+strat.String(), func(t *testing.T) {
+			c, m := buildCluster(t, mc, Config{Nodes: 2, Strategy: strat, CacheBytes: 16 << 10})
+			if err := c.ApplyUpdates(ups); err != nil {
+				t.Fatal(err)
+			}
+			// A snapshot install reseats each shard's flat rows directly.
+			for _, sh := range c.shard {
+				if err := sh.srv.Restore(0, []int{0, 1}, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+			unchanged(t, m)
+		})
 	}
 }
 

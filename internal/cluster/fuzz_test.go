@@ -129,7 +129,7 @@ func FuzzClusterEmbed(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%v: valid input rejected: %v", c.cfg.Strategy, err)
 			}
-			want, err := c.model.Embedding.Forward(rows, batch)
+			want, err := m.Embedding.Forward(rows, batch)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -149,7 +149,7 @@ func FuzzClusterEmbed(f *testing.F) {
 		if err != nil {
 			t.Fatalf("runtime: valid input rejected: %v", err)
 		}
-		want, err := dep.Model.Embedding.Forward(rows, batch)
+		want, err := m.Embedding.Forward(rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

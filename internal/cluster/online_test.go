@@ -13,8 +13,7 @@ import (
 
 // reference is a sequential single-node golden model: an independent build
 // of the same config and seed as the cluster's model, mutated only by the
-// test itself, so cluster-side write-through bugs cannot leak into the
-// expectation.
+// test itself, so no cluster-side bug can leak into the expectation.
 type reference struct {
 	m *recsys.Model
 }
@@ -292,6 +291,7 @@ func TestApplyUpdatesValidation(t *testing.T) {
 func TestUpdateMetricsAndInvalidation(t *testing.T) {
 	mc := testConfig(2, 1, 64, false, isa.RAdd)
 	c, _ := buildCluster(t, mc, Config{Nodes: 2, CacheBytes: 32 << 10})
+	ref := newReference(t, mc)
 
 	// Warm the cache with rows 0..3 of both tables.
 	rows := [][]int{{0, 1, 2, 3}, {0, 1, 2, 3}}
@@ -310,9 +310,11 @@ func TestUpdateMetricsAndInvalidation(t *testing.T) {
 	// shard must report exactly two invalidations.
 	g := tensor.New(2, mc.EmbDim)
 	g.Fill(1)
-	if err := c.ApplyUpdates([]runtime.TableUpdate{{Table: 0, Rows: []int{1, 2}, Grads: g}}); err != nil {
+	ups := []runtime.TableUpdate{{Table: 0, Rows: []int{1, 2}, Grads: g}}
+	if err := c.ApplyUpdates(ups); err != nil {
 		t.Fatal(err)
 	}
+	ref.apply(ups)
 	m = c.Metrics()
 	if m.Updates != 1 || m.RowsUpdated != 2 {
 		t.Fatalf("cluster update counters: %d updates, %d rows", m.Updates, m.RowsUpdated)
@@ -338,7 +340,7 @@ func TestUpdateMetricsAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c.model.Embedding.Forward(rows, 4)
+	want, err := ref.embed(rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,10 +140,11 @@ func (p *Placement) MaxSub(s, maxBatch, reduction int) int {
 }
 
 // buildShardModel materializes the gather-only model shard s serves under
-// placement p: the flat local table copied row-by-row from m's golden
-// tables (one flat table, reduction 1 — pooling happens at the router's
-// merge) plus a minimal MLP so every Model invariant holds. The source
-// model is not modified.
+// placement p: the flat local table copied row-by-row from m's tables
+// (one flat table, reduction 1 — pooling happens at the router's merge)
+// plus a minimal MLP so every Model invariant holds. The source model is
+// not modified, and a deployment of the shard model keeps no reference to
+// the flat table once it is uploaded.
 func buildShardModel(m *recsys.Model, p *Placement, s int) (*recsys.Model, error) {
 	mc := m.Cfg
 	localRows := p.localRows[s]

@@ -128,7 +128,7 @@ func TestWarmCacheHitsFirstRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := c2.model.Embedding.Forward(hot, 2)
+	want, err := m.Embedding.Forward(hot, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func coalesceModelCfg() recsys.Config {
 
 // startClusterServer fronts a real 2-shard cluster with a netserve.Server
 // — the stack the coalescing paths must keep bit-identical to the golden
-// model the cluster was built from.
+// model clusterBackend returns.
 func startClusterServer(t *testing.T, strat cluster.Strategy, cfg netserve.Config) (*recsys.Model, *netserve.Server, string) {
 	t.Helper()
 	m, c := clusterBackend(t, strat)
@@ -40,14 +40,18 @@ func startClusterServer(t *testing.T, strat cluster.Strategy, cfg netserve.Confi
 
 // clusterBackend builds the coalescing-test model on a real 2-shard
 // cluster with a hot-row cache, closed at cleanup after any
-// netserve.Server registered later.
+// netserve.Server registered later. It returns a second build of the same
+// model as the test's own golden: the cluster keeps no copy of its tables.
 func clusterBackend(t *testing.T, strat cluster.Strategy) (*recsys.Model, *cluster.Cluster) {
 	t.Helper()
-	m, err := recsys.Build(coalesceModelCfg(), 42)
-	if err != nil {
-		t.Fatal(err)
+	build := func() *recsys.Model {
+		m, err := recsys.Build(coalesceModelCfg(), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	c, err := cluster.New(m, cluster.Config{
+	c, err := cluster.New(build(), cluster.Config{
 		Nodes: 2, DIMMsPerNode: 4, MaxBatch: 16,
 		CacheBytes: 64 << 10, Strategy: strat,
 	})
@@ -55,7 +59,7 @@ func clusterBackend(t *testing.T, strat cluster.Strategy) (*recsys.Model, *clust
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { c.Close() })
-	return m, c
+	return build(), c
 }
 
 // randBatchRows draws one embed request against the real-model geometry.
@@ -92,8 +96,8 @@ func gradUpdate(rng *rand.Rand, mc recsys.Config, maxBatch int, zero bool) runti
 
 // goldenReq is one pre-planned embed request with its expected output,
 // computed serially against the golden model before the concurrent phase
-// fires (the cluster's update write-through mutates the golden tables, so
-// golden forwards must never race in-flight updates).
+// fires (the test accumulates each real update into the golden tables
+// between rounds, so a golden forward never races an accumulation).
 type goldenReq struct {
 	rows  [][]int
 	batch int
@@ -173,12 +177,13 @@ func TestCoalescedMixedTrafficBitIdentical(t *testing.T) {
 				}
 
 				// A real update lands between rounds, so later rounds read
-				// evolved state; the cluster's write-through keeps the golden
-				// model current, no separate accumulation needed.
+				// evolved state; once it is acknowledged the golden model
+				// absorbs it too.
 				up := gradUpdate(rng, m.Cfg, 16, false)
 				if err := cl.Update([]runtime.TableUpdate{up}); err != nil {
 					t.Fatalf("serialized update: %v", err)
 				}
+				runtime.AccumulateGolden(m.Embedding.Tables[up.Table], up)
 			}
 			sm := srv.Metrics()
 			t.Logf("coalescing under mixed traffic: %d reqs in %d BATCHes, %d resps in %d BATCHes",

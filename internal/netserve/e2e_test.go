@@ -49,18 +49,61 @@ func serveOver(t *testing.T, b netserve.Backend) string {
 	return l.Addr().String()
 }
 
+// goldenCluster serves a cluster and advances the test's own golden model
+// with every update batch the cluster applies. Float accumulation order is
+// part of bit-identity, and concurrent clients race their updates, so the
+// golden follows the apply order: a per-table lock, taken for every table
+// of a batch in ascending order, holds the cluster's apply and the golden
+// accumulation together, serializing same-table updates exactly as the
+// router's own table locks do. Every other method (reads on the
+// connection's reader included) is the embedded cluster's.
+type goldenCluster struct {
+	*cluster.Cluster
+	golden  *recsys.Model
+	tableMu []sync.Mutex
+}
+
+func newGoldenCluster(c *cluster.Cluster, golden *recsys.Model) *goldenCluster {
+	return &goldenCluster{Cluster: c, golden: golden, tableMu: make([]sync.Mutex, golden.Cfg.Tables)}
+}
+
+// ApplyUpdates applies ups to the cluster and, once it is acknowledged,
+// to the golden model, under the batch's table locks.
+func (g *goldenCluster) ApplyUpdates(ups []runtime.TableUpdate) error {
+	held := make([]bool, len(g.tableMu))
+	for _, up := range ups {
+		if up.Table >= 0 && up.Table < len(held) {
+			held[up.Table] = true
+		}
+	}
+	for t := range held {
+		if held[t] {
+			g.tableMu[t].Lock()
+			defer g.tableMu[t].Unlock()
+		}
+	}
+	if err := g.Cluster.ApplyUpdates(ups); err != nil {
+		return err
+	}
+	for _, up := range ups {
+		runtime.AccumulateGolden(g.golden.Embedding.Tables[up.Table], up)
+	}
+	return nil
+}
+
 // TestE2EClusterBitIdentity serves a sharded cluster over a loopback
 // listener, hammers it with concurrent pipelined network clients mixing
 // embeds and updates (under -race in CI), then quiesces and asserts the
-// network path, the in-process path and the golden model agree
-// bit-for-bit — for both sharding strategies.
+// network path, the in-process path and the test's golden model (advanced
+// in apply order by goldenCluster) agree bit-for-bit — for both sharding
+// strategies.
 func TestE2EClusterBitIdentity(t *testing.T) {
 	for _, strat := range []cluster.Strategy{cluster.TableWise, cluster.RowWise} {
 		strat := strat
 		t.Run(fmt.Sprint(strat), func(t *testing.T) {
 			m := e2eModel(t)
 			mc := m.Cfg
-			cl, err := cluster.New(m, cluster.Config{
+			cl, err := cluster.New(e2eModel(t), cluster.Config{
 				Nodes: 3, Strategy: strat, DIMMsPerNode: 4,
 				MaxBatch: 8, CacheBytes: 64 << 10,
 			})
@@ -68,7 +111,7 @@ func TestE2EClusterBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { cl.Close() })
-			addr := serveOver(t, netserve.ClusterBackend(cl))
+			addr := serveOver(t, newGoldenCluster(cl, m))
 
 			nc, err := netclient.Dial(addr, netclient.Config{Conns: 2})
 			if err != nil {

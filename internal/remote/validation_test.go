@@ -23,7 +23,7 @@ func (c clientEntry) ApplyUpdates(ups []runtime.TableUpdate) error { return c.Up
 type deploymentEntry struct{ *runtime.Deployment }
 
 func (d deploymentEntry) EmbedInto(_ []float32, rows [][]int, batch int) ([]float32, error) {
-	dst := make([]float32, max(batch, 0)*d.Model.Cfg.Tables*d.Model.Cfg.EmbDim)
+	dst := make([]float32, max(batch, 0)*d.Geometry().Width())
 	if err := d.RunEmbeddingInto(dst, rows, batch); err != nil {
 		return nil, err
 	}

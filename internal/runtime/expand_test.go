@@ -75,11 +75,11 @@ func TestExpandIndicesIntoAppendsWithPerHalfPadding(t *testing.T) {
 // buffer against one into a fresh tensor and against the golden model,
 // reusing the buffer across calls with different batch sizes.
 func TestRunEmbeddingIntoMatchesRunEmbedding(t *testing.T) {
-	d := deploy(t, smallConfig("into", 2, 2, 128, false, isa.RAdd), 8, 8)
+	cfg := smallConfig("into", 2, 2, 128, false, isa.RAdd)
+	d, oracle := deploy(t, cfg, 8, 8)
 	defer d.Release()
-	cfg := d.Model.Cfg
 	width := cfg.Tables * cfg.EmbDim
-	buf := make([]float32, d.MaxBatch()*width)
+	buf := make([]float32, d.Geometry().MaxBatch*width)
 	for _, batch := range []int{1, 3, 8} {
 		rows := make([][]int, cfg.Tables)
 		for t2 := range rows {
@@ -92,7 +92,7 @@ func TestRunEmbeddingIntoMatchesRunEmbedding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		golden, err := d.Model.Embedding.Forward(rows, batch)
+		golden, err := oracle.Embedding.Forward(rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}

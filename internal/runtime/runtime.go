@@ -38,7 +38,7 @@
 // index region, and the NMP cores accumulate them into the resident table.
 // One update lock orders every write of the deployment (updates and
 // restores) in slice order, because float accumulation order is part of the
-// bit-identity contract with the write-through golden tables. Tables inside
+// bit-identity contract with an oracle accumulating in order. Tables inside
 // one multi-table batch therefore scatter one after another, not
 // concurrently.
 package runtime
@@ -100,8 +100,9 @@ type slotScratch struct {
 // the deployment's slots and the per-table parallelism within a batch by its
 // lanes. Writes run one at a time on the update lane, under the update lock.
 type Deployment struct {
-	// Model is the deployed recommender (golden tables plus MLP).
-	Model *recsys.Model
+	// model holds the deployed model's config and MLP, not its tables: the
+	// node holds the only copy of those.
+	model *recsys.Model
 	// Node is the TensorNode pool holding the uploaded tables and scratch.
 	Node *node.Node
 
@@ -119,9 +120,9 @@ type Deployment struct {
 	// updMu serializes every write (ApplyUpdates, RestoreRows): writes
 	// apply in lock order, and within a call in slice order (float
 	// accumulation is not associative, so order is part of the
-	// bit-identity contract with the golden model). It also makes the
-	// holder the sole user of upd, the update lane: an index region and
-	// one staging buffer (gatherBase[0]) of maxBatch x reduction rows.
+	// bit-identity contract). It also makes the holder the sole user of
+	// upd, the update lane: an index region and one staging buffer
+	// (gatherBase[0]) of maxBatch x reduction rows.
 	updMu sync.Mutex
 	upd   *scratchLane
 
@@ -150,7 +151,7 @@ func (d *Deployment) enter() error {
 // all TensorDIMMs) and pre-allocates the scratch regions for batches up to
 // maxBatch, with a single execution slot and scratch lane (sequential
 // embedding execution, the paper's baseline runtime). It exercises the
-// remote-pool allocation APIs ([39]).
+// remote-pool allocation APIs ([39]). The caller's model is input only.
 func Deploy(m *recsys.Model, nd *node.Node, maxBatch int) (*Deployment, error) {
 	return DeployConcurrent(m, nd, maxBatch, 1, 1)
 }
@@ -177,7 +178,7 @@ func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int
 		return nil, fmt.Errorf("runtime: slots (%d) and lanes (%d) must be positive", slots, lanes)
 	}
 	d := &Deployment{
-		Model:    m,
+		model:    &recsys.Model{Cfg: cfg, MLP: m.MLP},
 		Node:     nd,
 		stripes:  embBytes / stripeBytes,
 		geom:     wire.Geometry{Tables: cfg.Tables, Reduction: cfg.Reduction, Dim: cfg.EmbDim, TableRows: cfg.TableRows, MaxBatch: maxBatch},
@@ -310,11 +311,11 @@ func (d *Deployment) Release() error {
 // Stripes returns the number of stripes per embedding under this node.
 func (d *Deployment) Stripes() int { return d.stripes }
 
-// MaxBatch returns the largest batch one embedding execution accepts.
-func (d *Deployment) MaxBatch() int { return d.geom.MaxBatch }
-
 // Slots returns how many batches can execute concurrently.
 func (d *Deployment) Slots() int { return len(d.outBase) }
+
+// Geometry returns the request contract, MaxBatch the largest batch.
+func (d *Deployment) Geometry() wire.Geometry { return d.geom }
 
 // Lanes returns how many per-table programs can be in flight at once. The
 // update lane is not counted: it runs writes only.
@@ -376,7 +377,7 @@ func ExpandIndicesInto(dst []int32, rows []int, reduction, stripes int) []int32 
 //   - N-way non-mean reduce lowers to a REDUCE chain and is rejected here
 //     (none of the paper's workloads need it).
 func (d *Deployment) compileTable(t int, rows []int, batch int, ln *scratchLane, out uint64) (isa.Program, []int32, error) {
-	cfg := d.Model.Cfg
+	cfg := d.model.Cfg
 	outBase := (out + uint64(t)*d.outStride(batch)) / isa.BlockBytes
 	tableBase := d.tableBase[t] / isa.BlockBytes
 	idxBase := ln.idxBase / isa.BlockBytes
@@ -428,7 +429,7 @@ func (d *Deployment) compileTable(t int, rows []int, batch int, ln *scratchLane,
 // of an output region for the given batch: the live rows plus the padding
 // slack that absorbs GATHER's rounded-up index count.
 func (d *Deployment) outStride(batch int) uint64 {
-	return uint64(batch)*uint64(d.Model.Cfg.EmbBytes()) + d.padSlack
+	return uint64(batch)*uint64(d.model.Cfg.EmbBytes()) + d.padSlack
 }
 
 // runTable executes one table's embedding stage on a scratch lane: compile,
@@ -459,7 +460,7 @@ func (d *Deployment) runTable(ln *scratchLane, out uint64, t int, rows []int, ba
 // scratch lanes, so tables execute concurrently when the deployment was
 // sized with more than one lane.
 func (d *Deployment) RunEmbeddingInto(dst []float32, perTableRows [][]int, batch int) error {
-	cfg := d.Model.Cfg
+	cfg := d.model.Cfg
 	if err := d.geom.CheckRead(perTableRows, batch); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
@@ -516,7 +517,7 @@ func (d *Deployment) Infer(perTableRows [][]int, batch int) (*tensor.Tensor, err
 	if err := d.RunEmbeddingInto(x.Data(), perTableRows, batch); err != nil {
 		return nil, err
 	}
-	return d.Model.InferFromEmbeddings(x)
+	return d.model.InferFromEmbeddings(x)
 }
 
 // TableUpdate is one table's slice of an online update batch: gradient rows
@@ -567,9 +568,9 @@ func CheckUpdates(ups []TableUpdate, g wire.Geometry) error {
 // slice order, and concurrent calls in lock acquisition order. Slice order
 // is a total order containing every per-table order, and float
 // accumulation is not associative, so this is what keeps each node table
-// bit-identical to its write-through golden table, which is updated under
-// the same lock right after each entry's SCATTER_ADD. Entries for distinct
-// tables therefore apply one after another, not concurrently.
+// bit-identical to an oracle that accumulates the acknowledged updates in
+// the same order (AccumulateGolden). Entries for distinct tables therefore
+// apply one after another, not concurrently.
 //
 // An update races with concurrent inferences reading the same table —
 // exactly as asynchronous training against a live serving replica would.
@@ -596,26 +597,23 @@ func (d *Deployment) ApplyUpdates(ups []TableUpdate) error {
 		if err := d.scatterTable(up); err != nil {
 			return err
 		}
-		AccumulateGolden(d.Model.Embedding.Tables[up.Table], up)
 	}
 	return nil
 }
 
 // RestoreRows overwrites rows of table t with absolute values (vals holds
-// len(rows) embeddings, row-major) on both the node table and the golden
-// write-through copy. It is the snapshot-install primitive of the
-// durability plane: unlike ApplyUpdates it does not accumulate, so it can
-// reseat a replica from a full-table snapshot without replaying the update
-// history that produced it. Rows are written in slice order under the
+// len(rows) embeddings, row-major). It is the snapshot-install primitive of
+// the durability plane: unlike ApplyUpdates it does not accumulate, so it
+// can reseat a replica from a full-table snapshot without replaying the
+// update history that produced it. Rows are written in slice order under the
 // deployment's update lock, so a restore never lands inside an
 // ApplyUpdates batch. It does not exclude concurrent reads: a caller
 // serving reads holds its own barrier against gathers (serve.Server.Restore).
 func (d *Deployment) RestoreRows(t int, rows []int, vals []float32) error {
-	cfg := d.Model.Cfg
+	cfg := d.model.Cfg
 	if err := d.geom.CheckRows(t, rows, len(vals)); err != nil {
 		return fmt.Errorf("runtime: restore: %w", err)
 	}
-	tb := d.Model.Embedding.Tables[t]
 	if err := d.enter(); err != nil {
 		return err
 	}
@@ -628,16 +626,15 @@ func (d *Deployment) RestoreRows(t int, rows []int, vals []float32) error {
 		if err := d.Node.WriteFloats(d.tableBase[t]+uint64(r)*embBytes, src); err != nil {
 			return fmt.Errorf("runtime: restore row %d: %w", r, err)
 		}
-		copy(tb.Row(r), src)
 	}
 	return nil
 }
 
 // AccumulateGolden applies one update to a host-side golden table in slice
-// order: table[Rows[i]] += Grads.Row(i). It is the single authoritative
-// write-through accumulation shared by the runtime's deployments and the
-// cluster's top-level golden model; float addition is order-sensitive, so
-// a second implementation could silently break bit-identity.
+// order: table[Rows[i]] += Grads.Row(i). It is the accumulation every
+// oracle (tests, chaos, bench, examples) advances its own golden model
+// with; float addition is order-sensitive, so a second implementation
+// could silently break bit-identity.
 func AccumulateGolden(table *embed.Table, up TableUpdate) {
 	for i, r := range up.Rows {
 		dst := table.Row(r)
@@ -660,7 +657,7 @@ var zeroLanes [isa.LanesPerBlock]float32
 func (d *Deployment) scatterTable(up TableUpdate) error {
 	ln := d.upd
 	// Stage gradients into the lane's staging buffer, row-major.
-	embBytes := uint64(d.Model.Cfg.EmbBytes())
+	embBytes := uint64(d.model.Cfg.EmbBytes())
 	for i := 0; i < len(up.Rows); i++ {
 		if err := d.Node.WriteFloats(ln.gatherBase[0]+uint64(i)*embBytes, up.Grads.Row(i)); err != nil {
 			return fmt.Errorf("runtime: stage gradient %d: %w", i, err)

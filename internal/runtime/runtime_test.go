@@ -32,7 +32,10 @@ func newNode(t *testing.T, dimms int) *node.Node {
 	return n
 }
 
-func deploy(t *testing.T, cfg recsys.Config, dimms, maxBatch int) *Deployment {
+// deploy builds cfg's seed-77 model and deploys it on a fresh node. It
+// returns the deployment and golden, a second build of the same model: the
+// test's own oracle, never handed to the deployment.
+func deploy(t *testing.T, cfg recsys.Config, dimms, maxBatch int) (*Deployment, *recsys.Model) {
 	t.Helper()
 	m, err := recsys.Build(cfg, 77)
 	if err != nil {
@@ -42,7 +45,11 @@ func deploy(t *testing.T, cfg recsys.Config, dimms, maxBatch int) *Deployment {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	golden, err := recsys.Build(cfg, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, golden
 }
 
 // embedTensor runs the embedding layer (RunEmbeddingInto) into a fresh [batch,
@@ -118,7 +125,7 @@ func TestExpandIndicesDefensive(t *testing.T) {
 // and verifies bit-identity with the golden model.
 func checkMatchesGolden(t *testing.T, cfg recsys.Config, dimms, batch int) {
 	t.Helper()
-	d := deploy(t, cfg, dimms, batch)
+	d, golden := deploy(t, cfg, dimms, batch)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 5)
 	rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
 
@@ -126,7 +133,7 @@ func checkMatchesGolden(t *testing.T, cfg recsys.Config, dimms, batch int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.Model.Embedding.Forward(rows, batch)
+	want, err := golden.Embedding.Forward(rows, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +173,7 @@ func TestNoReduction(t *testing.T) {
 
 func TestUnsupportedLowering(t *testing.T) {
 	cfg := smallConfig("bad", 1, 5, 128, false, isa.RAdd) // 5-way non-mean
-	d := deploy(t, cfg, 8, 2)
+	d, _ := deploy(t, cfg, 8, 2)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
 	rows := gen.Batch(1, 2, 5)
 	if _, err := embedTensor(d, rows, 2); err == nil {
@@ -176,7 +183,7 @@ func TestUnsupportedLowering(t *testing.T) {
 
 func TestBatchLimits(t *testing.T) {
 	cfg := smallConfig("lim", 1, 2, 128, true, isa.RAdd)
-	d := deploy(t, cfg, 8, 2)
+	d, _ := deploy(t, cfg, 8, 2)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
 	if _, err := embedTensor(d, gen.Batch(1, 4, 2), 4); err == nil {
 		t.Fatal("want batch > maxBatch error")
@@ -193,7 +200,7 @@ func TestBatchLimits(t *testing.T) {
 // before any instruction runs.
 func TestRunEmbeddingRejectsOutOfRangeRows(t *testing.T) {
 	cfg := smallConfig("oob", 2, 1, 128, false, isa.RAdd)
-	d := deploy(t, cfg, 8, 2)
+	d, _ := deploy(t, cfg, 8, 2)
 	last := cfg.Tables - 1
 	cases := []struct {
 		name  string
@@ -223,7 +230,7 @@ func TestRunEmbeddingRejectsOutOfRangeRows(t *testing.T) {
 
 func TestInferEndToEnd(t *testing.T) {
 	cfg := smallConfig("e2e", 2, 4, 128, true, isa.RAdd)
-	d := deploy(t, cfg, 8, 3)
+	d, golden := deploy(t, cfg, 8, 3)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Zipfian, 9)
 	rows := gen.Batch(cfg.Tables, 3, cfg.Reduction)
 
@@ -231,7 +238,7 @@ func TestInferEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.Model.Infer(rows, 3)
+	want, err := golden.Infer(rows, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,8 +403,8 @@ func TestDeployConcurrentValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Slots() != 3 || d.Lanes() != 2 || d.MaxBatch() != 4 {
-		t.Fatalf("slots/lanes/maxBatch = %d/%d/%d", d.Slots(), d.Lanes(), d.MaxBatch())
+	if d.Slots() != 3 || d.Lanes() != 2 || d.Geometry().MaxBatch != 4 {
+		t.Fatalf("slots/lanes/maxBatch = %d/%d/%d", d.Slots(), d.Lanes(), d.Geometry().MaxBatch)
 	}
 }
 
@@ -432,7 +439,7 @@ func TestConcurrentRunEmbedding(t *testing.T) {
 					errs[c] = err
 					return
 				}
-				want, err := d.Model.Embedding.Forward(rows, batch)
+				want, err := m.Embedding.Forward(rows, batch)
 				if err != nil {
 					errs[c] = err
 					return
@@ -479,7 +486,7 @@ func TestConcurrentPairwiseReduce(t *testing.T) {
 					errs[c] = err
 					return
 				}
-				want, _ := d.Model.Embedding.Forward(rows, 4)
+				want, _ := m.Embedding.Forward(rows, 4)
 				if !tensor.Equal(got, want) {
 					errs[c] = fmt.Errorf("client %d: pairwise reduce differs from golden", c)
 					return
@@ -502,7 +509,7 @@ func TestUpdateTablePaddingCapacityBound(t *testing.T) {
 	// capacity check must reject it rather than corrupt the neighbor
 	// allocation.
 	cfg := smallConfig("padcap", 1, 1, 768, false, isa.RAdd)
-	d := deploy(t, cfg, 8, 5)
+	d, _ := deploy(t, cfg, 8, 5)
 	rows := make([]int, 7)
 	grads := tensor.New(len(rows), cfg.EmbDim)
 	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: rows, Grads: grads}}); err == nil {

@@ -11,14 +11,25 @@ import (
 	"tensordimm/internal/workload"
 )
 
+// nodeRow reads row r of table tb back from the node, which holds the only
+// copy of the table the deployment serves.
+func nodeRow(t *testing.T, d *Deployment, tb, r int) []float32 {
+	t.Helper()
+	vals, err := d.Node.ReadFloats(d.tableBase[tb]+uint64(r)*uint64(d.model.Cfg.EmbBytes()), d.model.Cfg.EmbDim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return vals
+}
+
 func TestUpdateTableMatchesGolden(t *testing.T) {
 	cfg := smallConfig("train", 2, 4, 128, true, isa.RAdd)
-	d := deploy(t, cfg, 8, 4)
+	d, golden := deploy(t, cfg, 8, 4)
 
-	// Snapshot a golden copy of table 0 before updates.
+	// Snapshot table 0 before updates.
 	before := make([][]float32, cfg.TableRows)
 	for r := range before {
-		before[r] = append([]float32(nil), d.Model.Embedding.Tables[0].Row(r)...)
+		before[r] = append([]float32(nil), golden.Embedding.Tables[0].Row(r)...)
 	}
 
 	rng := rand.New(rand.NewSource(31))
@@ -27,9 +38,11 @@ func TestUpdateTableMatchesGolden(t *testing.T) {
 	for i := range grads.Data() {
 		grads.Data()[i] = rng.Float32() - 0.5
 	}
-	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: rows, Grads: grads}}); err != nil {
+	up := TableUpdate{Table: 0, Rows: rows, Grads: grads}
+	if err := d.ApplyUpdates([]TableUpdate{up}); err != nil {
 		t.Fatal(err)
 	}
+	AccumulateGolden(golden.Embedding.Tables[0], up)
 
 	// Expected: golden accumulate in order.
 	for i, r := range rows {
@@ -37,8 +50,8 @@ func TestUpdateTableMatchesGolden(t *testing.T) {
 			before[r][k] += grads.At(i, k)
 		}
 	}
-	// The node's table must now gather the updated rows (and the model's
-	// write-through copy must agree).
+	// The node's table must now gather the updated rows, as the test's own
+	// oracle (updated with AccumulateGolden) does.
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 8)
 	batch := 2
 	indices := gen.Batch(cfg.Tables, batch, cfg.Reduction)
@@ -47,7 +60,7 @@ func TestUpdateTableMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := d.Model.Embedding.Forward(indices, batch)
+	want, err := golden.Embedding.Forward(indices, batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,21 +68,21 @@ func TestUpdateTableMatchesGolden(t *testing.T) {
 		t.Fatal("post-update embedding differs from golden")
 	}
 	// Spot-check an updated row directly against the snapshot arithmetic.
+	row3 := nodeRow(t, d, 0, 3)
 	for k := 0; k < cfg.EmbDim; k++ {
-		if d.Model.Embedding.Tables[0].Row(3)[k] != before[3][k] {
-			t.Fatalf("row 3 lane %d: %v != %v", k,
-				d.Model.Embedding.Tables[0].Row(3)[k], before[3][k])
+		if row3[k] != before[3][k] {
+			t.Fatalf("row 3 lane %d: %v != %v", k, row3[k], before[3][k])
 		}
 	}
 }
 
 func TestUpdateTableMultiStripe(t *testing.T) {
 	cfg := smallConfig("train2", 1, 2, 256, false, isa.RMul) // 2 stripes on 8 DIMMs
-	d := deploy(t, cfg, 8, 4)
+	d, golden := deploy(t, cfg, 8, 4)
 	rows := []int{1, 2, 3}
 	grads := tensor.New(len(rows), cfg.EmbDim)
 	grads.Fill(0.25)
-	snapshot := append([]float32(nil), d.Model.Embedding.Tables[0].Row(2)...)
+	snapshot := golden.Embedding.Tables[0].Row(2)
 	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: rows, Grads: grads}}); err != nil {
 		t.Fatal(err)
 	}
@@ -96,12 +109,19 @@ func applyGolden(snap [][][]float32, ups []TableUpdate) {
 	}
 }
 
-func snapshotTables(d *Deployment) [][][]float32 {
-	snap := make([][][]float32, len(d.Model.Embedding.Tables))
-	for t, tb := range d.Model.Embedding.Tables {
-		snap[t] = make([][]float32, tb.Rows())
-		for r := range snap[t] {
-			snap[t][r] = append([]float32(nil), tb.Row(r)...)
+// snapshotTables copies the tables of cfg's seed-77 model, the model every
+// deployment in this file is built from.
+func snapshotTables(t *testing.T, cfg recsys.Config) [][][]float32 {
+	t.Helper()
+	m, err := recsys.Build(cfg, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := make([][][]float32, len(m.Embedding.Tables))
+	for i, tb := range m.Embedding.Tables {
+		snap[i] = make([][]float32, tb.Rows())
+		for r := range snap[i] {
+			snap[i][r] = append([]float32(nil), tb.Row(r)...)
 		}
 	}
 	return snap
@@ -117,7 +137,7 @@ func TestApplyUpdatesMultiTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := snapshotTables(d)
+	snap := snapshotTables(t, cfg)
 
 	rng := rand.New(rand.NewSource(7))
 	var ups []TableUpdate
@@ -136,14 +156,14 @@ func TestApplyUpdatesMultiTable(t *testing.T) {
 
 	for tb := 0; tb < cfg.Tables; tb++ {
 		for r := 0; r < cfg.TableRows; r++ {
-			got := d.Model.Embedding.Tables[tb].Row(r)
+			got := nodeRow(t, d, tb, r)
 			for k, w := range snap[tb][r] {
 				if got[k] != w {
 					t.Fatalf("table %d row %d lane %d: %v != %v", tb, r, k, got[k], w)
 				}
 			}
 		}
-		// Node copy agrees with the write-through copy.
+		// The whole table, read back in one transfer, agrees too.
 		vals, err := d.Node.ReadFloats(d.tableBase[tb], cfg.TableRows*cfg.EmbDim)
 		if err != nil {
 			t.Fatal(err)
@@ -169,7 +189,7 @@ func TestApplyUpdatesConcurrentDisjointTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := snapshotTables(d)
+	snap := snapshotTables(t, cfg)
 
 	// One updater goroutine per table: per-table order is deterministic, so
 	// the final state must match the golden accumulation exactly even though
@@ -212,7 +232,7 @@ func TestApplyUpdatesConcurrentDisjointTables(t *testing.T) {
 	}
 	for tb := 0; tb < cfg.Tables; tb++ {
 		for r := 0; r < cfg.TableRows; r++ {
-			got := d.Model.Embedding.Tables[tb].Row(r)
+			got := nodeRow(t, d, tb, r)
 			for k, w := range snap[tb][r] {
 				if got[k] != w {
 					t.Fatalf("table %d row %d lane %d: %v != %v", tb, r, k, got[k], w)
@@ -224,8 +244,8 @@ func TestApplyUpdatesConcurrentDisjointTables(t *testing.T) {
 
 func TestApplyUpdatesValidatesAtomically(t *testing.T) {
 	cfg := smallConfig("atomic", 2, 1, 128, false, isa.RAdd)
-	d := deploy(t, cfg, 8, 4)
-	snap := snapshotTables(d)
+	d, _ := deploy(t, cfg, 8, 4)
+	snap := snapshotTables(t, cfg)
 	good := tensor.New(1, cfg.EmbDim)
 	good.Fill(1)
 	bad := tensor.New(1, cfg.EmbDim)
@@ -237,8 +257,9 @@ func TestApplyUpdatesValidatesAtomically(t *testing.T) {
 		t.Fatal("want row-range error")
 	}
 	// The valid first entry must NOT have been applied.
+	row3 := nodeRow(t, d, 0, 3)
 	for k, w := range snap[0][3] {
-		if d.Model.Embedding.Tables[0].Row(3)[k] != w {
+		if row3[k] != w {
 			t.Fatal("partial application after failed validation")
 		}
 	}
@@ -249,7 +270,7 @@ func TestApplyUpdatesValidatesAtomically(t *testing.T) {
 
 func TestUpdateTableValidation(t *testing.T) {
 	cfg := smallConfig("trainv", 1, 2, 128, true, isa.RAdd)
-	d := deploy(t, cfg, 8, 2)
+	d, _ := deploy(t, cfg, 8, 2)
 	grads := tensor.New(2, cfg.EmbDim)
 	if err := d.ApplyUpdates([]TableUpdate{{Table: 5, Rows: []int{1, 2}, Grads: grads}}); err == nil {
 		t.Fatal("want table-range error")

@@ -17,7 +17,7 @@ func TestWorkersBeyondQueueDepth(t *testing.T) {
 		t.Fatalf("Workers %d rejected: %v", queueDepth+44, err)
 	}
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 1)
-	pending, want := startReads(t, s, gen, 1, 2, 3)
+	pending, want := startReads(t, s, goldenModel(t, cfg), gen, 1, 2, 3)
 	waitGolden(t, pending, want)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

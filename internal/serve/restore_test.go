@@ -15,8 +15,8 @@ import (
 // TestRestoreUnderLiveTraffic drives Restore against the traffic a replica
 // sees while a snapshot is installed. Part (a) runs Update, EmbedInto and
 // Restore concurrently on the same rows (meant for -race): every call
-// succeeds, and after one final Restore the served read and the golden row
-// both hold the restored values bit for bit. Part (b) pins the gather
+// succeeds, and after one final Restore the served read and a read straight
+// from the deployment both hold the restored values bit for bit. Part (b) pins the gather
 // barrier: while stall holds it, Restore parks on it without writing a
 // row; once it is released, Restore completes.
 func TestRestoreUnderLiveTraffic(t *testing.T) {
@@ -27,7 +27,8 @@ func TestRestoreUnderLiveTraffic(t *testing.T) {
 	for i := range vals {
 		vals[i] = float32(i%97) * 0.25
 	}
-	// check fails unless every row reads back, served and golden, as vals.
+	// check fails unless every row reads back, served and from the
+	// deployment, as vals.
 	check := func(t *testing.T, s *Server) {
 		t.Helper()
 		for i, r := range rows {
@@ -39,8 +40,8 @@ func TestRestoreUnderLiveTraffic(t *testing.T) {
 			if !sameBits(got[:cfg.EmbDim], want) {
 				t.Fatalf("row %d: served read differs from the restored values", r)
 			}
-			if !sameBits(s.dep.Model.Embedding.Tables[0].Row(r), want) {
-				t.Fatalf("row %d: golden row differs from the restored values", r)
+			if !sameBits(depRow(t, s, r), want) {
+				t.Fatalf("row %d: deployment row differs from the restored values", r)
 			}
 		}
 	}
@@ -103,7 +104,7 @@ func TestRestoreUnderLiveTraffic(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		before := append([]float32(nil), s.dep.Model.Embedding.Tables[0].Row(rows[0])...)
+		before := depRow(t, s, rows[0])
 		release := stall(s)
 		done := make(chan error, 1)
 		go func() { done <- s.Restore(0, rows, vals) }()
@@ -118,7 +119,7 @@ func TestRestoreUnderLiveTraffic(t *testing.T) {
 				goruntime.Gosched()
 			}
 		}
-		if !sameBits(s.dep.Model.Embedding.Tables[0].Row(rows[0]), before) {
+		if !sameBits(depRow(t, s, rows[0]), before) {
 			release()
 			t.Fatal("Restore wrote a row while the gather barrier was held")
 		}
@@ -128,6 +129,21 @@ func TestRestoreUnderLiveTraffic(t *testing.T) {
 		}
 		check(t, s)
 	})
+}
+
+// depRow reads row r of table 0 (reduction 1) straight from the server's
+// deployment, past the batcher and the gather barrier.
+func depRow(t *testing.T, s *Server, r int) []float32 {
+	t.Helper()
+	rows := make([][]int, s.geom.Tables)
+	for i := range rows {
+		rows[i] = []int{r}
+	}
+	dst := make([]float32, s.geom.Width())
+	if err := s.dep.RunEmbeddingInto(dst, rows, 1); err != nil {
+		t.Fatal(err)
+	}
+	return dst[:s.geom.Dim]
 }
 
 // parkedOnBarrier reports whether some goroutine is blocked in Restore on

@@ -101,7 +101,7 @@ func (c Config) validate() error {
 // run after validate: it only ever replaces exact zeros.
 func (c Config) withDefaults(dep *runtime.Deployment) Config {
 	if c.MaxBatch == 0 {
-		c.MaxBatch = dep.MaxBatch()
+		c.MaxBatch = dep.Geometry().MaxBatch
 	}
 	if c.Workers == 0 {
 		c.Workers = dep.Slots()
@@ -237,15 +237,16 @@ func New(cfg Config, dep *runtime.Deployment) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults(dep)
-	if cfg.MaxBatch > dep.MaxBatch() {
+	geom := dep.Geometry()
+	if cfg.MaxBatch > geom.MaxBatch {
 		return nil, fmt.Errorf("serve: MaxBatch %d exceeds the deployment's capacity %d",
-			cfg.MaxBatch, dep.MaxBatch())
+			cfg.MaxBatch, geom.MaxBatch)
 	}
-	mc := dep.Model.Cfg
+	geom.MaxBatch = cfg.MaxBatch
 	s := &Server{
 		cfg:       cfg,
 		dep:       dep,
-		geom:      wire.Geometry{Tables: mc.Tables, Reduction: mc.Reduction, Dim: mc.EmbDim, TableRows: mc.TableRows, MaxBatch: cfg.MaxBatch},
+		geom:      geom,
 		queue:     make(chan *request, queueDepth),
 		closeDone: make(chan struct{}),
 		started:   time.Now(),
@@ -292,21 +293,21 @@ func Deploy(m *recsys.Model, dimms int, cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// perDIMMBytes sizes one DIMM of a node for what runtime.DeployConcurrent
-// reserves for a model at maxBatch: the tables, two gather buffers per
-// lane, one output region per slot, padding slack on each buffer, a stripe
-// of alignment margin per allocation, and 50% headroom. The deployment's
-// update lane (one staging buffer the size of a gather buffer) is not
-// counted: the headroom, at least one lane's two gather buffers, holds it.
+// perDIMMBytes sizes one DIMM of a node for exactly what
+// runtime.DeployConcurrent reserves for a model at maxBatch: the tables, two
+// gather buffers per lane, the update lane's staging buffer (one more
+// gather buffer), one output region per slot, padding slack on each buffer,
+// and a stripe of alignment margin per allocation. There is no headroom:
+// the node holds the deployment and nothing else.
 func perDIMMBytes(mc recsys.Config, dimms, maxBatch, slots, lanes int) uint64 {
 	emb := uint64(mc.EmbBytes())
 	stripe := uint64(dimms) * isa.BlockBytes
 	slack := uint64(isa.LanesPerBlock) * stripe
 	gather := uint64(maxBatch*mc.Reduction)*emb + slack
 	out := uint64(mc.Tables) * (uint64(maxBatch)*emb + slack)
-	allocs := uint64(mc.Tables + 2*lanes + slots)
-	need := uint64(mc.TotalTableBytes()) + 2*uint64(lanes)*gather + uint64(slots)*out + allocs*stripe
-	per := (need + need/2) / uint64(dimms)
+	allocs := uint64(mc.Tables + 2*lanes + 1 + slots)
+	need := uint64(mc.TotalTableBytes()) + uint64(2*lanes+1)*gather + uint64(slots)*out + allocs*stripe
+	per := (need + uint64(dimms) - 1) / uint64(dimms)
 	return (per + 4095) / 4096 * 4096
 }
 
@@ -383,7 +384,7 @@ func (s *Server) Geometry() wire.Geometry { return s.geom }
 // before the merged embedding executes, so an update never loses to a read
 // it was coalesced with on the same rows; across batches, a caller that
 // waits for Update to return is guaranteed every later read observes the
-// update. The update writes through to the deployment's golden model. The
+// update, which accumulates into the node's tables, the only copy. The
 // batch is checked (runtime.CheckUpdates) at submit, so a bad update never
 // fails the merged batch it would have joined. Safe for concurrent use.
 func (s *Server) Update(ups []runtime.TableUpdate) error {

@@ -44,6 +44,17 @@ func newDeployment(t *testing.T, cfg recsys.Config, maxBatch, slots, lanes int) 
 	return d
 }
 
+// goldenModel builds the model newDeployment deploys, as the test's own
+// oracle: the deployment keeps no host-side copy of its tables.
+func goldenModel(t *testing.T, cfg recsys.Config) *recsys.Model {
+	t.Helper()
+	m, err := recsys.Build(cfg, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // embedTensor reads through EmbedInto into a fresh [batch, tables*dim]
 // tensor, the shape the golden Model.Embedding.Forward returns.
 func embedTensor(s *Server, rows [][]int, batch int) (*tensor.Tensor, error) {
@@ -150,8 +161,8 @@ func TestSubmitValidation(t *testing.T) {
 // with -race.
 func TestConcurrentClientsMatchGolden(t *testing.T) {
 	cfg := testConfig(3, 4, 128, true, isa.RAdd)
-	dep := newDeployment(t, cfg, 16, 2, 2*cfg.Tables)
-	s, err := New(Config{MaxBatch: 16}, dep)
+	golden := goldenModel(t, cfg)
+	s, err := New(Config{MaxBatch: 16}, newDeployment(t, cfg, 16, 2, 2*cfg.Tables))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +182,7 @@ func TestConcurrentClientsMatchGolden(t *testing.T) {
 					errs[c] = err
 					return
 				}
-				want, err := dep.Model.Embedding.Forward(rows, batch)
+				want, err := golden.Embedding.Forward(rows, batch)
 				if err != nil {
 					errs[c] = err
 					return
@@ -213,8 +224,8 @@ func errMismatch(c, i int) error { return errMismatch2{c, i} }
 // against the pure-software model under concurrency.
 func TestInferMatchesUnbatchedModel(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RMul) // NCF-class pairwise path
-	dep := newDeployment(t, cfg, 8, 2, 4)
-	s, err := New(Config{}, dep)
+	golden := goldenModel(t, cfg)
+	s, err := New(Config{}, newDeployment(t, cfg, 8, 2, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,12 +245,12 @@ func TestInferMatchesUnbatchedModel(t *testing.T) {
 					errs[c] = err
 					return
 				}
-				got, err := dep.Model.InferFromEmbeddings(emb)
+				got, err := golden.InferFromEmbeddings(emb)
 				if err != nil {
 					errs[c] = err
 					return
 				}
-				want, err := dep.Model.Infer(rows, 2)
+				want, err := golden.Infer(rows, 2)
 				if err != nil {
 					errs[c] = err
 					return
@@ -266,8 +277,8 @@ func TestInferMatchesUnbatchedModel(t *testing.T) {
 // prefix must come back golden in full, the spare tail untouched.
 func TestLoneReadFillsDestination(t *testing.T) {
 	cfg := testConfig(3, 4, 128, true, isa.RAdd)
-	dep := newDeployment(t, cfg, 8, 1, cfg.Tables)
-	s, err := New(Config{Workers: 1}, dep)
+	golden := goldenModel(t, cfg)
+	s, err := New(Config{Workers: 1}, newDeployment(t, cfg, 8, 1, cfg.Tables))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +288,7 @@ func TestLoneReadFillsDestination(t *testing.T) {
 	nan := float32(math.NaN())
 	for _, batch := range []int{1, 3, 8} {
 		rows := gen.Batch(cfg.Tables, batch, cfg.Reduction)
-		want, err := dep.Model.Embedding.Forward(rows, batch)
+		want, err := golden.Embedding.Forward(rows, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,20 +325,21 @@ func stall(s *Server) (release func()) {
 	return s.tblMu.Unlock
 }
 
-// startReads starts one read of each given sample count under the server's
-// current state and returns the handles with the golden results to expect.
-func startReads(t *testing.T, s *Server, gen *workload.Generator, batches ...int) ([]Pending, [][]float32) {
+// startReads starts one read of each given sample count and returns the
+// handles with the results to expect: golden's, which must match the
+// server's current state.
+func startReads(t *testing.T, s *Server, golden *recsys.Model, gen *workload.Generator, batches ...int) ([]Pending, [][]float32) {
 	t.Helper()
-	cfg := s.dep.Model.Cfg
+	cfg := golden.Cfg
 	pending := make([]Pending, len(batches))
 	want := make([][]float32, len(batches))
 	for i, b := range batches {
 		rows := gen.Batch(cfg.Tables, b, cfg.Reduction)
-		golden, err := s.dep.Model.Embedding.Forward(rows, b)
+		x, err := golden.Embedding.Forward(rows, b)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want[i] = golden.Data()
+		want[i] = x.Data()
 		if pending[i], err = s.StartEmbedInto(nil, rows, b); err != nil {
 			t.Fatal(err)
 		}
@@ -379,7 +391,7 @@ func TestServeTraceSumsToTotal(t *testing.T) {
 	s.Instrument(reg)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 6)
 	release := stall(s)
-	pending, want := startReads(t, s, gen, 1)
+	pending, want := startReads(t, s, goldenModel(t, cfg), gen, 1)
 	for t0 := time.Now(); time.Since(t0) < 2*time.Millisecond; {
 		goruntime.Gosched()
 	}
@@ -413,7 +425,7 @@ func TestBatchingCoalesces(t *testing.T) {
 		singles[i] = 1
 	}
 	release := stall(s)
-	pending, want := startReads(t, s, gen, singles...)
+	pending, want := startReads(t, s, goldenModel(t, cfg), gen, singles...)
 	release()
 	waitGolden(t, pending, want)
 	if err := s.Close(); err != nil {
@@ -452,7 +464,7 @@ func TestHeadOfLineCarry(t *testing.T) {
 			}
 			gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 4)
 			release := stall(s)
-			pending, want := startReads(t, s, gen, tc.reads...)
+			pending, want := startReads(t, s, goldenModel(t, cfg), gen, tc.reads...)
 			if tc.closeDuring {
 				err = closeDuringStall(s, release)
 			} else {
@@ -533,7 +545,7 @@ func TestCloseDeliversStartedNotWaited(t *testing.T) {
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
 	// Stalled, so only Close's drain can deliver the three reads.
 	release := stall(s)
-	pending, want := startReads(t, s, gen, 2, 2, 2)
+	pending, want := startReads(t, s, goldenModel(t, cfg), gen, 2, 2, 2)
 	if err := closeDuringStall(s, release); err != nil {
 		t.Fatal(err)
 	}

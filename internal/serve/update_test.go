@@ -55,6 +55,7 @@ func TestUpdateVisibleToLaterReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	golden := goldenModel(t, cfg)
 	rng := rand.New(rand.NewSource(2))
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
 
@@ -65,13 +66,14 @@ func TestUpdateVisibleToLaterReads(t *testing.T) {
 		if err := s.Update(ups); err != nil {
 			t.Fatal(err)
 		}
+		runtime.AccumulateGolden(golden.Embedding.Tables[ups[0].Table], ups[0])
 		rows := gen.Batch(cfg.Tables, 2, cfg.Reduction)
 		rows[step%cfg.Tables] = []int{7, 11, 7, 12} // touch updated rows
 		got, err := embedTensor(s, rows, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := s.dep.Model.Embedding.Forward(rows, 2)
+		want, err := golden.Embedding.Forward(rows, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,21 +97,23 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	golden := goldenModel(t, cfg)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 8)
 	rows := [][]int{{7, 7}, {1, 2}}
-	stale, err := s.dep.Model.Embedding.Forward(rows, 1)
+	stale, err := golden.Embedding.Forward(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	release := stall(s)
-	filler, fillerWant := startReads(t, s, gen, 8)
+	filler, fillerWant := startReads(t, s, golden, gen, 8)
 	read, err := s.StartEmbedInto(nil, rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
+	upd := runtime.TableUpdate{Table: 0, Rows: []int{7}, Grads: randGrads(rand.New(rand.NewSource(9)), 1, cfg.EmbDim)}
 	up := getRequest()
-	up.updates = []runtime.TableUpdate{{Table: 0, Rows: []int{7}, Grads: randGrads(rand.New(rand.NewSource(9)), 1, cfg.EmbDim)}}
+	up.updates = []runtime.TableUpdate{upd}
 	if err := s.submit(up); err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +127,8 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	if err := await(up); err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := s.dep.Model.Embedding.Forward(rows, 1)
+	runtime.AccumulateGolden(golden.Embedding.Tables[0], upd)
+	fresh, err := golden.Embedding.Forward(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,27 +147,35 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 }
 
 // TestUpdateAbsorbsDuplicateRowsOnce: an update listing a row twice
-// reaches the deployment once, so the golden model absorbs each of the two
-// gradient rows exactly once, and later reads of the row match it.
+// reaches the deployment once, so the node's table absorbs each of the two
+// gradient rows exactly once, and later reads of the row match the golden
+// model.
 func TestUpdateAbsorbsDuplicateRowsOnce(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RAdd)
-	dep := newDeployment(t, cfg, 8, 1, 2)
-	s, err := New(Config{}, dep)
+	s, err := New(Config{}, newDeployment(t, cfg, 8, 1, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 
-	golden := dep.Model.Embedding.Tables[0]
+	golden := goldenModel(t, cfg)
 	rng := rand.New(rand.NewSource(4))
-	snap := append([]float32(nil), golden.Row(3)...)
+	snap := append([]float32(nil), golden.Embedding.Tables[0].Row(3)...)
 	g := randGrads(rng, 2, cfg.EmbDim)
-	if err := s.Update([]runtime.TableUpdate{{Table: 0, Rows: []int{3, 3}, Grads: g}}); err != nil {
+	up := runtime.TableUpdate{Table: 0, Rows: []int{3, 3}, Grads: g}
+	if err := s.Update([]runtime.TableUpdate{up}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.AccumulateGolden(golden.Embedding.Tables[0], up)
+	// Row 3 pooled with itself: the RAdd reduction doubles it exactly, so
+	// each lane reads back as 2 x (snap + g0 + g1).
+	row3, err := s.EmbedInto(nil, [][]int{{3, 3}, {0, 0}}, 1)
+	if err != nil {
 		t.Fatal(err)
 	}
 	for k := range snap {
-		if want := snap[k] + g.At(0, k) + g.At(1, k); golden.Row(3)[k] != want {
-			t.Fatalf("golden lane %d: %v != %v (update applied twice?)", k, golden.Row(3)[k], want)
+		if want := 2 * (snap[k] + g.At(0, k) + g.At(1, k)); row3[k] != want {
+			t.Fatalf("node lane %d: %v != %v (update applied twice?)", k, row3[k], want)
 		}
 	}
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 5)
@@ -172,7 +185,7 @@ func TestUpdateAbsorbsDuplicateRowsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := dep.Model.Embedding.Forward(rows, 1)
+	want, err := golden.Embedding.Forward(rows, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,8 +196,9 @@ func TestUpdateAbsorbsDuplicateRowsOnce(t *testing.T) {
 
 // TestGoldenMixedTrafficConcurrent hammers the server with concurrent
 // readers and per-table updaters, then verifies the quiesced state matches
-// the golden model bit-for-bit (per-table update order is deterministic
-// because each table has exactly one updater).
+// the test's golden model bit-for-bit (per-table update order is
+// deterministic because each table has exactly one updater, which
+// accumulates each acknowledged update into its own golden table).
 func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 	cfg := testConfig(2, 2, 128, false, isa.RAdd)
 	s, err := New(Config{Workers: 2}, newDeployment(t, cfg, 16, 2, 4))
@@ -192,6 +206,7 @@ func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	golden := goldenModel(t, cfg)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 6)
 	genMu := sync.Mutex{}
 
@@ -208,10 +223,12 @@ func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(10 + tb)))
 			for i := 0; i < steps; i++ {
 				rows := []int{rng.Intn(cfg.TableRows), rng.Intn(cfg.TableRows)}
-				if err := s.Update([]runtime.TableUpdate{{Table: tb, Rows: rows, Grads: randGrads(rng, 2, cfg.EmbDim)}}); err != nil {
+				up := runtime.TableUpdate{Table: tb, Rows: rows, Grads: randGrads(rng, 2, cfg.EmbDim)}
+				if err := s.Update([]runtime.TableUpdate{up}); err != nil {
 					errs[tb] = err
 					return
 				}
+				runtime.AccumulateGolden(golden.Embedding.Tables[tb], up)
 			}
 		}(tb)
 	}
@@ -244,7 +261,7 @@ func TestGoldenMixedTrafficConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := s.dep.Model.Embedding.Forward(rows, 4)
+	want, err := golden.Embedding.Forward(rows, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

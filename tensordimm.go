@@ -59,11 +59,13 @@
 //
 // Deployments, servers and clusters all accept SCATTER_ADD gradient
 // updates while serving; caches stay coherent and reads stay bit-identical
-// to the sequential golden model:
+// to a sequential golden model the caller keeps (the node holds the only
+// copy of a table) and advances with every acknowledged update:
 //
 //	up := tensordimm.TableUpdate{Table: 0, Rows: rows, Grads: grads}
 //	_ = srv.Update([]tensordimm.TableUpdate{up})       // ahead of co-batched reads
 //	_ = cl.ApplyUpdates([]tensordimm.TableUpdate{up})  // routed + invalidated per shard
+//	tensordimm.AccumulateGolden(golden.Embedding.Tables[0], up)
 //
 // See the examples directory for runnable programs, ARCHITECTURE.md for the
 // layer stack, and EXPERIMENTS.md (in the repository root) for the
@@ -76,6 +78,7 @@ import (
 	"tensordimm/internal/chaos"
 	"tensordimm/internal/cluster"
 	"tensordimm/internal/core"
+	"tensordimm/internal/embed"
 	"tensordimm/internal/experiments"
 	"tensordimm/internal/isa"
 	"tensordimm/internal/netclient"
@@ -280,6 +283,9 @@ func Deploy(m *Model, nd *Node, maxBatch int) (*Deployment, error) {
 func DeployConcurrent(m *Model, nd *Node, maxBatch, slots, lanes int) (*Deployment, error) {
 	return runtime.DeployConcurrent(m, nd, maxBatch, slots, lanes)
 }
+
+// AccumulateGolden advances a caller-held golden table by one update.
+func AccumulateGolden(table *embed.Table, up TableUpdate) { runtime.AccumulateGolden(table, up) }
 
 // NewServer starts a concurrent batched embedding server over one
 // deployment; read it with EmbedInto from any goroutine. Close the server

@@ -181,6 +181,12 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 	if err := cl.ApplyUpdates([]tensordimm.TableUpdate{up}); err != nil {
 		t.Fatal(err)
 	}
+	// The test's own golden: the cluster keeps no copy of model's tables.
+	golden, err := tensordimm.BuildModel(cfg, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tensordimm.AccumulateGolden(golden.Embedding.Tables[up.Table], up)
 	gen, err := tensordimm.NewZipfWorkload(cfg.TableRows, 0.9, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +197,7 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 	if _, err := cl.EmbedInto(got.Data(), indices, 4); err != nil {
 		t.Fatal(err)
 	}
-	want, err := model.Embedding.Forward(indices, 4)
+	want, err := golden.Embedding.Forward(indices, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +208,8 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 		t.Fatalf("update metrics malformed: %+v", m)
 	}
 
-	// Single-node server path.
+	// Single-node server path: model is still the pristine seed-42 build,
+	// so after the same one update the server matches the same golden.
 	nd, err := tensordimm.NewNode(8, 16<<20)
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +229,7 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 	if _, err := srv.EmbedInto(got.Data(), indices, 4); err != nil {
 		t.Fatal(err)
 	}
-	want, err = model.Embedding.Forward(indices, 4)
+	want, err = golden.Embedding.Forward(indices, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
