@@ -65,9 +65,9 @@ func main() {
 		}
 		wg.Wait()
 	}
-	warm := cl.Metrics()
-	fmt.Printf("after warmup: %.1f%% hit rate, %d rows cached\n",
-		100*warm.HitRate, cachedRows(warm))
+	hits, misses := total(reg, "tensordimm_cluster_cache_hits_total"), total(reg, "tensordimm_cluster_cache_misses_total")
+	fmt.Printf("after warmup: %.1f%% hit rate, %.0f rows cached\n",
+		100*hits/(hits+misses), total(reg, "tensordimm_cluster_cache_rows"))
 
 	// Phase 2 — online updates: accumulate gradients into the hottest rows
 	// (0..15 under Zipf skew) of both tables. Each update routes through
@@ -106,9 +106,9 @@ func main() {
 			tensordimm.AccumulateGolden(model.Embedding.Tables[up.Table], up)
 		}
 	}
-	m := cl.Metrics()
-	fmt.Printf("after %d update batches: %d gradient rows scattered, %d cache invalidations\n",
-		m.Updates, m.RowsUpdated, m.Invalidations)
+	fmt.Printf("after %.0f update batches: %.0f gradient rows scattered, %.0f cache invalidations\n",
+		total(reg, "tensordimm_cluster_updates_total"), total(reg, "tensordimm_cluster_update_rows_total"),
+		total(reg, "tensordimm_cluster_cache_invalidations_total"))
 
 	// Phase 3 — coherence proof: re-read the updated hot rows (and a spread
 	// of cold ones) and compare bit-for-bit with the golden model, which
@@ -138,11 +138,20 @@ func main() {
 	reg.Snapshot().WriteText(os.Stdout)
 }
 
-// cachedRows sums the resident rows across shards.
-func cachedRows(m tensordimm.ClusterMetrics) int {
-	n := 0
-	for _, s := range m.Shards {
-		n += s.CacheRows
+// total sums one series name across its labels (the cluster's shards) in
+// a fresh snapshot of the registry, counters and gauges alike.
+func total(reg *tensordimm.TelemetryRegistry, name string) float64 {
+	snap := reg.Snapshot()
+	n := 0.0
+	for _, c := range snap.Counters {
+		if c.Name == name {
+			n += float64(c.Value)
+		}
+	}
+	for _, g := range snap.Gauges {
+		if g.Name == name {
+			n += g.Value
+		}
 	}
 	return n
 }

@@ -69,8 +69,9 @@ type Config struct {
 	Log func(format string, args ...any)
 	// Registry, when set, receives the soak's live counters (updates,
 	// reads, skew reads, typed and deadline errors, golden checks,
-	// invariant violations) plus the writing router's full series, so a
-	// long soak is observable through the admin endpoint while it runs.
+	// invariant violations) plus both routers' full series, so a long soak
+	// is observable through the admin endpoint while it runs. Nil selects
+	// a private registry; the soak reads its routers' numbers there.
 	Registry *telemetry.Registry
 }
 
@@ -136,6 +137,7 @@ type soak struct {
 	golden *recsys.Model
 	writer *remote.RemoteCluster
 	skew   *remote.RemoteCluster
+	reg    *telemetry.Registry // both routers' series: where the soak reads their numbers
 
 	// pmu guards procs: the schedule applier kills and restarts entries
 	// while the quiescent phase heals stragglers.
@@ -160,9 +162,10 @@ func (c *soak) vio(format string, args ...any) {
 	c.vmu.Unlock()
 }
 
-// instrument registers the soak's live counters on the configured
-// registry and instruments both routers (labeled by role).
+// instrument registers the soak's live counters on reg and instruments
+// both routers (labeled by role).
 func (c *soak) instrument(reg *telemetry.Registry) {
+	c.reg = reg
 	reg.Counter("tensordimm_chaos_updates_total", "update batches driven through the writing router", c.updates.Load)
 	reg.Counter("tensordimm_chaos_reads_total", "reads driven through the writing router", c.reads.Load)
 	reg.Counter("tensordimm_chaos_skew_reads_total", "deadline-bounded reads driven through the skew router", c.skewReads.Load)
@@ -172,6 +175,19 @@ func (c *soak) instrument(reg *telemetry.Registry) {
 	reg.Counter("tensordimm_chaos_violations_total", "invariant violations detected", c.violationCount.Load)
 	c.writer.Instrument(reg, telemetry.L("router", "writer"))
 	c.skew.Instrument(reg, telemetry.L("router", "skew"))
+}
+
+// series reads the named router's tensordimm_remote_<name> counters and
+// gauges (a counter's name ends in _total) from one registry snapshot.
+func (c *soak) series(router string) func(name string) uint64 {
+	snap, l := c.reg.Snapshot(), telemetry.L("router", router)
+	return func(name string) uint64 {
+		if v, ok := snap.Counter("tensordimm_remote_"+name, l); ok {
+			return v
+		}
+		v, _ := snap.Gauge("tensordimm_remote_"+name, l)
+		return uint64(v)
+	}
 }
 
 // logf forwards to the configured logger.
@@ -252,9 +268,11 @@ func Run(cfg Config) (Report, error) {
 		return Report{}, fmt.Errorf("chaos: skew router: %w", err)
 	}
 	defer c.skew.Close()
-	if cfg.Registry != nil {
-		c.instrument(cfg.Registry)
+	reg := cfg.Registry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
 	}
+	c.instrument(reg)
 
 	rounds := int((cfg.Duration + soakRound - 1) / soakRound)
 	schedule := genSchedule(cfg.Seed, rounds, soakShards, soakReplicas, soakRound)
@@ -272,9 +290,10 @@ func Run(cfg Config) (Report, error) {
 			break
 		}
 		c.goldenSweep(fmt.Sprintf("round %d quiescent", round), 8, int64(round)*7919+cfg.Seed)
-		m := c.writer.Metrics()
+		w := c.series("writer")
 		c.logf("chaos: round %d/%d done: %d/%d replicas up, %d updates, %d resyncs (%d restores), %d failovers, %d failures",
-			round+1, rounds, m.ReplicasUp, m.ReplicasTotal, m.Updates, m.Resyncs, m.Restores, m.Failovers, m.Failures)
+			round+1, rounds, w("replicas_up"), w("replicas_total"), w("updates_total"),
+			w("resyncs_total"), w("restores_total"), w("failovers_total"), w("failures_total"))
 	}
 
 	// Final durability phase: quiesce, then kill EVERY replica and
@@ -297,17 +316,17 @@ func Run(cfg Config) (Report, error) {
 		}
 	}
 
-	wm := c.writer.Metrics()
-	sm := c.skew.Metrics()
+	w, sk := c.series("writer"), c.series("skew")
+	both := func(name string) uint64 { return w(name) + sk(name) }
 	rep := Report{
 		Seed: cfg.Seed, Rounds: rounds, Faults: faults,
 		Updates: c.updates.Load(), Reads: c.reads.Load(), SkewReads: c.skewReads.Load(),
 		TypedErrors: c.typedErrs.Load(), DeadlineErrors: c.deadlineErrs.Load(),
 		GoldenChecks: c.goldenChecks.Load(),
-		Resyncs:      wm.Resyncs, Replayed: wm.Replayed, Restores: wm.Restores,
-		BreakerTrips: wm.BreakerTrips + sm.BreakerTrips,
-		Failovers:    wm.Failovers + sm.Failovers,
-		HedgeWins:    wm.HedgeWins + sm.HedgeWins,
+		Resyncs:      w("resyncs_total"), Replayed: w("replayed_total"), Restores: w("restores_total"),
+		BreakerTrips: both("breaker_trips_total"),
+		Failovers:    both("failovers_total"),
+		HedgeWins:    both("hedge_wins_total"),
 	}
 	c.vmu.Lock()
 	defer c.vmu.Unlock()
@@ -508,15 +527,15 @@ func (c *soak) quiesce(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	probeRows := c.randRows(rand.New(rand.NewSource(c.cfg.Seed^0x9e37)), 1)
 	for {
-		m := c.writer.Metrics()
-		if m.ReplicasUp == total {
+		w := c.series("writer")
+		if w("replicas_up") == uint64(total) {
 			if _, err := c.writer.EmbedInto(nil, probeRows, 1); err == nil {
 				return nil
 			}
 		}
 		if time.Now().After(deadline) {
 			return fmt.Errorf("fleet not re-admitted within %v: %d/%d replicas up, %d breakers open",
-				timeout, m.ReplicasUp, m.ReplicasTotal, m.BreakerOpen)
+				timeout, w("replicas_up"), w("replicas_total"), w("breakers_open"))
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -175,8 +175,8 @@ type shard struct {
 // Cluster is a sharded multi-node serving system for one recommender
 // model. Create with New, read with EmbedInto (the caller runs the DNN
 // stage, recsys.Model.InferFromEmbeddings, over the merged tensor) and
-// write with ApplyUpdates from any number of goroutines, inspect with
-// Metrics, and Close when done.
+// write with ApplyUpdates from any number of goroutines, observe through
+// the series Instrument registers, and Close when done.
 //
 // A Cluster is a thin owner of the shared Router core (router.go), which
 // does the routing, deduplication, cache probing, scatter/gather, merge and
@@ -195,7 +195,6 @@ type Cluster struct {
 	// NVSwitch port per shard plus the router's.
 	sw interconnect.Switch
 
-	started   time.Time
 	fabric    *telemetry.Histogram // modeled fabric seconds per request
 	updFabric *telemetry.Histogram // modeled fabric seconds per update batch
 }
@@ -236,9 +235,6 @@ func New(m *recsys.Model, cfg Config) (*Cluster, error) {
 		sh.cache = newRowCache(cfg.CacheBytes, mc.EmbDim, c.place.localRows[s])
 		c.router.caches[s] = sh.cache
 	}
-	// Uptime starts when the cluster is ready to serve, not when table
-	// upload began, so Metrics-derived throughput reflects serving time.
-	c.started = time.Now()
 	return c, nil
 }
 
@@ -373,7 +369,8 @@ func (c *Cluster) StartEmbedInto(dst []float32, perTableRows [][]int, batch int)
 // Each entry carries 1 to MaxBatch x reduction rows — one request's
 // worth, mirroring the read path. A shard failure mid-batch returns an
 // error and leaves that table inconsistent between shards (counted in
-// Failures); callers should treat it as fatal for the deployment.
+// tensordimm_cluster_failures_total); callers should treat it as fatal for
+// the deployment.
 func (c *Cluster) ApplyUpdates(ups []runtime.TableUpdate) error {
 	if err := c.router.ApplyUpdates(ups); err != nil {
 		return err

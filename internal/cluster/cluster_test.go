@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -46,6 +45,47 @@ func buildCluster(t *testing.T, mc recsys.Config, cfg Config) (*Cluster, *recsys
 	t.Cleanup(func() { c.Close() })
 	return c, m
 }
+
+// instrument puts c's series, and its shard servers', on a fresh
+// registry: the read surface of the counter assertions. Call it before the
+// traffic it should count.
+func instrument(c *Cluster) *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	c.Instrument(reg)
+	return reg
+}
+
+// counter reads one counter series from reg; a missing series fails the
+// test.
+func counter(t *testing.T, reg *telemetry.Registry, name string, labels ...telemetry.Label) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot().Counter(name, labels...)
+	if !ok {
+		t.Fatalf("no series %s%v", name, labels)
+	}
+	return v
+}
+
+// shardSum sums a per-shard counter over every shard that carries it (an
+// empty shard has no cache series); no such series fails the test.
+func shardSum(t *testing.T, reg *telemetry.Registry, name string) uint64 {
+	t.Helper()
+	var n uint64
+	found := false
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == name {
+			n += c.Value
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no series %s", name)
+	}
+	return n
+}
+
+// shardLabel is the label a shard's series carry.
+func shardLabel(s int) telemetry.Label { return telemetry.L("shard", fmt.Sprint(s)) }
 
 // embedTensor reads through EmbedInto and shapes the result as the
 // [batch, tables*dim] tensor the golden Model.Embedding.Forward returns.
@@ -297,11 +337,11 @@ func TestRowWiseMatchesGolden(t *testing.T) {
 func TestRowWiseWithCacheMatchesGolden(t *testing.T) {
 	c, m := buildCluster(t, testConfig(2, 4, 64, true, isa.RAdd),
 		Config{Nodes: 3, Strategy: RowWise, CacheBytes: 16 << 10})
+	reg := instrument(c)
 	matchGolden(t, c, m, 10, 8)
-	met := c.Metrics()
-	if met.CacheHits+met.CacheMisses != met.Lookups {
-		t.Fatalf("cache accounting: %d hits + %d misses != %d lookups",
-			met.CacheHits, met.CacheMisses, met.Lookups)
+	hits, misses := shardSum(t, reg, "tensordimm_cluster_cache_hits_total"), shardSum(t, reg, "tensordimm_cluster_cache_misses_total")
+	if lookups := counter(t, reg, "tensordimm_cluster_lookups_total"); hits+misses != lookups {
+		t.Fatalf("cache accounting: %d hits + %d misses != %d lookups", hits, misses, lookups)
 	}
 }
 
@@ -313,6 +353,7 @@ func TestRowWiseWithCacheMatchesGolden(t *testing.T) {
 func TestEmptySubBatches(t *testing.T) {
 	mc := testConfig(2, 2, 64, false, isa.RAdd)
 	c, m := buildCluster(t, mc, Config{Nodes: 4, Strategy: TableWise})
+	reg := instrument(c)
 	gen, _ := workload.NewGenerator(mc.TableRows, workload.Uniform, 3)
 	for i := 0; i < 3; i++ {
 		rows := gen.Batch(mc.Tables, 2, mc.Reduction)
@@ -333,7 +374,11 @@ func TestEmptySubBatches(t *testing.T) {
 		t.Fatalf("table-owning shards saw no traffic: %d, %d",
 			met.Shards[0].SubRequests, met.Shards[1].SubRequests)
 	}
-	if met.TransferBytes == 0 {
+	var transfer uint64
+	for _, name := range []string{"partial_bytes", "index_bytes", "update_bytes"} {
+		transfer += shardSum(t, reg, "tensordimm_cluster_"+name+"_total")
+	}
+	if transfer == 0 {
 		t.Fatal("no fabric traffic modeled")
 	}
 
@@ -369,6 +414,7 @@ func TestEmptySubBatches(t *testing.T) {
 func TestCacheHitAccounting(t *testing.T) {
 	mc := testConfig(2, 3, 64, true, isa.RAdd)
 	c, m := buildCluster(t, mc, Config{Nodes: 2, Strategy: RowWise, CacheBytes: 1 << 20})
+	reg := instrument(c)
 	gen, _ := workload.NewGenerator(mc.TableRows, workload.Uniform, 5)
 	rows := gen.Batch(mc.Tables, 2, mc.Reduction)
 	want, _ := m.Embedding.Forward(rows, 2)
@@ -394,8 +440,9 @@ func TestCacheHitAccounting(t *testing.T) {
 	if gathered := afterRows(after) - afterRows(before); gathered != 0 {
 		t.Fatalf("second pass gathered %d rows, want 0", gathered)
 	}
-	if after.CacheHits+after.CacheMisses != after.Lookups {
-		t.Fatalf("accounting: %d + %d != %d", after.CacheHits, after.CacheMisses, after.Lookups)
+	hits, misses := shardSum(t, reg, "tensordimm_cluster_cache_hits_total"), shardSum(t, reg, "tensordimm_cluster_cache_misses_total")
+	if lookups := counter(t, reg, "tensordimm_cluster_lookups_total"); hits+misses != lookups {
+		t.Fatalf("accounting: %d + %d != %d", hits, misses, lookups)
 	}
 }
 
@@ -415,6 +462,7 @@ func TestConcurrentInferAccounting(t *testing.T) {
 	mc := testConfig(2, 3, 64, true, isa.RAdd)
 	c, m := buildCluster(t, mc,
 		Config{Nodes: 3, Strategy: RowWise, CacheBytes: 32 << 10, Workers: 2})
+	reg := instrument(c)
 	const clients, iters = 6, 5
 	var wg sync.WaitGroup
 	errs := make([]error, clients)
@@ -458,16 +506,15 @@ func TestConcurrentInferAccounting(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	met := c.Metrics()
-	if met.CacheHits+met.CacheMisses != met.Lookups {
-		t.Fatalf("accounting under concurrency: %d hits + %d misses != %d lookups",
-			met.CacheHits, met.CacheMisses, met.Lookups)
+	hits, misses := shardSum(t, reg, "tensordimm_cluster_cache_hits_total"), shardSum(t, reg, "tensordimm_cluster_cache_misses_total")
+	if lookups := counter(t, reg, "tensordimm_cluster_lookups_total"); hits+misses != lookups {
+		t.Fatalf("accounting under concurrency: %d hits + %d misses != %d lookups", hits, misses, lookups)
 	}
-	if met.Requests != clients*iters {
-		t.Fatalf("completed %d requests, want %d", met.Requests, clients*iters)
+	if n := counter(t, reg, "tensordimm_cluster_requests_total"); n != clients*iters {
+		t.Fatalf("completed %d requests, want %d", n, clients*iters)
 	}
-	if met.Failures != 0 {
-		t.Fatalf("%d failures", met.Failures)
+	if n := counter(t, reg, "tensordimm_cluster_failures_total"); n != 0 {
+		t.Fatalf("%d failures", n)
 	}
 }
 
@@ -479,6 +526,7 @@ func TestZipfHitRate(t *testing.T) {
 	// 64 KiB per shard = 256 rows of 256 B; two shards ≈ 13% of 2x2000 rows.
 	c, _ := buildCluster(t, mc,
 		Config{Nodes: 2, Strategy: RowWise, CacheBytes: 64 << 10, MaxBatch: 8})
+	reg := instrument(c)
 	gen, err := workload.NewZipfGenerator(mc.TableRows, 0.9, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -501,9 +549,9 @@ func TestZipfHitRate(t *testing.T) {
 	if rate <= 0.5 {
 		t.Fatalf("warm Zipf(0.9) hit rate %.1f%%, want > 50%%", 100*rate)
 	}
-	for _, s := range final.Shards {
-		if s.CacheHits == 0 {
-			t.Fatalf("shard %d never hit its cache", s.Shard)
+	for s := range final.Shards {
+		if counter(t, reg, "tensordimm_cluster_cache_hits_total", shardLabel(s)) == 0 {
+			t.Fatalf("shard %d never hit its cache", s)
 		}
 	}
 }
@@ -561,49 +609,55 @@ func TestRequestValidation(t *testing.T) {
 	}
 }
 
-// TestInstrumentExportsMetrics checks that the registry carries every
-// number the cluster's Metrics holds — routing, per-shard cache and both
-// modeled-fabric histograms — since the snapshot is the only report.
+// TestInstrumentExportsMetrics checks that the registry carries the
+// cluster's numbers — routing, per-shard cache and both modeled-fabric
+// histograms — each equal to what the traffic the test drove implies,
+// since the snapshot is the only report. Table-wise over 2 nodes puts
+// table t on shard t, and one request read three times misses each of its
+// 4 distinct rows per shard once, then hits them twice.
 func TestInstrumentExportsMetrics(t *testing.T) {
 	mc := testConfig(2, 2, 64, false, isa.RAdd)
 	c, _ := buildCluster(t, mc, Config{Nodes: 2, CacheBytes: 8 << 10})
-	reg := telemetry.NewRegistry()
-	c.Instrument(reg)
-	gen, _ := workload.NewGenerator(mc.TableRows, workload.Uniform, 1)
-	for i := 0; i < 3; i++ {
-		if _, err := c.EmbedInto(nil, gen.Batch(mc.Tables, 2, mc.Reduction), 2); err != nil {
+	reg := instrument(c)
+	const reads, batch = 3, 2
+	rows := [][]int{{1, 2, 3, 4}, {5, 6, 7, 8}} // batch x reduction per table
+	for i := 0; i < reads; i++ {
+		if _, err := c.EmbedInto(nil, rows, batch); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2; i++ {
-		if err := c.ApplyUpdates(randUpdate(rng, mc, 4)); err != nil {
+	g := tensor.New(3, mc.EmbDim)
+	g.Fill(0.5)
+	for tb := 0; tb < mc.Tables; tb++ { // one 3-row update batch per table
+		if err := c.ApplyUpdates([]runtime.TableUpdate{{Table: tb, Rows: []int{10, 11, 10}, Grads: g}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	m, snap := c.Metrics(), reg.Snapshot()
-	counter := func(name string, want uint64, labels ...telemetry.Label) {
+	snap := reg.Snapshot()
+	want := func(name string, want uint64, labels ...telemetry.Label) {
 		t.Helper()
 		if v, ok := snap.Counter(name, labels...); !ok || v != want {
 			t.Fatalf("%s%v = %d, %v; want %d, true", name, labels, v, ok, want)
 		}
 	}
-	counter("tensordimm_cluster_requests_total", m.Requests)
-	counter("tensordimm_cluster_lookups_total", m.Lookups)
-	counter("tensordimm_cluster_updates_total", m.Updates)
-	counter("tensordimm_cluster_update_rows_total", m.RowsUpdated)
-	for _, sm := range m.Shards {
-		shard := telemetry.L("shard", fmt.Sprint(sm.Shard))
-		counter("tensordimm_cluster_cache_hits_total", sm.CacheHits, shard)
-		counter("tensordimm_cluster_cache_misses_total", sm.CacheMisses, shard)
-		counter("tensordimm_cluster_sub_updates_total", sm.SubUpdates, shard)
-		counter("tensordimm_serve_batches_total", sm.Serve.Batches, shard)
+	want("tensordimm_cluster_requests_total", reads)
+	want("tensordimm_cluster_lookups_total", reads*batch*uint64(mc.Tables*mc.Reduction))
+	want("tensordimm_cluster_updates_total", uint64(mc.Tables))
+	want("tensordimm_cluster_update_rows_total", 3*uint64(mc.Tables))
+	for s := 0; s < c.cfg.Nodes; s++ {
+		shard := shardLabel(s)
+		want("tensordimm_cluster_cache_hits_total", (reads-1)*4, shard)
+		want("tensordimm_cluster_cache_misses_total", 4, shard)
+		want("tensordimm_cluster_sub_updates_total", 1, shard)
+		// The first read's gather: the cached reads never reach the shard
+		// server, and a batch counts merged reads, not updates.
+		want("tensordimm_serve_batches_total", 1, shard)
 	}
 	for name, want := range map[string]uint64{
-		"tensordimm_cluster_request_seconds":       m.TotalLatency.Count,
-		"tensordimm_cluster_fabric_seconds":        m.Transfer.Count,
-		"tensordimm_cluster_update_fabric_seconds": m.UpdateTransfer.Count,
+		"tensordimm_cluster_request_seconds":       reads,
+		"tensordimm_cluster_fabric_seconds":        reads,
+		"tensordimm_cluster_update_fabric_seconds": uint64(mc.Tables),
 	} {
 		if h, ok := snap.Histogram(name); !ok || h.Count != want || want == 0 {
 			t.Fatalf("%s count = %d, %v; want %d > 0, true", name, h.Count, ok, want)

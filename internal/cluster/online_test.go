@@ -88,6 +88,7 @@ func TestGoldenRandomInterleavings(t *testing.T) {
 					c, _ := buildCluster(t, mc, Config{
 						Nodes: 3, Strategy: strategy, CacheBytes: 16 << 10,
 					})
+					reg := instrument(c)
 					ref := newReference(t, mc)
 					rng := rand.New(rand.NewSource(seed))
 					for step := 0; step < steps; step++ {
@@ -127,9 +128,9 @@ func TestGoldenRandomInterleavings(t *testing.T) {
 						}
 					}
 					if frac > 0 {
-						m := c.Metrics()
-						if m.Updates == 0 || m.RowsUpdated == 0 {
-							t.Fatalf("update metrics empty: %+v", m)
+						u, r := counter(t, reg, "tensordimm_cluster_updates_total"), counter(t, reg, "tensordimm_cluster_update_rows_total")
+						if u == 0 || r == 0 {
+							t.Fatalf("update metrics empty: %d updates, %d rows", u, r)
 						}
 					}
 				})
@@ -291,6 +292,7 @@ func TestApplyUpdatesValidation(t *testing.T) {
 func TestUpdateMetricsAndInvalidation(t *testing.T) {
 	mc := testConfig(2, 1, 64, false, isa.RAdd)
 	c, _ := buildCluster(t, mc, Config{Nodes: 2, CacheBytes: 32 << 10})
+	reg := instrument(c)
 	ref := newReference(t, mc)
 
 	// Warm the cache with rows 0..3 of both tables.
@@ -316,24 +318,21 @@ func TestUpdateMetricsAndInvalidation(t *testing.T) {
 	}
 	ref.apply(ups)
 	m = c.Metrics()
-	if m.Updates != 1 || m.RowsUpdated != 2 {
-		t.Fatalf("cluster update counters: %d updates, %d rows", m.Updates, m.RowsUpdated)
+	if u, r := counter(t, reg, "tensordimm_cluster_updates_total"), counter(t, reg, "tensordimm_cluster_update_rows_total"); u != 1 || r != 2 {
+		t.Fatalf("cluster update counters: %d updates, %d rows", u, r)
 	}
 	if m.Invalidations != 2 {
 		t.Fatalf("invalidations = %d, want 2", m.Invalidations)
 	}
-	var subUpdates, updateBytes uint64
-	for _, sm := range m.Shards {
-		subUpdates += sm.SubUpdates
-		updateBytes += sm.UpdateBytes
-	}
+	subUpdates := shardSum(t, reg, "tensordimm_cluster_sub_updates_total")
+	updateBytes := shardSum(t, reg, "tensordimm_cluster_update_bytes_total")
 	wantBytes := uint64(2*4) + uint64(2*mc.EmbBytes())
 	if subUpdates == 0 || updateBytes != wantBytes {
 		t.Fatalf("shard update accounting: %d sub-updates, %d bytes (want %d)",
 			subUpdates, updateBytes, wantBytes)
 	}
-	if m.UpdateTransfer.Count == 0 {
-		t.Fatalf("update transfer not observed: %+v", m.UpdateTransfer)
+	if h, _ := reg.Snapshot().Histogram("tensordimm_cluster_update_fabric_seconds"); h.Count == 0 {
+		t.Fatalf("update transfer not observed: %+v", h)
 	}
 	// The updated rows must re-gather fresh: an Embed now matches golden.
 	got, err := embedTensor(c, rows, 4)

@@ -24,6 +24,7 @@ import (
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/stats"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/trace"
 	"tensordimm/internal/workload"
@@ -520,6 +521,8 @@ func ExtOnline(s Scale) Result {
 		if err != nil {
 			panic(err)
 		}
+		reg := telemetry.NewRegistry()
+		cl.Instrument(reg)
 		gen, err := workload.NewZipfGenerator(mc.TableRows, 0.9, 7)
 		if err != nil {
 			panic(err)
@@ -577,12 +580,14 @@ func ExtOnline(s Scale) Result {
 		}
 		wg.Wait()
 		elapsed := time.Since(start).Seconds()
-		m := cl.Metrics()
+		snap := reg.Snapshot()
 		cl.Close()
+		rowsUpdated, _ := snap.Counter("tensordimm_cluster_update_rows_total")
 		t.AddRow(fmt.Sprintf("%.2f", frac),
 			fmt.Sprintf("%.0f", float64(reqs)/elapsed),
-			fmt.Sprintf("%.1f", 100*m.HitRate),
-			m.Invalidations, m.RowsUpdated)
+			fmt.Sprintf("%.1f", 100*stats.HitRate(shardSum(snap, "tensordimm_cluster_cache_hits_total"),
+				shardSum(snap, "tensordimm_cluster_cache_misses_total"))),
+			shardSum(snap, "tensordimm_cluster_cache_invalidations_total"), rowsUpdated)
 	}
 	return Result{
 		ID: "extonline", Title: "Online-update throughput and cache coherence (extension)", Table: t,
@@ -591,6 +596,17 @@ func ExtOnline(s Scale) Result {
 			"Hit rate column shows how much RecNMP-style locality survives as the write fraction grows.",
 		},
 	}
+}
+
+// shardSum adds up a counter over every shard label it carries in snap.
+func shardSum(snap *telemetry.Snapshot, name string) uint64 {
+	var n uint64
+	for _, c := range snap.Counters {
+		if c.Name == name {
+			n += c.Value
+		}
+	}
+	return n
 }
 
 // mustBuild materializes a model or panics (experiment drivers have no

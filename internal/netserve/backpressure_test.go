@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"tensordimm/internal/netserve"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
 
@@ -26,7 +27,8 @@ import (
 func TestBackPressureBoundsUnreadResponses(t *testing.T) {
 	t.Run("pings", func(t *testing.T) {
 		const maxInflight, flood = 1, 10_000
-		srv, l := startPipeServer(t, newStub(), netserve.Config{MaxInflight: maxInflight})
+		reg := telemetry.NewRegistry()
+		_, l := startPipeServer(t, newStub(), netserve.Config{MaxInflight: maxInflight, Registry: reg})
 		nc, _ := l.dial(t)
 
 		accepted := 0
@@ -43,7 +45,7 @@ func TestBackPressureBoundsUnreadResponses(t *testing.T) {
 		if bound := maxInflight + 16 + 1; accepted > bound {
 			t.Fatalf("server accepted %d pings from a client that never reads, want at most %d (of %d sent)", accepted, bound, flood)
 		}
-		if got := srv.Metrics().Pings; got != uint64(accepted) && got != uint64(accepted-1) {
+		if got := netCounter(t, reg, "pings"); got != uint64(accepted) && got != uint64(accepted-1) {
 			t.Fatalf("server answered %d pings into the Writer, %d accepted", got, accepted)
 		}
 
@@ -85,7 +87,8 @@ func TestBackPressureBoundsUnreadResponses(t *testing.T) {
 		const maxInflight = 4
 		const credits, k = maxInflight + 16, 2 * (maxInflight + 16)
 		_, ss := serveBackend(t)
-		srv, l := startPipeServer(t, netserve.ServerBackend(ss), netserve.Config{MaxInflight: maxInflight})
+		reg := telemetry.NewRegistry()
+		_, l := startPipeServer(t, netserve.ServerBackend(ss), netserve.Config{MaxInflight: maxInflight, Registry: reg})
 		stuck, h := l.dial(t)
 		g := h.Geom
 		subs := make([][]byte, k)
@@ -101,12 +104,12 @@ func TestBackPressureBoundsUnreadResponses(t *testing.T) {
 		// an admission slot.
 		deadline := time.Now().Add(5 * time.Second)
 		for {
-			m := srv.Metrics()
-			if m.Requests == credits && m.Inflight == 0 {
+			req, inflight := netCounter(t, reg, "requests"), netInflight(t, reg)
+			if req == credits && inflight == 0 {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("reader waiting for a credit holds %d admission slots with %d of %d credited reads answered", m.Inflight, m.Requests, credits)
+				t.Fatalf("reader waiting for a credit holds %d admission slots with %d of %d credited reads answered", inflight, req, credits)
 			}
 			time.Sleep(time.Millisecond)
 		}

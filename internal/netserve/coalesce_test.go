@@ -14,6 +14,7 @@ import (
 	"tensordimm/internal/netserve"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
 )
@@ -322,7 +323,8 @@ func TestBatchDrainCompletesSubRequests(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, gated := tc.backend(t)
-			srv, addr := startServer(t, b, netserve.Config{})
+			reg := telemetry.NewRegistry()
+			srv, addr := startServer(t, b, netserve.Config{Registry: reg})
 			nc, _ := rawDial(t, addr)
 			g := srv.Geometry()
 
@@ -340,8 +342,7 @@ func TestBatchDrainCompletesSubRequests(t *testing.T) {
 			} else {
 				// Every sub-request is admitted: answered, or in flight.
 				waitFor(t, 5*time.Second, func() bool {
-					m := srv.Metrics()
-					return m.Requests+uint64(m.Inflight) >= k
+					return netCounter(t, reg, "requests")+uint64(netInflight(t, reg)) >= k
 				})
 			}
 
@@ -409,7 +410,8 @@ func TestResponsesCoalesceBehindBlockedWrite(t *testing.T) {
 	b := newStub()
 	b.entered = make(chan struct{}, k)
 	b.release = make(chan struct{})
-	srv, l := startPipeServer(t, b, netserve.Config{MaxInflight: k})
+	reg := telemetry.NewRegistry()
+	srv, l := startPipeServer(t, b, netserve.Config{MaxInflight: k, Registry: reg})
 	defer close(b.release) // whatever is still in the backend finishes, so Close can drain
 
 	nc, h := l.dial(t)
@@ -425,7 +427,7 @@ func TestResponsesCoalesceBehindBlockedWrite(t *testing.T) {
 	}
 	// The fence: once the budget is free again (so none of the second wave
 	// is shed), k more embeds from another connection occupy every executor.
-	for srv.Metrics().Inflight != 0 {
+	for netInflight(t, reg) != 0 {
 		goruntime.Gosched()
 	}
 	fence, _ := l.dial(t)
@@ -462,7 +464,8 @@ func TestResponseNotHeldForInflightSibling(t *testing.T) {
 	b := newStub()
 	b.entered = make(chan struct{}, 2)
 	b.release = make(chan struct{})
-	srv, addr := startServer(t, b, netserve.Config{})
+	reg := telemetry.NewRegistry()
+	srv, addr := startServer(t, b, netserve.Config{Registry: reg})
 	defer close(b.release) // a failure below must not leave the sibling wedging Close
 	nc, h := rawDial(t, addr)
 	g := h.Geom
@@ -482,8 +485,8 @@ func TestResponseNotHeldForInflightSibling(t *testing.T) {
 		t.Fatalf("first frame is op %d id %d, want a lone EMBED_RESP for request 1 or 2", op, first)
 	}
 	checkStubResponse(t, g, payload, int(first))
-	if n, m := b.embeds.Load(), srv.Metrics(); n != 1 || m.Inflight != 1 {
-		t.Fatalf("backend finished %d embeds with %d in flight, want 1 and 1: the sibling must still be executing", n, m.Inflight)
+	if n, inflight := b.embeds.Load(), netInflight(t, reg); n != 1 || inflight != 1 {
+		t.Fatalf("backend finished %d embeds with %d in flight, want 1 and 1: the sibling must still be executing", n, inflight)
 	}
 
 	b.release <- struct{}{}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tensordimm/internal/netserve"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
 
@@ -175,12 +176,18 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 		}},
 		{"reader-serve", func(t *testing.T) (netserve.Backend, func(), func(), func() int64) {
 			_, ss := serveBackend(t)
-			return netserve.ServerBackend(ss), nil, nil, func() int64 { return int64(ss.Metrics().Requests) }
+			reg := telemetry.NewRegistry()
+			ss.Instrument(reg)
+			return netserve.ServerBackend(ss), nil, nil, func() int64 {
+				v, _ := reg.Snapshot().Counter("tensordimm_serve_requests_total")
+				return int64(v)
+			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b, enteredA, releaseA, embeds := tc.backend(t)
-			srv, l := startPipeServer(t, b, netserve.Config{MaxInflight: 1})
+			reg := telemetry.NewRegistry()
+			srv, l := startPipeServer(t, b, netserve.Config{MaxInflight: 1, Registry: reg})
 			conn1, h := l.dial(t)
 			g := h.Geom
 
@@ -218,9 +225,9 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 			if _, err := conn1.Write(wire.AppendBatch(nil, 9, subs...)); err != nil {
 				t.Fatal(err)
 			}
-			for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Pings != 16; {
+			for deadline := time.Now().Add(5 * time.Second); netCounter(t, reg, "pings") != 16; {
 				if time.Now().After(deadline) {
-					t.Fatalf("connection never wedged: %+v", srv.Metrics())
+					t.Fatalf("connection never wedged: %d pings answered", netCounter(t, reg, "pings"))
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -232,9 +239,9 @@ func TestDrainRacesExpiringDeadline(t *testing.T) {
 			if releaseA != nil {
 				releaseA()
 			}
-			for deadline := time.Now().Add(5 * time.Second); srv.Metrics().Inflight != 0; {
+			for deadline := time.Now().Add(5 * time.Second); netInflight(t, reg) != 0; {
 				if time.Now().After(deadline) {
-					t.Fatalf("the blocked embed never finished: %+v", srv.Metrics())
+					t.Fatalf("the blocked embed never finished: %d in flight", netInflight(t, reg))
 				}
 				time.Sleep(time.Millisecond)
 			}

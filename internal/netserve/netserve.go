@@ -29,7 +29,7 @@
 // shed immediately with an OVERLOADED error frame — fail-fast, so a
 // saturated server answers in microseconds instead of queueing into
 // timeout, and the client can back off or retry against a replica. Shed
-// requests are counted in Metrics.Shed.
+// requests are counted in tensordimm_net_shed_total.
 //
 // Shutdown: Close stops accepting new connections, half-closes every
 // live connection's read side (no new requests), lets everything already
@@ -353,7 +353,6 @@ type Server struct {
 	closeOnce sync.Once
 	closeDone chan struct{}
 
-	started    time.Time
 	accepted   atomic.Uint64
 	requests   atomic.Uint64
 	updates    atomic.Uint64
@@ -435,7 +434,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 		closeDone: make(chan struct{}),
-		started:   time.Now(),
 		lat:       telemetry.NewHistogram(),
 	}
 	s.taskPool.New = func() any { return &task{} }
@@ -1145,55 +1143,26 @@ func closeRead(nc net.Conn) {
 	nc.SetReadDeadline(time.Now())
 }
 
-// Metrics is a point-in-time snapshot of the network plane's counters.
+// Metrics is the part of the network plane's counters the benchmark
+// harness (bench/) reads between intervals; bench/ is its only reason to
+// exist. Every other reader uses the tensordimm_net_* series a server
+// built with Config.Registry registers.
 type Metrics struct {
-	Accepted  uint64        // connections accepted
-	Requests  uint64        // embed requests completed successfully
-	Updates   uint64        // update requests applied successfully
-	Syncs     uint64        // sequenced updates absorbed (applied or replayed)
-	Restores  uint64        // snapshot chunks installed
-	UpdateSeq uint64        // update batches applied (the handshake sequence number)
-	Pings     uint64        // pings answered
-	Shed      uint64        // requests shed by admission control (OVERLOADED)
-	Expired   uint64        // requests shed with an already-lapsed deadline (DEADLINE_EXCEEDED)
-	Failures  uint64        // requests answered with a non-OVERLOADED error frame
-	BadFrames uint64        // protocol violations (corrupt/oversized/unknown frames)
-	Inflight  int64         // requests admitted and not yet completed
-	Uptime    time.Duration // time since New
-
-	BatchesIn  uint64 // BATCH request frames received
-	BatchedIn  uint64 // sub-requests that arrived inside BATCH frames
-	BatchesOut uint64 // coalesced BATCH response frames written
-	BatchedOut uint64 // responses that rode inside coalesced frames
-
-	// Latency digests server-side request latency, in seconds: execution
-	// start to response encoded. Execution starts at the executor's pickup,
-	// or at admission for a read the connection's reader starts (decode,
-	// executor-queue and socket time excluded). An in-process read is
-	// awaited only after the rest of its frame is dispatched and the reads
-	// started before it are answered, so its sample includes that wait. A
-	// wire read is sent at admission and awaited by an executor, so its
-	// sample includes the hand-off to the pool and the round trip.
-	Latency telemetry.HistogramSnapshot
+	Shed       uint64                      // requests shed by admission control (OVERLOADED)
+	Expired    uint64                      // requests shed with a lapsed deadline (DEADLINE_EXCEEDED)
+	BatchesIn  uint64                      // BATCH request frames received
+	BatchedIn  uint64                      // sub-requests that arrived inside BATCH frames
+	BatchesOut uint64                      // coalesced BATCH response frames written
+	BatchedOut uint64                      // responses that rode inside coalesced frames
+	Latency    telemetry.HistogramSnapshot // tensordimm_net_request_seconds, in seconds
 }
 
-// Metrics snapshots the server's counters. Safe at any time, including
-// after Close.
+// Metrics snapshots the counters bench/ reads. Safe at any time,
+// including after Close.
 func (s *Server) Metrics() Metrics {
 	return Metrics{
-		Accepted:   s.accepted.Load(),
-		Requests:   s.requests.Load(),
-		Updates:    s.updates.Load(),
-		Syncs:      s.syncs.Load(),
-		Restores:   s.restores.Load(),
-		UpdateSeq:  s.updateSeq.Load(),
-		Pings:      s.pings.Load(),
 		Shed:       s.shed.Load(),
 		Expired:    s.expired.Load(),
-		Failures:   s.failures.Load(),
-		BadFrames:  s.badFrames.Load(),
-		Inflight:   s.inflight.Load(),
-		Uptime:     time.Since(s.started),
 		BatchesIn:  s.batchesIn.Load(),
 		BatchedIn:  s.batchedIn.Load(),
 		BatchesOut: s.batchesOut.Load(),

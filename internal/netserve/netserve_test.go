@@ -105,6 +105,46 @@ func startServer(t *testing.T, b netserve.Backend, cfg netserve.Config) (*netser
 	return srv, l.Addr().String()
 }
 
+// netCounter reads tensordimm_net_<name>_total from reg, the registry the
+// server under test was built with (Config.Registry); a missing series
+// fails the test.
+func netCounter(t testing.TB, reg *telemetry.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot().Counter("tensordimm_net_" + name + "_total")
+	if !ok {
+		t.Fatalf("no series tensordimm_net_%s_total", name)
+	}
+	return v
+}
+
+// counterSum sums a counter over every label set it is registered with in
+// reg (one per shard behind a cluster); a missing series fails the test.
+func counterSum(t testing.TB, reg *telemetry.Registry, name string) uint64 {
+	t.Helper()
+	var n uint64
+	found := false
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == name {
+			n += c.Value
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no series %s", name)
+	}
+	return n
+}
+
+// netInflight reads the tensordimm_net_inflight gauge from reg.
+func netInflight(t testing.TB, reg *telemetry.Registry) int64 {
+	t.Helper()
+	v, ok := reg.Snapshot().Gauge("tensordimm_net_inflight")
+	if !ok {
+		t.Fatal("no series tensordimm_net_inflight")
+	}
+	return int64(v)
+}
+
 func dialClient(t *testing.T, addr string, cfg netclient.Config) *netclient.Client {
 	t.Helper()
 	cl, err := netclient.Dial(addr, cfg)
@@ -147,7 +187,8 @@ func TestConfigValidation(t *testing.T) {
 
 func TestEmbedUpdatePingMetricsRoundTrip(t *testing.T) {
 	b := newStub()
-	srv, addr := startServer(t, b, netserve.Config{Registry: telemetry.NewRegistry()})
+	reg := telemetry.NewRegistry()
+	_, addr := startServer(t, b, netserve.Config{Registry: reg})
 	cl := dialClient(t, addr, netclient.Config{})
 
 	g := cl.Geometry()
@@ -187,9 +228,9 @@ func TestEmbedUpdatePingMetricsRoundTrip(t *testing.T) {
 		}
 	}
 
-	m := srv.Metrics()
-	if m.Requests != 1 || m.Pings != 1 || m.Shed != 0 || m.BadFrames != 0 {
-		t.Fatalf("metrics %+v", m)
+	req, pings, shed, bad := netCounter(t, reg, "requests"), netCounter(t, reg, "pings"), netCounter(t, reg, "shed"), netCounter(t, reg, "bad_frames")
+	if req != 1 || pings != 1 || shed != 0 || bad != 0 {
+		t.Fatalf("metrics: %d requests, %d pings, %d shed, %d bad frames", req, pings, shed, bad)
 	}
 }
 
@@ -210,7 +251,8 @@ func TestAdmissionControlShedsWithOverloaded(t *testing.T) {
 	b := newStub()
 	b.entered = make(chan struct{}, 8)
 	b.release = make(chan struct{})
-	srv, addr := startServer(t, b, netserve.Config{MaxInflight: 2})
+	reg := telemetry.NewRegistry()
+	_, addr := startServer(t, b, netserve.Config{MaxInflight: 2, Registry: reg})
 	cl := dialClient(t, addr, netclient.Config{})
 	g := cl.Geometry()
 
@@ -233,8 +275,8 @@ func TestAdmissionControlShedsWithOverloaded(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != wire.ErrOverloaded {
 		t.Fatalf("overloaded request: err = %v, want OVERLOADED ServerError", err)
 	}
-	if m := srv.Metrics(); m.Shed != 1 || m.Inflight != 2 {
-		t.Fatalf("after shed: metrics %+v, want Shed 1 Inflight 2", m)
+	if shed, inflight := netCounter(t, reg, "shed"), netInflight(t, reg); shed != 1 || inflight != 2 {
+		t.Fatalf("after shed: %d shed, %d in flight, want 1, 2", shed, inflight)
 	}
 
 	// Release the budget; the held requests complete successfully.
@@ -249,8 +291,8 @@ func TestAdmissionControlShedsWithOverloaded(t *testing.T) {
 	if _, err := cl.EmbedInto(nil, reqRows(g, 1, 3), 1); err != nil {
 		t.Fatal(err)
 	}
-	if m := srv.Metrics(); m.Shed != 1 || m.Requests != 3 || m.Inflight != 0 {
-		t.Fatalf("final metrics %+v", m)
+	if shed, req, inflight := netCounter(t, reg, "shed"), netCounter(t, reg, "requests"), netInflight(t, reg); shed != 1 || req != 3 || inflight != 0 {
+		t.Fatalf("final metrics: %d shed, %d requests, %d in flight", shed, req, inflight)
 	}
 }
 
@@ -300,7 +342,8 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 
 func TestProtocolViolationsCloseConnection(t *testing.T) {
 	b := newStub()
-	srv, addr := startServer(t, b, netserve.Config{})
+	reg := telemetry.NewRegistry()
+	_, addr := startServer(t, b, netserve.Config{Registry: reg})
 
 	// Bad magic: the connection is dropped without a server hello.
 	nc, err := net.Dial("tcp", addr)
@@ -343,7 +386,7 @@ func TestProtocolViolationsCloseConnection(t *testing.T) {
 	}
 	nc.Close()
 
-	waitFor(t, time.Second, func() bool { return srv.Metrics().BadFrames >= 3 })
+	waitFor(t, time.Second, func() bool { return netCounter(t, reg, "bad_frames") >= 3 })
 }
 
 // TestMalformedRequestGetsBadRequest pins that a shape-valid frame with

@@ -12,6 +12,7 @@ import (
 	"tensordimm/internal/netserve"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/serve"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
 
@@ -54,9 +55,10 @@ func TestServeBackendKeepsCoalescing(t *testing.T) {
 	}{
 		{"serve", func(t *testing.T) (*recsys.Model, netserve.Backend, func() (uint64, uint64)) {
 			m, ss := serveBackend(t)
+			reg := telemetry.NewRegistry()
+			ss.Instrument(reg)
 			return m, netserve.ServerBackend(ss), func() (uint64, uint64) {
-				sm := ss.Metrics()
-				return sm.Requests, sm.Batches
+				return counterSum(t, reg, "tensordimm_serve_requests_total"), counterSum(t, reg, "tensordimm_serve_batches_total")
 			}
 		}},
 		{"cluster", func(t *testing.T) (*recsys.Model, netserve.Backend, func() (uint64, uint64)) {
@@ -69,18 +71,17 @@ func TestServeBackendKeepsCoalescing(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Cleanup(func() { c.Close() })
-			return m, netserve.ClusterBackend(c), func() (reads, batches uint64) {
-				for _, sh := range c.Metrics().Shards {
-					reads += sh.Serve.Requests
-					batches += sh.Serve.Batches
-				}
-				return reads, batches
+			reg := telemetry.NewRegistry()
+			c.Instrument(reg)
+			return m, netserve.ClusterBackend(c), func() (uint64, uint64) {
+				return counterSum(t, reg, "tensordimm_serve_requests_total"), counterSum(t, reg, "tensordimm_serve_batches_total")
 			}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, b, merged := tc.backend(t)
-			srv, addr := startServer(t, b, netserve.Config{MaxInflight: k / 2})
+			reg := telemetry.NewRegistry()
+			_, addr := startServer(t, b, netserve.Config{MaxInflight: k / 2, Registry: reg})
 			nc, _ := rawDial(t, addr)
 			nc.SetDeadline(time.Now().Add(10 * time.Second))
 			rng := rand.New(rand.NewSource(23))
@@ -114,7 +115,7 @@ func TestServeBackendKeepsCoalescing(t *testing.T) {
 					}
 				}
 			}
-			if got := srv.Metrics().Requests; got != frames*k {
+			if got := netCounter(t, reg, "requests"); got != frames*k {
 				t.Fatalf("server completed %d reads, want %d", got, frames*k)
 			}
 			reads, batches := merged()
@@ -135,7 +136,8 @@ func TestServeBackendKeepsCoalescing(t *testing.T) {
 // answered, then the connection closes, and no admission slot leaks.
 func TestBadSubFrameAnswersStartedReads(t *testing.T) {
 	_, ss := serveBackend(t)
-	srv, addr := startServer(t, netserve.ServerBackend(ss), netserve.Config{})
+	reg := telemetry.NewRegistry()
+	_, addr := startServer(t, netserve.ServerBackend(ss), netserve.Config{Registry: reg})
 	nc, h := rawDial(t, addr)
 	g := h.Geom
 	subs := [][]byte{
@@ -159,8 +161,8 @@ func TestBadSubFrameAnswersStartedReads(t *testing.T) {
 	if len(seen) != 2 {
 		t.Fatalf("%d responses, want the 2 reads only: %+v", len(seen), seen)
 	}
-	waitFor(t, 5*time.Second, func() bool { return srv.Metrics().BadFrames == 1 })
-	if m := srv.Metrics(); m.Requests != 2 || m.Inflight != 0 {
-		t.Fatalf("server counted %d reads with %d in flight, want 2 and 0", m.Requests, m.Inflight)
+	waitFor(t, 5*time.Second, func() bool { return netCounter(t, reg, "bad_frames") == 1 })
+	if req, inflight := netCounter(t, reg, "requests"), netInflight(t, reg); req != 2 || inflight != 0 {
+		t.Fatalf("server counted %d reads with %d in flight, want 2 and 0", req, inflight)
 	}
 }

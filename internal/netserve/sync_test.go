@@ -133,16 +133,12 @@ func TestSyncSeqGuard(t *testing.T) {
 		t.Fatalf("reconnect hello seq %d, want 2", h2.UpdateSeq)
 	}
 
-	m := srv.Metrics()
-	if m.Syncs != 2 || m.Updates != 1 || m.UpdateSeq != 2 {
-		t.Fatalf("metrics Syncs %d Updates %d UpdateSeq %d, want 2 1 2", m.Syncs, m.Updates, m.UpdateSeq)
-	}
 	snap := reg.Snapshot()
-	if v, _ := snap.Counter("tensordimm_net_syncs_total"); v != 2 {
-		t.Fatalf("net_syncs_total %d, want 2", v)
-	}
-	if v, _ := snap.Gauge("tensordimm_net_update_seq"); v != 2 {
-		t.Fatalf("net_update_seq %g, want 2", v)
+	syncs, _ := snap.Counter("tensordimm_net_syncs_total")
+	updates, _ := snap.Counter("tensordimm_net_updates_total")
+	seq, _ := snap.Gauge("tensordimm_net_update_seq")
+	if syncs != 2 || updates != 1 || seq != 2 {
+		t.Fatalf("metrics Syncs %d Updates %d UpdateSeq %g, want 2 1 2", syncs, updates, seq)
 	}
 }
 

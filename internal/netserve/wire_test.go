@@ -15,6 +15,7 @@ import (
 	"tensordimm/internal/netserve"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/wire"
 )
 
@@ -141,7 +142,8 @@ func TestWireReadsSentOnReader(t *testing.T) {
 	b.release = make(chan struct{})
 	var releaseOnce sync.Once
 	release := func() { releaseOnce.Do(func() { close(b.release) }) }
-	srv, addr := startServer(t, b, netserve.Config{})
+	reg := telemetry.NewRegistry()
+	_, addr := startServer(t, b, netserve.Config{Registry: reg})
 	t.Cleanup(release) // runs before the server's Close, so a failure cannot wedge the drain
 	nc, h := rawDial(t, addr)
 	g := h.Geom
@@ -176,12 +178,12 @@ func TestWireReadsSentOnReader(t *testing.T) {
 	for id, payload := range readEmbedResponses(t, nc, k) {
 		checkStubResponse(t, g, payload, int(id))
 	}
-	waitFor(t, 5*time.Second, func() bool { return srv.Metrics().Inflight == 0 })
+	waitFor(t, 5*time.Second, func() bool { return netInflight(t, reg) == 0 })
 	if n := b.direct.Load(); n != 0 {
 		t.Fatalf("backend EmbedInto ran %d reads, want 0: a wire read is awaited, not run, on the pool", n)
 	}
-	if m := srv.Metrics(); m.Requests != k {
-		t.Fatalf("server completed %d reads, want %d", m.Requests, k)
+	if n := netCounter(t, reg, "requests"); n != k {
+		t.Fatalf("server completed %d reads, want %d", n, k)
 	}
 
 	b.failSend.Store(true)
@@ -192,7 +194,7 @@ func TestWireReadsSentOnReader(t *testing.T) {
 	if code, _, _ := wire.DecodeError(payload); code != wire.ErrInternal {
 		t.Fatalf("failed send answered %v, want %v", code, wire.ErrInternal)
 	}
-	if m := srv.Metrics(); m.Inflight != 0 || m.Failures != 1 {
-		t.Fatalf("after a failed send: %d in flight, %d failures; want 0 and 1", m.Inflight, m.Failures)
+	if inflight, failures := netInflight(t, reg), netCounter(t, reg, "failures"); inflight != 0 || failures != 1 {
+		t.Fatalf("after a failed send: %d in flight, %d failures; want 0 and 1", inflight, failures)
 	}
 }

@@ -95,23 +95,24 @@ type Config struct {
 
 // ShardLog is one shard's durable update log: the entries between the
 // latest snapshot and the head, with the snapshot itself retained in
-// memory for replica restores. Methods are not safe for concurrent use;
-// the router serializes them under its per-shard update lock.
+// memory for replica restores. Base, Head and WALBytes are lock-free and
+// safe from any goroutine; the other methods are not safe for concurrent
+// use, and the router serializes them under its per-shard update lock.
 type ShardLog struct {
 	cfg  Config
 	dir  string // shard directory, "" in volatile mode
 	geom wire.Geometry
 
-	base uint64 // sequence of the first tail entry (= snapshot seq)
-	head uint64 // next sequence to assign
+	base atomic.Uint64 // sequence of the first tail entry (= snapshot seq), <= head
+	head atomic.Uint64 // next sequence to assign; base and head only grow
 	tail []runtime.TableUpdate
 
 	haveSnap bool
 	snapRows []float32 // LocalRows x Dim absolute values at base
 
-	wal      *os.File // nil in volatile mode
-	walBytes int64
-	broken   error // first unrecoverable WAL write failure, sticky
+	wal      *os.File     // nil in volatile mode
+	walBytes atomic.Int64 // WAL file size
+	broken   error        // first unrecoverable WAL write failure, sticky
 
 	encBuf  []byte // reused record encode buffer
 	snapBuf []byte // reused snapshot file encode buffer (durable mode)
@@ -130,7 +131,8 @@ type ShardLog struct {
 // Instrument registers the log's durability counters on a telemetry
 // registry (labels distinguish shards). Only the atomic counters are
 // registered here; size gauges (WAL bytes, retained tail) are registered
-// by the log's owner, which holds the lock those fields are guarded by.
+// by the log's owner, summed across its shards from the lock-free Base,
+// Head and WALBytes.
 func (l *ShardLog) Instrument(reg *telemetry.Registry, labels ...telemetry.Label) {
 	reg.Counter("tensordimm_persist_appends_total", "update records appended to the WAL and tail", l.appends.Load, labels...)
 	reg.Counter("tensordimm_persist_snapshots_total", "snapshots installed, trimming the log", l.snapInstalls.Load, labels...)
@@ -184,7 +186,7 @@ func Open(cfg Config) (*ShardLog, error) {
 	if err := l.loadSnapshot(); err != nil {
 		return nil, err
 	}
-	l.head = l.base
+	l.head.Store(l.base.Load())
 	f, err := os.OpenFile(filepath.Join(l.dir, "wal.log"), os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: shard %d: %w", cfg.Shard, err)
@@ -200,38 +202,39 @@ func Open(cfg Config) (*ShardLog, error) {
 // Base returns the sequence number of the first retained entry: every
 // entry below it is covered by the snapshot, and a replica behind it must
 // be restored from the snapshot before replay can continue.
-func (l *ShardLog) Base() uint64 { return l.base }
+func (l *ShardLog) Base() uint64 { return l.base.Load() }
 
 // Head returns the next sequence number to assign — the count of entries
 // ever appended (or covered by the boot snapshot).
-func (l *ShardLog) Head() uint64 { return l.head }
+func (l *ShardLog) Head() uint64 { return l.head.Load() }
 
 // WALBytes returns the current WAL file size (0 in volatile mode) — the
 // quantity the soak test pins as bounded.
-func (l *ShardLog) WALBytes() int64 { return l.walBytes }
+func (l *ShardLog) WALBytes() int64 { return l.walBytes.Load() }
 
 // Entries returns the retained entries from sequence `from` (which must
 // be within [Base, Head]) to the head. The slice aliases the log's tail
 // and is valid until the next Append or InstallSnapshot.
 func (l *ShardLog) Entries(from uint64) []runtime.TableUpdate {
-	if from < l.base || from > l.head {
+	base := l.base.Load()
+	if from < base || from > l.head.Load() {
 		return nil
 	}
-	return l.tail[from-l.base:]
+	return l.tail[from-base:]
 }
 
 // NeedSnapshot reports whether the retained tail has reached the
 // snapshot interval, so the owner should scrape a snapshot and install
 // it to trim the log.
 func (l *ShardLog) NeedSnapshot() bool {
-	return l.head-l.base >= uint64(l.cfg.SnapshotEvery)
+	return l.head.Load()-l.base.Load() >= uint64(l.cfg.SnapshotEvery)
 }
 
 // Snapshot returns the retained snapshot (sequence and LocalRows x Dim
 // absolute values), ok = false when none has been installed or loaded.
 // The slice is owned by the log; callers must not mutate it.
 func (l *ShardLog) Snapshot() (seq uint64, rows []float32, ok bool) {
-	return l.base, l.snapRows, l.haveSnap
+	return l.base.Load(), l.snapRows, l.haveSnap
 }
 
 // Append assigns the update the next sequence number, writes its WAL
@@ -249,28 +252,28 @@ func (l *ShardLog) Append(up runtime.TableUpdate) error {
 	if l.wal != nil {
 		l.wu[0] = wire.Update{Table: up.Table, Rows: up.Rows, Grads: up.Grads.Data()}
 		l.encBuf = append(l.encBuf[:0], 0, 0, 0, 0) // crc placeholder
-		l.encBuf = wire.AppendSync(l.encBuf, 0, l.head, l.wu[:])
+		l.encBuf = wire.AppendSync(l.encBuf, 0, l.head.Load(), l.wu[:])
 		l.wu[0] = wire.Update{}
 		// The checksum covers the frame body: everything after the
 		// frame's 4-byte length prefix.
 		binary.LittleEndian.PutUint32(l.encBuf, crc32.Checksum(l.encBuf[8:], castagnoli))
 		if _, err := l.wal.Write(l.encBuf); err != nil {
-			if terr := l.wal.Truncate(l.walBytes); terr != nil {
+			if terr := l.wal.Truncate(l.walBytes.Load()); terr != nil {
 				l.broken = fmt.Errorf("persist: shard %d: WAL unrecoverable after failed append (%v): %w",
 					l.cfg.Shard, err, terr)
 				return l.broken
 			}
-			if _, serr := l.wal.Seek(l.walBytes, io.SeekStart); serr != nil {
+			if _, serr := l.wal.Seek(l.walBytes.Load(), io.SeekStart); serr != nil {
 				l.broken = fmt.Errorf("persist: shard %d: WAL unrecoverable after failed append (%v): %w",
 					l.cfg.Shard, err, serr)
 				return l.broken
 			}
 			return fmt.Errorf("persist: shard %d: WAL append: %w", l.cfg.Shard, err)
 		}
-		l.walBytes += int64(len(l.encBuf))
+		l.walBytes.Add(int64(len(l.encBuf)))
 	}
 	l.tail = append(l.tail, up)
-	l.head++
+	l.head.Add(1)
 	l.appends.Add(1)
 	return nil
 }
@@ -286,9 +289,9 @@ func (l *ShardLog) Append(up runtime.TableUpdate) error {
 // truncated to empty; in both modes the in-memory tail is dropped, which is
 // what bounds the log.
 func (l *ShardLog) InstallSnapshot(seq uint64, rows []float32) error {
-	if seq != l.head {
+	if head := l.head.Load(); seq != head {
 		return fmt.Errorf("persist: shard %d: snapshot at seq %d, log head is %d — snapshots must be taken at the head",
-			l.cfg.Shard, seq, l.head)
+			l.cfg.Shard, seq, head)
 	}
 	if len(rows) != l.cfg.LocalRows*l.cfg.Dim {
 		return fmt.Errorf("persist: shard %d: snapshot holds %d values, want %d (%d rows x dim %d)",
@@ -304,9 +307,9 @@ func (l *ShardLog) InstallSnapshot(seq uint64, rows []float32) error {
 		if _, err := l.wal.Seek(0, io.SeekStart); err != nil {
 			return fmt.Errorf("persist: shard %d: trimming WAL: %w", l.cfg.Shard, err)
 		}
-		l.walBytes = 0
+		l.walBytes.Store(0)
 	}
-	l.base = seq
+	l.base.Store(seq)
 	l.tail = l.tail[:0]
 	l.snapRows = rows
 	l.haveSnap = true
@@ -414,7 +417,7 @@ func (l *ShardLog) loadSnapshot() error {
 			os.Remove(filepath.Join(l.dir, snapName(seq)))
 			continue
 		}
-		l.base = seq
+		l.base.Store(seq)
 		l.snapRows = rows
 		l.haveSnap = true
 		for _, s := range seqs {
@@ -485,22 +488,22 @@ func (l *ShardLog) replay() error {
 			return l.truncateAt(off)
 		}
 		off += 4 + 4 + int64(len(buf))
-		if seq < l.base {
+		if seq < l.base.Load() {
 			continue // covered by the snapshot; trim raced the crash
 		}
-		if seq != l.head {
+		if head := l.head.Load(); seq != head {
 			return fmt.Errorf("persist: shard %d: WAL record at seq %d, want %d — the log belongs to a different history",
-				l.cfg.Shard, seq, l.head)
+				l.cfg.Shard, seq, head)
 		}
 		rows := make([]int, len(ups[0].Rows))
 		copy(rows, ups[0].Rows)
 		grads := tensor.New(len(rows), l.cfg.Dim)
 		copy(grads.Data(), ups[0].Grads)
 		l.tail = append(l.tail, runtime.TableUpdate{Table: ups[0].Table, Rows: rows, Grads: grads})
-		l.head++
+		l.head.Add(1)
 		l.replayEntries.Add(1)
 	}
-	l.walBytes = off
+	l.walBytes.Store(off)
 	if _, err := l.wal.Seek(off, io.SeekStart); err != nil {
 		return fmt.Errorf("persist: shard %d: %w", l.cfg.Shard, err)
 	}
@@ -516,6 +519,6 @@ func (l *ShardLog) truncateAt(off int64) error {
 	if _, err := l.wal.Seek(off, io.SeekStart); err != nil {
 		return fmt.Errorf("persist: shard %d: %w", l.cfg.Shard, err)
 	}
-	l.walBytes = off
+	l.walBytes.Store(off)
 	return nil
 }

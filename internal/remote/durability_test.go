@@ -53,6 +53,7 @@ func TestWALBoundedSoak(t *testing.T) {
 				cfg.DataDir = dir
 				cfg.SnapshotEvery = snapEvery
 			})
+			reg := instrument(rc)
 			// One shard holds both tables; every single-row update is
 			// exactly one log entry.
 			rng := rand.New(rand.NewSource(29))
@@ -66,8 +67,8 @@ func TestWALBoundedSoak(t *testing.T) {
 					continue
 				}
 				mt := rc.Metrics()
-				if mt.LogEntries > maxEntries {
-					maxEntries = mt.LogEntries
+				if n := uint64(gauge(t, reg, "log_entries")); n > maxEntries {
+					maxEntries = n
 				}
 				if uint64(mt.WALBytes) > maxWAL {
 					maxWAL = uint64(mt.WALBytes)
@@ -191,8 +192,8 @@ func TestCrashRestartBitIdentical(t *testing.T) {
 			if mt.ReplicasUp != nodes {
 				t.Fatalf("%d replicas up after restart, want %d", mt.ReplicasUp, nodes)
 			}
-			if mt.Restores != uint64(nodes) {
-				t.Fatalf("%d snapshot restores after restart, want %d (fresh replicas sit below the snapshot horizon)", mt.Restores, nodes)
+			if n := counter(t, instrument(rc2), "restores"); n != uint64(nodes) {
+				t.Fatalf("%d snapshot restores after restart, want %d (fresh replicas sit below the snapshot horizon)", n, nodes)
 			}
 			for i := 0; i < 10; i++ {
 				batch := 1 + rng.Intn(testMaxBatch)
@@ -258,6 +259,7 @@ func TestRecycledSnapshotTableRestoresBitIdentical(t *testing.T) {
 	rc := newRouter(t, m, cluster.TableWise, [][]string{{a.addr, b.addr}}, func(cfg *remote.Config) {
 		cfg.SnapshotEvery = snapEvery
 	})
+	reg := instrument(rc)
 	rng := rand.New(rand.NewSource(31))
 	apply := func(n int) {
 		t.Helper()
@@ -278,8 +280,8 @@ func TestRecycledSnapshotTableRestoresBitIdentical(t *testing.T) {
 
 	startReplica(t, cluster.TableWise, 1, 0, b.addr)
 	waitCond(t, 5*time.Second, "b restored and re-admitted", func() bool { return rc.Metrics().ReplicasUp == 2 })
-	if mt := rc.Metrics(); mt.Restores != 1 || mt.Replayed != 2 {
-		t.Fatalf("restores %d, replayed %d, want a snapshot reseat plus the 2-entry tail", mt.Restores, mt.Replayed)
+	if restores, replayed := counter(t, reg, "restores"), counter(t, reg, "replayed"); restores != 1 || replayed != 2 {
+		t.Fatalf("restores %d, replayed %d, want a snapshot reseat plus the 2-entry tail", restores, replayed)
 	}
 	a.stop()
 	waitCond(t, 5*time.Second, "a marked down", func() bool { return rc.Metrics().ReplicasUp == 1 })

@@ -248,8 +248,8 @@ func e2eFailover(t *testing.T, strat cluster.Strategy) {
 	waitCond(t, 10*time.Second, "restarted process re-admission", func() bool {
 		return rc.Metrics().ReplicasUp == shards*replicas
 	})
-	if mt := rc.Metrics(); mt.Resyncs == 0 {
-		t.Fatalf("restarted process rejoined without a catch-up replay: %+v", mt)
+	if n := counter(t, instrument(rc), "resyncs"); n == 0 {
+		t.Fatalf("restarted process rejoined without a catch-up replay: %d resyncs", n)
 	}
 
 	// Kill the other replica of shard 0: only the restarted process can

@@ -17,3 +17,12 @@ func NewTuned(cfg Config, tune func(*Tuning)) (*RemoteCluster, error) {
 	tune(&t)
 	return newCluster(cfg, tuning{t.HedgeAfter, t.BreakerOpenFor, t.RetryBudget, t.RetryBurst})
 }
+
+// HoldUpdateLock takes shard s's update lock — the one an update holds
+// across its replica round trips, a snapshot scrape or a shed back-off —
+// and returns its release.
+func (rc *RemoteCluster) HoldUpdateLock(s int) (release func()) {
+	sh := rc.shards[s]
+	sh.updMu.Lock()
+	return sh.updMu.Unlock
+}

@@ -12,6 +12,7 @@ import (
 	"tensordimm/internal/netserve"
 	"tensordimm/internal/remote"
 	"tensordimm/internal/runtime"
+	"tensordimm/internal/telemetry"
 )
 
 // startFront serves rc behind a netserve front on a loopback listener —
@@ -20,7 +21,13 @@ import (
 // cleanup (the client first, then the server, then the router it fronts).
 func startFront(t *testing.T, rc *remote.RemoteCluster) (*netserve.Server, *netclient.Client) {
 	t.Helper()
-	ns, err := netserve.New(rc, netserve.Config{})
+	return startFrontWith(t, rc, netserve.Config{})
+}
+
+// startFrontWith is startFront with the front's config.
+func startFrontWith(t *testing.T, rc *remote.RemoteCluster, cfg netserve.Config) (*netserve.Server, *netclient.Client) {
+	t.Helper()
+	ns, err := netserve.New(rc, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +56,8 @@ func TestNetFrontBitIdentical(t *testing.T) {
 	m := buildModel(t)
 	_, addrs := startFleet(t, cluster.TableWise, 2, 2)
 	rc := newRouter(t, m, cluster.TableWise, addrs, nil)
-	ns, cl := startFront(t, rc)
+	reg := telemetry.NewRegistry()
+	ns, cl := startFrontWith(t, rc, netserve.Config{Registry: reg})
 	rng := rand.New(rand.NewSource(31))
 
 	for w := 0; w < waves; w++ {
@@ -109,12 +117,14 @@ func TestNetFrontBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mt := ns.Metrics()
-	if want := uint64(clients * wave * waves); mt.Requests != want || mt.Inflight != 0 {
-		t.Fatalf("front served %d reads with %d in flight, want %d and 0", mt.Requests, mt.Inflight, want)
+	mt, snap := ns.Metrics(), reg.Snapshot()
+	reqs, _ := snap.Counter("tensordimm_net_requests_total")
+	inflight, _ := snap.Gauge("tensordimm_net_inflight")
+	if want := uint64(clients * wave * waves); reqs != want || inflight != 0 {
+		t.Fatalf("front served %d reads with %g in flight, want %d and 0", reqs, inflight, want)
 	}
 	if mt.BatchedIn == 0 {
 		t.Fatal("no read reached the front inside a BATCH frame: the pipelined path was not exercised")
 	}
-	t.Logf("%d reads, %d inside %d BATCH frames", mt.Requests, mt.BatchedIn, mt.BatchesIn)
+	t.Logf("%d reads, %d inside %d BATCH frames", reqs, mt.BatchedIn, mt.BatchesIn)
 }

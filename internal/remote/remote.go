@@ -2,7 +2,7 @@
 // TensorNode shard processes: a RemoteCluster speaks the internal/wire
 // protocol (through internal/netclient) to N replicas of each shard of a
 // placement-sharded model, and exposes the same request surface as the
-// in-process cluster.Cluster — EmbedInto, ApplyUpdates, Metrics, Close —
+// in-process cluster.Cluster — EmbedInto, ApplyUpdates, Instrument, Close —
 // with the same bit-identity contract against the golden model.
 //
 // A RemoteCluster is a thin owner of the shared cluster.Router core —
@@ -278,7 +278,8 @@ type rShard struct {
 	// the same order.
 	updMu sync.Mutex
 	// store is the shard's snapshot-trimmed update log (nil on empty shards
-	// and read-only routers); guarded by updMu.
+	// and read-only routers); guarded by updMu, except its lock-free Base,
+	// Head and WALBytes, which the fleet gauges read.
 	store *persist.ShardLog
 	// snapSpare is the snapshot table the log retired at its last install,
 	// the buffer the next scrape fills (nil until the second snapshot);

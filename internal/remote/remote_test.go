@@ -16,6 +16,7 @@ import (
 	"tensordimm/internal/remote"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/serve"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
 )
@@ -169,6 +170,38 @@ func newTunedRouter(t *testing.T, m *recsys.Model, strat cluster.Strategy, addrs
 	return rc
 }
 
+// instrument registers rc's series on a fresh registry: the read surface
+// of the counter assertions. A counter reads the router's atomics, so it
+// counts what happened before registration too.
+func instrument(rc *remote.RemoteCluster) *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	rc.Instrument(reg)
+	return reg
+}
+
+// counter reads tensordimm_remote_<name>_total from reg; a missing series
+// fails the test.
+func counter(t testing.TB, reg *telemetry.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot().Counter("tensordimm_remote_" + name + "_total")
+	if !ok {
+		t.Fatalf("no series tensordimm_remote_%s_total", name)
+	}
+	return v
+}
+
+// gauge reads tensordimm_remote_<name> from reg as an integer (every
+// remote gauge counts replicas, entries or bytes); a missing series fails
+// the test.
+func gauge(t testing.TB, reg *telemetry.Registry, name string) int64 {
+	t.Helper()
+	v, ok := reg.Snapshot().Gauge("tensordimm_remote_" + name)
+	if !ok {
+		t.Fatalf("no series tensordimm_remote_%s", name)
+	}
+	return int64(v)
+}
+
 // randRows draws one request's per-table row indices.
 func randRows(rng *rand.Rand, mc recsys.Config, batch int) [][]int {
 	rows := make([][]int, mc.Tables)
@@ -252,9 +285,10 @@ func TestBitIdentity(t *testing.T) {
 				batch := 1 + rng.Intn(testMaxBatch)
 				checkGolden(t, m, rc, randRows(rng, m.Cfg, batch), batch)
 			}
-			mt := rc.Metrics()
-			if mt.Updates != 8 || mt.Requests != 20 || mt.ReplicasUp != 2 {
-				t.Fatalf("metrics %+v", mt)
+			reg := instrument(rc)
+			updates, reqs, up := counter(t, reg, "updates"), counter(t, reg, "requests"), gauge(t, reg, "replicas_up")
+			if updates != 8 || reqs != 20 || up != 2 {
+				t.Fatalf("metrics: %d updates, %d requests, %d replicas up", updates, reqs, up)
 			}
 		})
 	}
@@ -326,8 +360,8 @@ func TestFailoverZeroLoss(t *testing.T) {
 	waitCond(t, 5*time.Second, "victim re-admission", func() bool {
 		return rc.Metrics().ReplicasUp == 4
 	})
-	if mt := rc.Metrics(); mt.Resyncs == 0 {
-		t.Fatalf("victim rejoined without a catch-up replay: %+v", mt)
+	if n := counter(t, instrument(rc), "resyncs"); n == 0 {
+		t.Fatalf("victim rejoined without a catch-up replay: %d resyncs", n)
 	}
 }
 
@@ -361,9 +395,9 @@ func TestRestartCatchUpReplay(t *testing.T) {
 	waitCond(t, 5*time.Second, "b replayed and re-admitted", func() bool {
 		return rc.Metrics().ReplicasUp == 2
 	})
-	mt := rc.Metrics()
-	if mt.Resyncs == 0 || mt.Replayed < 4 {
-		t.Fatalf("expected a full-log replay, got %+v", mt)
+	reg := instrument(rc)
+	if resyncs, replayed := counter(t, reg, "resyncs"), counter(t, reg, "replayed"); resyncs == 0 || replayed < 4 {
+		t.Fatalf("expected a full-log replay, got %d resyncs, %d replayed", resyncs, replayed)
 	}
 
 	a.stop()
@@ -402,7 +436,7 @@ func TestUnavailableFailFast(t *testing.T) {
 	if !errors.As(err, &un) {
 		t.Fatalf("update error = %v, want *Unavailable", err)
 	}
-	if rc.Metrics().Unavailable == 0 {
+	if counter(t, instrument(rc), "unavailable") == 0 {
 		t.Fatal("Unavailable counter did not move")
 	}
 }

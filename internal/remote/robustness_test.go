@@ -119,19 +119,20 @@ func TestBreakerCapsAmplification(t *testing.T) {
 		t.Fatalf("read under brown-out failed despite a healthy replica: %v", err)
 	}
 
-	mt := rc.Metrics()
-	if mt.Requests != workers*iters {
-		t.Fatalf("completed %d reads, want %d: %+v", mt.Requests, workers*iters, mt)
+	reg := instrument(rc)
+	reqs, trips, failovers := counter(t, reg, "requests"), counter(t, reg, "breaker_trips"), counter(t, reg, "failovers")
+	if reqs != workers*iters {
+		t.Fatalf("completed %d reads, want %d (%d breaker trips, %d failovers)", reqs, workers*iters, trips, failovers)
 	}
-	if mt.BreakerTrips == 0 {
-		t.Fatalf("sustained sheds never tripped the breaker: %+v", mt)
+	if trips == 0 {
+		t.Fatalf("sustained sheds never tripped the breaker (%d failovers)", failovers)
 	}
 	// Without the breaker every brown-primary read (~half of 400) costs a
 	// failover; with it only the pre-trip window does. 100 leaves slack
 	// for re-trip cycles when a slow admit closes the breaker mid-test.
-	if mt.Failovers > 100 {
-		t.Fatalf("breaker did not cap amplification: %d failovers for %d reads: %+v",
-			mt.Failovers, workers*iters, mt)
+	if failovers > 100 {
+		t.Fatalf("breaker did not cap amplification: %d failovers for %d reads (%d breaker trips)",
+			failovers, workers*iters, trips)
 	}
 }
 
@@ -184,18 +185,19 @@ func TestRetryBudgetCapsFailover(t *testing.T) {
 		t.Fatalf("failed read was not typed: %v", err)
 	}
 
-	mt := rc.Metrics()
-	if mt.RetriesDenied == 0 {
-		t.Fatalf("brown-out never exhausted the retry budget: %+v", mt)
+	reg := instrument(rc)
+	denied, failovers, deadlines := counter(t, reg, "retries_denied"), counter(t, reg, "failovers"), counter(t, reg, "deadline_exceeded")
+	if denied == 0 {
+		t.Fatalf("brown-out never exhausted the retry budget (%d failovers)", failovers)
 	}
 	// Hard arithmetic cap: 16 burst tokens + 0.2 per offered read. Every
 	// failover past it must have been denied.
 	maxFailovers := uint64(16 + (workers*iters)/5)
-	if mt.Failovers > maxFailovers {
-		t.Fatalf("retry budget leaked: %d failovers, cap %d: %+v", mt.Failovers, maxFailovers, mt)
+	if failovers > maxFailovers {
+		t.Fatalf("retry budget leaked: %d failovers, cap %d (%d denied)", failovers, maxFailovers, denied)
 	}
-	if mt.DeadlineExceeded == 0 {
-		t.Fatalf("the read wedged in the blocked slot never hit its deadline: %+v", mt)
+	if deadlines == 0 {
+		t.Fatalf("the read wedged in the blocked slot never hit its deadline (%d failovers, %d denied)", failovers, denied)
 	}
 }
 
@@ -246,7 +248,7 @@ func TestDeadlineExceededTyped(t *testing.T) {
 		batch := 1 + rng.Intn(testMaxBatch)
 		checkGolden(t, m, rc, randRows(rng, m.Cfg, batch), batch)
 	}
-	if mt := rc.Metrics(); mt.DeadlineExceeded == 0 {
-		t.Fatalf("DeadlineExceeded counter never moved: %+v", mt)
+	if counter(t, instrument(rc), "deadline_exceeded") == 0 {
+		t.Fatal("DeadlineExceeded counter never moved")
 	}
 }

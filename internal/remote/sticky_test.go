@@ -107,9 +107,8 @@ func TestStickyFailoverAndReadmit(t *testing.T) {
 	waitCond(t, 5*time.Second, "sticky re-admission", func() bool {
 		return sticky.Metrics().ReplicasUp == 2
 	})
-	mt := sticky.Metrics()
-	if mt.Replayed != 0 {
-		t.Fatalf("sticky re-admission replayed %d log entries; a read-only router holds no log", mt.Replayed)
+	if n := counter(t, instrument(sticky), "replayed"); n != 0 {
+		t.Fatalf("sticky re-admission replayed %d log entries; a read-only router holds no log", n)
 	}
 	for i := 0; i < 5; i++ {
 		batch := 1 + rng.Intn(testMaxBatch)

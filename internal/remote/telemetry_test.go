@@ -4,8 +4,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"tensordimm/internal/cluster"
+	"tensordimm/internal/netserve"
+	"tensordimm/internal/remote"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
 )
@@ -75,6 +78,65 @@ func TestInstrumentExportsSeries(t *testing.T) {
 	for _, line := range []string{"tensordimm_remote_replicas_up 2\n", "tensordimm_remote_updates_total 6\n", "tensordimm_remote_request_seconds n=8 "} {
 		if !strings.Contains(text.String(), line) {
 			t.Fatalf("report missing %q:\n%s", line, text.String())
+		}
+	}
+}
+
+// TestSnapshotNeverWaitsOnUpdateLock pins that reading the router's series
+// takes no shard's update lock. An update holds that lock across a SYNC
+// round trip with no deadline, a snapshot scrape or a shed back-off, so a
+// gauge that waited on it would hang /metrics behind a slow replica — and
+// a METRICS request, which a netserve front answers on the connection's
+// reader, would stall every read pipelined behind it. With shard 0's lock
+// held, a registry snapshot and a METRICS round trip through a front on
+// that registry must each return within the watchdog, with the fleet
+// gauges read.
+func TestSnapshotNeverWaitsOnUpdateLock(t *testing.T) {
+	const writes = 4
+	m := buildModel(t)
+	_, addrs := startFleet(t, cluster.TableWise, 2, 1)
+	rc := newRouter(t, m, cluster.TableWise, addrs, func(cfg *remote.Config) { cfg.DataDir = t.TempDir() })
+	reg := instrument(rc)
+	_, cl := startFrontWith(t, rc, netserve.Config{Registry: reg})
+	rng := rand.New(rand.NewSource(41))
+	for i := 0; i < writes; i++ {
+		if err := rc.ApplyUpdates([]runtime.TableUpdate{randUpdate(rng, m.Cfg)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	release := rc.HoldUpdateLock(0)
+	defer release() // before the cleanups close the front and the router
+	type result struct {
+		snap *telemetry.Snapshot
+		err  error
+	}
+	for what, read := range map[string]func() (*telemetry.Snapshot, error){
+		"registry snapshot":  func() (*telemetry.Snapshot, error) { return reg.Snapshot(), nil },
+		"METRICS round trip": cl.Metrics,
+	} {
+		done := make(chan result, 1)
+		go func() {
+			snap, err := read()
+			done <- result{snap, err}
+		}()
+		var r result
+		select {
+		case r = <-done:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s still blocked after 2s on a held shard update lock", what)
+		}
+		if r.err != nil {
+			t.Fatalf("%s: %v", what, r.err)
+		}
+		if v, ok := r.snap.Gauge("tensordimm_remote_log_entries"); !ok || v != writes {
+			t.Errorf("%s: log_entries = %g, %v; want %d, true", what, v, ok, writes)
+		}
+		if v, ok := r.snap.Gauge("tensordimm_remote_wal_bytes"); !ok || v == 0 {
+			t.Errorf("%s: wal_bytes = %g, %v; want > 0, true", what, v, ok)
+		}
+		if v, ok := r.snap.Gauge("tensordimm_remote_replicas_up"); !ok || v != 2 {
+			t.Errorf("%s: replicas_up = %g, %v; want 2, true", what, v, ok)
 		}
 	}
 }

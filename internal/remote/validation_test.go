@@ -10,6 +10,7 @@ import (
 	"tensordimm/internal/node"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/serve"
+	"tensordimm/internal/telemetry"
 	"tensordimm/internal/tensor"
 	"tensordimm/internal/wire"
 )
@@ -48,6 +49,9 @@ func TestRequestValidationBothRouters(t *testing.T) {
 	defer local.Close()
 	_, addrs := startFleet(t, cluster.TableWise, 2, 1)
 	fleet := newRouter(t, buildModel(t), cluster.TableWise, addrs, nil)
+	reg := telemetry.NewRegistry()
+	local.Instrument(reg)
+	fleet.Instrument(reg)
 
 	nd, err := node.New(node.Config{DIMMs: 4, PerDIMMBytes: 1 << 20})
 	if err != nil {
@@ -64,7 +68,8 @@ func TestRequestValidationBothRouters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	ns, err := netserve.New(netserve.ServerBackend(srv), netserve.Config{Role: wire.RoleReplica})
+	srv.Instrument(reg)
+	ns, err := netserve.New(netserve.ServerBackend(srv), netserve.Config{Role: wire.RoleReplica, Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,21 +160,28 @@ func TestRequestValidationBothRouters(t *testing.T) {
 			}
 		}
 	}
-	if lm := local.Metrics(); lm.Requests+lm.Updates+lm.Failures != 0 {
-		t.Errorf("cluster counted rejected submissions: %d requests, %d updates, %d failures", lm.Requests, lm.Updates, lm.Failures)
+	snap := reg.Snapshot()
+	get := func(layer, name string) uint64 { // tensordimm_<layer>_<name>_total
+		t.Helper()
+		v, ok := snap.Counter("tensordimm_" + layer + "_" + name + "_total")
+		if !ok {
+			t.Fatalf("no %s series %s", layer, name)
+		}
+		return v
 	}
-	if rm := fleet.Metrics(); rm.Requests+rm.Updates+rm.Failures != 0 {
-		t.Errorf("remote counted rejected submissions: %d requests, %d updates, %d failures", rm.Requests, rm.Updates, rm.Failures)
+	if r, u, f := get("cluster", "requests"), get("cluster", "updates"), get("cluster", "failures"); r+u+f != 0 {
+		t.Errorf("cluster counted rejected submissions: %d requests, %d updates, %d failures", r, u, f)
+	}
+	if r, u, f := get("remote", "requests"), get("remote", "updates"), get("remote", "failures"); r+u+f != 0 {
+		t.Errorf("remote counted rejected submissions: %d requests, %d updates, %d failures", r, u, f)
 	}
 	if s := nd.Stats(); s != nmpBefore {
 		t.Errorf("runtime executed work for rejected submissions: node stats %+v, before %+v", s, nmpBefore)
 	}
-	if sm := srv.Metrics(); sm.Requests+sm.Updates+sm.Failures+sm.Batches != 0 {
-		t.Errorf("serve counted rejected submissions: %d requests, %d updates, %d failures, %d batches",
-			sm.Requests, sm.Updates, sm.Failures, sm.Batches)
+	if r, u, f, b := get("serve", "requests"), get("serve", "updates"), get("serve", "failures"), get("serve", "batches"); r+u+f+b != 0 {
+		t.Errorf("serve counted rejected submissions: %d requests, %d updates, %d failures, %d batches", r, u, f, b)
 	}
-	if nm := ns.Metrics(); nm.Requests+nm.Updates+nm.Failures+nm.BadFrames != 0 {
-		t.Errorf("netclient sent rejected submissions: the server counted %d requests, %d updates, %d failures, %d bad frames",
-			nm.Requests, nm.Updates, nm.Failures, nm.BadFrames)
+	if r, u, f, b := get("net", "requests"), get("net", "updates"), get("net", "failures"), get("net", "bad_frames"); r+u+f+b != 0 {
+		t.Errorf("netclient sent rejected submissions: the server counted %d requests, %d updates, %d failures, %d bad frames", r, u, f, b)
 	}
 }

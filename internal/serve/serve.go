@@ -39,9 +39,9 @@
 // of an embedding read, so a caller with sub-requests for several servers
 // (the cluster router) can queue all of them before it waits.
 //
-// Every request's queue and total latency is recorded; Metrics reports
-// p50/p95/p99 percentiles plus sustained throughput, the numbers a serving
-// SLO is written against.
+// Every request's queue and total latency is recorded; Instrument's
+// tensordimm_serve_*_seconds series report p50/p95/p99 percentiles, the
+// numbers a serving SLO is written against.
 package serve
 
 import (
@@ -188,8 +188,6 @@ type Server struct {
 	// by the deployment's own update lock, not here.
 	tblMu sync.RWMutex
 
-	started time.Time
-
 	requests atomic.Uint64
 	samples  atomic.Uint64
 	batches  atomic.Uint64
@@ -249,7 +247,6 @@ func New(cfg Config, dep *runtime.Deployment) (*Server, error) {
 		geom:      geom,
 		queue:     make(chan *request, queueDepth),
 		closeDone: make(chan struct{}),
-		started:   time.Now(),
 		queueLat:  telemetry.NewHistogram(),
 		totalLat:  telemetry.NewHistogram(),
 	}
@@ -646,47 +643,22 @@ func (s *Server) Close() error {
 	return s.closeErr
 }
 
-// Metrics is a point-in-time snapshot of the server's counters and latency
-// percentiles. All latencies are in seconds.
+// Metrics is the part of the server's counters the benchmark harness
+// (bench/) reads between intervals; bench/ is its only reason to exist.
+// Every other reader uses the tensordimm_serve_* series Instrument
+// registers.
 type Metrics struct {
-	Requests    uint64        // read requests completed successfully
-	Samples     uint64        // total samples across completed read requests
-	Batches     uint64        // merged executions
-	Failures    uint64        // requests (reads or updates) completed with an error
-	Updates     uint64        // update requests applied successfully
-	RowsUpdated uint64        // gradient rows accumulated across applied updates
-	Uptime      time.Duration // time since New
-
-	// MeanBatch is the average merged execution size in samples — the
-	// coalescing factor micro-batching achieved.
-	MeanBatch float64
-	// Throughput is completed samples per second of uptime.
-	Throughput float64
-	// QueueLatency digests time from submission to execution start.
-	QueueLatency telemetry.HistogramSnapshot
-	// TotalLatency digests time from submission to result delivery.
-	TotalLatency telemetry.HistogramSnapshot
+	Samples      uint64                      // total samples across completed read requests
+	Batches      uint64                      // merged executions
+	QueueLatency telemetry.HistogramSnapshot // submission to execution start, in seconds
 }
 
-// Metrics snapshots the server's counters. Safe to call at any time,
+// Metrics snapshots the counters bench/ reads. Safe to call at any time,
 // including after Close.
 func (s *Server) Metrics() Metrics {
-	m := Metrics{
-		Requests:     s.requests.Load(),
+	return Metrics{
 		Samples:      s.samples.Load(),
 		Batches:      s.batches.Load(),
-		Failures:     s.failures.Load(),
-		Updates:      s.updates.Load(),
-		RowsUpdated:  s.upRows.Load(),
-		Uptime:       time.Since(s.started),
 		QueueLatency: s.queueLat.Snapshot(),
-		TotalLatency: s.totalLat.Snapshot(),
 	}
-	if m.Batches > 0 {
-		m.MeanBatch = float64(m.Samples) / float64(m.Batches)
-	}
-	if sec := m.Uptime.Seconds(); sec > 0 {
-		m.Throughput = float64(m.Samples) / sec
-	}
-	return m
 }

@@ -55,6 +55,25 @@ func goldenModel(t *testing.T, cfg recsys.Config) *recsys.Model {
 	return m
 }
 
+// instrument puts s's series on a fresh registry, the read surface the
+// counter assertions use. Call it before the traffic it should count.
+func instrument(s *Server) *telemetry.Registry {
+	reg := telemetry.NewRegistry()
+	s.Instrument(reg)
+	return reg
+}
+
+// counter reads s's tensordimm_serve_<name>_total series from reg; a
+// missing series fails the test.
+func counter(t *testing.T, reg *telemetry.Registry, name string) uint64 {
+	t.Helper()
+	v, ok := reg.Snapshot().Counter("tensordimm_serve_" + name + "_total")
+	if !ok {
+		t.Fatalf("no series tensordimm_serve_%s_total", name)
+	}
+	return v
+}
+
 // embedTensor reads through EmbedInto into a fresh [batch, tables*dim]
 // tensor, the shape the golden Model.Embedding.Forward returns.
 func embedTensor(s *Server, rows [][]int, batch int) (*tensor.Tensor, error) {
@@ -166,6 +185,7 @@ func TestConcurrentClientsMatchGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := instrument(s)
 	const clients, iters = 8, 6
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
@@ -203,12 +223,12 @@ func TestConcurrentClientsMatchGolden(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := s.Metrics()
-	if m.Requests != clients*iters {
-		t.Fatalf("completed %d requests, want %d", m.Requests, clients*iters)
+	if n := counter(t, reg, "requests"); n != clients*iters {
+		t.Fatalf("completed %d requests, want %d", n, clients*iters)
 	}
-	if m.TotalLatency.Count != clients*iters || m.TotalLatency.P99 <= 0 {
-		t.Fatalf("latency accounting: %+v", m.TotalLatency)
+	total, _ := reg.Snapshot().Histogram("tensordimm_serve_total_seconds")
+	if total.Count != clients*iters || total.P99 <= 0 {
+		t.Fatalf("latency accounting: %+v", total)
 	}
 }
 
@@ -283,6 +303,7 @@ func TestLoneReadFillsDestination(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	reg := instrument(s)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 5)
 	width := s.Geometry().Width()
 	nan := float32(math.NaN())
@@ -312,8 +333,8 @@ func TestLoneReadFillsDestination(t *testing.T) {
 			}
 		}
 	}
-	if m := s.Metrics(); m.Requests != 3 || m.Batches != 3 {
-		t.Fatalf("%d requests in %d executions, want 3 lone reads", m.Requests, m.Batches)
+	if r, b := counter(t, reg, "requests"), counter(t, reg, "batches"); r != 3 || b != 3 {
+		t.Fatalf("%d requests in %d executions, want 3 lone reads", r, b)
 	}
 }
 
@@ -419,6 +440,7 @@ func TestBatchingCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := instrument(s)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
 	singles := make([]int, requests)
 	for i := range singles {
@@ -431,9 +453,9 @@ func TestBatchingCoalesces(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if m := s.Metrics(); m.Requests != requests || m.Samples != requests || m.Batches > 2 {
+	if r, n, b := counter(t, reg, "requests"), counter(t, reg, "samples"), counter(t, reg, "batches"); r != requests || n != requests || b > 2 {
 		t.Fatalf("%d requests, %d samples in %d executions, want %d, %d in at most 2",
-			m.Requests, m.Samples, m.Batches, requests, requests)
+			r, n, b, requests, requests)
 	}
 }
 
@@ -462,6 +484,7 @@ func TestHeadOfLineCarry(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			reg := instrument(s)
 			gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 4)
 			release := stall(s)
 			pending, want := startReads(t, s, goldenModel(t, cfg), gen, tc.reads...)
@@ -481,10 +504,10 @@ func TestHeadOfLineCarry(t *testing.T) {
 			for _, b := range tc.reads {
 				samples += b
 			}
-			m := s.Metrics()
-			if m.Requests != uint64(len(tc.reads)) || m.Samples != uint64(samples) || m.Batches != tc.batches || m.Failures != 0 {
+			r, n, b, f := counter(t, reg, "requests"), counter(t, reg, "samples"), counter(t, reg, "batches"), counter(t, reg, "failures")
+			if r != uint64(len(tc.reads)) || n != uint64(samples) || b != tc.batches || f != 0 {
 				t.Fatalf("%d requests, %d samples, %d executions, %d failures, want %d, %d, %d, 0",
-					m.Requests, m.Samples, m.Batches, m.Failures, len(tc.reads), samples, tc.batches)
+					r, n, b, f, len(tc.reads), samples, tc.batches)
 			}
 		})
 	}
@@ -542,6 +565,7 @@ func TestCloseDeliversStartedNotWaited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := instrument(s)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
 	// Stalled, so only Close's drain can deliver the three reads.
 	release := stall(s)
@@ -553,7 +577,7 @@ func TestCloseDeliversStartedNotWaited(t *testing.T) {
 	if _, err := s.StartEmbedInto(nil, gen.Batch(cfg.Tables, 1, cfg.Reduction), 1); err == nil {
 		t.Fatal("want error from StartEmbedInto after Close")
 	}
-	if m := s.Metrics(); m.Requests != 3 || m.Failures != 0 {
-		t.Fatalf("requests %d, failures %d after the drain, want 3, 0", m.Requests, m.Failures)
+	if r, f := counter(t, reg, "requests"), counter(t, reg, "failures"); r != 3 || f != 0 {
+		t.Fatalf("requests %d, failures %d after the drain, want 3, 0", r, f)
 	}
 }

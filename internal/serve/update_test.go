@@ -55,6 +55,7 @@ func TestUpdateVisibleToLaterReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	reg := instrument(s)
 	golden := goldenModel(t, cfg)
 	rng := rand.New(rand.NewSource(2))
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 3)
@@ -81,8 +82,8 @@ func TestUpdateVisibleToLaterReads(t *testing.T) {
 			t.Fatalf("step %d: post-update embedding differs from golden", step)
 		}
 	}
-	if m := s.Metrics(); m.Updates != 5 || m.RowsUpdated != 15 {
-		t.Fatalf("update metrics: %d updates, %d rows", m.Updates, m.RowsUpdated)
+	if u, r := counter(t, reg, "updates"), counter(t, reg, "update_rows"); u != 5 || r != 15 {
+		t.Fatalf("update metrics: %d updates, %d rows", u, r)
 	}
 }
 
@@ -97,6 +98,7 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := instrument(s)
 	golden := goldenModel(t, cfg)
 	gen, _ := workload.NewGenerator(cfg.TableRows, workload.Uniform, 8)
 	rows := [][]int{{7, 7}, {1, 2}}
@@ -138,8 +140,8 @@ func TestUpdateAppliesBeforeCoalescedRead(t *testing.T) {
 	if !slices.Equal(got, fresh.Data()) {
 		t.Fatal("read coalesced with an update did not observe it")
 	}
-	if m := s.Metrics(); m.Batches != 2 || m.Updates != 1 {
-		t.Fatalf("%d executions, %d updates, want 2 (8 | update+read), 1", m.Batches, m.Updates)
+	if b, u := counter(t, reg, "batches"), counter(t, reg, "updates"); b != 2 || u != 1 {
+		t.Fatalf("%d executions, %d updates, want 2 (8 | update+read), 1", b, u)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)

@@ -132,9 +132,6 @@ type (
 	Cluster = cluster.Cluster
 	// ClusterConfig sizes a cluster (nodes, strategy, caches, fabric).
 	ClusterConfig = cluster.Config
-	// ClusterMetrics is a snapshot of cluster routing, cache and fabric
-	// counters.
-	ClusterMetrics = cluster.Metrics
 	// NetServer is the TCP serving plane fronting a server or cluster.
 	NetServer = netserve.Server
 	// NetServeConfig tunes the network server (admission budget, role, telemetry).

@@ -121,6 +121,8 @@ func TestPublicClusterAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	reg := tensordimm.NewTelemetry()
+	cl.Instrument(reg)
 	gen, err := tensordimm.NewZipfWorkload(cfg.TableRows, 0.9, 7)
 	if err != nil {
 		t.Fatal(err)
@@ -143,10 +145,32 @@ func TestPublicClusterAPI(t *testing.T) {
 			t.Fatalf("iter %d: cluster inference differs from software model", i)
 		}
 	}
-	m := cl.Metrics()
-	if m.Requests != 4 || m.CacheHits+m.CacheMisses != m.Lookups {
-		t.Fatalf("cluster metrics malformed: %+v", m)
+	// 4 reads of 4 samples, each pooling Reduction rows per table.
+	lookups := uint64(4 * 4 * cfg.Tables * cfg.Reduction)
+	reqs := counterSum(t, reg, "tensordimm_cluster_requests_total")
+	hits, misses := counterSum(t, reg, "tensordimm_cluster_cache_hits_total"), counterSum(t, reg, "tensordimm_cluster_cache_misses_total")
+	if n := counterSum(t, reg, "tensordimm_cluster_lookups_total"); reqs != 4 || n != lookups || hits+misses != lookups {
+		t.Fatalf("cluster metrics malformed: %d requests, %d lookups (%d hits + %d misses), want 4, %d", reqs, n, hits, misses, lookups)
 	}
+}
+
+// counterSum sums one counter over every label set it carries (one per
+// shard for a cluster's cache series) in a snapshot of reg; a missing
+// series fails the test.
+func counterSum(t *testing.T, reg *tensordimm.TelemetryRegistry, name string) uint64 {
+	t.Helper()
+	var n uint64
+	found := false
+	for _, c := range reg.Snapshot().Counters {
+		if c.Name == name {
+			n += c.Value
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no series %s", name)
+	}
+	return n
 }
 
 // TestPublicOnlineUpdateAPI exercises the online-update surface end to
@@ -172,6 +196,8 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	reg := tensordimm.NewTelemetry()
+	cl.Instrument(reg)
 
 	grads := tensordimm.NewTensor(3, cfg.EmbDim)
 	for i := range grads.Data() {
@@ -204,8 +230,8 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 	if !tensor.Equal(got, want) {
 		t.Fatal("post-update cluster embed differs from golden")
 	}
-	if m := cl.Metrics(); m.Updates != 1 || m.RowsUpdated != 3 {
-		t.Fatalf("update metrics malformed: %+v", m)
+	if u, r := counterSum(t, reg, "tensordimm_cluster_updates_total"), counterSum(t, reg, "tensordimm_cluster_update_rows_total"); u != 1 || r != 3 {
+		t.Fatalf("update metrics malformed: %d updates, %d rows", u, r)
 	}
 
 	// Single-node server path: model is still the pristine seed-42 build,
@@ -223,6 +249,8 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	srvReg := tensordimm.NewTelemetry()
+	srv.Instrument(srvReg)
 	if err := srv.Update([]tensordimm.TableUpdate{up}); err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +264,7 @@ func TestPublicOnlineUpdateAPI(t *testing.T) {
 	if !tensor.Equal(got, want) {
 		t.Fatal("post-update server embed differs from golden")
 	}
-	if m := srv.Metrics(); m.Updates != 1 || m.RowsUpdated != 3 {
-		t.Fatalf("server update metrics malformed: %+v", m)
+	if u, r := counterSum(t, srvReg, "tensordimm_serve_updates_total"), counterSum(t, srvReg, "tensordimm_serve_update_rows_total"); u != 1 || r != 3 {
+		t.Fatalf("server update metrics malformed: %d updates, %d rows", u, r)
 	}
 }
