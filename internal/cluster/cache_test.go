@@ -84,8 +84,8 @@ func TestRowCacheExactBudgetFill(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		c.put(r, vec(dim, float32(r)))
 	}
-	if c.len() != 4 || c.used != 4*64 {
-		t.Fatalf("exact fill: %d rows, %d bytes used", c.len(), c.used)
+	if c.len() != 4 || len(c.rowOf) != 4 {
+		t.Fatalf("exact fill: %d rows in %d slots, want 4 in 4", c.len(), len(c.rowOf))
 	}
 	for r := 0; r < 4; r++ { // nothing was evicted at exactly-full
 		if _, ok := c.get(r); !ok {
@@ -93,8 +93,8 @@ func TestRowCacheExactBudgetFill(t *testing.T) {
 		}
 	}
 	c.put(4, vec(dim, 4))
-	if c.len() != 4 || c.used != 4*64 {
-		t.Fatalf("overflow by one: %d rows, %d bytes used", c.len(), c.used)
+	if c.len() != 4 {
+		t.Fatalf("overflow by one: %d rows, want 4", c.len())
 	}
 	if _, ok := c.get(0); ok {
 		t.Fatal("LRU row 0 should have been the single eviction")
@@ -105,8 +105,8 @@ func TestRowCacheExactBudgetFill(t *testing.T) {
 	for r := 0; r < 4; r++ {
 		c.put(r, vec(dim, float32(r)))
 	}
-	if c.len() != 3 || c.used != 3*64 {
-		t.Fatalf("fractional budget: %d rows, %d bytes used", c.len(), c.used)
+	if c.len() != 3 || len(c.rowOf) != 3 {
+		t.Fatalf("fractional budget: %d rows in %d slots, want 3 in 3", c.len(), len(c.rowOf))
 	}
 }
 
@@ -166,8 +166,8 @@ func TestRowCacheInvalidateMidLRU(t *testing.T) {
 	if c.invalidations.Load() != 1 {
 		t.Fatalf("invalidations counter = %d, want 1", c.invalidations.Load())
 	}
-	if c.len() != 2 || c.used != 2*64 {
-		t.Fatalf("after invalidate: %d rows, %d bytes used", c.len(), c.used)
+	if c.len() != 2 {
+		t.Fatalf("after invalidate: %d rows, want 2", c.len())
 	}
 	if _, ok := c.get(1); ok {
 		t.Fatal("invalidated row still resident")

@@ -45,7 +45,6 @@ package netclient
 import (
 	"bufio"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"sync"
@@ -129,22 +128,6 @@ type DeadlineError struct {
 // Error implements error.
 func (e *DeadlineError) Error() string {
 	return fmt.Sprintf("netclient: deadline budget %v exhausted awaiting response", e.Budget)
-}
-
-// budgetMicros converts a deadline budget to its wire form: microseconds
-// clamped to uint32, with a floor of 1µs for any positive budget so "has
-// a deadline" survives the rounding (0 is reserved for "none").
-func budgetMicros(d time.Duration) uint32 {
-	if d <= 0 {
-		return 0
-	}
-	if us := d.Microseconds(); us >= math.MaxUint32 {
-		return math.MaxUint32
-	} else if us < 1 {
-		return 1
-	} else {
-		return uint32(us)
-	}
 }
 
 // Call is one in-flight request: the encode buffer, the destination the
@@ -274,7 +257,7 @@ func dial(addr string, cfg Config, maxFrame int, handshake time.Duration) (*Clie
 		c.slots = append(c.slots, &connSlot{})
 		c.install(c.slots[i], cc, h)
 	}
-	if maxResp := wire.HeaderBytes + 4*c.geom.MaxBatch*c.geom.Width(); maxFrame < maxResp {
+	if _, maxResp := c.geom.EmbedFrameBytes(c.geom.MaxBatch); maxFrame < maxResp {
 		c.Close()
 		return nil, fmt.Errorf("netclient: frame limit %d below the %d B a maximal response needs", maxFrame, maxResp)
 	}
@@ -482,10 +465,8 @@ func (cc *clientConn) deliver(op wire.Op, id uint64, payload []byte) bool {
 		res = wire.DecodeEmbedResp(payload, ca.dst)
 	case wire.OpUpdateResp, wire.OpPong:
 		res = nil
-	case wire.OpSyncResp:
+	case wire.OpSyncResp, wire.OpRestoreResp:
 		ca.seq, res = wire.DecodeSyncResp(payload)
-	case wire.OpRestoreResp:
-		ca.seq, res = wire.DecodeRestoreResp(payload)
 	case wire.OpMetricsResp:
 		ca.snap = append([]byte(nil), payload...)
 	case wire.OpError:
@@ -710,7 +691,7 @@ func (c *Client) StartEmbedBudget(dst []float32, perTableRows [][]int, batch int
 	}
 	ca := c.getCall()
 	ca.dst = dst[:need]
-	ca.buf = wire.AppendEmbed(ca.buf[:0], ca.id, budgetMicros(budget), perTableRows, batch, c.geom.Reduction)
+	ca.buf = wire.AppendEmbed(ca.buf[:0], ca.id, wire.BudgetOf(budget), perTableRows, batch, c.geom.Reduction)
 	if err := c.begin(ca); err != nil {
 		return nil, err
 	}
@@ -739,10 +720,9 @@ func (c *Client) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]fl
 }
 
 // validateUpdates checks one update batch against the announced geometry
-// (runtime.CheckUpdates) and against what one frame can hold, given the
-// payload overhead before the update list (4+2 B budget+count for UPDATE,
-// 8+2 B seq+count for SYNC).
-func (c *Client) validateUpdates(ups []runtime.TableUpdate, overhead int) error {
+// (runtime.CheckUpdates) and against what one frame of op (OpUpdate or
+// OpSync) can hold.
+func (c *Client) validateUpdates(ups []runtime.TableUpdate, op wire.Op) error {
 	if err := runtime.CheckUpdates(ups, c.geom); err != nil {
 		return fmt.Errorf("netclient: %w", err)
 	}
@@ -750,10 +730,11 @@ func (c *Client) validateUpdates(ups []runtime.TableUpdate, overhead int) error 
 		return fmt.Errorf("netclient: %d updates exceed the %d-per-frame protocol cap; split the batch",
 			len(ups), wire.MaxUpdatesPerFrame)
 	}
-	frameBytes := wire.HeaderBytes + overhead
+	rows := 0
 	for _, up := range ups {
-		frameBytes += 8 + 4*len(up.Rows) + 4*len(up.Rows)*c.geom.Dim
+		rows += len(up.Rows)
 	}
+	frameBytes := c.geom.UpdateFrameBytes(op, len(ups), rows)
 	// A frame over the limit would be rejected server-side as a protocol
 	// violation, tearing down the shared connection and failing every
 	// pipelined call on it — so it is refused here as a per-call error.
@@ -792,12 +773,12 @@ func (ca *Call) releaseUpdates() {
 // update is applied server-side and every later read observes it. Safe
 // for concurrent use.
 func (c *Client) Update(ups []runtime.TableUpdate) error {
-	if err := c.validateUpdates(ups, 6); err != nil {
+	if err := c.validateUpdates(ups, wire.OpUpdate); err != nil {
 		return err
 	}
 	ca := c.getCall()
 	ca.borrowUpdates(ups)
-	ca.buf = wire.AppendUpdate(ca.buf[:0], ca.id, budgetMicros(c.cfg.Deadline), ca.wu)
+	ca.buf = wire.AppendUpdate(ca.buf[:0], ca.id, wire.BudgetOf(c.cfg.Deadline), ca.wu)
 	ca.releaseUpdates()
 	_, _, err := c.exchange(ca, c.cfg.Deadline)
 	return err
@@ -812,7 +793,7 @@ func (c *Client) Update(ups []runtime.TableUpdate) error {
 // a replay of something already absorbed. Safe for concurrent use,
 // though replay order is the caller's contract.
 func (c *Client) Sync(seq uint64, ups []runtime.TableUpdate) (uint64, error) {
-	if err := c.validateUpdates(ups, 10); err != nil {
+	if err := c.validateUpdates(ups, wire.OpSync); err != nil {
 		return 0, err
 	}
 	ca := c.getCall()
@@ -827,14 +808,7 @@ func (c *Client) Sync(seq uint64, ups []runtime.TableUpdate) (uint64, error) {
 // hold: the geometry's per-frame update cap, shrunk if needed so the
 // encoded frame fits the frame limit (frameLimit). A snapshot installer
 // chunks by it.
-func (c *Client) MaxRestoreRows() int {
-	g := c.geom
-	n := g.MaxBatch * g.Reduction
-	if fit := (c.frameLimit() - wire.HeaderBytes - 17) / (4 + 4*g.Dim); fit < n {
-		n = fit
-	}
-	return max(n, 1)
-}
+func (c *Client) MaxRestoreRows() int { return c.geom.MaxRestoreRows(c.frameLimit()) }
 
 // Restore streams one chunk of a full-table snapshot install: absolute
 // values for len(rows) rows of one table, stamped with the snapshot's

@@ -252,7 +252,7 @@ type task struct {
 	// check: it is already on the wire, and the await must run to release
 	// it. submit's check and the backend's own deadline (a replica router's
 	// Config.Deadline) bound it instead.
-	budget  uint32
+	budget  wire.Budget
 	arrived time.Time
 	// start is when execution began, the latency histogram's origin: the
 	// executor's pickup, or submit's clock reading for a read the reader
@@ -272,11 +272,9 @@ type task struct {
 	ups []runtime.TableUpdate
 	// sync / restore sequence number (OpSync and OpRestore)
 	seq uint64
-	// restore arguments (OpRestore only): decoded views into upd's arenas
-	commit   bool
-	restTab  int
-	restRows []int
-	restVals []float32
+	// restore arguments (OpRestore only): rest views upd's arenas
+	commit bool
+	rest   wire.Update
 
 	// encoded response frame, copied verbatim into the conn's Writer
 	resp []byte
@@ -420,8 +418,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 	}
 	// The largest legal frame in either direction must fit the limit, or
 	// every maximal request would be "oversized" by configuration.
-	maxReq := wire.HeaderBytes + 8 + 4*geom.Tables*geom.MaxBatch*geom.Reduction
-	maxResp := wire.HeaderBytes + 4*geom.MaxBatch*geom.Width()
+	maxReq, maxResp := geom.EmbedFrameBytes(geom.MaxBatch)
 	if need := max(maxReq, maxResp); wire.DefaultMaxFrameBytes < need {
 		return nil, fmt.Errorf("netserve: frame limit %d below the %d B a maximal request/response needs", wire.DefaultMaxFrameBytes, need)
 	}
@@ -683,9 +680,7 @@ func (c *conn) dispatchOne(op wire.Op, id uint64, payload []byte, arrived time.T
 			err = t.convertUpdates(wu, s.geom.Dim)
 		}
 	case wire.OpRestore:
-		var up wire.Update
-		t.seq, t.commit, up, err = wire.DecodeRestore(payload, s.geom, &t.upd)
-		t.restTab, t.restRows, t.restVals = up.Table, up.Rows, up.Grads
+		t.seq, t.commit, t.rest, err = wire.DecodeRestore(payload, s.geom, &t.upd)
 	default:
 		// The connection closes, and the task's credit goes with it.
 		s.putTask(t)
@@ -734,7 +729,7 @@ func (c *conn) submit(t *task) {
 	// for a read the reader starts, its queue hop and latency origin.
 	now := time.Now()
 	switch {
-	case t.expired(now):
+	case t.budget.Expired(t.arrived, now):
 		s.expired.Add(1)
 		c.replyError(t, wire.ErrDeadlineExceeded, "deadline budget exhausted before dispatch")
 		return
@@ -868,7 +863,7 @@ func (s *Server) executor() {
 		// what the send took.
 		if t.pend == nil {
 			t.start = now
-			if t.expired(now) {
+			if t.budget.Expired(t.arrived, now) {
 				// The budget lapsed in the queue: the client has moved on, so
 				// executing would burn backend capacity on a dead response.
 				s.expired.Add(1)
@@ -893,7 +888,7 @@ func (s *Server) executor() {
 		case wire.OpUpdate:
 			if err := s.backend.ApplyUpdates(t.ups); err != nil {
 				s.failures.Add(1)
-				t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
+				t.resp = wire.AppendError(t.resp[:0], t.id, wire.CodeOf(err), err.Error())
 			} else {
 				s.updateSeq.Add(1)
 				s.updates.Add(1)
@@ -919,11 +914,12 @@ func (t *task) embedDst(g wire.Geometry) []float32 {
 }
 
 // encodeEmbed encodes a finished read's response: the embedding, or the
-// backend's failure as an INTERNAL error frame.
+// backend's failure as an error frame of the class the error carries
+// (wire.CodeOf).
 func (s *Server) encodeEmbed(t *task, dst []float32, err error) {
 	if err != nil {
 		s.failures.Add(1)
-		t.resp = wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
+		t.resp = wire.AppendError(t.resp[:0], t.id, wire.CodeOf(err), err.Error())
 		return
 	}
 	t.dst = dst
@@ -965,7 +961,7 @@ func (s *Server) executeSync(t *task) []byte {
 	default:
 		if err := s.backend.ApplyUpdates(t.ups); err != nil {
 			s.failures.Add(1)
-			return wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
+			return wire.AppendError(t.resp[:0], t.id, wire.CodeOf(err), err.Error())
 		}
 		s.syncs.Add(1)
 		return wire.AppendSyncResp(t.resp[:0], t.id, s.updateSeq.Add(1))
@@ -994,9 +990,9 @@ func (s *Server) executeRestore(t *task) []byte {
 		return wire.AppendError(t.resp[:0], t.id, wire.ErrBadRequest,
 			fmt.Sprintf("snapshot at sequence %d behind the server's %d applied updates", t.seq, cur))
 	}
-	if err := rb.Restore(t.restTab, t.restRows, t.restVals); err != nil {
+	if err := rb.Restore(t.rest.Table, t.rest.Rows, t.rest.Grads); err != nil {
 		s.failures.Add(1)
-		return wire.AppendError(t.resp[:0], t.id, wire.ErrInternal, err.Error())
+		return wire.AppendError(t.resp[:0], t.id, wire.CodeOf(err), err.Error())
 	}
 	if t.commit {
 		s.updateSeq.Store(t.seq)
@@ -1075,12 +1071,6 @@ func (c *conn) getTask(op wire.Op, id uint64) *task {
 	t.c, t.op, t.id = c, op, id
 	t.budget, t.arrived = 0, time.Time{}
 	return t
-}
-
-// expired reports whether the task's deadline budget lapsed since its
-// frame arrived.
-func (t *task) expired(now time.Time) bool {
-	return t.budget > 0 && now.Sub(t.arrived) >= time.Duration(t.budget)*time.Microsecond
 }
 
 // putTask recycles a task. Buffers keep their capacity; references into

@@ -19,12 +19,15 @@
 // sequence number is the SYNC sequence, so log positions and replica
 // catch-up positions are the same number — and the checksum (CRC-32
 // Castagnoli) covers the frame body (everything after the frame's length
-// prefix). Each record is written with a single write call before the
-// update fans out to any replica, so on a crash the log is always a
-// superset of what any replica applied; at worst the final record is
-// torn. Recovery scans the log and truncates at the first bad record —
-// short read, checksum mismatch, or undecodable body — which by the
-// single-writer/single-write discipline can only be the torn tail.
+// prefix). Package wire owns the layout: the log encodes and decodes
+// records with its SYNC codec and bounds a record at replay by its frame
+// size (Geometry.UpdateFrameBytes), so no size is derived here. Each
+// record is written with a single write call before the update fans out
+// to any replica, so on a crash the log is always a superset of what any
+// replica applied; at worst the final record is torn. Recovery scans the
+// log and truncates at the first bad record — short read, checksum
+// mismatch, or undecodable body — which by the single-writer/single-write
+// discipline can only be the torn tail.
 //
 // Snapshots are absolute table state (not compacted deltas: float
 // accumulation is order-sensitive, so replaying "merged" gradients would
@@ -117,7 +120,6 @@ type ShardLog struct {
 	encBuf  []byte // reused record encode buffer
 	snapBuf []byte // reused snapshot file encode buffer (durable mode)
 	wu      [1]wire.Update
-	maxRec  int
 	scratch wire.UpdateScratch
 
 	// Durability counters, atomic because the telemetry plane reads them
@@ -171,10 +173,6 @@ func Open(cfg Config) (*ShardLog, error) {
 			TableRows: cfg.LocalRows,
 			MaxBatch:  cfg.MaxRowsPerEntry,
 		},
-		// Worst-case record: crc + frame header + seq + count + table +
-		// row count + rows + gradients, with slack for growth rounding.
-		maxRec: 4 + wire.HeaderBytes + 8 + 2 + 4 + 4 +
-			4*cfg.MaxRowsPerEntry + 4*cfg.MaxRowsPerEntry*cfg.Dim + 64,
 	}
 	if cfg.Dir == "" {
 		return l, nil
@@ -475,7 +473,8 @@ func (l *ShardLog) replay() error {
 			}
 			return l.truncateAt(off) // torn mid-crc
 		}
-		op, _, payload, nbuf, err := wire.ReadFrame(l.wal, buf, l.maxRec)
+		// A valid record's frame is at most one SYNC entry at the row cap.
+		op, _, payload, nbuf, err := wire.ReadFrame(l.wal, buf, l.geom.UpdateFrameBytes(wire.OpSync, 1, l.cfg.MaxRowsPerEntry))
 		buf = nbuf
 		if err != nil || op != wire.OpSync {
 			return l.truncateAt(off)

@@ -1,11 +1,13 @@
 package remote_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"tensordimm/internal/cluster"
 	"tensordimm/internal/netclient"
@@ -13,6 +15,7 @@ import (
 	"tensordimm/internal/remote"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
+	"tensordimm/internal/wire"
 )
 
 // startFront serves rc behind a netserve front on a loopback listener —
@@ -127,4 +130,35 @@ func TestNetFrontBitIdentical(t *testing.T) {
 		t.Fatal("no read reached the front inside a BATCH frame: the pipelined path was not exercised")
 	}
 	t.Logf("%d reads, %d inside %d BATCH frames", reqs, mt.BatchedIn, mt.BatchesIn)
+}
+
+// TestNetFrontShardOutageIsUnavailable stops every replica of one shard
+// behind a netserve front: a read and an update through netclient must
+// each fail with UNAVAILABLE, the class the router's *Unavailable carries,
+// not with INTERNAL.
+func TestNetFrontShardOutageIsUnavailable(t *testing.T) {
+	m := buildModel(t)
+	procs, addrs := startFleet(t, cluster.TableWise, 2, 2)
+	rc := newRouter(t, m, cluster.TableWise, addrs, nil)
+	_, cl := startFront(t, rc)
+	for _, rp := range procs[1] {
+		rp.stop()
+	}
+	waitCond(t, 5*time.Second, "shard 1's replicas marked down", func() bool {
+		return rc.Metrics().ReplicasUp == 2
+	})
+	rng := rand.New(rand.NewSource(43))
+	var se *netclient.ServerError
+	if _, err := cl.EmbedInto(nil, randRows(rng, m.Cfg, 2), 2); !errors.As(err, &se) || se.Code != wire.ErrUnavailable {
+		t.Fatalf("read error = %v, want an UNAVAILABLE ServerError", err)
+	}
+	// One entry per table: table-wise, some land on the dead shard.
+	ups := make([]runtime.TableUpdate, m.Cfg.Tables)
+	for tbl := range ups {
+		ups[tbl] = randUpdate(rng, m.Cfg)
+		ups[tbl].Table = tbl
+	}
+	if err := cl.Update(ups); !errors.As(err, &se) || se.Code != wire.ErrUnavailable {
+		t.Fatalf("update error = %v, want an UNAVAILABLE ServerError", err)
+	}
 }

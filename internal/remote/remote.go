@@ -225,6 +225,10 @@ func (e *Unavailable) Error() string {
 // Unwrap exposes the last per-replica error to errors.Is/As.
 func (e *Unavailable) Unwrap() error { return e.Err }
 
+// WireCode classifies the outage for a network front: a netserve answers
+// it as UNAVAILABLE (wire.CodeOf), not as a backend failure.
+func (e *Unavailable) WireCode() wire.ErrCode { return wire.ErrUnavailable }
+
 // DeadlineExceeded is the typed failure of a read whose Config.Deadline
 // budget lapsed before any replica of a shard answered.
 type DeadlineExceeded struct {

@@ -147,6 +147,30 @@ func (d *Deployment) enter() error {
 	return nil
 }
 
+// PerDIMMBytes sizes one DIMM of a node of dimms TensorDIMMs to hold
+// exactly what DeployConcurrent reserves for a model of cfg: the tables,
+// two gather buffers per lane and the update lane's staging buffer, one
+// output region per slot, and a stripe of alignment margin per
+// allocation. There is no headroom: the node holds the deployment and
+// nothing else.
+func PerDIMMBytes(cfg recsys.Config, dimms, maxBatch, slots, lanes int) uint64 {
+	stripe := uint64(dimms) * isa.BlockBytes
+	_, gather, out := scratchBytes(cfg, maxBatch, stripe)
+	allocs := uint64(cfg.Tables + 2*lanes + 1 + slots)
+	need := uint64(cfg.TotalTableBytes()) + uint64(2*lanes+1)*gather + uint64(slots)*out + allocs*stripe
+	per := (need + uint64(dimms) - 1) / uint64(dimms)
+	return (per + 4095) / 4096 * 4096
+}
+
+// scratchBytes returns what DeployConcurrent sizes its scratch by on a
+// node striped stripe bytes wide: the padding slack, one gather buffer and
+// one slot's output region.
+func scratchBytes(cfg recsys.Config, maxBatch int, stripe uint64) (padSlack, gather, out uint64) {
+	emb := uint64(cfg.EmbBytes())
+	padSlack = isa.LanesPerBlock * stripe
+	return padSlack, uint64(maxBatch*cfg.Reduction)*emb + padSlack, uint64(cfg.Tables) * (uint64(maxBatch)*emb + padSlack)
+}
+
 // Deploy uploads the model's embedding tables into the node (striped across
 // all TensorDIMMs) and pre-allocates the scratch regions for batches up to
 // maxBatch, with a single execution slot and scratch lane (sequential
@@ -210,9 +234,8 @@ func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int
 	// table's segment, whichever order the tables execute in. Index regions
 	// get the worst-case expanded list plus two blocks of padding slack (the
 	// pairwise-REDUCE path pads each of its two halves independently).
-	d.padSlack = uint64(isa.LanesPerBlock * stripeBytes)
-	padSlack := d.padSlack
-	gatherBytes := uint64(maxBatch)*uint64(cfg.Reduction)*uint64(embBytes) + padSlack
+	var gatherBytes, outBytes uint64
+	d.padSlack, gatherBytes, outBytes = scratchBytes(cfg, maxBatch, uint64(stripeBytes))
 	idxCap := maxBatch*cfg.Reduction*d.stripes + 2*isa.LanesPerBlock
 	idxBytes := uint64(idxCap) * 4
 	for i := 0; i < lanes; i++ {
@@ -237,7 +260,6 @@ func DeployConcurrent(m *recsys.Model, nd *node.Node, maxBatch, slots, lanes int
 		return nil, fmt.Errorf("runtime: alloc update staging: %w", err)
 	}
 	d.upd = &scratchLane{idxBase: nd.ReserveIndexRegion(idxBytes), gatherBase: [2]uint64{stage}, idx: make([]int32, 0, idxCap)}
-	outBytes := uint64(cfg.Tables) * (uint64(maxBatch)*uint64(embBytes) + padSlack)
 	d.slots = make([]slotScratch, slots)
 	for s := 0; s < slots; s++ {
 		out, err := nd.Alloc(outBytes)

@@ -50,7 +50,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tensordimm/internal/isa"
 	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
@@ -270,7 +269,7 @@ func Deploy(m *recsys.Model, dimms int, cfg Config) (*Server, error) {
 	lanes := cfg.Workers * m.Cfg.Tables
 	nd, err := node.New(node.Config{
 		DIMMs:        dimms,
-		PerDIMMBytes: perDIMMBytes(m.Cfg, dimms, cfg.MaxBatch, cfg.Workers, lanes),
+		PerDIMMBytes: runtime.PerDIMMBytes(m.Cfg, dimms, cfg.MaxBatch, cfg.Workers, lanes),
 	})
 	if err != nil {
 		return nil, fmt.Errorf("serve: node: %w", err)
@@ -288,24 +287,6 @@ func Deploy(m *recsys.Model, dimms int, cfg Config) (*Server, error) {
 	}
 	s.node = nd
 	return s, nil
-}
-
-// perDIMMBytes sizes one DIMM of a node for exactly what
-// runtime.DeployConcurrent reserves for a model at maxBatch: the tables, two
-// gather buffers per lane, the update lane's staging buffer (one more
-// gather buffer), one output region per slot, padding slack on each buffer,
-// and a stripe of alignment margin per allocation. There is no headroom:
-// the node holds the deployment and nothing else.
-func perDIMMBytes(mc recsys.Config, dimms, maxBatch, slots, lanes int) uint64 {
-	emb := uint64(mc.EmbBytes())
-	stripe := uint64(dimms) * isa.BlockBytes
-	slack := uint64(isa.LanesPerBlock) * stripe
-	gather := uint64(maxBatch*mc.Reduction)*emb + slack
-	out := uint64(mc.Tables) * (uint64(maxBatch)*emb + slack)
-	allocs := uint64(mc.Tables + 2*lanes + 1 + slots)
-	need := uint64(mc.TotalTableBytes()) + uint64(2*lanes+1)*gather + uint64(slots)*out + allocs*stripe
-	per := (need + uint64(dimms) - 1) / uint64(dimms)
-	return (per + 4095) / 4096 * 4096
 }
 
 // Node returns the TensorNode Deploy built for the server, or nil for a

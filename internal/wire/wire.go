@@ -24,6 +24,12 @@
 // order. All integers are little-endian; embedding values travel as raw
 // IEEE-754 float32 bits.
 //
+// This package is the only code that knows the layout. Other packages size
+// frames with Geometry.EmbedFrameBytes, Geometry.UpdateFrameBytes and
+// Geometry.MaxRestoreRows, stamp and expire deadlines with Budget, and map
+// a backend failure to its error code with CodeOf; UPDATE, SYNC and
+// RESTORE share one update-entry encoder and one decoder.
+//
 // Every encoder appends to a caller-provided buffer and every decoder
 // parses into caller-provided storage, so both endpoints can run their
 // steady-state request paths without heap allocations (see
@@ -34,9 +40,11 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"time"
 	"unsafe"
 )
@@ -87,6 +95,19 @@ const ReadBufBytes = 64 << 10
 // the 1-byte op and 8-byte request id the length covers.
 const HeaderBytes = 4 + 1 + 8
 
+// The fixed prefixes of an OpEmbed payload (the budget and the uint32
+// batch) and of an update entry (the uint32 table and row count).
+const (
+	embedHeadBytes = 4 + 4
+	entryHeadBytes = 4 + 4
+)
+
+// entryFrameHead is the fixed payload prefix ahead of the update entries of
+// each op that carries them: UPDATE's budget and uint16 entry count, SYNC's
+// uint64 sequence number and entry count, RESTORE's sequence number and
+// commit byte (a RESTORE carries exactly one entry, so no count).
+var entryFrameHead = [...]int{OpUpdate: 4 + 2, OpSync: 8 + 2, OpRestore: 8 + 1}
+
 // BatchHeaderBytes is the fixed prefix of an OpBatch super-frame: the
 // standard frame header plus the uint16 sub-frame count. A Writer
 // reserves exactly this much headroom at the front of its buffer so the
@@ -133,12 +154,12 @@ const (
 	OpError Op = 9
 	// OpSync is a sequenced gradient update — the replica write/catch-up
 	// path: payload is a uint64 sequence number followed by an OpUpdate
-	// payload. The server applies it only when the sequence number equals
-	// its own update counter, acknowledges without reapplying when it is
-	// below (the update already landed before a connection died), and
-	// rejects it as BAD_REQUEST when it is above (the sender skipped
-	// updates). That guard makes replaying a router's update log after a
-	// replica reconnect exactly-once.
+	// payload's count and entries (no budget). The server applies it only
+	// when the sequence number equals its own update counter, acknowledges
+	// without reapplying when it is below (the update already landed before
+	// a connection died), and rejects it as BAD_REQUEST when it is above
+	// (the sender skipped updates). That guard makes replaying a router's
+	// update log after a replica reconnect exactly-once.
 	OpSync Op = 10
 	// OpSyncResp answers OpSync: payload is the server's uint64 update
 	// counter after the frame was absorbed.
@@ -213,6 +234,39 @@ func (c ErrCode) String() string {
 		return "DEADLINE_EXCEEDED"
 	}
 	return fmt.Sprintf("ERR_%d", uint16(c))
+}
+
+// CodeOf returns the code of the error frame answering a request the
+// backend failed with err: the class err (or an error it wraps) reports
+// through a WireCode method — a replica router's shard outage reports
+// ErrUnavailable — and ErrInternal for any other failure.
+func CodeOf(err error) ErrCode {
+	var coded interface{ WireCode() ErrCode }
+	if errors.As(err, &coded) {
+		return coded.WireCode()
+	}
+	return ErrInternal
+}
+
+// Budget is a request's deadline budget in its wire form: the whole
+// microseconds its caller has left, 0 = no deadline. EMBED and UPDATE
+// payloads open with one.
+type Budget uint32
+
+// BudgetOf converts a remaining deadline to its wire form, clamped to the
+// uint32 range with a floor of 1µs for any positive d, so "has a deadline"
+// survives the rounding.
+func BudgetOf(d time.Duration) Budget {
+	if d <= 0 {
+		return 0
+	}
+	return Budget(min(max(d.Microseconds(), 1), math.MaxUint32))
+}
+
+// Expired reports whether a request stamped with b that arrived at arrived
+// is out of budget at now. A zero budget never expires.
+func (b Budget) Expired(arrived, now time.Time) bool {
+	return b > 0 && now.Sub(arrived) >= time.Duration(b)*time.Microsecond
 }
 
 // Geometry is the model shape the server announces in its handshake: with
@@ -298,6 +352,28 @@ func (g Geometry) CheckRows(table int, rows []int, vals int) error {
 	return nil
 }
 
+// EmbedFrameBytes returns the wire sizes of an OpEmbed request frame for
+// batch samples and of the OpEmbedResp frame that answers it.
+func (g Geometry) EmbedFrameBytes(batch int) (req, resp int) {
+	return HeaderBytes + embedHeadBytes + 4*g.Tables*batch*g.Reduction, HeaderBytes + 4*batch*g.Width()
+}
+
+// UpdateFrameBytes returns the wire size of an OpUpdate, OpSync or
+// OpRestore frame (op) whose update entries (exactly one for a RESTORE)
+// hold rows rows in all, so a sender can refuse a batch its peer's frame
+// limit would not read before encoding it.
+func (g Geometry) UpdateFrameBytes(op Op, entries, rows int) int {
+	return HeaderBytes + entryFrameHead[op] + entries*entryHeadBytes + 4*rows*(1+g.Dim)
+}
+
+// MaxRestoreRows returns the largest row count one OpRestore frame may
+// carry under a frame limit of limit bytes: the request contract's MaxBatch
+// x Reduction, lowered to what fits the limit, and never below 1.
+func (g Geometry) MaxRestoreRows(limit int) int {
+	fit := (limit - g.UpdateFrameBytes(OpRestore, 1, 0)) / (4 * (1 + g.Dim))
+	return max(min(g.MaxBatch*g.Reduction, fit), 1)
+}
+
 // Role is the serving role a server announces in its handshake.
 type Role uint8
 
@@ -363,6 +439,17 @@ func growBuf(buf []byte, n int) []byte {
 	return buf
 }
 
+// checkPreamble verifies the magic and version both hellos open with.
+func checkPreamble(b []byte) error {
+	if m := binary.LittleEndian.Uint32(b[0:4]); m != Magic {
+		return fmt.Errorf("wire: bad magic %#x (want %#x): peer is not speaking the TensorDIMM protocol", m, uint32(Magic))
+	}
+	if v := binary.LittleEndian.Uint16(b[4:6]); v != Version {
+		return fmt.Errorf("wire: protocol version %d (want %d)", v, Version)
+	}
+	return nil
+}
+
 // AppendClientHello appends the client handshake to buf: magic, version,
 // and the largest frame the client will read (0 announces the default),
 // which caps the coalesced BATCH frames the server may answer with.
@@ -383,11 +470,8 @@ func ReadClientHello(r io.Reader, buf []byte) (maxFrameBytes int, _ []byte, err 
 	if _, err := io.ReadFull(r, b); err != nil {
 		return 0, buf, fmt.Errorf("wire: reading client hello: %w", err)
 	}
-	if m := binary.LittleEndian.Uint32(b[0:4]); m != Magic {
-		return 0, buf, fmt.Errorf("wire: bad magic %#x (want %#x): peer is not speaking the TensorDIMM protocol", m, uint32(Magic))
-	}
-	if v := binary.LittleEndian.Uint16(b[4:6]); v != Version {
-		return 0, buf, fmt.Errorf("wire: protocol version %d (want %d)", v, Version)
+	if err := checkPreamble(b); err != nil {
+		return 0, buf, err
 	}
 	maxFrameBytes = int(binary.LittleEndian.Uint32(b[6:10]))
 	if maxFrameBytes == 0 {
@@ -421,11 +505,8 @@ func ReadServerHello(r io.Reader, buf []byte) (Hello, []byte, error) {
 	if _, err := io.ReadFull(r, b); err != nil {
 		return Hello{}, buf, fmt.Errorf("wire: reading server hello: %w", err)
 	}
-	if m := binary.LittleEndian.Uint32(b[0:4]); m != Magic {
-		return Hello{}, buf, fmt.Errorf("wire: bad magic %#x (want %#x): peer is not speaking the TensorDIMM protocol", m, uint32(Magic))
-	}
-	if v := binary.LittleEndian.Uint16(b[4:6]); v != Version {
-		return Hello{}, buf, fmt.Errorf("wire: protocol version %d (want %d)", v, Version)
+	if err := checkPreamble(b); err != nil {
+		return Hello{}, buf, err
 	}
 	h := Hello{
 		Geom: Geometry{
@@ -456,10 +537,8 @@ func ReadServerHello(r io.Reader, buf []byte) (Hello, []byte, error) {
 // metrics, update-ack); the hot-path ops have dedicated encoders below
 // that build their payloads in place.
 func AppendFrame(buf []byte, op Op, id uint64, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(1+8+len(payload)))
-	buf = append(buf, byte(op))
-	buf = binary.LittleEndian.AppendUint64(buf, id)
-	return append(buf, payload...)
+	buf, lenAt := beginFrame(buf, op, id)
+	return endFrame(append(buf, payload...), lenAt)
 }
 
 // beginFrame appends a frame header with a placeholder length, returning
@@ -481,12 +560,12 @@ func endFrame(buf []byte, lenAt int) []byte {
 // AppendEmbed appends an OpEmbed request frame: `batch` samples whose
 // per-table row index lists are perTableRows (exactly as the serving
 // layers take them), stamped with the caller's remaining deadline budget
-// in microseconds (0 = no deadline). The caller must have validated the
-// lists against the geometry — the encoder derives every length from
-// batch, so a short list would panic, not misencode.
-func AppendEmbed(buf []byte, id uint64, budget uint32, perTableRows [][]int, batch, reduction int) []byte {
+// (0 = no deadline). The caller must have validated the lists against the
+// geometry — the encoder derives every length from batch, so a short list
+// would panic, not misencode.
+func AppendEmbed(buf []byte, id uint64, budget Budget, perTableRows [][]int, batch, reduction int) []byte {
 	buf, lenAt := beginFrame(buf, OpEmbed, id)
-	buf = binary.LittleEndian.AppendUint32(buf, budget)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(budget))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(batch))
 	n := batch * reduction
 	for _, rows := range perTableRows {
@@ -501,21 +580,20 @@ func AppendEmbed(buf []byte, id uint64, budget uint32, perTableRows [][]int, bat
 // caller's reused row storage: idx is resized (grown at most once per
 // connection) to tables x batch x reduction decoded indices and rows's
 // tables entries are resliced into it. Returns the decoded batch and
-// deadline budget (microseconds, 0 = none) plus the (possibly regrown)
-// buffers. Indices are range-checked against g.TableRows, so a malformed
-// request is rejected here as BAD_REQUEST material instead of deep inside
-// the backend.
-func DecodeEmbed(payload []byte, g Geometry, rows [][]int, idx []int) (batch int, budget uint32, _ [][]int, _ []int, err error) {
-	if len(payload) < 8 {
-		return 0, 0, rows, idx, fmt.Errorf("wire: embed payload %d B, want at least 8", len(payload))
+// deadline budget plus the (possibly regrown) buffers. Indices are
+// range-checked against g.TableRows, so a malformed request is rejected
+// here as BAD_REQUEST material instead of deep inside the backend.
+func DecodeEmbed(payload []byte, g Geometry, rows [][]int, idx []int) (batch int, budget Budget, _ [][]int, _ []int, err error) {
+	if len(payload) < embedHeadBytes {
+		return 0, 0, rows, idx, fmt.Errorf("wire: embed payload %d B, want at least %d", len(payload), embedHeadBytes)
 	}
-	budget = binary.LittleEndian.Uint32(payload)
+	budget = Budget(binary.LittleEndian.Uint32(payload))
 	batch = int(binary.LittleEndian.Uint32(payload[4:]))
 	if batch <= 0 || batch > g.MaxBatch {
 		return 0, 0, rows, idx, fmt.Errorf("wire: embed batch %d out of range [1, %d]", batch, g.MaxBatch)
 	}
 	n := batch * g.Reduction
-	want := 8 + 4*g.Tables*n
+	want := embedHeadBytes + 4*g.Tables*n
 	if len(payload) != want {
 		return 0, 0, rows, idx, fmt.Errorf("wire: embed payload %d B, want %d for batch %d (%d tables x reduction %d)",
 			len(payload), want, batch, g.Tables, g.Reduction)
@@ -529,7 +607,7 @@ func DecodeEmbed(payload []byte, g Geometry, rows [][]int, idx []int) (batch int
 		rows = make([][]int, g.Tables)
 	}
 	rows = rows[:g.Tables]
-	p := payload[8:]
+	p := payload[embedHeadBytes:]
 	for i := 0; i < total; i++ {
 		r := int(binary.LittleEndian.Uint32(p[4*i:]))
 		if r >= g.TableRows {
@@ -577,30 +655,67 @@ type Update struct {
 }
 
 // AppendUpdate appends an OpUpdate frame carrying ups, stamped with the
-// caller's remaining deadline budget in microseconds (0 = no deadline).
+// caller's remaining deadline budget (0 = no deadline).
 // Every entry's Grads must hold exactly len(Rows) x dim values, and
 // len(ups) must be within MaxUpdatesPerFrame; like AppendEmbed,
 // validation is the caller's job.
-func AppendUpdate(buf []byte, id uint64, budget uint32, ups []Update) []byte {
+func AppendUpdate(buf []byte, id uint64, budget Budget, ups []Update) []byte {
 	buf, lenAt := beginFrame(buf, OpUpdate, id)
-	buf = binary.LittleEndian.AppendUint32(buf, budget)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(budget))
 	buf = appendUpdates(buf, ups)
 	return endFrame(buf, lenAt)
 }
 
-// appendUpdates appends the update-batch body (count + per-update
-// sections) shared by OpUpdate and OpSync frames.
+// appendUpdates appends the update-batch body (count + entries) shared by
+// OpUpdate and OpSync frames.
 func appendUpdates(buf []byte, ups []Update) []byte {
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(ups)))
 	for _, up := range ups {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(up.Table))
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(up.Rows)))
-		for _, r := range up.Rows {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
-		}
-		buf = AppendFloat32s(buf, up.Grads)
+		buf = appendEntry(buf, up)
 	}
 	return buf
+}
+
+// appendEntry appends one update entry — table, row count, rows, values —
+// which UPDATE and SYNC carry per update and RESTORE carries once.
+func appendEntry(buf []byte, up Update) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(up.Table))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(up.Rows)))
+	for _, r := range up.Rows {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
+	}
+	return AppendFloat32s(buf, up.Grads)
+}
+
+// decodeEntry parses the update entry at p's front, appending its rows and
+// values to s's arenas, and returns it (viewing the arenas as they stand)
+// with the rest of p. The row count is bounded before it sizes anything;
+// the entry is then held to the request contract, Geometry.CheckRows.
+func decodeEntry(p []byte, g Geometry, s *UpdateScratch) (Update, []byte, error) {
+	if len(p) < entryHeadBytes {
+		return Update{}, nil, fmt.Errorf("truncated entry header (%d B left)", len(p))
+	}
+	table := int(binary.LittleEndian.Uint32(p))
+	n := int(binary.LittleEndian.Uint32(p[4:]))
+	p = p[entryHeadBytes:]
+	if maxRows := g.MaxBatch * g.Reduction; n > maxRows {
+		return Update{}, nil, fmt.Errorf("%d rows out of range [1, %d]", n, maxRows)
+	}
+	if need := 4 * n * (1 + g.Dim); len(p) < need {
+		return Update{}, nil, fmt.Errorf("%d B left, want %d for %d rows", len(p), need, n)
+	}
+	rowAt, valAt := len(s.Rows), len(s.Grads)
+	for i := 0; i < n; i++ {
+		s.Rows = append(s.Rows, int(binary.LittleEndian.Uint32(p[4*i:])))
+	}
+	p = p[4*n:]
+	s.Grads = slices.Grow(s.Grads, n*g.Dim)[:valAt+n*g.Dim]
+	DecodeFloat32s(s.Grads[valAt:], p)
+	up := Update{Table: table, Rows: s.Rows[rowAt:], Grads: s.Grads[valAt:]}
+	if err := g.CheckRows(table, up.Rows, len(up.Grads)); err != nil {
+		return Update{}, nil, err
+	}
+	return up, p[4*n*g.Dim:], nil
 }
 
 // UpdateScratch is the reusable decode storage for OpUpdate payloads: the
@@ -624,26 +739,25 @@ const MaxUpdatesPerFrame = 1 << 12
 
 // DecodeUpdate parses an OpUpdate payload against the geometry into s,
 // reusing its arenas, and returns the decoded updates plus the request's
-// deadline budget (microseconds, 0 = none). The returned slice views s
-// and is valid until the next call. Row counts are capped at maxBatch x
-// reduction per update — the same cap the serving layers enforce — so
-// payload size stays bounded by the geometry.
-func DecodeUpdate(payload []byte, g Geometry, s *UpdateScratch) ([]Update, uint32, error) {
-	if len(payload) < 4 {
-		return nil, 0, fmt.Errorf("wire: update payload %d B, want at least 4", len(payload))
+// deadline budget. The returned slice views s and is valid until the next
+// call. Every entry meets Geometry.CheckRows — the same contract the
+// serving layers enforce — so payload size stays bounded by the geometry.
+func DecodeUpdate(payload []byte, g Geometry, s *UpdateScratch) ([]Update, Budget, error) {
+	ups, err := decodeUpdates(payload, OpUpdate, g, s)
+	if err != nil {
+		return nil, 0, err
 	}
-	budget := binary.LittleEndian.Uint32(payload)
-	ups, err := decodeUpdates(payload[4:], g, s)
-	return ups, budget, err
+	return ups, Budget(binary.LittleEndian.Uint32(payload)), nil
 }
 
-// decodeUpdates parses the update-batch body shared by OpUpdate and
-// OpSync payloads.
-func decodeUpdates(payload []byte, g Geometry, s *UpdateScratch) ([]Update, error) {
-	if len(payload) < 2 {
-		return nil, fmt.Errorf("wire: update payload %d B, want at least 2", len(payload))
+// decodeUpdates parses the update batch (count + entries) behind the fixed
+// prefix of an OpUpdate or OpSync payload.
+func decodeUpdates(payload []byte, op Op, g Geometry, s *UpdateScratch) ([]Update, error) {
+	head := entryFrameHead[op]
+	if len(payload) < head {
+		return nil, fmt.Errorf("wire: op %d payload %d B, want at least %d", op, len(payload), head)
 	}
-	count := int(binary.LittleEndian.Uint16(payload))
+	count := int(binary.LittleEndian.Uint16(payload[head-2:]))
 	if count == 0 || count > MaxUpdatesPerFrame {
 		return nil, fmt.Errorf("wire: update count %d out of range [1, %d]", count, MaxUpdatesPerFrame)
 	}
@@ -651,52 +765,19 @@ func decodeUpdates(payload []byte, g Geometry, s *UpdateScratch) ([]Update, erro
 		s.Ups = make([]Update, count)
 	}
 	s.Ups = s.Ups[:count]
-	s.Rows, s.Grads = s.Rows[:0], s.Grads[:0]
-	p := payload[2:]
-	maxRows := g.MaxBatch * g.Reduction
-	for u := 0; u < count; u++ {
-		if len(p) < 8 {
-			return nil, fmt.Errorf("wire: update %d: truncated header (%d B left)", u, len(p))
+	p := payload[head:]
+	// Sized for the most rows p can hold, the arenas never move under the
+	// views decodeEntry hands out.
+	most := len(p) / (4 * (1 + g.Dim))
+	s.Rows, s.Grads = slices.Grow(s.Rows[:0], most), slices.Grow(s.Grads[:0], most*g.Dim)
+	for u := range s.Ups {
+		var err error
+		if s.Ups[u], p, err = decodeEntry(p, g, s); err != nil {
+			return nil, fmt.Errorf("wire: update %d: %w", u, err)
 		}
-		table := int(binary.LittleEndian.Uint32(p))
-		n := int(binary.LittleEndian.Uint32(p[4:]))
-		p = p[8:]
-		if table < 0 || table >= g.Tables {
-			return nil, fmt.Errorf("wire: update %d: table %d out of range [0, %d)", u, table, g.Tables)
-		}
-		if n <= 0 || n > maxRows {
-			return nil, fmt.Errorf("wire: update %d: %d rows out of range [1, %d]", u, n, maxRows)
-		}
-		need := 4*n + 4*n*g.Dim
-		if len(p) < need {
-			return nil, fmt.Errorf("wire: update %d: %d B left, want %d for %d rows", u, len(p), need, n)
-		}
-		rowAt, gradAt := len(s.Rows), len(s.Grads)
-		for i := 0; i < n; i++ {
-			r := int(binary.LittleEndian.Uint32(p[4*i:]))
-			if r >= g.TableRows {
-				return nil, fmt.Errorf("wire: update %d row index %d out of range [0, %d)", u, r, g.TableRows)
-			}
-			s.Rows = append(s.Rows, r)
-		}
-		p = p[4*n:]
-		s.Grads = growFloats(s.Grads, n*g.Dim)
-		DecodeFloat32s(s.Grads[gradAt:], p[:4*n*g.Dim])
-		p = p[4*n*g.Dim:]
-		s.Ups[u] = Update{Table: table, Rows: s.Rows[rowAt:], Grads: s.Grads[gradAt:]}
 	}
 	if len(p) != 0 {
 		return nil, fmt.Errorf("wire: update payload has %d trailing bytes", len(p))
-	}
-	// The arenas may have been regrown by appends mid-loop; re-slice every
-	// update's views against the final backing arrays.
-	rowAt, gradAt := 0, 0
-	for u := range s.Ups {
-		n := len(s.Ups[u].Rows)
-		s.Ups[u].Rows = s.Rows[rowAt : rowAt+n]
-		s.Ups[u].Grads = s.Grads[gradAt : gradAt+n*g.Dim]
-		rowAt += n
-		gradAt += n * g.Dim
 	}
 	return s.Ups, nil
 }
@@ -714,12 +795,10 @@ func AppendSync(buf []byte, id uint64, seq uint64, ups []Update) []byte {
 // DecodeSync parses an OpSync payload: the sequence number plus the
 // update batch, decoded into s exactly like DecodeUpdate.
 func DecodeSync(payload []byte, g Geometry, s *UpdateScratch) (seq uint64, ups []Update, err error) {
-	if len(payload) < 8 {
-		return 0, nil, fmt.Errorf("wire: sync payload %d B, want at least 8", len(payload))
+	if ups, err = decodeUpdates(payload, OpSync, g, s); err != nil {
+		return 0, nil, err
 	}
-	seq = binary.LittleEndian.Uint64(payload)
-	ups, err = decodeUpdates(payload[8:], g, s)
-	return seq, ups, err
+	return binary.LittleEndian.Uint64(payload), ups, nil
 }
 
 // AppendSyncResp appends an OpSyncResp frame carrying the server's update
@@ -730,19 +809,20 @@ func AppendSyncResp(buf []byte, id uint64, seq uint64) []byte {
 	return endFrame(buf, lenAt)
 }
 
-// DecodeSyncResp parses an OpSyncResp payload.
+// DecodeSyncResp parses an OpSyncResp or OpRestoreResp payload: both are
+// the server's uint64 update counter.
 func DecodeSyncResp(payload []byte) (uint64, error) {
 	if len(payload) != 8 {
-		return 0, fmt.Errorf("wire: sync response %d B, want 8", len(payload))
+		return 0, fmt.Errorf("wire: sequence response %d B, want 8", len(payload))
 	}
 	return binary.LittleEndian.Uint64(payload), nil
 }
 
 // AppendRestore appends an OpRestore frame: one chunk of an absolute table
 // snapshot at sequence seq, overwriting the given rows of the table with
-// vals (len(rows) x dim values). commit marks the final chunk of the
-// snapshot stream. Like the other hot encoders, size validation is the
-// caller's job.
+// vals (len(rows) x dim values) — a single update entry. commit marks the
+// final chunk of the snapshot stream. Like the other hot encoders, size
+// validation is the caller's job.
 func AppendRestore(buf []byte, id uint64, seq uint64, commit bool, table int, rows []int, vals []float32) []byte {
 	buf, lenAt := beginFrame(buf, OpRestore, id)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
@@ -750,60 +830,32 @@ func AppendRestore(buf []byte, id uint64, seq uint64, commit bool, table int, ro
 	if commit {
 		c = 1
 	}
-	buf = append(buf, c)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(table))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
-	for _, r := range rows {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
-	}
-	buf = AppendFloat32s(buf, vals)
+	buf = appendEntry(append(buf, c), Update{Table: table, Rows: rows, Grads: vals})
 	return endFrame(buf, lenAt)
 }
 
 // DecodeRestore parses an OpRestore payload against the geometry into s's
 // arenas (the same reusable storage DecodeUpdate fills), returning the
 // snapshot sequence, the commit flag, and the chunk's target as a single
-// Update whose Grads carry absolute row values. Row counts obey the same
-// maxBatch x reduction cap as update frames, and every index is
-// range-checked, so a malformed restore is rejected at the protocol layer.
+// Update whose Grads carry absolute row values. The entry is decoded and
+// checked exactly like an update frame's, so a malformed restore is
+// rejected at the protocol layer.
 func DecodeRestore(payload []byte, g Geometry, s *UpdateScratch) (seq uint64, commit bool, up Update, err error) {
-	if len(payload) < 8+1+4+4 {
-		return 0, false, Update{}, fmt.Errorf("wire: restore payload %d B, want at least %d", len(payload), 8+1+4+4)
+	if len(payload) < entryFrameHead[OpRestore] {
+		return 0, false, Update{}, fmt.Errorf("wire: restore payload %d B, want at least %d", len(payload), entryFrameHead[OpRestore])
 	}
-	seq = binary.LittleEndian.Uint64(payload)
-	switch payload[8] {
-	case 0:
-	case 1:
-		commit = true
-	default:
+	if payload[8] > 1 {
 		return 0, false, Update{}, fmt.Errorf("wire: restore commit byte %d, want 0 or 1", payload[8])
 	}
-	table := int(binary.LittleEndian.Uint32(payload[9:]))
-	n := int(binary.LittleEndian.Uint32(payload[13:]))
-	if table < 0 || table >= g.Tables {
-		return 0, false, Update{}, fmt.Errorf("wire: restore table %d out of range [0, %d)", table, g.Tables)
-	}
-	maxRows := g.MaxBatch * g.Reduction
-	if n <= 0 || n > maxRows {
-		return 0, false, Update{}, fmt.Errorf("wire: restore row count %d out of range [1, %d]", n, maxRows)
-	}
-	want := 8 + 1 + 4 + 4 + 4*n + 4*n*g.Dim
-	if len(payload) != want {
-		return 0, false, Update{}, fmt.Errorf("wire: restore payload %d B, want %d for %d rows of dim %d",
-			len(payload), want, n, g.Dim)
-	}
-	p := payload[17:]
 	s.Rows, s.Grads = s.Rows[:0], s.Grads[:0]
-	for i := 0; i < n; i++ {
-		r := int(binary.LittleEndian.Uint32(p[4*i:]))
-		if r >= g.TableRows {
-			return 0, false, Update{}, fmt.Errorf("wire: restore row index %d out of range [0, %d)", r, g.TableRows)
-		}
-		s.Rows = append(s.Rows, r)
+	up, rest, err := decodeEntry(payload[entryFrameHead[OpRestore]:], g, s)
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%d trailing bytes", len(rest))
 	}
-	s.Grads = growFloats(s.Grads, n*g.Dim)
-	DecodeFloat32s(s.Grads, p[4*n:])
-	return seq, commit, Update{Table: table, Rows: s.Rows, Grads: s.Grads}, nil
+	if err != nil {
+		return 0, false, Update{}, fmt.Errorf("wire: restore: %w", err)
+	}
+	return binary.LittleEndian.Uint64(payload), payload[8] == 1, up, nil
 }
 
 // AppendRestoreResp appends an OpRestoreResp frame carrying the server's
@@ -812,14 +864,6 @@ func AppendRestoreResp(buf []byte, id uint64, seq uint64) []byte {
 	buf, lenAt := beginFrame(buf, OpRestoreResp, id)
 	buf = binary.LittleEndian.AppendUint64(buf, seq)
 	return endFrame(buf, lenAt)
-}
-
-// DecodeRestoreResp parses an OpRestoreResp payload.
-func DecodeRestoreResp(payload []byte) (uint64, error) {
-	if len(payload) != 8 {
-		return 0, fmt.Errorf("wire: restore response %d B, want 8", len(payload))
-	}
-	return binary.LittleEndian.Uint64(payload), nil
 }
 
 // AppendError appends an OpError frame with the code and message.
@@ -972,18 +1016,6 @@ func ReadFrame(r io.Reader, buf []byte, max int) (op Op, id uint64, payload, _ [
 	op = Op(buf[0])
 	id = binary.LittleEndian.Uint64(buf[1:9])
 	return op, id, buf[9:], buf, nil
-}
-
-// growFloats extends s by n elements, reusing capacity when it can — the
-// arena growth path of DecodeUpdate, which must not allocate a temporary
-// per call the way append(s, make(...)...) would.
-func growFloats(s []float32, n int) []float32 {
-	if cap(s)-len(s) >= n {
-		return s[:len(s)+n]
-	}
-	out := make([]float32, len(s)+n, 2*(len(s)+n))
-	copy(out, s)
-	return out
 }
 
 // hostLittleEndian reports whether the host's native uint32 layout is
