@@ -49,8 +49,9 @@
 // near-memory through each shard's server, and the scattered rows are
 // invalidated from the shard caches. The shard nodes hold the only copy of
 // the tables: the cluster keeps no host-side model to write through to.
-// Per-table locks serialize same-table updates (float accumulation order
-// is part of the bit-identity contract), and a cache version handshake
+// A batch applies entry by entry in slice order on the caller's goroutine,
+// each entry under its table's lock (float accumulation order is part of
+// the bit-identity contract), and a cache version handshake
 // (rowCache.probe / fill / invalidate) keeps a concurrent reader from
 // parking a pre-update row in a cache after the update's invalidation
 // pass.
@@ -314,9 +315,9 @@ func (lc *localCall) Release() {
 	clear(lc.fabric)
 }
 
-// Update scatters one sub-update near-memory through the shard's server
-// (where updates order ahead of co-batched reads) and charges its indices
-// and gradients to the fabric like read traffic.
+// Update scatters one sub-update near-memory through the shard's server,
+// on the caller's goroutine (serve never queues an update behind reads),
+// and charges its indices and gradients to the fabric like read traffic.
 func (t localTransport) Update(s int, sub runtime.TableUpdate) error {
 	sh := t.c.shard[s]
 	if err := sh.srv.Update([]runtime.TableUpdate{sub}); err != nil {
@@ -356,21 +357,22 @@ func (c *Cluster) StartEmbedInto(dst []float32, perTableRows [][]int, batch int)
 
 // ApplyUpdates applies a batch of per-table gradient updates cluster-wide:
 // every entry's rows are routed through the same TableWise/RowWise
-// placement as gathers, scattered near-memory on the owning shards (via
-// each shard's server, where updates order ahead of co-batched reads), and
-// invalidated from the shards' hot-row caches. Index and gradient transfer
-// bytes are charged to the fabric like read traffic. Validation, ordering
-// and concurrency are the shared router's (Router.ApplyUpdates):
-// same-table updates serialize, and after ApplyUpdates returns every
-// subsequent EmbedInto observes the update and remains bit-identical to a
-// sequential golden model that accumulates the same updates
-// (runtime.AccumulateGolden).
+// placement as gathers, scattered near-memory on the owning shards
+// through each shard's server, and invalidated from the shards' hot-row
+// caches. Index and gradient transfer bytes are charged to the fabric like
+// read traffic. Validation, ordering and concurrency are the shared
+// router's (Router.ApplyUpdates): entries apply in slice order on the
+// caller's goroutine, same-table updates serialize, and after ApplyUpdates
+// returns every subsequent EmbedInto observes the update and remains
+// bit-identical to a sequential golden model that accumulates the same
+// updates (runtime.AccumulateGolden).
 //
 // Each entry carries 1 to MaxBatch x reduction rows — one request's
 // worth, mirroring the read path. A shard failure mid-batch returns an
-// error and leaves that table inconsistent between shards (counted in
-// tensordimm_cluster_failures_total); callers should treat it as fatal for
-// the deployment.
+// error, leaves that entry's table inconsistent between shards (counted in
+// tensordimm_cluster_failures_total) and stops the batch: the entries
+// after it are not applied. Callers should treat it as fatal for the
+// deployment.
 func (c *Cluster) ApplyUpdates(ups []runtime.TableUpdate) error {
 	if err := c.router.ApplyUpdates(ups); err != nil {
 		return err

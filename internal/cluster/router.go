@@ -72,13 +72,13 @@ type Call interface {
 // per shard (when the shard has one), its misses deduplicated into one flat
 // index list per shard, scattered to the Transport (every sub-request
 // started before any is awaited, all on the caller's goroutine), and pooled
-// by the Merger in golden order. An update
-// batch is validated, grouped by table, serialized under per-table locks,
-// split by placement with gradient rows kept in arrival order, fanned out
-// to the owning shards concurrently, invalidated from their caches after
-// the shard commit, and reported to the applied hook. The router also owns
-// the in-flight drain, the request counters, the request-latency histogram
-// and the route/gather/merge span.
+// by the Merger in golden order. An update batch is validated and applied
+// entry by entry in slice order on the caller's goroutine, each entry under
+// its table's lock: split by placement with gradient rows kept in arrival
+// order, fanned out to the owning shards concurrently, invalidated from
+// their caches after the shard commit, and reported to the applied hook.
+// The router also owns the in-flight drain, the request counters, the
+// request-latency histogram and the route/gather/merge span.
 type Router struct {
 	// Requests, Samples and Lookups count completed reads, their samples
 	// and their routed (table, row) lookups; Failures counts reads and
@@ -114,8 +114,8 @@ type Router struct {
 	// tableMu serializes updates per global table: float accumulation is
 	// not associative, so per-table ordering — across the shard commits, the
 	// applied hook and the cache invalidations together — is what keeps
-	// reads bit-identical to the sequential reference. Updates to distinct
-	// tables proceed concurrently.
+	// reads bit-identical to the sequential reference. Callers updating
+	// distinct tables proceed concurrently.
 	tableMu []sync.Mutex
 }
 
@@ -524,13 +524,14 @@ func (r *Router) warmCache(s int, flatRows []int) (int, error) {
 }
 
 // ApplyUpdates applies a batch of per-table gradient updates across the
-// shards. The whole batch is validated before anything executes. Updates to
-// the same global table are serialized (slice order within one call, lock
-// order across calls); updates to distinct tables proceed concurrently.
-// After ApplyUpdates returns, every subsequent read observes the update. A
-// read concurrent with the call may observe pre-update rows, post-update
-// rows, or a mix — but never a stale cache entry that outlives the update
-// (see rowCache's version handshake). Safe for concurrent use.
+// shards, entry by entry in slice order on the caller's goroutine. The whole
+// batch is validated before anything executes. Each entry runs under its
+// table's update lock, so concurrent callers on distinct tables proceed
+// concurrently. A failed entry stops the batch: the entries after it are
+// not applied. After ApplyUpdates returns, every subsequent read observes
+// the update. A read concurrent with the call may observe pre-update rows,
+// post-update rows, or a mix — but never a stale cache entry that outlives
+// the update (see rowCache's version handshake). Safe for concurrent use.
 func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
 	if err := runtime.CheckUpdates(ups, r.geom); err != nil {
 		return fmt.Errorf("%s: %w", r.name, err)
@@ -539,53 +540,20 @@ func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
 		return err
 	}
 	defer r.inflight.Done()
-
-	// Group by table and fan the groups out.
-	order, groups := groupUpdatesByTable(ups)
-	errs := make([]error, len(order))
-	var wg sync.WaitGroup
-	for gi, t := range order {
-		wg.Add(1)
-		go func(gi, t int) {
-			defer wg.Done()
-			r.tableMu[t].Lock()
-			defer r.tableMu[t].Unlock()
-			for _, up := range groups[t] {
-				if errs[gi] = r.applyTableUpdate(up); errs[gi] != nil {
-					return
-				}
-			}
-		}(gi, t)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	rows := 0
+	for _, up := range ups {
+		r.tableMu[up.Table].Lock()
+		err := r.applyTableUpdate(up)
+		r.tableMu[up.Table].Unlock()
 		if err != nil {
 			r.Failures.Add(1)
 			return err
 		}
-	}
-	rows := 0
-	for _, up := range ups {
 		rows += len(up.Rows)
 	}
 	r.Updates.Add(1)
 	r.UpdateRows.Add(uint64(rows))
 	return nil
-}
-
-// groupUpdatesByTable splits an update batch into per-table groups,
-// preserving slice order within each table, and returns the tables in
-// first-appearance order.
-func groupUpdatesByTable(ups []runtime.TableUpdate) ([]int, map[int][]runtime.TableUpdate) {
-	groups := make(map[int][]runtime.TableUpdate)
-	order := make([]int, 0, len(ups))
-	for _, up := range ups {
-		if _, seen := groups[up.Table]; !seen {
-			order = append(order, up.Table)
-		}
-		groups[up.Table] = append(groups[up.Table], up)
-	}
-	return order, groups
 }
 
 // applyTableUpdate routes one table's update to its owning shards (callers

@@ -29,6 +29,9 @@ import (
 type fakeTransport struct {
 	tables []*embed.Table // per shard; nil for an empty shard
 	failOn int            // shard whose Wait fails, -1 for none
+	// failUpdateOn is the shard whose Update fails without applying, -1
+	// for none.
+	failUpdateOn int
 	// gate, when set, makes every Wait block until gateWant Starts were
 	// observed across all calls — the in-flight width the router must reach
 	// before any sub-request is allowed to finish.
@@ -43,7 +46,10 @@ type fakeTransport struct {
 	leaked   int // sub-requests started but never waited on by Release time
 }
 
-var errFakeShard = errors.New("fake: shard down")
+var (
+	errFakeShard  = errors.New("fake: shard down")
+	errFakeUpdate = errors.New("fake: shard refused the update")
+)
 
 type fakeCall struct {
 	t       *fakeTransport
@@ -55,7 +61,7 @@ type fakeCall struct {
 
 func newFakeTransport(t *testing.T, m *recsys.Model, p *Placement) *fakeTransport {
 	t.Helper()
-	ft := &fakeTransport{tables: make([]*embed.Table, p.nodes), failOn: -1}
+	ft := &fakeTransport{tables: make([]*embed.Table, p.nodes), failOn: -1, failUpdateOn: -1}
 	for s := range ft.tables {
 		if p.localRows[s] == 0 {
 			continue
@@ -76,6 +82,9 @@ func (ft *fakeTransport) NewCall() Call {
 }
 
 func (ft *fakeTransport) Update(s int, sub runtime.TableUpdate) error {
+	if s == ft.failUpdateOn {
+		return errFakeUpdate
+	}
 	runtime.AccumulateGolden(ft.tables[s], sub)
 	return nil
 }
@@ -319,10 +328,11 @@ func TestRouterConformance(t *testing.T) {
 				{Table: 1, Rows: []int{2, 2}, Grads: grads(2)},
 				{Table: 3, Rows: []int{17, 300, 17}, Grads: grads(3)},
 			}
-			// One call per table, so each shard's sub-update log has one
-			// deterministic order: slice order within the table's entries.
+			// One call per table, then all three entries in one call: the
+			// router applies entries in slice order, so each shard's
+			// sub-update log has one deterministic order either way.
 			want := map[int][]subUpdate{}
-			for _, batch := range [][]runtime.TableUpdate{ups[:2], ups[2:]} {
+			for _, batch := range [][]runtime.TableUpdate{ups[:2], ups[2:], ups} {
 				if err := fake.ApplyUpdates(batch); err != nil {
 					t.Fatal(err)
 				}
@@ -400,6 +410,49 @@ func TestRouterFailingShard(t *testing.T) {
 	}
 	if ft.held != 0 {
 		t.Fatalf("%d buffers held after recovery", ft.held)
+	}
+}
+
+// TestRouterUpdateStopsAtFailedEntry: the router applies a batch in slice
+// order and a failed entry stops it. Of [ok entry, entry on the failing
+// shard, entry on a third table] the first commits, the second returns the
+// transport's error, and the third never reaches the transport; Failures
+// counts the batch once and Updates not at all.
+func TestRouterUpdateStopsAtFailedEntry(t *testing.T) {
+	const nodes, maxBatch = 3, 4
+	mc := testConfig(3, 2, 64, false, isa.RAdd)
+	m, err := recsys.Build(mc, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	place := NewPlacement(TableWise, nodes, mc.Tables, mc.TableRows) // table t on shard t
+	ft := newFakeTransport(t, m, place)
+	ft.failUpdateOn = 1
+	rec := record(ft)
+	var applied []runtime.TableUpdate
+	r := NewRouter("fake", mc, place, maxBatch, rec, func(up runtime.TableUpdate) {
+		applied = append(applied, up)
+	})
+	defer r.Close()
+
+	grads := tensor.New(2, mc.EmbDim)
+	grads.Fill(0.25)
+	ups := []runtime.TableUpdate{
+		{Table: 0, Rows: []int{1, 2}, Grads: grads},
+		{Table: 1, Rows: []int{3, 4}, Grads: grads},
+		{Table: 2, Rows: []int{5, 6}, Grads: grads},
+	}
+	if err := r.ApplyUpdates(ups); !errors.Is(err, errFakeUpdate) {
+		t.Fatalf("err = %v, want the transport's update error", err)
+	}
+	if f, u := r.Failures.Load(), r.Updates.Load(); f != 1 || u != 0 {
+		t.Fatalf("Failures = %d, Updates = %d, want 1, 0", f, u)
+	}
+	if len(applied) != 1 || applied[0].Table != 0 {
+		t.Fatalf("applied hook saw %d entries (%v), want only the first", len(applied), applied)
+	}
+	if n := len(rec.updates[2]); n != 0 {
+		t.Fatalf("the entry after the failed one reached its shard %d times", n)
 	}
 }
 

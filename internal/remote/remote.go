@@ -64,11 +64,12 @@
 // router crashes (the kernel owns the bytes) but not a machine-wide power
 // loss; snapshots are written tmp + fsync + rename.
 //
-// The router core's per-table locks serialize same-table updates — float
-// accumulation order is part of the bit-identity contract — and the
-// optional Config.OnApplied hook fires in exactly that order, so a caller
-// can maintain a golden reference model that stays bit-identical to the
-// fleet.
+// The router core applies an update batch entry by entry in slice order on
+// the caller's goroutine, each entry under its table's lock, so same-table
+// updates serialize — float accumulation order is part of the bit-identity
+// contract — and a failed entry stops the batch. The optional
+// Config.OnApplied hook fires in exactly that order, so a caller can
+// maintain a golden reference model that stays bit-identical to the fleet.
 package remote
 
 import (
@@ -147,10 +148,11 @@ type Config struct {
 	SnapshotEvery int
 
 	// OnApplied, if set, is called once per successfully applied table
-	// update, under that table's update lock, in exactly the order the
-	// shard logs sequenced it. A caller maintaining a golden reference
-	// model applies the same update there to stay bit-identical to the
-	// fleet.
+	// update, on the goroutine that called ApplyUpdates and under that
+	// table's update lock, in exactly the order the shard logs sequenced
+	// it. The entries after a failed one are neither applied nor reported.
+	// A caller maintaining a golden reference model applies the same
+	// update there to stay bit-identical to the fleet.
 	OnApplied func(runtime.TableUpdate)
 
 	// ReadOnly attaches the router to a fleet it does not own — sticky-shard

@@ -39,20 +39,23 @@ func retryShed(send func() (uint64, error)) (uint64, error) {
 // (appendAndFan), and replicas that are down catch the entry up later by
 // replaying the log.
 //
-// Ordering. Updates to the same global table are serialized (slice order
+// Ordering. A batch applies entry by entry in slice order on the caller's
+// goroutine. Updates to the same global table are serialized (slice order
 // within one call, lock order across calls) and reach every replica of a
 // shard in identical log order, so after ApplyUpdates returns every
 // subsequent read — from any replica — observes the update bit-identically.
-// Updates to distinct tables proceed concurrently. The OnApplied hook
-// fires under the table lock in exactly the sequenced order.
+// Callers updating distinct tables proceed concurrently. The OnApplied
+// hook fires under the table lock in exactly the sequenced order. A failed
+// entry stops the batch: the entries after it reach no log and no replica.
 //
 // A replica dropping mid-fan-out does not fail the update as long as at
 // least one replica of each touched shard absorbs it; the dropped replica
 // replays the gap on reconnect. Only when a shard's whole replica group
 // is unreachable does ApplyUpdates return a typed *Unavailable — the
 // entry stays in the log and still reaches the fleet when a replica
-// returns, so a caller tracking a reference model must treat an
-// Unavailable update as applied-eventually, not discarded.
+// returns, so a caller tracking a reference model must treat the
+// Unavailable entry as applied-eventually, not discarded, and the entries
+// after it in the batch as not applied.
 func (rc *RemoteCluster) ApplyUpdates(ups []runtime.TableUpdate) error {
 	if rc.cfg.ReadOnly {
 		return ErrReadOnly

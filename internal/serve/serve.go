@@ -22,10 +22,10 @@
 //     deployment's scratch lanes (tables stripe over disjoint rank
 //     partitions, so table-level parallelism is architecturally free).
 //
-// The server also accepts online embedding updates (Update) through the
-// same queue: within a merged batch, member updates apply, in arrival
-// order, before the merged embedding executes, so an update never loses to
-// a read it was coalesced with on the same rows.
+// The server also accepts online embedding updates (Update). An update
+// never queues: it applies on the goroutine that issues it, which returns
+// once the node's tables hold it, so the batcher carries reads only and an
+// update never waits behind them.
 //
 // A server holds exactly one deployment. It offloads only the embedding
 // stage: the caller runs the DNN (recsys.Model.InferFromEmbeddings) over
@@ -33,13 +33,14 @@
 // TensorNode returns. Replication belongs to the fleet (remote replica
 // groups), not to one server.
 //
-// Every entry point is a submit (put the request on the queue) followed
-// by an await (block for its reply). The blocking calls — EmbedInto and
-// Update — do both; StartEmbedInto and Pending.Wait expose the two halves
-// of an embedding read, so a caller with sub-requests for several servers
-// (the cluster router) can queue all of them before it waits.
+// A read is a submit (put the request on the queue) followed by an await
+// (block for its reply). EmbedInto does both; StartEmbedInto and
+// Pending.Wait expose the two halves, so a caller with sub-requests for
+// several servers (the cluster router) can queue all of them before it
+// waits.
 //
-// Every request's queue and total latency is recorded; Instrument's
+// Every read's queue and total latency, and every update's total latency,
+// is recorded; Instrument's
 // tensordimm_serve_*_seconds series report p50/p95/p99 percentiles, the
 // numbers a serving SLO is written against.
 package serve
@@ -79,9 +80,7 @@ type Config struct {
 	Workers int
 }
 
-// queueDepth is the submission queue capacity (submissions beyond it block)
-// and the cap on one merged batch's member count, which sizes every worker's
-// member arrays.
+// queueDepth is the submission queue capacity: submissions beyond it block.
 const queueDepth = 256
 
 // validate rejects negative settings. Zero values are legal (they select
@@ -108,20 +107,18 @@ func (c Config) withDefaults(dep *runtime.Deployment) Config {
 	return c
 }
 
-// request is one submitted read or update, pending or in flight. Updates
-// carry a non-nil updates slice and contribute zero samples to a merged
-// batch; reads carry rows/batch and dst, the caller-provided buffer the
-// worker writes the result into. Requests are pooled: the submitter puts
-// its request back only after reading the reply, so a pooled request is
-// never aliased by two in-flight submissions.
+// request is one submitted read, pending or in flight: its rows and batch,
+// and dst, the caller-provided buffer the worker writes the result into.
+// Requests are pooled: the submitter puts its request back only after
+// reading the reply, so a pooled request is never aliased by two in-flight
+// submissions.
 type request struct {
-	rows    [][]int
-	batch   int
-	dst     []float32
-	updates []runtime.TableUpdate
-	enq     time.Time
-	span    telemetry.Span // per-hop trace slot, recycled with the request
-	done    chan error
+	rows  [][]int
+	batch int
+	dst   []float32
+	enq   time.Time
+	span  telemetry.Span // per-hop trace slot, recycled with the request
+	done  chan error
 }
 
 // reqPool recycles request objects (with their reply channels) across
@@ -139,34 +136,34 @@ func getRequest() *request {
 // submitter calls it, after the reply has been received — the worker never
 // touches a request after sending its result.
 func putRequest(r *request) {
-	r.rows, r.dst, r.updates, r.batch = nil, nil, nil, 0
+	r.rows, r.dst, r.batch = nil, nil, 0
 	reqPool.Put(r)
 }
 
-// workerScratch is one worker goroutine's private scratch: the members of
-// the batch it is forming or executing, their partition into updates and
-// reads, the merged per-table index lists, and the embedding read-back
-// buffer. Sized once from the server geometry, reused for every batch.
+// workerScratch is one worker goroutine's private scratch: the member reads
+// of the batch it is forming or executing, the merged per-table index
+// lists, and the embedding read-back buffer. Sized once from the server
+// geometry, reused for every batch.
 type workerScratch struct {
 	reqs   []*request
-	ups    []*request
-	reads  []*request
 	merged [][]int
 	emb    []float32
 }
 
-// Server owns one Deployment and serves concurrent embedding reads and
-// updates against it with dynamic micro-batching. Create with New or
-// Deploy, submit with EmbedInto or Update from any number of goroutines,
-// and Close when done — Close releases the deployment.
+// Server owns one Deployment and serves concurrent embedding reads against
+// it with dynamic micro-batching, and updates on their callers' goroutines.
+// Create with New or Deploy, call EmbedInto or Update from any number of
+// goroutines, and Close when done — Close releases the deployment.
 type Server struct {
 	cfg  Config
 	dep  *runtime.Deployment
 	geom wire.Geometry // the request contract, MaxBatch = cfg.MaxBatch
 
-	mu       sync.Mutex
-	closed   bool
-	inflight sync.WaitGroup // submits accepted but not yet enqueued
+	mu     sync.Mutex
+	closed bool
+	// inflight counts the admitted callers Close waits for: a read until it
+	// is enqueued, an update or a restore until it has applied.
+	inflight sync.WaitGroup
 	queue    chan *request
 
 	workerWG sync.WaitGroup
@@ -193,8 +190,8 @@ type Server struct {
 	failures atomic.Uint64
 	updates  atomic.Uint64
 	upRows   atomic.Uint64
-	queueLat *telemetry.Histogram // submission to execution start
-	totalLat *telemetry.Histogram // submission to result delivery
+	queueLat *telemetry.Histogram // read submission to execution start
+	totalLat *telemetry.Histogram // submission to result delivery, reads and updates
 
 	// tracer is nil until Instrument wires the server into a registry;
 	// every use is nil-guarded, so an uninstrumented server pays a single
@@ -357,41 +354,59 @@ func (p Pending) Wait() ([]float32, error) {
 // request without out-of-band configuration.
 func (s *Server) Geometry() wire.Geometry { return s.geom }
 
-// Update submits a batch of embedding-table gradient updates through the
-// same micro-batching queue as reads. Within a merged batch, updates apply
-// before the merged embedding executes, so an update never loses to a read
-// it was coalesced with on the same rows; across batches, a caller that
-// waits for Update to return is guaranteed every later read observes the
-// update, which accumulates into the node's tables, the only copy. The
-// batch is checked (runtime.CheckUpdates) at submit, so a bad update never
-// fails the merged batch it would have joined. Safe for concurrent use.
+// Update applies a batch of embedding-table gradient updates on the
+// calling goroutine, in slice order, and returns once the node's tables —
+// the only copy — hold it: every read started after Update returns
+// observes the update. It never queues behind reads; the deployment orders
+// it against every other write (runtime.Deployment.ApplyUpdates), and the
+// NMP cores order its scatter-adds against concurrent gathers. Safe for
+// concurrent use.
 func (s *Server) Update(ups []runtime.TableUpdate) error {
 	if err := runtime.CheckUpdates(ups, s.geom); err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	req := getRequest()
-	req.updates = ups
-	if err := s.submit(req); err != nil {
+	start := time.Now()
+	if err := s.admit(); err != nil {
 		return err
 	}
-	return await(req)
+	defer s.inflight.Done()
+	if err := s.dep.ApplyUpdates(ups); err != nil {
+		s.failures.Add(1)
+		return fmt.Errorf("serve: update failed: %w", err)
+	}
+	rows := 0
+	for _, up := range ups {
+		rows += len(up.Rows)
+	}
+	s.updates.Add(1)
+	s.upRows.Add(uint64(rows))
+	s.totalLat.Observe(time.Since(start).Seconds())
+	return nil
 }
 
-// submit queues one request without waiting for its result — the one way
-// into the queue for reads and updates alike. A refused request is
-// recycled here.
-func (s *Server) submit(req *request) error {
+// admit is the gate every entry point passes: it fails once Close has
+// begun, and otherwise counts the caller in flight until it calls
+// s.inflight.Done. Close waits for every admitted caller before it drains
+// the queue and releases the deployment.
+func (s *Server) admit() error {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
-		s.mu.Unlock()
-		putRequest(req)
 		return fmt.Errorf("serve: server is closed")
 	}
-	// Holding the lock for the send would serialize submitters; instead the
-	// closed flag is checked first and Close closes the queue only after
-	// every in-flight submit has enqueued (see Close).
 	s.inflight.Add(1)
-	s.mu.Unlock()
+	return nil
+}
+
+// submit queues one read without waiting for its result. A refused request
+// is recycled here. The send happens outside the lock, which would
+// otherwise serialize submitters: Close closes the queue only after every
+// admitted submit has enqueued.
+func (s *Server) submit(req *request) error {
+	if err := s.admit(); err != nil {
+		putRequest(req)
+		return err
+	}
 	s.queue <- req
 	s.inflight.Done()
 	return nil
@@ -416,9 +431,7 @@ func await(req *request) error {
 func (s *Server) worker() {
 	defer s.workerWG.Done()
 	ws := &workerScratch{
-		reqs:   make([]*request, 0, queueDepth),
-		ups:    make([]*request, 0, queueDepth),
-		reads:  make([]*request, 0, queueDepth),
+		reqs:   make([]*request, 0, s.cfg.MaxBatch),
 		merged: make([][]int, s.geom.Tables),
 		emb:    make([]float32, s.cfg.MaxBatch*s.geom.Width()),
 	}
@@ -439,9 +452,7 @@ func (s *Server) worker() {
 		ws.reqs = append(ws.reqs[:0], first)
 		total := first.batch
 	collect:
-		// Updates contribute zero samples to total, so the member cap keeps
-		// an update flood from growing one merged batch without bound.
-		for total < s.cfg.MaxBatch && len(ws.reqs) < queueDepth {
+		for total < s.cfg.MaxBatch {
 			select {
 			case r, ok := <-s.queue:
 				if !ok {
@@ -461,36 +472,18 @@ func (s *Server) worker() {
 	}
 }
 
-// execute runs one merged batch: member updates first (in arrival order,
-// so an update never loses to a read it was coalesced with on the same
-// rows), then the merged embedding for the member reads, fanning results
-// back out to the member requests. ws.reqs holds the members, total their
-// summed samples.
+// execute runs one merged batch: the merged embedding for the member
+// reads, fanning results back out to them. ws.reqs holds the members, total
+// their summed samples.
 func (s *Server) execute(ws *workerScratch, total int) {
 	start := time.Now()
-	for _, r := range ws.reqs {
+	reads := ws.reqs
+	for _, r := range reads {
 		s.queueLat.Observe(start.Sub(r.enq).Seconds())
 		if s.tracer != nil {
 			r.span.BeginAt(r.enq)
 			r.span.MarkAt(hopQueue, start)
 		}
-	}
-
-	// Partition: updates apply before any member read executes.
-	ws.ups, ws.reads = ws.ups[:0], ws.reads[:0]
-	for _, r := range ws.reqs {
-		if r.updates != nil {
-			ws.ups = append(ws.ups, r)
-		} else {
-			ws.reads = append(ws.reads, r)
-		}
-	}
-	if len(ws.ups) > 0 {
-		s.applyUpdates(ws.ups)
-	}
-	reads := ws.reads
-	if len(reads) == 0 {
-		return
 	}
 
 	// Merge: concatenate the member requests' per-table row lists. Pooling
@@ -552,45 +545,22 @@ func (s *Server) reply(r *request) {
 	r.done <- nil
 }
 
-// applyUpdates applies a merged batch's update requests in arrival order,
-// replying to each. The deployment orders each request against every other
-// write (runtime.Deployment.ApplyUpdates).
-func (s *Server) applyUpdates(reqs []*request) {
-	for _, r := range reqs {
-		if err := s.dep.ApplyUpdates(r.updates); err != nil {
-			s.failures.Add(1)
-			r.done <- fmt.Errorf("serve: update failed: %w", err)
-			continue
-		}
-		rows := 0
-		for _, up := range r.updates {
-			rows += len(up.Rows)
-		}
-		s.updates.Add(1)
-		s.upRows.Add(uint64(rows))
-		s.reply(r)
-	}
-}
-
-// Restore overwrites rows of one table with absolute embedding values, on
-// the deployment's node table and its golden model — the serving-side half
-// of a durable snapshot install. It bypasses the micro-batching queue:
-// restores are a cold recovery path that must not contend with live
-// traffic for batch slots. The deployment orders it against every update
-// (runtime.Deployment.RestoreRows). Safe for concurrent use with reads and
-// updates: the table barrier (tblMu) excludes in-flight gathers while rows
-// are overwritten, so a read-only router hitting this replica mid-restore
-// can never observe a torn row.
+// Restore overwrites rows of one table with absolute embedding values on
+// the deployment's node table — the serving-side half of a durable snapshot
+// install. Like Update it runs on the caller's goroutine, never queued,
+// and Close waits for it before releasing the deployment. The deployment
+// orders it against every update (runtime.Deployment.RestoreRows). Safe
+// for concurrent use with reads and updates: the table barrier (tblMu)
+// excludes in-flight gathers while rows are overwritten, so a read-only
+// router hitting this replica mid-restore can never observe a torn row.
 func (s *Server) Restore(table int, rows []int, vals []float32) error {
 	if err := s.geom.CheckRows(table, rows, len(vals)); err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return fmt.Errorf("serve: server is closed")
+	if err := s.admit(); err != nil {
+		return err
 	}
-	s.mu.Unlock()
+	defer s.inflight.Done()
 	s.tblMu.Lock()
 	defer s.tblMu.Unlock()
 	if err := s.dep.RestoreRows(table, rows, vals); err != nil {
@@ -599,19 +569,19 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 	return nil
 }
 
-// Close stops accepting requests, drains everything already submitted
-// (queued requests execute and reply — reads and updates alike, so a caller
-// blocked in EmbedInto or Update always gets its result), stops the
-// workers, and releases the deployment (and closes the node, for a server
-// built by Deploy). It is idempotent, and every call — including
-// concurrent ones — returns only after the drain has completed; requests
-// submitted after Close fail fast.
+// Close stops accepting requests, waits for every update and restore
+// already running, drains every read already submitted (queued reads
+// execute and reply, so a caller blocked in EmbedInto always gets its
+// result), stops the workers, and releases the deployment (and closes the
+// node, for a server built by Deploy). It is idempotent, and every call —
+// including concurrent ones — returns only after the drain has completed;
+// requests made after Close fail fast.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.mu.Lock()
 		s.closed = true
 		s.mu.Unlock()
-		s.inflight.Wait() // every accepted submit has reached the queue
+		s.inflight.Wait() // every admitted read has reached the queue, every write has applied
 		close(s.queue)
 		s.workerWG.Wait()
 		s.closeErr = s.dep.Release()

@@ -114,9 +114,9 @@ func TestServeZeroAlloc(t *testing.T) {
 // caller-owned rows and gradients, 4 concurrent writers of 8-row updates —
 // to 0 allocs/op at both levels: a direct Deployment.ApplyUpdates (on the
 // caller's goroutine, the deployment's update lane) and Update on top of it
-// (queueing, batching, the apply and the reply). Each feed is one input: a
-// batch of one table's rows, and a batch with one entry on each of two
-// tables.
+// (the check, the admission gate, the apply and the counters). Each feed is
+// one input: a batch of one table's rows, and a batch with one entry on
+// each of two tables.
 func TestServeUpdateZeroAlloc(t *testing.T) {
 	const clients, rows = 4, 8
 	for _, tc := range []struct {

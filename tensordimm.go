@@ -63,7 +63,7 @@
 // copy of a table) and advances with every acknowledged update:
 //
 //	up := tensordimm.TableUpdate{Table: 0, Rows: rows, Grads: grads}
-//	_ = srv.Update([]tensordimm.TableUpdate{up})       // ahead of co-batched reads
+//	_ = srv.Update([]tensordimm.TableUpdate{up})       // on this goroutine, never queued behind reads
 //	_ = cl.ApplyUpdates([]tensordimm.TableUpdate{up})  // routed + invalidated per shard
 //	tensordimm.AccumulateGolden(golden.Embedding.Tables[0], up)
 //
