@@ -493,7 +493,8 @@ func startMetrics(o *opts) *tensordimm.TelemetryRegistry {
 // line per series.
 func printMetrics(reg *tensordimm.TelemetryRegistry) { reg.Snapshot().WriteText(os.Stdout) }
 
-// hotRowsTopK bounds how many hot rows a cluster shard persists at drain;
+// hotRowsTopK bounds how many of a cluster shard's resident rows (those
+// referenced since the cache's last sweep first) are persisted at drain;
 // WarmCache additionally clamps the warm set to what the cache can hold.
 const hotRowsTopK = 4096
 

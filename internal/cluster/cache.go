@@ -1,33 +1,38 @@
 package cluster
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// rowCache is a byte-capacity-bounded LRU of hot embedding rows fronting
-// one shard, keyed by flat local row. RecNMP (Ke et al., 2020) observes
-// that production embedding traffic is heavily skewed, which makes a small
-// cache disproportionately effective: a hit serves the row from the
-// router's memory and skips the shard's near-memory gather path entirely —
-// no sub-request row, no interconnect transfer.
+// rowCache is a byte-capacity-bounded CLOCK (second chance) cache of hot
+// embedding rows fronting one shard, keyed by flat local row. RecNMP (Ke
+// et al., 2020) observes that production embedding traffic is heavily
+// skewed, which makes a small cache disproportionately effective: a hit
+// serves the row from the router's memory and skips the shard's
+// near-memory gather path entirely — no sub-request row, no interconnect
+// transfer.
 //
 // Storage is flat and sized once, at construction: a slab of
 // min(capBytes/rowBytes, localRows) row payloads, a direct flat row -> slot
-// index, and an intrusive doubly linked LRU ring over the slots closed by a
-// sentinel. Nothing is allocated afterwards — a probe is two array reads, a
-// promotion six int32 stores, an eviction recycles the least recently used
-// slot in place. Capacity accounting charges the row payload only (dim x 4
-// bytes per resident row); the index and the ring are not counted against
-// the budget.
+// index, one reference bit per slot and a free-slot stack. Nothing is
+// allocated afterwards — a probe is two array reads and, for a hit, at most
+// one store of a reference bit that was clear; an eviction sweeps the clock
+// hand over the slots, clearing set bits, and recycles the first slot whose
+// bit was already clear. Capacity accounting charges the row payload only
+// (dim x 4 bytes per resident row); the index and the bits are not counted
+// against the budget.
 //
-// Locking is per request, not per row. The router hands a shard's cache
-// every lookup one read routed to it in a single probe call and every row
-// the read then gathered in a single fill call, so a read takes the lock
-// at most twice per shard however many rows it touches. All methods are
-// safe for concurrent use; hit and miss counts are atomic counters, so
-// reports can read them without taking the lock.
+// Locking is per request, not per row, and probes share it. The router
+// hands a shard's cache every lookup one read routed to it in a single
+// probe call and every row the read then gathered in a single fill call,
+// so a read takes the lock at most twice per shard however many rows it
+// touches. probe (like snapshot and len) holds the read lock and writes
+// nothing the lock guards — the reference bit is atomic and set only when
+// clear, so a hot row's bit is a read-only line after its first hit — and
+// concurrent probes never exclude each other. fill and invalidate hold the
+// write lock. Hit and miss counts are atomic counters, so reports can read
+// them without taking the lock.
 //
 // Coherence. Online updates mutate shard tables underneath the cache, so
 // the cache carries a version counter: invalidate removes the updated rows
@@ -42,25 +47,22 @@ import (
 // under the lock and fill copies each payload into the slab, so no caller
 // ever holds a reference into cache storage.
 type rowCache struct {
-	mu      sync.Mutex
+	mu      sync.RWMutex
 	dim     int
 	version uint64 // bumped by every invalidate, guarded by mu
 
-	// All guarded by mu. Slot i's payload is slab[i*dim:(i+1)*dim] and its
-	// flat row is rowOf[i]; slotOf is the inverse, -1 for a row that is not
-	// resident. prev/next link the resident slots into a ring through the
-	// sentinel at index len(rowOf): next[sentinel] is the most recently
-	// used slot, prev[sentinel] the least. free stacks the unused slots.
-	slab       []float32
-	slotOf     []int32
-	rowOf      []int32
-	prev, next []int32
-	free       []int32
-	// heat counts lifetime probes per flat local row (hits and misses
-	// alike — a probe is the demand signal, residency is incidental),
-	// guarded by mu. hotRows ranks it so a warm restart can repopulate the
-	// cache with the Zipf head instead of waiting for traffic to refill it.
-	heat []uint32
+	// Guarded by mu. Slot i's payload is slab[i*dim:(i+1)*dim] and its flat
+	// row is rowOf[i]; slotOf is the inverse, -1 for a row that is not
+	// resident. free stacks the unused slots, and hand is the slot the next
+	// eviction sweep starts at. ref[i] is slot i's reference bit: set by a
+	// hit under the read lock, cleared under the write lock by the sweep and
+	// when invalidate frees the slot, so every slot fill takes is clear.
+	slab   []float32
+	slotOf []int32
+	rowOf  []int32
+	ref    []atomic.Bool
+	free   []int32
+	hand   int
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -82,10 +84,8 @@ func newRowCache(capBytes int64, dim, localRows int) *rowCache {
 		slab:   make([]float32, slots*dim),
 		slotOf: make([]int32, localRows),
 		rowOf:  make([]int32, slots),
-		prev:   make([]int32, slots+1),
-		next:   make([]int32, slots+1),
+		ref:    make([]atomic.Bool, slots),
 		free:   make([]int32, slots),
-		heat:   make([]uint32, localRows),
 	}
 	for r := range c.slotOf {
 		c.slotOf[r] = -1
@@ -94,62 +94,34 @@ func newRowCache(capBytes int64, dim, localRows int) *rowCache {
 	for i := range c.free {
 		c.free[i] = int32(slots - 1 - i)
 	}
-	c.prev[slots], c.next[slots] = int32(slots), int32(slots)
 	return c
 }
 
-// unlink takes a resident slot out of the LRU ring.
-func (c *rowCache) unlink(slot int32) {
-	p, n := c.prev[slot], c.next[slot]
-	c.next[p], c.prev[n] = n, p
-}
-
-// pushFront links a slot into the ring as the most recently used.
-func (c *rowCache) pushFront(slot int32) {
-	sentinel := int32(len(c.rowOf))
-	first := c.next[sentinel]
-	c.prev[slot], c.next[slot] = sentinel, first
-	c.next[sentinel], c.prev[first] = slot, slot
-}
-
-// promote makes a resident slot the most recently used.
-func (c *rowCache) promote(slot int32) {
-	c.unlink(slot)
-	c.pushFront(slot)
-}
-
-// remove evicts a resident slot: out of the ring, out of the index, onto
-// the free stack.
-func (c *rowCache) remove(slot int32) {
-	c.unlink(slot)
-	c.slotOf[c.rowOf[slot]] = -1
-	c.free = append(c.free, slot)
-}
-
 // probe looks up one read's lookups on this shard — rows, in request
-// order, duplicates included — under a single lock hold. Every probe counts
-// toward the row's heat. A hit promotes the row to most recently used, sets
-// hit[i] and copies the payload into the next dim floats of dst, so the
-// k-th hit lands at dst[k*dim:]; the copy happens under the lock, so the
-// caller owns a stable snapshot without ever holding cache storage. probe
-// returns the version the whole batch was served at, which the caller
-// passes to fill with whatever it gathers for the misses.
+// order, duplicates included — under a single read-lock hold. A hit sets
+// the slot's reference bit if it is clear, sets hit[i] and copies the
+// payload into the next dim floats of dst, so the k-th hit lands at
+// dst[k*dim:]; the copy happens under the lock, so the caller owns a
+// stable snapshot without ever holding cache storage. probe returns the
+// version the whole batch was served at, which the caller passes to fill
+// with whatever it gathers for the misses.
 func (c *rowCache) probe(rows []int, hit []bool, dst []float32) uint64 {
 	dim, hits := c.dim, 0
-	c.mu.Lock()
+	c.mu.RLock()
 	for i, row := range rows {
-		c.heat[row]++
 		slot := c.slotOf[row]
 		hit[i] = slot >= 0
 		if slot < 0 {
 			continue
 		}
-		c.promote(slot)
+		if ref := &c.ref[slot]; !ref.Load() {
+			ref.Store(true)
+		}
 		copy(dst[hits*dim:(hits+1)*dim], c.slab[int(slot)*dim:])
 		hits++
 	}
 	ver := c.version
-	c.mu.Unlock()
+	c.mu.RUnlock()
 	c.hits.Add(uint64(hits))
 	c.misses.Add(uint64(len(rows) - hits))
 	return ver
@@ -159,19 +131,21 @@ func (c *rowCache) probe(rows []int, hit []bool, dst []float32) uint64 {
 // that gathers without probing first (WarmCache) takes it before starting
 // the gather whose rows it intends to cache.
 func (c *rowCache) snapshot() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return c.version
 }
 
 // fill inserts a private copy of each gathered row — rows[j]'s payload is
-// vecs[j*dim:(j+1)*dim] — under a single lock hold, in order, evicting
-// least recently used rows whenever the byte budget is full. Re-inserting
-// a resident row only refreshes its recency. The whole batch is
-// conditioned on the version still matching ver: if any invalidation
-// happened since the caller's probe (or snapshot), the rows may predate an
-// update and none is inserted. It returns how many rows were inserted or
-// refreshed.
+// vecs[j*dim:(j+1)*dim] — under a single lock hold, in order. A row goes
+// into a free slot while there is one; otherwise the hand sweeps forward,
+// clearing each set reference bit it passes, and the row replaces the
+// first slot whose bit was already clear. An inserted row starts with its
+// bit clear and the hand just past it. Re-inserting a resident row only
+// sets its reference bit. The whole batch is conditioned on the version
+// still matching ver: if any invalidation happened since the caller's
+// probe (or snapshot), the rows may predate an update and none is
+// inserted. It returns how many rows were inserted or referenced.
 func (c *rowCache) fill(rows []int, vecs []float32, ver uint64) int {
 	dim := c.dim
 	c.mu.Lock()
@@ -182,17 +156,23 @@ func (c *rowCache) fill(rows []int, vecs []float32, ver uint64) int {
 	for j, row := range rows {
 		slot := c.slotOf[row]
 		if slot >= 0 {
-			c.promote(slot)
+			c.ref[slot].Store(true)
 			continue
 		}
-		if len(c.free) == 0 {
-			c.remove(c.prev[len(c.rowOf)])
+		if n := len(c.free); n > 0 {
+			slot = c.free[n-1]
+			c.free = c.free[:n-1]
+		} else {
+			for c.ref[c.hand].Load() {
+				c.ref[c.hand].Store(false)
+				c.hand = (c.hand + 1) % len(c.rowOf)
+			}
+			slot = int32(c.hand)
+			c.hand = (c.hand + 1) % len(c.rowOf)
+			c.slotOf[c.rowOf[slot]] = -1
 		}
-		slot = c.free[len(c.free)-1]
-		c.free = c.free[:len(c.free)-1]
 		copy(c.slab[int(slot)*dim:(int(slot)+1)*dim], vecs[j*dim:])
 		c.slotOf[row], c.rowOf[slot] = slot, int32(row)
-		c.pushFront(slot)
 	}
 	return len(rows)
 }
@@ -208,7 +188,9 @@ func (c *rowCache) invalidate(rows []int) int {
 	n := 0
 	for _, row := range rows {
 		if slot := c.slotOf[row]; slot >= 0 {
-			c.remove(slot)
+			c.slotOf[row] = -1
+			c.ref[slot].Store(false)
+			c.free = append(c.free, slot)
 			n++
 		}
 	}
@@ -216,35 +198,30 @@ func (c *rowCache) invalidate(rows []int) int {
 	return n
 }
 
-// hotRows returns up to k flat local rows ranked by lifetime probe count,
-// hottest first, skipping rows never probed. A cold path (drain-time
-// persistence), so the copy-then-sort is fine.
+// hotRows returns up to k resident flat local rows: those whose reference
+// bit is set first, then the rest, each group in slot order. That is the
+// set a warm restart reinstalls, so the cache comes back holding what it
+// held.
 func (c *rowCache) hotRows(k int) []int {
-	c.mu.Lock()
-	heat := make([]uint32, len(c.heat))
-	copy(heat, c.heat)
-	c.mu.Unlock()
-	idx := make([]int, 0, len(heat))
-	for r, h := range heat {
-		if h > 0 {
-			idx = append(idx, r)
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	rows := make([]int, 0, min(k, len(c.rowOf)-len(c.free)))
+	for _, referenced := range [2]bool{true, false} {
+		for slot, row := range c.rowOf {
+			if len(rows) == k {
+				return rows
+			}
+			if c.slotOf[row] == int32(slot) && c.ref[slot].Load() == referenced {
+				rows = append(rows, int(row))
+			}
 		}
 	}
-	sort.Slice(idx, func(i, j int) bool {
-		if heat[idx[i]] != heat[idx[j]] {
-			return heat[idx[i]] > heat[idx[j]]
-		}
-		return idx[i] < idx[j] // deterministic tie-break
-	})
-	if k < len(idx) {
-		idx = idx[:k]
-	}
-	return idx
+	return rows
 }
 
 // len returns the number of resident rows.
 func (c *rowCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	return len(c.rowOf) - len(c.free)
 }

@@ -24,27 +24,38 @@ func (c *rowCache) put(row int, vec []float32) { c.putAt(row, vec, c.snapshot())
 // putAt inserts one row unless the version moved since ver.
 func (c *rowCache) putAt(row int, vec []float32, ver uint64) { c.fill([]int{row}, vec, ver) }
 
-// lruRows walks the LRU ring and returns the resident rows, most recently
-// used first, failing the test wherever the ring, the slot index and the
-// free stack disagree.
-func lruRows(t testing.TB, c *rowCache) []int {
+// clockState returns the resident rows with their reference bits, failing
+// the test wherever the slot index, the free stack and the reference bits
+// disagree: every slot is either on the free stack, with its bit clear, or
+// holds the row the index maps to it, and the hand points at a slot.
+func clockState(t testing.TB, c *rowCache) map[int]bool {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.mu.RLock()
+	defer c.mu.RUnlock()
 	slots := len(c.rowOf)
-	var rows []int
-	for slot := c.next[slots]; int(slot) != slots; slot = c.next[slot] {
-		if len(rows) == slots {
-			t.Fatalf("LRU ring does not close after %d slots", slots)
+	if c.hand < 0 || c.hand >= slots {
+		t.Fatalf("hand at %d outside %d slots", c.hand, slots)
+	}
+	isFree := make([]bool, slots)
+	for _, slot := range c.free {
+		if isFree[slot] {
+			t.Fatalf("slot %d is on the free stack twice", slot)
+		}
+		isFree[slot] = true
+		if c.ref[slot].Load() {
+			t.Fatalf("free slot %d has its reference bit set", slot)
+		}
+	}
+	state := map[int]bool{}
+	for slot := 0; slot < slots; slot++ {
+		if isFree[slot] {
+			continue
 		}
 		row := int(c.rowOf[slot])
-		if c.slotOf[row] != slot {
-			t.Fatalf("ring slot %d holds row %d, but the index maps that row to slot %d", slot, row, c.slotOf[row])
+		if c.slotOf[row] != int32(slot) {
+			t.Fatalf("slot %d holds row %d, but the index maps that row to slot %d", slot, row, c.slotOf[row])
 		}
-		if c.prev[c.next[slot]] != slot {
-			t.Fatalf("ring broken at slot %d: next %d points back at %d", slot, c.next[slot], c.prev[c.next[slot]])
-		}
-		rows = append(rows, row)
+		state[row] = c.ref[slot].Load()
 	}
 	indexed := 0
 	for _, slot := range c.slotOf {
@@ -52,9 +63,8 @@ func lruRows(t testing.TB, c *rowCache) []int {
 			indexed++
 		}
 	}
-	if indexed != len(rows) || slots-len(c.free) != len(rows) {
-		t.Fatalf("ring holds %d rows; index %d, slots in use %d of %d",
-			len(rows), indexed, slots-len(c.free), slots)
+	if indexed != len(state) {
+		t.Fatalf("%d slots in use, the index maps %d rows", len(state), indexed)
 	}
-	return rows
+	return state
 }

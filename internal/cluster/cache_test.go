@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"maps"
 	"sync"
 	"testing"
 
@@ -29,21 +30,37 @@ func TestRowCacheDisabledWhenTooSmall(t *testing.T) {
 	}
 }
 
-func TestRowCacheLRUEviction(t *testing.T) {
+// TestRowCacheSecondChanceEviction pins CLOCK: a hit sets the row's
+// reference bit, and the eviction sweep clears a set bit and passes the row
+// over once, evicting the first row under the hand whose bit was already
+// clear.
+func TestRowCacheSecondChanceEviction(t *testing.T) {
 	const dim = 16 // 64 B per row
 	c := newRowCache(3*64, dim, 1024)
 	for r := 0; r < 3; r++ {
 		c.put(r, vec(dim, float32(r)))
 	}
-	// Touch row 0 so row 1 becomes least recently used, then overflow.
-	if _, ok := c.get(0); !ok {
-		t.Fatal("row 0 should be resident")
+	buf := make([]float32, dim)
+	for _, r := range []int{0, 1, 1} { // a hit on a referenced row changes nothing
+		if !c.getInto(r, buf) {
+			t.Fatalf("row %d should be resident", r)
+		}
 	}
+	if got, want := clockState(t, c), map[int]bool{0: true, 1: true, 2: false}; !maps.Equal(got, want) {
+		t.Fatalf("after hits on 0 and 1: %v, want %v", got, want)
+	}
+	// The hand starts at row 0: rows 0 and 1 get their second chance, row 2
+	// (the newest, but never hit) goes.
 	c.put(3, vec(dim, 3))
-	if _, ok := c.get(1); ok {
-		t.Fatal("row 1 should have been evicted as LRU")
+	if got, want := clockState(t, c), map[int]bool{0: false, 1: false, 3: false}; !maps.Equal(got, want) {
+		t.Fatalf("after inserting row 3: %v, want %v", got, want)
 	}
-	for _, r := range []int{0, 2, 3} {
+	// The hand wrapped to row 0, whose chance is spent.
+	c.put(4, vec(dim, 4))
+	if got, want := clockState(t, c), map[int]bool{1: false, 3: false, 4: false}; !maps.Equal(got, want) {
+		t.Fatalf("after inserting row 4: %v, want %v", got, want)
+	}
+	for _, r := range []int{1, 3, 4} {
 		got, ok := c.get(r)
 		if !ok {
 			t.Fatalf("row %d should be resident", r)
@@ -67,7 +84,7 @@ func TestRowCachePutCopies(t *testing.T) {
 	if !ok || got[0] != 1 {
 		t.Fatalf("cache shares caller storage: got %v", got[0])
 	}
-	// Re-inserting a resident row refreshes recency without growing usage.
+	// Re-inserting a resident row only references it: usage does not grow.
 	c.put(7, vec(dim, 2))
 	if c.len() != 1 {
 		t.Fatalf("re-insert grew the cache to %d rows", c.len())
@@ -97,7 +114,7 @@ func TestRowCacheExactBudgetFill(t *testing.T) {
 		t.Fatalf("overflow by one: %d rows, want 4", c.len())
 	}
 	if _, ok := c.get(0); ok {
-		t.Fatal("LRU row 0 should have been the single eviction")
+		t.Fatal("row 0, under the hand once every bit was cleared, should have been the single eviction")
 	}
 
 	// A fractional budget (3.5 rows) holds only 3 whole rows.
@@ -149,17 +166,18 @@ func TestRowCacheZeroBudget(t *testing.T) {
 	}
 }
 
-// TestRowCacheInvalidateMidLRU removes an entry from the middle of the LRU
-// order and checks residency, byte accounting, the invalidation counter,
-// and that later eviction order is unaffected by the hole.
-func TestRowCacheInvalidateMidLRU(t *testing.T) {
+// TestRowCacheInvalidateMidClock removes a row from a slot the hand has
+// not reached yet and checks residency, the row count, the invalidation
+// counter, that the freed slot is refilled without an eviction or a move
+// of the hand, and that the refilled slot then takes its turn in the sweep.
+func TestRowCacheInvalidateMidClock(t *testing.T) {
 	const dim = 16
 	c := newRowCache(3*64, dim, 1024)
 	for r := 0; r < 3; r++ {
 		c.put(r, vec(dim, float32(r)))
 	}
-	// LRU order (old -> new): 0, 1, 2. Invalidate the middle entry plus a
-	// non-resident row; only the resident one counts.
+	// Slots 0, 1, 2 hold rows 0, 1, 2, the hand is at slot 0. Invalidate
+	// the middle row plus a non-resident one; only the resident one counts.
 	if n := c.invalidate([]int{1, 77}); n != 1 {
 		t.Fatalf("invalidate removed %d rows, want 1", n)
 	}
@@ -174,18 +192,20 @@ func TestRowCacheInvalidateMidLRU(t *testing.T) {
 	}
 	// The freed budget admits a new row without evicting anything.
 	c.put(3, vec(dim, 3))
-	if c.len() != 3 {
-		t.Fatalf("after refill: %d rows, want 3", c.len())
+	if got, want := clockState(t, c), map[int]bool{0: false, 2: false, 3: false}; !maps.Equal(got, want) {
+		t.Fatalf("after refill: %v, want %v", got, want)
 	}
-	for _, r := range []int{0, 2, 3} {
-		if _, ok := c.get(r); !ok {
-			t.Fatalf("row %d should be resident", r)
-		}
+	if c.hand != 0 || c.rowOf[1] != 3 {
+		t.Fatalf("refill put row 3 in slot %d and moved the hand to %d, want slot 1 and hand 0", c.slotOf[3], c.hand)
 	}
-	// Overflow now evicts the oldest survivor (row 0), not the hole.
+	// Row 0 is referenced, so the sweep passes it over and evicts row 3 in
+	// the refilled slot.
+	if !c.getInto(0, make([]float32, dim)) {
+		t.Fatal("row 0 should be resident")
+	}
 	c.put(4, vec(dim, 4))
-	if _, ok := c.get(0); ok {
-		t.Fatal("row 0 should be the next eviction after the mid-LRU hole")
+	if got, want := clockState(t, c), map[int]bool{0: false, 2: false, 4: false}; !maps.Equal(got, want) {
+		t.Fatalf("after overflow: %v, want %v", got, want)
 	}
 }
 

@@ -19,7 +19,7 @@
 //
 //   - route: every lookup (table, row) maps through the placement — whole
 //     tables round-robin for TableWise, rows hashed across shards for
-//     RowWise — and each shard's LRU hot-row cache is then probed once for
+//     RowWise — and each shard's CLOCK hot-row cache is then probed once for
 //     all the lookups that landed on it. Hits are served from the cache;
 //     misses are deduplicated into one flat index list per shard (a shard
 //     stores all its rows as a single gather-only table, so a sub-request
@@ -397,11 +397,12 @@ func (c *Cluster) Geometry() wire.Geometry { return c.router.Geometry() }
 // Config returns the cluster's effective configuration (defaults filled).
 func (c *Cluster) Config() Config { return c.cfg }
 
-// HotRows returns up to k flat local rows of one shard ranked by lifetime
-// cache-probe count, hottest first — the Zipf head the shard's traffic
-// actually exercised. A serving process persists this list at drain so a
-// warm restart can WarmCache before admitting traffic. Returns nil when
-// the shard has no cache (or no traffic yet).
+// HotRows returns up to k flat local rows resident in one shard's hot-row
+// cache: rows hit since the eviction sweep last passed them first, then
+// the rest — exactly the set WarmCache reinstalls. A serving process
+// persists this list at drain so a warm restart can WarmCache before
+// admitting traffic. Returns nil when the shard has no cache or k <= 0,
+// and an empty list while nothing is resident.
 func (c *Cluster) HotRows(shard, k int) []int {
 	if shard < 0 || shard >= len(c.shard) || c.shard[shard] == nil || c.shard[shard].cache == nil || k <= 0 {
 		return nil
@@ -410,7 +411,7 @@ func (c *Cluster) HotRows(shard, k int) []int {
 }
 
 // WarmCache pre-populates one shard's hot-row cache with the given flat
-// local rows (hottest first, as HotRows returns them): the rows gather
+// local rows (referenced first, as HotRows returns them): the rows gather
 // through the shard's normal serving path in sub-request-sized chunks and
 // park in the cache, so the first post-restart requests hit instead of
 // paying the near-memory gather. Out-of-range rows are skipped — the list

@@ -119,8 +119,8 @@ func TestNewValidation(t *testing.T) {
 // TestShardNodeSizing pins the per-DIMM capacity New gives each shard node
 // of the benchmark's net_hot_* geometry (4 tables x 4096 rows x dim 64,
 // reduction 2, 2 shards, 4 DIMMs, MaxBatch 64, default Workers) to exactly
-// what the shard's deployment reserves, with no headroom (serve's
-// perDIMMBytes), so no change to the shared sizing can move that
+// what the shard's deployment reserves, with no headroom
+// (runtime.PerDIMMBytes), so no change to the shared sizing can move that
 // workload's memory unnoticed. DeployShard must build the same stack a
 // cluster shard runs.
 func TestShardNodeSizing(t *testing.T) {

@@ -10,6 +10,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -508,32 +509,49 @@ func TestRouterInFlightWidth(t *testing.T) {
 	}
 }
 
-// refLRU is the row-at-a-time cache discipline the batched route phase has
-// to reproduce exactly: one probe per lookup in request order, then one
-// insert per gathered row in sub-request order.
-type refLRU struct {
+// refClock is the row-at-a-time cache discipline the batched route phase
+// has to reproduce exactly: one probe per lookup in request order, then one
+// insert per gathered row in sub-request order, each under CLOCK. Slots
+// fill front to back, as rowCache's free stack hands them out.
+type refClock struct {
 	cap  int
-	rows []int // most recently used first
+	rows []int // slot -> row
+	ref  []bool
+	hand int
 }
 
-func (l *refLRU) touch(row int) bool {
-	i := slices.Index(l.rows, row)
+func (k *refClock) touch(row int) bool {
+	i := slices.Index(k.rows, row)
 	if i < 0 {
 		return false
 	}
-	copy(l.rows[1:i+1], l.rows[:i])
-	l.rows[0] = row
+	k.ref[i] = true
 	return true
 }
 
-func (l *refLRU) put(row int) {
-	if l.touch(row) {
+func (k *refClock) put(row int) {
+	if k.touch(row) {
 		return
 	}
-	if len(l.rows) == l.cap {
-		l.rows = l.rows[:l.cap-1]
+	if len(k.rows) < k.cap {
+		k.rows, k.ref = append(k.rows, row), append(k.ref, false)
+		return
 	}
-	l.rows = append([]int{row}, l.rows...)
+	for k.ref[k.hand] {
+		k.ref[k.hand] = false
+		k.hand = (k.hand + 1) % k.cap
+	}
+	k.rows[k.hand] = row
+	k.hand = (k.hand + 1) % k.cap
+}
+
+// state returns the resident rows with their reference bits.
+func (k *refClock) state() map[int]bool {
+	m := map[int]bool{}
+	for i, row := range k.rows {
+		m[row] = k.ref[i]
+	}
+	return m
 }
 
 // TestRouterBatchedRoute drives the two-pass route phase over the fake
@@ -542,9 +560,10 @@ func (l *refLRU) put(row int) {
 // cold cache, a partly warm one, one smaller than a single request's
 // distinct rows (so fill evicts rows it inserted a moment ago) and one that
 // holds everything. The per-shard row lists handed to Start are pinned as
-// literals — the parent commit's row-at-a-time route phase produces the
-// same ones — and every request is also checked against refLRU: gathers,
-// hit and miss counts, per-row heat and the exact LRU order afterwards.
+// literals — refClock gives the same ones as the LRU reference did, also
+// for "evicting" — and every request is also checked against refClock:
+// gathers, hit and miss counts, and the resident rows, their reference bits
+// and the hand afterwards.
 func TestRouterBatchedRoute(t *testing.T) {
 	const nodes, maxBatch, batch = 2, 3, 2
 	mc := testConfig(4, 2, 64, false, isa.RAdd)
@@ -584,12 +603,10 @@ func TestRouterBatchedRoute(t *testing.T) {
 				rec := record(newFakeTransport(t, golden, place))
 				r := NewRouter("fake", mc, place, maxBatch, rec, nil)
 				defer r.Close()
-				ref := make([]refLRU, nodes)
-				heat := make([]map[int]uint32, nodes)
+				ref := make([]refClock, nodes)
 				for s := range r.caches {
 					r.caches[s] = newRowCache(int64(tc.capRows*mc.EmbDim*4), mc.EmbDim, place.localRows[s])
 					ref[s].cap = min(tc.capRows, place.localRows[s])
-					heat[s] = map[int]uint32{}
 				}
 
 				serve := func(req [][]int) map[int][]int {
@@ -598,7 +615,6 @@ func TestRouterBatchedRoute(t *testing.T) {
 					for tab, rows := range req {
 						for _, row := range rows {
 							s, flat := place.Locate(tab, row)
-							heat[s][flat]++
 							if ref[s].touch(flat) {
 								wantHits[s]++
 								continue
@@ -648,8 +664,8 @@ func TestRouterBatchedRoute(t *testing.T) {
 							t.Fatalf("shard %d: %d hits %d misses, want %d and %d", s, h, m, wantHits[s], wantMisses[s])
 						}
 						probes += h + m
-						if order := lruRows(t, c); !slices.Equal(order, ref[s].rows) {
-							t.Fatalf("shard %d LRU order %v, want %v", s, order, ref[s].rows)
+						if got, want := clockState(t, c), ref[s].state(); !maps.Equal(got, want) || c.hand != ref[s].hand {
+							t.Fatalf("shard %d holds %v with the hand at %d, want %v at %d", s, got, c.hand, want, ref[s].hand)
 						}
 					}
 					if want := uint64(mc.Tables * batch * mc.Reduction); probes != want {
@@ -663,13 +679,6 @@ func TestRouterBatchedRoute(t *testing.T) {
 				}
 				if got := serve(tc.req); !reflect.DeepEqual(got, tc.gathers[strat]) {
 					t.Fatalf("Start saw %v, pinned %v", got, tc.gathers[strat])
-				}
-				for s, c := range r.caches {
-					for flat, h := range c.heat {
-						if h != heat[s][flat] {
-							t.Fatalf("shard %d row %d: heat %d after %d probes", s, flat, h, heat[s][flat])
-						}
-					}
 				}
 			})
 		}

@@ -42,31 +42,27 @@ func TestUnlocateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHotRowsRanking pins the heat accounting: rows probed more often rank
-// earlier, unprobed rows never appear, and k truncates.
+// TestHotRowsRanking pins the HotRows contract: resident rows only, those
+// hit since the sweep last passed them first, and k truncates.
 func TestHotRowsRanking(t *testing.T) {
 	const dim = 16
-	c := newRowCache(1024, dim, 64)
+	c := newRowCache(5*dim*4, dim, 64)
+	for _, r := range []int{3, 7, 2, 40, 9} {
+		c.put(r, vec(dim, float32(r)))
+	}
 	buf := make([]float32, dim)
-	for i := 0; i < 5; i++ {
-		c.getInto(7, buf)
+	for _, r := range []int{40, 7, 7, 50} { // 50 misses and is never resident
+		c.getInto(r, buf)
 	}
-	for i := 0; i < 3; i++ {
-		c.getInto(2, buf)
+	c.invalidate([]int{9})
+	if got, want := c.hotRows(10), []int{7, 40, 3, 2}; !slices.Equal(got, want) {
+		t.Fatalf("hotRows(10) = %v, want %v", got, want)
 	}
-	c.getInto(40, buf)
-	got := c.hotRows(10)
-	want := []int{7, 2, 40}
-	if len(got) != len(want) {
-		t.Fatalf("hotRows = %v, want %v", got, want)
+	if got, want := c.hotRows(3), []int{7, 40, 3}; !slices.Equal(got, want) {
+		t.Fatalf("hotRows(3) = %v, want %v", got, want)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("hotRows = %v, want %v", got, want)
-		}
-	}
-	if got := c.hotRows(2); len(got) != 2 || got[0] != 7 || got[1] != 2 {
-		t.Fatalf("hotRows(2) = %v, want [7 2]", got)
+	if got, want := c.hotRows(1), []int{7}; !slices.Equal(got, want) {
+		t.Fatalf("hotRows(1) = %v, want %v", got, want)
 	}
 	if got := newRowCache(1024, dim, 8).hotRows(4); len(got) != 0 {
 		t.Fatalf("cold cache hotRows = %v, want empty", got)

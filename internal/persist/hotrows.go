@@ -11,8 +11,8 @@ import (
 // hotMagic opens a hot-rows file: "TDHR" (TensorDIMM hot rows).
 const hotMagic = 0x54444852
 
-// SaveHotRows persists a shard's hot-row top-K (flat local row indices,
-// hottest first) to <dir>/shard-NNN/hotrows.dat, written tmp + fsync +
+// SaveHotRows persists a shard's hot-row list (flat local row indices, in
+// the order given) to <dir>/shard-NNN/hotrows.dat, written tmp + fsync +
 // rename so a crash never leaves a half-written file. An empty rows list
 // removes the file.
 func SaveHotRows(dir string, shard int, rows []int) error {
@@ -59,7 +59,7 @@ func SaveHotRows(dir string, shard int, rows []int) error {
 	return nil
 }
 
-// LoadHotRows reads a shard's persisted hot-row list, hottest first. A
+// LoadHotRows reads a shard's persisted hot-row list, in saved order. A
 // missing, truncated or corrupt file yields (nil, nil): pre-warming is
 // advisory, so a cold start is the correct fallback, never a boot
 // failure. Row indices are not range-checked here — the cache warmer

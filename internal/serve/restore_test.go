@@ -146,12 +146,73 @@ func depRow(t *testing.T, s *Server, r int) []float32 {
 	return dst[:s.geom.Dim]
 }
 
+// TestCloseWaitsForRunningRestore pins that Restore is an admitted caller
+// like a read or an update: with the gather barrier held shared, a Restore
+// parks on it after admission, and a Close begun meanwhile must wait in
+// its drain instead of releasing the deployment under the restore. Once
+// the barrier is released, Restore succeeds and then Close returns. Both
+// waits are observed by polling the goroutine stacks and s.closed, never
+// by sleeping.
+func TestCloseWaitsForRunningRestore(t *testing.T) {
+	cfg := testConfig(2, 1, 128, false, isa.RAdd)
+	s, err := New(Config{Workers: 1}, newDeployment(t, cfg, 8, 1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []int{3, 5}
+	vals := make([]float32, len(rows)*cfg.EmbDim)
+	s.tblMu.RLock()
+	restored, closed := make(chan error, 1), make(chan error, 1)
+	go func() { restored <- s.Restore(0, rows, vals) }()
+	for !parkedOnBarrier() {
+		select {
+		case err := <-restored:
+			s.tblMu.RUnlock()
+			t.Fatalf("Restore returned (err %v) while the gather barrier was held", err)
+		default:
+			goruntime.Gosched()
+		}
+	}
+	go func() { closed <- s.Close() }()
+	for !s.isClosed() || !parked("sync.(*WaitGroup).Wait", "serve.(*Server).Close") {
+		select {
+		case err := <-closed:
+			s.tblMu.RUnlock()
+			t.Fatalf("Close returned (err %v) while a restore was running", err)
+		default:
+			goruntime.Gosched()
+		}
+	}
+	if !parkedOnBarrier() {
+		s.tblMu.RUnlock()
+		t.Fatal("Restore stopped waiting on the barrier before it was released")
+	}
+	s.tblMu.RUnlock()
+	if err := <-restored; err != nil {
+		t.Fatalf("Restore after release: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+// isClosed reports whether Close has begun.
+func (s *Server) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
+}
+
 // parkedOnBarrier reports whether some goroutine is blocked in Restore on
 // an exclusive lock of the server's gather barrier.
-func parkedOnBarrier() bool {
+func parkedOnBarrier() bool { return parked("sync.(*RWMutex).Lock", "serve.(*Server).Restore") }
+
+// parked reports whether some goroutine's stack holds both the blocking
+// call wait and the caller in.
+func parked(wait, in string) bool {
 	buf := make([]byte, 1<<20)
 	for _, g := range strings.Split(string(buf[:goruntime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, "sync.(*RWMutex).Lock") && strings.Contains(g, "serve.(*Server).Restore") {
+		if strings.Contains(g, wait) && strings.Contains(g, in) {
 			return true
 		}
 	}

@@ -12,13 +12,14 @@ import (
 )
 
 // TestDeployTightSizingFits sweeps geometries through Deploy, whose node
-// holds exactly what the deployment reserves (perDIMMBytes, no headroom):
-// every deploy must fit, and so must the largest read and the largest
-// update the server accepts — the update staging its MaxBatch x reduction
-// gradient rows in the update lane's own buffer. Both reads bit-match the
-// golden model, before and after the update, so no buffer overlaps a
-// table. Geometries whose embedding does not fill whole node stripes are
-// skipped: DeployConcurrent refuses them whatever the node's size.
+// holds exactly what the deployment reserves (runtime.PerDIMMBytes, no
+// headroom): every deploy must fit, and so must the largest read and the
+// largest update the server accepts — the update staging its MaxBatch x
+// reduction gradient rows in the update lane's own buffer. Both reads
+// bit-match the golden model, before and after the update, so no buffer
+// overlaps a table. Geometries whose embedding does not fill whole node
+// stripes are skipped: DeployConcurrent refuses them whatever the node's
+// size.
 func TestDeployTightSizingFits(t *testing.T) {
 	const tableRows = 97
 	for _, tables := range []int{1, 3, 8} {

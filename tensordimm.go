@@ -347,15 +347,16 @@ func NewRemoteCluster(cfg RemoteConfig) (*RemoteCluster, error) {
 	return remote.New(cfg)
 }
 
-// SaveHotRows persists a shard's hot-row top-K (flat local row indices,
-// hottest first — Cluster.HotRows's output) under dir, written atomically.
+// SaveHotRows persists a shard's hot-row list (flat local row indices,
+// referenced rows first — Cluster.HotRows's output) under dir, written
+// atomically.
 // A serving process calls it at drain so the next boot can WarmCache
 // before admitting traffic; an empty list removes the file.
 func SaveHotRows(dir string, shard int, rows []int) error {
 	return persist.SaveHotRows(dir, shard, rows)
 }
 
-// LoadHotRows reads a shard's persisted hot-row list, hottest first. A
+// LoadHotRows reads a shard's persisted hot-row list, in saved order. A
 // missing or corrupt file yields (nil, nil) — pre-warming is advisory, so
 // a cold start is the fallback, never a boot failure.
 func LoadHotRows(dir string, shard int) ([]int, error) {
