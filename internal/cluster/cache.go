@@ -104,7 +104,9 @@ func newRowCache(capBytes int64, dim, localRows int) *rowCache {
 // dst[k*dim:]; the copy happens under the lock, so the caller owns a
 // stable snapshot without ever holding cache storage. probe returns the
 // version the whole batch was served at, which the caller passes to fill
-// with whatever it gathers for the misses.
+// with whatever it gathers for the misses. A counter whose share of the
+// batch is zero is not written, so an all-hit probe makes one shared atomic
+// write, not two.
 func (c *rowCache) probe(rows []int, hit []bool, dst []float32) uint64 {
 	dim, hits := c.dim, 0
 	c.mu.RLock()
@@ -122,8 +124,12 @@ func (c *rowCache) probe(rows []int, hit []bool, dst []float32) uint64 {
 	}
 	ver := c.version
 	c.mu.RUnlock()
-	c.hits.Add(uint64(hits))
-	c.misses.Add(uint64(len(rows) - hits))
+	if hits > 0 {
+		c.hits.Add(uint64(hits))
+	}
+	if misses := len(rows) - hits; misses > 0 {
+		c.misses.Add(uint64(misses))
+	}
 	return ver
 }
 

@@ -35,6 +35,15 @@
 // that the paper's pseudo code (Figure 9) prescribes, over real data, so
 // results can be compared bit-for-bit against the golden model in
 // internal/embed.
+//
+// Concurrent programs share a core. The instructions that only read tables
+// — GATHER, REDUCE and AVERAGE, which write nothing but their own program's
+// output tensor — hold the core's lock shared and run side by side;
+// SCATTER_ADD, the one instruction that writes a table other programs read,
+// holds it alone. The hardware's single FSM streams one instruction at a
+// time, but the paper's timing of that stream is the simulator's
+// (internal/core), so serializing host execution per core would buy no
+// fidelity, only lost host parallelism.
 package nmp
 
 import (
@@ -42,6 +51,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"tensordimm/internal/isa"
@@ -92,25 +102,39 @@ func (s Stats) ALUBusySeconds() float64 { return float64(s.ALUBlockOps) / ALUClo
 // Core is one NMP core, bound to TensorDIMM `TID` of a node with `NodeDim`
 // TensorDIMMs.
 //
-// A core executes one instruction at a time, like the hardware it models: a
-// single FSM in the buffer device drives the SRAM queues and the vector ALU.
-// Execute therefore serializes concurrent callers per core, while different
-// cores run fully in parallel — which is what lets concurrent programs over
-// disjoint pool regions interleave safely at instruction granularity.
+// The hardware core streams one instruction at a time: a single FSM in the
+// buffer device drives the SRAM queues and the vector ALU. The emulation
+// keeps only the ordering that is visible in memory. A SCATTER_ADD holds
+// the core's lock exclusively, so a concurrent read of its table sees each
+// of the core's 64-byte blocks either wholly before or wholly after the
+// update; GATHER, REDUCE and AVERAGE hold it shared and run concurrently
+// with one another, which is safe as long as concurrent programs write
+// disjoint pool regions (the runtime's per-lane and per-slot scratch).
+// Different cores share nothing and run fully in parallel.
 type Core struct {
 	TID     int
 	NodeDim int
 	env     Env
 
-	mu    sync.Mutex // serializes Execute; guards stats and high-water marks
-	stats Stats
-	// Maximum occupancy the A, B and C queues would have reached. The FSM
-	// pops every block it pushes before it fetches the next, so a queue an
-	// opcode stages through peaks at one block.
-	hwA, hwB, hwOut int
-	// touched sinks GATHER's touch-ahead loads (see touch); its value means
-	// nothing.
-	touched byte
+	// mu is held shared by the reading opcodes and exclusively by
+	// SCATTER_ADD (see Execute). It guards the rank's bytes, not the
+	// counters: those are atomics, added once per retired instruction.
+	mu    sync.RWMutex
+	stats counters
+	// stagedB records that an instruction staged operands through queue B
+	// (REDUCE, SCATTER_ADD). The FSM pops every block it pushes before it
+	// fetches the next, so each queue an opcode stages through peaks at one
+	// block: A and C after any instruction, B after one of those.
+	stagedB atomic.Bool
+	// touched sinks GATHER's touch-ahead loads (see touch), one store per
+	// instruction; its value means nothing.
+	touched atomic.Uint32
+}
+
+// counters is Stats as atomics, so that concurrent instructions holding
+// the lock shared can retire without a lock of their own.
+type counters struct {
+	blocksRead, blocksWritten, sharedReads, aluBlockOps, instructions atomic.Uint64
 }
 
 // NewCore builds a core for DIMM tid of nodeDim.
@@ -124,24 +148,39 @@ func NewCore(tid, nodeDim int, env Env) (*Core, error) {
 	return &Core{TID: tid, NodeDim: nodeDim, env: env}, nil
 }
 
-// Stats returns a copy of the datapath counters.
+// Stats returns the datapath counters. Each counter is exact: a retired
+// instruction has added all of its counts before Execute returns. A call
+// that races with running instructions may see some of an instruction's
+// counts and not yet the rest; once the core is quiet, the snapshot is the
+// exact total.
 func (c *Core) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stats
+	s := &c.stats
+	return Stats{
+		BlocksRead:    s.blocksRead.Load(),
+		BlocksWritten: s.blocksWritten.Load(),
+		SharedReads:   s.sharedReads.Load(),
+		ALUBlockOps:   s.aluBlockOps.Load(),
+		Instructions:  s.instructions.Load(),
+	}
 }
 
 // QueueHighWater returns the maximum occupancy reached by the A, B and C
 // queues, to validate the paper's 0.5 KB sizing.
 func (c *Core) QueueHighWater() (a, b, out int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hwA, c.hwB, c.hwOut
+	if c.stats.instructions.Load() > 0 {
+		a, out = 1, 1
+	}
+	if c.stagedB.Load() {
+		b = 1
+	}
+	return a, b, out
 }
 
 // Execute runs one TensorISA instruction on this core's slice of the
-// operation, per the pseudo-code of Figure 9. Concurrent calls serialize on
-// the core (see the type comment).
+// operation, per the pseudo-code of Figure 9. SCATTER_ADD holds the core's
+// lock exclusively; every other opcode holds it shared, so concurrent
+// GATHER, REDUCE and AVERAGE calls run at once, and each waits only for a
+// SCATTER_ADD (see the type comment).
 //
 // Every base must be stripe-aligned (a multiple of NodeDim blocks): the
 // core's block of stripe s is then local block base/NodeDim + s, whereas a
@@ -155,8 +194,13 @@ func (c *Core) Execute(in isa.Instruction) error {
 	if err := in.Validate(); err != nil {
 		return err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	if in.Op == isa.OpScatterAdd {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	} else {
+		c.mu.RLock()
+		defer c.mu.RUnlock()
+	}
 	var err error
 	m := c.env.Local()
 	switch in.Op {
@@ -180,33 +224,32 @@ func (c *Core) Execute(in isa.Instruction) error {
 // retire adds what the block-at-a-time FSM of Figure 9 counts for one
 // completed instruction of n = Count: block reads and writes, one ALU
 // operation per block pair — AVERAGE: per accumulated block plus the divide
-// — one shared read per 16 indices, and the queue occupancy. The FSM pops
-// every block it pushes before it fetches the next, so each queue an opcode
-// stages through peaks at one block: GATHER forwards A to C, AVERAGE
-// accumulates out of A alone, REDUCE and SCATTER_ADD pop an operand pair
-// from A and B.
+// — one shared read per 16 indices, and the queue occupancy. GATHER
+// forwards A to C, AVERAGE accumulates out of A alone, REDUCE and
+// SCATTER_ADD pop an operand pair from A and B. The counters are atomics,
+// so instructions that share the core's lock retire side by side.
 func (c *Core) retire(in isa.Instruction) {
 	n := uint64(in.Count)
 	s := &c.stats
-	s.Instructions++
-	s.BlocksWritten += n
-	c.hwA, c.hwOut = 1, 1
+	s.instructions.Add(1)
+	s.blocksWritten.Add(n)
 	switch in.Op {
 	case isa.OpGather:
-		s.SharedReads += n / isa.LanesPerBlock
-		s.BlocksRead += n
+		s.sharedReads.Add(n / isa.LanesPerBlock)
+		s.blocksRead.Add(n)
 	case isa.OpReduce:
-		s.BlocksRead += 2 * n
-		s.ALUBlockOps += n
-		c.hwB = 1
+		s.blocksRead.Add(2 * n)
+		s.aluBlockOps.Add(n)
 	case isa.OpAverage:
-		s.BlocksRead += in.Aux * n
-		s.ALUBlockOps += (in.Aux + 1) * n
+		s.blocksRead.Add(in.Aux * n)
+		s.aluBlockOps.Add((in.Aux + 1) * n)
 	case isa.OpScatterAdd:
-		s.SharedReads += n / isa.LanesPerBlock
-		s.BlocksRead += 2 * n
-		s.ALUBlockOps += n
-		c.hwB = 1
+		s.sharedReads.Add(n / isa.LanesPerBlock)
+		s.blocksRead.Add(2 * n)
+		s.aluBlockOps.Add(n)
+	}
+	if (in.Op == isa.OpReduce || in.Op == isa.OpScatterAdd) && !c.stagedB.Load() {
+		c.stagedB.Store(true)
 	}
 }
 
@@ -289,9 +332,9 @@ func (c *Core) gather(in isa.Instruction, m []byte) error {
 		return err
 	}
 	n := uint64(in.Count)
-	c.touch(m, idx[:4*min(n, gatherWindow)], table, rows)
+	sum := touch(m, idx[:4*min(n, gatherWindow)], table, rows)
 	for i, end := uint64(0), min(n, gatherWindow); i < n; end = min(n, end+gatherWindow) {
-		c.touch(m, idx[4*end:4*min(n, end+gatherWindow)], table, rows)
+		sum += touch(m, idx[4*end:4*min(n, end+gatherWindow)], table, rows)
 		for i < end {
 			first := uint64(binary.NativeEndian.Uint32(idx[i*4:]))
 			run := uint64(1)
@@ -316,22 +359,23 @@ func (c *Core) gather(in isa.Instruction, m []byte) error {
 			i += run
 		}
 	}
+	c.touched.Store(uint32(sum))
 	return nil
 }
 
 // touch issues one plain load of the first byte of each table block that an
 // index of idx names, skipping an index past the rank (the copy refuses it).
-// The loads are independent, so their misses overlap; they sum into
-// c.touched only so that the compiler keeps them. A touch moves no data and
-// counts nothing in Stats.
-func (c *Core) touch(m, idx []byte, table, rows uint64) {
+// The loads are independent, so their misses overlap; gather sums what they
+// return into Core.touched once per instruction, only so that the compiler
+// keeps them. A touch moves no data and counts nothing in Stats.
+func touch(m, idx []byte, table, rows uint64) byte {
 	var sum byte
 	for o := 0; o+4 <= len(idx); o += 4 {
 		if r := uint64(binary.NativeEndian.Uint32(idx[o:])); r < rows {
 			sum += m[(table+r)*isa.BlockBytes]
 		}
 	}
-	c.touched += sum
+	return sum
 }
 
 // reduce implements Figure 9(b): C = A <OP> B, as one loop over the three

@@ -252,10 +252,13 @@ func (n *Node) LoadIndices(base uint64, indices []int32) error {
 // the lowest-numbered failing DIMM.
 //
 // Execute is safe to call concurrently with other Execute, Read and Write
-// calls as long as the programs touch disjoint pool regions (each core
-// serializes its own instruction stream, so concurrent programs interleave
-// at instruction granularity). The runtime's per-lane scratch partitioning
-// guarantees disjointness for concurrent inference batches.
+// calls as long as the programs write disjoint pool regions. On each core,
+// GATHER, REDUCE and AVERAGE of concurrent programs run at once (they hold
+// the core's lock shared), and a SCATTER_ADD runs alone, so a program that
+// reads a table another program scatter-adds into sees each of the core's
+// 64-byte blocks wholly before or wholly after each update. The runtime's
+// per-lane and per-slot scratch partitioning guarantees disjoint outputs
+// for concurrent inference batches.
 func (n *Node) Execute(p isa.Program) error {
 	if err := p.Validate(); err != nil {
 		return err

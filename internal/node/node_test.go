@@ -1,6 +1,7 @@
 package node
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -10,6 +11,7 @@ import (
 
 	"tensordimm/internal/embed"
 	"tensordimm/internal/isa"
+	"tensordimm/internal/nmp"
 	"tensordimm/internal/tensor"
 )
 
@@ -525,5 +527,134 @@ func TestConcurrentExecuteDisjointRegions(t *testing.T) {
 		if !tensor.Equal(got, want) {
 			t.Fatalf("worker %d: concurrent GATHER differs from golden model", w)
 		}
+	}
+}
+
+// TestCoreStatsExactUnderConcurrency: readers hold each core's lock shared
+// and a SCATTER_ADD holds it alone, so the cores' counters take no lock,
+// yet nothing is lost. N goroutines run M four-instruction read programs
+// each while another applies K scatter-adds to the table they gather from
+// and a fourth samples Stats; once all are done, Node.Stats must equal the
+// sum of what each instruction counts on each DIMM.
+func TestCoreStatsExactUnderConcurrency(t *testing.T) {
+	const dimms, dim, count = 4, 64, 16 // one stripe per row
+	const N, M, K = 4, 50, 50
+	n := testNode(t, dimms)
+	tb, _ := embed.NewRandomTable(256, dim, 5)
+	table, _ := n.Alloc(uint64(tb.Bytes()))
+	uploadTable(t, n, tb, table)
+	rowBytes := uint64(dim * 4)
+	alloc := func(bytes uint64) uint64 {
+		base, err := n.Alloc(bytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base / isa.BlockBytes
+	}
+	// Each goroutine, the scatter-adder included, gets its own index list:
+	// rows 0, 16, 32, ... 240.
+	idx := make([]int32, count)
+	for i := range idx {
+		idx[i] = int32(i * 16)
+	}
+	idxBase := func(g int) uint64 {
+		base := uint64(1<<18) + uint64(g)*4096
+		if err := n.LoadIndices(base, idx); err != nil {
+			t.Fatal(err)
+		}
+		return base / isa.BlockBytes
+	}
+	grads := make([]float32, count*dim)
+	for i := range grads {
+		grads[i] = 0.25
+	}
+	gradBase := alloc(count * rowBytes)
+	if err := n.WriteFloats(gradBase*isa.BlockBytes, grads); err != nil {
+		t.Fatal(err)
+	}
+	tbl := table / isa.BlockBytes
+	scatter := isa.Program{isa.ScatterAdd(tbl, idxBase(N), gradBase, count)}
+
+	var wg sync.WaitGroup
+	errs := make([]error, N+1)
+	for g := 0; g < N; g++ {
+		a, b, c, d := alloc(count*rowBytes), alloc(count*rowBytes), alloc(count*rowBytes), alloc(count/2*rowBytes)
+		ib := idxBase(g)
+		prog := isa.Program{
+			isa.Gather(tbl, ib, a, count),
+			isa.Gather(tbl, ib, b, count),
+			isa.Reduce(isa.RAdd, a, b, c, count),
+			isa.Average(a, 2, d, count/2),
+		}
+		wg.Add(1)
+		go func(err *error) {
+			defer wg.Done()
+			for m := 0; m < M && *err == nil; m++ {
+				*err = n.Execute(prog)
+			}
+		}(&errs[g])
+	}
+	wg.Add(1)
+	go func(err *error) {
+		defer wg.Done()
+		for k := 0; k < K && *err == nil; k++ {
+			*err = n.Execute(scatter)
+		}
+	}(&errs[N])
+	stop := make(chan struct{})
+	sampled := make(chan error, 1)
+	go func() {
+		var last uint64
+		for {
+			select {
+			case <-stop:
+				sampled <- nil
+				return
+			default:
+			}
+			s := n.Stats()
+			if s.Instructions < last {
+				sampled <- fmt.Errorf("Instructions went back from %d to %d", last, s.Instructions)
+				return
+			}
+			last = s.Instructions
+			runtime.Gosched()
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-sampled; err != nil {
+		t.Fatal(err)
+	}
+	for g, err := range errs {
+		if err != nil {
+			t.Fatalf("goroutine %d: %v", g, err)
+		}
+	}
+
+	// What one core counts per instruction (nmp.Core.retire): Count blocks
+	// written each; GATHER reads Count and one index block per 16 indices,
+	// REDUCE reads two operands and does one ALU op per block pair,
+	// AVERAGE of group 2 reads 2*Count and does 3*Count ALU ops,
+	// SCATTER_ADD reads row and gradient and adds them.
+	gather := nmp.Stats{Instructions: 1, BlocksRead: count, BlocksWritten: count, SharedReads: 1}
+	reduce := nmp.Stats{Instructions: 1, BlocksRead: 2 * count, BlocksWritten: count, ALUBlockOps: count}
+	average := nmp.Stats{Instructions: 1, BlocksRead: count, BlocksWritten: count / 2, ALUBlockOps: 3 * count / 2}
+	scatterAdd := nmp.Stats{Instructions: 1, BlocksRead: 2 * count, BlocksWritten: count, SharedReads: 1, ALUBlockOps: count}
+	var want nmp.Stats
+	add := func(s nmp.Stats, times uint64) {
+		want.Instructions += s.Instructions * times
+		want.BlocksRead += s.BlocksRead * times
+		want.BlocksWritten += s.BlocksWritten * times
+		want.SharedReads += s.SharedReads * times
+		want.ALUBlockOps += s.ALUBlockOps * times
+	}
+	progs := uint64(dimms * N * M)
+	add(gather, 2*progs)
+	add(reduce, progs)
+	add(average, progs)
+	add(scatterAdd, dimms*K)
+	if got := n.Stats(); got != want {
+		t.Fatalf("Stats after the run:\n got  %+v\n want %+v", got, want)
 	}
 }

@@ -596,9 +596,10 @@ func CheckUpdates(ups []TableUpdate, g wire.Geometry) error {
 //
 // An update races with concurrent inferences reading the same table —
 // exactly as asynchronous training against a live serving replica would.
-// Ordering between a racing read and update is per stripe (each DIMM's
-// NMP core serializes its own execution): a read of a row that spans
-// multiple stripes may observe some stripes pre-update and some post.
+// Ordering between a racing read and update is per 64-byte block, one
+// DIMM's share of a stripe (each NMP core runs a SCATTER_ADD alone, while
+// gathers share the core): a read of a row may observe some blocks
+// pre-update and some post, never a block half-written.
 // Reads issued after ApplyUpdates returns observe the whole update;
 // callers that need consistent snapshots during updates must quiesce
 // first.

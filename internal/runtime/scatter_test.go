@@ -1,8 +1,11 @@
 package runtime
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tensordimm/internal/isa"
@@ -282,4 +285,111 @@ func TestUpdateTableValidation(t *testing.T) {
 	if err := d.ApplyUpdates([]TableUpdate{{Table: 0, Rows: []int{1, 2}, Grads: bad}}); err == nil {
 		t.Fatal("want dim error")
 	}
+}
+
+// TestRacingReadSeesWholeStripes pins ARCHITECTURE's read/update rule 2: a
+// read that races an update sees each 64-byte block of a row — one DIMM's
+// share of a stripe — wholly before or wholly after each scatter-add, never
+// half-written. A reduction-1 table makes the outputs raw rows; readers
+// gather the updated rows while one writer applies n updates to them, and
+// every block read must equal that block of some version 0..n of the
+// table, precomputed with AccumulateGolden.
+func TestRacingReadSeesWholeStripes(t *testing.T) {
+	cfg := smallConfig("race", 1, 1, 256, false, isa.RAdd) // 4 stripes on 4 DIMMs
+	m, err := recsys.Build(cfg, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := DeployConcurrent(m, newNode(t, 4), 8, 3, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden, err := recsys.Build(cfg, 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := []int{3, 17, 42, 99, 150}
+	const n, readers = 40, 3
+	rng := rand.New(rand.NewSource(9))
+	ups := make([]TableUpdate, n)
+	// versions[k][i] is row rows[i] after the first k updates.
+	versions := make([][][]float32, n+1)
+	snap := func() [][]float32 {
+		v := make([][]float32, len(rows))
+		for i, r := range rows {
+			v[i] = append([]float32(nil), golden.Embedding.Tables[0].Row(r)...)
+		}
+		return v
+	}
+	versions[0] = snap()
+	for k := range ups {
+		grads := tensor.New(len(rows), cfg.EmbDim)
+		for i := range grads.Data() {
+			grads.Data()[i] = 0.5 + rng.Float32() // never 0: every block changes
+		}
+		ups[k] = TableUpdate{Table: 0, Rows: rows, Grads: grads}
+		AccumulateGolden(golden.Embedding.Tables[0], ups[k])
+		versions[k+1] = snap()
+	}
+
+	var wg sync.WaitGroup
+	var written atomic.Bool
+	errs := make([]error, readers+1)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer written.Store(true)
+		for _, up := range ups {
+			if errs[readers] = d.ApplyUpdates([]TableUpdate{up}); errs[readers] != nil {
+				return
+			}
+		}
+	}()
+	for g := 0; g < readers; g++ {
+		wg.Add(1)
+		go func(err *error) {
+			defer wg.Done()
+			dst := make([]float32, len(rows)*cfg.EmbDim)
+			for reads := 0; !written.Load() || reads < 3; reads++ {
+				if *err = d.RunEmbeddingInto(dst, [][]int{rows}, len(rows)); *err != nil {
+					return
+				}
+				if *err = wholeBlocks(dst, rows, versions, cfg.EmbDim); *err != nil {
+					return
+				}
+			}
+		}(&errs[g])
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Quiesced, a read sees the last version whole.
+	dst := make([]float32, len(rows)*cfg.EmbDim)
+	if err := d.RunEmbeddingInto(dst, [][]int{rows}, len(rows)); err != nil {
+		t.Fatal(err)
+	}
+	if err := wholeBlocks(dst, rows, versions[n:], cfg.EmbDim); err != nil {
+		t.Fatalf("after all updates: %v", err)
+	}
+}
+
+// wholeBlocks checks that every 16-float block of the gathered rows in dst
+// equals the same block of one of the versions.
+func wholeBlocks(dst []float32, rows []int, versions [][][]float32, dim int) error {
+	for i, r := range rows {
+		got := dst[i*dim : (i+1)*dim]
+	blocks:
+		for b := 0; b < dim; b += isa.LanesPerBlock {
+			for _, v := range versions {
+				if slices.Equal(got[b:b+isa.LanesPerBlock], v[i][b:b+isa.LanesPerBlock]) {
+					continue blocks
+				}
+			}
+			return fmt.Errorf("row %d floats [%d, %d): %v matches no version of the block", r, b, b+isa.LanesPerBlock, got[b:b+isa.LanesPerBlock])
+		}
+	}
+	return nil
 }

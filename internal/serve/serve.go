@@ -177,11 +177,12 @@ type Server struct {
 
 	// tblMu guards table memory against Restore: merged-batch gathers hold
 	// it shared, Restore holds it exclusively. Updates need no share — their
-	// scatter-adds are NMP instructions and serialize with gathers on each
-	// core's mutex — but Restore writes table rows directly (WriteFloats
-	// bypasses the cores by design; see Restore) and would otherwise tear
-	// rows under a concurrent gather. Writes are ordered against each other
-	// by the deployment's own update lock, not here.
+	// scatter-adds are NMP instructions, and each core runs a SCATTER_ADD
+	// with its lock held alone, gathers with it shared — but Restore writes
+	// table rows directly (WriteFloats bypasses the cores by design; see
+	// Restore) and would otherwise tear rows under a concurrent gather.
+	// Writes are ordered against each other by the deployment's own update
+	// lock, not here.
 	tblMu sync.RWMutex
 
 	requests atomic.Uint64
