@@ -28,6 +28,7 @@ var contractPackages = []string{
 	"internal/wire", "internal/netserve", "internal/netclient",
 	"internal/remote", "internal/faultnet",
 	"internal/persist", "internal/chaos", "internal/telemetry",
+	"internal/gate",
 }
 
 func main() {

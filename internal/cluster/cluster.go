@@ -164,13 +164,12 @@ type shard struct {
 	srv   *serve.Server
 	cache *rowCache // nil when caching is disabled
 
+	// The fabric byte series are derived from the two row counts (see
+	// Instrument): a row moves 4 index bytes out and EmbBytes back.
 	subRequests  atomic.Uint64
 	rowsGathered atomic.Uint64
-	partialBytes atomic.Uint64 // gathered rows shipped shard -> router
-	indexBytes   atomic.Uint64 // index lists shipped router -> shard
 	subUpdates   atomic.Uint64 // sub-updates routed here
 	rowsUpdated  atomic.Uint64 // gradient rows scattered near-memory
-	updateBytes  atomic.Uint64 // indices + gradients shipped router -> shard
 }
 
 // Cluster is a sharded multi-node serving system for one recommender
@@ -301,8 +300,6 @@ func (lc *localCall) Wait(s int) ([]float32, error) {
 	rowBytes := int64(n) * lc.c.mc.EmbBytes()
 	sh.subRequests.Add(1)
 	sh.rowsGathered.Add(uint64(n))
-	sh.indexBytes.Add(uint64(idxBytes))
-	sh.partialBytes.Add(uint64(rowBytes))
 	lc.fabric[s] = idxBytes + rowBytes
 	return out, nil
 }
@@ -323,10 +320,8 @@ func (t localTransport) Update(s int, sub runtime.TableUpdate) error {
 	if err := sh.srv.Update([]runtime.TableUpdate{sub}); err != nil {
 		return fmt.Errorf("cluster: shard %d update: %w", s, err)
 	}
-	n := int64(len(sub.Rows))
 	sh.subUpdates.Add(1)
-	sh.rowsUpdated.Add(uint64(n))
-	sh.updateBytes.Add(uint64(n*4 + n*t.c.mc.EmbBytes()))
+	sh.rowsUpdated.Add(uint64(len(sub.Rows)))
 	return nil
 }
 
@@ -427,21 +422,22 @@ func (c *Cluster) WarmCache(shard int, flatRows []int) (int, error) {
 }
 
 // Close stops accepting requests, waits for every in-flight request and
-// update to drain (Router.Close), shuts down
-// every shard server (draining whatever they already accepted), releases
-// the shard deployments, and closes the shard nodes. It is idempotent.
+// update to drain (Router.Close), shuts down every shard server (draining
+// whatever they already accepted), releases the shard deployments, and
+// closes the shard nodes. It is idempotent: every call, concurrent ones
+// included, returns only after the shards are closed, with the first
+// shard's error.
 func (c *Cluster) Close() error {
-	if !c.router.Close() {
-		return nil
-	}
-	var first error
-	for _, sh := range c.shard {
-		if sh == nil || sh.srv == nil {
-			continue
+	return c.router.Close(func() error {
+		var first error
+		for _, sh := range c.shard {
+			if sh.srv == nil {
+				continue
+			}
+			if err := sh.srv.Close(); err != nil && first == nil {
+				first = err
+			}
 		}
-		if err := sh.srv.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+		return first
+	})
 }

@@ -27,15 +27,23 @@ func (c *Cluster) Instrument(reg *telemetry.Registry, labels ...telemetry.Label)
 	reg.RegisterHistogram("tensordimm_cluster_update_fabric_seconds", "modeled fabric transfer time per update batch", c.updFabric, labels...)
 	r.tracer = reg.Tracer("cluster", 0, []string{"route", "gather", "merge"}, labels...)
 
+	embBytes := uint64(c.mc.EmbBytes())
 	for _, sh := range c.shard {
+		sh := sh // captured by the derived byte series
 		lbl := append(append([]telemetry.Label{}, labels...), telemetry.L("shard", strconv.Itoa(sh.id)))
 		reg.Counter("tensordimm_cluster_sub_requests_total", "sub-requests dispatched to this shard", sh.subRequests.Load, lbl...)
 		reg.Counter("tensordimm_cluster_rows_gathered_total", "embedding rows gathered from this shard", sh.rowsGathered.Load, lbl...)
-		reg.Counter("tensordimm_cluster_partial_bytes_total", "gathered row bytes shipped shard to router", sh.partialBytes.Load, lbl...)
-		reg.Counter("tensordimm_cluster_index_bytes_total", "index list bytes shipped router to shard", sh.indexBytes.Load, lbl...)
+		reg.Counter("tensordimm_cluster_partial_bytes_total", "gathered row bytes shipped shard to router", func() uint64 {
+			return sh.rowsGathered.Load() * embBytes
+		}, lbl...)
+		reg.Counter("tensordimm_cluster_index_bytes_total", "index list bytes shipped router to shard", func() uint64 {
+			return sh.rowsGathered.Load() * 4
+		}, lbl...)
 		reg.Counter("tensordimm_cluster_sub_updates_total", "sub-updates routed to this shard", sh.subUpdates.Load, lbl...)
 		reg.Counter("tensordimm_cluster_rows_updated_total", "gradient rows scattered near-memory on this shard", sh.rowsUpdated.Load, lbl...)
-		reg.Counter("tensordimm_cluster_update_bytes_total", "update bytes shipped router to shard", sh.updateBytes.Load, lbl...)
+		reg.Counter("tensordimm_cluster_update_bytes_total", "update bytes shipped router to shard", func() uint64 {
+			return sh.rowsUpdated.Load() * (4 + embBytes)
+		}, lbl...)
 		if cache := sh.cache; cache != nil {
 			reg.Counter("tensordimm_cluster_cache_hits_total", "hot-row cache hits", cache.hits.Load, lbl...)
 			reg.Counter("tensordimm_cluster_cache_misses_total", "hot-row cache misses", cache.misses.Load, lbl...)

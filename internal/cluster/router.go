@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tensordimm/internal/gate"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
 	"tensordimm/internal/telemetry"
@@ -104,12 +105,10 @@ type Router struct {
 
 	scratchPool sync.Pool
 
-	// runMu guards the closed flag against the in-flight counter so Close
-	// can wait for every running operation before the owner tears the
-	// shards down.
-	runMu    sync.Mutex
-	closed   atomic.Bool
-	inflight sync.WaitGroup
+	// gate admits reads and updates until Close, which drains them before
+	// the owner's teardown; errClosed is what a refused one returns.
+	gate      gate.Gate
+	errClosed error
 
 	// tableMu serializes updates per global table: float accumulation is
 	// not associative, so per-table ordering — across the shard commits, the
@@ -128,15 +127,16 @@ type Router struct {
 // own admission behind) bounds the sub-requests in flight.
 func NewRouter(name string, mc recsys.Config, place *Placement, maxBatch int, tr Transport, applied func(runtime.TableUpdate)) *Router {
 	r := &Router{
-		Latency: telemetry.NewHistogram(),
-		name:    name,
-		geom:    wire.Geometry{Tables: mc.Tables, Reduction: mc.Reduction, Dim: mc.EmbDim, TableRows: mc.TableRows, MaxBatch: maxBatch},
-		place:   place,
-		merger:  Merger{Tables: mc.Tables, Dim: mc.EmbDim, Reduction: mc.Reduction, Mean: mc.Mean, Op: mc.Op},
-		tr:      tr,
-		caches:  make([]*rowCache, place.nodes),
-		applied: applied,
-		tableMu: make([]sync.Mutex, mc.Tables),
+		Latency:   telemetry.NewHistogram(),
+		name:      name,
+		errClosed: fmt.Errorf("%s: router is closed", name),
+		geom:      wire.Geometry{Tables: mc.Tables, Reduction: mc.Reduction, Dim: mc.EmbDim, TableRows: mc.TableRows, MaxBatch: maxBatch},
+		place:     place,
+		merger:    Merger{Tables: mc.Tables, Dim: mc.EmbDim, Reduction: mc.Reduction, Mean: mc.Mean, Op: mc.Op},
+		tr:        tr,
+		caches:    make([]*rowCache, place.nodes),
+		applied:   applied,
+		tableMu:   make([]sync.Mutex, mc.Tables),
 	}
 	r.scratchPool.New = func() any { return r.newScratch() }
 	return r
@@ -281,31 +281,11 @@ func (r *Router) EmbedInto(dst []float32, perTableRows [][]int, batch int) ([]fl
 // checks every read and update against — what a network front announces.
 func (r *Router) Geometry() wire.Geometry { return r.geom }
 
-// enter registers one in-flight operation, failing once the router is
-// closed; the matching r.inflight.Done() lets Close drain before teardown.
-func (r *Router) enter() error {
-	r.runMu.Lock()
-	defer r.runMu.Unlock()
-	if r.closed.Load() {
-		return fmt.Errorf("%s: router is closed", r.name)
-	}
-	r.inflight.Add(1)
-	return nil
-}
-
-// Close stops admitting operations and waits for every in-flight read and
-// update to drain. It reports whether this call closed the router (false:
-// it already was), so the owner tears its shards down exactly once.
-func (r *Router) Close() bool {
-	r.runMu.Lock()
-	already := r.closed.Swap(true)
-	r.runMu.Unlock()
-	if already {
-		return false
-	}
-	r.inflight.Wait()
-	return true
-}
+// Close stops admitting operations, waits for every in-flight read (a
+// started one until its Pending.Wait) and update to drain, and then runs
+// the owner's teardown (nil for none) exactly once. Every call, concurrent
+// ones included, returns only after the teardown has run, with its error.
+func (r *Router) Close(teardown func() error) error { return r.gate.Close(teardown) }
 
 // Pending is a read started on a Router and not yet awaited: the handle
 // Router.StartEmbedInto returns. It is owned by one goroutine at a time
@@ -328,8 +308,8 @@ func (r *Router) StartEmbedInto(dst []float32, perTableRows [][]int, batch int) 
 		dst = make([]float32, need)
 	}
 	start := time.Now()
-	if err := r.enter(); err != nil {
-		return Pending{}, err
+	if !r.gate.Enter() {
+		return Pending{}, r.errClosed
 	}
 	lookups := batch * r.geom.Reduction
 	dim := r.geom.Dim
@@ -414,7 +394,7 @@ func (p Pending) Wait() ([]float32, error) {
 	scr.dst = nil
 	err := r.finish(scr, dst)
 	r.scratchPool.Put(scr)
-	r.inflight.Done()
+	r.gate.Exit()
 	if err != nil {
 		return nil, err
 	}
@@ -489,10 +469,10 @@ func (r *Router) warmCache(s int, flatRows []int) (int, error) {
 	if cache == nil || len(flatRows) == 0 {
 		return 0, nil
 	}
-	if err := r.enter(); err != nil {
-		return 0, err
+	if !r.gate.Enter() {
+		return 0, r.errClosed
 	}
-	defer r.inflight.Done()
+	defer r.gate.Exit()
 	localRows := r.place.LocalRows(s)
 	rows := make([]int, 0, min(len(flatRows), localRows))
 	for _, flat := range flatRows {
@@ -536,10 +516,10 @@ func (r *Router) ApplyUpdates(ups []runtime.TableUpdate) error {
 	if err := runtime.CheckUpdates(ups, r.geom); err != nil {
 		return fmt.Errorf("%s: %w", r.name, err)
 	}
-	if err := r.enter(); err != nil {
-		return err
+	if !r.gate.Enter() {
+		return r.errClosed
 	}
-	defer r.inflight.Done()
+	defer r.gate.Exit()
 	rows := 0
 	for _, up := range ups {
 		r.tableMu[up.Table].Lock()

@@ -275,7 +275,7 @@ func TestRouterConformance(t *testing.T) {
 			fake := NewRouter("fake", mc, place, maxBatch, fakeRec, func(up runtime.TableUpdate) {
 				runtime.AccumulateGolden(golden.Embedding.Tables[up.Table], up)
 			})
-			defer fake.Close()
+			defer fake.Close(nil)
 
 			reqs, batches := conformanceRequests(mc, maxBatch)
 			read := func(phase string) {
@@ -378,7 +378,7 @@ func TestRouterFailingShard(t *testing.T) {
 	place := NewPlacement(TableWise, nodes, mc.Tables, mc.TableRows)
 	ft := newFakeTransport(t, m, place)
 	r := NewRouter("fake", mc, place, maxBatch, ft, nil)
-	defer r.Close()
+	defer r.Close(nil)
 	reqs, batches := conformanceRequests(mc, maxBatch)
 
 	ft.failOn = 0
@@ -434,7 +434,7 @@ func TestRouterUpdateStopsAtFailedEntry(t *testing.T) {
 	r := NewRouter("fake", mc, place, maxBatch, rec, func(up runtime.TableUpdate) {
 		applied = append(applied, up)
 	})
-	defer r.Close()
+	defer r.Close(nil)
 
 	grads := tensor.New(2, mc.EmbDim)
 	grads.Fill(0.25)
@@ -473,7 +473,7 @@ func TestRouterInFlightWidth(t *testing.T) {
 	ft := newFakeTransport(t, m, place)
 	ft.gate, ft.gateWant = make(chan struct{}), readers*nodes
 	r := NewRouter("fake", mc, place, maxBatch, ft, nil)
-	defer r.Close()
+	defer r.Close(nil)
 	reqs, batches := conformanceRequests(mc, maxBatch)
 	want, err := m.Embedding.Forward(reqs[0], batches[0])
 	if err != nil {
@@ -602,7 +602,7 @@ func TestRouterBatchedRoute(t *testing.T) {
 				place := NewPlacement(strat, nodes, mc.Tables, mc.TableRows)
 				rec := record(newFakeTransport(t, golden, place))
 				r := NewRouter("fake", mc, place, maxBatch, rec, nil)
-				defer r.Close()
+				defer r.Close(nil)
 				ref := make([]refClock, nodes)
 				for s := range r.caches {
 					r.caches[s] = newRowCache(int64(tc.capRows*mc.EmbDim*4), mc.EmbDim, place.localRows[s])

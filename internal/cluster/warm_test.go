@@ -178,7 +178,7 @@ func TestWarmCacheCountsOnlyCachedRows(t *testing.T) {
 	r := NewRouter("fake", mc, place, maxBatch, hook, func(up runtime.TableUpdate) {
 		runtime.AccumulateGolden(golden.Embedding.Tables[up.Table], up)
 	})
-	defer r.Close()
+	defer r.Close(nil)
 	cache := newRowCache(1<<20, mc.EmbDim, place.localRows[0])
 	r.caches[0] = cache
 

@@ -244,39 +244,3 @@ func Speedup(a, b DesignPoint, cfg recsys.Config, batch int, p Platform) float64
 func NormalizedPerf(dp DesignPoint, cfg recsys.Config, batch int, p Platform) float64 {
 	return Speedup(dp, GPUOnly, cfg, batch, p)
 }
-
-// SimulateShared costs one inference when nGPUs GPUs serve inferences
-// concurrently against shared resources (Section 4.3: the TensorNode is an
-// NVSwitch endpoint that every GPU can reach). Shared resources divide
-// their bandwidth/throughput across the GPUs: the TensorNode's internal
-// DRAM bandwidth (TDIMM), the pool's internal bandwidth (PMEM), or the
-// host CPU (CPU-only / CPU-GPU). Per-GPU resources — the NVSwitch port of
-// each GPU, its HBM and its SMs — are private, which is what makes TDIMM's
-// reduced-tensor transfers scale (the NVSwitch crossbar is non-blocking).
-func SimulateShared(dp DesignPoint, cfg recsys.Config, batch int, p Platform, nGPUs int) Breakdown {
-	if nGPUs < 1 {
-		nGPUs = 1
-	}
-	b := Simulate(dp, cfg, batch, p)
-	n := float64(nGPUs)
-	switch dp {
-	case TDIMM, PMEM:
-		b.LookupS *= n // node-internal bandwidth is time-shared
-	case CPUOnly:
-		b.LookupS *= n
-		b.DNNS *= n
-	case CPUGPU:
-		b.LookupS *= n                                      // host gather shared
-		b.TransferS = b.TransferS*n - p.PCIe.LatencyS*(n-1) // one PCIe root shared
-	case GPUOnly:
-		// Fully private: an oracle GPU holds its own embeddings.
-	}
-	return b
-}
-
-// SharedThroughput returns aggregate inferences/second when nGPUs share the
-// platform under the given design point.
-func SharedThroughput(dp DesignPoint, cfg recsys.Config, batch int, p Platform, nGPUs int) float64 {
-	t := SimulateShared(dp, cfg, batch, p, nGPUs).TotalS()
-	return float64(nGPUs) / t
-}

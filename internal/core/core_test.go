@@ -255,39 +255,3 @@ func TestBatchScalesLatency(t *testing.T) {
 		}
 	}
 }
-
-func TestSharedScalingShapes(t *testing.T) {
-	// Sharing one TensorNode across GPUs: TDIMM throughput keeps growing
-	// through 4 GPUs (little node work per inference), while the hybrid
-	// design saturates on the shared host almost immediately.
-	p := DefaultPlatform()
-	cfg := recsys.YouTube()
-	td1 := SharedThroughput(TDIMM, cfg, 64, p, 1)
-	td4 := SharedThroughput(TDIMM, cfg, 64, p, 4)
-	hy1 := SharedThroughput(CPUGPU, cfg, 64, p, 1)
-	hy4 := SharedThroughput(CPUGPU, cfg, 64, p, 4)
-	if td4 < td1*1.5 {
-		t.Fatalf("TDIMM 4-GPU throughput %.0f/s vs 1-GPU %.0f/s: want >= 1.5x scaling", td4, td1)
-	}
-	if hy4 > hy1*1.5 {
-		t.Fatalf("CPU-GPU 4-GPU throughput %.0f/s vs 1-GPU %.0f/s: host must bottleneck", hy4, hy1)
-	}
-	if td4/td1 <= hy4/hy1 {
-		t.Fatalf("TDIMM scaling %.2fx must beat CPU-GPU scaling %.2fx", td4/td1, hy4/hy1)
-	}
-	// The oracle scales linearly by construction.
-	go1 := SharedThroughput(GPUOnly, cfg, 64, p, 1)
-	go4 := SharedThroughput(GPUOnly, cfg, 64, p, 4)
-	if math.Abs(go4-4*go1) > go1*0.01 {
-		t.Fatalf("GPU-only scaling: %.0f vs 4x%.0f", go4, go1)
-	}
-	// Per-inference latency never improves with sharing.
-	for _, dp := range DesignPoints() {
-		if SimulateShared(dp, cfg, 64, p, 4).TotalS() < Simulate(dp, cfg, 64, p).TotalS()*0.999 {
-			t.Errorf("%v: sharing made a single inference faster", dp)
-		}
-	}
-	if SimulateShared(TDIMM, cfg, 64, p, 0).TotalS() != Simulate(TDIMM, cfg, 64, p).TotalS() {
-		t.Error("nGPUs < 1 must clamp to 1")
-	}
-}

@@ -12,6 +12,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -619,54 +620,54 @@ func mustBuild(mc recsys.Config, seed int64) *recsys.Model {
 	return m
 }
 
+// experiments is every experiment in the paper's order, with the extension
+// experiments last: the one list All, ByID and IDs read.
+var experiments = []struct {
+	id  string
+	run func(core.Platform, Scale) Result
+}{
+	{"fig3", func(core.Platform, Scale) Result { return Fig3() }},
+	{"fig4", func(p core.Platform, _ Scale) Result { return Fig4(p) }},
+	{"tab1", func(core.Platform, Scale) Result { return Tab1() }},
+	{"tab2", func(core.Platform, Scale) Result { return Tab2() }},
+	{"fig11", func(_ core.Platform, s Scale) Result { return Fig11(s) }},
+	{"fig12", func(_ core.Platform, s Scale) Result { return Fig12(s) }},
+	{"fig13", func(p core.Platform, _ Scale) Result { return Fig13(p) }},
+	{"fig14", func(p core.Platform, _ Scale) Result { return Fig14(p) }},
+	{"fig15", func(p core.Platform, _ Scale) Result { return Fig15(p) }},
+	{"fig16", func(p core.Platform, _ Scale) Result { return Fig16(p) }},
+	{"tab3", func(core.Platform, Scale) Result { return Tab3() }},
+	{"power", func(core.Platform, Scale) Result { return PowerBudget() }},
+	{"extscatter", func(_ core.Platform, s Scale) Result { return ExtScatter(s) }},
+	{"extonline", func(_ core.Platform, s Scale) Result { return ExtOnline(s) }},
+}
+
 // All runs every experiment at the given scale, in the paper's order, plus
 // the extension experiments.
 func All(p core.Platform, s Scale) []Result {
-	return []Result{
-		Fig3(), Fig4(p), Tab1(), Tab2(),
-		Fig11(s), Fig12(s), Fig13(p), Fig14(p), Fig15(p), Fig16(p),
-		Tab3(), PowerBudget(), ExtScatter(s), ExtOnline(s),
+	rs := make([]Result, len(experiments))
+	for i, e := range experiments {
+		rs[i] = e.run(p, s)
 	}
+	return rs
 }
 
 // ByID returns the experiment with the given ID, running it on demand.
 func ByID(id string, p core.Platform, s Scale) (Result, error) {
-	switch id {
-	case "fig3":
-		return Fig3(), nil
-	case "fig4":
-		return Fig4(p), nil
-	case "tab1":
-		return Tab1(), nil
-	case "tab2":
-		return Tab2(), nil
-	case "fig11":
-		return Fig11(s), nil
-	case "fig12":
-		return Fig12(s), nil
-	case "fig13":
-		return Fig13(p), nil
-	case "fig14":
-		return Fig14(p), nil
-	case "fig15":
-		return Fig15(p), nil
-	case "fig16":
-		return Fig16(p), nil
-	case "tab3":
-		return Tab3(), nil
-	case "power":
-		return PowerBudget(), nil
-	case "extscatter":
-		return ExtScatter(s), nil
-	case "extonline":
-		return ExtOnline(s), nil
-	default:
-		return Result{}, fmt.Errorf("experiments: unknown id %q (want fig3, fig4, tab1, tab2, fig11, fig12, fig13, fig14, fig15, fig16, tab3, power, extscatter, extonline)", id)
+	for _, e := range experiments {
+		if e.id == id {
+			return e.run(p, s), nil
+		}
 	}
+	return Result{}, fmt.Errorf("experiments: unknown id %q (want %s)", id, strings.Join(IDs(), ", "))
 }
 
 // IDs lists all experiment identifiers in the paper's order, with the
 // extension experiments last.
 func IDs() []string {
-	return []string{"fig3", "fig4", "tab1", "tab2", "fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "tab3", "power", "extscatter", "extonline"}
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
 }

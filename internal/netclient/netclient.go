@@ -204,10 +204,11 @@ type Client struct {
 	nextID   atomic.Uint64 // request ids, unique across every connection
 	callPool sync.Pool
 
-	closed   atomic.Bool
-	closeCh  chan struct{}
-	superWG  sync.WaitGroup
-	readerWG sync.WaitGroup
+	closed    atomic.Bool // set by Close, read by pick
+	closeOnce sync.Once
+	closeCh   chan struct{}
+	superWG   sync.WaitGroup
+	readerWG  sync.WaitGroup
 }
 
 // Dial connects cfg.Conns connections to addr, performs the protocol
@@ -856,18 +857,19 @@ func (c *Client) Ping() error {
 
 // Close stops the reconnect supervisors, closes every connection, and
 // waits for the readers to finish; calls still in flight fail with a
-// connection-lost error. It is idempotent.
+// connection-lost error. It is idempotent: every call, concurrent ones
+// included, returns only after the readers have finished.
 func (c *Client) Close() error {
-	if c.closed.Swap(true) {
-		return nil
-	}
-	close(c.closeCh)
-	c.superWG.Wait()
-	for _, slot := range c.slots {
-		if cc := slot.cur.Load(); cc != nil {
-			cc.fail(fmt.Errorf("netclient: client closed"))
+	c.closeOnce.Do(func() {
+		c.closed.Store(true)
+		close(c.closeCh)
+		c.superWG.Wait()
+		for _, slot := range c.slots {
+			if cc := slot.cur.Load(); cc != nil {
+				cc.fail(fmt.Errorf("netclient: client closed"))
+			}
 		}
-	}
-	c.readerWG.Wait()
+		c.readerWG.Wait()
+	})
 	return nil
 }

@@ -346,11 +346,11 @@ func TestBatchDrainCompletesSubRequests(t *testing.T) {
 				})
 			}
 
-			closeDone := make(chan struct{})
-			go func() { srv.Close(); close(closeDone) }()
+			closeReturned := make(chan struct{})
+			go func() { srv.Close(); close(closeReturned) }()
 			if gated != nil {
 				select {
-				case <-closeDone:
+				case <-closeReturned:
 					t.Fatal("Close returned with BATCH sub-requests in flight")
 				case <-time.After(50 * time.Millisecond):
 				}
@@ -363,7 +363,7 @@ func TestBatchDrainCompletesSubRequests(t *testing.T) {
 					t.Fatalf("sub-request %d of the in-flight BATCH was dropped during drain", i)
 				}
 			}
-			<-closeDone
+			<-closeReturned
 		})
 	}
 }

@@ -349,7 +349,6 @@ type Server struct {
 	conns     map[*conn]struct{}
 	connWG    sync.WaitGroup
 	closeOnce sync.Once
-	closeDone chan struct{}
 
 	accepted   atomic.Uint64
 	requests   atomic.Uint64
@@ -430,7 +429,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 		tasks:     make(chan *task, cfg.MaxInflight),
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
-		closeDone: make(chan struct{}),
 		lat:       telemetry.NewHistogram(),
 	}
 	s.taskPool.New = func() any { return &task{} }
@@ -507,9 +505,9 @@ func (s *Server) forget(c *conn) {
 	s.mu.Unlock()
 }
 
-// admit takes one unit of the in-flight budget, failing fast when the
-// budget is exhausted.
-func (s *Server) admit() bool {
+// takeInflight takes one unit of the in-flight budget, failing fast when
+// the budget is exhausted.
+func (s *Server) takeInflight() bool {
 	for {
 		n := s.inflight.Load()
 		if n >= int64(s.cfg.MaxInflight) {
@@ -771,14 +769,14 @@ func (c *conn) submit(t *task) {
 // budget spent and reads of this frame started, it awaits those first, so
 // a BATCH wider than the budget is not shed against its own head.
 func (c *conn) admit() bool {
-	if c.srv.admit() {
+	if c.srv.takeInflight() {
 		return true
 	}
 	if len(c.started) == 0 {
 		return false
 	}
 	c.awaitStarted()
-	return c.srv.admit()
+	return c.srv.takeInflight()
 }
 
 // startEmbed starts an admitted read on the reader with the backend's
@@ -1114,9 +1112,7 @@ func (s *Server) Close() error {
 		s.connWG.Wait()
 		close(s.tasks)
 		s.workerWG.Wait()
-		close(s.closeDone)
 	})
-	<-s.closeDone
 	return nil
 }
 

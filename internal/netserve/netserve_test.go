@@ -314,11 +314,11 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 	}()
 	<-b.entered // the request is in the backend
 
-	closeDone := make(chan struct{})
-	go func() { srv.Close(); close(closeDone) }()
+	closeReturned := make(chan struct{})
+	go func() { srv.Close(); close(closeReturned) }()
 	// Close must not finish while the request is still executing.
 	select {
-	case <-closeDone:
+	case <-closeReturned:
 		t.Fatal("Close returned with a request in flight")
 	case <-time.After(50 * time.Millisecond):
 	}
@@ -330,7 +330,7 @@ func TestGracefulDrainCompletesInflight(t *testing.T) {
 	if got[0] != stubValue(rows, g.Reduction, 0, 0, 0) {
 		t.Fatal("drained request returned wrong values")
 	}
-	<-closeDone
+	<-closeReturned
 
 	// After the drain, new connections are refused.
 	if _, err := netclient.Dial(addr, netclient.Config{}); err == nil {

@@ -37,23 +37,7 @@ func SaveHotRows(dir string, shard int, rows []int) error {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r))
 	}
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
-	tmp := filepath.Join(sd, "hotrows.tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: shard %d: hot rows: %w", shard, err)
-	}
-	if _, err = f.Write(buf); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
+	if err := writeSynced(filepath.Join(sd, "hotrows.tmp"), path, buf); err != nil {
 		return fmt.Errorf("persist: shard %d: hot rows: %w", shard, err)
 	}
 	return nil
@@ -72,10 +56,7 @@ func LoadHotRows(dir string, shard int) ([]int, error) {
 		}
 		return nil, fmt.Errorf("persist: shard %d: hot rows: %w", shard, err)
 	}
-	if len(buf) < 4+4+4 || binary.LittleEndian.Uint32(buf) != hotMagic {
-		return nil, nil
-	}
-	if crc32.Checksum(buf[:len(buf)-4], castagnoli) != binary.LittleEndian.Uint32(buf[len(buf)-4:]) {
+	if len(buf) < 4+4+4 || binary.LittleEndian.Uint32(buf) != hotMagic || !checksummed(buf) {
 		return nil, nil
 	}
 	n := int(binary.LittleEndian.Uint32(buf[4:]))

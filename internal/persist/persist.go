@@ -361,23 +361,7 @@ func (l *ShardLog) writeSnapshot(seq uint64, rows []float32) error {
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	l.snapBuf = buf
 
-	tmp := filepath.Join(l.dir, "snap.tmp")
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("persist: shard %d: snapshot: %w", l.cfg.Shard, err)
-	}
-	if _, err := f.Write(buf); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); cerr != nil && err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("persist: shard %d: snapshot: %w", l.cfg.Shard, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapName(seq))); err != nil {
-		os.Remove(tmp)
+	if err := writeSynced(filepath.Join(l.dir, "snap.tmp"), filepath.Join(l.dir, snapName(seq)), buf); err != nil {
 		return fmt.Errorf("persist: shard %d: snapshot: %w", l.cfg.Shard, err)
 	}
 	ents, err := os.ReadDir(l.dir)
@@ -390,6 +374,36 @@ func (l *ShardLog) writeSnapshot(seq uint64, rows []float32) error {
 		}
 	}
 	return nil
+}
+
+// writeSynced writes buf to path so that a crash never leaves it
+// half-written: into tmp, fsynced and closed, then renamed over path. tmp
+// is removed on failure.
+func writeSynced(tmp, path string, buf []byte) error {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err = f.Write(buf); err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); cerr != nil && err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
+}
+
+// checksummed reports whether buf ends in the CRC-32C of the bytes before
+// it: the trailer of every snapshot and hot-rows file.
+func checksummed(buf []byte) bool {
+	n := len(buf) - 4
+	return n >= 0 && crc32.Checksum(buf[:n], castagnoli) == binary.LittleEndian.Uint32(buf[n:])
 }
 
 // loadSnapshot finds the newest snapshot file that validates, adopts its
@@ -435,10 +449,7 @@ func (l *ShardLog) readSnapshot(seq uint64) ([]float32, bool) {
 		return nil, false
 	}
 	want := 4 + 4 + 8 + 8 + 4*l.cfg.LocalRows*l.cfg.Dim + 4
-	if len(buf) != want {
-		return nil, false
-	}
-	if crc32.Checksum(buf[:len(buf)-4], castagnoli) != binary.LittleEndian.Uint32(buf[len(buf)-4:]) {
+	if len(buf) != want || !checksummed(buf) {
 		return nil, false
 	}
 	if binary.LittleEndian.Uint32(buf) != snapMagic ||

@@ -974,23 +974,23 @@ func (rc *RemoteCluster) WaitReady(timeout time.Duration) error {
 
 // Close stops accepting operations, drains the in-flight ones
 // (Router.Close), stops the janitor, and closes every replica client and
-// shard log. It is idempotent.
+// shard log. It is idempotent: every call, concurrent ones included,
+// returns only after the clients and logs are closed.
 func (rc *RemoteCluster) Close() error {
-	if !rc.router.Close() {
-		return nil
-	}
-	rc.markReady()
-	close(rc.closeCh)
-	rc.janitorWG.Wait()
-	for _, sh := range rc.shards {
-		for _, rep := range sh.replicas {
-			if rep.cl != nil {
-				rep.cl.Close()
+	return rc.router.Close(func() error {
+		rc.markReady()
+		close(rc.closeCh)
+		rc.janitorWG.Wait()
+		for _, sh := range rc.shards {
+			for _, rep := range sh.replicas {
+				if rep.cl != nil {
+					rep.cl.Close()
+				}
+			}
+			if sh.store != nil {
+				sh.store.Close()
 			}
 		}
-		if sh.store != nil {
-			sh.store.Close()
-		}
-	}
-	return nil
+		return nil
+	})
 }

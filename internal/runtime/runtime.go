@@ -44,11 +44,12 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"tensordimm/internal/embed"
+	"tensordimm/internal/gate"
 	"tensordimm/internal/isa"
 	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
@@ -126,26 +127,14 @@ type Deployment struct {
 	updMu sync.Mutex
 	upd   *scratchLane
 
-	// relMu guards the released flag against the in-flight counter so
-	// Release can wait for every running execution before closing the lane
-	// workers' job channel (a send on a closed channel would panic).
-	relMu    sync.Mutex
-	inflight sync.WaitGroup
-	released atomic.Bool
+	// gate admits executions until Release, which waits for every running
+	// one before closing the lane workers' job channel (a send on a closed
+	// channel would panic).
+	gate gate.Gate
 }
 
-// enter registers one in-flight execution, failing when the deployment is
-// released; the matching d.inflight.Done() lets Release drain before it
-// stops the lane workers.
-func (d *Deployment) enter() error {
-	d.relMu.Lock()
-	defer d.relMu.Unlock()
-	if d.released.Load() {
-		return fmt.Errorf("runtime: deployment is released")
-	}
-	d.inflight.Add(1)
-	return nil
-}
+// errReleased is what every execution returns once Release has begun.
+var errReleased = errors.New("runtime: deployment is released")
 
 // PerDIMMBytes sizes one DIMM of a node of dimms TensorDIMMs to hold
 // exactly what DeployConcurrent reserves for a model of cfg: the tables,
@@ -291,43 +280,36 @@ func (d *Deployment) laneWorker(ln *scratchLane) {
 	}
 }
 
-// Release frees all pool allocations of the deployment and returns every
-// lane's index region, the update lane's included, to the node. It is
-// idempotent: releasing an already-released deployment is a no-op, so
-// shutdown paths (server close, deferred cleanup) can release
-// unconditionally.
+// Release waits for every running execution, stops the lane workers,
+// frees all pool allocations of the deployment and returns every lane's
+// index region, the update lane's included, to the node. It is idempotent,
+// so shutdown paths (server close, deferred cleanup) can release
+// unconditionally: the pool is freed once, and every call, concurrent ones
+// included, returns only after that, with the first release's error.
 func (d *Deployment) Release() error {
-	d.relMu.Lock()
-	defer d.relMu.Unlock()
-	if d.released.Swap(true) {
-		return nil
-	}
-	// In-flight executions already counted themselves in; new ones block on
-	// relMu and then fail the released check. Draining before the close
-	// keeps a concurrent RunEmbeddingInto/ApplyUpdates from sending on a
-	// closed channel.
-	d.inflight.Wait()
-	close(d.work) // stop the lane workers
-	var first error
-	keep := func(err error) {
-		if err != nil && first == nil {
-			first = err
+	return d.gate.Close(func() error {
+		close(d.work) // the gate has drained: no execution can still send
+		var first error
+		keep := func(err error) {
+			if err != nil && first == nil {
+				first = err
+			}
 		}
-	}
-	for _, b := range d.tableBase {
-		keep(d.Node.Free(b))
-	}
-	for _, ln := range d.lanes {
-		keep(d.Node.Free(ln.gatherBase[0]))
-		keep(d.Node.Free(ln.gatherBase[1]))
-		keep(d.Node.ReleaseIndexRegion(ln.idxBase))
-	}
-	keep(d.Node.Free(d.upd.gatherBase[0]))
-	keep(d.Node.ReleaseIndexRegion(d.upd.idxBase))
-	for _, b := range d.outBase {
-		keep(d.Node.Free(b))
-	}
-	return first
+		for _, b := range d.tableBase {
+			keep(d.Node.Free(b))
+		}
+		for _, ln := range d.lanes {
+			keep(d.Node.Free(ln.gatherBase[0]))
+			keep(d.Node.Free(ln.gatherBase[1]))
+			keep(d.Node.ReleaseIndexRegion(ln.idxBase))
+		}
+		keep(d.Node.Free(d.upd.gatherBase[0]))
+		keep(d.Node.ReleaseIndexRegion(d.upd.idxBase))
+		for _, b := range d.outBase {
+			keep(d.Node.Free(b))
+		}
+		return first
+	})
 }
 
 // Stripes returns the number of stripes per embedding under this node.
@@ -486,10 +468,10 @@ func (d *Deployment) RunEmbeddingInto(dst []float32, perTableRows [][]int, batch
 	if err := d.geom.CheckRead(perTableRows, batch); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
-	if err := d.enter(); err != nil {
-		return err
+	if !d.gate.Enter() {
+		return errReleased
 	}
-	defer d.inflight.Done()
+	defer d.gate.Exit()
 	width := cfg.Tables * cfg.EmbDim
 	if len(dst) != batch*width {
 		return fmt.Errorf("runtime: destination holds %d floats, batch %d needs %d", len(dst), batch, batch*width)
@@ -610,10 +592,10 @@ func (d *Deployment) ApplyUpdates(ups []TableUpdate) error {
 	if err := CheckUpdates(ups, d.geom); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
-	if err := d.enter(); err != nil {
-		return err
+	if !d.gate.Enter() {
+		return errReleased
 	}
-	defer d.inflight.Done()
+	defer d.gate.Exit()
 	d.updMu.Lock()
 	defer d.updMu.Unlock()
 	for _, up := range ups {
@@ -637,10 +619,10 @@ func (d *Deployment) RestoreRows(t int, rows []int, vals []float32) error {
 	if err := d.geom.CheckRows(t, rows, len(vals)); err != nil {
 		return fmt.Errorf("runtime: restore: %w", err)
 	}
-	if err := d.enter(); err != nil {
-		return err
+	if !d.gate.Enter() {
+		return errReleased
 	}
-	defer d.inflight.Done()
+	defer d.gate.Exit()
 	embBytes := uint64(cfg.EmbBytes())
 	d.updMu.Lock()
 	defer d.updMu.Unlock()

@@ -151,8 +151,7 @@ func depRow(t *testing.T, s *Server, r int) []float32 {
 // parks on it after admission, and a Close begun meanwhile must wait in
 // its drain instead of releasing the deployment under the restore. Once
 // the barrier is released, Restore succeeds and then Close returns. Both
-// waits are observed by polling the goroutine stacks and s.closed, never
-// by sleeping.
+// waits are observed by polling the goroutine stacks, never by sleeping.
 func TestCloseWaitsForRunningRestore(t *testing.T) {
 	cfg := testConfig(2, 1, 128, false, isa.RAdd)
 	s, err := New(Config{Workers: 1}, newDeployment(t, cfg, 8, 1, 2))
@@ -174,7 +173,7 @@ func TestCloseWaitsForRunningRestore(t *testing.T) {
 		}
 	}
 	go func() { closed <- s.Close() }()
-	for !s.isClosed() || !parked("sync.(*WaitGroup).Wait", "serve.(*Server).Close") {
+	for !parked("sync.(*WaitGroup).Wait", "gate.(*Gate).Close", "serve.(*Server).Close") {
 		select {
 		case err := <-closed:
 			s.tblMu.RUnlock()
@@ -196,23 +195,20 @@ func TestCloseWaitsForRunningRestore(t *testing.T) {
 	}
 }
 
-// isClosed reports whether Close has begun.
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
-
 // parkedOnBarrier reports whether some goroutine is blocked in Restore on
 // an exclusive lock of the server's gather barrier.
 func parkedOnBarrier() bool { return parked("sync.(*RWMutex).Lock", "serve.(*Server).Restore") }
 
-// parked reports whether some goroutine's stack holds both the blocking
-// call wait and the caller in.
-func parked(wait, in string) bool {
+// parked reports whether some goroutine's stack holds every one of
+// frames: the blocking call and its callers.
+func parked(frames ...string) bool {
 	buf := make([]byte, 1<<20)
 	for _, g := range strings.Split(string(buf[:goruntime.Stack(buf, true)]), "\n\n") {
-		if strings.Contains(g, wait) && strings.Contains(g, in) {
+		all := true
+		for _, f := range frames {
+			all = all && strings.Contains(g, f)
+		}
+		if all {
 			return true
 		}
 	}

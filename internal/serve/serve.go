@@ -46,11 +46,13 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"tensordimm/internal/gate"
 	"tensordimm/internal/node"
 	"tensordimm/internal/recsys"
 	"tensordimm/internal/runtime"
@@ -159,21 +161,11 @@ type Server struct {
 	dep  *runtime.Deployment
 	geom wire.Geometry // the request contract, MaxBatch = cfg.MaxBatch
 
-	mu     sync.Mutex
-	closed bool
-	// inflight counts the admitted callers Close waits for: a read until it
-	// is enqueued, an update or a restore until it has applied.
-	inflight sync.WaitGroup
+	// gate admits every entry point until Close: a read until it is
+	// enqueued, an update or a restore until it has applied.
+	gate     gate.Gate
 	queue    chan *request
-
 	workerWG sync.WaitGroup
-
-	// closeDone is closed once the first Close has fully drained and
-	// released; every Close call waits on it, so no caller returns while
-	// queued requests are still pending (see Close).
-	closeOnce sync.Once
-	closeDone chan struct{}
-	closeErr  error
 
 	// tblMu guards table memory against Restore: merged-batch gathers hold
 	// it shared, Restore holds it exclusively. Updates need no share — their
@@ -239,13 +231,12 @@ func New(cfg Config, dep *runtime.Deployment) (*Server, error) {
 	}
 	geom.MaxBatch = cfg.MaxBatch
 	s := &Server{
-		cfg:       cfg,
-		dep:       dep,
-		geom:      geom,
-		queue:     make(chan *request, queueDepth),
-		closeDone: make(chan struct{}),
-		queueLat:  telemetry.NewHistogram(),
-		totalLat:  telemetry.NewHistogram(),
+		cfg:      cfg,
+		dep:      dep,
+		geom:     geom,
+		queue:    make(chan *request, queueDepth),
+		queueLat: telemetry.NewHistogram(),
+		totalLat: telemetry.NewHistogram(),
 	}
 	for w := 0; w < cfg.Workers; w++ {
 		s.workerWG.Add(1)
@@ -367,10 +358,10 @@ func (s *Server) Update(ups []runtime.TableUpdate) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	start := time.Now()
-	if err := s.admit(); err != nil {
-		return err
+	if !s.gate.Enter() {
+		return errClosed
 	}
-	defer s.inflight.Done()
+	defer s.gate.Exit()
 	if err := s.dep.ApplyUpdates(ups); err != nil {
 		s.failures.Add(1)
 		return fmt.Errorf("serve: update failed: %w", err)
@@ -385,31 +376,20 @@ func (s *Server) Update(ups []runtime.TableUpdate) error {
 	return nil
 }
 
-// admit is the gate every entry point passes: it fails once Close has
-// begun, and otherwise counts the caller in flight until it calls
-// s.inflight.Done. Close waits for every admitted caller before it drains
-// the queue and releases the deployment.
-func (s *Server) admit() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("serve: server is closed")
-	}
-	s.inflight.Add(1)
-	return nil
-}
+// errClosed is what every entry point returns once Close has begun.
+var errClosed = errors.New("serve: server is closed")
 
 // submit queues one read without waiting for its result. A refused request
-// is recycled here. The send happens outside the lock, which would
+// is recycled here. The send happens outside the gate's lock, which would
 // otherwise serialize submitters: Close closes the queue only after every
 // admitted submit has enqueued.
 func (s *Server) submit(req *request) error {
-	if err := s.admit(); err != nil {
+	if !s.gate.Enter() {
 		putRequest(req)
-		return err
+		return errClosed
 	}
 	s.queue <- req
-	s.inflight.Done()
+	s.gate.Exit()
 	return nil
 }
 
@@ -558,10 +538,10 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 	if err := s.geom.CheckRows(table, rows, len(vals)); err != nil {
 		return fmt.Errorf("serve: restore: %w", err)
 	}
-	if err := s.admit(); err != nil {
-		return err
+	if !s.gate.Enter() {
+		return errClosed
 	}
-	defer s.inflight.Done()
+	defer s.gate.Exit()
 	s.tblMu.Lock()
 	defer s.tblMu.Unlock()
 	if err := s.dep.RestoreRows(table, rows, vals); err != nil {
@@ -578,21 +558,17 @@ func (s *Server) Restore(table int, rows []int, vals []float32) error {
 // including concurrent ones — returns only after the drain has completed;
 // requests made after Close fail fast.
 func (s *Server) Close() error {
-	s.closeOnce.Do(func() {
-		s.mu.Lock()
-		s.closed = true
-		s.mu.Unlock()
-		s.inflight.Wait() // every admitted read has reached the queue, every write has applied
+	// The gate has drained: every admitted read has reached the queue, every
+	// write has applied.
+	return s.gate.Close(func() error {
 		close(s.queue)
 		s.workerWG.Wait()
-		s.closeErr = s.dep.Release()
+		err := s.dep.Release()
 		if s.node != nil {
 			s.node.Close()
 		}
-		close(s.closeDone)
+		return err
 	})
-	<-s.closeDone
-	return s.closeErr
 }
 
 // Metrics is the part of the server's counters the benchmark harness

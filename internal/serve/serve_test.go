@@ -388,10 +388,9 @@ func waitGolden(t *testing.T, pending []Pending, want [][]float32) {
 func closeDuringStall(s *Server, release func()) error {
 	done := make(chan error, 1)
 	go func() { done <- s.Close() }()
-	for closed := false; !closed; goruntime.Gosched() {
-		s.mu.Lock()
-		closed = s.closed
-		s.mu.Unlock()
+	for s.gate.Enter() {
+		s.gate.Exit()
+		goruntime.Gosched()
 	}
 	release()
 	return <-done

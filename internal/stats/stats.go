@@ -1,14 +1,13 @@
 // Package stats provides the few one-line statistics the experiment
 // drivers and the serving layers share: hit rates, arithmetic and
-// geometric means, exact percentiles over a sample slice, and human units
-// for bytes and seconds. Latency recording lives in internal/telemetry
-// (Histogram); the experiments' tables live in internal/experiments.
+// geometric means, and human units for bytes and seconds. Latency
+// recording lives in internal/telemetry (Histogram); the experiments'
+// tables live in internal/experiments.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // HitRate returns hits/(hits+misses), or 0 when nothing was counted, so
@@ -47,32 +46,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Percentile returns the p-th percentile (0 <= p <= 100) of xs by linear
-// interpolation between closest ranks. It returns NaN for empty input and
-// does not modify xs.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := p / 100 * float64(len(sorted)-1)
-	lo := int(math.Floor(rank))
-	hi := int(math.Ceil(rank))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := rank - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // FormatBytes renders a byte count in human units (binary).

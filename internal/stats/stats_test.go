@@ -54,33 +54,6 @@ func TestFormatSeconds(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5} // sorted: 1..5
-	cases := map[float64]float64{
-		0:   1,
-		50:  3,
-		100: 5,
-		25:  2,
-		75:  4,
-	}
-	for p, want := range cases {
-		if got := Percentile(xs, p); got != want {
-			t.Errorf("Percentile(%v) = %v, want %v", p, got, want)
-		}
-	}
-	// Interpolation between ranks.
-	if got := Percentile([]float64{1, 2}, 50); got != 1.5 {
-		t.Errorf("Percentile 50 of {1,2} = %v, want 1.5", got)
-	}
-	if !math.IsNaN(Percentile(nil, 50)) {
-		t.Error("Percentile of empty input must be NaN")
-	}
-	// Input must not be reordered.
-	if xs[0] != 4 {
-		t.Error("Percentile mutated its input")
-	}
-}
-
 func TestHitRate(t *testing.T) {
 	if HitRate(0, 0) != 0 {
 		t.Fatal("empty hit rate must be 0")
