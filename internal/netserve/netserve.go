@@ -279,7 +279,8 @@ type task struct {
 	// encoded response frame, copied verbatim into the conn's Writer
 	resp []byte
 
-	// per-hop trace slot, recycled with the task (see putTask)
+	// per-hop trace slot, finished before the response is appended and
+	// recycled with the task (see finishSpan)
 	span telemetry.Span
 }
 
@@ -821,8 +822,10 @@ func (c *conn) finishEmbed(t *task, dst []float32, err error) {
 
 // reply appends a task's finished response to the connection's Writer and
 // recycles the task; the reader answers this way for requests it settles
-// itself, without a hand-off.
+// itself, without a hand-off. A traced task's span is finished first: once
+// Append makes the response visible, the client may read the slow ring.
 func (c *conn) reply(t *task) {
+	c.srv.finishSpan(t)
 	c.w.Append(t.resp)
 	c.srv.putTask(t)
 }
@@ -1071,17 +1074,22 @@ func (c *conn) getTask(op wire.Op, id uint64) *task {
 	return t
 }
 
-// putTask recycles a task. Buffers keep their capacity; references into
-// per-request state are dropped. reply calls it right after the append,
-// so this is where a traced task's flush hop closes and its span feeds
-// the slow ring before the slot is recycled.
-func (s *Server) putTask(t *task) {
+// finishSpan closes a traced task's flush hop, feeds its span to the slow
+// ring and resets it, so a second call is a no-op. reply calls it just
+// before the append; putTask calls it for a task recycled unanswered.
+func (s *Server) finishSpan(t *task) {
 	if s.tracer != nil && t.span.Active() {
 		now := time.Now()
 		t.span.MarkAt(netHopFlush, now)
 		s.tracer.FinishAt(&t.span, now)
+		t.span.Reset()
 	}
-	t.span.Reset()
+}
+
+// putTask recycles a task. Buffers keep their capacity; references into
+// per-request state are dropped.
+func (s *Server) putTask(t *task) {
+	s.finishSpan(t)
 	t.c = nil
 	t.batch = 0
 	s.taskPool.Put(t)

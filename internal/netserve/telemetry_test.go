@@ -21,6 +21,9 @@ func TestTelemetryInstrumentedServer(t *testing.T) {
 	b := newStub()
 	// Token-gate the backend: pre-filled tokens let the fast phase run
 	// unblocked; the final embed waits for a late token, making it slow.
+	// Every entry leaves a mark, so the late token is timed from the final
+	// embed's entry, not from before it was sent.
+	b.entered = make(chan struct{}, fastEmbeds+1)
 	b.release = make(chan struct{}, fastEmbeds+1)
 	for i := 0; i < fastEmbeds; i++ {
 		b.release <- struct{}{}
@@ -46,6 +49,9 @@ func TestTelemetryInstrumentedServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	go func() {
+		for i := 0; i <= fastEmbeds; i++ {
+			<-b.entered
+		}
 		time.Sleep(2 * time.Millisecond)
 		b.release <- struct{}{}
 	}()

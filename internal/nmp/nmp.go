@@ -31,6 +31,14 @@
 // reference model every kernel is differentially fuzzed against
 // (FuzzNMPBulkVsReference); nothing outside the tests can reach it.
 //
+// The add that REDUCE.add and SCATTER_ADD's accumulate run works as the
+// hardware's ALU does, one 64-byte block of 16 lanes at a time: on amd64 it
+// is an SSE2 kernel (alu_amd64.s, built when the race detector is off);
+// elsewhere, and under the race detector, the same entry point (aluAdd) runs
+// the portable lane-at-a-time loop of alu.go, and TestALUKernelsBitExact
+// holds the two to identical bits. The other operators and AVERAGE are
+// plain loops on every platform.
+//
 // Execution is functionally exact: the same arithmetic, in the same order,
 // that the paper's pseudo code (Figure 9) prescribes, over real data, so
 // results can be compared bit-for-bit against the golden model in
@@ -400,9 +408,7 @@ func (c *Core) reduce(in isa.Instruction, m []byte) error {
 	x, y := floats(m, a, n)[:len(o)], floats(m, b, n)[:len(o)]
 	switch in.ROp {
 	case isa.RAdd:
-		for i := range o {
-			o[i] = x[i] + y[i]
-		}
+		aluAdd(o, x, y)
 	case isa.RSub:
 		for i := range o {
 			o[i] = x[i] - y[i]
@@ -457,8 +463,8 @@ func (c *Core) average(in isa.Instruction, m []byte) error {
 
 // scatterAdd implements the SCATTER_ADD extension: the inverse of gather,
 // accumulating gradient stripes into table rows (read-modify-write through
-// the vector ALU). Duplicate indices accumulate in instruction order because
-// the core walks its slice sequentially.
+// the vector ALU, one add per row). Duplicate indices accumulate in
+// instruction order because the core walks its slice sequentially.
 func (c *Core) scatterAdd(in isa.Instruction, m []byte) error {
 	idx, table, rows, grad, err := c.indexed(in, m)
 	if err != nil {
@@ -470,10 +476,8 @@ func (c *Core) scatterAdd(in isa.Instruction, m []byte) error {
 		if r >= rows {
 			return fmt.Errorf("nmp core %d: SCATTER_ADD index %d beyond local capacity %d B", c.TID, r, len(m))
 		}
-		row, gb := lanes(tbl, r), lanes(g, i)
-		for l := range row {
-			row[l] += gb[l]
-		}
+		row := lanes(tbl, r)
+		aluAdd(row[:], row[:], lanes(g, i)[:])
 	}
 	return nil
 }
