@@ -45,3 +45,38 @@ block:
 
 done:
 	RET
+
+// func prefetchRows(m, idx []byte, table, rows uint64)
+//
+// GATHER's touch-ahead as list prefetching: for each 4-byte host-native
+// index r of idx with r < rows, one PREFETCHT0 of local block table+r of m.
+// A prefetch retires without waiting for its line, so the misses of a whole
+// window are in flight together and the copies behind them run while the
+// lines arrive; a plain load would hold its slot until its line came. An
+// index past the rank is skipped, as touchLoop skips it, though a prefetch
+// never faults. PREFETCHT0 is part of every amd64 CPU.
+TEXT ·prefetchRows(SB), NOSPLIT, $0-64
+	MOVQ m_base+0(FP), DI
+	MOVQ idx_base+24(FP), SI
+	MOVQ idx_len+32(FP), CX
+	MOVQ table+48(FP), AX
+	MOVQ rows+56(FP), DX
+	SHLQ $6, AX
+	ADDQ AX, DI
+	SHRQ $2, CX
+	JZ   done
+
+index:
+	MOVL (SI), AX
+	CMPQ AX, DX
+	JAE  next
+	SHLQ $6, AX
+	PREFETCHT0 (DI)(AX*1)
+
+next:
+	ADDQ $4, SI
+	DECQ CX
+	JNZ  index
+
+done:
+	RET

@@ -22,14 +22,18 @@
 // window so their misses overlap; REDUCE, AVERAGE and SCATTER_ADD switch on
 // their operator once and run one flat loop over []float32 views of whole
 // operand runs — and adds the block, index-read, ALU and queue-occupancy
-// counts the FSM would have produced arithmetically. GATHER's touches are
-// plain reads that move no data and count nothing in Stats. Rank bytes are
-// host-native (float32 and int32 lanes in the machine's own byte order), so
-// a view is the data, with nothing to decode; the wire and on-disk formats,
-// not the rank, fix a byte order. The block-at-a-time FSM of Figure 9,
-// queues and forward path included, lives on in this package's tests as the
-// reference model every kernel is differentially fuzzed against
-// (FuzzNMPBulkVsReference); nothing outside the tests can reach it.
+// counts the FSM would have produced arithmetically. GATHER's touches move
+// no data and count nothing in Stats: built for amd64 without the race
+// detector (`amd64 && !race`), they are PREFETCHT0 instructions
+// (alu_amd64.s), which retire without waiting for their lines; elsewhere,
+// and under the race detector, plain one-byte loads (touchLoop), so the
+// detector sees every table read. Rank bytes are host-native (float32 and
+// int32 lanes in the machine's own byte order), so a view is the data, with
+// nothing to decode; the wire and on-disk formats, not the rank, fix a
+// byte order. The block-at-a-time FSM of Figure 9, queues and forward path
+// included, lives on in this package's tests as the reference model every
+// kernel is differentially fuzzed against (FuzzNMPBulkVsReference); nothing
+// outside the tests can reach it.
 //
 // The add that REDUCE.add and SCATTER_ADD's accumulate run works as the
 // hardware's ALU does, one 64-byte block of 16 lanes at a time: on amd64 it
@@ -134,8 +138,10 @@ type Core struct {
 	// fetches the next, so each queue an opcode stages through peaks at one
 	// block: A and C after any instruction, B after one of those.
 	stagedB atomic.Bool
-	// touched sinks GATHER's touch-ahead loads (see touch), one store per
-	// instruction; its value means nothing.
+	// touched sinks the plain loads of GATHER's touch-ahead where it runs
+	// touchLoop (not on amd64, or under the race detector; see touch), one
+	// store per window; its value means nothing. The amd64 build prefetches
+	// and never stores it.
 	touched atomic.Uint32
 }
 
@@ -340,9 +346,9 @@ func (c *Core) gather(in isa.Instruction, m []byte) error {
 		return err
 	}
 	n := uint64(in.Count)
-	sum := touch(m, idx[:4*min(n, gatherWindow)], table, rows)
+	c.touch(m, idx[:4*min(n, gatherWindow)], table, rows)
 	for i, end := uint64(0), min(n, gatherWindow); i < n; end = min(n, end+gatherWindow) {
-		sum += touch(m, idx[4*end:4*min(n, end+gatherWindow)], table, rows)
+		c.touch(m, idx[4*end:4*min(n, end+gatherWindow)], table, rows)
 		for i < end {
 			first := uint64(binary.NativeEndian.Uint32(idx[i*4:]))
 			run := uint64(1)
@@ -367,16 +373,18 @@ func (c *Core) gather(in isa.Instruction, m []byte) error {
 			i += run
 		}
 	}
-	c.touched.Store(uint32(sum))
 	return nil
 }
 
-// touch issues one plain load of the first byte of each table block that an
-// index of idx names, skipping an index past the rank (the copy refuses it).
-// The loads are independent, so their misses overlap; gather sums what they
-// return into Core.touched once per instruction, only so that the compiler
-// keeps them. A touch moves no data and counts nothing in Stats.
-func touch(m, idx []byte, table, rows uint64) byte {
+// touchLoop is GATHER's touch-ahead as a portable loop: one plain load of
+// the first byte of each table block that an index of idx names, skipping an
+// index past the rank (the copy refuses it), and the sum of what the loads
+// return. The loads are independent, so their misses overlap, but each holds
+// its slot until its line arrives. It is the touch of other architectures
+// and of the race detector's builds (alu_other.go); on amd64 touch issues
+// prefetches instead (alu_amd64.go). A touch moves no data and counts
+// nothing in Stats.
+func touchLoop(m, idx []byte, table, rows uint64) byte {
 	var sum byte
 	for o := 0; o+4 <= len(idx); o += 4 {
 		if r := uint64(binary.NativeEndian.Uint32(idx[o:])); r < rows {

@@ -1,6 +1,7 @@
 package nmp
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -247,6 +248,46 @@ func TestGatherErrorNamesFirstOffendingIndex(t *testing.T) {
 			}
 			if core.Stats() != (Stats{}) {
 				t.Fatalf("refused GATHER counted: %+v", core.Stats())
+			}
+		})
+	}
+}
+
+// TestTouchSkipsIndicesPastTheRank: GATHER's touch-ahead — the build's
+// touch (prefetches on amd64 without the race detector, touchLoop's plain
+// loads elsewhere) and touchLoop itself — skips every index past the rank
+// without faulting, also for a table based at the rank's last block and for
+// an empty list, and the GATHER over the same list still refuses the first
+// index past the rank. CI's race step runs the loop, the plain build the
+// assembly.
+func TestTouchSkipsIndicesPastTheRank(t *testing.T) {
+	const blocks = 32
+	for _, table := range []uint64{0, blocks - 1} {
+		rows := blocks - table
+		t.Run(fmt.Sprintf("table at block %d", table), func(t *testing.T) {
+			env := newFakeEnvSized(0, 1, blocks, 1)
+			core, _ := NewCore(0, 1, env)
+			m := env.Local()
+			for b := uint64(0); b < blocks; b++ {
+				m[b*isa.BlockBytes] = byte(b + 1)
+			}
+			var list Block // the rest of the 16 indices are row 0
+			for i, r := range []uint32{0, uint32(rows - 1), uint32(rows), 1 << 31, 0xFFFFFFFF} {
+				binary.NativeEndian.PutUint32(list[4*i:], r)
+			}
+			env.putShared(0, list)
+			// Rows 0 (twelve times, the padding included) and rows-1 are
+			// inside the rank; rows, 1<<31 and 0xFFFFFFFF are not.
+			want := byte(12*(table+1) + table + rows)
+			for _, idx := range [][]byte{list[:], list[:0]} {
+				core.touch(m, idx, table, rows)
+				if got := touchLoop(m, idx, table, rows); len(idx) > 0 && got != want {
+					t.Fatalf("touchLoop summed %d, want %d: it loaded a block past the rank", got, want)
+				}
+			}
+			err := core.Execute(isa.Gather(table, 0, 0, 16))
+			if want := fmt.Sprintf("GATHER index %d beyond local capacity", rows); err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("err = %v, want one naming %q", err, want)
 			}
 		})
 	}

@@ -10,30 +10,32 @@ import (
 	"tensordimm/internal/isa"
 )
 
-// The gather benchmarks' node: 4 DIMMs and a 128 MiB table of 1 KiB rows (4
-// stripes, 256 B per DIMM), row r holding r + i/256 in lane i. Each GATHER
-// names 512 stripes, 128 random rows.
+// The gather benchmarks' node: 4 DIMMs and a table of 1 KiB rows (4
+// stripes, 256 B per DIMM), row r holding r + i/256 in lane i: 128 MiB of
+// them, far past any cache, or 256 KiB, which stays cache-resident. Each
+// GATHER names 512 stripes, 128 random rows.
 const (
-	benchDIMMs    = 4
-	benchRowBytes = 1 << 10
-	benchRows     = 128 << 10
-	benchCount    = 512
+	benchDIMMs      = 4
+	benchRowBytes   = 1 << 10
+	benchRows       = 128 << 10
+	benchCachedRows = 256
+	benchCount      = 512
 )
 
-// benchNode builds the gather benchmarks' node with room for progs
-// concurrent programs' outputs and writes the table.
-func benchNode(b *testing.B, progs int) (*Node, uint64) {
+// benchNode builds the gather benchmarks' node with a table of rows rows and
+// room for progs concurrent programs' outputs, and writes the table.
+func benchNode(b *testing.B, rows, progs int) (*Node, uint64) {
 	b.Helper()
-	n, err := New(Config{DIMMs: benchDIMMs, PerDIMMBytes: benchRows*benchRowBytes/benchDIMMs + uint64(progs)<<20})
+	n, err := New(Config{DIMMs: benchDIMMs, PerDIMMBytes: uint64(rows)*benchRowBytes/benchDIMMs + uint64(progs)<<20})
 	if err != nil {
 		b.Fatal(err)
 	}
-	table, err := n.Alloc(benchRows * benchRowBytes)
+	table, err := n.Alloc(uint64(rows) * benchRowBytes)
 	if err != nil {
 		b.Fatal(err)
 	}
 	row := make([]float32, benchRowBytes/4)
-	for r := 0; r < benchRows; r++ {
+	for r := 0; r < rows; r++ {
 		for i := range row {
 			row[i] = float32(r) + float32(i)/float32(len(row))
 		}
@@ -52,17 +54,18 @@ type gatherProgram struct {
 	idxBase uint64
 	out     uint64
 	prog    isa.Program
+	rows    int // the table's
 	rng     *rand.Rand
 }
 
-func newGatherProgram(b *testing.B, n *Node, table uint64, seed int64) *gatherProgram {
+func newGatherProgram(b *testing.B, n *Node, table uint64, rows int, seed int64) *gatherProgram {
 	b.Helper()
 	out, err := n.Alloc(benchCount * n.StripeBytes())
 	if err != nil {
 		b.Fatal(err)
 	}
 	p := &gatherProgram{n: n, idx: make([]int32, benchCount), idxBase: n.ReserveIndexRegion(benchCount * 4),
-		out: out, rng: rand.New(rand.NewSource(seed))}
+		out: out, rows: rows, rng: rand.New(rand.NewSource(seed))}
 	p.prog = isa.Program{isa.Gather(table/isa.BlockBytes, p.idxBase/isa.BlockBytes, out/isa.BlockBytes, benchCount)}
 	return p
 }
@@ -72,7 +75,7 @@ func newGatherProgram(b *testing.B, n *Node, table uint64, seed int64) *gatherPr
 func (p *gatherProgram) op() error {
 	stripes := int(benchRowBytes / p.n.StripeBytes())
 	for g := 0; g < benchCount; g += stripes {
-		r := p.rng.Intn(benchRows)
+		r := p.rng.Intn(p.rows)
 		for s := 0; s < stripes; s++ {
 			p.idx[g+s] = int32(r*stripes + s)
 		}
@@ -102,10 +105,20 @@ func (p *gatherProgram) check() error {
 // 128 MiB table, so almost every row block is a cache miss. The reported
 // throughput is the bytes gathered across the node; the index list is drawn
 // and loaded inside the timed loop (2 KiB against 128 KiB gathered).
-func BenchmarkGatherRandomRows(b *testing.B) {
-	n, table := benchNode(b, 1)
+func BenchmarkGatherRandomRows(b *testing.B) { benchGather(b, benchRows) }
+
+// BenchmarkGatherCachedRows is BenchmarkGatherRandomRows' op over a 256 KiB
+// table, whose rows stay cache-resident: there GATHER's touch-ahead has no
+// miss to overlap and is pure cost, the case of the serving workloads'
+// shards, which re-gather a small table.
+func BenchmarkGatherCachedRows(b *testing.B) { benchGather(b, benchCachedRows) }
+
+// benchGather times one program's op over a table of rows rows, checking a
+// gathered row after the first op and after the last.
+func benchGather(b *testing.B, rows int) {
+	n, table := benchNode(b, rows, 1)
 	defer n.Close()
-	p := newGatherProgram(b, n, table, 1)
+	p := newGatherProgram(b, n, table, rows, 1)
 	if err := p.op(); err != nil {
 		b.Fatal(err)
 	}
@@ -119,6 +132,10 @@ func BenchmarkGatherRandomRows(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	if err := p.check(); err != nil {
+		b.Fatal(err)
+	}
 }
 
 // BenchmarkGatherConcurrentPrograms runs BenchmarkGatherRandomRows' op on
@@ -128,11 +145,11 @@ func BenchmarkGatherRandomRows(b *testing.B) {
 // reports against P shows how far concurrent reads scale on one node.
 func BenchmarkGatherConcurrentPrograms(b *testing.B) {
 	const maxP = 4
-	n, table := benchNode(b, maxP)
+	n, table := benchNode(b, benchRows, maxP)
 	defer n.Close()
 	progs := make([]*gatherProgram, maxP)
 	for i := range progs {
-		progs[i] = newGatherProgram(b, n, table, int64(i+1))
+		progs[i] = newGatherProgram(b, n, table, benchRows, int64(i+1))
 		if err := progs[i].op(); err != nil {
 			b.Fatal(err)
 		}
